@@ -185,7 +185,7 @@ impl SideChannelCase {
 /// sub-linear.
 fn run_side_channel_case(backups: usize) -> SideChannelCase {
     let spec = ClusterFleetSpec::new(20, backups);
-    let side_port = spec.st_tcp.side_channel_port;
+    let side_port = spec.fleet.st_tcp.side_channel_port;
     let mut fleet = build_cluster(&spec);
     let server_ids: Vec<usize> = fleet.servers.iter().map(|n| n.0).collect();
     let tally = Rc::new(Cell::new((0u64, 0u64)));

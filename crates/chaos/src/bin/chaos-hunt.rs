@@ -10,10 +10,10 @@
 //! * `--demo`      the full ≥200-run campaign.
 //! * `--wan`       burst-loss WAN failover matrix (seeds × controllers).
 //! * `--replay`    replay a failure artifact JSON file and verify it
-//!                 reproduces (same oracle, same frame digest).
+//!   reproduces (same oracle, same frame digest).
 //! * `--artifacts` write each failure's reproducer to DIR: the JSON
-//!                 artifact (with embedded obs snapshot and trace tail)
-//!                 plus a `.pcap` capture of the failing pass.
+//!   artifact (with embedded obs snapshot and trace tail)
+//!   plus a `.pcap` capture of the failing pass.
 //!
 //! Exit code 0 iff the campaign is all green AND the broken-config
 //! canary is caught, shrunk, and replays deterministically.

@@ -22,9 +22,10 @@ use netsim::{SimDuration, SimTime};
 use std::cell::RefCell;
 use std::rc::Rc;
 use sttcp::cluster::promotion::detection_deadline;
-use sttcp::cluster::{build_cluster, ClusterFleet, ClusterFleetSpec, ClusterRole};
+use sttcp::fleet::{build_cluster, ClusterFleetSpec, Fleet};
 use sttcp::node::{ClientNode, ServerNode};
 use sttcp::scenario::StopReason;
+use sttcp::ClusterRole;
 use tcpstack::TcpState;
 use wire::{EtherType, EthernetFrame, IpProtocol, Ipv4Packet};
 
@@ -159,7 +160,7 @@ pub fn execute_cluster(spec: &ClusterRunSpec) -> ClusterRunReport {
     for &(rank, ms) in &spec.crashes_ms {
         fspec = fspec.crash(rank, SimTime::ZERO + SimDuration::from_millis(ms));
     }
-    let cfg = fspec.st_tcp.clone();
+    let cfg = fspec.fleet.st_tcp.clone();
     let mut fleet = build_cluster(&fspec);
     let server_ids: Vec<usize> = fleet.servers.iter().map(|n| n.0).collect();
     let vip = cfg.vip;
@@ -347,7 +348,7 @@ pub fn execute_cluster(spec: &ClusterRunSpec) -> ClusterRunReport {
 }
 
 fn sample_cluster_seq_agreement(
-    fleet: &ClusterFleet,
+    fleet: &Fleet,
     first_crash: Option<SimTime>,
     violations: &mut Vec<Violation>,
     tripped: &mut bool,
@@ -362,7 +363,7 @@ fn sample_cluster_seq_agreement(
     let mut samples = Vec::new();
     for &id in &fleet.servers[1..] {
         let backup = fleet.sim.node_ref::<ServerNode>(id);
-        let engine = backup.cluster_engine().expect("cluster fleet servers run the engine");
+        let engine = backup.engine().expect("cluster fleet servers run the engine");
         if engine.role() != ClusterRole::Backup {
             continue;
         }

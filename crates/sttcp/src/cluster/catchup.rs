@@ -1,23 +1,27 @@
-//! Logger-assisted catch-up accounting for a chained backup.
+//! Per-connection sync accounting for a backup: the §4.3
+//! acknowledgment strategy, tap-omission detection, and catch-up.
 //!
-//! Tracks, per shadowed connection, how far this node's shadow trails
-//! the primary's cumulative ACK (the *lag*), drives missing-segment
-//! requests to close it, and answers the one question the promotion
-//! layer asks: **is this node shadow-consistent enough to serve?**
-//! A backup is promotion-eligible exactly when its lag is zero — a
-//! lagging or late-joining backup first replays retained segments
-//! (from the primary, or from the in-network logger once the primary
-//! is gone) until nothing is missing.
+//! Tracks, per shadowed connection, what this node has acknowledged to
+//! the primary, how far its shadow trails the primary's cumulative ACK
+//! (the *lag*), and the missing-segment request that is closing it. A
+//! lagging or late-joining backup replays retained segments (from the
+//! primary, or from the in-network logger once the primary is gone)
+//! until nothing is missing; the promotion layer asks [`lag`] whether
+//! this node is shadow-consistent enough to serve.
 //!
-//! Unlike the two-node [`crate::backup::BackupEngine`], retries here
-//! use per-connection timestamps scanned on the sync tick rather than
-//! a timer wheel: a chain run tops out at tens of connections per
-//! fleet, where the scan is cheaper than the wheel's bookkeeping.
+//! Everything on the per-frame and per-tick paths is O(active): the ack
+//! scan visits only connections with fresh receive progress, and the
+//! retry scan only connections with a request in flight. Only [`lag`]
+//! and [`gaps`] walk every tracked connection, and the engine calls
+//! them only while the primary is suspected or a drain is pending.
+//!
+//! [`lag`]: CatchupTracker::lag
+//! [`gaps`]: CatchupTracker::gaps
 
 use crate::messages::ConnKey;
 use netsim::{SimDuration, SimTime};
 use std::collections::HashMap;
-use tcpstack::{NetStack, SeqNum};
+use tcpstack::{NetStack, SeqNum, Tcb};
 
 /// Per-connection sync state.
 #[derive(Debug, Clone, Copy)]
@@ -31,12 +35,15 @@ struct ConnSync {
     prev_acked_next: SeqNum,
     /// Highest cumulative ACK seen from the primary (tapped segments).
     highest_primary_ack: Option<SeqNum>,
-    /// In-flight missing-segment request: `(from, sent_at)`.
+    /// In-flight missing-segment request: `(end of the requested
+    /// range, sent_at)`.
     outstanding_req: Option<(SeqNum, SimTime)>,
     /// Queued for the next ack scan.
     pending_ack: bool,
     /// Parked below the X threshold awaiting the sync tick.
     deferred: bool,
+    /// Sits on the in-flight list awaiting the retry scan.
+    in_flight: bool,
 }
 
 /// One ack this node owes the primary: `(conn, acked_next, own
@@ -49,13 +56,27 @@ pub type MissingOut = (ConnKey, SeqNum, u32);
 /// One unhealed gap: `(conn, from, to)` — the logger-query window.
 pub type Gap = (ConnKey, SeqNum, SeqNum);
 
+fn shadow(stack: &NetStack, key: ConnKey) -> Option<&Tcb> {
+    stack.sock_by_quad(key.server_quad()).and_then(|s| stack.tcb(s))
+}
+
 /// See the module docs.
 #[derive(Debug, Default)]
 pub struct CatchupTracker {
     conns: HashMap<ConnKey, ConnSync>,
+    /// Connections with possibly-unacked receive progress.
     pending: Vec<ConnKey>,
+    /// Reused swap buffer for the scans (no per-pump allocation).
     scratch: Vec<ConnKey>,
+    /// Connections with unacked progress still below the X threshold,
+    /// parked until the forced tick. Keeping these off `pending` is
+    /// what makes a pump O(new activity): otherwise every frame event
+    /// would rescan every in-flight connection. Fresh activity
+    /// re-queues a parked key via [`CatchupTracker::note_activity`].
     deferred: Vec<ConnKey>,
+    /// Connections with a missing-segment request in flight — the only
+    /// ones the per-tick retry scan visits.
+    in_flight: Vec<ConnKey>,
 }
 
 impl CatchupTracker {
@@ -74,12 +95,8 @@ impl CatchupTracker {
             outstanding_req: None,
             pending_ack: false,
             deferred: false,
+            in_flight: false,
         });
-    }
-
-    /// Whether `key` is tracked.
-    pub fn knows(&self, key: ConnKey) -> bool {
-        self.conns.contains_key(&key)
     }
 
     /// Tracked connection count.
@@ -103,7 +120,7 @@ impl CatchupTracker {
     }
 
     /// Records a tapped primary cumulative ACK; returns whether the
-    /// connection is tracked (an untracked one needs a bootstrap).
+    /// connection is tracked.
     pub fn on_primary_ack(&mut self, key: ConnKey, ack: SeqNum) -> bool {
         match self.conns.get_mut(&key) {
             Some(c) => {
@@ -117,11 +134,27 @@ impl CatchupTracker {
         }
     }
 
-    /// Clears the in-flight request for `key` (answered or refused).
+    /// Clears the in-flight request for `key` (refused).
     pub fn clear_outstanding(&mut self, key: ConnKey) {
         if let Some(c) = self.conns.get_mut(&key) {
             c.outstanding_req = None;
         }
+    }
+
+    /// A reply chunk ending at `upto` arrived. Clears the in-flight
+    /// request once the reply has reached the end of the requested
+    /// range and returns whether it did — only then may the caller ask
+    /// for more. (Clearing on the first chunk would re-request, per
+    /// chunk, everything the rest of the reply is already carrying.)
+    pub fn reply_completes(&mut self, key: ConnKey, upto: SeqNum) -> bool {
+        let Some(c) = self.conns.get_mut(&key) else {
+            return false;
+        };
+        let done = c.outstanding_req.is_some_and(|(end, _)| upto.ge(end));
+        if done {
+            c.outstanding_req = None;
+        }
+        done
     }
 
     /// Issues a missing-segment request for `key` if its shadow trails
@@ -140,7 +173,7 @@ impl CatchupTracker {
         let Some(primary_ack) = c.highest_primary_ack else {
             return;
         };
-        let Some(tcb) = stack.sock_by_quad(key.server_quad()).and_then(|s| stack.tcb(s)) else {
+        let Some(tcb) = shadow(stack, key) else {
             return;
         };
         // Compare against ack_seq (payload + consumed FIN) so a consumed
@@ -153,13 +186,17 @@ impl CatchupTracker {
         if c.outstanding_req.is_some() {
             return; // one request in flight per connection
         }
-        let from = tcb.rcv_nxt();
-        let len = (gap as usize).min(chunk) as u32;
-        c.outstanding_req = Some((from, now));
+        let (from, len) = (tcb.rcv_nxt(), (gap as usize).min(chunk) as u32);
+        c.outstanding_req = Some((from.add(len), now));
+        if !c.in_flight {
+            c.in_flight = true;
+            self.in_flight.push(key);
+        }
         out.push((key, from, len));
     }
 
     /// Re-issues requests whose staleness window passed (sync tick).
+    /// Visits only the in-flight list; answered requests drop off it.
     pub fn retry_stale(
         &mut self,
         now: SimTime,
@@ -168,90 +205,96 @@ impl CatchupTracker {
         stack: &NetStack,
         out: &mut Vec<MissingOut>,
     ) {
-        let mut stale = std::mem::take(&mut self.scratch);
-        stale.clear();
-        for (&key, c) in &self.conns {
-            if let Some((_, at)) = c.outstanding_req {
-                if now.checked_duration_since(at).map(|d| d > window).unwrap_or(false) {
-                    stale.push(key);
-                }
+        debug_assert!(self.scratch.is_empty());
+        std::mem::swap(&mut self.in_flight, &mut self.scratch);
+        for i in 0..self.scratch.len() {
+            let key = self.scratch[i];
+            let Some(c) = self.conns.get_mut(&key) else {
+                continue;
+            };
+            c.in_flight = false;
+            let Some((_, sent_at)) = c.outstanding_req else {
+                continue; // answered: off the list
+            };
+            if now.checked_duration_since(sent_at).is_some_and(|d| d > window) {
+                c.outstanding_req = None;
+                self.request_missing(now, key, chunk, stack, out);
+            } else {
+                c.in_flight = true;
+                self.in_flight.push(key);
             }
         }
-        for &key in &stale {
-            self.clear_outstanding(key);
-            self.request_missing(now, key, chunk, stack, out);
-        }
-        stale.clear();
-        self.scratch = stale;
+        self.scratch.clear();
     }
 
-    /// The ack scan (§4.3 X-threshold rule, chained flavour): emits
-    /// `(conn, acked_next, own release point)` for every queued
-    /// connection whose progress crossed `x_threshold`, or for all of
-    /// them when `force` is set (the sync tick). Sub-threshold
-    /// connections park on a deferred list the next forced scan
-    /// flushes — identical policy to the two-node engine.
+    /// The ack scan (§4.3): emits `(conn, acked_next, own release
+    /// point)` for every queued connection whose progress crossed
+    /// `x_threshold`, or — when `force` is set (the sync tick) — for
+    /// every connection with any unacked progress, parked ones
+    /// included. Returns how many acks the X threshold triggered.
     pub fn collect_acks(
         &mut self,
         stack: &NetStack,
         x_threshold: usize,
         force: bool,
         out: &mut Vec<AckOut>,
-    ) {
+    ) -> u64 {
         debug_assert!(self.scratch.is_empty());
         std::mem::swap(&mut self.pending, &mut self.scratch);
+        let triggered = self.scan(stack, x_threshold, force, false, out);
+        if force {
+            // The periodic tick flushes every parked sub-threshold ack.
+            std::mem::swap(&mut self.deferred, &mut self.scratch);
+            self.scan(stack, x_threshold, true, true, out);
+        }
+        triggered
+    }
+
+    /// One pass over the keys staged in `scratch`, taken off the
+    /// `pending` list (or the `deferred` one when `parked`).
+    fn scan(
+        &mut self,
+        stack: &NetStack,
+        x_threshold: usize,
+        force: bool,
+        parked: bool,
+        out: &mut Vec<AckOut>,
+    ) -> u64 {
+        let mut triggered = 0;
         for i in 0..self.scratch.len() {
             let key = self.scratch[i];
             let Some(c) = self.conns.get_mut(&key) else {
                 continue;
             };
-            c.pending_ack = false;
-            let Some(next) = stack
-                .sock_by_quad(key.server_quad())
-                .and_then(|s| stack.tcb(s))
-                .map(|t| t.rcv_nxt())
-            else {
-                continue;
+            if parked {
+                c.deferred = false;
+            } else {
+                c.pending_ack = false;
+            }
+            let Some(next) = shadow(stack, key).map(|t| t.rcv_nxt()) else {
+                continue; // shadow gone
             };
             let progress = next.distance(c.last_acked_next);
             if progress <= 0 {
-                continue;
+                continue; // fully acked; re-queued on activity
             }
-            if force || progress as u128 >= x_threshold as u128 {
+            // Careful with the comparison: `usize::MAX as i64` is -1, so
+            // cast the (known-positive) progress up instead.
+            let threshold_hit = progress as u128 >= x_threshold as u128;
+            if force || threshold_hit {
                 out.push((key, next, c.prev_acked_next));
                 c.prev_acked_next = c.last_acked_next;
                 c.last_acked_next = next;
+                triggered += u64::from(threshold_hit && !force);
             } else if !c.deferred {
+                // Progress can only grow via new activity, which
+                // re-queues the key, so nothing is lost by parking.
                 c.deferred = true;
                 self.deferred.push(key);
             }
         }
         self.scratch.clear();
-        if force {
-            std::mem::swap(&mut self.deferred, &mut self.scratch);
-            for i in 0..self.scratch.len() {
-                let key = self.scratch[i];
-                let Some(c) = self.conns.get_mut(&key) else {
-                    continue;
-                };
-                c.deferred = false;
-                let Some(next) = stack
-                    .sock_by_quad(key.server_quad())
-                    .and_then(|s| stack.tcb(s))
-                    .map(|t| t.rcv_nxt())
-                else {
-                    continue;
-                };
-                let progress = next.distance(c.last_acked_next);
-                if progress <= 0 {
-                    continue;
-                }
-                out.push((key, next, c.prev_acked_next));
-                c.prev_acked_next = c.last_acked_next;
-                c.last_acked_next = next;
-            }
-            self.scratch.clear();
-        }
+        triggered
     }
 
     /// Total bytes this node's shadows trail the primary's cumulative
@@ -259,10 +302,8 @@ impl CatchupTracker {
     pub fn lag(&self, stack: &NetStack) -> u64 {
         self.conns
             .iter()
-            .filter_map(|(key, c)| {
-                let primary_ack = c.highest_primary_ack?;
-                let tcb = stack.sock_by_quad(key.server_quad()).and_then(|s| stack.tcb(s))?;
-                let gap = primary_ack.distance(tcb.ack_seq());
+            .filter_map(|(&key, c)| {
+                let gap = c.highest_primary_ack?.distance(shadow(stack, key)?.ack_seq());
                 (gap > 0).then_some(gap as u64)
             })
             .sum()
@@ -274,7 +315,7 @@ impl CatchupTracker {
             let Some(primary_ack) = c.highest_primary_ack else {
                 continue;
             };
-            let Some(tcb) = stack.sock_by_quad(key.server_quad()).and_then(|s| stack.tcb(s)) else {
+            let Some(tcb) = shadow(stack, key) else {
                 continue;
             };
             if primary_ack.gt(tcb.ack_seq()) {
@@ -304,7 +345,7 @@ mod tests {
         assert!(!t.on_primary_ack(key(1), SeqNum(100)));
         t.register(key(1), SeqNum(1));
         assert!(t.on_primary_ack(key(1), SeqNum(100)));
-        assert!(t.knows(key(1)));
+        assert_eq!(t.len(), 1);
     }
 
     #[test]
@@ -318,13 +359,11 @@ mod tests {
     }
 
     #[test]
-    fn ack_collection_tracks_prev_release_point() {
-        // Pure-tracker test: drive the bookkeeping without a stack by
-        // exercising the state transitions directly.
+    fn both_release_points_start_at_the_stream_base() {
         let mut t = CatchupTracker::new();
         t.register(key(1), SeqNum(1));
-        let c = t.conns.get_mut(&key(1)).unwrap();
+        let c = t.conns[&key(1)];
         assert_eq!(c.last_acked_next, SeqNum(1));
-        assert_eq!(c.prev_acked_next, SeqNum(1), "both release points start at the stream base");
+        assert_eq!(c.prev_acked_next, SeqNum(1));
     }
 }

@@ -1,70 +1,75 @@
-//! The replication-topology subsystem: primary + N-backup chains,
-//! deterministic promotion, and planned migration.
+//! The replication engine: a primary and its rank-ordered chain of N
+//! backups, deterministic promotion, and planned migration.
 //!
-//! This layer generalizes the two-node engines ([`crate::primary`],
-//! [`crate::backup`]) to a rank-ordered chain of shadows:
+//! [`ClusterEngine`] is the repo's *only* implementation of the paper's
+//! protocol — retain until the backup acks (§4.2), ack at X bytes or
+//! `SyncTime` (§4.3), heartbeat / detect / take over (§4.4). The
+//! paper's primary/backup pair is the chain of length one
+//! ([`crate::node::ServerNode::primary`] / `backup` build the
+//! two-member [`Topology`]); longer chains add nothing but ranks:
 //!
-//! * [`Topology`] — the epoch + member list every
-//!   [`crate::messages::SideMsg::ClusterHb`] carries, with the
-//!   epoch-by-rank promotion rule that makes cascades converge without
-//!   elections ([`topology`]).
+//! * [`Topology`] — the epoch + member list, with the epoch-by-rank
+//!   promotion rule that makes cascades converge without elections
+//!   ([`topology`]). While a reign is still the one every member was
+//!   constructed with (epoch 0) the primary's heartbeat is the paper's
+//!   payload-free [`SideMsg::Heartbeat`]; once a promotion has changed
+//!   it, heartbeats carry the whole list as [`SideMsg::ClusterHb`].
 //! * [`promotion`] — rank-staggered failure detection: rank 1 uses the
 //!   paper's window, each deeper rank waits two extra heartbeats, so
 //!   at most one member unsuppresses the VIP per reign.
-//! * [`catchup`] — per-connection lag accounting; a backup is
-//!   promotion-eligible only at lag zero, and closes lag via
-//!   missing-segment replays (from the primary, or the in-network
-//!   logger once the primary is gone).
+//! * [`catchup`] — the backup's per-connection ack/lag accounting; a
+//!   lagging backup yields its promotion slot while a deeper rank could
+//!   still take it, and closes lag via missing-segment replays (from
+//!   the primary, or the in-network logger once the primary is gone).
 //! * [`migration`] — `drain_and_handover()`: a healthy primary fences
 //!   itself only after the successor proves shadow-consistency.
-//! * [`ClusterEngine`] — one engine for every role; a node starts as
-//!   rank-0 primary or rank-k backup and moves through
-//!   promotion/retirement as the topology evolves.
+//!
+//! A node starts as rank-0 primary or rank-k backup and moves through
+//! promotion/retirement as the topology evolves.
 //!
 //! # Side-channel economy
 //!
-//! Rank 1 speaks the classic per-connection
-//! [`crate::messages::SideMsg::BackupAck`] dialect (it is the two-node
-//! protocol, unchanged). Ranks ≥ 2 accumulate their acks and flush a
-//! single [`crate::messages::SideMsg::AckBatch`] per sync tick — the
-//! side channel grows by one datagram per extra backup per tick, not
-//! by another per-connection stream (`bench` records the ratio as
+//! Rank 1 sends one [`SideMsg::BackupAck`] per connection (the paper's
+//! dialect). Ranks ≥ 2 accumulate their acks and flush a single
+//! [`SideMsg::AckBatch`] per sync tick — the side channel grows by one
+//! datagram per extra backup per tick, not by another per-connection
+//! stream (`bench` records the ratio as
 //! `side_channel_overhead_{1,2,3}backups`).
 //!
 //! # Retention in a chain
 //!
 //! The primary releases retained bytes at the *minimum* acknowledged
-//! point over all live backups. Each backup also keeps its own
-//! retention buffer and self-releases one ack window behind its own
-//! progress: after a promotion it can serve the deeper ranks' missing
-//! segments from that window without ever having been asked to.
+//! point over all live backups; when the last one falls silent it
+//! drops to non-fault-tolerant mode (§4.4) until one returns. Each
+//! backup that has a deeper rank behind it also keeps its own retention
+//! buffer and self-releases one ack window behind its own progress:
+//! after a promotion it can serve the deeper ranks' missing segments
+//! from that window without ever having been asked to. The last rank
+//! has nobody to serve and retains nothing.
 
 pub mod catchup;
-pub mod fleet;
 pub mod migration;
 pub mod promotion;
 pub mod topology;
 
-pub use fleet::{build_cluster, ClusterFleet, ClusterFleetSpec};
 pub use migration::DrainPhase;
 pub use topology::Topology;
 
-use crate::config::{Fencing, SttcpConfig};
+use crate::config::{Fencing, SttcpConfig, TakeoverPolicy};
 use crate::messages::{ConnKey, SideMsg};
 use bytes::Bytes;
 use catchup::{CatchupTracker, MissingOut};
 use migration::{DrainCoordinator, DrainFollower};
 use netsim::logger::ReplayQuery;
-use netsim::SimTime;
+use netsim::{SimDuration, SimTime};
 use obs::{Counter, Gauge, Mark, MigrationPhase, SharedRecorder, TraceEvent};
 use promotion::PromotionTimer;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
-use tcpstack::{NetStack, SeqNum, TcpState};
+use tcpstack::{NetStack, SeqNum, SockId, TcpState};
 
-/// Side-channel datagrams are kept under this payload size (same cap
-/// as the two-node engines).
-const SIDE_CHUNK: usize = crate::primary::SIDE_CHUNK;
+/// Side-channel datagrams are kept under this payload size.
+pub const SIDE_CHUNK: usize = 1024;
 
 /// What a cluster member currently is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,12 +83,12 @@ pub enum ClusterRole {
     Retired,
 }
 
-/// Cluster-engine counters.
+/// Engine counters.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ClusterStats {
-    /// Topology heartbeats sent (one per backup per tick as primary).
+    /// Heartbeats sent (one per backup per tick as primary).
     pub hbs_sent: u64,
-    /// Topology heartbeats received.
+    /// Heartbeats received from the serving primary.
     pub hbs_received: u64,
     /// Topologies adopted from a higher epoch.
     pub adoptions: u64,
@@ -93,6 +98,8 @@ pub struct ClusterStats {
     pub migrations: u64,
     /// Per-connection acks sent (rank-1 dialect).
     pub acks_sent: u64,
+    /// Acks triggered by the X-byte threshold (vs. the SyncTime tick).
+    pub acks_threshold_triggered: u64,
     /// Multiplexed ack batches sent (rank ≥ 2 dialect).
     pub ack_batches_sent: u64,
     /// Entries across all sent ack batches.
@@ -103,6 +110,8 @@ pub struct ClusterStats {
     pub missing_reqs: u64,
     /// Missing-segment replies served (as primary/retired).
     pub missing_served: u64,
+    /// Bytes re-sent over the side channel in those replies.
+    pub missing_bytes_sent: u64,
     /// Missing-segment requests refused.
     pub missing_nacked: u64,
     /// Bytes recovered into this node's shadows via replays.
@@ -113,14 +122,19 @@ pub struct ClusterStats {
     pub logger_queries: u64,
     /// Full-history bootstrap queries issued.
     pub bootstrap_queries: u64,
-    /// Backups that returned from the dead (as primary).
+    /// Backups that returned from the dead (as primary; an extension —
+    /// the paper stops at the transition to non-fault-tolerant mode).
     pub reintegrations: u64,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct PeerState {
+/// One backup, as the primary sees it.
+#[derive(Debug)]
+struct Peer {
+    ip: Ipv4Addr,
     last_heard: SimTime,
     alive: bool,
+    /// The point this backup has acknowledged, per connection.
+    acks: HashMap<ConnKey, SeqNum>,
 }
 
 /// See the module docs.
@@ -131,20 +145,22 @@ pub struct ClusterEngine {
     role: ClusterRole,
     x_threshold: usize,
     timer: PromotionTimer,
+    /// Cold-replay policy: when state reconstruction completes.
+    replay_ready_at: Option<SimTime>,
     catchup: CatchupTracker,
     drain: DrainCoordinator,
     follower: DrainFollower,
     ready_traced: bool,
     hb_seq: u64,
-    /// Backup liveness, as primary.
-    peers: HashMap<Ipv4Addr, PeerState>,
-    /// Per-connection, per-backup acknowledged points (primary side);
-    /// retention releases at the minimum over live backups.
-    peer_acks: HashMap<ConnKey, HashMap<Ipv4Addr, SeqNum>>,
+    /// The backups in rank order, as primary; retention releases at
+    /// the minimum acknowledged point over the live ones.
+    peers: Vec<Peer>,
+    /// When the last live backup was declared dead (non-fault-tolerant
+    /// mode); cleared when one reintegrates.
+    backups_dead_at: Option<SimTime>,
     /// Last congestion snapshot mirrored per connection (primary side,
     /// [`SttcpConfig::cong_sync`]); suppresses no-change rebroadcasts.
     cong_sent: HashMap<ConnKey, (u32, u32)>,
-    retention_on: bool,
     takeover_at: Option<SimTime>,
     outbox: Vec<(Ipv4Addr, SideMsg)>,
     fence_request: Option<u32>,
@@ -159,9 +175,17 @@ pub struct ClusterEngine {
     pub stats: ClusterStats,
 }
 
+fn fresh_peers(topo: &Topology, now: SimTime) -> Vec<Peer> {
+    let peer = |&ip| Peer { ip, last_heard: now, alive: true, acks: HashMap::new() };
+    topo.backups().iter().map(peer).collect()
+}
+
 impl ClusterEngine {
     /// Creates the engine for the member `self_ip` of `topology`.
     /// Rank 0 starts as primary, everyone else as a backup.
+    /// `x_threshold` is the ack byte threshold `X` (typically ¾ of the
+    /// primary's second buffer); `now` starts the liveness clocks (every
+    /// peer gets a full detection window to say hello).
     pub fn new(
         cfg: SttcpConfig,
         self_ip: Ipv4Addr,
@@ -173,32 +197,21 @@ impl ClusterEngine {
             .rank_of(self_ip)
             .unwrap_or_else(|| panic!("{self_ip} is not a member of the topology"));
         let role = if rank == 0 { ClusterRole::Primary } else { ClusterRole::Backup };
-        let peers = if rank == 0 {
-            topology
-                .backups()
-                .iter()
-                .map(|&ip| (ip, PeerState { last_heard: now, alive: true }))
-                .collect()
-        } else {
-            HashMap::new()
-        };
-        let recorder = obs::nop();
-        let engine = ClusterEngine {
+        ClusterEngine {
             cfg,
             self_ip,
-            topo: topology,
             role,
             x_threshold,
             timer: PromotionTimer::new(now),
+            replay_ready_at: None,
             catchup: CatchupTracker::new(),
             drain: DrainCoordinator::new(),
             follower: DrainFollower::new(),
             ready_traced: false,
             hb_seq: 0,
-            peers,
-            peer_acks: HashMap::new(),
+            peers: if rank == 0 { fresh_peers(&topology, now) } else { Vec::new() },
+            backups_dead_at: None,
             cong_sent: HashMap::new(),
-            retention_on: true,
             takeover_at: None,
             outbox: Vec::new(),
             fence_request: None,
@@ -208,18 +221,22 @@ impl ClusterEngine {
             ack_scratch: Vec::new(),
             req_scratch: Vec::new(),
             gap_scratch: Vec::new(),
-            recorder,
+            recorder: obs::nop(),
             stats: ClusterStats::default(),
-        };
-        engine.recorder.gauge_max(Gauge::PromotionRank, u64::from(rank) + 1);
-        engine
+            topo: topology,
+        }
     }
 
     /// Installs an observability recorder (no-op by default).
     pub fn set_recorder(&mut self, recorder: SharedRecorder) {
         self.recorder = recorder;
-        let rank = self.topo.rank_of(self.self_ip).unwrap_or(0);
+        let rank = self.rank().unwrap_or(0);
         self.recorder.gauge_max(Gauge::PromotionRank, u64::from(rank) + 1);
+    }
+
+    /// The protocol configuration this engine runs.
+    pub fn config(&self) -> &SttcpConfig {
+        &self.cfg
     }
 
     /// Current role.
@@ -257,6 +274,18 @@ impl ClusterEngine {
         self.timer.suspected_at()
     }
 
+    /// As primary: whether any backup is considered alive
+    /// (fault-tolerant mode).
+    pub fn backup_alive(&self) -> bool {
+        self.peers.iter().any(|p| p.alive)
+    }
+
+    /// As primary: when the last live backup was declared dead, while
+    /// none has returned since.
+    pub fn backup_dead_at(&self) -> Option<SimTime> {
+        self.backups_dead_at
+    }
+
     /// Shadow lag in bytes (promotion-eligible at zero).
     pub fn catchup_lag(&self, stack: &NetStack) -> u64 {
         self.catchup.lag(stack)
@@ -271,6 +300,37 @@ impl ClusterEngine {
     /// backup at `at` (call on the serving primary).
     pub fn schedule_drain(&mut self, at: SimTime, successor_rank: u8) {
         self.drain.schedule(at, successor_rank);
+    }
+
+    /// How often the node adapter ticks this engine in its current
+    /// role: the primary at the heartbeat cadence, a backup at
+    /// `SyncTime` (its ack and detection cadence).
+    pub fn tick_interval(&self) -> SimDuration {
+        match self.role {
+            ClusterRole::Backup => self.cfg.effective_sync_time(),
+            ClusterRole::Primary | ClusterRole::Retired => self.cfg.hb_interval,
+        }
+    }
+
+    /// The node adapter accepted `sock` from a service listener. A
+    /// backup starts tracking the shadow; a primary with no live backup
+    /// (non-fault-tolerant mode) has nobody to retain for.
+    pub fn on_accept(&mut self, sock: SockId, stack: &mut NetStack) {
+        let Some(tcb) = stack.tcb_mut(sock) else {
+            return;
+        };
+        match self.role {
+            // Baseline at the start of the client's stream, NOT the
+            // current rcv_nxt: when the client piggybacks its handshake
+            // ACK on the first request, the shadow establishes on a
+            // data-carrying frame and rcv_nxt already covers bytes the
+            // primary must not discard before we acknowledge them.
+            ClusterRole::Backup => {
+                self.catchup.register(ConnKey::from_server_quad(tcb.quad()), tcb.irs().add(1));
+            }
+            ClusterRole::Primary if !self.backup_alive() => tcb.disable_retention(),
+            ClusterRole::Primary | ClusterRole::Retired => {}
+        }
     }
 
     /// Registers a newly shadowed connection (backup role).
@@ -295,23 +355,25 @@ impl ClusterEngine {
         // `from` against the *new* reign when this very message
         // announces one.
         if let SideMsg::ClusterHb { epoch, members, .. } = &msg {
-            self.stats.hbs_received += 1;
-            self.recorder.count(Counter::HeartbeatsReceived, 1);
             if *epoch > self.topo.epoch() {
                 let members = members.clone();
                 self.adopt(now, *epoch, members, stack);
             }
         }
         if from == self.topo.primary() && self.role != ClusterRole::Primary {
+            // Any datagram from the primary is life (§4.4).
             self.timer.note_heard(now);
             self.recorder.mark_latest(Mark::LastPrimaryHeard, now.as_nanos());
+            if matches!(msg, SideMsg::Heartbeat { .. } | SideMsg::ClusterHb { .. }) {
+                self.stats.hbs_received += 1;
+                self.recorder.count(Counter::HeartbeatsReceived, 1);
+            }
         }
         if self.role == ClusterRole::Primary {
             self.note_peer(now, from);
         }
         match msg {
-            SideMsg::ClusterHb { .. } => {} // handled above
-            SideMsg::Heartbeat { .. } => {}
+            SideMsg::ClusterHb { .. } | SideMsg::Heartbeat { .. } => {} // handled above
             SideMsg::BackupAck { conn, acked_next } => {
                 self.apply_peer_ack(from, conn, SeqNum(acked_next), stack);
             }
@@ -331,6 +393,9 @@ impl ClusterEngine {
                 }
             }
             SideMsg::CongSync { conn, cwnd, ssthresh } => {
+                // Adopt the primary's operating point so a takeover does
+                // not cold-start from the initial window. Advisory: the
+                // shadow works fine without ever seeing one.
                 if self.role == ClusterRole::Backup {
                     if let Some(sock) = stack.sock_by_quad(conn.server_quad()) {
                         if let Some(tcb) = stack.tcb_mut(sock) {
@@ -349,7 +414,7 @@ impl ClusterEngine {
             }
             SideMsg::Drain { epoch, successor_rank } => {
                 if self.role == ClusterRole::Backup {
-                    if let Some(rank) = self.topo.rank_of(self.self_ip) {
+                    if let Some(rank) = self.rank() {
                         if self.follower.on_drain(rank, self.topo.epoch(), epoch, successor_rank) {
                             self.ready_traced = false;
                         }
@@ -391,6 +456,12 @@ impl ClusterEngine {
 
     /// Inspects a tapped primary→client TCP segment (backup role; the
     /// node adapter feeds every mirrored VIP-sourced ACK here).
+    ///
+    /// * A SYN/ACK reveals the primary's ISN — the authoritative source
+    ///   for the shadow's sequence-space resynchronization (robust
+    ///   against the client piggybacking its handshake ACK onto data).
+    /// * The cumulative ACK (`primary_ack`, the primary's
+    ///   `NextByteExpected`) exposes tap omissions (§4.2).
     pub fn on_tapped_primary_segment(
         &mut self,
         now: SimTime,
@@ -403,34 +474,39 @@ impl ClusterEngine {
         if self.role != ClusterRole::Backup {
             return;
         }
-        if is_syn {
-            match stack.sock_by_quad(key.server_quad()) {
-                Some(sock) => {
-                    if let Some(tcb) = stack.tcb_mut(sock) {
-                        tcb.shadow_resync_iss(now, primary_seq);
-                    }
-                }
-                None => self.maybe_bootstrap(now, key, primary_ack),
-            }
-            return; // a SYN/ACK's ack field is the handshake, not data
-        }
-        if stack.sock_by_quad(key.server_quad()).is_none() {
+        let Some(sock) = stack.sock_by_quad(key.server_quad()) else {
+            // The primary is serving a connection we have no shadow
+            // for: its SYN was lost on the tap. Late-join extension
+            // (beyond the paper): ask the logger to replay the
+            // connection's entire client-side history — the replayed
+            // SYN builds the shadow, the replayed handshake ACK
+            // resynchronizes its ISN, and the replayed data catches the
+            // application up. A SYN/ACK fires it too: if the primary
+            // dies before its first data segment, that is the only
+            // tapped evidence the connection exists.
             self.maybe_bootstrap(now, key, primary_ack);
             return;
-        }
-        if self.catchup.on_primary_ack(key, primary_ack) {
+        };
+        if is_syn {
+            // A SYN/ACK's ack field is the handshake, not data.
+            if let Some(tcb) = stack.tcb_mut(sock) {
+                tcb.shadow_resync_iss(now, primary_seq);
+            }
+        } else if self.catchup.on_primary_ack(key, primary_ack) {
             self.request_missing_now(now, key, stack);
         }
     }
 
-    /// The backup ack strategy (§4.3, chained): rank 1 checks the
-    /// X threshold on every pump, ranks ≥ 2 only flush on the forced
-    /// sync tick (one multiplexed batch per tick).
+    /// The backup ack strategy (§4.3): rank 1 checks the X threshold
+    /// on every pump (`force = false`) and flushes everything on the
+    /// sync tick (`force = true`); ranks ≥ 2 only flush on the tick
+    /// (one multiplexed batch). Visits only connections queued by
+    /// [`ClusterEngine::note_activity`] — an idle shadow costs nothing.
     pub fn maybe_send_acks(&mut self, stack: &mut NetStack, force: bool) {
         if self.role != ClusterRole::Backup {
             return;
         }
-        let Some(rank) = self.topo.rank_of(self.self_ip) else {
+        let Some(rank) = self.rank() else {
             return;
         };
         if rank >= 2 && !force {
@@ -438,15 +514,18 @@ impl ClusterEngine {
         }
         let mut acks = std::mem::take(&mut self.ack_scratch);
         acks.clear();
-        self.catchup.collect_acks(stack, self.x_threshold, force, &mut acks);
-        // Self-release: keep exactly one ack window of retained history
-        // to serve deeper backups after a promotion; release the rest
-        // so the shadow's advertised window never collapses under
-        // retention spill.
-        for &(key, _, prev) in &acks {
-            if let Some(sock) = stack.sock_by_quad(key.server_quad()) {
-                if let Some(tcb) = stack.tcb_mut(sock) {
-                    tcb.set_backup_acked(prev);
+        self.stats.acks_threshold_triggered +=
+            self.catchup.collect_acks(stack, self.x_threshold, force, &mut acks);
+        // Self-release, while a deeper rank exists to serve after a
+        // promotion: keep exactly one ack window of retained history
+        // and release the rest, so the shadow's advertised window never
+        // collapses under retention spill.
+        if usize::from(rank) + 1 < self.topo.members().len() {
+            for &(key, _, prev) in &acks {
+                if let Some(sock) = stack.sock_by_quad(key.server_quad()) {
+                    if let Some(tcb) = stack.tcb_mut(sock) {
+                        tcb.set_backup_acked(prev);
+                    }
                 }
             }
         }
@@ -471,7 +550,8 @@ impl ClusterEngine {
         self.ack_scratch = acks;
     }
 
-    /// Periodic tick, role-dispatched.
+    /// Periodic tick (every [`ClusterEngine::tick_interval`]),
+    /// role-dispatched.
     pub fn on_tick(&mut self, now: SimTime, stack: &mut NetStack) {
         match self.role {
             ClusterRole::Primary => self.primary_tick(now, stack),
@@ -500,7 +580,7 @@ impl ClusterEngine {
     fn adopt(&mut self, now: SimTime, epoch: u32, members: Vec<Ipv4Addr>, stack: &mut NetStack) {
         self.topo = Topology::with_epoch(epoch, members);
         self.stats.adoptions += 1;
-        match self.topo.rank_of(self.self_ip) {
+        match self.rank() {
             Some(0) => {
                 // Only reachable if another node proclaimed us primary
                 // (a handover we missed); honour it.
@@ -529,15 +609,20 @@ impl ClusterEngine {
     }
 
     fn note_peer(&mut self, now: SimTime, from: Ipv4Addr) {
-        if from == self.self_ip || self.topo.rank_of(from).is_none() {
+        let Some(peer) = self.peers.iter_mut().find(|p| p.ip == from) else {
             return;
-        }
-        let entry = self.peers.entry(from).or_insert(PeerState { last_heard: now, alive: true });
-        if !entry.alive {
-            entry.alive = true;
+        };
+        peer.last_heard = now;
+        if !peer.alive {
+            // Reintegration: a backup that returns — typically rebooted
+            // — resumes protecting *new* connections. Connections that
+            // lived through an all-backups-dead spell stay unprotected:
+            // their retention was released then, so their history is
+            // unrecoverable (short of the logger).
+            peer.alive = true;
+            self.backups_dead_at = None;
             self.stats.reintegrations += 1;
         }
-        entry.last_heard = now;
     }
 
     fn apply_peer_ack(
@@ -547,13 +632,15 @@ impl ClusterEngine {
         acked: SeqNum,
         stack: &mut NetStack,
     ) {
-        if self.role != ClusterRole::Primary || !self.retention_on {
+        if self.role != ClusterRole::Primary {
             return;
         }
+        let Some(peer) = self.peers.iter_mut().find(|p| p.ip == from) else {
+            return;
+        };
         self.stats.acks_applied += 1;
         self.recorder.count(Counter::BackupAcksReceived, 1);
-        let entry = self.peer_acks.entry(key).or_default();
-        let slot = entry.entry(from).or_insert(acked);
+        let slot = peer.acks.entry(key).or_insert(acked);
         *slot = (*slot).max(acked);
         self.release_conn(key, stack);
     }
@@ -564,31 +651,22 @@ impl ClusterEngine {
     /// and everything is held; the per-tick forced ack bounds that
     /// wait to one sync interval).
     fn release_conn(&mut self, key: ConnKey, stack: &mut NetStack) {
-        let Some(entry) = self.peer_acks.get(&key) else {
+        let Some(tcb) = stack.sock_by_quad(key.server_quad()).and_then(|s| stack.tcb_mut(s)) else {
+            // The connection is gone; so is the need to remember it.
+            for peer in &mut self.peers {
+                peer.acks.remove(&key);
+            }
             return;
         };
         let mut floor: Option<SeqNum> = None;
-        for (ip, peer) in &self.peers {
-            if !peer.alive {
-                continue;
-            }
-            match entry.get(ip) {
-                Some(&acked) => {
-                    floor = Some(match floor {
-                        Some(f) => f.min(acked),
-                        None => acked,
-                    });
-                }
+        for peer in self.peers.iter().filter(|p| p.alive) {
+            match peer.acks.get(&key) {
+                Some(&acked) => floor = Some(floor.map_or(acked, |f| f.min(acked))),
                 None => return,
             }
         }
-        let Some(floor) = floor else {
-            return;
-        };
-        if let Some(sock) = stack.sock_by_quad(key.server_quad()) {
-            if let Some(tcb) = stack.tcb_mut(sock) {
-                tcb.set_backup_acked(floor);
-            }
+        if let Some(floor) = floor {
+            tcb.set_backup_acked(floor);
         }
     }
 
@@ -600,42 +678,35 @@ impl ClusterEngine {
         len: usize,
         stack: &mut NetStack,
     ) {
-        let tcb = stack.sock_by_quad(conn.server_quad()).and_then(|s| stack.tcb(s));
-        let Some(tcb) = tcb else {
-            self.nack(to, conn, from);
+        // Clamp the request to what we actually hold: [floor, rcv_nxt).
+        // A range below the retention floor should not happen while
+        // retention is on (that is the §4.2 guarantee), but can after a
+        // transition to non-fault-tolerant mode.
+        let bytes =
+            stack.sock_by_quad(conn.server_quad()).and_then(|s| stack.tcb(s)).and_then(|tcb| {
+                let avail = from.add(len as u32).min(tcb.rcv_nxt()).distance(from);
+                if avail > 0 {
+                    tcb.fetch_rx(from, avail as usize)
+                } else {
+                    None
+                }
+            });
+        let Some(bytes) = bytes else {
+            self.stats.missing_nacked += 1;
+            self.recorder.count(Counter::MissingNacks, 1);
+            self.outbox.push((to, SideMsg::MissingNack { conn, from: from.raw() }));
             return;
         };
-        let rcv_nxt = tcb.rcv_nxt();
-        let want_end = from.add(len as u32).min(rcv_nxt);
-        let avail = want_end.distance(from);
-        if avail <= 0 {
-            self.nack(to, conn, from);
-            return;
+        self.stats.missing_served += 1;
+        self.stats.missing_bytes_sent += bytes.len() as u64;
+        self.recorder.count(Counter::MissingRepliesServed, 1);
+        for (i, chunk) in bytes.chunks(SIDE_CHUNK).enumerate() {
+            let seq = from.add((i * SIDE_CHUNK) as u32);
+            self.outbox.push((
+                to,
+                SideMsg::MissingData { conn, seq: seq.raw(), data: Bytes::copy_from_slice(chunk) },
+            ));
         }
-        match tcb.fetch_rx(from, avail as usize) {
-            Some(bytes) => {
-                self.stats.missing_served += 1;
-                self.recorder.count(Counter::MissingRepliesServed, 1);
-                for (i, chunk) in bytes.chunks(SIDE_CHUNK).enumerate() {
-                    let seq = from.add((i * SIDE_CHUNK) as u32);
-                    self.outbox.push((
-                        to,
-                        SideMsg::MissingData {
-                            conn,
-                            seq: seq.raw(),
-                            data: Bytes::copy_from_slice(chunk),
-                        },
-                    ));
-                }
-            }
-            None => self.nack(to, conn, from),
-        }
-    }
-
-    fn nack(&mut self, to: Ipv4Addr, conn: ConnKey, from: SeqNum) {
-        self.stats.missing_nacked += 1;
-        self.recorder.count(Counter::MissingNacks, 1);
-        self.outbox.push((to, SideMsg::MissingNack { conn, from: from.raw() }));
     }
 
     fn apply_missing_data(
@@ -654,26 +725,32 @@ impl ClusterEngine {
         }
         self.stats.catchup_replays += 1;
         self.recorder.count(Counter::CatchupReplays, 1);
-        self.catchup.clear_outstanding(conn);
+        // Injected bytes are receive progress: queue the ack check.
         self.catchup.note_activity(conn);
-        // Chase the remaining gap, if any.
-        self.request_missing_now(now, conn, stack);
+        // The reply's last chunk: chase the remaining gap, if any.
+        if self.catchup.reply_completes(conn, seq.add(data.len() as u32)) {
+            self.request_missing_now(now, conn, stack);
+        }
     }
 
+    /// Fires a full-history replay query for a connection with no
+    /// shadow (rate-limited per connection).
     fn maybe_bootstrap(&mut self, now: SimTime, key: ConnKey, primary_ack: SeqNum) {
         if !self.cfg.use_logger {
             return; // without a logger the history is unrecoverable
         }
         let retry = self.cfg.effective_sync_time().saturating_mul(2);
         if let Some(&last) = self.bootstrap_attempts.get(&key) {
-            let due = now.checked_duration_since(last).map(|d| d >= retry).unwrap_or(false);
-            if !due {
+            if now.checked_duration_since(last).is_none_or(|d| d < retry) {
                 return;
             }
         }
         self.bootstrap_attempts.insert(key, now);
         self.stats.bootstrap_queries += 1;
         self.recorder.count(Counter::BootstrapQueries, 1);
+        // The client's sequence space is anchored by the primary's
+        // cumulative ACK; a half-space window backwards covers the whole
+        // connection history including the SYN.
         self.logger_queries.push(ReplayQuery {
             src_ip: key.client_ip,
             dst_ip: key.server_ip,
@@ -701,18 +778,24 @@ impl ClusterEngine {
         }
     }
 
+    /// One heartbeat per backup. At epoch 0 every member's constructor
+    /// already holds this topology, so the paper's payload-free
+    /// heartbeat says all there is to say; a later reign announces its
+    /// member list so deeper ranks and late joiners re-anchor on it.
     fn broadcast_topology(&mut self) {
         self.hb_seq += 1;
         for &backup in self.topo.backups() {
-            self.outbox.push((
-                backup,
+            let hb = if self.topo.epoch() == 0 {
+                SideMsg::Heartbeat { seq: self.hb_seq }
+            } else {
                 SideMsg::ClusterHb {
                     seq: self.hb_seq,
                     epoch: self.topo.epoch(),
                     sender_rank: 0,
                     members: self.topo.members().to_vec(),
-                },
-            ));
+                }
+            };
+            self.outbox.push((backup, hb));
             self.stats.hbs_sent += 1;
             self.recorder.count(Counter::HeartbeatsSent, 1);
         }
@@ -743,57 +826,49 @@ impl ClusterEngine {
             }
         }
         // Backup liveness (§4.4, N-ary): a silent backup stops gating
-        // retention release; when the *last* one goes silent the node
-        // transitions to non-fault-tolerant mode exactly like the
-        // two-node primary.
+        // retention release; when the *last* one goes silent "the
+        // primary transitions to non-fault-tolerant mode".
         let deadline = self.cfg.hb_interval.saturating_mul(u64::from(self.cfg.missed_hb_threshold));
-        let mut any_died = false;
-        let mut max_silence = 0u64;
-        for peer in self.peers.values_mut() {
-            if !peer.alive {
-                continue;
-            }
+        let mut longest_silence = None;
+        for peer in self.peers.iter_mut().filter(|p| p.alive) {
             let silence = now.checked_duration_since(peer.last_heard);
-            if silence.map(|d| d > deadline).unwrap_or(false) {
+            if silence.is_some_and(|d| d > deadline) {
                 peer.alive = false;
-                any_died = true;
-                max_silence = max_silence.max(silence.map(|d| d.as_nanos()).unwrap_or(0));
+                longest_silence = longest_silence.max(silence);
             }
         }
-        if any_died {
-            if self.peers.values().any(|p| p.alive) {
+        if let Some(silence) = longest_silence {
+            if let Some(survivor) = self.peers.iter().find(|p| p.alive) {
                 // The dead peer no longer gates releases: re-derive
-                // every connection's floor from the survivors.
-                let keys: Vec<ConnKey> = self.peer_acks.keys().copied().collect();
+                // every connection's floor from the survivors (a
+                // releasable connection has an entry with each of them).
+                let keys: Vec<ConnKey> = survivor.acks.keys().copied().collect();
                 for key in keys {
                     self.release_conn(key, stack);
                 }
-            } else if self.retention_on {
-                self.retention_on = false;
-                self.recorder
-                    .trace(now.as_nanos(), &TraceEvent::BackupDead { silent_ns: max_silence });
-                let socks: Vec<_> = stack.socks().collect();
-                for sock in socks {
-                    if let Some(tcb) = stack.tcb_mut(sock) {
-                        tcb.disable_retention();
-                    }
-                }
+            } else {
+                self.backups_dead_at = Some(now);
+                self.recorder.trace(
+                    now.as_nanos(),
+                    &TraceEvent::BackupDead { silent_ns: silence.as_nanos() },
+                );
+                release_all_retention(stack);
             }
         }
         // A freshly promoted primary may still have gaps of its own;
-        // keep asking the logger while they last.
+        // keep asking the logger while they last (the replayed frames
+        // themselves ride the lossy tap path).
         if self.takeover_at.is_some() && self.cfg.use_logger && self.logger_query_due(now) {
             self.queue_logger_queries(now, stack);
         }
     }
 
     /// Mirrors each established connection's congestion snapshot to
-    /// every live backup when it changed since the last tick
+    /// every live backup when it changed since the last tick, so a
+    /// promoted shadow resumes near the primary's operating point
     /// ([`SttcpConfig::cong_sync`]).
     fn mirror_congestion(&mut self, stack: &mut NetStack) {
-        let dests: Vec<Ipv4Addr> =
-            self.peers.iter().filter(|(_, p)| p.alive).map(|(&ip, _)| ip).collect();
-        if dests.is_empty() {
+        if !self.backup_alive() {
             return;
         }
         let socks: Vec<_> = stack.socks().collect();
@@ -806,10 +881,10 @@ impl ClusterEngine {
             let snap = tcb.export_congestion();
             let pair = (snap.cwnd, snap.ssthresh);
             if self.cong_sent.insert(conn, pair) != Some(pair) {
-                for &dest in &dests {
+                for peer in self.peers.iter().filter(|p| p.alive) {
                     self.recorder.count(Counter::CongSyncsSent, 1);
                     self.outbox.push((
-                        dest,
+                        peer.ip,
                         SideMsg::CongSync { conn, cwnd: snap.cwnd, ssthresh: snap.ssthresh },
                     ));
                 }
@@ -819,8 +894,8 @@ impl ClusterEngine {
 
     fn backup_tick(&mut self, now: SimTime, stack: &mut NetStack) {
         self.maybe_send_acks(stack, true);
-        // Liveness towards the primary (the classic heartbeat tag —
-        // payload-free, and the primary treats any datagram as life).
+        // Liveness towards the primary (payload-free: the primary
+        // treats any datagram as life).
         self.hb_seq += 1;
         self.outbox.push((self.topo.primary(), SideMsg::Heartbeat { seq: self.hb_seq }));
         // Retry stale missing-segment requests.
@@ -830,14 +905,13 @@ impl ClusterEngine {
         self.catchup.retry_stale(now, window, self.cfg.missing_req_chunk, stack, &mut reqs);
         self.push_missing_reqs(&mut reqs);
         self.req_scratch = reqs;
-        let lag = self.catchup.lag(stack);
-        self.recorder.gauge_max(Gauge::CatchupLagBytes, lag);
-        // Failure detection, staggered by rank.
-        let Some(rank) = self.topo.rank_of(self.self_ip) else {
+        let Some(rank) = self.rank() else {
             return;
         };
-        let deadline = promotion::detection_deadline(&self.cfg, rank);
-        if let Some(silence) = self.timer.check(now, deadline) {
+        // Failure detection, staggered by rank: suspect → fence →
+        // take over (§4.4).
+        if let Some(silence) = self.timer.check(now, promotion::detection_deadline(&self.cfg, rank))
+        {
             self.recorder.mark_first(Mark::SuspectedPrimaryDead, now.as_nanos());
             self.recorder
                 .trace(now.as_nanos(), &TraceEvent::Suspected { silent_ns: silence.as_nanos() });
@@ -846,27 +920,31 @@ impl ClusterEngine {
                 self.recorder.mark_first(Mark::FenceRequested, now.as_nanos());
                 self.recorder.trace(now.as_nanos(), &TraceEvent::Fence { outlet });
             }
-            if self.cfg.use_logger && lag > 0 {
-                self.queue_logger_queries(now, stack);
-            }
+            self.replay_ready_at = self.cold_replay_done(now, stack);
         }
         if self.timer.is_suspected() {
-            if lag == 0 {
-                // Shadow-consistent: promote. The staggered deadline
-                // already ordered us behind every shallower rank.
+            let lag = self.catchup.lag(stack);
+            self.recorder.gauge_max(Gauge::CatchupLagBytes, lag);
+            // A lagging member yields while a deeper rank could still
+            // promote in its place. The last rank has nobody to yield
+            // to: once the primary is dead only the logger can close a
+            // gap, so waiting would leave the VIP unserved forever (with
+            // one backup this is the paper's unconditional takeover).
+            let my_turn = lag == 0 || usize::from(rank) + 1 == self.topo.members().len();
+            if my_turn && self.replay_ready_at.is_none_or(|ready| now >= ready) {
                 self.promote(now, stack, None);
                 return;
             }
-            // Ineligible: keep healing. The primary is suspected dead,
-            // so only the logger can close the gap.
-            if self.cfg.use_logger && self.logger_query_due(now) {
+            // Keep healing: the primary is suspected dead, so only the
+            // logger can close the gap.
+            if lag > 0 && self.cfg.use_logger && self.logger_query_due(now) {
                 self.queue_logger_queries(now, stack);
             }
         }
         // Planned migration: while a drain names us and we are
         // shadow-consistent, tell the primary we are ready.
         if let Some((epoch, drain_rank)) = self.follower.pending() {
-            if lag == 0 {
+            if self.catchup.lag(stack) == 0 {
                 if !self.ready_traced {
                     self.ready_traced = true;
                     self.recorder.trace(
@@ -883,16 +961,40 @@ impl ClusterEngine {
         }
     }
 
-    fn logger_query_due(&self, now: SimTime) -> bool {
-        self.last_logger_query
-            .map(|t| {
-                now.checked_duration_since(t)
-                    .map(|d| d >= self.cfg.effective_sync_time().saturating_mul(2))
-                    .unwrap_or(false)
-            })
-            .unwrap_or(true)
+    /// [`TakeoverPolicy::ColdReplay`]: when an FT-TCP-style standby
+    /// that suspects the primary at `now` would be ready to serve
+    /// (paper §2) — it starts a replacement process and replays the
+    /// connection history through the application first. The history is
+    /// the input stream plus the output the app must regenerate (and
+    /// discard) to reach the crash-point state. We model the cost; the
+    /// shadow state itself is already correct. `None` for ST-TCP's
+    /// active backup, which is ready at once.
+    fn cold_replay_done(&self, now: SimTime, stack: &NetStack) -> Option<SimTime> {
+        let TakeoverPolicy::ColdReplay { restart_delay, replay_rate_bps } =
+            self.cfg.takeover_policy
+        else {
+            return None;
+        };
+        let total_bytes: u64 = stack
+            .socks()
+            .filter_map(|s| stack.tcb(s))
+            .map(|t| t.stats.bytes_in + t.stats.bytes_out)
+            .sum();
+        let replay = SimDuration::from_nanos(
+            total_bytes.saturating_mul(1_000_000_000) / replay_rate_bps.max(1),
+        );
+        Some(now + restart_delay + replay)
     }
 
+    fn logger_query_due(&self, now: SimTime) -> bool {
+        let every = self.cfg.effective_sync_time().saturating_mul(2);
+        self.last_logger_query
+            .is_none_or(|t| now.checked_duration_since(t).is_some_and(|d| d >= every))
+    }
+
+    /// Double-failure masking: any gap between what the primary
+    /// acknowledged and what we hold can only be healed by the
+    /// in-network logger once the primary is gone.
     fn queue_logger_queries(&mut self, now: SimTime, stack: &NetStack) {
         self.last_logger_query = Some(now);
         let mut gaps = std::mem::take(&mut self.gap_scratch);
@@ -922,17 +1024,15 @@ impl ClusterEngine {
         self.recorder.trace(now.as_nanos(), &TraceEvent::Promoted);
         self.stats.promotions += 1;
         self.recorder.gauge_max(Gauge::PromotionRank, 1);
-        self.peers = self
-            .topo
-            .backups()
-            .iter()
-            .map(|&ip| (ip, PeerState { last_heard: now, alive: true }))
-            .collect();
-        self.peer_acks.clear();
+        self.peers = fresh_peers(&self.topo, now);
+        if self.peers.is_empty() {
+            // The end of the chain: nobody left to retain for.
+            release_all_retention(stack);
+        }
     }
 
     fn promote(&mut self, now: SimTime, stack: &mut NetStack, epoch_override: Option<u32>) {
-        let rank = self.topo.rank_of(self.self_ip).expect("only members promote");
+        let rank = self.rank().expect("only members promote");
         let new_topo = self.topo.promoted(rank);
         if let Some(epoch) = epoch_override {
             debug_assert_eq!(
@@ -948,6 +1048,16 @@ impl ClusterEngine {
         self.broadcast_topology();
         if self.cfg.use_logger {
             self.queue_logger_queries(now, stack);
+        }
+    }
+}
+
+/// Non-fault-tolerant mode: drops every connection's retention.
+fn release_all_retention(stack: &mut NetStack) {
+    let socks: Vec<_> = stack.socks().collect();
+    for sock in socks {
+        if let Some(tcb) = stack.tcb_mut(sock) {
+            tcb.disable_retention();
         }
     }
 }
@@ -987,23 +1097,20 @@ mod tests {
     }
 
     #[test]
-    fn primary_broadcasts_the_topology_to_every_backup() {
+    fn epoch0_primary_sends_the_plain_heartbeat_to_every_backup() {
         let mut e = ClusterEngine::new(cfg(), ip(2), topo(), 1024, SimTime::ZERO);
         let mut s = stack_for(2, false);
         e.on_tick(t(50), &mut s);
         let mut out = Vec::new();
         e.drain_outbox_into(&mut out);
-        let hbs: Vec<_> =
-            out.iter().filter(|(_, m)| matches!(m, SideMsg::ClusterHb { .. })).collect();
-        assert_eq!(hbs.len(), 2, "one targeted heartbeat per backup");
-        assert_eq!(hbs[0].0, ip(3));
-        assert_eq!(hbs[1].0, ip(4));
-        for (_, m) in &hbs {
-            let SideMsg::ClusterHb { epoch, sender_rank, members, .. } = m else { unreachable!() };
-            assert_eq!(*epoch, 0);
-            assert_eq!(*sender_rank, 0);
-            assert_eq!(members, topo().members());
-        }
+        // Every member was constructed with this topology: nothing to
+        // announce, so the 9-byte heartbeat of the paper's pair.
+        assert_eq!(
+            out,
+            vec![(ip(3), SideMsg::Heartbeat { seq: 1 }), (ip(4), SideMsg::Heartbeat { seq: 1 })],
+            "one targeted heartbeat per backup, rank order"
+        );
+        assert_eq!(e.stats.hbs_sent, 2);
     }
 
     #[test]

@@ -47,11 +47,6 @@ impl PromotionTimer {
         *self = PromotionTimer::new(now);
     }
 
-    /// When the watched primary was last heard.
-    pub fn last_heard(&self) -> Option<SimTime> {
-        self.last_primary_heard
-    }
-
     /// When suspicion began, if it did.
     pub fn suspected_at(&self) -> Option<SimTime> {
         self.suspected_at

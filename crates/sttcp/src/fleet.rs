@@ -1,5 +1,6 @@
 //! Fleet-scale workload generator: hundreds to thousands of clients on
-//! one ST-TCP server pair.
+//! one ST-TCP replication chain — the paper's pair ([`build`]) or a
+//! primary with N chained backups ([`build_cluster`]).
 //!
 //! The paper's evaluation drives a single client; the protocol,
 //! however, is per-connection, and the interesting regime for a
@@ -7,17 +8,32 @@
 //! thousands of live TCBs (cf. the NF-backup and service-migration
 //! scale framings in PAPERS.md). This module builds that regime as a
 //! deterministic scenario, netbench-style: a seeded mix of short echo,
-//! interactive, bulk-download, and upload clients against a
-//! primary/backup pair behind a port-mirroring switch.
+//! interactive, bulk-download, and upload clients against the servers
+//! behind a port-mirroring switch.
+//!
+//! # Wiring
+//!
+//! Server `rank` sits on switch port `rank` (the primary optionally
+//! behind the inline packet logger); clients follow. Every server port
+//! is mirrored to every *backup* port: whoever currently sources the
+//! VIP, all shadows keep seeing both directions of the client
+//! conversation — that is what lets a cascade (kill the primary, then
+//! kill its successor mid-takeover) keep converging without re-wiring.
+//! With one backup this is the single primary→backup mirror of §3.1.
+//!
+//! Clients keep a static `VIP → initial primary MAC` ARP entry
+//! (clients are unmodified, §2): no per-client ARP broadcast, and after
+//! any number of failovers their frames still flow to port 0, where the
+//! mirrors carry them to the survivors.
 //!
 //! # Workload classes and ports
 //!
 //! The server cannot tell workload classes apart by content — every
 //! downstream workload opens with the same 150-byte request — so each
 //! class gets its own service port ([`ECHO_PORT`] … [`UPLOAD_PORT`])
-//! and both servers register the same four services. Class membership,
+//! and every server registers the same four services. Class membership,
 //! per-client request counts, and connect stagger all derive from
-//! [`FleetSpec::seed`] via SplitMix64, so the primary, the backup, and
+//! [`FleetSpec::seed`] via SplitMix64, so the primary, its backups, and
 //! any re-run of the same spec agree on every byte — across a failover
 //! too, because the service table (not per-run state) determines the
 //! app a migrated connection lands on.
@@ -25,15 +41,18 @@
 //! # Determinism
 //!
 //! Everything is derived from the spec: client addresses, MACs, ISN
-//! seeds, workloads, connect times. Two [`build`]s of the same spec
-//! replay bit-identically (see `tests/determinism.rs`).
+//! seeds, workloads, connect times — the same for every chain length,
+//! so results compare across backup counts. Two [`build`]s of the same
+//! spec replay bit-identically (see `tests/determinism.rs`).
 
+use crate::cluster::{ClusterEngine, Topology};
 use crate::config::SttcpConfig;
 use crate::node::{ClientNode, ServerNode, LAN};
 use crate::scenario::addrs;
 use apps::{
     BulkServer, EchoServer, InteractiveServer, UploadServer, Workload, WorkloadClient, REQUEST_SIZE,
 };
+use netsim::logger::PacketLogger;
 use netsim::node::{NodeId, PortId};
 use netsim::{LinkProfile, LinkSpec, SimDuration, SimTime, Simulator, SplitMix64, Switch};
 use obs::{Actor, FlightRecorder, ObsSink, SharedRecorder};
@@ -223,10 +242,22 @@ pub fn client_ip(index: usize) -> Ipv4Addr {
     Ipv4Addr::new(10, 1, (index / 250) as u8, 1 + (index % 250) as u8)
 }
 
-/// The four-service factory table both servers register. Keeping it in
+/// The address of server `rank`: `10.0.0.2 + rank`
+/// ([`addrs::PRIMARY`]/[`addrs::BACKUP`] are ranks 0 and 1).
+pub fn server_ip(rank: usize) -> Ipv4Addr {
+    assert!(rank < 90, "fleet address plan holds 90 servers");
+    Ipv4Addr::new(10, 0, 0, 2 + rank as u8)
+}
+
+/// The MAC of server `rank`.
+pub fn server_mac(rank: usize) -> MacAddr {
+    MacAddr::local(2 + rank as u32)
+}
+
+/// The four-service factory table every server registers. Keeping it in
 /// one place is what makes a migrated connection land on the same app
 /// type on the backup.
-pub(crate) fn add_fleet_services(node: &mut ServerNode) {
+fn add_fleet_services(node: &mut ServerNode) {
     // The constructor installed ECHO_PORT; append the rest.
     node.add_service(
         INTERACTIVE_PORT,
@@ -236,32 +267,138 @@ pub(crate) fn add_fleet_services(node: &mut ServerNode) {
     node.add_service(UPLOAD_PORT, Box::new(|| Box::new(UploadServer::new(UPLOAD_FILE))));
 }
 
+/// A fleet served by a replication chain: a [`FleetSpec`] plus what
+/// only a chain of N backups can express.
+#[derive(Debug, Clone)]
+pub struct ClusterFleetSpec {
+    /// Clients, seed, links, protocol and TCP tuning, recording.
+    pub fleet: FleetSpec,
+    /// Number of backups (chain length N; 1 is the paper's pair).
+    pub backups: usize,
+    /// Give every client this workload instead of the seeded mix
+    /// (single-scenario demos like `examples/double_failure_logger`).
+    pub workload: Option<Workload>,
+    /// Have each client close its connection after its final response.
+    pub close_when_done: bool,
+    /// Crash schedule: `(server rank, instant)` pairs — rank 0 is the
+    /// initial primary, rank 1 its first successor, and so on.
+    pub crashes: Vec<(usize, SimTime)>,
+    /// Planned migration: `drain_and_handover()` to the rank-`r`
+    /// backup starting at the instant.
+    pub migrate: Option<(SimTime, u8)>,
+    /// Insert the in-network packet logger inline on the primary's
+    /// uplink (and enable logger catch-up in the engines).
+    pub use_logger: bool,
+}
+
+impl ClusterFleetSpec {
+    /// The paper's pair serving `fleet`: one backup, connections left
+    /// open — what [`build`] builds.
+    pub fn pair(fleet: FleetSpec) -> Self {
+        ClusterFleetSpec {
+            fleet,
+            backups: 1,
+            workload: None,
+            close_when_done: false,
+            crashes: Vec::new(),
+            migrate: None,
+            use_logger: false,
+        }
+    }
+
+    /// A fleet of `clients` (closing when done) against a primary +
+    /// `backups` chain.
+    pub fn new(clients: usize, backups: usize) -> Self {
+        assert!(backups >= 1, "a chain needs at least one backup");
+        let pair = ClusterFleetSpec::pair(FleetSpec::new(clients));
+        ClusterFleetSpec { backups, close_when_done: true, ..pair }
+    }
+
+    /// Sets the master seed (builder style).
+    #[must_use]
+    pub fn seed(mut self, seed: u64) -> Self {
+        self.fleet.seed = seed;
+        self
+    }
+
+    /// Records protocol counters (builder style).
+    #[must_use]
+    pub fn recording(mut self) -> Self {
+        self.fleet.record_obs = true;
+        self
+    }
+
+    /// Replaces the seeded workload mix with one uniform workload
+    /// (builder style).
+    #[must_use]
+    pub fn workload(mut self, workload: Workload) -> Self {
+        self.workload = Some(workload);
+        self
+    }
+
+    /// Schedules a server crash (builder style; repeatable).
+    #[must_use]
+    pub fn crash(mut self, rank: usize, at: SimTime) -> Self {
+        self.crashes.push((rank, at));
+        self
+    }
+
+    /// Schedules a planned migration (builder style).
+    #[must_use]
+    pub fn migrate_at(mut self, at: SimTime, successor_rank: u8) -> Self {
+        self.migrate = Some((at, successor_rank));
+        self
+    }
+
+    /// Inserts the in-network packet logger (builder style).
+    #[must_use]
+    pub fn with_logger(mut self) -> Self {
+        self.use_logger = true;
+        self
+    }
+
+    /// The initial topology this spec builds.
+    pub fn topology(&self) -> Topology {
+        Topology::new((0..=self.backups).map(server_ip).collect())
+    }
+}
+
 /// A built fleet: the simulator plus every node of interest.
 pub struct Fleet {
     /// The simulator, ready to run.
     pub sim: Simulator,
     /// Workload clients, in index order.
     pub clients: Vec<NodeId>,
-    /// The ST-TCP primary.
+    /// Servers in rank order (index 0 = initial primary).
+    pub servers: Vec<NodeId>,
+    /// The initial ST-TCP primary (`servers[0]`).
     pub primary: NodeId,
-    /// The ST-TCP backup.
+    /// The first ST-TCP backup (`servers[1]`).
     pub backup: NodeId,
     /// The mirroring switch.
     pub fabric: NodeId,
+    /// The inline packet logger, when requested.
+    pub logger: Option<NodeId>,
     /// Shared counter sink, when `record_obs` was set.
     pub obs: Option<Arc<ObsSink>>,
     /// Flight-recorder ring, when tracing was on.
     pub flight: Option<Arc<FlightRecorder>>,
 }
 
-/// Builds the simulator for `spec`: primary on switch port 0 (mirrored
-/// to the backup on port 1), clients on ports 2…; static ARP
-/// everywhere it prevents an O(clients) broadcast storm.
+/// Builds the paper's pair for `spec`: the chain of length one.
 pub fn build(spec: &FleetSpec) -> Fleet {
-    let n = spec.clients;
-    let mut sim = Simulator::with_seed(spec.seed);
-    let obs = spec.record_obs.then(|| Arc::new(ObsSink::new()));
-    let flight = spec.trace_capacity.map(|cap| Arc::new(FlightRecorder::new(cap)));
+    build_cluster(&ClusterFleetSpec::pair(spec.clone()))
+}
+
+/// Builds the simulator for `spec`. See the module docs for the
+/// wiring.
+pub fn build_cluster(spec: &ClusterFleetSpec) -> Fleet {
+    let fleet = &spec.fleet;
+    let n = fleet.clients;
+    let servers_total = 1 + spec.backups;
+    let mut sim = Simulator::with_seed(fleet.seed);
+    let obs = fleet.record_obs.then(|| Arc::new(ObsSink::new()));
+    let flight = fleet.trace_capacity.map(|cap| Arc::new(FlightRecorder::new(cap)));
     let recorder_for = |actor: Actor| -> Option<SharedRecorder> {
         let metrics: SharedRecorder = match &obs {
             Some(sink) => sink.clone(),
@@ -276,89 +413,119 @@ pub fn build(spec: &FleetSpec) -> Fleet {
         sim.set_recorder(rec);
     }
 
-    let primary_mac = MacAddr::local(2);
-    let backup_mac = MacAddr::local(3);
+    let mut st_tcp = fleet.st_tcp.clone();
+    if spec.use_logger {
+        st_tcp = st_tcp.with_logger();
+    }
+    let topology = spec.topology();
 
     // --- servers ----------------------------------------------------
-    let mut p_tcp = spec.tcp.clone();
-    p_tcp.retention_buf = p_tcp.recv_buf; // "double the space" (§4.2)
-    let mut p_cfg = StackConfig::host(primary_mac, addrs::PRIMARY);
-    p_cfg.extra_ips = vec![addrs::VIP];
-    p_cfg.learn_from_ip = true;
-    p_cfg.netmask_bits = 8;
-    p_cfg.isn_seed = spec.seed ^ 0x2222;
-    p_cfg.static_arp.push((addrs::BACKUP, backup_mac));
-    p_cfg.tcp = p_tcp;
-    let mut p_node = ServerNode::primary(
-        p_cfg,
-        spec.st_tcp.clone(),
-        addrs::BACKUP,
-        Box::new(|| Box::new(EchoServer::new())),
-    );
-    add_fleet_services(&mut p_node);
-    if let Some(rec) = recorder_for(Actor::Primary) {
-        p_node.set_recorder(rec);
+    let mut servers = Vec::with_capacity(servers_total);
+    for rank in 0..servers_total {
+        let mut cfg = StackConfig::host(server_mac(rank), server_ip(rank));
+        cfg.extra_ips = vec![addrs::VIP];
+        cfg.learn_from_ip = true;
+        cfg.netmask_bits = 8;
+        cfg.isn_seed = fleet.seed ^ (0x2222u64.wrapping_add(rank as u64 * 0x1111));
+        cfg.tcp = fleet.tcp.clone();
+        if rank < spec.backups {
+            // "Double the space" (§4.2): the primary retains to serve
+            // its backups, each backup to serve the *deeper* ranks after
+            // a promotion. The last rank has nobody to retain for.
+            cfg.tcp.retention_buf = cfg.tcp.recv_buf;
+        }
+        if rank > 0 {
+            cfg.tcp.shadow = true;
+            cfg.promiscuous = true; // taps the mirror copies
+            cfg.suppressed_ips = vec![addrs::VIP];
+        }
+        // Full-mesh static ARP among the servers: the side channel is
+        // unicast UDP and must not depend on broadcast resolution.
+        for other in (0..servers_total).filter(|&other| other != rank) {
+            cfg.static_arp.push((server_ip(other), server_mac(other)));
+        }
+        let mut node = ServerNode::cluster(
+            cfg,
+            st_tcp.clone(),
+            topology.clone(),
+            Box::new(|| Box::new(EchoServer::new())),
+        );
+        add_fleet_services(&mut node);
+        let actor = if rank == 0 { Actor::Primary } else { Actor::Backup };
+        if let Some(rec) = recorder_for(actor) {
+            node.set_recorder(rec);
+        }
+        let name = if rank == 0 { "primary".to_string() } else { format!("backup{rank}") };
+        servers.push(sim.add_node(name, node));
     }
-    let primary = sim.add_node("primary", p_node);
-
-    let mut b_tcp = spec.tcp.clone();
-    b_tcp.shadow = true;
-    let mut b_cfg = StackConfig::host(backup_mac, addrs::BACKUP);
-    b_cfg.extra_ips = vec![addrs::VIP];
-    b_cfg.learn_from_ip = true;
-    b_cfg.netmask_bits = 8;
-    b_cfg.promiscuous = true; // taps the mirror port
-    b_cfg.suppressed_ips = vec![addrs::VIP];
-    b_cfg.isn_seed = spec.seed ^ 0x3333;
-    b_cfg.static_arp.push((addrs::PRIMARY, primary_mac));
-    b_cfg.tcp = b_tcp;
-    let mut b_node = ServerNode::backup(
-        b_cfg,
-        spec.st_tcp.clone(),
-        addrs::PRIMARY,
-        Box::new(|| Box::new(EchoServer::new())),
-    );
-    add_fleet_services(&mut b_node);
-    if let Some(rec) = recorder_for(Actor::Backup) {
-        b_node.set_recorder(rec);
-    }
-    let backup = sim.add_node("backup", b_node);
 
     // --- fabric -----------------------------------------------------
-    let mut sw = Switch::new(2 + n);
-    sw.add_mirror(PortId(0), PortId(1)); // primary's port → backup tap
+    let mut sw = Switch::new(servers_total + n);
+    for from in 0..servers_total {
+        for to in (1..servers_total).filter(|&to| to != from) {
+            sw.add_mirror(PortId(from), PortId(to));
+        }
+    }
     let fabric = sim.add_node("switch", sw);
-    sim.connect(primary, LAN, fabric, PortId(0), spec.link);
-    sim.connect(backup, LAN, fabric, PortId(1), spec.link);
+    let mut logger = None;
+    for (rank, &server) in servers.iter().enumerate() {
+        if rank == 0 && spec.use_logger {
+            // Inline on the primary's uplink, splitting the hop latency
+            // so the end-to-end RTT is unchanged (§3.2). Replayed
+            // frames re-enter the switch on port 0 and ride the same
+            // mirrors as live traffic.
+            let half = fleet.link.with_latency(fleet.link.latency / 2);
+            let lg = sim.add_node("logger", PacketLogger::with_defaults());
+            sim.connect(server, LAN, lg, PortId(0), half);
+            sim.connect(lg, PortId(1), fabric, PortId(rank), half);
+            logger = Some(lg);
+        } else {
+            sim.connect(server, LAN, fabric, PortId(rank), fleet.link);
+        }
+    }
 
     // --- clients ----------------------------------------------------
     let mut clients = Vec::with_capacity(n);
     for i in 0..n {
-        let plan = spec.client_plan(i);
+        let mut plan = fleet.client_plan(i);
+        if let Some(workload) = spec.workload {
+            plan.workload = workload;
+            plan.port = match workload {
+                Workload::Echo { .. } => ECHO_PORT,
+                Workload::Interactive { .. } => INTERACTIVE_PORT,
+                Workload::Bulk { .. } => BULK_PORT,
+                Workload::Upload { .. } => UPLOAD_PORT,
+            };
+        }
         let mut c_cfg = StackConfig::host(MacAddr::local(100 + i as u32), plan.ip);
         c_cfg.netmask_bits = 8;
         c_cfg.isn_seed = plan.isn_seed;
-        // Static VIP→primary entry: no per-client ARP broadcast, and
-        // after a failover the mirror keeps carrying these frames to
-        // the backup (clients are deliberately unmodified, §2).
-        c_cfg.static_arp.push((addrs::VIP, primary_mac));
-        c_cfg.tcp = spec.tcp.clone();
-        let node = ClientNode::new(
-            c_cfg,
-            (addrs::VIP, plan.port),
-            plan.connect_at,
-            WorkloadClient::new(plan.workload),
-        );
+        c_cfg.static_arp.push((addrs::VIP, server_mac(0)));
+        c_cfg.tcp = fleet.tcp.clone();
+        let mut app = WorkloadClient::new(plan.workload);
+        if spec.close_when_done {
+            app = app.closing();
+        }
+        let node = ClientNode::new(c_cfg, (addrs::VIP, plan.port), plan.connect_at, app);
         let id = sim.add_node(format!("client{i}"), node);
-        sim.connect(id, LAN, fabric, PortId(2 + i), spec.link);
+        sim.connect(id, LAN, fabric, PortId(servers_total + i), fleet.link);
         clients.push(id);
     }
 
-    if let Some(at) = spec.crash_primary_at {
-        sim.schedule_crash(primary, at);
+    // --- faults and migrations --------------------------------------
+    let crash_primary = fleet.crash_primary_at.map(|at| (0, at));
+    for &(rank, at) in crash_primary.iter().chain(&spec.crashes) {
+        sim.schedule_crash(servers[rank], at);
+    }
+    if let Some((at, successor_rank)) = spec.migrate {
+        sim.node_mut::<ServerNode>(servers[0])
+            .engine_mut()
+            .expect("rank 0 runs the engine")
+            .schedule_drain(at, successor_rank);
     }
 
-    Fleet { sim, clients, primary, backup, fabric, obs, flight }
+    let (primary, backup) = (servers[0], servers[1]);
+    Fleet { sim, clients, servers, primary, backup, fabric, logger, obs, flight }
 }
 
 impl Fleet {
@@ -368,6 +535,14 @@ impl Fleet {
             .node_ref::<ClientNode>(self.clients[index])
             .app::<WorkloadClient>()
             .expect("fleet clients run WorkloadClient")
+    }
+
+    /// The replication engine of server `rank`.
+    pub fn engine(&self, rank: usize) -> &ClusterEngine {
+        self.sim
+            .node_ref::<ServerNode>(self.servers[rank])
+            .engine()
+            .expect("fleet servers run the replication engine")
     }
 
     /// How many clients have finished their workload.
@@ -464,5 +639,38 @@ mod tests {
         assert!(fleet.verified_clean());
         let (got, want) = fleet.progress();
         assert_eq!(got, want);
+    }
+
+    #[test]
+    fn fault_free_chain_completes_clean() {
+        let mut fleet = build_cluster(&ClusterFleetSpec::new(8, 2));
+        assert!(
+            fleet.run_until_done(SimDuration::from_secs(30)),
+            "8-client, 2-backup fleet must finish"
+        );
+        assert!(fleet.verified_clean());
+        let (got, want) = fleet.progress();
+        assert_eq!(got, want);
+        // The chain stayed intact: nobody promoted.
+        for rank in 0..3 {
+            assert!(!fleet.engine(rank).has_taken_over(), "rank {rank} must not take over");
+        }
+    }
+
+    #[test]
+    fn crash_failover_promotes_rank1_and_finishes() {
+        // Crash mid-connect-spread, while the workloads are in flight
+        // (the default echo mix drains within a few hundred ms).
+        let spec =
+            ClusterFleetSpec::new(8, 2).crash(0, SimTime::ZERO + SimDuration::from_millis(150));
+        let mut fleet = build_cluster(&spec);
+        assert!(
+            fleet.run_until_done(SimDuration::from_secs(60)),
+            "fleet must finish across the failover"
+        );
+        assert!(fleet.verified_clean(), "no client-visible stream corruption");
+        assert!(fleet.engine(1).has_taken_over(), "rank 1 takes over");
+        assert!(!fleet.engine(2).has_taken_over(), "rank 2 stays a backup");
+        assert_eq!(fleet.engine(1).topology().epoch(), 1);
     }
 }

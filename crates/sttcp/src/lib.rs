@@ -19,15 +19,18 @@
 //!   ack threshold `X`, fencing, logger use);
 //! * [`messages`] — the UDP side-channel protocol (backup acks,
 //!   missing-segment recovery, heartbeats — paper §4.2–§4.3);
-//! * [`primary`] — retention management, missing-segment server, backup
-//!   failure detection (→ non-fault-tolerant mode);
-//! * [`backup`] — acknowledgment strategy, tap-omission detection and
-//!   recovery, primary failure detection, fencing, takeover, and
+//! * [`cluster`] — the replication engine, one for every role of a
+//!   primary + N-backup chain (the paper's pair is N = 1): retention
+//!   management and the missing-segment server, the acknowledgment
+//!   strategy, tap-omission recovery, failure detection in both
+//!   directions, fencing, takeover, planned migration, and
 //!   logger-assisted double-failure recovery;
 //! * [`node`] — simulation hosts ([`node::ServerNode`],
 //!   [`node::ClientNode`], [`node::GatewayNode`]);
 //! * [`scenario`] — prebuilt experiment topologies (the paper's hub
-//!   testbed plus the three switched tapping architectures of §3.1).
+//!   testbed plus the three switched tapping architectures of §3.1);
+//! * [`fleet`] — seeded many-client fleets against a chain of any
+//!   length.
 //!
 //! # Quickstart
 //!
@@ -46,22 +49,19 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod backup;
 pub mod cluster;
 pub mod config;
 pub mod fleet;
 pub mod messages;
 pub mod node;
 pub mod prelude;
-pub mod primary;
 pub mod scenario;
 
-pub use backup::{BackupEngine, BackupStats};
-pub use cluster::{build_cluster, ClusterEngine, ClusterFleet, ClusterFleetSpec, ClusterRole};
+pub use cluster::{ClusterEngine, ClusterRole, ClusterStats};
 pub use config::{Fencing, SttcpConfig, TakeoverPolicy};
+pub use fleet::{build_cluster, ClusterFleetSpec};
 pub use messages::{ConnKey, SideMsg};
 pub use node::{ClientNode, GatewayNode, ServerNode};
-pub use primary::{PrimaryEngine, PrimaryStats};
 pub use scenario::{
     build, Fault, FaultSpec, RunLimits, RunOutcome, Scenario, ScenarioSpec, StopReason, Topology,
 };

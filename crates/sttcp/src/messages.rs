@@ -524,8 +524,7 @@ mod tests {
         // whole point of piggybacking is amortizing the tag byte and
         // datagram overheads.
         let k = 16;
-        let batch =
-            SideMsg::AckBatch { rank: 1, entries: (0..k).map(|i| (key(), i as u32)).collect() };
+        let batch = SideMsg::AckBatch { rank: 1, entries: (0..k).map(|i| (key(), i)).collect() };
         let standalone: usize =
             (0..k).map(|i| SideMsg::BackupAck { conn: key(), acked_next: i }.encode().len()).sum();
         assert!(batch.encode().len() < standalone);

@@ -1,9 +1,9 @@
 //! Simulation-node adapters: hosts that plug the sans-io stacks,
 //! engines, and applications into the `netsim` event loop.
 //!
-//! * [`ServerNode`] — a service host in one of three roles:
-//!   standard-TCP solo server (the paper's baseline), ST-TCP primary,
-//!   or ST-TCP backup.
+//! * [`ServerNode`] — a service host: a standard-TCP solo server (the
+//!   paper's baseline) or a member of an ST-TCP replication chain (the
+//!   paper's primary/backup pair is the chain of length one).
 //! * [`ClientNode`] — an *unmodified* TCP client driving a workload;
 //!   deliberately built from the plain [`NetStack`] with no ST-TCP
 //!   code, because client transparency is the paper's core claim.
@@ -13,11 +13,9 @@
 //! Port conventions: port 0 is the LAN NIC; port 1 (servers only) is
 //! the management segment holding the power switch.
 
-use crate::backup::BackupEngine;
 use crate::cluster::{ClusterEngine, ClusterRole, Topology};
 use crate::config::SttcpConfig;
 use crate::messages::{ConnKey, SideMsg};
-use crate::primary::PrimaryEngine;
 use apps::{Application, StackApi};
 use bytes::Bytes;
 use netsim::node::{Context, Node, PortId};
@@ -47,16 +45,6 @@ const TOK_APP_BASE: u64 = 1000;
 /// Creates fresh application instances, one per accepted connection.
 pub type AppFactory = Box<dyn FnMut() -> Box<dyn Application> + Send>;
 
-/// The ST-TCP role a [`ServerNode`] plays.
-// One `Role` per node; the variant size spread is irrelevant here.
-#[allow(clippy::large_enum_variant)]
-enum Role {
-    Solo,
-    Primary(PrimaryEngine),
-    Backup(BackupEngine),
-    Cluster(ClusterEngine),
-}
-
 struct ConnState {
     app: Box<dyn Application>,
     connected: bool,
@@ -85,13 +73,17 @@ impl StackTimer {
     }
 }
 
-/// A service host (solo / primary / backup). See the module docs.
+/// A service host (solo, or a replication-chain member). See the
+/// module docs.
 pub struct ServerNode {
     stack: NetStack,
     stack_cfg: StackConfig,
-    role: Role,
-    cfg: Option<SttcpConfig>,
-    peer_side_addr: Option<(Ipv4Addr, u16)>,
+    /// The replication engine; `None` for a standard-TCP solo server.
+    engine: Option<ClusterEngine>,
+    /// What the engine boots from: the protocol configuration and the
+    /// *initial* topology. An amnesia reboot rejoins at epoch 0 and
+    /// adopts the current reign from the first heartbeat it hears.
+    replication: Option<(SttcpConfig, Topology)>,
     side_udp: Option<UdpId>,
     /// Listening services: `(port, app factory)`. Every constructor
     /// installs one; [`ServerNode::add_service`] appends more (a fleet
@@ -107,14 +99,8 @@ pub struct ServerNode {
     tx: Vec<Bytes>,
     /// Reused buffer for the stack's per-pump activity drain.
     active: Vec<SockId>,
-    /// Reused buffer for draining the engine's side-channel outbox.
-    side_out: Vec<SideMsg>,
-    /// Reused buffer for the cluster engine's targeted outbox.
-    cluster_out: Vec<(Ipv4Addr, SideMsg)>,
-    /// The initial topology, re-applied on an amnesia reboot (cluster
-    /// role only; the rebooted node rejoins at epoch 0 and adopts the
-    /// current reign from the first heartbeat it hears).
-    cluster_topo: Option<Topology>,
+    /// Reused buffer for draining the engine's targeted outbox.
+    side_out: Vec<(Ipv4Addr, SideMsg)>,
     /// Times this node has booted (1 after a normal start).
     pub boot_count: u32,
     /// Accepted connections in order (diagnostics / tests).
@@ -122,14 +108,17 @@ pub struct ServerNode {
 }
 
 impl ServerNode {
-    /// A standard-TCP server: the paper's baseline.
-    pub fn solo(stack_cfg: StackConfig, listen_port: u16, factory: AppFactory) -> Self {
-        ServerNode {
+    fn new(
+        stack_cfg: StackConfig,
+        listen_port: u16,
+        factory: AppFactory,
+        replication: Option<(SttcpConfig, Topology)>,
+    ) -> Self {
+        let mut node = ServerNode {
             stack: NetStack::new(stack_cfg.clone()),
             stack_cfg,
-            role: Role::Solo,
-            cfg: None,
-            peer_side_addr: None,
+            engine: None,
+            replication,
             side_udp: None,
             services: vec![(listen_port, factory)],
             conns: HashMap::new(),
@@ -139,111 +128,59 @@ impl ServerNode {
             tx: Vec::new(),
             active: Vec::new(),
             side_out: Vec::new(),
-            cluster_out: Vec::new(),
-            cluster_topo: None,
             boot_count: 0,
             accepted: Vec::new(),
-        }
+        };
+        node.engine = node.boot_engine(SimTime::ZERO);
+        node
     }
 
-    /// An ST-TCP primary; `backup_addr` is the backup's own (non-VIP)
-    /// address for the side channel.
+    /// A fresh engine for this node's rank in its initial topology.
+    fn boot_engine(&self, now: SimTime) -> Option<ClusterEngine> {
+        let (cfg, topology) = self.replication.as_ref()?;
+        let x = cfg.effective_ack_threshold(self.stack_cfg.tcp.recv_buf);
+        Some(ClusterEngine::new(cfg.clone(), self.stack_cfg.ip, topology.clone(), x, now))
+    }
+
+    /// A standard-TCP server: the paper's baseline.
+    pub fn solo(stack_cfg: StackConfig, listen_port: u16, factory: AppFactory) -> Self {
+        ServerNode::new(stack_cfg, listen_port, factory, None)
+    }
+
+    /// The paper's ST-TCP primary: rank 0 of the one-backup chain.
+    /// `backup_addr` is the backup's own (non-VIP) address.
     pub fn primary(
         stack_cfg: StackConfig,
         cfg: SttcpConfig,
         backup_addr: Ipv4Addr,
         factory: AppFactory,
     ) -> Self {
-        let engine = PrimaryEngine::new(cfg.clone(), SimTime::ZERO);
-        let peer = (backup_addr, cfg.side_channel_port);
-        ServerNode {
-            stack: NetStack::new(stack_cfg.clone()),
-            stack_cfg,
-            role: Role::Primary(engine),
-            peer_side_addr: Some(peer),
-            side_udp: None,
-            services: vec![(cfg.service_port, factory)],
-            conns: HashMap::new(),
-            timer: StackTimer::default(),
-            booted: false,
-            recorder: obs::nop(),
-            tx: Vec::new(),
-            active: Vec::new(),
-            side_out: Vec::new(),
-            cluster_out: Vec::new(),
-            cluster_topo: None,
-            boot_count: 0,
-            accepted: Vec::new(),
-            cfg: Some(cfg),
-        }
+        let topology = Topology::new(vec![stack_cfg.ip, backup_addr]);
+        ServerNode::cluster(stack_cfg, cfg, topology, factory)
     }
 
-    /// An ST-TCP backup; `primary_addr` is the primary's own (non-VIP)
-    /// address for the side channel.
+    /// The paper's ST-TCP backup: rank 1 of the one-backup chain.
+    /// `primary_addr` is the primary's own (non-VIP) address.
     pub fn backup(
         stack_cfg: StackConfig,
         cfg: SttcpConfig,
         primary_addr: Ipv4Addr,
         factory: AppFactory,
     ) -> Self {
-        let x = cfg.effective_ack_threshold(stack_cfg.tcp.recv_buf);
-        let engine = BackupEngine::new(cfg.clone(), x, SimTime::ZERO);
-        let peer = (primary_addr, cfg.side_channel_port);
-        ServerNode {
-            stack: NetStack::new(stack_cfg.clone()),
-            stack_cfg,
-            role: Role::Backup(engine),
-            peer_side_addr: Some(peer),
-            side_udp: None,
-            services: vec![(cfg.service_port, factory)],
-            conns: HashMap::new(),
-            timer: StackTimer::default(),
-            booted: false,
-            recorder: obs::nop(),
-            tx: Vec::new(),
-            active: Vec::new(),
-            side_out: Vec::new(),
-            cluster_out: Vec::new(),
-            cluster_topo: None,
-            boot_count: 0,
-            accepted: Vec::new(),
-            cfg: Some(cfg),
-        }
+        let topology = Topology::new(vec![primary_addr, stack_cfg.ip]);
+        ServerNode::cluster(stack_cfg, cfg, topology, factory)
     }
 
-    /// A cluster-chain member (primary + N backups); the role follows
-    /// from this node's rank in `topology` (its own IP must be a
-    /// member). Side-channel datagrams are targeted per the topology,
-    /// so no peer address parameter is needed.
+    /// A replication-chain member (primary + N backups); the role
+    /// follows from this node's rank in `topology` (its own IP must be
+    /// a member). Side-channel datagrams are targeted per the topology.
     pub fn cluster(
         stack_cfg: StackConfig,
         cfg: SttcpConfig,
         topology: Topology,
         factory: AppFactory,
     ) -> Self {
-        let x = cfg.effective_ack_threshold(stack_cfg.tcp.recv_buf);
-        let engine =
-            ClusterEngine::new(cfg.clone(), stack_cfg.ip, topology.clone(), x, SimTime::ZERO);
-        ServerNode {
-            stack: NetStack::new(stack_cfg.clone()),
-            stack_cfg,
-            role: Role::Cluster(engine),
-            peer_side_addr: None,
-            side_udp: None,
-            services: vec![(cfg.service_port, factory)],
-            conns: HashMap::new(),
-            timer: StackTimer::default(),
-            booted: false,
-            recorder: obs::nop(),
-            tx: Vec::new(),
-            active: Vec::new(),
-            side_out: Vec::new(),
-            cluster_out: Vec::new(),
-            cluster_topo: Some(topology),
-            boot_count: 0,
-            accepted: Vec::new(),
-            cfg: Some(cfg),
-        }
+        ServerNode::new(stack_cfg, cfg.service_port, factory, Some((cfg, topology)))
     }
 
     /// The node's network stack (inspection).
@@ -254,8 +191,8 @@ impl ServerNode {
     /// Registers an additional listening service (port + per-connection
     /// app factory). Call before the simulation starts; services
     /// survive a crash/reboot cycle like the constructor's service
-    /// does. The ST-TCP engines are port-agnostic ([`ConnKey`] carries
-    /// the server port), so every service is shadowed and migrated the
+    /// does. The engine is port-agnostic ([`ConnKey`] carries the
+    /// server port), so every service is shadowed and migrated the
     /// same way.
     pub fn add_service(&mut self, port: u16, factory: AppFactory) {
         self.services.push((port, factory));
@@ -272,44 +209,26 @@ impl ServerNode {
 
     fn apply_recorder(&mut self) {
         self.stack.set_recorder(self.recorder.clone());
-        match &mut self.role {
-            Role::Primary(e) => e.set_recorder(self.recorder.clone()),
-            Role::Backup(e) => e.set_recorder(self.recorder.clone()),
-            Role::Cluster(e) => e.set_recorder(self.recorder.clone()),
-            Role::Solo => {}
+        if let Some(engine) = &mut self.engine {
+            engine.set_recorder(self.recorder.clone());
         }
     }
 
-    /// The primary engine, if this node is a primary.
-    pub fn primary_engine(&self) -> Option<&PrimaryEngine> {
-        match &self.role {
-            Role::Primary(e) => Some(e),
-            _ => None,
-        }
+    /// The replication engine (`None` on a solo server).
+    pub fn engine(&self) -> Option<&ClusterEngine> {
+        self.engine.as_ref()
     }
 
-    /// The backup engine, if this node is a backup.
-    pub fn backup_engine(&self) -> Option<&BackupEngine> {
-        match &self.role {
-            Role::Backup(e) => Some(e),
-            _ => None,
-        }
+    /// Mutable engine access (scheduling a planned migration).
+    pub fn engine_mut(&mut self) -> Option<&mut ClusterEngine> {
+        self.engine.as_mut()
     }
 
-    /// The cluster engine, if this node is a chain member.
-    pub fn cluster_engine(&self) -> Option<&ClusterEngine> {
-        match &self.role {
-            Role::Cluster(e) => Some(e),
-            _ => None,
-        }
-    }
-
-    /// Mutable cluster engine access (scheduling a planned migration).
-    pub fn cluster_engine_mut(&mut self) -> Option<&mut ClusterEngine> {
-        match &mut self.role {
-            Role::Cluster(e) => Some(e),
-            _ => None,
-        }
+    /// The engine of a node that *booted* as a backup (rank ≥ 1 of its
+    /// initial topology), whatever it has been promoted to since.
+    pub fn backup_engine(&self) -> Option<&ClusterEngine> {
+        let (_, topology) = self.replication.as_ref()?;
+        self.engine.as_ref().filter(|_| topology.primary() != self.stack_cfg.ip)
     }
 
     /// Concrete application instance attached to `sock`.
@@ -318,28 +237,11 @@ impl ServerNode {
         app.downcast_ref::<T>()
     }
 
-    fn tick_interval(&self) -> Option<SimDuration> {
-        match &self.role {
-            Role::Solo => None,
-            Role::Primary(_) => self.cfg.as_ref().map(|c| c.hb_interval),
-            Role::Backup(_) => self.cfg.as_ref().map(|c| c.effective_sync_time()),
-            // One tick serves every cluster role (broadcast cadence for
-            // the primary, sync/detection cadence for backups), so use
-            // the finer of the two.
-            Role::Cluster(_) => {
-                self.cfg.as_ref().map(|c| c.hb_interval.min(c.effective_sync_time()))
-            }
-        }
-    }
-
     /// Backup pre-inspection of raw frames: tapped primary→client
-    /// segments carry the primary's cumulative ACK. Cluster members
-    /// share the path (the engine ignores taps unless it is a backup).
+    /// segments carry the primary's cumulative ACK. A serving member
+    /// does no tap work at all.
     fn inspect_tapped(&mut self, now: SimTime, frame: &Bytes) {
-        if !matches!(self.role, Role::Backup(_) | Role::Cluster(_)) {
-            return;
-        }
-        let Some(cfg) = &self.cfg else {
+        let Some(engine) = self.engine.as_mut().filter(|e| e.role() == ClusterRole::Backup) else {
             return;
         };
         let Ok(eth) = EthernetFrame::parse(frame.clone()) else {
@@ -351,7 +253,7 @@ impl ServerNode {
         let Ok(ip) = Ipv4Packet::parse(eth.payload) else {
             return;
         };
-        if ip.src != cfg.vip || ip.protocol != IpProtocol::Tcp {
+        if ip.src != engine.config().vip || ip.protocol != IpProtocol::Tcp {
             return;
         }
         let Ok(seg) = TcpSegment::parse(ip.payload.clone(), ip.src, ip.dst) else {
@@ -367,15 +269,7 @@ impl ServerNode {
             server_port: seg.src_port,
         };
         let (seq, ack, syn) = (SeqNum(seg.seq), SeqNum(seg.ack), seg.flags.contains(TcpFlags::SYN));
-        match &mut self.role {
-            Role::Backup(engine) => {
-                engine.on_tapped_primary_segment(now, key, seq, ack, syn, &mut self.stack)
-            }
-            Role::Cluster(engine) => {
-                engine.on_tapped_primary_segment(now, key, seq, ack, syn, &mut self.stack)
-            }
-            _ => unreachable!("gated above"),
-        }
+        engine.on_tapped_primary_segment(now, key, seq, ack, syn, &mut self.stack);
     }
 
     fn pump(&mut self, ctx: &mut Context) {
@@ -386,50 +280,21 @@ impl ServerNode {
                 let app = (self.services[si].1)();
                 self.conns.insert(sock, ConnState { app, connected: false, peer_closed: false });
                 self.accepted.push(sock);
-                match &mut self.role {
-                    Role::Backup(engine) => {
-                        if let Some(tcb) = self.stack.tcb(sock) {
-                            // Baseline at the start of the client's stream,
-                            // NOT the current rcv_nxt: when the client
-                            // piggybacks its handshake ACK on the first
-                            // request, the shadow establishes on a
-                            // data-carrying frame and rcv_nxt already covers
-                            // bytes the primary must not discard before we
-                            // acknowledge them.
-                            engine.register_conn(
-                                ConnKey::from_server_quad(tcb.quad()),
-                                tcb.irs().add(1),
-                            );
-                        }
-                    }
-                    Role::Cluster(engine) if engine.role() == ClusterRole::Backup => {
-                        if let Some(tcb) = self.stack.tcb(sock) {
-                            engine.register_conn(
-                                ConnKey::from_server_quad(tcb.quad()),
-                                tcb.irs().add(1),
-                            );
-                        }
-                    }
-                    _ => {}
+                if let Some(engine) = &mut self.engine {
+                    engine.on_accept(sock, &mut self.stack);
                 }
             }
         }
         // 2. Drain the side channel.
-        if let Some(side) = self.side_udp {
+        if let (Some(side), Some(engine)) = (self.side_udp, &mut self.engine) {
             while let Some(dgram) = self.stack.udp_recv(side) {
-                let src_ip = dgram.src_ip;
                 let Some(msg) = SideMsg::decode(dgram.payload) else {
                     continue;
                 };
                 let (kind, conn, seq, len) = msg.trace_parts();
                 self.recorder
                     .trace(now.as_nanos(), &TraceEvent::SideRecv { msg: kind, conn, seq, len });
-                match &mut self.role {
-                    Role::Primary(e) => e.on_side_msg(now, msg, &mut self.stack),
-                    Role::Backup(e) => e.on_side_msg(now, msg, &mut self.stack),
-                    Role::Cluster(e) => e.on_side_msg(now, src_ip, msg, &mut self.stack),
-                    Role::Solo => {}
-                }
+                engine.on_side_msg(now, dgram.src_ip, msg, &mut self.stack);
             }
         }
         // 3. Pump applications — only over sockets the stack reports as
@@ -441,22 +306,12 @@ impl ServerNode {
         self.stack.drain_activity(&mut active);
         // Feed receive progress to the backup's ack strategy (the engine
         // dedups; acks themselves go out in step 4).
-        match &mut self.role {
-            Role::Backup(engine) => {
-                for &sock in &active {
-                    if let Some(tcb) = self.stack.tcb(sock) {
-                        engine.note_activity(ConnKey::from_server_quad(tcb.quad()));
-                    }
+        if let Some(engine) = self.engine.as_mut().filter(|e| e.role() == ClusterRole::Backup) {
+            for &sock in &active {
+                if let Some(tcb) = self.stack.tcb(sock) {
+                    engine.note_activity(ConnKey::from_server_quad(tcb.quad()));
                 }
             }
-            Role::Cluster(engine) => {
-                for &sock in &active {
-                    if let Some(tcb) = self.stack.tcb(sock) {
-                        engine.note_activity(ConnKey::from_server_quad(tcb.quad()));
-                    }
-                }
-            }
-            _ => {}
         }
         let mut buf = [0u8; 4096];
         for &sock in &active {
@@ -516,13 +371,8 @@ impl ServerNode {
         }
         active.clear();
         self.active = active;
-        // 4. Event-driven backup acks (the X-threshold rule).
-        match &mut self.role {
-            Role::Backup(engine) => engine.maybe_send_acks(&mut self.stack, false),
-            Role::Cluster(engine) => engine.maybe_send_acks(&mut self.stack, false),
-            _ => {}
-        }
-        // 5. Flush engine messages / fencing / logger queries.
+        // 4. Event-driven backup acks (the X-threshold rule), then
+        // 5. flush engine messages / fencing / logger queries.
         self.flush_engine(now, ctx);
         // 6. Transmit stack output and rearm the stack timer.
         self.stack.poll_into(now, &mut self.tx);
@@ -533,70 +383,25 @@ impl ServerNode {
     }
 
     fn flush_engine(&mut self, now: SimTime, ctx: &mut Context) {
-        // Cluster role first: its outbox is targeted per message, and
-        // it has no single `peer_side_addr`.
-        if let Role::Cluster(engine) = &mut self.role {
-            let Some(side) = self.side_udp else {
-                return;
-            };
-            let Some(cfg) = &self.cfg else {
-                return;
-            };
-            let port = cfg.side_channel_port;
-            let mut msgs = std::mem::take(&mut self.cluster_out);
-            msgs.clear();
-            engine.drain_outbox_into(&mut msgs);
-            for (dst, msg) in &msgs {
-                let (kind, conn, seq, len) = msg.trace_parts();
-                self.recorder
-                    .trace(now.as_nanos(), &TraceEvent::SideSend { msg: kind, conn, seq, len });
-                self.stack.udp_send(now, side, *dst, port, msg.encode());
-            }
-            msgs.clear();
-            self.cluster_out = msgs;
-            let Role::Cluster(engine) = &mut self.role else {
-                unreachable!();
-            };
-            if let Some(outlet) = engine.take_fence_request() {
-                let mac = self.stack.config().mac;
-                ctx.send_frame(MGMT, power_off_frame(mac, outlet));
-            }
-            let mac = self.stack.config().mac;
-            for query in engine.take_logger_queries() {
-                ctx.send_frame(LAN, query.to_frame(mac));
-            }
-            return;
-        }
-        let Some((peer_ip, peer_port)) = self.peer_side_addr else {
+        let (Some(side), Some(engine)) = (self.side_udp, &mut self.engine) else {
             return;
         };
-        let Some(side) = self.side_udp else {
-            return;
-        };
-        let mut msgs = std::mem::take(&mut self.side_out);
-        msgs.clear();
-        match &mut self.role {
-            Role::Primary(e) => e.drain_outbox_into(&mut msgs),
-            Role::Backup(e) => e.drain_outbox_into(&mut msgs),
-            Role::Solo | Role::Cluster(_) => {}
-        }
-        for msg in &msgs {
+        engine.maybe_send_acks(&mut self.stack, false);
+        let port = engine.config().side_channel_port;
+        debug_assert!(self.side_out.is_empty());
+        engine.drain_outbox_into(&mut self.side_out);
+        for (dst, msg) in self.side_out.drain(..) {
             let (kind, conn, seq, len) = msg.trace_parts();
             self.recorder
                 .trace(now.as_nanos(), &TraceEvent::SideSend { msg: kind, conn, seq, len });
-            self.stack.udp_send(now, side, peer_ip, peer_port, msg.encode());
+            self.stack.udp_send(now, side, dst, port, msg.encode());
         }
-        msgs.clear();
-        self.side_out = msgs;
-        if let Role::Backup(engine) = &mut self.role {
-            if let Some(outlet) = engine.take_fence_request() {
-                let mac = self.stack.config().mac;
-                ctx.send_frame(MGMT, power_off_frame(mac, outlet));
-            }
-            let mac = self.stack.config().mac;
-            for query in engine.take_logger_queries() {
-                ctx.send_frame(LAN, query.to_frame(mac));
-            }
+        let mac = self.stack.config().mac;
+        if let Some(outlet) = engine.take_fence_request() {
+            ctx.send_frame(MGMT, power_off_frame(mac, outlet));
+        }
+        for query in engine.take_logger_queries() {
+            ctx.send_frame(LAN, query.to_frame(mac));
         }
     }
 }
@@ -614,26 +419,7 @@ impl Node for ServerNode {
             self.conns.clear();
             self.accepted.clear();
             self.timer = StackTimer::default();
-            let now = ctx.now();
-            self.role = match (&self.role, &self.cfg, self.peer_side_addr) {
-                (Role::Primary(_), Some(cfg), Some(_)) => {
-                    Role::Primary(PrimaryEngine::new(cfg.clone(), now))
-                }
-                (Role::Backup(_), Some(cfg), Some(_)) => {
-                    let x = cfg.effective_ack_threshold(self.stack_cfg.tcp.recv_buf);
-                    Role::Backup(BackupEngine::new(cfg.clone(), x, now))
-                }
-                (Role::Cluster(_), Some(cfg), _) => {
-                    // Rejoin under the *initial* topology: an amnesiac
-                    // node cannot know the current reign, so it comes
-                    // back at epoch 0 and adopts whatever higher epoch
-                    // the first heartbeat it hears announces.
-                    let topo = self.cluster_topo.clone().expect("cluster role keeps its topology");
-                    let x = cfg.effective_ack_threshold(self.stack_cfg.tcp.recv_buf);
-                    Role::Cluster(ClusterEngine::new(cfg.clone(), self.stack_cfg.ip, topo, x, now))
-                }
-                _ => Role::Solo,
-            };
+            self.engine = self.boot_engine(ctx.now());
             self.apply_recorder();
         }
         self.booted = true;
@@ -644,11 +430,9 @@ impl Node for ServerNode {
         for &(port, _) in &self.services {
             self.stack.listen(port);
         }
-        if let Some(cfg) = &self.cfg {
-            self.side_udp = Some(self.stack.udp_bind(cfg.side_channel_port));
-        }
-        if let Some(tick) = self.tick_interval() {
-            ctx.set_timer_after(tick, TOK_TICK);
+        if let Some(engine) = &self.engine {
+            self.side_udp = Some(self.stack.udp_bind(engine.config().side_channel_port));
+            ctx.set_timer_after(engine.tick_interval(), TOK_TICK);
         }
         self.pump(ctx);
     }
@@ -665,15 +449,11 @@ impl Node for ServerNode {
     fn on_timer(&mut self, token: u64, ctx: &mut Context) {
         match token {
             TOK_TICK => {
-                let now = ctx.now();
-                match &mut self.role {
-                    Role::Primary(e) => e.on_tick(now, &mut self.stack),
-                    Role::Backup(e) => e.on_tick(now, &mut self.stack),
-                    Role::Cluster(e) => e.on_tick(now, &mut self.stack),
-                    Role::Solo => {}
-                }
-                if let Some(tick) = self.tick_interval() {
-                    ctx.set_timer_after(tick, TOK_TICK);
+                if let Some(engine) = &mut self.engine {
+                    engine.on_tick(ctx.now(), &mut self.stack);
+                    // By *current* role: a promotion moves the node from
+                    // the backup's SyncTime cadence to the heartbeat's.
+                    ctx.set_timer_after(engine.tick_interval(), TOK_TICK);
                 }
             }
             TOK_STACK => self.timer.fired(),

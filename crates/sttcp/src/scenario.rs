@@ -10,6 +10,7 @@
 //! in ≈64 s) and echo exchange time (≈9–10 ms), so Tables 1–2 can be
 //! compared in absolute terms. See DESIGN.md §2.
 
+use crate::cluster::ClusterEngine;
 use crate::config::SttcpConfig;
 use crate::node::{ClientNode, GatewayNode, ServerNode, LAN, MGMT};
 use apps::{
@@ -730,14 +731,13 @@ impl Scenario {
 
     /// The primary's ST-TCP engine (`None` for a standard-TCP
     /// deployment).
-    pub fn primary(&self) -> Option<&crate::primary::PrimaryEngine> {
-        self.sim.node_ref::<ServerNode>(self.primary).primary_engine()
+    pub fn primary(&self) -> Option<&ClusterEngine> {
+        self.sim.node_ref::<ServerNode>(self.primary).engine()
     }
 
     /// The backup's ST-TCP engine, when a backup is deployed.
-    pub fn backup(&self) -> Option<&crate::backup::BackupEngine> {
-        let b = self.backup?;
-        self.sim.node_ref::<ServerNode>(b).backup_engine()
+    pub fn backup(&self) -> Option<&ClusterEngine> {
+        self.sim.node_ref::<ServerNode>(self.backup?).engine()
     }
 
     /// A snapshot of the recorded observability counters; `None` unless

@@ -16,6 +16,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use sttcp::fleet::{self, FleetSpec};
 use sttcp::scenario::{build, RunLimits, ScenarioSpec};
+use sttcp::ServerNode;
 
 /// FNV-1a over every probe observation, identical to the fold in
 /// `tests/determinism.rs`: departure time, link, endpoints, frame bytes.
@@ -53,9 +54,15 @@ impl TraceDigest {
 const BULK_100MB_DIGEST: (u64, u64) = (0xf6cc_9c4e_6e20_1a1d, 215_472);
 
 /// Golden digest of the 80-client failover fleet (the
-/// `fleet_failover_frame_traces_are_bit_identical` scenario), captured
-/// pre-refactor.
-const FLEET_80_FAILOVER_DIGEST: (u64, u64) = (0x24bf_5764_6391_d5fd, 4_228);
+/// `fleet_failover_frame_traces_are_bit_identical` scenario). Re-pinned
+/// once, by the engine collapse (PR 12), from the PR 9 capture
+/// `(0x24bf_5764_6391_d5fd, 4_228)`: a promoted member no longer
+/// heartbeats and acks its dead ex-primary, so the 8 side-channel hops
+/// 10.0.0.3 → 10.0.0.2 after the 300 ms takeover are gone (3 heartbeat
+/// and 5 `BackupAck` hops) and the IPv4 ident of the promoted node's
+/// later frames shifts accordingly; a frame-by-frame diff with the
+/// ident and header checksum masked shows no other change.
+const FLEET_80_FAILOVER_DIGEST: (u64, u64) = (0x7e73_a7d0_9d8a_f4c7, 4_220);
 
 #[test]
 fn reno_via_trait_matches_prerefactor_bulk_100mb() {
@@ -77,24 +84,67 @@ fn reno_via_trait_matches_prerefactor_bulk_100mb() {
     );
 }
 
+/// Golden digest of the same 80-client fleet with no crash (whole run),
+/// captured on the commit before the engine collapse (PR 12).
+const FLEET_80_FAULT_FREE_DIGEST: (u64, u64) = (0xd42d_b817_8f53_a80b, 4_215);
+
+/// When the backup of the 80-client failover fleet promotes itself.
+const FLEET_80_TAKEOVER: SimTime = SimTime::from_nanos(300_000_000);
+
+/// Golden digest of the failover fleet restricted to frames departing
+/// before [`FLEET_80_TAKEOVER`], captured on the commit before the
+/// engine collapse (PR 12): whatever the surviving engine does after
+/// the promotion, the pair's pre-takeover wire trace may not move.
+const FLEET_80_PRE_PROMOTION_DIGEST: (u64, u64) = (0x2efc_b375_8c3f_a909, 4_129);
+
+/// Runs the 80-client fleet; returns the whole-run digest, the digest of
+/// the frames departing before [`FLEET_80_TAKEOVER`], and the backup's
+/// promotion instant.
+fn fleet_80(crash: bool) -> ((u64, u64), (u64, u64), Option<SimTime>) {
+    let mut spec = FleetSpec::new(80).connect_spread(SimDuration::from_millis(80));
+    if crash {
+        spec = spec.crash_primary_at(SimTime::ZERO + SimDuration::from_millis(140));
+    }
+    let mut f = fleet::build(&spec);
+    let digests = Rc::new(RefCell::new((TraceDigest::new(), TraceDigest::new())));
+    let sink = Rc::clone(&digests);
+    f.sim.set_probe(move |ev| {
+        let (whole, prefix) = &mut *sink.borrow_mut();
+        whole.observe(&ev);
+        if ev.time < FLEET_80_TAKEOVER {
+            prefix.observe(&ev);
+        }
+    });
+    assert!(f.run_until_done(SimDuration::from_secs(120)), "fleet must finish");
+    assert!(f.verified_clean(), "all 80 client streams must verify clean");
+    let takeover = f.sim.node_ref::<ServerNode>(f.backup).backup_engine().unwrap().takeover_at();
+    let d = digests.borrow();
+    ((d.0.hash, d.0.frames), (d.1.hash, d.1.frames), takeover)
+}
+
 #[test]
 fn reno_via_trait_matches_prerefactor_fleet_failover() {
-    let spec = FleetSpec::new(80)
-        .connect_spread(SimDuration::from_millis(80))
-        .crash_primary_at(SimTime::ZERO + SimDuration::from_millis(140));
-    let mut f = fleet::build(&spec);
-    let digest = Rc::new(RefCell::new(TraceDigest::new()));
-    let sink = Rc::clone(&digest);
-    f.sim.set_probe(move |ev| sink.borrow_mut().observe(&ev));
-    assert!(f.run_until_done(SimDuration::from_secs(120)), "fleet must finish");
-    assert!(f.verified_clean());
-    let d = digest.borrow();
+    let (whole, prefix, takeover) = fleet_80(true);
+    assert_eq!(takeover, Some(FLEET_80_TAKEOVER), "the takeover instant moved");
     assert_eq!(
-        (d.hash, d.frames),
-        FLEET_80_FAILOVER_DIGEST,
-        "default-config 80-client failover wire trace diverged from the pre-refactor seed \
-         (got ({:#018x}, {}))",
-        d.hash,
-        d.frames
+        prefix, FLEET_80_PRE_PROMOTION_DIGEST,
+        "the pair's pre-takeover wire trace diverged (got ({:#018x}, {}))",
+        prefix.0, prefix.1
+    );
+    assert_eq!(
+        whole, FLEET_80_FAILOVER_DIGEST,
+        "default-config 80-client failover wire trace diverged (got ({:#018x}, {}))",
+        whole.0, whole.1
+    );
+}
+
+#[test]
+fn fault_free_fleet_matches_the_pre_collapse_pair() {
+    let (whole, _, takeover) = fleet_80(false);
+    assert_eq!(takeover, None, "nobody promotes in a fault-free run");
+    assert_eq!(
+        whole, FLEET_80_FAULT_FREE_DIGEST,
+        "fault-free 80-client fleet wire trace diverged (got ({:#018x}, {}))",
+        whole.0, whole.1
     );
 }

@@ -1,19 +1,54 @@
 //! Focused engine-level tests exercising paths the end-to-end scenarios
 //! cross only incidentally: missing-data chunking, request retry,
-//! retention release ordering, and takeover idempotence.
+//! retention release ordering, detection, and takeover idempotence —
+//! all on the paper's pair, i.e. [`ClusterEngine`] over the two-member
+//! topology.
 
 use bytes::Bytes;
 use netsim::{SimDuration, SimTime};
 use std::net::Ipv4Addr;
-use sttcp::{BackupEngine, ConnKey, PrimaryEngine, SideMsg, SttcpConfig};
+use sttcp::cluster::Topology;
+use sttcp::{ClusterEngine, ConnKey, SideMsg, SttcpConfig};
 use tcpstack::{NetStack, SeqNum, StackConfig, TcpConfig};
 use wire::{MacAddr, TcpFlags, TcpSegment};
 
 const VIP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 100);
 const CLIENT: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
+const PRIMARY: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
+const BACKUP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 3);
 
 fn cfg() -> SttcpConfig {
     SttcpConfig::new(VIP, 80)
+}
+
+/// The pair's rank-0 engine.
+fn primary(cfg: SttcpConfig) -> ClusterEngine {
+    ClusterEngine::new(cfg, PRIMARY, Topology::new(vec![PRIMARY, BACKUP]), 12 * 1024, SimTime::ZERO)
+}
+
+/// The pair's rank-1 engine.
+fn backup(cfg: SttcpConfig) -> ClusterEngine {
+    ClusterEngine::new(cfg, BACKUP, Topology::new(vec![PRIMARY, BACKUP]), 12 * 1024, SimTime::ZERO)
+}
+
+/// Drains the outbox; every message of a pair goes to the one peer.
+fn sent(engine: &mut ClusterEngine) -> Vec<SideMsg> {
+    let mut out = Vec::new();
+    engine.drain_outbox_into(&mut out);
+    out.into_iter().map(|(_, msg)| msg).collect()
+}
+
+/// A suppressed, empty backup stack.
+fn backup_stack() -> NetStack {
+    let mut c = StackConfig::host(MacAddr::local(3), BACKUP);
+    c.extra_ips = vec![VIP];
+    c.suppressed_ips = vec![VIP];
+    c.tcp = TcpConfig::st_tcp_backup();
+    NetStack::new(c)
+}
+
+fn ms(n: u64) -> SimTime {
+    SimTime::ZERO + SimDuration::from_millis(n)
 }
 
 fn key() -> ConnKey {
@@ -24,7 +59,7 @@ fn key() -> ConnKey {
 /// `payload` already received from the client (and read by the "app" so
 /// it lives in the retention buffer).
 fn primary_with_data(payload: &[u8]) -> (NetStack, SeqNum) {
-    let mut scfg = StackConfig::host(MacAddr::local(2), Ipv4Addr::new(10, 0, 0, 2));
+    let mut scfg = StackConfig::host(MacAddr::local(2), PRIMARY);
     scfg.extra_ips = vec![VIP];
     scfg.learn_from_ip = true; // client MAC learned from the frames below
     scfg.tcp = TcpConfig::st_tcp_primary();
@@ -72,14 +107,14 @@ fn primary_serves_missing_range_in_chunks() {
     // coverage and no overlap.
     let payload: Vec<u8> = (0..3000u32).map(|i| (i % 251) as u8).collect();
     let (mut stack, data_start) = primary_with_data(&payload);
-    let mut engine = PrimaryEngine::new(cfg(), SimTime::ZERO);
+    let mut engine = primary(cfg());
     engine.on_side_msg(
         SimTime::ZERO,
+        BACKUP,
         SideMsg::MissingReq { conn: key(), from: data_start.raw(), len: 3000 },
         &mut stack,
     );
-    let out = engine.take_outbox();
-    let chunks: Vec<(u32, Vec<u8>)> = out
+    let chunks: Vec<(u32, Vec<u8>)> = sent(&mut engine)
         .iter()
         .filter_map(|m| match m {
             SideMsg::MissingData { seq, data, .. } => Some((*seq, data.to_vec())),
@@ -96,20 +131,21 @@ fn primary_serves_missing_range_in_chunks() {
     }
     assert_eq!(reassembled, payload);
     assert_eq!(engine.stats.missing_served, 1);
+    assert_eq!(engine.stats.missing_bytes_sent, 3000);
 }
 
 #[test]
 fn primary_clamps_overlong_requests_to_what_it_holds() {
     let payload = vec![7u8; 500];
     let (mut stack, data_start) = primary_with_data(&payload);
-    let mut engine = PrimaryEngine::new(cfg(), SimTime::ZERO);
+    let mut engine = primary(cfg());
     engine.on_side_msg(
         SimTime::ZERO,
+        BACKUP,
         SideMsg::MissingReq { conn: key(), from: data_start.raw(), len: 1_000_000 },
         &mut stack,
     );
-    let out = engine.take_outbox();
-    let total: usize = out
+    let total: usize = sent(&mut engine)
         .iter()
         .map(|m| match m {
             SideMsg::MissingData { data, .. } => data.len(),
@@ -123,18 +159,22 @@ fn primary_clamps_overlong_requests_to_what_it_holds() {
 fn primary_nacks_ranges_below_the_floor() {
     let payload = vec![9u8; 100];
     let (mut stack, data_start) = primary_with_data(&payload);
+    let mut engine = primary(cfg());
     // Backup acks everything: retention releases.
-    {
-        let sock = stack.sock_by_quad(key().server_quad()).unwrap();
-        stack.tcb_mut(sock).unwrap().set_backup_acked(data_start.add(100));
-    }
-    let mut engine = PrimaryEngine::new(cfg(), SimTime::ZERO);
     engine.on_side_msg(
         SimTime::ZERO,
+        BACKUP,
+        SideMsg::BackupAck { conn: key(), acked_next: data_start.add(100).raw() },
+        &mut stack,
+    );
+    assert_eq!(engine.stats.acks_applied, 1);
+    engine.on_side_msg(
+        SimTime::ZERO,
+        BACKUP,
         SideMsg::MissingReq { conn: key(), from: data_start.raw(), len: 100 },
         &mut stack,
     );
-    let out = engine.take_outbox();
+    let out = sent(&mut engine);
     assert!(
         matches!(out.as_slice(), [SideMsg::MissingNack { .. }]),
         "released bytes are gone: {out:?}"
@@ -142,8 +182,73 @@ fn primary_nacks_ranges_below_the_floor() {
 }
 
 #[test]
+fn primary_nacks_a_missing_req_for_an_unknown_conn() {
+    let (mut stack, _) = primary_with_data(b"");
+    let mut engine = primary(cfg());
+    let mut other = key();
+    other.client_port = 40001;
+    engine.on_side_msg(
+        SimTime::ZERO,
+        BACKUP,
+        SideMsg::MissingReq { conn: other, from: 0, len: 100 },
+        &mut stack,
+    );
+    assert_eq!(sent(&mut engine), vec![SideMsg::MissingNack { conn: other, from: 0 }]);
+    assert_eq!(engine.stats.missing_nacked, 1);
+}
+
+#[test]
+fn primary_heartbeats_every_tick() {
+    let (mut stack, _) = primary_with_data(b"");
+    let mut engine = primary(cfg());
+    engine.on_tick(ms(50), &mut stack);
+    engine.on_tick(ms(100), &mut stack);
+    // The pair's pre-takeover dialect: the 9-byte classic heartbeat.
+    assert_eq!(
+        sent(&mut engine),
+        vec![SideMsg::Heartbeat { seq: 1 }, SideMsg::Heartbeat { seq: 2 }]
+    );
+    assert_eq!(engine.stats.hbs_sent, 2);
+    assert_eq!(engine.tick_interval(), cfg().hb_interval);
+}
+
+#[test]
+fn primary_declares_the_backup_dead_after_the_threshold_and_takes_it_back() {
+    let payload = vec![1u8; 64];
+    let (mut stack, _) = primary_with_data(&payload);
+    let sock = stack.sock_by_quad(key().server_quad()).unwrap();
+    let mut engine = primary(cfg());
+    // Backup says hello at t=100. Threshold = 3 × 50 ms.
+    engine.on_side_msg(ms(100), BACKUP, SideMsg::Heartbeat { seq: 1 }, &mut stack);
+    engine.on_tick(ms(250), &mut stack);
+    assert!(engine.backup_alive(), "150 ms of silence is still inside the window");
+    assert_eq!(stack.tcb(sock).unwrap().retained(), 64);
+    engine.on_tick(ms(251), &mut stack);
+    assert!(!engine.backup_alive());
+    assert_eq!(engine.backup_dead_at(), Some(ms(251)));
+    assert_eq!(
+        stack.tcb(sock).unwrap().retained(),
+        0,
+        "non-fault-tolerant mode releases every connection's retention (§4.4)"
+    );
+    // Any side message counts as liveness — an ack reintegrates it.
+    engine.on_side_msg(
+        ms(900),
+        BACKUP,
+        SideMsg::BackupAck { conn: key(), acked_next: 0 },
+        &mut stack,
+    );
+    assert!(engine.backup_alive());
+    assert_eq!(engine.backup_dead_at(), None);
+    assert_eq!(engine.stats.reintegrations, 1);
+    assert_eq!(engine.stats.acks_applied, 1, "acks count again after a reintegration");
+    engine.on_tick(ms(1000), &mut stack);
+    assert!(engine.backup_alive());
+}
+
+#[test]
 fn backup_retries_stale_missing_requests() {
-    let mut bcfg = StackConfig::host(MacAddr::local(3), Ipv4Addr::new(10, 0, 0, 3));
+    let mut bcfg = StackConfig::host(MacAddr::local(3), BACKUP);
     bcfg.extra_ips = vec![VIP];
     bcfg.learn_from_ip = true;
     bcfg.promiscuous = true; // the deliver() helper addresses the primary's MAC
@@ -161,18 +266,18 @@ fn backup_retries_stale_missing_requests() {
     let sock = stack.accept(80).expect("shadow established");
     let rcv_nxt = stack.tcb(sock).unwrap().rcv_nxt();
 
-    let mut engine = BackupEngine::new(cfg(), 12 * 1024, now);
-    engine.register_conn(key(), rcv_nxt);
+    let mut engine = backup(cfg());
+    engine.on_accept(sock, &mut stack);
     // A tapped primary ACK reveals a 400-byte gap.
     engine.on_tapped_primary_segment(now, key(), SeqNum(0), rcv_nxt.add(400), false, &mut stack);
-    let first: Vec<_> = engine.take_outbox();
+    let first = sent(&mut engine);
     assert!(first.iter().any(|m| matches!(m, SideMsg::MissingReq { len: 400, .. })), "{first:?}");
     // No reply arrives; ticks past 2×SyncTime re-issue the request.
-    engine.on_side_msg(now, SideMsg::Heartbeat { seq: 1 }, &mut stack); // keep the primary "alive"
-    let later = now + SimDuration::from_millis(150);
-    engine.on_side_msg(later, SideMsg::Heartbeat { seq: 2 }, &mut stack);
+    engine.on_side_msg(now, PRIMARY, SideMsg::Heartbeat { seq: 1 }, &mut stack);
+    let later = ms(150);
+    engine.on_side_msg(later, PRIMARY, SideMsg::Heartbeat { seq: 2 }, &mut stack);
     engine.on_tick(later, &mut stack);
-    let retried: Vec<_> = engine.take_outbox();
+    let retried = sent(&mut engine);
     assert!(
         retried.iter().any(|m| matches!(m, SideMsg::MissingReq { .. })),
         "stale request must be retried: {retried:?}"
@@ -182,58 +287,172 @@ fn backup_retries_stale_missing_requests() {
     let missing = vec![3u8; 400];
     engine.on_side_msg(
         later,
+        PRIMARY,
         SideMsg::MissingData { conn: key(), seq: rcv_nxt.raw(), data: Bytes::from(missing) },
         &mut stack,
     );
     assert_eq!(stack.tcb(sock).unwrap().rcv_nxt(), rcv_nxt.add(400));
-    let after = later + SimDuration::from_millis(150);
-    engine.on_side_msg(after, SideMsg::Heartbeat { seq: 3 }, &mut stack);
+    assert_eq!(engine.stats.missing_bytes_recovered, 400);
+    let after = ms(300);
+    engine.on_side_msg(after, PRIMARY, SideMsg::Heartbeat { seq: 3 }, &mut stack);
     engine.on_tick(after, &mut stack);
-    let quiet: Vec<_> = engine.take_outbox();
+    let quiet = sent(&mut engine);
     assert!(
         !quiet.iter().any(|m| matches!(m, SideMsg::MissingReq { .. })),
         "healed gap must not be re-requested: {quiet:?}"
     );
+    // The forced tick acked the recovered bytes and said hello.
+    assert!(quiet.iter().any(|m| matches!(m, SideMsg::BackupAck { .. })), "{quiet:?}");
+    assert!(quiet.iter().any(|m| matches!(m, SideMsg::Heartbeat { .. })), "{quiet:?}");
+}
+
+#[test]
+fn backup_detection_fires_after_three_silent_intervals() {
+    let mut engine = backup(cfg());
+    let mut stack = backup_stack();
+    engine.on_side_msg(SimTime::ZERO, PRIMARY, SideMsg::Heartbeat { seq: 1 }, &mut stack);
+    // Tick just inside the window: no suspicion.
+    engine.on_tick(ms(150), &mut stack);
+    assert!(!engine.has_taken_over());
+    assert!(stack.is_suppressed(VIP));
+    assert_eq!(engine.tick_interval(), cfg().effective_sync_time());
+    // One more silent tick: takeover, in the same instant (§4.4 — the
+    // last candidate never waits on its lag).
+    engine.on_tick(ms(200), &mut stack);
+    assert!(engine.has_taken_over());
+    assert!(!stack.is_suppressed(VIP), "takeover lifts the suppression");
+    assert_eq!(engine.suspected_at(), Some(ms(200)));
+    assert_eq!(engine.takeover_at(), engine.suspected_at());
+    assert_eq!(engine.take_fence_request(), None, "no fencing hardware configured");
+}
+
+#[test]
+fn heartbeats_defer_detection() {
+    let mut engine = backup(cfg());
+    let mut stack = backup_stack();
+    for i in 1..100u64 {
+        engine.on_side_msg(ms(50 * i), PRIMARY, SideMsg::Heartbeat { seq: i }, &mut stack);
+        engine.on_tick(ms(50 * i), &mut stack);
+    }
+    assert!(!engine.has_taken_over());
+    assert_eq!(engine.stats.hbs_received, 99);
+}
+
+#[test]
+fn fencing_requested_when_configured() {
+    let mut engine = backup(cfg().with_fencing(7));
+    let mut stack = backup_stack();
+    engine.on_tick(ms(1000), &mut stack);
+    assert!(engine.has_taken_over());
+    assert_eq!(engine.take_fence_request(), Some(7));
+    assert_eq!(engine.take_fence_request(), None, "fence request is one-shot");
+}
+
+#[test]
+fn cold_replay_standby_serves_only_after_restart_and_replay() {
+    use sttcp::config::TakeoverPolicy;
+    let mut cold = cfg();
+    cold.takeover_policy = TakeoverPolicy::ColdReplay {
+        restart_delay: SimDuration::from_millis(500),
+        replay_rate_bps: 1 << 20,
+    };
+    let mut engine = backup(cold);
+    let mut stack = backup_stack();
+    engine.on_tick(ms(200), &mut stack);
+    assert_eq!(engine.suspected_at(), Some(ms(200)));
+    assert!(!engine.has_taken_over(), "the replacement process is still starting");
+    engine.on_tick(ms(650), &mut stack);
+    assert!(!engine.has_taken_over());
+    // No connection history to replay: ready at suspicion + restart.
+    engine.on_tick(ms(700), &mut stack);
+    assert_eq!(engine.takeover_at(), Some(ms(700)));
+}
+
+#[test]
+fn unknown_conn_tapped_ack_is_ignored_without_a_logger() {
+    let mut engine = backup(cfg());
+    let mut stack = backup_stack();
+    for is_syn in [false, true] {
+        engine.on_tapped_primary_segment(
+            SimTime::ZERO,
+            key(),
+            SeqNum(5000),
+            SeqNum(1001),
+            is_syn,
+            &mut stack,
+        );
+    }
+    assert!(sent(&mut engine).is_empty());
+    assert_eq!(engine.stats.missing_reqs, 0);
+    assert_eq!(engine.stats.bootstrap_queries, 0);
+    assert!(engine.take_logger_queries().is_empty());
+}
+
+#[test]
+fn unknown_conn_syn_ack_triggers_bootstrap() {
+    // A tapped SYN/ACK for a quad with no shadow is sometimes the
+    // ONLY evidence a connection exists (primary crashes before its
+    // first data segment), so it must fire the logger bootstrap.
+    let mut engine = backup(cfg().with_logger());
+    let mut stack = backup_stack();
+    engine.on_tapped_primary_segment(
+        SimTime::ZERO,
+        key(),
+        SeqNum(5000),
+        SeqNum(1001),
+        true,
+        &mut stack,
+    );
+    assert_eq!(engine.stats.bootstrap_queries, 1);
+    let queries = engine.take_logger_queries();
+    assert_eq!(queries.len(), 1);
+    // The replay window is anchored by the SYN/ACK's ack field and
+    // must cover the client's ISN (1000, one below the ack).
+    let q = &queries[0];
+    assert!(q.seq_from.wrapping_sub(1000) as i32 <= 0, "window must reach back to the ISN");
+    assert!(1000u32.wrapping_sub(q.seq_to) as i32 <= 0, "window must extend past the ISN");
 }
 
 #[test]
 fn takeover_is_idempotent_under_continued_silence() {
-    let mut bcfg = StackConfig::host(MacAddr::local(3), Ipv4Addr::new(10, 0, 0, 3));
-    bcfg.extra_ips = vec![VIP];
-    bcfg.suppressed_ips = vec![VIP];
-    let mut stack = NetStack::new(bcfg);
-    let mut engine = BackupEngine::new(cfg(), 12 * 1024, SimTime::ZERO);
-    let t1 = SimTime::ZERO + SimDuration::from_secs(1);
-    engine.on_tick(t1, &mut stack);
+    let mut stack = backup_stack();
+    let mut engine = backup(cfg());
+    engine.on_tick(ms(1000), &mut stack);
     assert!(engine.has_taken_over());
     let first_takeover = engine.takeover_at();
     // More silent ticks must not move the takeover timestamp or
-    // re-suppress anything.
+    // re-suppress anything; the promoted node has nobody left to
+    // heartbeat or ack.
+    let _ = sent(&mut engine);
     for i in 2..10u64 {
-        engine.on_tick(SimTime::ZERO + SimDuration::from_secs(i), &mut stack);
+        engine.on_tick(ms(1000 * i), &mut stack);
     }
     assert_eq!(engine.takeover_at(), first_takeover);
     assert!(!stack.is_suppressed(VIP));
+    assert!(sent(&mut engine).is_empty(), "no datagrams for a dead ex-primary");
 }
 
 #[test]
 fn primary_mirrors_congestion_snapshots_only_on_change() {
     let (mut stack, _) = primary_with_data(b"hello");
-    let mut engine = PrimaryEngine::new(cfg().with_cong_sync(), SimTime::ZERO);
-    let t1 = SimTime::ZERO + SimDuration::from_millis(50);
-    engine.on_tick(t1, &mut stack);
-    let sent = engine.take_outbox();
-    let syncs: Vec<_> = sent.iter().filter(|m| matches!(m, SideMsg::CongSync { .. })).collect();
-    assert_eq!(syncs.len(), 1, "one established connection, one snapshot: {sent:?}");
+    let mut engine = primary(cfg().with_cong_sync());
+    engine.on_tick(ms(50), &mut stack);
+    let first = sent(&mut engine);
+    assert!(
+        matches!(first[0], SideMsg::Heartbeat { seq: 1 }),
+        "the heartbeat leads the tick: {first:?}"
+    );
+    let syncs: Vec<_> = first.iter().filter(|m| matches!(m, SideMsg::CongSync { .. })).collect();
+    assert_eq!(syncs.len(), 1, "one established connection, one snapshot: {first:?}");
     let SideMsg::CongSync { conn, cwnd, ssthresh } = syncs[0] else { unreachable!() };
     assert_eq!(*conn, key());
     let sock = stack.sock_by_quad(key().server_quad()).unwrap();
     let snap = stack.tcb(sock).unwrap().export_congestion();
     assert_eq!((*cwnd, *ssthresh), (snap.cwnd, snap.ssthresh));
     // Nothing changed the window since: the next tick stays quiet.
-    let t2 = t1 + SimDuration::from_millis(50);
-    engine.on_tick(t2, &mut stack);
-    let again = engine.take_outbox();
+    engine.on_side_msg(ms(60), BACKUP, SideMsg::Heartbeat { seq: 1 }, &mut stack);
+    engine.on_tick(ms(100), &mut stack);
+    let again = sent(&mut engine);
     assert!(
         !again.iter().any(|m| matches!(m, SideMsg::CongSync { .. })),
         "unchanged snapshot must not be rebroadcast: {again:?}"
@@ -243,10 +462,9 @@ fn primary_mirrors_congestion_snapshots_only_on_change() {
 #[test]
 fn primary_with_cong_sync_off_never_mirrors() {
     let (mut stack, _) = primary_with_data(b"hello");
-    let mut engine = PrimaryEngine::new(cfg(), SimTime::ZERO);
-    engine.on_tick(SimTime::ZERO + SimDuration::from_millis(50), &mut stack);
-    let sent = engine.take_outbox();
-    assert!(!sent.iter().any(|m| matches!(m, SideMsg::CongSync { .. })));
+    let mut engine = primary(cfg());
+    engine.on_tick(ms(50), &mut stack);
+    assert!(!sent(&mut engine).iter().any(|m| matches!(m, SideMsg::CongSync { .. })));
 }
 
 #[test]
@@ -254,12 +472,13 @@ fn backup_applies_mirrored_congestion_snapshot() {
     use tcpstack::CongestionController;
     // The shadow stack holds the same established quad as the primary.
     let (mut stack, _) = primary_with_data(b"hello");
-    let mut engine = BackupEngine::new(cfg(), 12 * 1024, SimTime::ZERO);
+    let mut engine = backup(cfg());
     let sock = stack.sock_by_quad(key().server_quad()).unwrap();
     let before = stack.tcb(sock).unwrap().congestion().cwnd();
     assert_ne!(before, 99_280, "pick a snapshot distinguishable from the default");
     engine.on_side_msg(
-        SimTime::ZERO + SimDuration::from_millis(10),
+        ms(10),
+        PRIMARY,
         SideMsg::CongSync { conn: key(), cwnd: 99_280, ssthresh: 7_300 },
         &mut stack,
     );

@@ -85,7 +85,7 @@ fn check_equivalent(stack: &NetStack, model: &LinearModel) {
 
 #[test]
 fn random_churn_matches_linear_reference_model() {
-    let mut rng = SplitMix64::new(0xD3_0D_2024);
+    let mut rng = SplitMix64::new(0xD30D_2024);
     let mut stack = server();
     let mut model = LinearModel::default();
     let now = SimTime::ZERO;

@@ -1,13 +1,14 @@
 //! Double-failure masking with the in-network packet logger (§3.2),
-//! on the cluster (N-backup) API.
+//! on the chain-fleet API.
 //!
 //! A tap omission makes the rank-1 backup miss one client request; the
 //! side-channel recovery replies are lost too; then the primary
 //! crashes. The client will never retransmit the request (the primary
 //! ACKed it), so without help the backup can never serve it. The
 //! packet logger — an inline device that keeps recent frames in
-//! memory — replays the missing segment at takeover, and the cluster
-//! engine gates its promotion on that catch-up reaching lag zero.
+//! memory — replays the missing segment at takeover: the backup (the
+//! last candidate, so it promotes at its deadline despite the lag)
+//! re-queries the logger until its shadow has caught up.
 //!
 //! Run with: `cargo run --release --example double_failure_logger`
 
@@ -49,7 +50,7 @@ fn run_once(with_logger: bool) {
     let mut spec = ClusterFleetSpec::new(1, 1)
         .workload(Workload::Echo { requests: 100 })
         .crash(0, SimTime::ZERO + SimDuration::from_millis(600));
-    spec.connect_spread = SimDuration::from_millis(0);
+    spec.fleet.connect_spread = SimDuration::from_millis(0);
     if with_logger {
         spec = spec.with_logger();
     }

@@ -18,7 +18,7 @@ use st_tcp::sttcp::{build_cluster, ClusterFleetSpec, ClusterRole};
 fn main() {
     let migrate_at = SimTime::ZERO + SimDuration::from_millis(100);
     let spec = ClusterFleetSpec::new(12, 2).migrate_at(migrate_at, 1).recording();
-    let hb = spec.st_tcp.hb_interval;
+    let hb = spec.fleet.st_tcp.hb_interval;
     let mut fleet = build_cluster(&spec);
 
     println!("12 clients, primary + 2 backups; drain-and-handover to rank 1 at t=100 ms\n");

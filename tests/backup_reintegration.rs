@@ -92,7 +92,7 @@ fn rebooted_backup_reintegrates_and_protects_new_connections() {
     sim.run_until(SimTime::ZERO + secs(1.1));
     {
         let p = sim.node_ref::<ServerNode>(primary);
-        let eng = p.primary_engine().unwrap();
+        let eng = p.engine().unwrap();
         assert!(eng.backup_alive(), "rebooted backup must have reintegrated by 1.1s");
         assert_eq!(eng.stats.reintegrations, 1);
         let b = sim.node_ref::<ServerNode>(backup);
@@ -186,4 +186,55 @@ fn new_connection_after_reintegration_survives_primary_crash() {
     assert_eq!(app.metrics.latencies.len(), 100);
     let b = sim.node_ref::<ServerNode>(backup);
     assert!(b.backup_engine().unwrap().has_taken_over(), "the reintegrated backup took over");
+}
+
+#[test]
+fn chain_reintegration_releases_retention_for_new_connections_again() {
+    // The chain variant: both backups of a two-backup chain die, one
+    // returns. The primary must leave non-fault-tolerant mode for *new*
+    // connections — apply the returned backup's acks and release its
+    // retention by them. (The chain engine used to latch retention off
+    // for good once the last backup died and discard every later ack: a
+    // post-reintegration connection then filled the second buffer,
+    // spilled into the first, closed the advertised window and stalled.)
+    use st_tcp::sttcp::fleet::{build_cluster, ClusterFleetSpec};
+    // 400 × 150 B of requests ≫ recv_buf + retention_buf (2 × 17 520 B):
+    // the connection stalls unless its retention keeps being released.
+    let mut spec = ClusterFleetSpec::new(3, 2).workload(Workload::Echo { requests: 400 });
+    // Client 0 connects at once and lives through the outage; client 1
+    // connects at 0.6 s, in the middle of it (both served unprotected:
+    // with nobody to ack, neither may retain); client 2 connects at
+    // 1.2 s, after rank 1 has rebooted.
+    spec.fleet.connect_spread = SimDuration::from_millis(1200);
+    for rank in [1, 2] {
+        spec = spec.crash(rank, SimTime::ZERO + secs(0.3));
+    }
+    let mut fleet = build_cluster(&spec);
+    fleet.sim.schedule_power_on(fleet.servers[1], SimTime::ZERO + secs(0.8));
+
+    fleet.sim.run_until(SimTime::ZERO + secs(0.7));
+    let eng = fleet.engine(0);
+    assert!(!eng.backup_alive(), "both backups silent: non-fault-tolerant mode");
+    assert!(eng.backup_dead_at().is_some());
+    let acks_before = eng.stats.acks_applied;
+
+    fleet.sim.run_until(SimTime::ZERO + secs(1.1));
+    let eng = fleet.engine(0);
+    assert!(eng.backup_alive(), "rank 1 rebooted and reintegrated by 1.1 s");
+    assert_eq!(eng.backup_dead_at(), None);
+    assert_eq!(eng.stats.reintegrations, 1, "rank 2 stays dead");
+
+    assert!(
+        fleet.run_until_done(secs(30.0)),
+        "no connection may stall — not the mid-outage one, not the post-reintegration one"
+    );
+    assert!(fleet.verified_clean());
+    assert!(
+        fleet.engine(0).stats.acks_applied > acks_before,
+        "the returned backup's acks count again"
+    );
+    let b = fleet.sim.node_ref::<ServerNode>(fleet.servers[1]);
+    assert_eq!(b.boot_count, 2);
+    assert_eq!(b.accepted.len(), 1, "exactly the post-reboot connection is shadowed");
+    assert!(!fleet.engine(1).has_taken_over());
 }

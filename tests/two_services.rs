@@ -150,5 +150,5 @@ fn two_pairs_coexist_and_one_failover_does_not_disturb_the_other() {
     assert_eq!(sim.node_ref::<ServerNode>(pair_a.backup).accepted.len(), 1);
     assert_eq!(sim.node_ref::<ServerNode>(pair_b.backup).accepted.len(), 1);
     // And service B's pair stayed in fault-tolerant mode throughout.
-    assert!(sim.node_ref::<ServerNode>(pair_b.primary).primary_engine().unwrap().backup_alive());
+    assert!(sim.node_ref::<ServerNode>(pair_b.primary).engine().unwrap().backup_alive());
 }
