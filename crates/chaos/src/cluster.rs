@@ -155,8 +155,8 @@ fn vip_sourced(frame: &bytes::Bytes, vip: std::net::Ipv4Addr) -> bool {
 
 /// Executes one cluster chaos run and judges it against every oracle.
 pub fn execute_cluster(spec: &ClusterRunSpec) -> ClusterRunReport {
-    let mut fspec = ClusterFleetSpec::new(spec.clients, spec.backups).seed(spec.seed);
-    fspec = fspec.recording();
+    let mut fspec = ClusterFleetSpec::new(spec.clients, spec.backups);
+    fspec.fleet = fspec.fleet.seed(spec.seed).recording();
     for &(rank, ms) in &spec.crashes_ms {
         fspec = fspec.crash(rank, SimTime::ZERO + SimDuration::from_millis(ms));
     }

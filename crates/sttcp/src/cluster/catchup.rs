@@ -35,8 +35,7 @@ struct ConnSync {
     prev_acked_next: SeqNum,
     /// Highest cumulative ACK seen from the primary (tapped segments).
     highest_primary_ack: Option<SeqNum>,
-    /// In-flight missing-segment request: `(end of the requested
-    /// range, sent_at)`.
+    /// In-flight missing-segment request: `(from, sent_at)`.
     outstanding_req: Option<(SeqNum, SimTime)>,
     /// Queued for the next ack scan.
     pending_ack: bool,
@@ -99,14 +98,10 @@ impl CatchupTracker {
         });
     }
 
-    /// Tracked connection count.
-    pub fn len(&self) -> usize {
-        self.conns.len()
-    }
-
-    /// True when nothing is tracked.
-    pub fn is_empty(&self) -> bool {
-        self.conns.is_empty()
+    /// Stops tracking `key` (its connection is gone). A stale entry on
+    /// one of the scan lists is skipped when its turn comes.
+    pub fn forget(&mut self, key: ConnKey) {
+        self.conns.remove(&key);
     }
 
     /// Queues `key` for the next ack scan (idempotent until it runs).
@@ -134,27 +129,11 @@ impl CatchupTracker {
         }
     }
 
-    /// Clears the in-flight request for `key` (refused).
+    /// Clears the in-flight request for `key` (answered or refused).
     pub fn clear_outstanding(&mut self, key: ConnKey) {
         if let Some(c) = self.conns.get_mut(&key) {
             c.outstanding_req = None;
         }
-    }
-
-    /// A reply chunk ending at `upto` arrived. Clears the in-flight
-    /// request once the reply has reached the end of the requested
-    /// range and returns whether it did — only then may the caller ask
-    /// for more. (Clearing on the first chunk would re-request, per
-    /// chunk, everything the rest of the reply is already carrying.)
-    pub fn reply_completes(&mut self, key: ConnKey, upto: SeqNum) -> bool {
-        let Some(c) = self.conns.get_mut(&key) else {
-            return false;
-        };
-        let done = c.outstanding_req.is_some_and(|(end, _)| upto.ge(end));
-        if done {
-            c.outstanding_req = None;
-        }
-        done
     }
 
     /// Issues a missing-segment request for `key` if its shadow trails
@@ -187,7 +166,7 @@ impl CatchupTracker {
             return; // one request in flight per connection
         }
         let (from, len) = (tcb.rcv_nxt(), (gap as usize).min(chunk) as u32);
-        c.outstanding_req = Some((from.add(len), now));
+        c.outstanding_req = Some((from, now));
         if !c.in_flight {
             c.in_flight = true;
             self.in_flight.push(key);
@@ -345,7 +324,6 @@ mod tests {
         assert!(!t.on_primary_ack(key(1), SeqNum(100)));
         t.register(key(1), SeqNum(1));
         assert!(t.on_primary_ack(key(1), SeqNum(100)));
-        assert_eq!(t.len(), 1);
     }
 
     #[test]

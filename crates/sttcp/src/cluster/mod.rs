@@ -25,7 +25,10 @@
 //!   itself only after the successor proves shadow-consistency.
 //!
 //! A node starts as rank-0 primary or rank-k backup and moves through
-//! promotion/retirement as the topology evolves.
+//! promotion/retirement as the topology evolves. A member promoted on a
+//! *timeout* keeps up a backup's duties (acks, liveness) toward the
+//! primary it deposed: the suspicion may be wrong (§3.2), and it is what
+//! the paper's backup does after it takes over.
 //!
 //! # Side-channel economy
 //!
@@ -162,6 +165,14 @@ pub struct ClusterEngine {
     /// [`SttcpConfig::cong_sync`]); suppresses no-change rebroadcasts.
     cong_sent: HashMap<ConnKey, (u32, u32)>,
     takeover_at: Option<SimTime>,
+    /// The primary this node deposed on a timeout, and the rank it held
+    /// under it. A timeout is a suspicion, not a death certificate
+    /// (§3.2): a wrongly suspected primary still serves and still
+    /// retains for this node, so the shadow duties toward it — acks,
+    /// liveness, missing-segment retries — outlive the promotion, as
+    /// the paper's backup keeps up its side of the pair after it takes
+    /// over. A handover *is* a certificate and leaves this `None`.
+    deposed: Option<(Ipv4Addr, u8)>,
     outbox: Vec<(Ipv4Addr, SideMsg)>,
     fence_request: Option<u32>,
     logger_queries: Vec<ReplayQuery>,
@@ -213,6 +224,7 @@ impl ClusterEngine {
             backups_dead_at: None,
             cong_sent: HashMap::new(),
             takeover_at: None,
+            deposed: None,
             outbox: Vec::new(),
             fence_request: None,
             logger_queries: Vec::new(),
@@ -257,6 +269,24 @@ impl ClusterEngine {
     /// Whether this node currently serves the VIP.
     pub fn is_primary_now(&self) -> bool {
         self.role == ClusterRole::Primary
+    }
+
+    /// Whom this node owes a backup's shadow duties, and the rank whose
+    /// ack dialect it speaks: its primary, or — once promoted on a
+    /// timeout — the primary it deposed. `None` means nobody (a booted
+    /// or handed-over primary, a retired member).
+    fn upstream(&self) -> Option<(Ipv4Addr, u8)> {
+        match self.role {
+            ClusterRole::Backup => Some((self.topo.primary(), self.rank()?)),
+            ClusterRole::Primary => self.deposed,
+            ClusterRole::Retired => None,
+        }
+    }
+
+    /// Whether this node tracks its connections' receive progress for
+    /// somebody (see [`ClusterEngine::note_activity`]).
+    pub fn is_shadowing(&self) -> bool {
+        self.upstream().is_some()
     }
 
     /// Whether this node promoted itself at some point.
@@ -313,29 +343,42 @@ impl ClusterEngine {
     }
 
     /// The node adapter accepted `sock` from a service listener. A
-    /// backup starts tracking the shadow; a primary with no live backup
+    /// shadowing node starts tracking it; a primary with no live backup
     /// (non-fault-tolerant mode) has nobody to retain for.
     pub fn on_accept(&mut self, sock: SockId, stack: &mut NetStack) {
         let Some(tcb) = stack.tcb_mut(sock) else {
             return;
         };
-        match self.role {
+        if self.role == ClusterRole::Primary && !self.backup_alive() {
+            tcb.disable_retention();
+        }
+        if self.is_shadowing() {
             // Baseline at the start of the client's stream, NOT the
             // current rcv_nxt: when the client piggybacks its handshake
             // ACK on the first request, the shadow establishes on a
             // data-carrying frame and rcv_nxt already covers bytes the
             // primary must not discard before we acknowledge them.
-            ClusterRole::Backup => {
-                self.catchup.register(ConnKey::from_server_quad(tcb.quad()), tcb.irs().add(1));
-            }
-            ClusterRole::Primary if !self.backup_alive() => tcb.disable_retention(),
-            ClusterRole::Primary | ClusterRole::Retired => {}
+            let (key, base) = (ConnKey::from_server_quad(tcb.quad()), tcb.irs().add(1));
+            self.register_conn(key, base);
         }
     }
 
-    /// Registers a newly shadowed connection (backup role).
+    /// Starts tracking `key`'s receive progress from `initial_next` —
+    /// the key-level half of [`ClusterEngine::on_accept`], for callers
+    /// that hold no socket (engine-level tests).
     pub fn register_conn(&mut self, key: ConnKey, initial_next: SeqNum) {
         self.catchup.register(key, initial_next);
+    }
+
+    /// The node adapter reaped `key`'s closed connection: forget every
+    /// per-connection record, so a long-running server's engine state
+    /// is bounded by its *open* connections.
+    pub fn on_close(&mut self, key: ConnKey) {
+        self.catchup.forget(key);
+        self.cong_sent.remove(&key);
+        for peer in &mut self.peers {
+            peer.acks.remove(&key);
+        }
     }
 
     /// Notes receive progress on `key`'s shadow (queues an ack check).
@@ -503,10 +546,7 @@ impl ClusterEngine {
     /// (one multiplexed batch). Visits only connections queued by
     /// [`ClusterEngine::note_activity`] — an idle shadow costs nothing.
     pub fn maybe_send_acks(&mut self, stack: &mut NetStack, force: bool) {
-        if self.role != ClusterRole::Backup {
-            return;
-        }
-        let Some(rank) = self.rank() else {
+        let Some((upstream, rank)) = self.upstream() else {
             return;
         };
         if rank >= 2 && !force {
@@ -516,11 +556,11 @@ impl ClusterEngine {
         acks.clear();
         self.stats.acks_threshold_triggered +=
             self.catchup.collect_acks(stack, self.x_threshold, force, &mut acks);
-        // Self-release, while a deeper rank exists to serve after a
-        // promotion: keep exactly one ack window of retained history
+        // Self-release, while a backup has a deeper rank to serve after
+        // a promotion: keep exactly one ack window of retained history
         // and release the rest, so the shadow's advertised window never
         // collapses under retention spill.
-        if usize::from(rank) + 1 < self.topo.members().len() {
+        if self.role == ClusterRole::Backup && usize::from(rank) + 1 < self.topo.members().len() {
             for &(key, _, prev) in &acks {
                 if let Some(sock) = stack.sock_by_quad(key.server_quad()) {
                     if let Some(tcb) = stack.tcb_mut(sock) {
@@ -529,13 +569,12 @@ impl ClusterEngine {
                 }
             }
         }
-        let primary = self.topo.primary();
         if rank == 1 {
             for &(key, next, _) in &acks {
                 self.stats.acks_sent += 1;
                 self.recorder.count(Counter::BackupAcksSent, 1);
                 self.outbox
-                    .push((primary, SideMsg::BackupAck { conn: key, acked_next: next.raw() }));
+                    .push((upstream, SideMsg::BackupAck { conn: key, acked_next: next.raw() }));
             }
         } else if !acks.is_empty() {
             let entries: Vec<(ConnKey, u32)> =
@@ -544,7 +583,7 @@ impl ClusterEngine {
             self.stats.ack_batch_entries += entries.len() as u64;
             self.recorder.count(Counter::AckBatchesSent, 1);
             self.recorder.count(Counter::AckBatchEntries, entries.len() as u64);
-            self.outbox.push((primary, SideMsg::AckBatch { rank, entries }));
+            self.outbox.push((upstream, SideMsg::AckBatch { rank, entries }));
         }
         acks.clear();
         self.ack_scratch = acks;
@@ -553,6 +592,7 @@ impl ClusterEngine {
     /// Periodic tick (every [`ClusterEngine::tick_interval`]),
     /// role-dispatched.
     pub fn on_tick(&mut self, now: SimTime, stack: &mut NetStack) {
+        self.hb_seq += 1; // one per tick, whatever this tick sends
         match self.role {
             ClusterRole::Primary => self.primary_tick(now, stack),
             ClusterRole::Backup => self.backup_tick(now, stack),
@@ -579,6 +619,7 @@ impl ClusterEngine {
 
     fn adopt(&mut self, now: SimTime, epoch: u32, members: Vec<Ipv4Addr>, stack: &mut NetStack) {
         self.topo = Topology::with_epoch(epoch, members);
+        self.deposed = None;
         self.stats.adoptions += 1;
         match self.rank() {
             Some(0) => {
@@ -725,12 +766,11 @@ impl ClusterEngine {
         }
         self.stats.catchup_replays += 1;
         self.recorder.count(Counter::CatchupReplays, 1);
-        // Injected bytes are receive progress: queue the ack check.
+        // The request is answered; a tapped ACK that still runs ahead of
+        // the shadow re-requests from the new `rcv_nxt`. Injected bytes
+        // are receive progress: queue the ack check.
+        self.catchup.clear_outstanding(conn);
         self.catchup.note_activity(conn);
-        // The reply's last chunk: chase the remaining gap, if any.
-        if self.catchup.reply_completes(conn, seq.add(data.len() as u32)) {
-            self.request_missing_now(now, conn, stack);
-        }
     }
 
     /// Fires a full-history replay query for a connection with no
@@ -765,17 +805,31 @@ impl ClusterEngine {
         let mut reqs = std::mem::take(&mut self.req_scratch);
         reqs.clear();
         self.catchup.request_missing(now, key, self.cfg.missing_req_chunk, stack, &mut reqs);
-        self.push_missing_reqs(&mut reqs);
+        self.push_missing_reqs(self.topo.primary(), &mut reqs);
         self.req_scratch = reqs;
     }
 
-    fn push_missing_reqs(&mut self, reqs: &mut Vec<MissingOut>) {
-        let primary = self.topo.primary();
+    fn push_missing_reqs(&mut self, to: Ipv4Addr, reqs: &mut Vec<MissingOut>) {
         for (key, from, len) in reqs.drain(..) {
             self.stats.missing_reqs += 1;
             self.recorder.count(Counter::MissingReqsSent, 1);
-            self.outbox.push((primary, SideMsg::MissingReq { conn: key, from: from.raw(), len }));
+            self.outbox.push((to, SideMsg::MissingReq { conn: key, from: from.raw(), len }));
         }
+    }
+
+    /// The shadow duties owed to `upstream` on every tick: the forced
+    /// ack flush (§4.3), liveness (payload-free: the primary treats any
+    /// datagram as life), and the retry of stale missing-segment
+    /// requests.
+    fn shadow_tick(&mut self, now: SimTime, upstream: Ipv4Addr, stack: &mut NetStack) {
+        self.maybe_send_acks(stack, true);
+        self.outbox.push((upstream, SideMsg::Heartbeat { seq: self.hb_seq }));
+        let window = self.cfg.effective_sync_time().saturating_mul(2);
+        let mut reqs = std::mem::take(&mut self.req_scratch);
+        reqs.clear();
+        self.catchup.retry_stale(now, window, self.cfg.missing_req_chunk, stack, &mut reqs);
+        self.push_missing_reqs(upstream, &mut reqs);
+        self.req_scratch = reqs;
     }
 
     /// One heartbeat per backup. At epoch 0 every member's constructor
@@ -783,7 +837,6 @@ impl ClusterEngine {
     /// heartbeat says all there is to say; a later reign announces its
     /// member list so deeper ranks and late joiners re-anchor on it.
     fn broadcast_topology(&mut self) {
-        self.hb_seq += 1;
         for &backup in self.topo.backups() {
             let hb = if self.topo.epoch() == 0 {
                 SideMsg::Heartbeat { seq: self.hb_seq }
@@ -803,6 +856,9 @@ impl ClusterEngine {
 
     fn primary_tick(&mut self, now: SimTime, stack: &mut NetStack) {
         self.broadcast_topology();
+        if let Some((deposed, _)) = self.deposed {
+            self.shadow_tick(now, deposed, stack);
+        }
         if self.cfg.cong_sync {
             self.mirror_congestion(stack);
         }
@@ -893,18 +949,7 @@ impl ClusterEngine {
     }
 
     fn backup_tick(&mut self, now: SimTime, stack: &mut NetStack) {
-        self.maybe_send_acks(stack, true);
-        // Liveness towards the primary (payload-free: the primary
-        // treats any datagram as life).
-        self.hb_seq += 1;
-        self.outbox.push((self.topo.primary(), SideMsg::Heartbeat { seq: self.hb_seq }));
-        // Retry stale missing-segment requests.
-        let window = self.cfg.effective_sync_time().saturating_mul(2);
-        let mut reqs = std::mem::take(&mut self.req_scratch);
-        reqs.clear();
-        self.catchup.retry_stale(now, window, self.cfg.missing_req_chunk, stack, &mut reqs);
-        self.push_missing_reqs(&mut reqs);
-        self.req_scratch = reqs;
+        self.shadow_tick(now, self.topo.primary(), stack);
         let Some(rank) = self.rank() else {
             return;
         };
@@ -957,6 +1002,18 @@ impl ClusterEngine {
                 }
                 self.outbox
                     .push((self.topo.primary(), SideMsg::DrainReady { rank: drain_rank, epoch }));
+            } else {
+                // Catch up first: the primary is alive and retaining, and
+                // on an idle connection no tapped ACK will come along to
+                // re-request what the last reply left open.
+                let mut gaps = std::mem::take(&mut self.gap_scratch);
+                gaps.clear();
+                self.catchup.gaps(stack, &mut gaps);
+                for &(key, _, _) in &gaps {
+                    self.request_missing_now(now, key, stack);
+                }
+                gaps.clear();
+                self.gap_scratch = gaps;
             }
         }
     }
@@ -1034,12 +1091,13 @@ impl ClusterEngine {
     fn promote(&mut self, now: SimTime, stack: &mut NetStack, epoch_override: Option<u32>) {
         let rank = self.rank().expect("only members promote");
         let new_topo = self.topo.promoted(rank);
-        if let Some(epoch) = epoch_override {
-            debug_assert_eq!(
+        match epoch_override {
+            Some(epoch) => debug_assert_eq!(
                 epoch,
                 new_topo.epoch(),
                 "handover epoch must match the epoch-by-rank rule"
-            );
+            ),
+            None => self.deposed = Some((self.topo.primary(), rank)),
         }
         self.topo = new_topo;
         self.become_primary(now, stack);

@@ -280,8 +280,9 @@ pub struct ClusterFleetSpec {
     pub workload: Option<Workload>,
     /// Have each client close its connection after its final response.
     pub close_when_done: bool,
-    /// Crash schedule: `(server rank, instant)` pairs — rank 0 is the
-    /// initial primary, rank 1 its first successor, and so on.
+    /// Backup crash schedule: `(server rank ≥ 1, instant)` pairs — rank
+    /// 1 is the primary's first successor, and so on. (The primary's
+    /// crash is [`FleetSpec::crash_primary_at`].)
     pub crashes: Vec<(usize, SimTime)>,
     /// Planned migration: `drain_and_handover()` to the rank-`r`
     /// backup starting at the instant.
@@ -314,20 +315,6 @@ impl ClusterFleetSpec {
         ClusterFleetSpec { backups, close_when_done: true, ..pair }
     }
 
-    /// Sets the master seed (builder style).
-    #[must_use]
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.fleet.seed = seed;
-        self
-    }
-
-    /// Records protocol counters (builder style).
-    #[must_use]
-    pub fn recording(mut self) -> Self {
-        self.fleet.record_obs = true;
-        self
-    }
-
     /// Replaces the seeded workload mix with one uniform workload
     /// (builder style).
     #[must_use]
@@ -336,10 +323,14 @@ impl ClusterFleetSpec {
         self
     }
 
-    /// Schedules a server crash (builder style; repeatable).
+    /// Schedules the crash of server `rank` (builder style; one per
+    /// rank).
     #[must_use]
     pub fn crash(mut self, rank: usize, at: SimTime) -> Self {
-        self.crashes.push((rank, at));
+        match rank {
+            0 => self.fleet.crash_primary_at = Some(at),
+            _ => self.crashes.push((rank, at)),
+        }
         self
     }
 

@@ -304,9 +304,9 @@ impl ServerNode {
         let mut active = std::mem::take(&mut self.active);
         active.clear();
         self.stack.drain_activity(&mut active);
-        // Feed receive progress to the backup's ack strategy (the engine
-        // dedups; acks themselves go out in step 4).
-        if let Some(engine) = self.engine.as_mut().filter(|e| e.role() == ClusterRole::Backup) {
+        // Feed receive progress to the ack strategy of a shadowing member
+        // (the engine dedups; acks themselves go out in step 4).
+        if let Some(engine) = self.engine.as_mut().filter(|e| e.is_shadowing()) {
             for &sock in &active {
                 if let Some(tcb) = self.stack.tcb(sock) {
                     engine.note_activity(ConnKey::from_server_quad(tcb.quad()));
@@ -366,6 +366,9 @@ impl ServerNode {
             if matches!(self.stack.state(sock), None | Some(tcpstack::TcpState::Closed))
                 && self.conns.remove(&sock).is_some()
             {
+                if let (Some(engine), Some(tcb)) = (&mut self.engine, self.stack.tcb(sock)) {
+                    engine.on_close(ConnKey::from_server_quad(tcb.quad()));
+                }
                 self.stack.release(sock);
             }
         }

@@ -54,15 +54,12 @@ impl TraceDigest {
 const BULK_100MB_DIGEST: (u64, u64) = (0xf6cc_9c4e_6e20_1a1d, 215_472);
 
 /// Golden digest of the 80-client failover fleet (the
-/// `fleet_failover_frame_traces_are_bit_identical` scenario). Re-pinned
-/// once, by the engine collapse (PR 12), from the PR 9 capture
-/// `(0x24bf_5764_6391_d5fd, 4_228)`: a promoted member no longer
-/// heartbeats and acks its dead ex-primary, so the 8 side-channel hops
-/// 10.0.0.3 → 10.0.0.2 after the 300 ms takeover are gone (3 heartbeat
-/// and 5 `BackupAck` hops) and the IPv4 ident of the promoted node's
-/// later frames shifts accordingly; a frame-by-frame diff with the
-/// ident and header checksum masked shows no other change.
-const FLEET_80_FAILOVER_DIGEST: (u64, u64) = (0x7e73_a7d0_9d8a_f4c7, 4_220);
+/// `fleet_failover_frame_traces_are_bit_identical` scenario), captured
+/// pre-refactor (PR 9) and held through the engine collapse (PR 12):
+/// the promoted member keeps up its shadow duties toward the primary it
+/// deposed, so the pair's wire trace does not move after the takeover
+/// either.
+const FLEET_80_FAILOVER_DIGEST: (u64, u64) = (0x24bf_5764_6391_d5fd, 4_228);
 
 #[test]
 fn reno_via_trait_matches_prerefactor_bulk_100mb() {
@@ -146,5 +143,50 @@ fn fault_free_fleet_matches_the_pre_collapse_pair() {
         whole, FLEET_80_FAULT_FREE_DIGEST,
         "fault-free 80-client fleet wire trace diverged (got ({:#018x}, {}))",
         whole.0, whole.1
+    );
+}
+
+/// Golden digest of a 1 MB upload through 15 % tap loss, a primary
+/// crash at 700 ms and the in-network logger (the scenario of
+/// `upload.rs::upload_failover_with_tap_loss_and_logger`), captured on
+/// the commit before the engine collapse (PR 12). It holds the pair's
+/// recovery traffic in place — which missing-segment requests go out,
+/// when, and what the promoted backup sends afterwards — where the
+/// loss-free fleet digests above cannot see it.
+const TAP_LOSS_FAILOVER_DIGEST: (u64, u64) = (0x86d4_57de_ad58_b603, 9_657);
+
+#[test]
+fn tap_loss_failover_matches_the_pre_collapse_pair() {
+    use sttcp::scenario::{addrs, FaultSpec};
+    let mut cfg = sttcp::SttcpConfig::new(addrs::VIP, 80).with_logger();
+    cfg.missing_req_chunk = 8 * 1024;
+    let crash = SimTime::ZERO + SimDuration::from_millis(700);
+    let mut spec = ScenarioSpec::new(Workload::upload_mb(1))
+        .st_tcp(cfg)
+        .faults(FaultSpec::crash_primary_at(crash));
+    spec.with_logger = true;
+    let mut s = build(&spec);
+    s.sim.add_ingress_drop(
+        s.backup.unwrap(),
+        netsim::DropRule::rate(0.15, |frame: &bytes::Bytes| {
+            wire::EthernetFrame::parse(frame.clone())
+                .ok()
+                .and_then(|eth| wire::Ipv4Packet::parse(eth.payload).ok())
+                .is_some_and(|ip| ip.protocol == wire::IpProtocol::Tcp)
+        }),
+    );
+    let digest = Rc::new(RefCell::new(TraceDigest::new()));
+    let sink = Rc::clone(&digest);
+    s.sim.set_probe(move |ev| sink.borrow_mut().observe(&ev));
+    let m = s.run(RunLimits::time(SimDuration::from_secs(120))).expect_completed();
+    assert!(m.verified_clean());
+    let d = digest.borrow();
+    assert_eq!(
+        (d.hash, d.frames),
+        TAP_LOSS_FAILOVER_DIGEST,
+        "tap-loss failover wire trace diverged from the pre-collapse pair \
+         (got ({:#018x}, {}))",
+        d.hash,
+        d.frames
     );
 }

@@ -421,15 +421,18 @@ fn takeover_is_idempotent_under_continued_silence() {
     assert!(engine.has_taken_over());
     let first_takeover = engine.takeover_at();
     // More silent ticks must not move the takeover timestamp or
-    // re-suppress anything; the promoted node has nobody left to
-    // heartbeat or ack.
+    // re-suppress anything. A timeout is no death certificate, so the
+    // promoted node keeps telling the primary it deposed that it is
+    // alive: one payload-free heartbeat per tick, nothing else.
     let _ = sent(&mut engine);
     for i in 2..10u64 {
         engine.on_tick(ms(1000 * i), &mut stack);
+        let mut out = Vec::new();
+        engine.drain_outbox_into(&mut out);
+        assert_eq!(out, vec![(PRIMARY, SideMsg::Heartbeat { seq: i })]);
     }
     assert_eq!(engine.takeover_at(), first_takeover);
     assert!(!stack.is_suppressed(VIP));
-    assert!(sent(&mut engine).is_empty(), "no datagrams for a dead ex-primary");
 }
 
 #[test]

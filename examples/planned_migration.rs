@@ -17,7 +17,8 @@ use st_tcp::sttcp::{build_cluster, ClusterFleetSpec, ClusterRole};
 
 fn main() {
     let migrate_at = SimTime::ZERO + SimDuration::from_millis(100);
-    let spec = ClusterFleetSpec::new(12, 2).migrate_at(migrate_at, 1).recording();
+    let mut spec = ClusterFleetSpec::new(12, 2).migrate_at(migrate_at, 1);
+    spec.fleet = spec.fleet.recording();
     let hb = spec.fleet.st_tcp.hb_interval;
     let mut fleet = build_cluster(&spec);
 
