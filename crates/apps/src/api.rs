@@ -10,7 +10,7 @@ pub trait Api {
     /// Queues bytes for transmission; returns how many were accepted
     /// (send-buffer space may be smaller than `data`).
     fn write(&mut self, data: &[u8]) -> usize;
-    /// Free space in the send buffer.
+    /// How many bytes [`Api::write`] would accept right now.
     fn writable(&self) -> usize;
     /// Begins an orderly close of the connection.
     fn close(&mut self);

@@ -2,10 +2,8 @@
 //! ftp", §6). File sizes of 1, 5, 20 and 100 MB are used in the paper.
 
 use crate::api::{Api, Application};
-use crate::pattern::fill_pattern;
+use crate::pattern::write_pattern;
 use crate::REQUEST_SIZE;
-
-const CHUNK: usize = 8 * 1024;
 
 /// Streams a deterministic `file_size`-byte "file" per request.
 ///
@@ -49,19 +47,6 @@ impl BulkServer {
     pub fn remaining(&self) -> u64 {
         self.goal - self.sent
     }
-
-    fn pump(&mut self, api: &mut dyn Api) {
-        let mut chunk = [0u8; CHUNK];
-        while self.sent < self.goal {
-            let want = usize::try_from((self.goal - self.sent).min(CHUNK as u64)).expect("fits");
-            fill_pattern(self.sent, &mut chunk[..want]);
-            let n = api.write(&chunk[..want]);
-            self.sent += n as u64;
-            if n < want {
-                break; // send buffer full; resume on_writable
-            }
-        }
-    }
 }
 
 impl Application for BulkServer {
@@ -72,15 +57,15 @@ impl Application for BulkServer {
             self.goal += self.file_size;
             self.transfers += 1;
         }
-        self.pump(api);
+        write_pattern(api, &mut self.sent, self.goal);
     }
 
     fn on_writable(&mut self, api: &mut dyn Api) {
-        self.pump(api);
+        write_pattern(api, &mut self.sent, self.goal);
     }
 
     fn on_peer_closed(&mut self, api: &mut dyn Api) {
-        self.pump(api);
+        write_pattern(api, &mut self.sent, self.goal);
         api.close();
     }
 }

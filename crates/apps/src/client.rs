@@ -7,7 +7,7 @@
 
 use crate::api::{Api, Application};
 use crate::metrics::RunMetrics;
-use crate::pattern::{fill_pattern, pattern_byte, request_bytes};
+use crate::pattern::{mismatches, pattern_mismatches, request_bytes, write_pattern};
 use crate::upload::UploadServer;
 use crate::{INTERACTIVE_REPLY, REQUEST_SIZE};
 use netsim::SimTime;
@@ -107,8 +107,10 @@ impl Workload {
                 request_bytes(k, REQUEST_SIZE)[usize::try_from(off).expect("small")]
             }
             // Servers emit the absolute pattern stream.
-            Workload::Interactive { reply_size, .. } => pattern_byte(k * reply_size as u64 + off),
-            Workload::Bulk { .. } => pattern_byte(k * self.reply_len(k) + off),
+            Workload::Interactive { reply_size, .. } => {
+                crate::pattern::pattern_byte(k * reply_size as u64 + off)
+            }
+            Workload::Bulk { .. } => crate::pattern::pattern_byte(k * self.reply_len(k) + off),
             // The upload confirmation is a fixed deterministic message.
             Workload::Upload { .. } => {
                 UploadServer::confirmation()[usize::try_from(off).expect("small")]
@@ -124,58 +126,19 @@ impl Workload {
     /// per-byte dispatch (and, for Echo, without re-deriving the whole
     /// request for every byte) — this runs over every delivered byte.
     fn verify_chunk(&self, k: u64, off: u64, data: &[u8]) -> (u64, Option<u64>) {
-        match *self {
-            Workload::Echo { .. } => {
-                let req = request_bytes(k, REQUEST_SIZE);
-                let at = usize::try_from(off).expect("small");
-                count_mismatches_against(&req[at..at + data.len()], data)
+        let message = match *self {
+            // The echo reply is the request itself.
+            Workload::Echo { .. } => request_bytes(k, REQUEST_SIZE),
+            // The upload confirmation is a fixed deterministic message.
+            Workload::Upload { .. } => UploadServer::confirmation(),
+            // Servers emit the absolute pattern stream.
+            Workload::Interactive { .. } | Workload::Bulk { .. } => {
+                return pattern_mismatches(k * self.reply_len(k) + off, data);
             }
-            Workload::Interactive { reply_size, .. } => {
-                count_pattern_mismatches(k * reply_size as u64 + off, data)
-            }
-            Workload::Bulk { .. } => count_pattern_mismatches(k * self.reply_len(k) + off, data),
-            Workload::Upload { .. } => {
-                let conf = UploadServer::confirmation();
-                let at = usize::try_from(off).expect("small");
-                count_mismatches_against(&conf[at..at + data.len()], data)
-            }
-        }
+        };
+        let at = usize::try_from(off).expect("small");
+        mismatches(&message[at..at + data.len()], data)
     }
-}
-
-/// Counts bytes of `data` differing from the pattern stream at `start`;
-/// also reports the index of the first difference.
-fn count_pattern_mismatches(start: u64, data: &[u8]) -> (u64, Option<u64>) {
-    let mut errors = 0u64;
-    let mut first = None;
-    for (i, &b) in data.iter().enumerate() {
-        if b != pattern_byte(start.wrapping_add(i as u64)) {
-            errors += 1;
-            if first.is_none() {
-                first = Some(i as u64);
-            }
-        }
-    }
-    (errors, first)
-}
-
-/// Counts positions where `data` differs from `expected` (equal lengths).
-fn count_mismatches_against(expected: &[u8], data: &[u8]) -> (u64, Option<u64>) {
-    debug_assert_eq!(expected.len(), data.len());
-    if expected == data {
-        return (0, None);
-    }
-    let mut errors = 0u64;
-    let mut first = None;
-    for (i, (&want, &got)) in expected.iter().zip(data).enumerate() {
-        if want != got {
-            errors += 1;
-            if first.is_none() {
-                first = Some(i as u64);
-            }
-        }
-    }
-    (errors, first)
 }
 
 /// The request/response driver with content verification and metrics.
@@ -233,38 +196,16 @@ impl WorkloadClient {
     }
 
     fn send_next_request(&mut self, api: &mut dyn Api) {
-        if let Workload::Upload { .. } = self.workload {
-            self.requests_sent = 1;
-            self.reply_off = 0;
-            self.request_issued_at = Some(api.now());
-            self.pump_upload(api);
-            return;
+        if let Workload::Upload { file_size } = self.workload {
+            write_pattern(api, &mut self.upload_sent, file_size);
+        } else {
+            let req = request_bytes(self.requests_sent, REQUEST_SIZE);
+            let n = api.write(&req);
+            debug_assert_eq!(n, req.len(), "request must fit the send buffer");
         }
-        let k = self.requests_sent;
-        let req = request_bytes(k, REQUEST_SIZE);
-        let n = api.write(&req);
-        debug_assert_eq!(n, req.len(), "request must fit the send buffer");
         self.requests_sent += 1;
         self.reply_off = 0;
         self.request_issued_at = Some(api.now());
-    }
-
-    /// Streams the upload lazily as send-buffer space frees.
-    fn pump_upload(&mut self, api: &mut dyn Api) {
-        let Workload::Upload { file_size } = self.workload else {
-            return;
-        };
-        let mut chunk = [0u8; 8 * 1024];
-        while self.upload_sent < file_size {
-            let want = usize::try_from((file_size - self.upload_sent).min(chunk.len() as u64))
-                .expect("fits");
-            fill_pattern(self.upload_sent, &mut chunk[..want]);
-            let n = api.write(&chunk[..want]);
-            self.upload_sent += n as u64;
-            if n < want {
-                break;
-            }
-        }
     }
 }
 
@@ -276,9 +217,12 @@ impl Application for WorkloadClient {
         }
     }
 
+    /// Streams the upload lazily as send-buffer space frees.
     fn on_writable(&mut self, api: &mut dyn Api) {
-        if !self.done && self.requests_sent > 0 {
-            self.pump_upload(api);
+        if let Workload::Upload { file_size } = self.workload {
+            if !self.done && self.requests_sent > 0 {
+                write_pattern(api, &mut self.upload_sent, file_size);
+            }
         }
     }
 
@@ -295,24 +239,16 @@ impl Application for WorkloadClient {
             usize::try_from(expected_len.saturating_sub(self.reply_off).min(data.len() as u64))
                 .expect("bounded by data.len()");
         let (expected, excess) = data.split_at(in_reply);
-        if !expected.is_empty() {
-            let (errors, first) = self.workload.verify_chunk(k, self.reply_off, expected);
-            if errors > 0 {
-                self.metrics.content_errors += errors;
-                if self.metrics.first_error_pos.is_none() {
-                    let first = first.expect("errors > 0 implies a first mismatch");
-                    self.metrics.first_error_pos = Some(self.metrics.bytes_received + first);
-                }
-            }
-        }
+        let (mut errors, mut first) = self.workload.verify_chunk(k, self.reply_off, expected);
         if !excess.is_empty() {
             // More bytes than the response should have.
-            self.metrics.content_errors += excess.len() as u64;
-            if self.metrics.first_error_pos.is_none() {
-                self.metrics.first_error_pos =
-                    Some(self.metrics.bytes_received + expected.len() as u64);
-            }
+            errors += excess.len() as u64;
+            first = first.or(Some(expected.len() as u64));
         }
+        if let (Some(first), None) = (first, self.metrics.first_error_pos) {
+            self.metrics.first_error_pos = Some(self.metrics.bytes_received + first);
+        }
+        self.metrics.content_errors += errors;
         self.metrics.bytes_received += data.len() as u64;
         self.reply_off += data.len() as u64;
         if self.reply_off >= expected_len {

@@ -5,10 +5,14 @@
 //! catching duplicated, reordered, or lost bytes across a failover, not
 //! merely counting them.
 
+use crate::api::Api;
+
 /// The byte at position `pos` of a deterministic stream.
 ///
 /// A cheap non-repeating-ish mix; consecutive runs differ from simple
-/// counters so off-by-one splices are detected.
+/// counters so off-by-one splices are detected. This is the
+/// definition; the run kernel in [`fill_pattern`] must agree with it at
+/// every position.
 ///
 /// ```
 /// use apps::pattern::{fill_pattern, verify_pattern};
@@ -20,26 +24,97 @@
 /// assert_eq!(verify_pattern(1_000, &buf), Some(1_007));
 /// ```
 pub fn pattern_byte(pos: u64) -> u8 {
-    let x = pos.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17) ^ pos;
+    let x = pos.wrapping_mul(K).rotate_left(17) ^ pos;
     (x >> 8) as u8
 }
 
+const K: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Positions per run: `pos >> 8` is constant inside one.
+const RUN: usize = 256;
+
 /// Fills `buf` with the pattern starting at stream position `start`.
+///
+/// The run kernel every bulk producer and checker shares. Bits 8..16
+/// of `(pos·K).rotate_left(17) ^ pos` are bits 55..63 of `pos·K` xor
+/// bits 8..16 of `pos`: inside a 256-aligned run the second term is
+/// constant and the first advances by `K` per byte, so the inner loop
+/// is one add, one shift and one xor, and vectorises.
 pub fn fill_pattern(start: u64, buf: &mut [u8]) {
-    for (i, b) in buf.iter_mut().enumerate() {
-        *b = pattern_byte(start.wrapping_add(i as u64));
+    let mut pos = start;
+    let mut rest = buf;
+    while !rest.is_empty() {
+        let run = (RUN - (pos % RUN as u64) as usize).min(rest.len());
+        let (head, tail) = rest.split_at_mut(run);
+        let high = (pos >> 8) as u8;
+        let mut acc = pos.wrapping_mul(K);
+        for b in head {
+            *b = (acc >> 55) as u8 ^ high;
+            acc = acc.wrapping_add(K);
+        }
+        pos = pos.wrapping_add(run as u64);
+        rest = tail;
     }
+}
+
+/// Counts positions where `data` differs from `expected` (equal
+/// lengths); also reports the index of the first difference.
+pub fn mismatches(expected: &[u8], data: &[u8]) -> (u64, Option<u64>) {
+    debug_assert_eq!(expected.len(), data.len());
+    if expected == data {
+        return (0, None);
+    }
+    let mut errors = 0u64;
+    let mut first = None;
+    for (i, (&want, &got)) in expected.iter().zip(data).enumerate() {
+        if want != got {
+            errors += 1;
+            first = first.or(Some(i as u64));
+        }
+    }
+    (errors, first)
+}
+
+/// Counts bytes of `data` differing from the pattern stream at `start`;
+/// also reports the index *within `data`* of the first difference.
+pub fn pattern_mismatches(start: u64, data: &[u8]) -> (u64, Option<u64>) {
+    let mut expected = [0u8; RUN];
+    let (mut errors, mut first) = (0u64, None);
+    for (i, chunk) in data.chunks(RUN).enumerate() {
+        let off = (i * RUN) as u64;
+        let expected = &mut expected[..chunk.len()];
+        fill_pattern(start.wrapping_add(off), expected);
+        let (e, f) = mismatches(expected, chunk);
+        errors += e;
+        first = first.or(f.map(|f| off + f));
+    }
+    (errors, first)
 }
 
 /// Verifies that `data` equals the pattern starting at `start`.
 /// Returns the position of the first mismatch, if any.
 pub fn verify_pattern(start: u64, data: &[u8]) -> Option<u64> {
-    for (i, &b) in data.iter().enumerate() {
-        if b != pattern_byte(start.wrapping_add(i as u64)) {
-            return Some(start.wrapping_add(i as u64));
+    pattern_mismatches(start, data).1.map(|i| start.wrapping_add(i))
+}
+
+/// Queues pattern bytes `[*sent, goal)` on `api`, as many as its send
+/// buffer takes right now, and advances `*sent` past them. Every fill
+/// is sized by [`Api::writable`], so no byte is generated twice.
+pub fn write_pattern(api: &mut dyn Api, sent: &mut u64, goal: u64) {
+    let mut chunk = [0u8; 8 * 1024];
+    loop {
+        let room = chunk.len().min(api.writable()) as u64;
+        let want = (goal - *sent).min(room) as usize; // ≤ room: lossless
+        if want == 0 {
+            return; // all queued, or the send buffer is full
+        }
+        fill_pattern(*sent, &mut chunk[..want]);
+        let n = api.write(&chunk[..want]);
+        *sent += n as u64;
+        if n < want {
+            return; // an `Api` that overstated its room
         }
     }
-    None
 }
 
 /// The content of request number `idx` (requests are also patterned so
@@ -55,6 +130,9 @@ pub fn request_bytes(idx: u64, size: usize) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::{Application, MockApi};
+    use crate::{BulkServer, Workload, WorkloadClient};
+    use proptest::prelude::*;
 
     #[test]
     fn deterministic() {
@@ -88,6 +166,151 @@ mod tests {
         duped.push(good[15]);
         duped.extend_from_slice(&good[16..31]);
         assert!(verify_pattern(0, &duped).is_some());
+    }
+
+    /// Per-byte reference for [`pattern_mismatches`].
+    fn reference_mismatches(start: u64, data: &[u8]) -> (u64, Option<u64>) {
+        let wrong = |&(i, &b): &(usize, &u8)| b != pattern_byte(start.wrapping_add(i as u64));
+        let mut bad = data.iter().enumerate().filter(wrong).map(|(i, _)| i as u64);
+        let first = bad.next();
+        (first.map_or(0, |_| 1 + bad.count() as u64), first)
+    }
+
+    /// Any start; starts whose run wraps `u64`; starts just below a
+    /// 256-byte run boundary far up the stream.
+    fn starts() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            any::<u64>(),
+            (0u64..=9000).prop_map(|n| u64::MAX - n),
+            (any::<u64>(), 0u64..600).prop_map(|(hi, lo)| (hi << 8).wrapping_sub(lo)),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn kernel_agrees_with_pattern_byte(start in starts(), len in 0usize..=9000) {
+            let mut buf = vec![0u8; len];
+            fill_pattern(start, &mut buf);
+            for (i, &b) in buf.iter().enumerate() {
+                let pos = start.wrapping_add(i as u64);
+                assert_eq!(b, pattern_byte(pos), "start {start} len {len} offset {i}");
+            }
+            assert_eq!(pattern_mismatches(start, &buf), (0, None));
+            assert_eq!(verify_pattern(start, &buf), None);
+        }
+
+        #[test]
+        fn mismatches_agree_with_per_byte_reference(
+            start in starts(),
+            len in 1usize..=9000,
+            hits in proptest::collection::vec((any::<usize>(), 1u8..=255), 0..6),
+        ) {
+            let mut buf = vec![0u8; len];
+            fill_pattern(start, &mut buf);
+            for (at, flip) in hits {
+                buf[at % len] ^= flip; // two hits on one byte may cancel: the reference decides
+            }
+            let (errors, first) = reference_mismatches(start, &buf);
+            assert_eq!(pattern_mismatches(start, &buf), (errors, first));
+            assert_eq!(verify_pattern(start, &buf), first.map(|i| start.wrapping_add(i)));
+        }
+    }
+
+    #[test]
+    fn kernel_agrees_at_every_alignment() {
+        for align in 0..256u64 {
+            let start = (77 << 8) + align;
+            let mut buf = [0u8; 600]; // crosses two run boundaries
+            fill_pattern(start, &mut buf);
+            for (i, &b) in buf.iter().enumerate() {
+                assert_eq!(b, pattern_byte(start + i as u64), "alignment {align} offset {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn pattern_content_is_pinned() {
+        // FNV-1a over the first 64 KiB. The golden frame digests would
+        // catch a drift too; this one says where it came from.
+        let mut buf = vec![0u8; 64 * 1024];
+        fill_pattern(0, &mut buf);
+        let digest = buf.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+        });
+        assert_eq!(digest, 0x68d8_8b89_6b46_0f42);
+    }
+
+    /// An [`Api`] that panics when offered more than it reports
+    /// writable, and counts the offers.
+    struct StrictApi {
+        inner: MockApi,
+        writes: usize,
+    }
+
+    impl Api for StrictApi {
+        fn now(&self) -> netsim::SimTime {
+            self.inner.now()
+        }
+        fn write(&mut self, data: &[u8]) -> usize {
+            assert!(data.len() <= self.writable(), "offered {} > writable", data.len());
+            self.writes += 1;
+            self.inner.write(data)
+        }
+        fn writable(&self) -> usize {
+            self.inner.writable()
+        }
+        fn close(&mut self) {
+            self.inner.close();
+        }
+        fn wake_after(&mut self, after: netsim::SimDuration) {
+            self.inner.wake_after(after);
+        }
+    }
+
+    /// Starts `app` with `kick` against a full send buffer, then drives
+    /// it to `total` written bytes, handing out `budget` bytes of send
+    /// space per `on_writable`.
+    fn drain_through_strict_api(
+        app: &mut dyn Application,
+        kick: fn(&mut dyn Application, &mut dyn Api),
+        budget: usize,
+        total: usize,
+    ) -> Vec<u8> {
+        let mut api = StrictApi { inner: MockApi::with_budget(0), writes: 0 };
+        kick(app, &mut api);
+        assert_eq!(api.writes, 0, "a full send buffer is offered nothing");
+        while api.inner.written.len() < total {
+            api.inner.budget = budget.min(total - api.inner.written.len());
+            let before = api.writes;
+            app.on_writable(&mut api);
+            assert!(api.writes > before, "room for {budget} B must be used");
+            assert_eq!(api.inner.budget, 0, "every free byte is filled");
+        }
+        api.inner.budget = budget;
+        let before = api.writes;
+        app.on_writable(&mut api);
+        assert_eq!(api.writes, before, "nothing is offered once all is queued");
+        api.inner.written
+    }
+
+    #[test]
+    fn producers_never_offer_more_than_writable() {
+        const TOTAL: usize = 20_000;
+        for budget in [777, 1, 8192, 8193, 9_999, 1 << 20] {
+            let mut server = BulkServer::new(TOTAL as u64);
+            let request = |app: &mut dyn Application, api: &mut dyn Api| {
+                app.on_data(&[0u8; crate::REQUEST_SIZE], api);
+            };
+            let sent = drain_through_strict_api(&mut server, request, budget, TOTAL);
+            assert_eq!(sent.len(), TOTAL);
+            assert_eq!(verify_pattern(0, &sent), None, "bulk, budget {budget}");
+
+            let mut client = WorkloadClient::new(Workload::Upload { file_size: TOTAL as u64 });
+            let connect = |app: &mut dyn Application, api: &mut dyn Api| app.on_connected(api);
+            let sent = drain_through_strict_api(&mut client, connect, budget, TOTAL);
+            assert_eq!(sent.len(), TOTAL);
+            assert_eq!(verify_pattern(0, &sent), None, "upload, budget {budget}");
+        }
     }
 
     #[test]

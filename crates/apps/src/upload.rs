@@ -10,7 +10,7 @@
 //! the same stream for its confirmation to be correct.
 
 use crate::api::{Api, Application};
-use crate::pattern::{pattern_byte, request_bytes};
+use crate::pattern::{pattern_mismatches, request_bytes};
 use crate::REQUEST_SIZE;
 
 /// Consumes a patterned upload of known size and answers with a
@@ -65,12 +65,10 @@ impl UploadServer {
 
 impl Application for UploadServer {
     fn on_data(&mut self, data: &[u8], api: &mut dyn Api) {
-        for &b in data {
-            if self.received < self.expected && b != pattern_byte(self.received) {
-                self.content_errors += 1;
-            }
-            self.received += 1;
-        }
+        // Bytes past the expected size are counted, not checked.
+        let in_file = (self.expected.saturating_sub(self.received)).min(data.len() as u64);
+        self.content_errors += pattern_mismatches(self.received, &data[..in_file as usize]).0;
+        self.received += data.len() as u64;
         if self.received >= self.expected && !self.confirmation_sent {
             self.confirmation_sent = true;
             self.pending = Self::confirmation();

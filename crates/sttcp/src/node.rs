@@ -26,7 +26,7 @@ use std::any::Any;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use tcpstack::{Gateway, NetStack, SeqNum, Side, SockId, StackConfig, UdpId};
-use wire::{EtherType, EthernetFrame, IpProtocol, Ipv4Packet, TcpFlags, TcpSegment};
+use wire::{IpProtocol, Ipv4Packet, TcpFlags, TcpSegment};
 
 /// LAN-facing port of every host node.
 pub const LAN: PortId = PortId(0);
@@ -237,26 +237,18 @@ impl ServerNode {
         app.downcast_ref::<T>()
     }
 
-    /// Backup pre-inspection of raw frames: tapped primary→client
-    /// segments carry the primary's cumulative ACK. A serving member
-    /// does no tap work at all.
-    fn inspect_tapped(&mut self, now: SimTime, frame: &Bytes) {
+    /// Backup inspection of a tapped packet the stack parsed but did
+    /// not deliver: primary→client segments carry the primary's
+    /// cumulative ACK. A segment failing its TCP checksum is ignored.
+    /// A serving member does no tap work at all.
+    fn inspect_tapped(&mut self, now: SimTime, ip: Ipv4Packet) {
         let Some(engine) = self.engine.as_mut().filter(|e| e.role() == ClusterRole::Backup) else {
-            return;
-        };
-        let Ok(eth) = EthernetFrame::parse(frame.clone()) else {
-            return;
-        };
-        if eth.ethertype != EtherType::Ipv4 {
-            return;
-        }
-        let Ok(ip) = Ipv4Packet::parse(eth.payload) else {
             return;
         };
         if ip.src != engine.config().vip || ip.protocol != IpProtocol::Tcp {
             return;
         }
-        let Ok(seg) = TcpSegment::parse(ip.payload.clone(), ip.src, ip.dst) else {
+        let Ok(seg) = TcpSegment::parse(ip.payload, ip.src, ip.dst) else {
             return;
         };
         if !seg.flags.contains(TcpFlags::ACK) {
@@ -313,7 +305,6 @@ impl ServerNode {
                 }
             }
         }
-        let mut buf = [0u8; 4096];
         for &sock in &active {
             let Some(conn) = self.conns.get_mut(&sock) else {
                 continue; // side-channel / unadopted socket
@@ -329,17 +320,13 @@ impl ServerNode {
                     ctx.set_timer_after(after, TOK_APP_BASE + sock.raw());
                 }
             }
-            loop {
-                let n = self.stack.read(sock, &mut buf).unwrap_or(0);
-                if n == 0 {
-                    break;
-                }
-                let mut api = StackApi::new(&mut self.stack, sock, now);
-                conn.app.on_data(&buf[..n], &mut api);
+            let _ = self.stack.read_in_place(sock, |stack, data| {
+                let mut api = StackApi::new(stack, sock, now);
+                conn.app.on_data(data, &mut api);
                 if let Some(after) = api.take_wake() {
                     ctx.set_timer_after(after, TOK_APP_BASE + sock.raw());
                 }
-            }
+            });
             if self.stack.tcb(sock).map(|t| t.writable() > 0).unwrap_or(false) {
                 let mut api = StackApi::new(&mut self.stack, sock, now);
                 conn.app.on_writable(&mut api);
@@ -444,8 +431,9 @@ impl Node for ServerNode {
         if port != LAN {
             return; // nothing listens on the management port
         }
-        self.inspect_tapped(ctx.now(), &frame);
-        self.stack.handle_frame(ctx.now(), frame);
+        if let Some(tapped) = self.stack.handle_frame(ctx.now(), frame) {
+            self.inspect_tapped(ctx.now(), tapped);
+        }
         self.pump(ctx);
     }
 
@@ -546,18 +534,13 @@ impl ClientNode {
                     }
                 }
             }
-            let mut buf = [0u8; 4096];
-            loop {
-                let n = self.stack.read(sock, &mut buf).unwrap_or(0);
-                if n == 0 {
-                    break;
-                }
-                let mut api = StackApi::new(&mut self.stack, sock, now);
-                self.app.on_data(&buf[..n], &mut api);
+            let _ = self.stack.read_in_place(sock, |stack, data| {
+                let mut api = StackApi::new(stack, sock, now);
+                self.app.on_data(data, &mut api);
                 if let Some(after) = api.take_wake() {
                     ctx.set_timer_after(after, TOK_APP_BASE);
                 }
-            }
+            });
             if self.stack.tcb(sock).map(|t| t.writable() > 0).unwrap_or(false) {
                 let mut api = StackApi::new(&mut self.stack, sock, now);
                 self.app.on_writable(&mut api);

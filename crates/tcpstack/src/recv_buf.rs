@@ -222,16 +222,27 @@ impl RecvBuffer {
     /// Copies `out.len()` held bytes starting `off` bytes above the
     /// floor, as at most two slice memcpys across the ring seam.
     fn copy_out(&self, off: usize, out: &mut [u8]) {
-        let n = out.len();
-        let (front, back) = self.data.as_slices();
-        if off < front.len() {
-            let a = n.min(front.len() - off);
-            out[..a].copy_from_slice(&front[off..off + a]);
-            out[a..].copy_from_slice(&back[..n - a]);
-        } else {
-            let o = off - front.len();
-            out.copy_from_slice(&back[o..o + n]);
-        }
+        let (front, back) = ring_range(&self.data, off, out.len());
+        out[..front.len()].copy_from_slice(front);
+        out[front.len()..].copy_from_slice(back);
+    }
+
+    /// Lends every unread byte out for in-place delivery: the caller
+    /// reads [`Lent::slices`] — the ring's own memory, no copy — while
+    /// it is free to use the rest of the connection, then hands the
+    /// loan back with [`RecvBuffer::restore`]. Nothing else may touch
+    /// this buffer in between (its ring is out on loan).
+    pub(crate) fn lend(&mut self) -> Lent {
+        Lent { skip: self.retained(), len: self.readable(), ring: std::mem::take(&mut self.data) }
+    }
+
+    /// Takes a loan back and marks its bytes read, exactly as a
+    /// [`RecvBuffer::read`] of [`Lent::len`] bytes would have.
+    pub(crate) fn restore(&mut self, lent: Lent) {
+        debug_assert!(self.data.is_empty(), "receive buffer touched while on loan");
+        self.data = lent.ring;
+        self.app_read = self.app_read.add(lent.len as u32);
+        self.discard();
     }
 
     /// Records the backup's cumulative acknowledgment (`LastByteAcked+1`)
@@ -281,6 +292,41 @@ impl RecvBuffer {
             self.data.drain(..n);
             self.floor = keep_from;
         }
+    }
+}
+
+/// The unread bytes of a [`RecvBuffer`], out on loan (see
+/// [`RecvBuffer::lend`]).
+#[derive(Debug)]
+pub(crate) struct Lent {
+    ring: VecDeque<u8>,
+    /// Retained bytes ahead of the unread ones in `ring`.
+    skip: usize,
+    len: usize,
+}
+
+impl Lent {
+    /// The unread bytes, oldest first, split where the ring wraps
+    /// (either slice may be empty).
+    pub(crate) fn slices(&self) -> (&[u8], &[u8]) {
+        ring_range(&self.ring, self.skip, self.len)
+    }
+
+    /// Unread bytes on loan.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+}
+
+/// Bytes `[off, off + n)` of `ring` as its own (at most two) slices.
+fn ring_range(ring: &VecDeque<u8>, off: usize, n: usize) -> (&[u8], &[u8]) {
+    let (front, back) = ring.as_slices();
+    if off < front.len() {
+        let a = n.min(front.len() - off);
+        (&front[off..off + a], &back[..n - a])
+    } else {
+        let o = off - front.len();
+        (&back[o..o + n], &[])
     }
 }
 
@@ -450,6 +496,64 @@ mod tests {
         b.read(&mut out); // retained: abcd, unread: efgh
         assert_eq!(b.fetch(SeqNum(1002), 4).unwrap(), b"cdef", "fetch may span both regions");
         assert_eq!(b.fetch(SeqNum(1000), 9), None, "past rcv_nxt refused");
+    }
+
+    /// Reads everything unread from `b` in place and from a clone by
+    /// copy; both must deliver the same bytes and leave the same state.
+    /// Returns the bytes and whether they straddled the ring's seam.
+    fn in_place_read_matches_copy_out(b: &mut RecvBuffer) -> (Vec<u8>, bool) {
+        let mut copy = b.clone();
+        let mut copied = vec![0u8; copy.readable() + 3];
+        let n = copy.read(&mut copied);
+        copied.truncate(n);
+
+        let lent = b.lend();
+        assert_eq!(lent.len(), n);
+        let (front, back) = lent.slices();
+        let (in_place, straddled) = ([front, back].concat(), !back.is_empty());
+        b.restore(lent);
+
+        assert_eq!(in_place, copied);
+        assert_eq!(
+            (b.readable(), b.retained(), b.floor(), b.app_read_seq(), b.window()),
+            (copy.readable(), copy.retained(), copy.floor(), copy.app_read_seq(), copy.window())
+        );
+        assert_eq!(b.data, copy.data, "the same bytes stay held");
+        (in_place, straddled)
+    }
+
+    #[test]
+    fn in_place_read_matches_copy_out_read() {
+        let mut b = std_buf();
+        assert_eq!(in_place_read_matches_copy_out(&mut b).0, b"", "nothing unread");
+        b.insert(SeqNum(1000), b"0123456789ab");
+        assert_eq!(b.read(&mut [0u8; 5]), 5);
+        assert_eq!(in_place_read_matches_copy_out(&mut b).0, b"56789ab");
+        assert_eq!(b.window(), 16);
+    }
+
+    #[test]
+    fn in_place_read_across_the_ring_seam_with_retention() {
+        // The backup's ack trails the application by five bytes, so the
+        // ring never empties and its head walks round and round: retained
+        // bytes sit ahead of the unread ones, which sooner or later wrap.
+        let mut b = RecvBuffer::new(SeqNum(u32::MAX - 500), 64, 64);
+        let (mut next, mut straddles) = (b.rcv_nxt(), 0);
+        for round in 0..200u32 {
+            let chunk: Vec<u8> = (0..9 + round % 5).map(|i| (round * 16 + i) as u8).collect();
+            assert!(b.insert(next, &chunk));
+            next = next.add(chunk.len() as u32);
+            if round % 3 == 0 {
+                assert_eq!(b.read(&mut [0u8; 7]), 7, "a copy-out read in between");
+            }
+            let expected = b.fetch(b.app_read_seq(), b.readable()).unwrap();
+            let (got, straddled) = in_place_read_matches_copy_out(&mut b);
+            assert_eq!(got, expected);
+            straddles += usize::from(straddled);
+            b.set_backup_acked(b.app_read_seq().sub(5));
+            assert_eq!(b.retained(), 5);
+        }
+        assert!(straddles > 3, "the seam was crossed {straddles} times");
     }
 
     #[test]

@@ -335,6 +335,40 @@ impl NetStack {
         Ok(n)
     }
 
+    /// Hands `f` every unread byte of `sock` in place — the receive
+    /// ring's own slices (two calls when the bytes straddle the ring's
+    /// seam), not a copy — and marks them read; returns the count. `f`
+    /// also gets the stack, to write to, query or close `sock` in
+    /// reply; `f` must not read `sock` or feed the stack frames (the
+    /// ring is out on loan). Marks the socket like [`NetStack::read`].
+    ///
+    /// # Errors
+    ///
+    /// [`StackError::BadSocket`] for a dead handle.
+    pub fn read_in_place(
+        &mut self,
+        sock: SockId,
+        mut f: impl FnMut(&mut NetStack, &[u8]),
+    ) -> Result<usize, StackError> {
+        let tcb = &mut self.tcbs.get_mut(sock).ok_or(StackError::BadSocket)?.tcb;
+        if tcb.readable() == 0 {
+            return Ok(0);
+        }
+        let lent = tcb.lend_unread();
+        let (front, back) = lent.slices();
+        for part in [front, back] {
+            if !part.is_empty() {
+                f(self, part);
+            }
+        }
+        let n = lent.len();
+        if let Some(conn) = self.tcbs.get_mut(sock) {
+            conn.tcb.restore_unread(lent);
+            self.mark_dirty(sock);
+        }
+        Ok(n)
+    }
+
     /// Begins an orderly close.
     pub fn close(&mut self, now: SimTime, sock: SockId) {
         if let Some(tcb) = self.tcb_mut(sock) {
@@ -473,11 +507,16 @@ impl NetStack {
     // ---------------------------------------------------------- ingress
 
     /// Processes one received frame.
-    pub fn handle_frame(&mut self, now: SimTime, raw: Bytes) {
+    ///
+    /// Returns the IPv4 packet when the frame passed the NIC filter and
+    /// parsed (header checksum included) but is addressed to none of
+    /// this stack's IPs — a tapped frame. The stack has no use for it;
+    /// an ST-TCP backup inspects it without parsing the frame again.
+    pub fn handle_frame(&mut self, now: SimTime, raw: Bytes) -> Option<Ipv4Packet> {
         self.stats.frames_in += 1;
         let Ok(eth) = EthernetFrame::parse(raw) else {
             self.stats.parse_errors += 1;
-            return;
+            return None;
         };
         let for_us = eth.dst == self.cfg.mac
             || eth.dst.is_broadcast()
@@ -485,13 +524,16 @@ impl NetStack {
             || self.cfg.promiscuous;
         if !for_us {
             self.stats.frames_filtered += 1;
-            return;
+            return None;
         }
         self.stats.frames_accepted += 1;
         match eth.ethertype {
-            EtherType::Arp => self.handle_arp(now, &eth),
+            EtherType::Arp => {
+                self.handle_arp(now, &eth);
+                None
+            }
             EtherType::Ipv4 => self.handle_ip(now, eth),
-            EtherType::Other(_) => {}
+            EtherType::Other(_) => None,
         }
     }
 
@@ -514,23 +556,24 @@ impl NetStack {
         }
     }
 
-    fn handle_ip(&mut self, now: SimTime, eth: EthernetFrame) {
+    fn handle_ip(&mut self, now: SimTime, eth: EthernetFrame) -> Option<Ipv4Packet> {
         let Ok(ip) = Ipv4Packet::parse(eth.payload) else {
             self.stats.parse_errors += 1;
-            return;
+            return None;
         };
         if self.cfg.learn_from_ip && !eth.src.is_multicast() {
             self.arp.learn(ip.src, eth.src);
             self.flush_arp_queue(now, ip.src);
         }
         if !self.cfg.all_ips().any(|mine| mine == ip.dst) {
-            return; // tapped frame addressed elsewhere; engines inspect separately
+            return Some(ip); // tapped frame addressed elsewhere
         }
         match ip.protocol {
             IpProtocol::Tcp => self.handle_tcp(now, ip),
             IpProtocol::Udp => self.handle_udp(ip),
             IpProtocol::Other(_) => {}
         }
+        None
     }
 
     fn handle_tcp(&mut self, now: SimTime, ip: Ipv4Packet) {
@@ -1011,6 +1054,29 @@ mod tests {
     }
 
     #[test]
+    fn read_in_place_delivers_once_and_lets_the_reader_reply() {
+        let (mut c, mut s, cs, ss, mut now) = established_pair();
+        assert_eq!(s.read_in_place(ss, |_, _| panic!("nothing to deliver")).unwrap(), 0);
+        assert_eq!(c.write(cs, b"ping").unwrap(), 4);
+        pump(&mut c, &mut s, &mut now, SimDuration::from_micros(100));
+        let mut got = Vec::new();
+        let n = s.read_in_place(ss, |stack, data| {
+            got.extend_from_slice(data);
+            assert_eq!(stack.write(ss, b"pong!").unwrap(), 5, "the reader may use the socket");
+        });
+        assert_eq!((n.unwrap(), got.as_slice()), (4, &b"ping"[..]));
+        assert_eq!(s.read(ss, &mut [0u8; 16]).unwrap(), 0, "delivered bytes are consumed");
+        pump(&mut c, &mut s, &mut now, SimDuration::from_micros(100));
+        let mut buf = [0u8; 16];
+        assert_eq!(c.read(cs, &mut buf).unwrap(), 5);
+        assert_eq!(&buf[..5], b"pong!");
+        assert!(matches!(
+            s.read_in_place(SockId::from_raw(77), |_, _| ()),
+            Err(StackError::BadSocket)
+        ));
+    }
+
+    #[test]
     fn bulk_transfer_respects_window_and_completes() {
         let (mut c, mut s, cs, ss, mut now) = established_pair();
         let payload: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
@@ -1149,7 +1215,7 @@ mod tests {
         );
         let frame =
             EthernetFrame::new(MacAddr::local(99), MacAddr::local(1), EtherType::Ipv4, ip.encode());
-        s.handle_frame(SimTime::ZERO, frame.encode());
+        assert!(s.handle_frame(SimTime::ZERO, frame.encode()).is_none(), "never seen by the host");
         assert_eq!(s.stats.frames_filtered, 1);
         assert_eq!(s.stats.frames_accepted, 0);
     }
@@ -1170,7 +1236,12 @@ mod tests {
         );
         let frame =
             EthernetFrame::new(MacAddr::local(2), MacAddr::local(1), EtherType::Ipv4, ip.encode());
-        tap.handle_frame(SimTime::ZERO, frame.encode());
+        // Addressed to neither of the tap's IPs: the stack hands the
+        // parsed packet back for the engine to inspect.
+        let tapped = tap.handle_frame(SimTime::ZERO, frame.encode()).expect("handed back");
+        assert_eq!((tapped.src, tapped.dst), (CLIENT_IP, SERVER_IP));
+        let seg = TcpSegment::parse(tapped.payload, CLIENT_IP, SERVER_IP).expect("intact");
+        assert_eq!(seg.payload.as_ref(), b"x");
         assert_eq!(tap.stats.frames_accepted, 1);
         // It learned the client's MAC from the tapped frame.
         // (Verified indirectly: an emit to CLIENT_IP requires no ARP.)

@@ -20,7 +20,7 @@
 
 use crate::config::{Quad, TcpConfig};
 use crate::congestion::{idle_restart_due, CongSnapshot, CongestionController, CongestionCtrl};
-use crate::recv_buf::RecvBuffer;
+use crate::recv_buf::{Lent, RecvBuffer};
 use crate::rto::RtoEstimator;
 use crate::sack::SackScoreboard;
 use crate::send_buf::SendBuffer;
@@ -357,9 +357,23 @@ impl Tcb {
         self.rcv_buf.readable()
     }
 
-    /// Free space in the send buffer.
+    /// Bytes [`Tcb::write`] would accept right now: the send buffer's
+    /// free space, or 0 once the connection can queue no more data.
     pub fn writable(&self) -> usize {
-        self.snd_buf.free_space()
+        if self.can_queue() {
+            self.snd_buf.free_space()
+        } else {
+            0
+        }
+    }
+
+    /// Whether the application may still queue data: the connection is
+    /// opening or open for sending, and no FIN is queued behind it.
+    fn can_queue(&self) -> bool {
+        matches!(
+            self.state,
+            TcpState::SynSent | TcpState::SynRcvd | TcpState::Established | TcpState::CloseWait
+        ) && !self.fin_queued
     }
 
     /// Bytes retained for the backup (primary retention mode).
@@ -426,13 +440,7 @@ impl Tcb {
 
     /// Queues application data; returns bytes accepted.
     pub fn write(&mut self, data: &[u8]) -> usize {
-        if !matches!(
-            self.state,
-            TcpState::SynSent | TcpState::SynRcvd | TcpState::Established | TcpState::CloseWait
-        ) {
-            return 0;
-        }
-        if self.fin_queued {
+        if !self.can_queue() {
             return 0;
         }
         let n = self.snd_buf.write(data);
@@ -447,11 +455,31 @@ impl Tcb {
     pub fn read(&mut self, buf: &mut [u8]) -> usize {
         let before = self.rcv_buf.window();
         let n = self.rcv_buf.read(buf);
-        let after = self.rcv_buf.window();
-        if n > 0 && before < usize::from(self.cfg.mss) && after >= usize::from(self.cfg.mss) {
+        self.after_read(n, before);
+        n
+    }
+
+    /// Lends the unread bytes out for in-place delivery (see
+    /// [`RecvBuffer::lend`]); [`Tcb::restore_unread`] must follow before
+    /// the connection receives, reads or polls again.
+    pub(crate) fn lend_unread(&mut self) -> Lent {
+        self.rcv_buf.lend()
+    }
+
+    /// Takes the loan back: its bytes are read, with the same
+    /// window-update rule as [`Tcb::read`].
+    pub(crate) fn restore_unread(&mut self, lent: Lent) {
+        let (n, before) = (lent.len(), self.rcv_buf.window());
+        self.rcv_buf.restore(lent);
+        self.after_read(n, before);
+    }
+
+    /// The application read `n` bytes while the window stood at `before`.
+    fn after_read(&mut self, n: usize, before: usize) {
+        let mss = usize::from(self.cfg.mss);
+        if n > 0 && before < mss && self.rcv_buf.window() >= mss {
             self.ack_now();
         }
-        n
     }
 
     /// Begins an orderly close: a FIN is sent once buffered data drains.

@@ -259,3 +259,99 @@ fn rst_kills_the_connection_immediately() {
     assert_eq!(tcb.state(), TcpState::Closed);
     assert!(tcb.poll(now).is_empty(), "a closed TCB emits nothing");
 }
+
+// ---- `writable()` is exactly what `write()` takes, in every state ----
+
+/// The connection accepts data: offered one byte more than `writable()`
+/// reports, `write()` takes exactly the reported amount.
+fn assert_open_for_writing(mut tcb: Tcb) {
+    let room = tcb.writable();
+    assert!(room > 0, "in {:?}", tcb.state());
+    assert_eq!(tcb.write(&vec![0x5A; room + 1]), room, "in {:?}", tcb.state());
+    assert_eq!(tcb.writable(), 0, "full after taking it all ({:?})", tcb.state());
+}
+
+/// The connection refuses data although its send buffer has room (no
+/// test below queues more than a few bytes): `writable()` must say so.
+fn assert_shut_for_writing(tcb: &mut Tcb) {
+    assert_eq!(tcb.write(b"x"), 0, "in {:?}", tcb.state());
+    assert_eq!(tcb.writable(), 0, "in {:?}", tcb.state());
+}
+
+/// A segment from the client acknowledging everything the server has
+/// sent (its FIN included, when one is out).
+fn ack_all(tcb: &Tcb, cseq: u32, flags: TcpFlags) -> TcpSegment {
+    seg(cseq, tcb.snd_nxt().raw(), flags | TcpFlags::ACK, b"")
+}
+
+#[test]
+fn writable_in_syn_sent_then_closed() {
+    let now = SimTime::ZERO;
+    let mut tcb = Tcb::connect(now, quad().flipped(), SeqNum(1), TcpConfig::default());
+    assert_eq!(tcb.state(), TcpState::SynSent);
+    assert_open_for_writing(tcb.clone()); // data may queue behind the SYN
+    tcb.close(now);
+    assert_eq!(tcb.state(), TcpState::Closed);
+    assert_shut_for_writing(&mut tcb);
+}
+
+#[test]
+fn writable_in_syn_rcvd() {
+    let now = SimTime::ZERO;
+    let tcb = Tcb::accept(now, quad(), SeqNum(555), &client_syn(7000), TcpConfig::default());
+    assert_eq!(tcb.state(), TcpState::SynRcvd);
+    assert_open_for_writing(tcb);
+}
+
+#[test]
+fn writable_in_established_until_a_fin_is_queued() {
+    let (mut tcb, now, _cseq, _iss) = established_server(TcpConfig::default());
+    assert_open_for_writing(tcb.clone());
+    // Closed by the application but not polled yet: still Established,
+    // with the FIN waiting behind the data.
+    assert_eq!(tcb.write(b"bye"), 3);
+    tcb.close(now);
+    assert_eq!(tcb.state(), TcpState::Established);
+    assert_shut_for_writing(&mut tcb);
+}
+
+#[test]
+fn writable_in_close_wait_until_a_fin_is_queued() {
+    let (mut tcb, now, cseq, _iss) = established_server(TcpConfig::default());
+    tcb.on_segment(now, &ack_all(&tcb, cseq, TcpFlags::FIN));
+    assert_eq!(tcb.state(), TcpState::CloseWait);
+    assert_open_for_writing(tcb.clone()); // half-closed: we may still send
+    tcb.close(now);
+    assert_eq!(tcb.state(), TcpState::CloseWait);
+    assert_shut_for_writing(&mut tcb);
+    let _ = tcb.poll(now);
+    assert_eq!(tcb.state(), TcpState::LastAck);
+    assert_shut_for_writing(&mut tcb);
+}
+
+#[test]
+fn writable_is_zero_from_fin_wait_to_time_wait() {
+    let (mut tcb, now, cseq, _iss) = established_server(TcpConfig::default());
+    tcb.close(now);
+    let _ = tcb.poll(now);
+    assert_eq!(tcb.state(), TcpState::FinWait1);
+    assert_shut_for_writing(&mut tcb);
+    tcb.on_segment(now, &ack_all(&tcb, cseq, TcpFlags::ACK));
+    assert_eq!(tcb.state(), TcpState::FinWait2);
+    assert_shut_for_writing(&mut tcb);
+    tcb.on_segment(now, &ack_all(&tcb, cseq, TcpFlags::FIN));
+    assert_eq!(tcb.state(), TcpState::TimeWait);
+    assert_shut_for_writing(&mut tcb);
+}
+
+#[test]
+fn writable_is_zero_in_closing() {
+    // Simultaneous close: our FIN is out, the peer's FIN arrives before
+    // the ACK of ours.
+    let (mut tcb, now, cseq, iss) = established_server(TcpConfig::default());
+    tcb.close(now);
+    let _ = tcb.poll(now);
+    tcb.on_segment(now, &seg(cseq, iss.wrapping_add(1), TcpFlags::FIN | TcpFlags::ACK, b""));
+    assert_eq!(tcb.state(), TcpState::Closing);
+    assert_shut_for_writing(&mut tcb);
+}
