@@ -182,10 +182,9 @@ fn double_failure() {
         if use_logger {
             cfg = cfg.with_logger();
         }
-        let mut spec = ScenarioSpec::new(Workload::echo())
+        let spec = ScenarioSpec::new(Workload::echo())
             .st_tcp(cfg)
             .faults(FaultSpec::crash_primary_at(crash));
-        spec.with_logger = use_logger;
         let mut scenario = build(&spec);
         let backup = scenario.backup.unwrap();
         // Lose request #41 on the backup's tap...

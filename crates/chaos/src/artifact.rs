@@ -2,15 +2,18 @@
 //!
 //! When a campaign run violates an oracle, the engine emits a JSON
 //! artifact carrying everything needed to reproduce the failure
-//! byte-for-byte: the seed, the (possibly shrunk) fault schedule, the
-//! run knobs, and the frame-trace digest the replay must match.
+//! byte-for-byte: the testbed, the seed, the (possibly shrunk) fault
+//! schedule, the run knobs, and the frame-trace digest the replay must
+//! match. One format for the pair and for chains of any length.
 
 use crate::json::{self, Value};
 use crate::oracle::OracleKind;
 use crate::plan::{workload_from_value, workload_to_value, FaultPlan};
-use crate::run::{execute, RunReport, RunSpec};
+use crate::run::{execute, RunReport, RunSpec, Testbed};
 use netsim::{LinkProfile, SimDuration};
 use tcpstack::CongestionAlgo;
+
+const FORMAT: &str = "sttcp-chaos-artifact-v1";
 
 /// A self-contained failure reproducer.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,42 +53,62 @@ impl FailureArtifact {
         }
     }
 
-    /// Serializes to JSON text.
+    /// Serializes to JSON text. The testbed is written as its own
+    /// members — `workload` + `fencing` for the pair (the whole format
+    /// before chains existed), `backups` + `clients` for a chain.
     pub fn to_json(&self) -> String {
-        let mut fields = vec![
-            ("format", Value::Str("sttcp-chaos-artifact-v1".into())),
-            ("workload", workload_to_value(self.spec.workload)),
-            ("seed", json::hex(self.spec.seed)),
-            ("fencing", Value::Bool(self.spec.fencing)),
-            ("limit_ms", json::num(self.spec.limit.as_millis())),
-            ("max_events", json::num(self.spec.max_events)),
-            ("link", Value::Str(self.spec.link.name().into())),
-            ("congestion", Value::Str(self.spec.congestion.name().into())),
-            ("sack", Value::Bool(self.spec.sack)),
-            ("plan", self.spec.plan.to_value()),
-            ("oracle", Value::Str(self.oracle.tag().into())),
-            ("details", Value::Arr(self.details.iter().map(|d| Value::Str(d.clone())).collect())),
+        let spec = &self.spec;
+        let mut fields = vec![("format", json::str(FORMAT))];
+        match spec.testbed {
+            Testbed::Pair { workload, fencing } => fields.extend([
+                ("workload", workload_to_value(workload)),
+                ("seed", json::hex(spec.seed)),
+                ("fencing", Value::Bool(fencing)),
+            ]),
+            Testbed::Chain { backups, clients } => fields.extend([
+                ("backups", Value::Num(backups as u64)),
+                ("clients", Value::Num(clients as u64)),
+                ("seed", json::hex(spec.seed)),
+            ]),
+        }
+        fields.extend([
+            ("limit_ms", Value::Num(spec.limit.as_millis())),
+            ("max_events", Value::Num(spec.max_events)),
+            ("link", json::str(spec.link.name())),
+            ("congestion", json::str(spec.congestion.name())),
+            ("sack", Value::Bool(spec.sack)),
+            ("plan", spec.plan.to_value()),
+            ("oracle", json::str(self.oracle.tag())),
+            ("details", Value::Arr(self.details.iter().map(json::str).collect())),
             ("digest", json::hex(self.digest)),
-        ];
-        if let Some(obs) = &self.obs {
-            fields.push(("obs", obs.clone()));
-        }
-        if let Some(trace) = &self.trace {
-            fields.push(("trace", trace.clone()));
-        }
+        ]);
+        fields.extend(self.obs.clone().map(|obs| ("obs", obs)));
+        fields.extend(self.trace.clone().map(|trace| ("trace", trace)));
         json::obj(fields).to_json()
     }
 
     /// Parses an artifact serialized by [`FailureArtifact::to_json`].
+    /// Returns `None` for anything else, including a plan that does not
+    /// fit its testbed and a chain that asks for fencing.
     pub fn from_json(text: &str) -> Option<Self> {
         let v = Value::parse(text)?;
-        if v.get("format")?.as_str()? != "sttcp-chaos-artifact-v1" {
+        if v.get("format")?.as_str()? != FORMAT {
             return None;
         }
+        let testbed = match (v.get("backups"), v.get("fencing")) {
+            (Some(backups), None) => Testbed::Chain {
+                backups: usize::try_from(backups.as_u64()?).ok().filter(|&n| n >= 1)?,
+                clients: usize::try_from(v.get("clients")?.as_u64()?).ok()?,
+            },
+            (None, Some(fencing)) => Testbed::Pair {
+                workload: workload_from_value(v.get("workload")?)?,
+                fencing: fencing.as_bool()?,
+            },
+            _ => return None,
+        };
         let spec = RunSpec {
-            workload: workload_from_value(v.get("workload")?)?,
+            testbed,
             seed: json::from_hex(v.get("seed")?)?,
-            fencing: v.get("fencing")?.as_bool()?,
             plan: FaultPlan::from_value(v.get("plan")?)?,
             limit: SimDuration::from_millis(v.get("limit_ms")?.as_u64()?),
             max_events: v.get("max_events")?.as_u64()?,
@@ -103,6 +126,9 @@ impl FailureArtifact {
                 None => false,
             },
         };
+        if !spec.plan.fits(spec.testbed.servers()) {
+            return None;
+        }
         let details = v
             .get("details")?
             .as_arr()?
@@ -133,7 +159,7 @@ impl FailureArtifact {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{FaultOp, SideTarget};
+    use crate::plan::{FaultOp, BACKUP};
     use apps::Workload;
 
     #[test]
@@ -143,7 +169,7 @@ mod tests {
             0xDEAD_BEEF_0000_0007,
             FaultPlan::new([
                 FaultOp::PausePrimary { at_pct: 30, dur_ms: 500 },
-                FaultOp::SideDelay { target: SideTarget::Backup, delay_ms: 60 },
+                FaultOp::SideDelay { rank: BACKUP, delay_ms: 60 },
             ]),
         )
         .without_fencing();
@@ -152,10 +178,10 @@ mod tests {
             oracle: OracleKind::SingleServer,
             details: vec!["node 1 still sourcing VIP traffic".into()],
             digest: 0xFFFF_0000_1234_5678,
-            obs: Some(json::obj([("counters", json::obj([("segs_suppressed", json::num(7))]))])),
+            obs: Some(json::obj([("counters", json::obj([("segs_suppressed", Value::Num(7))]))])),
             trace: Some(json::obj([
-                ("format", Value::Str("sttcp-trace-v1".into())),
-                ("dropped", json::num(3)),
+                ("format", json::str("sttcp-trace-v1")),
+                ("dropped", Value::Num(3)),
                 ("events", Value::Arr(vec![])),
             ])),
         };
@@ -226,6 +252,46 @@ mod tests {
         assert_eq!(back.spec.link, LinkProfile::Lan);
         assert_eq!(back.spec.congestion, CongestionAlgo::Reno);
         assert!(!back.spec.sack);
+    }
+
+    fn bare(spec: RunSpec) -> FailureArtifact {
+        FailureArtifact {
+            spec,
+            oracle: OracleKind::SingleServer,
+            details: Vec::new(),
+            digest: 7,
+            obs: None,
+            trace: None,
+        }
+    }
+
+    #[test]
+    fn chain_artifact_roundtrips_with_its_testbed_members() {
+        let plan = FaultPlan::new([
+            FaultOp::Crash { rank: 0, at_ms: 120 },
+            FaultOp::SideDrop { rank: 2, skip: 0, count: 40 },
+        ]);
+        let artifact = bare(RunSpec::chain(3, 40, 0xF1EE7, plan));
+        let text = artifact.to_json();
+        assert!(text.contains("\"backups\":3,\"clients\":40"), "{text}");
+        assert!(!text.contains("workload") && !text.contains("fencing"), "{text}");
+        assert_eq!(FailureArtifact::from_json(&text), Some(artifact));
+    }
+
+    #[test]
+    fn chain_artifact_with_fencing_or_a_misfit_plan_is_refused() {
+        let text = bare(RunSpec::chain(2, 4, 1, FaultPlan::none())).to_json();
+        let fenced = text.replace("\"clients\":4,", "\"clients\":4,\"fencing\":true,");
+        assert_ne!(fenced, text);
+        assert_eq!(FailureArtifact::from_json(&fenced), None, "chains have no fencing hardware");
+        let no_backups = text.replace("\"backups\":2", "\"backups\":0");
+        assert_eq!(FailureArtifact::from_json(&no_backups), None);
+
+        let deep = FaultPlan::new([FaultOp::TapDrop { rank: 2, skip: 0, count: 1 }]);
+        let fits = bare(RunSpec::chain(2, 4, 1, deep)).to_json();
+        assert!(FailureArtifact::from_json(&fits).is_some());
+        let misfit = fits.replace("\"backups\":2", "\"backups\":1");
+        assert_eq!(FailureArtifact::from_json(&misfit), None, "rank 2 does not exist at N = 1");
     }
 
     #[test]

@@ -2,13 +2,15 @@
 //! deliberately broken configuration, and emit replayable artifacts.
 //!
 //! ```text
-//! chaos-hunt [--smoke | --demo | --wan] [--skip-canary] [--threads N]
-//!            [--replay FILE] [--artifacts DIR]
+//! chaos-hunt [--smoke | --demo | --wan | --cascade] [--skip-canary]
+//!            [--threads N] [--replay FILE] [--artifacts DIR]
 //! ```
 //!
-//! * `--smoke`     bounded campaign for CI (default).
+//! * `--smoke`     bounded campaign for CI (default): the pair matrix,
+//!   then the cascade matrix.
 //! * `--demo`      the full ≥200-run campaign.
 //! * `--wan`       burst-loss WAN failover matrix (seeds × controllers).
+//! * `--cascade`   cascading failure over a 3-backup chain (three seeds).
 //! * `--replay`    replay a failure artifact JSON file and verify it
 //!   reproduces (same oracle, same frame digest).
 //! * `--artifacts` write each failure's reproducer to DIR: the JSON
@@ -19,8 +21,9 @@
 //! canary is caught, shrunk, and replays deterministically.
 
 use chaos::{
-    broken_config_canary, demo_campaign, execute_with_pcap, measure_profile, run_campaign, shrink,
-    smoke_campaign, wan_burst_loss_campaign, Campaign, FailureArtifact, OracleKind, Profile,
+    broken_config_canary, cascade_campaign, demo_campaign, execute_with_pcap, measure_profile,
+    run_campaign, shrink, smoke_campaign, wan_burst_loss_campaign, Campaign, FailureArtifact,
+    OracleKind, Profile,
 };
 use netsim::pcap::SharedPcap;
 use std::process::ExitCode;
@@ -30,6 +33,7 @@ enum Matrix {
     Smoke,
     Demo,
     Wan,
+    Cascade,
 }
 
 struct Args {
@@ -54,6 +58,7 @@ fn parse_args() -> Result<Args, String> {
             "--smoke" => args.matrix = Matrix::Smoke,
             "--demo" => args.matrix = Matrix::Demo,
             "--wan" => args.matrix = Matrix::Wan,
+            "--cascade" => args.matrix = Matrix::Cascade,
             "--skip-canary" => args.skip_canary = true,
             "--threads" => {
                 let v = it.next().ok_or("--threads needs a value")?;
@@ -67,7 +72,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: chaos-hunt [--smoke | --demo | --wan] [--skip-canary] \
+                    "usage: chaos-hunt [--smoke | --demo | --wan | --cascade] [--skip-canary] \
                      [--threads N] [--replay FILE] [--artifacts DIR]"
                 );
                 std::process::exit(0);
@@ -128,7 +133,7 @@ fn run_matrix(campaign: &Campaign, threads: usize, artifacts: Option<&str>) -> b
         let report = &result.reports[i];
         println!(
             "   FAIL run {i}: {} seed={} plan=[{}]",
-            spec.workload.label(),
+            spec.testbed.label(),
             spec.seed,
             spec.plan.describe()
         );
@@ -216,7 +221,7 @@ fn run_replay(path: &str) -> bool {
     };
     println!(
         "replaying {} seed={:#x} plan=[{}]",
-        artifact.spec.workload.label(),
+        artifact.spec.testbed.label(),
         artifact.spec.seed,
         artifact.spec.plan.describe()
     );
@@ -246,12 +251,16 @@ fn main() -> ExitCode {
     if let Some(path) = &args.replay {
         return if run_replay(path) { ExitCode::SUCCESS } else { ExitCode::FAILURE };
     }
-    let campaign = match args.matrix {
-        Matrix::Smoke => smoke_campaign(),
-        Matrix::Demo => demo_campaign(),
-        Matrix::Wan => wan_burst_loss_campaign(),
+    let campaigns = match args.matrix {
+        Matrix::Smoke => vec![smoke_campaign(), cascade_campaign()],
+        Matrix::Demo => vec![demo_campaign()],
+        Matrix::Wan => vec![wan_burst_loss_campaign()],
+        Matrix::Cascade => vec![cascade_campaign()],
     };
-    let mut ok = run_matrix(&campaign, args.threads, args.artifacts.as_deref());
+    let mut ok = true;
+    for campaign in &campaigns {
+        ok &= run_matrix(campaign, args.threads, args.artifacts.as_deref());
+    }
     if !args.skip_canary {
         ok &= run_canary(args.artifacts.as_deref());
     }

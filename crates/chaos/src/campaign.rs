@@ -3,10 +3,10 @@
 //! A campaign crosses fault schedules with workloads and seeds into a
 //! run matrix, executes every run on a thread pool (each run owns an
 //! independent deterministic [`netsim::Simulator`]), and aggregates the
-//! verdicts. Probe passes are shared: every run with the same
-//! (workload, seed, fencing) reuses one measured [`Profile`].
+//! verdicts. Probe passes are shared: every run with the same testbed,
+//! seed and link knobs reuses one measured [`Profile`].
 
-use crate::plan::{FaultOp, FaultPlan, SideTarget};
+use crate::plan::{FaultOp, FaultPlan, BACKUP, PRIMARY};
 use crate::run::{execute_with_profile, measure_profile, Profile, RunReport, RunSpec};
 use apps::Workload;
 use netsim::LinkProfile;
@@ -48,10 +48,9 @@ fn profile_key(spec: &RunSpec) -> String {
     // the same workload and seed complete at very different instants on
     // a lossy WAN than on the paper's LAN.
     format!(
-        "{:?}|{}|{}|{}|{}|{}",
-        spec.workload,
+        "{:?}|{}|{}|{}|{}",
+        spec.testbed,
         spec.seed,
-        spec.fencing,
         spec.link.name(),
         spec.congestion.name(),
         spec.sack
@@ -65,8 +64,8 @@ pub fn run_campaign(campaign: &Campaign, threads: usize) -> CampaignResult {
     let threads = threads.max(1);
     let runs = &campaign.runs;
 
-    // Phase 1: measure one profile per (workload, seed, fencing) that
-    // any probe-needing plan references.
+    // Phase 1: measure one profile per key that any probe-needing plan
+    // references.
     let mut probe_specs: Vec<RunSpec> = Vec::new();
     let mut seen = BTreeSet::new();
     for spec in runs {
@@ -125,14 +124,14 @@ pub fn run_campaign(campaign: &Campaign, threads: usize) -> CampaignResult {
 fn crash_matrix_plans(quantiles: &[u8]) -> Vec<FaultPlan> {
     let tap_variants: [Option<FaultOp>; 3] = [
         None,
-        Some(FaultOp::TapDrop { skip: 0, count: 1 }),
-        Some(FaultOp::TapDrop { skip: 5, count: 3 }),
+        Some(FaultOp::TapDrop { rank: BACKUP, skip: 0, count: 1 }),
+        Some(FaultOp::TapDrop { rank: BACKUP, skip: 5, count: 3 }),
     ];
     let side_variants: [Option<FaultOp>; 4] = [
         None,
-        Some(FaultOp::SideDrop { target: SideTarget::Backup, skip: 0, count: 2 }),
-        Some(FaultOp::SideDelay { target: SideTarget::Backup, delay_ms: 60 }),
-        Some(FaultOp::SideDuplicate { target: SideTarget::Backup, offset_ms: 5 }),
+        Some(FaultOp::SideDrop { rank: BACKUP, skip: 0, count: 2 }),
+        Some(FaultOp::SideDelay { rank: BACKUP, delay_ms: 60 }),
+        Some(FaultOp::SideDuplicate { rank: BACKUP, offset_ms: 5 }),
     ];
     let mut plans = Vec::new();
     for &q in quantiles {
@@ -152,14 +151,14 @@ fn crash_matrix_plans(quantiles: &[u8]) -> Vec<FaultPlan> {
 /// workload completes with *no* takeover (detection must tolerate them).
 fn innocent_plans() -> Vec<FaultPlan> {
     vec![
-        FaultPlan::new([FaultOp::TapDrop { skip: 0, count: 1 }]),
-        FaultPlan::new([FaultOp::TapDrop { skip: 3, count: 4 }]),
-        FaultPlan::new([FaultOp::SideDrop { target: SideTarget::Backup, skip: 0, count: 2 }]),
-        FaultPlan::new([FaultOp::SideDrop { target: SideTarget::Primary, skip: 0, count: 3 }]),
-        FaultPlan::new([FaultOp::SideDelay { target: SideTarget::Backup, delay_ms: 60 }]),
-        FaultPlan::new([FaultOp::SideDelay { target: SideTarget::Primary, delay_ms: 40 }]),
-        FaultPlan::new([FaultOp::SideDuplicate { target: SideTarget::Backup, offset_ms: 5 }]),
-        FaultPlan::new([FaultOp::SideDuplicate { target: SideTarget::Primary, offset_ms: 7 }]),
+        FaultPlan::new([FaultOp::TapDrop { rank: BACKUP, skip: 0, count: 1 }]),
+        FaultPlan::new([FaultOp::TapDrop { rank: BACKUP, skip: 3, count: 4 }]),
+        FaultPlan::new([FaultOp::SideDrop { rank: BACKUP, skip: 0, count: 2 }]),
+        FaultPlan::new([FaultOp::SideDrop { rank: PRIMARY, skip: 0, count: 3 }]),
+        FaultPlan::new([FaultOp::SideDelay { rank: BACKUP, delay_ms: 60 }]),
+        FaultPlan::new([FaultOp::SideDelay { rank: PRIMARY, delay_ms: 40 }]),
+        FaultPlan::new([FaultOp::SideDuplicate { rank: BACKUP, offset_ms: 5 }]),
+        FaultPlan::new([FaultOp::SideDuplicate { rank: PRIMARY, offset_ms: 7 }]),
     ]
 }
 
@@ -167,11 +166,14 @@ fn innocent_plans() -> Vec<FaultPlan> {
 fn corner_plans() -> Vec<FaultPlan> {
     vec![
         FaultPlan::new([FaultOp::CrashPrimaryNearFin]),
-        FaultPlan::new([FaultOp::CrashPrimaryNearFin, FaultOp::TapDrop { skip: 0, count: 1 }]),
-        FaultPlan::new([FaultOp::TapPartition { from_pct: 30, dur_ms: 200 }]),
+        FaultPlan::new([
+            FaultOp::CrashPrimaryNearFin,
+            FaultOp::TapDrop { rank: BACKUP, skip: 0, count: 1 },
+        ]),
+        FaultPlan::new([FaultOp::TapPartition { rank: BACKUP, from_pct: 30, dur_ms: 200 }]),
         FaultPlan::new([
             FaultOp::CrashPrimary { quantile_pct: 60 },
-            FaultOp::TapPartition { from_pct: 20, dur_ms: 150 },
+            FaultOp::TapPartition { rank: BACKUP, from_pct: 20, dur_ms: 150 },
         ]),
         FaultPlan::new([FaultOp::PausePrimary { at_pct: 30, dur_ms: 500 }]),
     ]
@@ -208,7 +210,7 @@ pub fn smoke_campaign() -> Campaign {
     let seeds = [1];
     let mut plans = crash_matrix_plans(&[30, 70]);
     plans.push(FaultPlan::new([FaultOp::CrashPrimaryNearFin]));
-    plans.push(FaultPlan::new([FaultOp::TapPartition { from_pct: 30, dur_ms: 200 }]));
+    plans.push(FaultPlan::new([FaultOp::TapPartition { rank: BACKUP, from_pct: 30, dur_ms: 200 }]));
     plans.push(FaultPlan::new([FaultOp::PausePrimary { at_pct: 30, dur_ms: 500 }]));
     plans.extend(innocent_plans().into_iter().take(4));
     let mut campaign = cross("smoke", &workloads, &seeds, &plans);
@@ -254,6 +256,20 @@ pub fn wan_burst_loss_campaign() -> Campaign {
     Campaign { name: "wan_burst_loss".to_string(), runs }
 }
 
+/// Cascading failure over a 3-backup chain, three seeds × 40 clients of
+/// the seeded mix: the primary dies mid-connect-spread (half the fleet
+/// still handshaking) and its freshly promoted successor 160 ms later —
+/// just past rank 1's 150 ms detection deadline, inside rank 2's
+/// stagger, i.e. mid-takeover — leaving rank 2 to serve.
+pub fn cascade_campaign() -> Campaign {
+    let cascade = [FaultOp::Crash { rank: 0, at_ms: 120 }, FaultOp::Crash { rank: 1, at_ms: 280 }];
+    let runs = [0xF1EE7, 0xC0FFEE, 0xDEAD_BEEF]
+        .into_iter()
+        .map(|seed| RunSpec::chain(3, 40, seed, FaultPlan::new(cascade)))
+        .collect();
+    Campaign { name: "cascade".to_string(), runs }
+}
+
 /// The intentionally-broken configuration: fencing disabled, primary
 /// paused past the detection threshold. The resumed primary speaks for
 /// the VIP alongside the backup — the [`crate::oracle::OracleKind::SingleServer`]
@@ -270,6 +286,7 @@ pub fn broken_config_canary() -> RunSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run::Testbed;
 
     #[test]
     fn demo_campaign_is_big_enough() {
@@ -308,7 +325,7 @@ mod tests {
         let c = smoke_campaign();
         let wan: Vec<_> = c.runs.iter().filter(|r| r.link == LinkProfile::WanBurstLoss).collect();
         assert_eq!(wan.len(), CongestionAlgo::ALL.len());
-        assert!(wan.iter().all(|r| r.sack && r.plan.incapacitates_primary()));
+        assert!(wan.iter().all(|r| r.sack && r.plan.expected_primary() == BACKUP));
     }
 
     #[test]
@@ -326,7 +343,7 @@ mod tests {
     #[test]
     fn canary_disables_fencing() {
         let c = broken_config_canary();
-        assert!(!c.fencing);
-        assert!(c.plan.incapacitates_primary());
+        assert!(matches!(c.testbed, Testbed::Pair { fencing: false, .. }));
+        assert_eq!(c.plan.expected_primary(), BACKUP);
     }
 }

@@ -3,48 +3,95 @@
 //! A run is two deterministic simulations. The **probe** pass executes
 //! the workload fault-free to map schedule percentages onto virtual
 //! instants (total duration, first-FIN time). The **faulted** pass
-//! replays the same scenario with the plan's crash schedule and ingress
+//! replays the same testbed with the plan's crash schedule and ingress
 //! rules installed, a frame probe digesting every transmission, and the
 //! invariant oracles sampled between scheduler chunks and at the end.
+//!
+//! Both passes, the probe and every oracle are written once, over the
+//! rank-ordered [`Fleet`] view: the paper's pair is the chain with
+//! ranks 0 and 1 and a single client.
 
 use crate::json::Value;
 use crate::oracle::{
     check_seq_agreement, check_single_server, OracleKind, ShadowSample, Violation,
 };
-use crate::plan::{FaultOp, FaultPlan, SideTarget};
+use crate::plan::{rank_tag, FaultOp, FaultPlan};
 use apps::Workload;
 use bytes::Bytes;
 use netsim::node::NodeId;
 use netsim::pcap::SharedPcap;
 use netsim::{
-    DelayRule, DropRule, DuplicateRule, LinkProfile, LossModel, RuleId, SimDuration, SimTime,
-    Simulator,
+    DelayRule, DropRule, DuplicateRule, IngressRule, LinkProfile, LossModel, RuleId, SimDuration,
+    SimTime,
 };
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
-use sttcp::node::ServerNode;
-use sttcp::scenario::{addrs, build, RunLimits, Scenario, ScenarioSpec, StopReason};
-use sttcp::SttcpConfig;
+use sttcp::cluster::promotion::detection_deadline;
+use sttcp::fleet::{build_cluster, ClusterFleetSpec, Fleet};
+use sttcp::node::{ClientNode, ServerNode};
+use sttcp::scenario::{addrs, build, ScenarioSpec, StopReason};
+use sttcp::{ClusterRole, SttcpConfig};
 use tcpstack::{CongestionAlgo, TcpState};
 use wire::{EtherType, EthernetFrame, IpProtocol, Ipv4Packet, TcpFlags, TcpSegment, UdpDatagram};
 
-/// Everything one chaos run needs: base scenario knobs plus the fault
-/// schedule.
+/// What a chaos run runs on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Testbed {
+    /// The paper's testbed (§6): one client driving one workload at a
+    /// primary and its backup on a hub, with the in-network logger
+    /// (§3.2) on the client's path.
+    Pair {
+        /// The client workload.
+        workload: Workload,
+        /// Whether fencing (power switch) is deployed — the demo
+        /// campaigns keep it on; the canary turns it off to prove the
+        /// oracles notice.
+        fencing: bool,
+    },
+    /// A primary and `backups` chained backups behind a mirroring
+    /// switch, serving `clients` of the seeded workload mix. The chain
+    /// has no fencing hardware and no logger.
+    Chain {
+        /// Chain length N (≥ 1).
+        backups: usize,
+        /// Workload clients in the fleet.
+        clients: usize,
+    },
+}
+
+impl Testbed {
+    /// Servers in the testbed (ranks `0..servers`).
+    pub fn servers(&self) -> usize {
+        match *self {
+            Testbed::Pair { .. } => 2,
+            Testbed::Chain { backups, .. } => 1 + backups,
+        }
+    }
+
+    /// Short name for reports (`echo`, `chain 1+3 × 40`).
+    pub fn label(&self) -> String {
+        match *self {
+            Testbed::Pair { workload, .. } => workload.label().to_string(),
+            Testbed::Chain { backups, clients } => format!("chain 1+{backups} × {clients}"),
+        }
+    }
+}
+
+/// Everything one chaos run needs: the testbed plus the fault schedule
+/// and the knobs common to every testbed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunSpec {
-    /// The client workload.
-    pub workload: Workload,
-    /// Simulation seed (drives ISNs, probabilistic rules, jitter).
+    /// What to run on.
+    pub testbed: Testbed,
+    /// Simulation seed (drives ISNs, the chain's workload mix,
+    /// probabilistic rules, jitter).
     pub seed: u64,
-    /// Whether fencing (power switch) is deployed — the demo campaigns
-    /// keep it on; the canary turns it off to prove the oracles notice.
-    pub fencing: bool,
     /// The fault schedule.
     pub plan: FaultPlan,
-    /// Virtual-time budget for the faulted pass.
+    /// Virtual-time budget for each pass.
     pub limit: SimDuration,
-    /// Event budget for the faulted pass (runaway-loop backstop).
+    /// Event budget for each pass (runaway-loop backstop).
     pub max_events: u64,
     /// Link characteristics on every hop (LAN reproduces the paper's
     /// testbed; the WAN profiles stress recovery under loss and delay).
@@ -56,12 +103,10 @@ pub struct RunSpec {
 }
 
 impl RunSpec {
-    /// A spec with default budgets (60 virtual seconds, 20 M events).
-    pub fn new(workload: Workload, seed: u64, plan: FaultPlan) -> Self {
+    fn on(testbed: Testbed, seed: u64, plan: FaultPlan) -> Self {
         RunSpec {
-            workload,
+            testbed,
             seed,
-            fencing: true,
             plan,
             limit: SimDuration::from_secs(60),
             max_events: 20_000_000,
@@ -71,11 +116,29 @@ impl RunSpec {
         }
     }
 
+    /// A run on the fenced pair with default budgets (60 virtual
+    /// seconds, 20 M events).
+    pub fn new(workload: Workload, seed: u64, plan: FaultPlan) -> Self {
+        RunSpec::on(Testbed::Pair { workload, fencing: true }, seed, plan)
+    }
+
+    /// A run on a chain of `backups` serving `clients`, same budgets.
+    pub fn chain(backups: usize, clients: usize, seed: u64, plan: FaultPlan) -> Self {
+        RunSpec::on(Testbed::Chain { backups, clients }, seed, plan)
+    }
+
     /// Disables fencing (builder style) — the intentionally-broken
     /// configuration the canary uses.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a chain: it has no fencing hardware to take away.
     #[must_use]
     pub fn without_fencing(mut self) -> Self {
-        self.fencing = false;
+        match &mut self.testbed {
+            Testbed::Pair { fencing, .. } => *fencing = false,
+            Testbed::Chain { .. } => panic!("a chain testbed has no fencing to disable"),
+        }
         self
     }
 
@@ -106,7 +169,7 @@ impl RunSpec {
 pub struct Profile {
     /// Fault-free completion time of the workload.
     pub duration: SimDuration,
-    /// Departure time of the first FIN segment on the service
+    /// Departure time of the first FIN segment on a service
     /// connection, when the probe observed one.
     pub first_fin: Option<SimTime>,
 }
@@ -133,18 +196,20 @@ pub struct RunReport {
     pub probe_duration: SimDuration,
     /// Virtual time the faulted pass consumed.
     pub virtual_duration: SimDuration,
-    /// Crash/pause → takeover delay, when a takeover happened.
+    /// Delay from the fault that handed the expected survivor the chain
+    /// to its takeover, when it took over.
     pub takeover_latency: Option<SimDuration>,
-    /// Bytes the client received.
-    pub bytes_received: u64,
+    /// Topology epoch the expected survivor serves under at the end.
+    pub final_epoch: u32,
+    /// Response bytes received / expected, summed over the clients.
+    pub progress: (u64, u64),
     /// Per-injection counters: (op description, matched, fired).
     pub injections: Vec<(String, u64, u64)>,
-    /// Observability counter snapshot of the faulted pass, as a JSON
-    /// value ready to embed in reports and artifacts.
+    /// Observability counter snapshot of the faulted pass (`sttcp-obs-v1`),
+    /// ready to embed in reports and artifacts.
     pub obs: Option<Value>,
     /// Tail of the flight-recorder trace (newest events) of the faulted
-    /// pass, as a parsed `sttcp-trace-v1` export ready to embed in
-    /// reports and artifacts.
+    /// pass (`sttcp-trace-v1`), ready to embed in reports and artifacts.
     pub trace: Option<Value>,
 }
 
@@ -167,39 +232,20 @@ const TRACE_RING: usize = 4096;
 /// How many newest trace events a report/artifact embeds.
 const TRACE_TAIL: usize = 256;
 
-fn trace_tail(sc: &Scenario) -> Option<Value> {
-    sc.flight.as_ref().and_then(|ring| Value::parse(&ring.tail(TRACE_TAIL).to_json()))
-}
-
-fn scenario_spec(spec: &RunSpec) -> ScenarioSpec {
-    // The in-network packet logger (§3.2) is part of the full ST-TCP
-    // deployment and is what makes tap omissions recoverable even when
-    // the primary dies before healing them over the side channel
-    // (double failures). Chaos runs exercise that full configuration,
-    // recording protocol counters so oracles and artifacts can read
-    // protocol state instead of re-deriving it from frame traces.
-    let mut sc = ScenarioSpec::new(spec.workload)
-        .st_tcp(sttcp_cfg(spec))
-        .closing()
-        .with_logger()
-        .recording()
-        .tracing_with_capacity(TRACE_RING)
-        .link_profile(spec.link)
-        .congestion(spec.congestion);
-    if spec.sack {
-        sc = sc.with_sack();
-    }
-    if spec.fencing {
-        sc = sc.with_power_switch();
-    }
-    sc.seed = spec.seed;
-    sc
-}
-
+/// The one protocol configuration of a chaos run; the testbed's devices
+/// (logger, power switch) follow from it.
 fn sttcp_cfg(spec: &RunSpec) -> SttcpConfig {
-    let mut cfg = SttcpConfig::new(addrs::VIP, 80).with_logger();
-    if spec.fencing {
-        cfg = cfg.with_fencing(0);
+    let mut cfg = SttcpConfig::new(addrs::VIP, 80);
+    if let Testbed::Pair { fencing, .. } = spec.testbed {
+        // The in-network packet logger (§3.2) is part of the full ST-TCP
+        // deployment and is what makes tap omissions recoverable even
+        // when the primary dies before healing them over the side
+        // channel (double failures). The pair exercises that full
+        // configuration.
+        cfg = cfg.with_logger();
+        if fencing {
+            cfg = cfg.with_fencing(0);
+        }
     }
     if spec.link.spec().loss != LossModel::None {
         // The paper's threshold of 3 assumes a loss-free LAN side
@@ -210,6 +256,50 @@ fn sttcp_cfg(spec: &RunSpec) -> SttcpConfig {
         cfg = cfg.with_missed_hb_threshold(10).with_cong_sync();
     }
     cfg
+}
+
+/// Builds the testbed, recording protocol counters and a trace ring so
+/// oracles and artifacts can read protocol state instead of re-deriving
+/// it from frame traces. Past this point nothing knows which testbed
+/// it is.
+fn build_fleet(spec: &RunSpec, cfg: &SttcpConfig) -> Fleet {
+    assert!(
+        spec.plan.fits(spec.testbed.servers()),
+        "plan [{}] does not fit a testbed of {} servers",
+        spec.plan.describe(),
+        spec.testbed.servers()
+    );
+    match spec.testbed {
+        Testbed::Pair { workload, .. } => {
+            let mut sc = ScenarioSpec::new(workload)
+                .st_tcp(cfg.clone())
+                .closing()
+                .recording()
+                .tracing_with_capacity(TRACE_RING)
+                .link_profile(spec.link)
+                .congestion(spec.congestion);
+            if spec.sack {
+                sc = sc.with_sack();
+            }
+            sc.seed = spec.seed;
+            build(&sc).into_fleet()
+        }
+        Testbed::Chain { backups, clients } => {
+            let mut fs = ClusterFleetSpec::new(clients, backups);
+            fs.fleet = fs
+                .fleet
+                .seed(spec.seed)
+                .recording()
+                .tracing_with_capacity(TRACE_RING)
+                .link_profile(spec.link)
+                .congestion(spec.congestion);
+            if spec.sack {
+                fs.fleet = fs.fleet.with_sack();
+            }
+            fs.fleet.st_tcp = cfg.clone();
+            build_cluster(&fs)
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -223,8 +313,8 @@ fn parse_ipv4(frame: &Bytes) -> Option<Ipv4Packet> {
     Ipv4Packet::parse(eth.payload).ok()
 }
 
-/// Tapped inbound service data: client→VIP TCP segments (what the
-/// backup buffers, §4.2).
+/// Tapped inbound service data: client→VIP TCP segments (what a backup
+/// buffers, §4.2).
 fn is_tap_data(frame: &Bytes) -> bool {
     parse_ipv4(frame)
         .map(|ip| ip.protocol == IpProtocol::Tcp && ip.dst == addrs::VIP)
@@ -255,10 +345,10 @@ fn is_side_channel(frame: &Bytes, side_port: u16) -> bool {
 // ---------------------------------------------------------------------
 // Probe observer: trace digest, VIP senders, first FIN.
 
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-pub(crate) fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(FNV_PRIME);
@@ -270,29 +360,20 @@ pub(crate) fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
 struct ProbeState {
     digest: u64,
     /// Latest departure time of a VIP-sourced frame per *originating*
-    /// server node (forwarding hops are excluded by the caller).
+    /// server node (forwarding hops are not servers).
     vip_last_sent: BTreeMap<usize, SimTime>,
     first_fin: Option<SimTime>,
 }
 
-impl ProbeState {
-    fn new() -> Self {
-        ProbeState { digest: FNV_OFFSET, vip_last_sent: BTreeMap::new(), first_fin: None }
-    }
-}
-
-fn attach_probe(sim: &mut Simulator, servers: Vec<NodeId>) -> Rc<RefCell<ProbeState>> {
-    attach_probe_with(sim, servers, None)
-}
-
-fn attach_probe_with(
-    sim: &mut Simulator,
-    servers: Vec<NodeId>,
-    pcap: Option<SharedPcap>,
-) -> Rc<RefCell<ProbeState>> {
-    let state = Rc::new(RefCell::new(ProbeState::new()));
+fn attach_probe(fleet: &mut Fleet, pcap: Option<SharedPcap>) -> Rc<RefCell<ProbeState>> {
+    let state = Rc::new(RefCell::new(ProbeState {
+        digest: FNV_OFFSET,
+        vip_last_sent: BTreeMap::new(),
+        first_fin: None,
+    }));
     let handle = Rc::clone(&state);
-    sim.set_probe(move |ev| {
+    let servers = fleet.servers.clone();
+    fleet.sim.set_probe(move |ev| {
         if let Some(cap) = &pcap {
             cap.record(ev.time, ev.frame);
         }
@@ -327,186 +408,193 @@ fn attach_probe_with(
 }
 
 // ---------------------------------------------------------------------
-// Probe pass.
+// Driving a pass.
+
+/// Drives `fleet` in 50 ms chunks until every client finishes, a budget
+/// of `spec` runs out, or the event queue wedges — and says which.
+/// `sample` sees the fleet after every chunk.
+fn drive(fleet: &mut Fleet, spec: &RunSpec, mut sample: impl FnMut(&Fleet)) -> StopReason {
+    let deadline = fleet.sim.now() + spec.limit;
+    let events_before = fleet.sim.trace().events_processed;
+    loop {
+        if fleet.all_done() {
+            return StopReason::Completed;
+        }
+        if fleet.sim.now() >= deadline {
+            return StopReason::TimeLimit;
+        }
+        if fleet.sim.trace().events_processed - events_before >= spec.max_events {
+            return StopReason::EventLimit;
+        }
+        if fleet.sim.pending_events() == 0 {
+            return StopReason::WedgedClient;
+        }
+        fleet.sim.run_for(SimDuration::from_millis(50));
+        sample(fleet);
+    }
+}
 
 /// Measures the fault-free [`Profile`] for a spec (ignoring its plan).
 /// Returns the failed report if even the fault-free run cannot finish.
 pub fn measure_profile(spec: &RunSpec) -> Result<Profile, Box<RunReport>> {
-    let mut sc = build(&scenario_spec(spec));
-    let probe_state = attach_probe(&mut sc.sim, vec![sc.primary]);
-    let out = sc.run(RunLimits::time(spec.limit).max_events(spec.max_events));
-    if !out.completed() {
-        return Err(Box::new(RunReport {
-            reason: out.reason,
-            violations: vec![Violation {
-                oracle: OracleKind::Completion,
-                at: out.stopped_at,
-                detail: format!(
-                    "fault-free probe run stopped: {:?} after {}/{} bytes",
-                    out.reason, out.progress.0, out.progress.1
-                ),
-            }],
-            digest: probe_state.borrow().digest,
-            probe_duration: SimDuration::ZERO,
-            virtual_duration: out.stopped_at.duration_since(SimTime::ZERO),
-            takeover_latency: None,
-            bytes_received: out.progress.0,
-            injections: Vec::new(),
-            obs: sc.snapshot().and_then(|s| Value::parse(&s.to_json())),
-            trace: trace_tail(&sc),
-        }));
+    let mut fleet = build_fleet(spec, &sttcp_cfg(spec));
+    let probe = attach_probe(&mut fleet, None);
+    let reason = drive(&mut fleet, spec, |_| {});
+    let stopped_at = fleet.sim.now();
+    let duration = stopped_at.duration_since(SimTime::ZERO);
+    if reason == StopReason::Completed {
+        return Ok(Profile { duration, first_fin: probe.borrow().first_fin });
     }
-    let first_fin = probe_state.borrow().first_fin;
-    Ok(Profile { duration: out.stopped_at.duration_since(SimTime::ZERO), first_fin })
+    let progress = fleet.progress();
+    let digest = probe.borrow().digest;
+    Err(Box::new(RunReport {
+        reason,
+        violations: vec![Violation {
+            oracle: OracleKind::Completion,
+            at: stopped_at,
+            detail: format!(
+                "fault-free probe run stopped: {:?} after {}/{} bytes",
+                reason, progress.0, progress.1
+            ),
+        }],
+        digest,
+        probe_duration: SimDuration::ZERO,
+        virtual_duration: duration,
+        takeover_latency: None,
+        final_epoch: fleet.engine(0).topology().epoch(),
+        progress,
+        injections: Vec::new(),
+        obs: fleet.obs.as_ref().map(|sink| sink.snapshot().to_value()),
+        trace: fleet.flight.as_ref().map(|ring| ring.tail(TRACE_TAIL).to_value()),
+    }))
 }
 
 // ---------------------------------------------------------------------
 // Plan installation.
 
 struct Installed {
-    /// Earliest instant an op incapacitates the primary.
-    incapacitated_at: Option<SimTime>,
+    /// Earliest instant an op takes each rank out of service.
+    down_at: Vec<Option<SimTime>>,
     /// Sequence-agreement sampling is valid strictly before this time.
     seq_check_until: SimTime,
     /// (op description, node, rule) for post-run stat collection.
     rules: Vec<(String, NodeId, RuleId)>,
 }
 
-fn install_plan(sc: &mut Scenario, spec: &RunSpec, profile: &Profile) -> Installed {
-    let side_port = sttcp_cfg(spec).side_channel_port;
-    let mut incapacitated_at: Option<SimTime> = None;
+/// What installing one op comes to.
+enum Step {
+    /// Take the server down at an instant: a pause of the given length,
+    /// or a crash.
+    Down(SimTime, Option<SimDuration>),
+    /// Put a rule on the server's ingress.
+    Rule(IngressRule),
+}
+
+fn install_plan(fleet: &mut Fleet, spec: &RunSpec, side_port: u16, profile: &Profile) -> Installed {
     // §4.1 sequence agreement assumes the tap sees what the primary
-    // sees. On lossy profiles that breaks legitimately: the hub repeats
-    // a frame onto the primary's and the backup's links, and each link
-    // draws its own loss — so the shadow can briefly *lead* the primary
-    // until the client retransmits. The oracle is only meaningful on
-    // loss-free links.
+    // sees. On lossy profiles that breaks legitimately: the fabric
+    // repeats a frame onto the primary's and a backup's links, and each
+    // link draws its own loss — so a shadow can briefly *lead* the
+    // primary until the client retransmits. The oracle is only
+    // meaningful on loss-free links.
     let mut seq_check_until =
         if spec.link.spec().loss == LossModel::None { SimTime::MAX } else { SimTime::ZERO };
+    let mut down_at = vec![None; fleet.servers.len()];
     let mut rules = Vec::new();
-    let note_incapacity = |at: SimTime, until: &mut SimTime, inc: &mut Option<SimTime>| {
-        *inc = Some(inc.map_or(at, |prev: SimTime| prev.min(at)));
-        *until = (*until).min(at);
-    };
+    let is_side = move |f: &Bytes| is_side_channel(f, side_port);
+    let ms = SimDuration::from_millis;
     for op in &spec.plan.ops {
-        let side_node = |sc: &Scenario, target: SideTarget| match target {
-            SideTarget::Primary => Some(sc.primary),
-            SideTarget::Backup => sc.backup,
-        };
-        match *op {
+        let step = match *op {
             FaultOp::CrashPrimary { quantile_pct } => {
-                let at = profile.at_pct(quantile_pct);
-                sc.sim.schedule_crash(sc.primary, at);
-                note_incapacity(at, &mut seq_check_until, &mut incapacitated_at);
+                Step::Down(profile.at_pct(quantile_pct), None)
             }
+            // Fall back to 95 % when the probe saw no FIN (the workload
+            // should close, but stay total regardless).
             FaultOp::CrashPrimaryNearFin => {
-                // Fall back to 95 % when the probe saw no FIN (the
-                // workload should close, but stay total regardless).
-                let at = profile.first_fin.unwrap_or_else(|| profile.at_pct(95));
-                sc.sim.schedule_crash(sc.primary, at);
-                note_incapacity(at, &mut seq_check_until, &mut incapacitated_at);
+                Step::Down(profile.first_fin.unwrap_or_else(|| profile.at_pct(95)), None)
             }
             FaultOp::PausePrimary { at_pct, dur_ms } => {
-                let at = profile.at_pct(at_pct);
-                sc.sim.schedule_pause(sc.primary, at, SimDuration::from_millis(dur_ms));
-                note_incapacity(at, &mut seq_check_until, &mut incapacitated_at);
+                Step::Down(profile.at_pct(at_pct), Some(ms(dur_ms)))
             }
-            FaultOp::TapDrop { skip, count } => {
-                if let Some(backup) = sc.backup {
-                    let id =
-                        sc.sim.add_ingress_rule(backup, DropRule::window(skip, count, is_tap_data));
-                    rules.push((format!("tap_drop(skip {skip}, {count})"), backup, id));
-                }
+            FaultOp::Crash { at_ms, .. } => Step::Down(SimTime::ZERO + ms(at_ms), None),
+            FaultOp::TapDrop { skip, count, .. } => {
+                Step::Rule(DropRule::window(skip, count, is_tap_data).into())
             }
-            FaultOp::TapPartition { from_pct, dur_ms } => {
-                if let Some(backup) = sc.backup {
-                    let from = profile.at_pct(from_pct);
-                    let until = from + SimDuration::from_millis(dur_ms);
-                    let rule = DropRule::all(is_tap_any).between(from, until);
-                    let id = sc.sim.add_ingress_rule(backup, rule);
-                    rules.push((format!("tap_partition@{from_pct}%/{dur_ms}ms"), backup, id));
-                    // The backup misses everything in the window; its
-                    // shadow may legitimately trail or resync after.
-                    seq_check_until = seq_check_until.min(from);
-                }
+            FaultOp::TapPartition { from_pct, dur_ms, .. } => {
+                let from = profile.at_pct(from_pct);
+                // The backup misses everything in the window; its shadow
+                // may legitimately trail or resync after.
+                seq_check_until = seq_check_until.min(from);
+                Step::Rule(DropRule::all(is_tap_any).between(from, from + ms(dur_ms)).into())
             }
-            FaultOp::SideDrop { target, skip, count } => {
-                if let Some(node) = side_node(sc, target) {
-                    let rule = DropRule::window(skip, count, move |f: &Bytes| {
-                        is_side_channel(f, side_port)
-                    });
-                    let id = sc.sim.add_ingress_rule(node, rule);
-                    rules.push((format!("side_drop@{target:?}(skip {skip}, {count})"), node, id));
-                }
+            FaultOp::SideDrop { skip, count, .. } => {
+                Step::Rule(DropRule::window(skip, count, is_side).into())
             }
-            FaultOp::SideDelay { target, delay_ms } => {
-                if let Some(node) = side_node(sc, target) {
-                    let rule =
-                        DelayRule::by(SimDuration::from_millis(delay_ms), move |f: &Bytes| {
-                            is_side_channel(f, side_port)
-                        });
-                    let id = sc.sim.add_ingress_rule(node, rule);
-                    rules.push((format!("side_delay@{target:?}({delay_ms}ms)"), node, id));
-                }
+            FaultOp::SideDelay { delay_ms, .. } => {
+                Step::Rule(DelayRule::by(ms(delay_ms), is_side).into())
             }
-            FaultOp::SideDuplicate { target, offset_ms } => {
-                if let Some(node) = side_node(sc, target) {
-                    let rule = DuplicateRule::after(
-                        SimDuration::from_millis(offset_ms),
-                        move |f: &Bytes| is_side_channel(f, side_port),
-                    );
-                    let id = sc.sim.add_ingress_rule(node, rule);
-                    rules.push((format!("side_dup@{target:?}({offset_ms}ms)"), node, id));
+            FaultOp::SideDuplicate { offset_ms, .. } => {
+                Step::Rule(DuplicateRule::after(ms(offset_ms), is_side).into())
+            }
+        };
+        let node = fleet.servers[op.rank()];
+        match step {
+            Step::Down(at, pause) => {
+                match pause {
+                    Some(duration) => fleet.sim.schedule_pause(node, at, duration),
+                    None => fleet.sim.schedule_crash(node, at),
                 }
+                let slot = &mut down_at[op.rank()];
+                *slot = Some(slot.map_or(at, |prev: SimTime| prev.min(at)));
+                // Past this the shadows legitimately overtake the downed
+                // server's last state.
+                seq_check_until = seq_check_until.min(at);
+            }
+            Step::Rule(rule) => {
+                rules.push((op.describe(), node, fleet.sim.add_ingress_rule(node, rule)));
             }
         }
     }
-    Installed { incapacitated_at, seq_check_until, rules }
+    Installed { down_at, seq_check_until, rules }
 }
 
 // ---------------------------------------------------------------------
-// Sampled oracles.
+// Sampled oracle.
 
-fn sample_oracles(
-    sc: &Scenario,
-    installed: &Installed,
-    violations: &mut Vec<Violation>,
-    already: &mut bool,
-) {
-    let now = sc.sim.now();
-    let primary = sc.sim.node_ref::<ServerNode>(sc.primary);
-    // Sequence agreement: before the primary is incapacitated (and
-    // before any tap partition), the shadow never leads the primary.
-    // Sampling walks the stacks; the judgment itself is the pure
-    // node-set check in [`crate::oracle`].
-    if !*already && now < installed.seq_check_until {
-        if let Some(backup_id) = sc.backup {
-            let backup = sc.sim.node_ref::<ServerNode>(backup_id);
-            let taken_over = backup.backup_engine().map(|e| e.has_taken_over()).unwrap_or(false);
-            if !taken_over {
-                let mut samples = Vec::new();
-                for sock in backup.stack().socks() {
-                    let Some(btcb) = backup.stack().tcb(sock) else { continue };
-                    if !btcb.state().is_synchronized() {
-                        continue;
-                    }
-                    let Some(psock) = primary.stack().sock_by_quad(btcb.quad()) else { continue };
-                    let Some(ptcb) = primary.stack().tcb(psock) else { continue };
-                    if !ptcb.state().is_synchronized() {
-                        continue;
-                    }
-                    samples.push(ShadowSample {
-                        quad: btcb.quad(),
-                        shadow_rcv_nxt: btcb.rcv_nxt(),
-                        primary_rcv_nxt: ptcb.rcv_nxt(),
-                    });
-                }
-                if check_seq_agreement(now, &samples, violations) {
-                    *already = true;
-                }
+/// Sequence agreement (§4.1): while rank 0 is alive and authoritative
+/// (and before any tap partition), no `Backup`-role server's shadow
+/// leads it. Sampling walks the stacks; the judgment itself is the pure
+/// node-set check in [`crate::oracle`].
+fn sample_seq_agreement(fleet: &Fleet, until: SimTime, violations: &mut Vec<Violation>) {
+    let now = fleet.sim.now();
+    if now >= until || violations.iter().any(|v| v.oracle == OracleKind::SeqAgreement) {
+        return;
+    }
+    let primary = fleet.sim.node_ref::<ServerNode>(fleet.servers[0]);
+    let mut samples = Vec::new();
+    for rank in 1..fleet.servers.len() {
+        if fleet.engine(rank).role() != ClusterRole::Backup {
+            continue;
+        }
+        let backup = fleet.sim.node_ref::<ServerNode>(fleet.servers[rank]);
+        for sock in backup.stack().socks() {
+            let Some(btcb) = backup.stack().tcb(sock) else { continue };
+            if !btcb.state().is_synchronized() {
+                continue;
             }
+            let Some(psock) = primary.stack().sock_by_quad(btcb.quad()) else { continue };
+            let Some(ptcb) = primary.stack().tcb(psock) else { continue };
+            if !ptcb.state().is_synchronized() {
+                continue;
+            }
+            samples.push(ShadowSample {
+                quad: btcb.quad(),
+                shadow_rcv_nxt: btcb.rcv_nxt(),
+                primary_rcv_nxt: ptcb.rcv_nxt(),
+            });
         }
     }
+    check_seq_agreement(now, &samples, violations);
 }
 
 // ---------------------------------------------------------------------
@@ -514,6 +602,10 @@ fn sample_oracles(
 
 /// Executes one chaos run (probe pass if the plan needs one, then the
 /// faulted pass) and judges it against every oracle.
+///
+/// # Panics
+///
+/// Panics when the plan does not [fit](FaultPlan::fits) the testbed.
 pub fn execute(spec: &RunSpec) -> RunReport {
     let profile = if spec.plan.needs_probe() {
         match measure_profile(spec) {
@@ -527,7 +619,7 @@ pub fn execute(spec: &RunSpec) -> RunReport {
 }
 
 /// Executes the faulted pass against an already-measured [`Profile`]
-/// (campaigns reuse probes across plans sharing a workload and seed).
+/// (campaigns reuse probes across plans sharing a testbed and seed).
 pub fn execute_with_profile(spec: &RunSpec, profile: &Profile) -> RunReport {
     execute_faulted(spec, profile, None)
 }
@@ -541,71 +633,57 @@ pub fn execute_with_pcap(spec: &RunSpec, profile: &Profile, pcap: SharedPcap) ->
 
 fn execute_faulted(spec: &RunSpec, profile: &Profile, pcap: Option<SharedPcap>) -> RunReport {
     let cfg = sttcp_cfg(spec);
-    let mut sc = build(&scenario_spec(spec));
-    let installed = install_plan(&mut sc, spec, profile);
-    let mut servers = vec![sc.primary];
-    servers.extend(sc.backup);
-    let probe_state = attach_probe_with(&mut sc.sim, servers, pcap);
+    let mut fleet = build_fleet(spec, &cfg);
+    let installed = install_plan(&mut fleet, spec, cfg.side_channel_port, profile);
+    let probe = attach_probe(&mut fleet, pcap);
 
     let mut violations = Vec::new();
-    let mut sampled_already = false;
-    let t0 = sc.sim.now();
-    let deadline = t0 + spec.limit;
-    let chunk = SimDuration::from_millis(50);
-    let events_before = sc.sim.trace().events_processed;
-    let reason = loop {
-        if sc.client().unwrap().is_done() {
-            break StopReason::Completed;
-        }
-        if sc.sim.now() >= deadline {
-            break StopReason::TimeLimit;
-        }
-        if sc.sim.trace().events_processed - events_before >= spec.max_events {
-            break StopReason::EventLimit;
-        }
-        if sc.sim.pending_events() == 0 {
-            break StopReason::WedgedClient;
-        }
-        sc.sim.run_for(chunk);
-        sample_oracles(&sc, &installed, &mut violations, &mut sampled_already);
-    };
-    let stopped_at = sc.sim.now();
+    let t0 = fleet.sim.now();
+    let reason = drive(&mut fleet, spec, |fleet| {
+        sample_seq_agreement(fleet, installed.seq_check_until, &mut violations);
+    });
+    let stopped_at = fleet.sim.now();
 
     // ---- terminal oracles -------------------------------------------
-    let snapshot = sc.snapshot();
+    let snapshot = fleet.obs.as_ref().expect("chaos runs record obs").snapshot();
+    let who = |client: usize| match fleet.clients.len() {
+        1 => String::new(),
+        _ => format!("client {client}: "),
+    };
 
     // Retention bound (§4.2): retained bytes past the second-buffer
     // capacity spill into the first buffer and eat the advertised
     // window, so occupancy is structurally capped at retention + recv
-    // capacity — window exhaustion stops the sender there. The gauge
-    // sees every peak, not just the instants the old sampled check
-    // visited (clients and the shadow run with retention capacity 0
-    // and never retain, so the global gauge is the primary's).
-    if let Some(snap) = &snapshot {
-        let tcp = &sc.sim.node_ref::<ServerNode>(sc.primary).stack().config().tcp;
-        let bound = (tcp.retention_buf + tcp.recv_buf) as u64;
-        let high_water = snap.get("retention_high_water");
-        if high_water > bound {
+    // capacity — window exhaustion stops the sender there. The gauge is
+    // shared by every server and sees every peak (clients and the last
+    // rank run with retention capacity 0 and never retain).
+    let tcp = &fleet.sim.node_ref::<ServerNode>(fleet.servers[0]).stack().config().tcp;
+    let bound = (tcp.retention_buf + tcp.recv_buf) as u64;
+    let high_water = snapshot.get("retention_high_water");
+    if high_water > bound {
+        violations.push(Violation {
+            oracle: OracleKind::RetentionBound,
+            at: stopped_at,
+            detail: format!("primary retained {high_water} bytes > §4.2 bound {bound}"),
+        });
+    }
+
+    for i in 0..fleet.clients.len() {
+        let m = &fleet.client_app(i).metrics;
+        if m.content_errors > 0 {
             violations.push(Violation {
-                oracle: OracleKind::RetentionBound,
+                oracle: OracleKind::ClientIntegrity,
                 at: stopped_at,
-                detail: format!("primary retained {high_water} bytes > §4.2 bound {bound}"),
+                detail: format!(
+                    "{}{} content errors, first at byte offset {:?}",
+                    who(i),
+                    m.content_errors,
+                    m.first_error_pos
+                ),
             });
         }
     }
-
-    let metrics = sc.client().unwrap().metrics.clone();
-    let progress = sc.client().unwrap().progress();
-    if metrics.content_errors > 0 {
-        violations.push(Violation {
-            oracle: OracleKind::ClientIntegrity,
-            at: stopped_at,
-            detail: format!(
-                "{} content errors, first at byte offset {:?}",
-                metrics.content_errors, metrics.first_error_pos
-            ),
-        });
-    }
+    let progress = fleet.progress();
     if reason != StopReason::Completed {
         violations.push(Violation {
             oracle: OracleKind::Completion,
@@ -614,87 +692,107 @@ fn execute_faulted(spec: &RunSpec, profile: &Profile, pcap: Option<SharedPcap>) 
         });
     }
 
-    let takeover_at = sc.backup().and_then(|e| e.takeover_at());
-    let takeover_latency = match (installed.incapacitated_at, takeover_at) {
-        (Some(fault), Some(tk)) => tk.checked_duration_since(fault),
-        _ => None,
-    };
-
-    // Takeover latency bound: detection threshold + one sync tick +
-    // schedule-added detector slack + fencing round-trip margin.
-    if let (Some(fault_at), Some(tk)) = (installed.incapacitated_at, takeover_at) {
-        let hb_ms = cfg.hb_interval.as_millis();
-        let bound = SimDuration::from_millis(
-            hb_ms * u64::from(cfg.missed_hb_threshold + 2)
-                + cfg.effective_sync_time().as_millis()
-                + spec.plan.detector_slack_ms(hb_ms)
-                + 100,
-        );
-        match tk.checked_duration_since(fault_at) {
-            Some(latency) if latency > bound => violations.push(Violation {
-                oracle: OracleKind::TakeoverLatency,
-                at: tk,
-                detail: format!("takeover {latency} after fault exceeds bound {bound}"),
-            }),
-            Some(_) => {}
-            None => violations.push(Violation {
-                oracle: OracleKind::TakeoverLatency,
-                at: tk,
-                detail: format!("takeover at {tk} precedes the fault at {fault_at}"),
-            }),
+    // Takeover latency: the survivor — the lowest rank the plan leaves
+    // in service — is handed the chain once every rank below it is
+    // down, and must promote within its staggered detection deadline of
+    // that instant, plus two heartbeats and one sync tick of scheduling,
+    // the slack the schedule itself adds to its detector, and a fencing
+    // round-trip margin.
+    let survivor = spec.plan.expected_primary();
+    let handed_over_at = installed.down_at[..survivor]
+        .iter()
+        .map(|at| at.expect("every rank below the survivor is taken down by the plan"))
+        .max();
+    let takeover_at = handed_over_at.and_then(|_| fleet.engine(survivor).takeover_at());
+    let hb_ms = cfg.hb_interval.as_millis();
+    let mut takeover_latency = None;
+    match (handed_over_at, takeover_at) {
+        (Some(fault_at), Some(tk)) => {
+            let bound = detection_deadline(&cfg, survivor as u8)
+                + cfg.hb_interval.saturating_mul(2)
+                + cfg.effective_sync_time()
+                + SimDuration::from_millis(
+                    spec.plan.detector_slack_ms(survivor, hb_ms).saturating_add(100),
+                );
+            takeover_latency = tk.checked_duration_since(fault_at);
+            match takeover_latency {
+                Some(latency) if latency > bound => violations.push(Violation {
+                    oracle: OracleKind::TakeoverLatency,
+                    at: tk,
+                    detail: format!("takeover {latency} after fault exceeds bound {bound}"),
+                }),
+                Some(_) => {}
+                None => violations.push(Violation {
+                    oracle: OracleKind::TakeoverLatency,
+                    at: tk,
+                    detail: format!("takeover at {tk} precedes the fault at {fault_at}"),
+                }),
+            }
         }
-    }
-    if let (Some(fault_at), None) = (installed.incapacitated_at, takeover_at) {
-        // The primary died mid-workload and nobody took over — only a
-        // problem if the workload then failed to finish (a crash after
-        // the last byte needs no takeover).
-        if reason != StopReason::Completed && fault_at < stopped_at {
+        // The chain above the survivor died mid-workload and it never
+        // took over — only a problem if the workload then failed to
+        // finish (a crash after the last byte needs no takeover).
+        (Some(fault_at), None) if reason != StopReason::Completed && fault_at < stopped_at => {
             violations.push(Violation {
                 oracle: OracleKind::TakeoverLatency,
                 at: stopped_at,
-                detail: format!("primary incapacitated at {fault_at}, backup never took over"),
+                detail: format!(
+                    "{} incapacitated at {fault_at}, {} never took over",
+                    rank_tag(survivor - 1),
+                    rank_tag(survivor)
+                ),
             });
         }
+        _ => {}
     }
 
-    // False suspicion: an innocent schedule must not trigger takeover.
-    let hb_ms = cfg.hb_interval.as_millis();
-    let detection_ms = hb_ms * u64::from(cfg.missed_hb_threshold);
-    if let Some(tk) = takeover_at {
-        if !spec.plan.incapacitates_primary() && spec.plan.detector_slack_ms(hb_ms) < detection_ms {
+    // False suspicion: a rank deeper than the survivor has a live
+    // server to follow and must not promote — unless the schedule itself
+    // starved its detector past the deadline.
+    for rank in survivor + 1..fleet.servers.len() {
+        let deadline_ms = detection_deadline(&cfg, rank as u8).as_millis();
+        let Some(tk) = fleet.engine(rank).takeover_at() else { continue };
+        if spec.plan.detector_slack_ms(rank, hb_ms) < deadline_ms {
             violations.push(Violation {
                 oracle: OracleKind::FalseSuspicion,
                 at: tk,
                 detail: format!(
-                    "takeover at {tk} though the schedule never incapacitated the primary"
+                    "takeover at {tk} though the schedule never incapacitated the {}",
+                    rank_tag(rank - 1)
                 ),
             });
         }
     }
 
-    // Single server: after takeover (plus a small in-flight grace), only
-    // the backup may source VIP traffic. The node-set check is shared
-    // with the cluster campaigns; here the allowed set is the singleton
-    // promoted backup.
-    if let Some(tk) = takeover_at {
+    // Single server: after the latest takeover (plus a small in-flight
+    // grace), only the server that took over may source VIP traffic —
+    // fencing, or the crashes that made room for it, must have silenced
+    // every other.
+    let latest_takeover = (1..fleet.servers.len())
+        .filter_map(|rank| Some((fleet.engine(rank).takeover_at()?, rank)))
+        .max();
+    if let Some((tk, rank)) = latest_takeover {
+        let allowed = [fleet.servers[rank].0];
         let grace = SimDuration::from_millis(5);
-        let allowed = [sc.backup.map(|b| b.0).unwrap_or(usize::MAX)];
-        let st = probe_state.borrow();
-        check_single_server(tk, grace, &allowed, &st.vip_last_sent, &mut violations);
+        check_single_server(tk, grace, &allowed, &probe.borrow().vip_last_sent, &mut violations);
     }
 
     // Eventual close: a completed closing workload must fully tear down.
     if reason == StopReason::Completed {
-        sc.sim.run_for(SimDuration::from_secs(3));
-        let client = sc.sim.node_ref::<sttcp::node::ClientNode>(sc.client);
-        let state = client.sock().and_then(|s| client.stack().state(s));
-        let closed = matches!(state, None | Some(TcpState::Closed) | Some(TcpState::TimeWait));
-        if !closed {
-            violations.push(Violation {
-                oracle: OracleKind::EventualClose,
-                at: sc.sim.now(),
-                detail: format!("client connection stuck in {state:?} after completion"),
-            });
+        fleet.sim.run_for(SimDuration::from_secs(3));
+        for (i, &id) in fleet.clients.iter().enumerate() {
+            let client = fleet.sim.node_ref::<ClientNode>(id);
+            let state = client.sock().and_then(|s| client.stack().state(s));
+            if !matches!(state, None | Some(TcpState::Closed) | Some(TcpState::TimeWait)) {
+                violations.push(Violation {
+                    oracle: OracleKind::EventualClose,
+                    at: fleet.sim.now(),
+                    detail: format!(
+                        "{}client connection stuck in {state:?} after completion",
+                        who(i)
+                    ),
+                });
+            }
         }
     }
 
@@ -702,12 +800,12 @@ fn execute_faulted(spec: &RunSpec, profile: &Profile, pcap: Option<SharedPcap>) 
         .rules
         .iter()
         .map(|(desc, node, id)| {
-            let stats = sc.sim.ingress_rule_stats(*node, *id);
+            let stats = fleet.sim.ingress_rule_stats(*node, *id);
             (desc.clone(), stats.matched, stats.fired)
         })
         .collect();
 
-    let digest = probe_state.borrow().digest;
+    let digest = probe.borrow().digest;
     RunReport {
         reason,
         violations,
@@ -715,10 +813,11 @@ fn execute_faulted(spec: &RunSpec, profile: &Profile, pcap: Option<SharedPcap>) 
         probe_duration: profile.duration,
         virtual_duration: stopped_at.duration_since(t0),
         takeover_latency,
-        bytes_received: metrics.bytes_received,
+        final_epoch: fleet.engine(survivor).topology().epoch(),
+        progress,
         injections,
-        obs: snapshot.and_then(|s| Value::parse(&s.to_json())),
-        trace: trace_tail(&sc),
+        obs: Some(snapshot.to_value()),
+        trace: fleet.flight.as_ref().map(|ring| ring.tail(TRACE_TAIL).to_value()),
     }
 }
 
@@ -739,5 +838,18 @@ mod tests {
         let a = fnv1a(fnv1a(FNV_OFFSET, b"ab"), b"cd");
         let b = fnv1a(fnv1a(FNV_OFFSET, b"cd"), b"ab");
         assert_ne!(a, b);
+    }
+
+    #[test]
+    #[should_panic(expected = "no fencing to disable")]
+    fn a_chain_refuses_the_fencing_knob() {
+        let _ = RunSpec::chain(2, 4, 1, FaultPlan::none()).without_fencing();
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit")]
+    fn a_plan_addressing_a_rank_the_testbed_lacks_is_refused() {
+        let plan = FaultPlan::new([FaultOp::SideDrop { rank: 2, skip: 0, count: 1 }]);
+        execute(&RunSpec::new(Workload::Echo { requests: 1 }, 1, plan));
     }
 }

@@ -61,34 +61,34 @@ fn simpler_ops(op: FaultOp) -> Vec<FaultOp> {
             }
             out
         }
-        FaultOp::TapDrop { skip, count } => {
+        FaultOp::TapDrop { rank, skip, count } => {
             let mut out = Vec::new();
             if count > 1 {
-                out.push(FaultOp::TapDrop { skip, count: 1 });
+                out.push(FaultOp::TapDrop { rank, skip, count: 1 });
             }
             if skip > 0 {
-                out.push(FaultOp::TapDrop { skip: 0, count });
+                out.push(FaultOp::TapDrop { rank, skip: 0, count });
             }
             out
         }
-        FaultOp::TapPartition { from_pct, dur_ms } if dur_ms > 100 => {
-            vec![FaultOp::TapPartition { from_pct, dur_ms: dur_ms / 2 }]
+        FaultOp::TapPartition { rank, from_pct, dur_ms } if dur_ms > 100 => {
+            vec![FaultOp::TapPartition { rank, from_pct, dur_ms: dur_ms / 2 }]
         }
-        FaultOp::SideDrop { target, skip, count } => {
+        FaultOp::SideDrop { rank, skip, count } => {
             let mut out = Vec::new();
             if count > 1 {
-                out.push(FaultOp::SideDrop { target, skip, count: count / 2 });
+                out.push(FaultOp::SideDrop { rank, skip, count: count / 2 });
             }
             if skip > 0 {
-                out.push(FaultOp::SideDrop { target, skip: 0, count });
+                out.push(FaultOp::SideDrop { rank, skip: 0, count });
             }
             out
         }
-        FaultOp::SideDelay { target, delay_ms } if delay_ms > 10 => {
-            vec![FaultOp::SideDelay { target, delay_ms: delay_ms / 2 }]
+        FaultOp::SideDelay { rank, delay_ms } if delay_ms > 10 => {
+            vec![FaultOp::SideDelay { rank, delay_ms: delay_ms / 2 }]
         }
-        FaultOp::SideDuplicate { target, offset_ms } if offset_ms > 1 => {
-            vec![FaultOp::SideDuplicate { target, offset_ms: offset_ms / 2 }]
+        FaultOp::SideDuplicate { rank, offset_ms } if offset_ms > 1 => {
+            vec![FaultOp::SideDuplicate { rank, offset_ms: offset_ms / 2 }]
         }
         _ => Vec::new(),
     }
@@ -152,18 +152,18 @@ pub fn shrink(failing: &RunSpec, oracle: OracleKind, max_trials: u32) -> Option<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::SideTarget;
+    use crate::plan::{BACKUP, PRIMARY};
 
     #[test]
     fn simpler_ops_never_return_the_input() {
         let ops = [
             FaultOp::CrashPrimary { quantile_pct: 85 },
             FaultOp::PausePrimary { at_pct: 30, dur_ms: 500 },
-            FaultOp::TapDrop { skip: 5, count: 3 },
-            FaultOp::TapPartition { from_pct: 30, dur_ms: 200 },
-            FaultOp::SideDrop { target: SideTarget::Backup, skip: 2, count: 4 },
-            FaultOp::SideDelay { target: SideTarget::Primary, delay_ms: 60 },
-            FaultOp::SideDuplicate { target: SideTarget::Backup, offset_ms: 8 },
+            FaultOp::TapDrop { rank: BACKUP, skip: 5, count: 3 },
+            FaultOp::TapPartition { rank: BACKUP, from_pct: 30, dur_ms: 200 },
+            FaultOp::SideDrop { rank: BACKUP, skip: 2, count: 4 },
+            FaultOp::SideDelay { rank: PRIMARY, delay_ms: 60 },
+            FaultOp::SideDuplicate { rank: BACKUP, offset_ms: 8 },
         ];
         for op in ops {
             for s in simpler_ops(op) {
@@ -175,7 +175,10 @@ mod tests {
     #[test]
     fn already_minimal_ops_have_no_simplifications() {
         assert!(simpler_ops(FaultOp::CrashPrimary { quantile_pct: 30 }).is_empty());
-        assert!(simpler_ops(FaultOp::TapDrop { skip: 0, count: 1 }).is_empty());
+        assert!(simpler_ops(FaultOp::TapDrop { rank: BACKUP, skip: 0, count: 1 }).is_empty());
         assert!(simpler_ops(FaultOp::CrashPrimaryNearFin).is_empty());
+        // A cascade is timed against detection deadlines: moving a crash
+        // makes a different fault, not a simpler one.
+        assert!(simpler_ops(FaultOp::Crash { rank: 1, at_ms: 280 }).is_empty());
     }
 }

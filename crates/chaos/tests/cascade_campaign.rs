@@ -1,6 +1,7 @@
-//! Cascading-failure campaign over the N-backup replication chain.
+//! Chain campaigns: the N-backup replication chain through the same
+//! plan → probe → oracle → shrink → replay pipeline as the pair.
 //!
-//! Each run kills the primary mid-workload, then kills the freshly
+//! The cascade runs kill the primary mid-workload, then kill the freshly
 //! promoted rank-1 backup *mid-takeover* (inside its successor's
 //! detection stagger), leaving rank 2 of a 3-backup chain to serve.
 //! Every run must keep all eight invariant oracles green, with every
@@ -8,63 +9,196 @@
 //! must converge on the epoch-by-rank topology (epoch 2) regardless of
 //! the path the cascade took.
 //!
-//! On failure, the run's replayable JSON artifact (seed + schedule +
-//! frame digest) lands in `target/chaos-artifacts/` before the panic,
-//! mirroring the single-connection campaign's artifact discipline.
+//! The frame digests were captured from the separate chain runner of the
+//! commit before it was folded into `chaos::run`.
+//!
+//! On failure, the run's replayable artifact (`chaos-hunt --replay`)
+//! lands in `target/tmp/chaos-artifacts/` before the panic.
 
-use chaos::cluster::{execute_cluster, ClusterRunSpec};
+use chaos::{
+    cascade_campaign, execute, shrink, FailureArtifact, FaultOp, FaultPlan, OracleKind, RunReport,
+    RunSpec,
+};
+use netsim::{LinkProfile, SimDuration};
+use sttcp::scenario::StopReason;
 
-const CLIENTS: usize = 40;
 const BACKUPS: usize = 3;
 
-fn run_cascade(seed: u64, first_crash_ms: u64, second_crash_ms: u64) {
-    let spec = ClusterRunSpec::new(CLIENTS, BACKUPS, seed)
-        .crash(0, first_crash_ms)
-        .crash(1, second_crash_ms);
-    let report = execute_cluster(&spec);
-    if !report.passed() {
-        let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("chaos-artifacts");
-        std::fs::create_dir_all(&dir).ok();
-        let path = dir.join(format!("cascade-{seed:x}-{first_crash_ms}-{second_crash_ms}.json"));
-        std::fs::write(&path, report.artifact(&spec)).ok();
-        panic!(
-            "seed {seed:#x} cascade ({first_crash_ms}ms, {second_crash_ms}ms): \
-             {} violations (artifact: {}):\n{}",
-            report.violations.len(),
-            path.display(),
-            report.violations.iter().map(|v| v.to_string()).collect::<Vec<_>>().join("\n")
-        );
-    }
-    assert_eq!(
-        report.final_epoch, 2,
-        "seed {seed:#x}: the survivor must serve under the epoch-by-rank epoch"
+fn cascade(first_crash_ms: u64, second_crash_ms: u64) -> [FaultOp; 2] {
+    [
+        FaultOp::Crash { rank: 0, at_ms: first_crash_ms },
+        FaultOp::Crash { rank: 1, at_ms: second_crash_ms },
+    ]
+}
+
+fn assert_green(spec: &RunSpec, report: &RunReport) {
+    let Some(oracle) = report.first_oracle() else { return };
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("chaos-artifacts");
+    std::fs::create_dir_all(&dir).ok();
+    let path = dir.join(format!("chain-{:x}-{}.json", spec.seed, oracle.tag()));
+    std::fs::write(&path, FailureArtifact::capture(spec, report, oracle).to_json()).ok();
+    panic!(
+        "seed {:#x} [{}]: {} violations (artifact: {}):\n{}",
+        spec.seed,
+        spec.plan.describe(),
+        report.violations.len(),
+        path.display(),
+        report.violations.iter().map(|v| v.to_string()).collect::<Vec<_>>().join("\n")
     );
 }
 
 #[test]
 fn cascade_campaign_three_seeds() {
     // First crash lands mid-connect-spread (half the fleet still
-    // handshaking); the second lands ~160 ms later — right at rank 1's
+    // handshaking); the second lands 160 ms later — right past rank 1's
     // 150 ms detection deadline, i.e. mid-takeover.
-    for &seed in &[0xF1EE7u64, 0xC0FFEE, 0xDEAD_BEEF] {
-        run_cascade(seed, 120, 280);
+    let pinned = [0x3a62_39c0_f77f_53d8, 0xc988_66e5_e444_1be2, 0x9490_502f_6bcb_2c19];
+    let campaign = cascade_campaign();
+    assert_eq!(campaign.runs.len(), pinned.len());
+    for (spec, digest) in campaign.runs.iter().zip(pinned) {
+        assert_eq!(spec.plan.ops, cascade(120, 280));
+        let report = execute(spec);
+        assert_green(spec, &report);
+        assert_eq!(report.digest, digest, "seed {:#x}", spec.seed);
+        assert_eq!(
+            report.final_epoch, 2,
+            "seed {:#x}: the survivor must serve under the epoch-by-rank epoch",
+            spec.seed
+        );
+        // Rank 2 promotes 120 ms after rank 1 died: its clock has been
+        // running since the primary fell silent.
+        assert_eq!(report.takeover_latency, Some(SimDuration::from_millis(120)));
     }
 }
 
 #[test]
 fn cascade_campaign_is_deterministic() {
-    let spec = ClusterRunSpec::new(CLIENTS, BACKUPS, 0xF1EE7).crash(0, 120).crash(1, 280);
-    let a = execute_cluster(&spec);
-    let b = execute_cluster(&spec);
+    let spec = &cascade_campaign().runs[0];
+    let a = execute(spec);
+    let b = execute(spec);
     assert_eq!(a.digest, b.digest, "same spec ⇒ bit-identical frame schedule");
     assert_eq!(a.final_epoch, b.final_epoch);
 }
 
 #[test]
 fn fault_free_chain_promotes_nobody() {
-    let spec = ClusterRunSpec::new(12, BACKUPS, 0xC0FFEE);
-    let report = execute_cluster(&spec);
-    assert!(report.passed(), "violations: {:?}", report.violations);
+    let spec = RunSpec::chain(BACKUPS, 12, 0xC0FFEE, FaultPlan::none());
+    let report = execute(&spec);
+    assert_green(&spec, &report);
+    assert_eq!(report.digest, 0xaa19_957a_e6ed_eab3);
     assert_eq!(report.final_epoch, 0);
-    assert!(report.final_takeover_at.is_none());
+    assert!(report.takeover_latency.is_none());
+    assert_eq!(report.progress, (78_528, 78_528));
+}
+
+#[test]
+fn cascade_crossed_with_tap_loss_and_side_channel_noise_is_green() {
+    // What the chain runner could not express before it was the pair's:
+    // the cascade with rank 1 missing tapped segments before it is
+    // promoted and rank 2 hearing every side-channel datagram twice.
+    let mut ops = cascade(120, 280).to_vec();
+    ops.push(FaultOp::TapDrop { rank: 1, skip: 5, count: 3 });
+    ops.push(FaultOp::SideDuplicate { rank: 2, offset_ms: 5 });
+    let spec = RunSpec::chain(BACKUPS, 40, 0xF1EE7, FaultPlan::new(ops));
+    let report = execute(&spec);
+    assert_green(&spec, &report);
+    assert_eq!(report.final_epoch, 2);
+    assert_eq!(report.injections[0], ("tap_drop@backup(skip 5, 3)".to_string(), 161, 3));
+    assert!(report.injections[1].2 > 0, "the duplication rule fired: {:?}", report.injections);
+    assert!(report.obs.is_some() && report.trace.is_some(), "chain reports embed obs + trace");
+}
+
+#[test]
+fn quantile_crash_on_a_chain_uses_the_probe_pass() {
+    let plan = FaultPlan::new([
+        FaultOp::CrashPrimary { quantile_pct: 50 },
+        FaultOp::SideDelay { rank: 1, delay_ms: 60 },
+    ]);
+    let spec = RunSpec::chain(2, 12, 0xC0FFEE, plan);
+    let report = execute(&spec);
+    assert_green(&spec, &report);
+    assert!(report.probe_duration > SimDuration::ZERO, "the plan needs a probe pass");
+    assert_eq!(report.final_epoch, 1);
+    assert!(report.takeover_latency.is_some());
+}
+
+#[test]
+fn chain_on_a_lossy_link_is_provisioned_and_gated_like_the_pair() {
+    // Burst loss eats heartbeats: with the paper's threshold of 3 rank 1
+    // would promote on a healthy primary. The one `sttcp_cfg()` raises it
+    // to 10 (500 ms of silence), so the takeover waits at least that
+    // long, and sequence agreement — meaningless when every link draws
+    // its own loss — stays out of the verdict.
+    let plan = FaultPlan::new([FaultOp::CrashPrimary { quantile_pct: 30 }]);
+    let spec = RunSpec::chain(2, 12, 0xC0FFEE, plan).on_link(LinkProfile::WanBurstLoss).with_sack();
+    let report = execute(&spec);
+    assert_green(&spec, &report);
+    let latency = report.takeover_latency.expect("rank 1 takes over");
+    assert!(latency >= SimDuration::from_millis(500), "takeover after {latency}");
+}
+
+#[test]
+fn runaway_chain_run_stops_at_the_event_budget() {
+    let mut spec = RunSpec::chain(2, 12, 0xC0FFEE, FaultPlan::none());
+    spec.max_events = 200;
+    let report = execute(&spec);
+    assert_eq!(report.reason, StopReason::EventLimit);
+    assert_eq!(report.first_oracle(), Some(OracleKind::Completion));
+}
+
+/// Chains have no fencing hardware, so starving a deeper rank of
+/// heartbeats is a split brain by construction: rank 2 promotes itself
+/// past its 250 ms deadline while ranks 0 and 1 are alive and serving.
+fn starve_rank_2() -> FaultOp {
+    FaultOp::SideDrop { rank: 2, skip: 0, count: 400 }
+}
+
+#[test]
+fn promotion_ahead_of_the_fault_is_a_violation_at_every_rank() {
+    // Rank 2 has promoted itself by 300 ms; the cascade that would have
+    // made it the legitimate survivor only starts then. The chain runner
+    // used to accept any takeover instant that did not exceed the bound.
+    let mut ops = vec![starve_rank_2()];
+    ops.extend(cascade(300, 460));
+    let report = execute(&RunSpec::chain(2, 40, 0xF1EE7, FaultPlan::new(ops)));
+    let early: Vec<_> =
+        report.violations.iter().filter(|v| v.oracle == OracleKind::TakeoverLatency).collect();
+    assert_eq!(early.len(), 1, "violations: {:?}", report.violations);
+    assert!(early[0].detail.contains("precedes the fault at t=0.460000s"), "{}", early[0]);
+}
+
+#[test]
+fn chain_canary_is_caught_shrunk_and_replayable() {
+    // Mirrors `canary_is_caught_shrunk_and_replayable` in engine.rs, two
+    // ranks deeper: the starvation rides on a primary crash and tap loss
+    // that have nothing to do with the failure, and the shrinker must
+    // find that out.
+    let spec = RunSpec::chain(
+        2,
+        12,
+        0xF1EE7,
+        FaultPlan::new([
+            FaultOp::Crash { rank: 0, at_ms: 120 },
+            FaultOp::TapDrop { rank: 1, skip: 3, count: 2 },
+            starve_rank_2(),
+        ]),
+    );
+    let report = execute(&spec);
+    assert_eq!(report.first_oracle(), Some(OracleKind::SingleServer), "{:?}", report.violations);
+
+    let result = shrink(&spec, OracleKind::SingleServer, 40).expect("original failure reproduces");
+    assert_eq!(result.ops_removed, 2, "minimal plan: [{}]", result.minimal.plan.describe());
+    assert!(
+        matches!(result.minimal.plan.ops[..], [FaultOp::SideDrop { rank: 2, skip: 0, count }] if count < 400),
+        "minimal plan: [{}]",
+        result.minimal.plan.describe()
+    );
+
+    let artifact =
+        FailureArtifact::capture(&result.minimal, &result.report, OracleKind::SingleServer);
+    let parsed = FailureArtifact::from_json(&artifact.to_json()).expect("artifact round-trips");
+    assert_eq!(parsed, artifact);
+    let (reproduced, replay) = parsed.replay();
+    assert!(reproduced, "minimal chain artifact must replay bit-exactly");
+    assert_eq!(replay.digest, artifact.digest);
 }

@@ -4,15 +4,24 @@
 //! representative runs rather than a full campaign — `chaos-hunt` and
 //! the CI `chaos-smoke` job cover the matrices in release mode.
 
+//!
+//! Every frame digest asserted here was captured from the runner of the
+//! commit before the pair and chain runners were merged: the merged
+//! runner builds the same simulations, only the judging moved.
+
 use apps::Workload;
 use chaos::{
     broken_config_canary, execute, shrink, FailureArtifact, FaultOp, FaultPlan, OracleKind,
-    RunSpec, SideTarget,
+    RunSpec, BACKUP,
 };
 
 fn plan(ops: &[FaultOp]) -> FaultPlan {
     FaultPlan { ops: ops.to_vec() }
 }
+
+/// The fault-free 20-echo run; side-channel duplication at the backup's
+/// ingress adds deliveries, not transmissions, so it shares the digest.
+const ECHO20_SEED1_DIGEST: u64 = 0x3fc9_465b_9daa_0799;
 
 #[test]
 fn fault_free_run_is_green() {
@@ -20,6 +29,8 @@ fn fault_free_run_is_green() {
     let report = execute(&spec);
     assert!(report.violations.is_empty(), "violations: {:?}", report.violations);
     assert!(report.takeover_latency.is_none(), "no fault, no takeover");
+    assert_eq!(report.digest, ECHO20_SEED1_DIGEST);
+    assert_eq!((report.final_epoch, report.progress), (0, (3000, 3000)));
 }
 
 #[test]
@@ -28,11 +39,17 @@ fn crash_with_tap_loss_recovers_and_is_green() {
     let spec = RunSpec::new(
         Workload::Echo { requests: 20 },
         1,
-        plan(&[FaultOp::CrashPrimary { quantile_pct: 50 }, FaultOp::TapDrop { skip: 2, count: 2 }]),
+        plan(&[
+            FaultOp::CrashPrimary { quantile_pct: 50 },
+            FaultOp::TapDrop { rank: BACKUP, skip: 2, count: 2 },
+        ]),
     );
     let report = execute(&spec);
     assert!(report.violations.is_empty(), "violations: {:?}", report.violations);
     assert!(report.takeover_latency.is_some(), "a crashed primary must hand over");
+    assert_eq!(report.digest, 0x2f3c_56ef_8396_54e7);
+    assert_eq!(report.final_epoch, 1, "the backup serves under the first promotion's epoch");
+    assert_eq!(report.injections, [("tap_drop@backup(skip 2, 2)".to_string(), 24, 2)]);
 }
 
 #[test]
@@ -44,10 +61,14 @@ fn synack_only_window_bulk_regression() {
     let spec = RunSpec::new(
         Workload::Bulk { file_size: 64 * 1024 },
         1,
-        plan(&[FaultOp::CrashPrimary { quantile_pct: 10 }, FaultOp::TapDrop { skip: 0, count: 1 }]),
+        plan(&[
+            FaultOp::CrashPrimary { quantile_pct: 10 },
+            FaultOp::TapDrop { rank: BACKUP, skip: 0, count: 1 },
+        ]),
     );
     let report = execute(&spec);
     assert!(report.violations.is_empty(), "violations: {:?}", report.violations);
+    assert_eq!(report.digest, 0x5582_b9e0_143e_48c6);
 }
 
 #[test]
@@ -57,11 +78,12 @@ fn runs_are_bit_deterministic() {
         3,
         plan(&[
             FaultOp::CrashPrimary { quantile_pct: 30 },
-            FaultOp::SideDelay { target: SideTarget::Backup, delay_ms: 60 },
+            FaultOp::SideDelay { rank: BACKUP, delay_ms: 60 },
         ]),
     );
     let a = execute(&spec);
     let b = execute(&spec);
+    assert_eq!(a.digest, 0xb44a_b723_6cbd_4c7c);
     assert_eq!(a.digest, b.digest, "identical specs must produce identical frame traces");
     assert_eq!(a.virtual_duration, b.virtual_duration);
     assert_eq!(a.takeover_latency, b.takeover_latency);
@@ -72,7 +94,7 @@ fn different_seeds_diverge() {
     let mk = |seed| RunSpec::new(Workload::Echo { requests: 15 }, seed, plan(&[]));
     let a = execute(&mk(1));
     let b = execute(&mk(2));
-    assert_ne!(a.digest, b.digest, "seeds must actually vary the trace");
+    assert_eq!((a.digest, b.digest), (0xbf2f_1357_ddff_c0a3, 0xe561_2839_f2df_fc29));
 }
 
 #[test]
@@ -87,10 +109,12 @@ fn canary_is_caught_shrunk_and_replayable() {
         "split brain must be caught: {:?}",
         report.violations
     );
+    assert_eq!(report.digest, 0xe932_b98c_169b_0791);
 
     let result = shrink(&spec, OracleKind::SingleServer, 16).expect("original failure reproduces");
     assert!(!result.minimal.plan.ops.is_empty(), "shrink must not empty the schedule");
-    assert!(result.minimal.plan.ops.len() <= spec.plan.ops.len());
+    assert_eq!(result.minimal.plan.describe(), "pause@10%/300ms");
+    assert_eq!(result.report.digest, 0x8a83_25fa_2cab_dfb6);
 
     let artifact =
         FailureArtifact::capture(&result.minimal, &result.report, OracleKind::SingleServer);
@@ -107,9 +131,34 @@ fn innocent_side_channel_noise_is_not_flagged() {
     let spec = RunSpec::new(
         Workload::Echo { requests: 20 },
         1,
-        plan(&[FaultOp::SideDuplicate { target: SideTarget::Backup, offset_ms: 5 }]),
+        plan(&[FaultOp::SideDuplicate { rank: BACKUP, offset_ms: 5 }]),
     );
     let report = execute(&spec);
     assert!(report.violations.is_empty(), "violations: {:?}", report.violations);
     assert!(report.takeover_latency.is_none(), "no takeover without a real fault");
+    assert_eq!(report.digest, ECHO20_SEED1_DIGEST);
+    assert_eq!(report.injections, [("side_dup@backup(5ms)".to_string(), 64, 64)]);
+}
+
+/// An artifact exactly as the engine wrote it before chains shared the
+/// format: no testbed members, no `target` on the tap op, the
+/// side-channel op addressed by the `"backup"` tag.
+const PARENT_ERA_ARTIFACT: &str = r#"{"format":"sttcp-chaos-artifact-v1","workload":{"kind":"echo","requests":100},"seed":"0x0000000000000007","fencing":false,"limit_ms":60000,"max_events":20000000,"link":"lan","congestion":"reno","sack":false,"plan":{"ops":[{"op":"pause_primary","at_pct":10,"dur_ms":300},{"op":"tap_drop","skip":0,"count":1},{"op":"side_duplicate","target":"backup","offset_ms":5}]},"oracle":"single-server","details":["[single-server] t=t=1.246907s node 1 still sourcing VIP traffic at t=1.246907s, 946.907ms after takeover"],"digest":"0x38ff3f9715e6e583"}"#;
+
+#[test]
+fn parent_era_artifact_parses_to_the_same_spec_and_replays() {
+    let artifact = FailureArtifact::from_json(PARENT_ERA_ARTIFACT).expect("still parses");
+    let mut spec = broken_config_canary();
+    spec.plan = plan(&[
+        FaultOp::PausePrimary { at_pct: 10, dur_ms: 300 },
+        FaultOp::TapDrop { rank: BACKUP, skip: 0, count: 1 },
+        FaultOp::SideDuplicate { rank: BACKUP, offset_ms: 5 },
+    ]);
+    assert_eq!(artifact.spec, spec);
+    // The replay must report the very same violation text, not merely
+    // the same oracle.
+    let (reproduced, report) = artifact.replay();
+    assert_eq!(report.violations.len(), 1);
+    assert_eq!(artifact.details, [report.violations[0].to_string()]);
+    assert!(reproduced, "digest {:#018x}", report.digest);
 }

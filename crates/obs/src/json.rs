@@ -1,20 +1,24 @@
-//! A minimal JSON value: enough to serialize and parse fault plans and
-//! failure artifacts without external dependencies.
+//! The workspace's one JSON value: the tree every exported format
+//! (`sttcp-obs-v1`, `sttcp-trace-v1`, chaos fault plans and failure
+//! artifacts) is written from and read back through.
 //!
-//! Numbers are stored as `f64`; every integer the chaos engine needs in
-//! numeric position fits in 53 bits (counts, percentages, millisecond
-//! durations). Full-range `u64` quantities (seeds, trace digests) are
-//! serialized as hex *strings* by the callers to avoid precision loss.
+//! The dialect is what those formats use and nothing more: objects,
+//! arrays, strings, booleans, `null` and **unsigned integers**. A number
+//! is a `u64` and round-trips exactly over its whole range (trace
+//! timestamps and sequence numbers rely on it); a sign, fraction or
+//! exponent is a parse error, as is anything past `u64::MAX`. Object
+//! members keep insertion order, so equal values serialize to
+//! byte-identical text.
 
 /// A JSON value.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Value {
     /// `null`
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// A number (integers up to 2^53 round-trip exactly).
-    Num(f64),
+    /// An unsigned integer (exact over the whole `u64` range).
+    Num(u64),
     /// A string.
     Str(String),
     /// An array.
@@ -32,10 +36,10 @@ impl Value {
         }
     }
 
-    /// The value as an unsigned integer, if it is an integral number.
+    /// The value as an unsigned integer.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Value::Num(n) if n.fract() == 0.0 && *n >= 0.0 && *n <= 9.0e15 => Some(*n as u64),
+            Value::Num(n) => Some(*n),
             _ => None,
         }
     }
@@ -76,13 +80,7 @@ impl Value {
             Value::Null => out.push_str("null"),
             Value::Bool(true) => out.push_str("true"),
             Value::Bool(false) => out.push_str("false"),
-            Value::Num(n) => {
-                if n.fract() == 0.0 && n.abs() <= 9.0e15 {
-                    out.push_str(&format!("{}", *n as i64));
-                } else {
-                    out.push_str(&format!("{n}"));
-                }
-            }
+            Value::Num(n) => out.push_str(&n.to_string()),
             Value::Str(s) => write_escaped(s, out),
             Value::Arr(items) => {
                 out.push('[');
@@ -109,22 +107,18 @@ impl Value {
         }
     }
 
-    /// Parses JSON text. Returns `None` on any syntax error or
-    /// trailing garbage.
+    /// Parses JSON text. Returns `None` on any syntax error, number
+    /// outside the dialect, or trailing garbage.
     pub fn parse(text: &str) -> Option<Value> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
-        p.skip_ws();
+        let mut p = Parser { text, pos: 0 };
         let v = p.value()?;
         p.skip_ws();
-        if p.pos == p.bytes.len() {
-            Some(v)
-        } else {
-            None
-        }
+        (p.pos == text.len()).then_some(v)
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
+/// Appends `s` as a quoted, escaped JSON string.
+pub fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -141,13 +135,14 @@ fn write_escaped(s: &str, out: &mut String) {
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
+    /// Byte offset into `text`, always on a character boundary.
     pos: usize,
 }
 
 impl Parser<'_> {
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -166,7 +161,7 @@ impl Parser<'_> {
     }
 
     fn eat_lit(&mut self, lit: &str) -> Option<()> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.text[self.pos..].starts_with(lit) {
             self.pos += lit.len();
             Some(())
         } else {
@@ -183,7 +178,7 @@ impl Parser<'_> {
             b'"' => self.string().map(Value::Str),
             b'[' => self.array(),
             b'{' => self.object(),
-            b'-' | b'0'..=b'9' => self.number(),
+            b'0'..=b'9' => self.number(),
             _ => None,
         }
     }
@@ -209,10 +204,8 @@ impl Parser<'_> {
                         b'b' => out.push('\u{8}'),
                         b'f' => out.push('\u{c}'),
                         b'u' => {
-                            let hex = self.bytes.get(self.pos + 1..self.pos + 5)?;
-                            let code =
-                                u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
-                            out.push(char::from_u32(code)?);
+                            let hex = self.text.get(self.pos + 1..self.pos + 5)?;
+                            out.push(char::from_u32(u32::from_str_radix(hex, 16).ok()?)?);
                             self.pos += 4;
                         }
                         _ => return None,
@@ -220,11 +213,12 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 _ => {
-                    // Consume one UTF-8 scalar (input is valid UTF-8).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).ok()?;
-                    let c = rest.chars().next()?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or escape in one
+                    // go (both are ASCII, so the cut is a boundary).
+                    let rest = &self.text[self.pos..];
+                    let run = rest.find(['"', '\\']).unwrap_or(rest.len());
+                    out.push_str(&rest[..run]);
+                    self.pos += run;
                 }
             }
         }
@@ -232,22 +226,20 @@ impl Parser<'_> {
 
     fn number(&mut self) -> Option<Value> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
-            self.pos += 1;
+        if matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
+            return None;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).ok()?;
-        text.parse::<f64>().ok().filter(|n| n.is_finite()).map(Value::Num)
+        self.text[start..self.pos].parse().ok().map(Value::Num)
     }
 
     fn array(&mut self) -> Option<Value> {
         self.eat(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
+        if self.eat(b']').is_some() {
             return Some(Value::Arr(items));
         }
         loop {
@@ -268,8 +260,7 @@ impl Parser<'_> {
         self.eat(b'{')?;
         let mut members = Vec::new();
         self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
+        if self.eat(b'}').is_some() {
             return Some(Value::Obj(members));
         }
         loop {
@@ -293,25 +284,24 @@ impl Parser<'_> {
 }
 
 /// Convenience: an object from key/value pairs.
-pub fn obj(members: impl IntoIterator<Item = (&'static str, Value)>) -> Value {
-    Value::Obj(members.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+pub fn obj<K: Into<String>>(members: impl IntoIterator<Item = (K, Value)>) -> Value {
+    Value::Obj(members.into_iter().map(|(k, v)| (k.into(), v)).collect())
 }
 
-/// Convenience: a number from any integer that fits in 53 bits.
-pub fn num(n: u64) -> Value {
-    debug_assert!(n <= 9_007_199_254_740_992, "number too large for exact f64");
-    Value::Num(n as f64)
+/// Convenience: a string value.
+pub fn str(s: impl Into<String>) -> Value {
+    Value::Str(s.into())
 }
 
-/// Convenience: a full-range `u64` as a hex string (lossless).
+/// Convenience: a `u64` as a fixed-width hex string (how seeds and frame
+/// digests are written, so they read as the constants in the source).
 pub fn hex(n: u64) -> Value {
     Value::Str(format!("{n:#018x}"))
 }
 
 /// Parses a [`hex`]-encoded `u64`.
 pub fn from_hex(v: &Value) -> Option<u64> {
-    let s = v.as_str()?;
-    u64::from_str_radix(s.strip_prefix("0x")?, 16).ok()
+    u64::from_str_radix(v.as_str()?.strip_prefix("0x")?, 16).ok()
 }
 
 #[cfg(test)]
@@ -321,12 +311,12 @@ mod tests {
     #[test]
     fn roundtrip_nested() {
         let v = obj([
-            ("name", Value::Str("tap \"drop\"\n".into())),
-            ("count", num(3)),
+            ("name", str("tap \"drop\"\n")),
+            ("count", Value::Num(3)),
             ("seed", hex(0xDEAD_BEEF_0123_4567)),
             ("ok", Value::Bool(true)),
             ("none", Value::Null),
-            ("ops", Value::Arr(vec![num(1), Value::Num(-2.5), Value::Str("αβ".into())])),
+            ("ops", Value::Arr(vec![Value::Num(1), Value::Num(0), str("αβ")])),
         ]);
         let text = v.to_json();
         let back = Value::parse(&text).expect("parses");
@@ -335,8 +325,34 @@ mod tests {
     }
 
     #[test]
+    fn every_u64_round_trips_exactly() {
+        // 2^53 + 1 is where an f64-backed number first goes wrong.
+        for n in [0, 1, (1 << 53) + 1, u64::MAX - 1, u64::MAX] {
+            let text = Value::Num(n).to_json();
+            assert_eq!(text, n.to_string());
+            assert_eq!(Value::parse(&text), Some(Value::Num(n)));
+        }
+        assert_eq!(Value::parse("18446744073709551616"), None, "u64::MAX + 1 is out of range");
+    }
+
+    #[test]
     fn parse_rejects_garbage() {
-        for bad in ["", "{", "[1,", "{\"a\":}", "tru", "1 2", "{\"a\" 1}", "\"\\q\"", "nan"] {
+        for bad in [
+            "",
+            "{",
+            "[1,",
+            "{\"a\":}",
+            "tru",
+            "1 2",
+            "{\"a\" 1}",
+            "\"\\q\"",
+            "nan",
+            "-1",
+            "2.5",
+            "1e3",
+            "not json",
+            "\"open",
+        ] {
             assert_eq!(Value::parse(bad), None, "{bad:?} should not parse");
         }
     }
@@ -346,11 +362,5 @@ mod tests {
         let v = Value::parse(" { \"a\" : [ ] , \"b\" : { } } ").expect("parses");
         assert_eq!(v.get("a"), Some(&Value::Arr(vec![])));
         assert_eq!(v.get("b"), Some(&Value::Obj(vec![])));
-    }
-
-    #[test]
-    fn integers_render_without_fraction() {
-        assert_eq!(num(42).to_json(), "42");
-        assert_eq!(Value::Num(2.5).to_json(), "2.5");
     }
 }

@@ -18,8 +18,8 @@
 //!   cloned into every node of a simulation — or shared across chaos
 //!   worker threads — without interior-mutability gymnastics.
 //! * [`Snapshot`] is the exported view: only non-zero counters/gauges and
-//!   set marks, in declaration order, with a dependency-free JSON writer
-//!   ([`Snapshot::to_json`]) whose format is pinned by a golden test.
+//!   set marks, in declaration order, written through the shared
+//!   [`json::Value`] in a format pinned by a golden test.
 //! * [`TakeoverBreakdown`] derives the paper's headline latency split
 //!   from the phase marks.
 //!
@@ -30,12 +30,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod json;
+pub mod render;
 pub mod trace;
 
+pub use render::{render_chrome, render_sequence, render_timeline, TimelinePhases};
 pub use trace::{
-    for_actor, render_chrome, render_sequence, render_timeline, Actor, FlightRecorder,
-    MigrationPhase, TimelinePhases, TraceConn, TraceEvent, TraceExport, TracedEvent,
-    DEFAULT_TRACE_CAPACITY, TRACE_FORMAT,
+    for_actor, Actor, FlightRecorder, MigrationPhase, TraceConn, TraceEvent, TraceExport,
+    TracedEvent, DEFAULT_TRACE_CAPACITY, TRACE_FORMAT,
 };
 
 use std::fmt;
@@ -335,38 +337,26 @@ impl Snapshot {
         self.marks_ns.iter().find(|&&(mm, _)| mm == m).map(|&(_, t)| t)
     }
 
-    /// Serializes the snapshot as a single-line JSON object:
+    /// The snapshot as a JSON value:
     /// `{"format":"sttcp-obs-v1","counters":{...},"gauges":{...},"marks_ns":{...}}`.
     ///
     /// Key order is the enum declaration order, so equal snapshots
     /// serialize to byte-identical strings (golden-tested).
-    pub fn to_json(&self) -> String {
-        fn obj(out: &mut String, key: &str, entries: impl Iterator<Item = (&'static str, u64)>) {
-            out.push('"');
-            out.push_str(key);
-            out.push_str("\":{");
-            for (i, (name, v)) in entries.enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push('"');
-                out.push_str(name);
-                out.push_str("\":");
-                out.push_str(&v.to_string());
-            }
-            out.push('}');
+    pub fn to_value(&self) -> json::Value {
+        fn section(entries: impl Iterator<Item = (&'static str, u64)>) -> json::Value {
+            json::obj(entries.map(|(name, v)| (name, json::Value::Num(v))))
         }
-        let mut s = String::new();
-        s.push_str("{\"format\":\"");
-        s.push_str(SNAPSHOT_FORMAT);
-        s.push_str("\",");
-        obj(&mut s, "counters", self.counters.iter().map(|&(c, v)| (c.name(), v)));
-        s.push(',');
-        obj(&mut s, "gauges", self.gauges.iter().map(|&(g, v)| (g.name(), v)));
-        s.push(',');
-        obj(&mut s, "marks_ns", self.marks_ns.iter().map(|&(m, v)| (m.name(), v)));
-        s.push('}');
-        s
+        json::obj([
+            ("format", json::str(SNAPSHOT_FORMAT)),
+            ("counters", section(self.counters.iter().map(|&(c, v)| (c.name(), v)))),
+            ("gauges", section(self.gauges.iter().map(|&(g, v)| (g.name(), v)))),
+            ("marks_ns", section(self.marks_ns.iter().map(|&(m, v)| (m.name(), v)))),
+        ])
+    }
+
+    /// Serializes [`Snapshot::to_value`] as a single line.
+    pub fn to_json(&self) -> String {
+        self.to_value().to_json()
     }
 }
 

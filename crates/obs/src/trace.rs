@@ -16,14 +16,16 @@
 //! * [`TraceExport`] — an immutable copy of the ring with a pinned
 //!   single-line JSON format (`sttcp-trace-v1`) that round-trips via
 //!   [`TraceExport::from_json`].
-//! * [`render_timeline`] / [`render_sequence`] / [`render_chrome`] —
-//!   the three post-mortem views the `sttcp-trace` CLI exposes.
+//!
+//! The three post-mortem views the `sttcp-trace` CLI exposes live in
+//! [`crate::render`].
 //!
 //! Events carry virtual-time nanosecond timestamps and a global
 //! monotone sequence number assigned at record time. The simulator is
 //! single-threaded, so the sequence order is the causal order — in
 //! particular, per-connection event order is exact.
 
+use crate::json::{self, Value};
 use crate::{Recorder, SharedRecorder};
 use std::borrow::Cow;
 use std::collections::VecDeque;
@@ -426,7 +428,7 @@ impl TraceEvent {
     }
 }
 
-fn ns_ms(ns: u64) -> f64 {
+pub(crate) fn ns_ms(ns: u64) -> f64 {
     ns as f64 / 1e6
 }
 
@@ -625,26 +627,22 @@ impl TraceExport {
         out
     }
 
-    /// Serializes as a single-line JSON object:
+    /// This export as a JSON value:
     /// `{"format":"sttcp-trace-v1","dropped":N,"events":[...]}`.
     ///
-    /// Field order is fixed per event kind, so equal exports serialize
+    /// Member order is fixed per event kind, so equal exports serialize
     /// to byte-identical strings (the determinism tests rely on it).
+    pub fn to_value(&self) -> Value {
+        json::obj([
+            ("format", json::str(TRACE_FORMAT)),
+            ("dropped", Value::Num(self.dropped)),
+            ("events", Value::Arr(self.events.iter().map(event_to_value).collect())),
+        ])
+    }
+
+    /// Serializes [`TraceExport::to_value`] as a single line.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(64 + self.events.len() * 96);
-        s.push_str("{\"format\":\"");
-        s.push_str(TRACE_FORMAT);
-        s.push_str("\",\"dropped\":");
-        s.push_str(&self.dropped.to_string());
-        s.push_str(",\"events\":[");
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            write_event(&mut s, e);
-        }
-        s.push_str("]}");
-        s
+        self.to_value().to_json()
     }
 
     /// Parses a `sttcp-trace-v1` export.
@@ -654,115 +652,88 @@ impl TraceExport {
     /// Returns [`TraceParseError`] on malformed JSON, a wrong format
     /// tag, or an unknown event kind / actor.
     pub fn from_json(s: &str) -> Result<TraceExport, TraceParseError> {
-        let v = JVal::parse(s)?;
-        let format = v.get("format").and_then(JVal::as_str).unwrap_or("");
+        let v = Value::parse(s).ok_or_else(|| TraceParseError("malformed JSON".into()))?;
+        let format = v.get("format").and_then(Value::as_str).unwrap_or("");
         if format != TRACE_FORMAT {
             return Err(TraceParseError(format!(
                 "expected format {TRACE_FORMAT:?}, got {format:?}"
             )));
         }
-        let dropped = v.get("dropped").and_then(JVal::as_u64).unwrap_or(0);
-        let mut events = Vec::new();
-        if let Some(JVal::Arr(items)) = v.get("events") {
-            for item in items {
-                events.push(parse_event(item)?);
-            }
-        }
+        let dropped = v.get("dropped").and_then(Value::as_u64).unwrap_or(0);
+        let items = v.get("events").and_then(Value::as_arr).unwrap_or(&[]);
+        let events = items.iter().map(parse_event).collect::<Result<_, _>>()?;
         Ok(TraceExport { dropped, events })
     }
 }
 
-fn json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn write_event(out: &mut String, e: &TracedEvent) {
-    let kv_num = |out: &mut String, k: &str, v: u64| {
-        out.push_str(",\"");
-        out.push_str(k);
-        out.push_str("\":");
-        out.push_str(&v.to_string());
-    };
-    let kv_str = |out: &mut String, k: &str, v: &str| {
-        out.push_str(",\"");
-        out.push_str(k);
-        out.push_str("\":");
-        json_str(out, v);
-    };
-    out.push_str("{\"s\":");
-    out.push_str(&e.seq.to_string());
-    kv_num(out, "t", e.t_ns);
-    kv_str(out, "a", e.actor.name());
-    kv_str(out, "ev", e.event.kind());
+fn event_to_value(e: &TracedEvent) -> Value {
+    let mut m: Vec<(&str, Value)> = vec![
+        ("s", Value::Num(e.seq)),
+        ("t", Value::Num(e.t_ns)),
+        ("a", json::str(e.actor.name())),
+        ("ev", json::str(e.event.kind())),
+    ];
+    let num = Value::Num;
+    let conn_str = |c: &TraceConn| json::str(c.to_string());
     match &e.event {
         TraceEvent::TcpState { conn, from, to } => {
-            kv_str(out, "conn", &conn.to_string());
-            kv_str(out, "from", from);
-            kv_str(out, "to", to);
+            m.extend([
+                ("conn", conn_str(conn)),
+                ("from", json::str(&**from)),
+                ("to", json::str(&**to)),
+            ]);
         }
         TraceEvent::ShadowResync { conn, iss } => {
-            kv_str(out, "conn", &conn.to_string());
-            kv_num(out, "iss", u64::from(*iss));
+            m.extend([("conn", conn_str(conn)), ("iss", num(u64::from(*iss)))]);
         }
         TraceEvent::Suppression { ip, on } => {
-            kv_str(out, "ip", &ip.to_string());
-            out.push_str(",\"on\":");
-            out.push_str(if *on { "true" } else { "false" });
+            m.extend([("ip", json::str(ip.to_string())), ("on", Value::Bool(*on))]);
         }
         TraceEvent::RtoFired { conn, backoff, rto_ns } => {
-            kv_str(out, "conn", &conn.to_string());
-            kv_num(out, "backoff", u64::from(*backoff));
-            kv_num(out, "rto_ns", *rto_ns);
+            m.extend([
+                ("conn", conn_str(conn)),
+                ("backoff", num(u64::from(*backoff))),
+                ("rto_ns", num(*rto_ns)),
+            ]);
         }
         TraceEvent::SideSend { msg, conn, seq, len }
         | TraceEvent::SideRecv { msg, conn, seq, len } => {
-            kv_str(out, "msg", msg.name());
-            if let Some(c) = conn {
-                kv_str(out, "conn", &c.to_string());
-            }
-            kv_num(out, "seq", *seq);
-            kv_num(out, "len", u64::from(*len));
+            m.push(("msg", json::str(msg.name())));
+            m.extend(conn.as_ref().map(|c| ("conn", conn_str(c))));
+            m.extend([("seq", num(*seq)), ("len", num(u64::from(*len)))]);
         }
         TraceEvent::Suspected { silent_ns } | TraceEvent::BackupDead { silent_ns } => {
-            kv_num(out, "silent_ns", *silent_ns);
+            m.push(("silent_ns", num(*silent_ns)));
         }
-        TraceEvent::Fence { outlet } => kv_num(out, "outlet", u64::from(*outlet)),
+        TraceEvent::Fence { outlet } => m.push(("outlet", num(u64::from(*outlet)))),
         TraceEvent::Promoted => {}
-        TraceEvent::FirstByte { conn } => kv_str(out, "conn", &conn.to_string()),
-        TraceEvent::FaultRule { kind } => kv_str(out, "kind", kind.name()),
+        TraceEvent::FirstByte { conn } => m.push(("conn", conn_str(conn))),
+        TraceEvent::FaultRule { kind } => m.push(("kind", json::str(kind.name()))),
         TraceEvent::NodePower { node, what } => {
-            kv_str(out, "node", node);
-            kv_str(out, "what", what.name());
+            m.extend([("node", json::str(&**node)), ("what", json::str(what.name()))]);
         }
         TraceEvent::PlannedMigration { phase, epoch } => {
-            kv_str(out, "phase", phase.name());
-            kv_num(out, "epoch", u64::from(*epoch));
+            m.extend([("phase", json::str(phase.name())), ("epoch", num(u64::from(*epoch)))]);
         }
         TraceEvent::CongPhase { conn, algo, from, to, cwnd } => {
-            kv_str(out, "conn", &conn.to_string());
-            kv_str(out, "algo", algo);
-            kv_str(out, "from", from);
-            kv_str(out, "to", to);
-            kv_num(out, "cwnd", u64::from(*cwnd));
+            m.extend([
+                ("conn", conn_str(conn)),
+                ("algo", json::str(&**algo)),
+                ("from", json::str(&**from)),
+                ("to", json::str(&**to)),
+                ("cwnd", num(u64::from(*cwnd))),
+            ]);
         }
         TraceEvent::WireData { conn, seq, len, flags } => {
-            kv_str(out, "conn", &conn.to_string());
-            kv_num(out, "seq", u64::from(*seq));
-            kv_num(out, "len", u64::from(*len));
-            kv_num(out, "flags", u64::from(*flags));
+            m.extend([
+                ("conn", conn_str(conn)),
+                ("seq", num(u64::from(*seq))),
+                ("len", num(u64::from(*len))),
+                ("flags", num(u64::from(*flags))),
+            ]);
         }
     }
-    out.push('}');
+    json::obj(m)
 }
 
 /// Error from [`TraceExport::from_json`].
@@ -777,218 +748,27 @@ impl fmt::Display for TraceParseError {
 
 impl std::error::Error for TraceParseError {}
 
-// ------------------------------------------------- minimal JSON reader
-//
-// This crate deliberately depends on nothing, so the round-trip parser
-// is a ~100-line recursive-descent reader over the subset the writer
-// above emits (objects, arrays, strings, unsigned integers, booleans).
-
-#[derive(Debug, Clone, PartialEq)]
-enum JVal {
-    Num(u64),
-    Bool(bool),
-    Str(String),
-    Arr(Vec<JVal>),
-    Obj(Vec<(String, JVal)>),
-}
-
-impl JVal {
-    fn parse(s: &str) -> Result<JVal, TraceParseError> {
-        let bytes = s.as_bytes();
-        let mut pos = 0;
-        let v = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(TraceParseError(format!("trailing data at byte {pos}")));
-        }
-        Ok(v)
-    }
-
-    fn get(&self, key: &str) -> Option<&JVal> {
-        match self {
-            JVal::Obj(entries) => entries.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            JVal::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_u64(&self) -> Option<u64> {
-        match self {
-            JVal::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    fn as_bool(&self) -> Option<bool> {
-        match self {
-            JVal::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(b: &[u8], pos: &mut usize, ch: u8) -> Result<(), TraceParseError> {
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&ch) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(TraceParseError(format!("expected {:?} at byte {}", ch as char, *pos)))
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<JVal, TraceParseError> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        Some(b'{') => {
-            *pos += 1;
-            let mut entries = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(JVal::Obj(entries));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
-                expect(b, pos, b':')?;
-                let val = parse_value(b, pos)?;
-                entries.push((key, val));
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(JVal::Obj(entries));
-                    }
-                    _ => return Err(TraceParseError(format!("bad object at byte {}", *pos))),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(JVal::Arr(items));
-            }
-            loop {
-                items.push(parse_value(b, pos)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(JVal::Arr(items));
-                    }
-                    _ => return Err(TraceParseError(format!("bad array at byte {}", *pos))),
-                }
-            }
-        }
-        Some(b'"') => Ok(JVal::Str(parse_string(b, pos)?)),
-        Some(b't') if b[*pos..].starts_with(b"true") => {
-            *pos += 4;
-            Ok(JVal::Bool(true))
-        }
-        Some(b'f') if b[*pos..].starts_with(b"false") => {
-            *pos += 5;
-            Ok(JVal::Bool(false))
-        }
-        Some(c) if c.is_ascii_digit() => {
-            let start = *pos;
-            while *pos < b.len() && b[*pos].is_ascii_digit() {
-                *pos += 1;
-            }
-            let text = std::str::from_utf8(&b[start..*pos]).expect("digits are ascii");
-            text.parse()
-                .map(JVal::Num)
-                .map_err(|_| TraceParseError(format!("number out of range at byte {start}")))
-        }
-        _ => Err(TraceParseError(format!("unexpected byte {}", *pos))),
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, TraceParseError> {
-    if b.get(*pos) != Some(&b'"') {
-        return Err(TraceParseError(format!("expected string at byte {}", *pos)));
-    }
-    *pos += 1;
-    let mut out = String::new();
-    while let Some(&c) = b.get(*pos) {
-        *pos += 1;
-        match c {
-            b'"' => return Ok(out),
-            b'\\' => {
-                let esc = b.get(*pos).copied();
-                *pos += 1;
-                match esc {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let hex = b
-                            .get(*pos..*pos + 4)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .and_then(|h| u32::from_str_radix(h, 16).ok())
-                            .and_then(char::from_u32)
-                            .ok_or_else(|| TraceParseError("bad \\u escape".into()))?;
-                        *pos += 4;
-                        out.push(hex);
-                    }
-                    _ => return Err(TraceParseError("bad escape".into())),
-                }
-            }
-            c if c < 0x80 => out.push(c as char),
-            _ => {
-                // Multi-byte UTF-8: re-decode from the byte before.
-                let start = *pos - 1;
-                let mut end = *pos;
-                while end < b.len() && b[end] & 0xC0 == 0x80 {
-                    end += 1;
-                }
-                let s = std::str::from_utf8(&b[start..end])
-                    .map_err(|_| TraceParseError("bad utf8".into()))?;
-                out.push_str(s);
-                *pos = end;
-            }
-        }
-    }
-    Err(TraceParseError("unterminated string".into()))
-}
-
-fn parse_event(v: &JVal) -> Result<TracedEvent, TraceParseError> {
+fn parse_event(v: &Value) -> Result<TracedEvent, TraceParseError> {
     let err = |what: &str| TraceParseError(format!("event missing/invalid {what}"));
-    let seq = v.get("s").and_then(JVal::as_u64).ok_or_else(|| err("s"))?;
-    let t_ns = v.get("t").and_then(JVal::as_u64).ok_or_else(|| err("t"))?;
-    let actor =
-        v.get("a").and_then(JVal::as_str).and_then(Actor::from_name).ok_or_else(|| err("actor"))?;
-    let kind = v.get("ev").and_then(JVal::as_str).ok_or_else(|| err("ev"))?;
+    let seq = v.get("s").and_then(Value::as_u64).ok_or_else(|| err("s"))?;
+    let t_ns = v.get("t").and_then(Value::as_u64).ok_or_else(|| err("t"))?;
+    let actor = v
+        .get("a")
+        .and_then(Value::as_str)
+        .and_then(Actor::from_name)
+        .ok_or_else(|| err("actor"))?;
+    let kind = v.get("ev").and_then(Value::as_str).ok_or_else(|| err("ev"))?;
     let conn = |key: &str| -> Result<TraceConn, TraceParseError> {
-        v.get(key).and_then(JVal::as_str).and_then(TraceConn::parse).ok_or_else(|| err("conn"))
+        v.get(key).and_then(Value::as_str).and_then(TraceConn::parse).ok_or_else(|| err("conn"))
     };
     let opt_conn = |key: &str| -> Option<TraceConn> {
-        v.get(key).and_then(JVal::as_str).and_then(TraceConn::parse)
+        v.get(key).and_then(Value::as_str).and_then(TraceConn::parse)
     };
     let num = |key: &str| -> Result<u64, TraceParseError> {
-        v.get(key).and_then(JVal::as_u64).ok_or_else(|| err(key))
+        v.get(key).and_then(Value::as_u64).ok_or_else(|| err(key))
     };
     let string = |key: &str| -> Result<String, TraceParseError> {
-        v.get(key).and_then(JVal::as_str).map(str::to_string).ok_or_else(|| err(key))
+        v.get(key).and_then(Value::as_str).map(str::to_string).ok_or_else(|| err(key))
     };
     let event = match kind {
         "tcp_state" => TraceEvent::TcpState {
@@ -1001,7 +781,7 @@ fn parse_event(v: &JVal) -> Result<TracedEvent, TraceParseError> {
         }
         "suppression" => TraceEvent::Suppression {
             ip: string("ip")?.parse().map_err(|_| err("ip"))?,
-            on: v.get("on").and_then(JVal::as_bool).ok_or_else(|| err("on"))?,
+            on: v.get("on").and_then(Value::as_bool).ok_or_else(|| err("on"))?,
         },
         "rto_fired" => TraceEvent::RtoFired {
             conn: conn("conn")?,
@@ -1011,7 +791,7 @@ fn parse_event(v: &JVal) -> Result<TracedEvent, TraceParseError> {
         "side_send" | "side_recv" => {
             let msg = v
                 .get("msg")
-                .and_then(JVal::as_str)
+                .and_then(Value::as_str)
                 .and_then(SideMsgKind::from_name)
                 .ok_or_else(|| err("msg"))?;
             let (c, seq_n, len) = (opt_conn("conn"), num("seq")?, num("len")? as u32);
@@ -1029,7 +809,7 @@ fn parse_event(v: &JVal) -> Result<TracedEvent, TraceParseError> {
         "fault_rule" => TraceEvent::FaultRule {
             kind: v
                 .get("kind")
-                .and_then(JVal::as_str)
+                .and_then(Value::as_str)
                 .and_then(FaultKind::from_name)
                 .ok_or_else(|| err("kind"))?,
         },
@@ -1037,14 +817,14 @@ fn parse_event(v: &JVal) -> Result<TracedEvent, TraceParseError> {
             node: Cow::Owned(string("node")?),
             what: v
                 .get("what")
-                .and_then(JVal::as_str)
+                .and_then(Value::as_str)
                 .and_then(PowerKind::from_name)
                 .ok_or_else(|| err("what"))?,
         },
         "planned_migration" => TraceEvent::PlannedMigration {
             phase: v
                 .get("phase")
-                .and_then(JVal::as_str)
+                .and_then(Value::as_str)
                 .and_then(MigrationPhase::from_name)
                 .ok_or_else(|| err("phase"))?,
             epoch: num("epoch")? as u32,
@@ -1066,231 +846,14 @@ fn parse_event(v: &JVal) -> Result<TracedEvent, TraceParseError> {
     };
     Ok(TracedEvent { seq, t_ns, actor, event })
 }
-
-// ----------------------------------------------------------- renderers
-
-/// The takeover phase instants extracted from a trace, aligned with
-/// [`crate::TakeoverBreakdown`]: the `suspected`/`promoted`/`first
-/// byte` events are recorded at the same call sites (and with the same
-/// virtual-time clock) as the corresponding marks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TimelinePhases {
-    /// When the backup suspected the primary dead.
-    pub suspected_ns: u64,
-    /// Primary silence preceding suspicion (the detection phase).
-    pub detection_ns: u64,
-    /// When fencing was requested, if it was.
-    pub fenced_ns: Option<u64>,
-    /// When the backup lifted VIP suppression.
-    pub promoted_ns: u64,
-    /// When the first post-takeover data byte left for the client.
-    pub first_byte_ns: Option<u64>,
-}
-
-impl TimelinePhases {
-    /// Extracts the phases if the trace contains a takeover.
-    pub fn from_export(export: &TraceExport) -> Option<TimelinePhases> {
-        let mut suspected = None;
-        let mut detection = 0;
-        let mut fenced = None;
-        let mut promoted = None;
-        let mut first_byte = None;
-        for e in &export.events {
-            match e.event {
-                TraceEvent::Suspected { silent_ns } if suspected.is_none() => {
-                    suspected = Some(e.t_ns);
-                    detection = silent_ns;
-                }
-                TraceEvent::Fence { .. } if fenced.is_none() => fenced = Some(e.t_ns),
-                TraceEvent::Promoted if promoted.is_none() => promoted = Some(e.t_ns),
-                TraceEvent::FirstByte { .. } if first_byte.is_none() => first_byte = Some(e.t_ns),
-                _ => {}
-            }
-        }
-        Some(TimelinePhases {
-            suspected_ns: suspected?,
-            detection_ns: detection,
-            fenced_ns: fenced,
-            promoted_ns: promoted?,
-            first_byte_ns: first_byte,
-        })
-    }
-
-    /// Promotion latency: suspicion → suppression lifted.
-    pub fn promotion_ns(&self) -> u64 {
-        self.promoted_ns.saturating_sub(self.suspected_ns)
-    }
-
-    /// Suspicion → first post-takeover byte, if one was sent.
-    pub fn first_byte_latency_ns(&self) -> Option<u64> {
-        Some(self.first_byte_ns?.saturating_sub(self.suspected_ns))
-    }
-}
-
-/// Renders the human-readable failover timeline: every event, one per
-/// line, followed by the detection → fencing → promotion → first-byte
-/// phase summary when the trace contains a takeover.
-pub fn render_timeline(export: &TraceExport) -> String {
-    let mut s = String::new();
-    s.push_str(&format!(
-        "flight recorder: {} events ({} dropped)\n",
-        export.events.len(),
-        export.dropped
-    ));
-    s.push_str("     t(ms)  actor    event\n");
-    for e in &export.events {
-        s.push_str(&format!(
-            "{:>10.3}  {:<8} {}\n",
-            ns_ms(e.t_ns),
-            e.actor.name(),
-            e.event.describe()
-        ));
-    }
-    if let Some(p) = TimelinePhases::from_export(export) {
-        s.push('\n');
-        s.push_str("takeover phases:\n");
-        s.push_str(&format!(
-            "  detection   {:>9.3} ms  (suspected t={:.3} ms)\n",
-            ns_ms(p.detection_ns),
-            ns_ms(p.suspected_ns)
-        ));
-        if let Some(f) = p.fenced_ns {
-            s.push_str(&format!(
-                "  fencing req {:>9.3} ms  (t={:.3} ms)\n",
-                ns_ms(f.saturating_sub(p.suspected_ns)),
-                ns_ms(f)
-            ));
-        }
-        s.push_str(&format!(
-            "  promotion   {:>9.3} ms  (unsuppressed t={:.3} ms)\n",
-            ns_ms(p.promotion_ns()),
-            ns_ms(p.promoted_ns)
-        ));
-        match p.first_byte_ns {
-            Some(fb) => s.push_str(&format!(
-                "  first byte  {:>9.3} ms  (t={:.3} ms)\n",
-                ns_ms(p.first_byte_latency_ns().unwrap_or(0)),
-                ns_ms(fb)
-            )),
-            None => s.push_str("  first byte        n/a  (no post-takeover data)\n"),
-        }
-    }
-    s
-}
-
-/// Renders a per-connection text sequence diagram with one lane per
-/// actor. `conn = None` keeps connection-less events (heartbeats,
-/// suspicion, power) and every connection; `Some(c)` filters to events
-/// attributed to `c` plus the connection-less ones.
-pub fn render_sequence(export: &TraceExport, conn: Option<TraceConn>) -> String {
-    const LANES: [Actor; 4] = [Actor::Client, Actor::Net, Actor::Primary, Actor::Backup];
-    const W: usize = 11;
-    let mut s = String::new();
-    match conn {
-        Some(c) => s.push_str(&format!("sequence for {c}\n")),
-        None => s.push_str("sequence (all connections)\n"),
-    }
-    s.push_str(&format!("{:>10}  ", "t(ms)"));
-    for lane in LANES {
-        s.push_str(&format!("{:^W$}", lane.name()));
-    }
-    s.push('\n');
-    for e in &export.events {
-        if let (Some(want), Some(have)) = (conn, e.event.conn()) {
-            if want != have {
-                continue;
-            }
-        }
-        s.push_str(&format!("{:>10.3}  ", ns_ms(e.t_ns)));
-        let pos = LANES.iter().position(|&l| l == e.actor).unwrap_or(1);
-        for (i, _) in LANES.iter().enumerate() {
-            if i == pos {
-                s.push_str(&format!("{:^W$}", marker(&e.event)));
-            } else {
-                s.push_str(&format!("{:^W$}", "|"));
-            }
-        }
-        s.push_str("  ");
-        s.push_str(&e.event.describe());
-        s.push('\n');
-    }
-    s
-}
-
-fn marker(e: &TraceEvent) -> &'static str {
-    match e {
-        TraceEvent::SideSend { .. } => ">--side-->",
-        TraceEvent::SideRecv { .. } => "<--side--<",
-        TraceEvent::WireData { .. } => "~~wire~~",
-        TraceEvent::Suspected { .. } => "!!",
-        TraceEvent::Fence { .. } => "FENCE",
-        TraceEvent::Promoted => "PROMOTE",
-        TraceEvent::FirstByte { .. } => "FIRST",
-        _ => "*",
-    }
-}
-
-/// Renders Chrome `trace_event` JSON (open in `chrome://tracing` or
-/// Perfetto): one instant event per trace event, one thread per actor.
-pub fn render_chrome(export: &TraceExport) -> String {
-    let mut s = String::from("{\"traceEvents\":[");
-    let mut first = true;
-    let mut push = |s: &mut String, item: String| {
-        if !std::mem::take(&mut first) {
-            s.push(',');
-        }
-        s.push_str(&item);
-    };
-    for (tid, actor) in Actor::ALL.iter().enumerate() {
-        if export.events.iter().any(|e| e.actor == *actor) {
-            push(
-                &mut s,
-                format!(
-                    "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\
-                     \"args\":{{\"name\":\"{}\"}}}}",
-                    actor.name()
-                ),
-            );
-        }
-    }
-    for e in &export.events {
-        let tid = Actor::ALL.iter().position(|a| *a == e.actor).unwrap_or(0);
-        let mut detail = String::new();
-        json_str(&mut detail, &e.event.describe());
-        push(
-            &mut s,
-            format!(
-                "{{\"name\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":1,\"tid\":{tid},\
-                 \"args\":{{\"detail\":{detail}}}}}",
-                e.event.kind(),
-                format_us(e.t_ns),
-            ),
-        );
-    }
-    s.push_str("]}");
-    s
-}
-
-/// Nanoseconds → microseconds with sub-µs precision, formatted without
-/// float noise (chrome `ts` fields are microseconds).
-fn format_us(t_ns: u64) -> String {
-    let us = t_ns / 1_000;
-    let frac = t_ns % 1_000;
-    if frac == 0 {
-        us.to_string()
-    } else {
-        format!("{us}.{frac:03}")
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     const IP_A: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
     const IP_B: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 100);
 
-    fn conn() -> TraceConn {
+    pub(crate) fn conn() -> TraceConn {
         TraceConn::new((IP_B, 80), (IP_A, 40000))
     }
 
@@ -1354,7 +917,7 @@ mod tests {
         assert_eq!(exp.events[0].t_ns, 99);
     }
 
-    fn sample_export() -> TraceExport {
+    pub(crate) fn sample_export() -> TraceExport {
         let fr = FlightRecorder::new(64);
         fr.record(
             Actor::Client,
@@ -1458,35 +1021,6 @@ mod tests {
                                         \"events\":[{\"s\":0}]}"
         )
         .is_err());
-    }
-
-    #[test]
-    fn timeline_phases_align_with_events() {
-        let exp = sample_export();
-        let p = TimelinePhases::from_export(&exp).expect("takeover present");
-        assert_eq!(p.suspected_ns, 6_000);
-        assert_eq!(p.detection_ns, 150_000);
-        assert_eq!(p.fenced_ns, Some(6_100));
-        assert_eq!(p.promoted_ns, 6_200);
-        assert_eq!(p.promotion_ns(), 200);
-        assert_eq!(p.first_byte_ns, Some(7_000));
-        assert_eq!(p.first_byte_latency_ns(), Some(1_000));
-    }
-
-    #[test]
-    fn renderers_smoke() {
-        let exp = sample_export();
-        let tl = render_timeline(&exp);
-        assert!(tl.contains("SUSPECTED"));
-        assert!(tl.contains("takeover phases:"));
-        let seq = render_sequence(&exp, Some(conn()));
-        assert!(seq.contains("10.0.0.1:40000<->10.0.0.100:80"));
-        let seq_all = render_sequence(&exp, None);
-        assert!(seq_all.contains("heartbeat"));
-        let chrome = render_chrome(&exp);
-        assert!(chrome.starts_with("{\"traceEvents\":["));
-        assert!(chrome.contains("\"thread_name\""));
-        assert!(chrome.ends_with("]}"));
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! compared in absolute terms. See DESIGN.md §2.
 
 use crate::cluster::ClusterEngine;
-use crate::config::SttcpConfig;
+use crate::config::{Fencing, SttcpConfig};
+use crate::fleet::Fleet;
 use crate::node::{ClientNode, GatewayNode, ServerNode, LAN, MGMT};
 use apps::{
     Application, BulkServer, EchoServer, InteractiveServer, RunMetrics, UploadServer, Workload,
@@ -213,9 +214,15 @@ impl ScenarioSpec {
         }
     }
 
-    /// Switches to an ST-TCP deployment (builder style).
+    /// Switches to an ST-TCP deployment (builder style) and plugs in
+    /// the devices the protocol configuration talks to: the in-network
+    /// logger when `cfg.use_logger`, the power switch when `cfg.fencing`
+    /// names an outlet — a backup fencing into an unplugged management
+    /// port fails without a word.
     #[must_use]
     pub fn st_tcp(mut self, cfg: SttcpConfig) -> Self {
+        self.with_logger = cfg.use_logger;
+        self.with_power_switch = cfg.fencing != Fencing::None;
         self.deployment = Deployment::StTcp(cfg);
         self
     }
@@ -258,20 +265,6 @@ impl ScenarioSpec {
     #[must_use]
     pub fn topology(mut self, t: Topology) -> Self {
         self.topology = t;
-        self
-    }
-
-    /// Adds the packet logger (builder style).
-    #[must_use]
-    pub fn with_logger(mut self) -> Self {
-        self.with_logger = true;
-        self
-    }
-
-    /// Adds the power switch (builder style).
-    #[must_use]
-    pub fn with_power_switch(mut self) -> Self {
-        self.with_power_switch = true;
         self
     }
 
@@ -738,6 +731,29 @@ impl Scenario {
     /// The backup's ST-TCP engine, when a backup is deployed.
     pub fn backup(&self) -> Option<&ClusterEngine> {
         self.sim.node_ref::<ServerNode>(self.backup?).engine()
+    }
+
+    /// The rank-ordered [`Fleet`] view of an ST-TCP pair — servers
+    /// `[primary, backup]`, one client — so code written over a chain of
+    /// any length (the chaos runner's probe and oracles) also drives the
+    /// paper's testbed.
+    ///
+    /// # Panics
+    ///
+    /// Panics for a standard-TCP scenario: there is no chain to view.
+    pub fn into_fleet(self) -> Fleet {
+        let backup = self.backup.expect("only an ST-TCP scenario has a replication chain");
+        Fleet {
+            sim: self.sim,
+            clients: vec![self.client],
+            servers: vec![self.primary, backup],
+            primary: self.primary,
+            backup,
+            fabric: self.fabric,
+            logger: self.logger,
+            obs: self.obs,
+            flight: self.flight,
+        }
     }
 
     /// A snapshot of the recorded observability counters; `None` unless

@@ -161,10 +161,9 @@ fn tap_loss_failover_matches_the_pre_collapse_pair() {
     let mut cfg = sttcp::SttcpConfig::new(addrs::VIP, 80).with_logger();
     cfg.missing_req_chunk = 8 * 1024;
     let crash = SimTime::ZERO + SimDuration::from_millis(700);
-    let mut spec = ScenarioSpec::new(Workload::upload_mb(1))
+    let spec = ScenarioSpec::new(Workload::upload_mb(1))
         .st_tcp(cfg)
         .faults(FaultSpec::crash_primary_at(crash));
-    spec.with_logger = true;
     let mut s = build(&spec);
     s.sim.add_ingress_drop(
         s.backup.unwrap(),

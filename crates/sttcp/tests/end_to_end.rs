@@ -272,7 +272,6 @@ fn tap_omission_then_crash_still_transparent() {
 fn power_switch_fencing_kills_primary_before_takeover() {
     let spec = ScenarioSpec::new(Workload::Echo { requests: 100 })
         .st_tcp(st_cfg().with_fencing(0))
-        .with_power_switch()
         .faults(FaultSpec::crash_primary_at(SimTime::ZERO + secs(0.45)));
     let mut s = build(&spec);
     let m = s.run(RunLimits::time(secs(60.0))).expect_completed();

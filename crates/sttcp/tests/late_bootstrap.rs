@@ -37,9 +37,7 @@ fn spec_with_logger(use_logger: bool) -> ScenarioSpec {
     if use_logger {
         cfg = cfg.with_logger();
     }
-    let mut spec = ScenarioSpec::new(Workload::Echo { requests: 100 }).st_tcp(cfg);
-    spec.with_logger = use_logger;
-    spec
+    ScenarioSpec::new(Workload::Echo { requests: 100 }).st_tcp(cfg)
 }
 
 #[test]

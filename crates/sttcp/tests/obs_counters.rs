@@ -125,7 +125,6 @@ fn takeover_breakdown_is_consistent_with_detector_tuning() {
 fn fencing_mark_lands_between_suspicion_and_takeover() {
     let spec = ScenarioSpec::new(Workload::Echo { requests: 100 })
         .st_tcp(SttcpConfig::new(addrs::VIP, 80).with_fencing(0))
-        .with_power_switch()
         .faults(FaultSpec::crash_primary_at(SimTime::ZERO + SimDuration::from_millis(400)))
         .recording();
     let mut s = build(&spec);

@@ -107,10 +107,9 @@ fn upload_failover_with_tap_loss_and_logger() {
     let crash = SimTime::ZERO + SimDuration::from_millis(700);
     let mut cfg = st_cfg().with_logger();
     cfg.missing_req_chunk = 8 * 1024;
-    let mut spec = ScenarioSpec::new(Workload::upload_mb(1))
+    let spec = ScenarioSpec::new(Workload::upload_mb(1))
         .st_tcp(cfg)
         .faults(FaultSpec::crash_primary_at(crash));
-    spec.with_logger = true;
     let mut s = build(&spec);
     let backup = s.backup.unwrap();
     s.sim.add_ingress_drop(

@@ -27,9 +27,7 @@
 use st_tcp::apps::Workload;
 use st_tcp::netsim::pcap::SharedPcap;
 use st_tcp::netsim::{DropRule, SimDuration, SimTime};
-use st_tcp::sttcp::scenario::{
-    addrs, build, Deployment, FaultSpec, RunLimits, ScenarioSpec, Topology,
-};
+use st_tcp::sttcp::scenario::{addrs, build, FaultSpec, RunLimits, ScenarioSpec, Topology};
 use st_tcp::sttcp::{ServerNode, SttcpConfig};
 use st_tcp::wire::{EtherType, EthernetFrame, IpProtocol, Ipv4Packet};
 use std::process::exit;
@@ -151,8 +149,11 @@ fn main() {
     spec.seed = args.seed;
     spec.close_when_done = args.close;
     spec.interactive_think = SimDuration::from_millis(args.think_ms);
-    spec.with_logger = args.logger;
-    spec.with_power_switch = args.power_switch;
+    if args.standard && (args.logger || args.power_switch) {
+        // Both devices are driven by the ST-TCP backup; a standard
+        // deployment has nobody to query the logger or pull the plug.
+        usage()
+    }
     if !args.standard {
         let mut cfg =
             SttcpConfig::new(addrs::VIP, 80).with_hb_interval(SimDuration::from_millis(args.hb_ms));
@@ -162,7 +163,7 @@ fn main() {
         if args.power_switch {
             cfg = cfg.with_fencing(0);
         }
-        spec.deployment = Deployment::StTcp(cfg);
+        spec = spec.st_tcp(cfg);
     }
     if let Some(t) = args.crash_at {
         spec =

@@ -46,7 +46,6 @@ fn run_with_crash(workload: Workload, crash_ms: u64, seed: u64, tap_loss: f64) -
         .st_tcp(cfg)
         .faults(FaultSpec::crash_primary_at(SimTime::ZERO + SimDuration::from_millis(crash_ms)));
     spec.seed = seed;
-    spec.with_logger = tap_loss > 0.0;
     let mut scenario = build(&spec);
     if tap_loss > 0.0 {
         let backup = scenario.backup.unwrap();

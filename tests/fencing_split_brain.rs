@@ -30,8 +30,7 @@ fn run_paused_primary(with_fencing: bool) -> (bool, bool, usize, bool) {
     if with_fencing {
         cfg = cfg.with_fencing(0);
     }
-    let mut spec = ScenarioSpec::new(Workload::Echo { requests: 100 }).st_tcp(cfg);
-    spec.with_power_switch = with_fencing;
+    let spec = ScenarioSpec::new(Workload::Echo { requests: 100 }).st_tcp(cfg);
     let mut scenario = build(&spec);
     let primary = scenario.primary;
     scenario.sim.schedule_pause(
@@ -129,10 +128,8 @@ fn pause_shorter_than_detection_threshold_is_harmless() {
 fn client_keeps_talking_to_whichever_server_answers() {
     // Sanity: the client never learns there are two servers; its
     // connection state stays Established throughout the stall+takeover.
-    let mut cfg = SttcpConfig::new(addrs::VIP, 80);
-    cfg = cfg.with_fencing(0);
-    let mut spec = ScenarioSpec::new(Workload::Echo { requests: 100 }).st_tcp(cfg);
-    spec.with_power_switch = true;
+    let cfg = SttcpConfig::new(addrs::VIP, 80).with_fencing(0);
+    let spec = ScenarioSpec::new(Workload::Echo { requests: 100 }).st_tcp(cfg);
     let mut scenario = build(&spec);
     let primary = scenario.primary;
     scenario.sim.schedule_pause(

@@ -81,7 +81,6 @@ fn with_fencing_discipline_the_primary_stays_down_and_service_survives() {
     let crash = SimTime::ZERO + secs(0.3);
     let spec = ScenarioSpec::new(Workload::Echo { requests: 100 })
         .st_tcp(SttcpConfig::new(addrs::VIP, 80).with_fencing(0))
-        .with_power_switch()
         .faults(FaultSpec::crash_primary_at(crash));
     let mut s = build(&spec);
     let m = s.run(RunLimits::time(secs(30.0))).expect_completed();
