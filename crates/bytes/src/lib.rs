@@ -284,34 +284,46 @@ impl BytesMut {
         }
     }
 
-    /// Ensures room for `additional` more bytes.
+    /// Makes room for `additional` more bytes if that takes no
+    /// allocation, and says whether it did.
     ///
-    /// When every view split from this buffer has been dropped (this
-    /// writer holds the only reference) the whole buffer is reclaimed in
-    /// place instead of allocating — the steady-state of the frame hot
-    /// path. Otherwise a fresh buffer is allocated and the initialized
-    /// bytes are moved over.
-    pub fn reserve(&mut self, additional: usize) {
+    /// True when the room is already there, or when every view split
+    /// from this buffer has been dropped (this writer holds the only
+    /// reference) and the whole buffer, reclaimed in place, is large
+    /// enough — the steady state of the frame hot path.
+    pub fn try_reclaim(&mut self, additional: usize) -> bool {
         if self.end - self.off - self.len >= additional {
+            return true;
+        }
+        let Some(shared) = self.shared else {
+            return false;
+        };
+        // SAFETY: we hold a reference, so the header is live.
+        let s = unsafe { shared.as_ref() };
+        if s.refs.load(Ordering::Acquire) != 1 || self.end != s.cap || s.cap < self.len + additional
+        {
+            return false;
+        }
+        // Sole owner of the whole buffer: slide our bytes to the front
+        // and reuse the allocation.
+        if self.len > 0 && self.off > 0 {
+            // SAFETY: both ranges lie inside the same live buffer.
+            unsafe {
+                std::ptr::copy(s.ptr.add(self.off), s.ptr, self.len);
+            }
+        }
+        self.off = 0;
+        true
+    }
+
+    /// Ensures room for `additional` more bytes: in place when
+    /// [`BytesMut::try_reclaim`] can, otherwise in a fresh buffer that
+    /// the initialized bytes are moved over to.
+    pub fn reserve(&mut self, additional: usize) {
+        if self.try_reclaim(additional) {
             return;
         }
         let needed = self.len + additional;
-        if let Some(shared) = self.shared {
-            // SAFETY: we hold a reference, so the header is live.
-            let s = unsafe { shared.as_ref() };
-            if s.refs.load(Ordering::Acquire) == 1 && self.end == s.cap && s.cap >= needed {
-                // Sole owner of the whole buffer: slide our bytes to the
-                // front and reuse the allocation.
-                if self.len > 0 && self.off > 0 {
-                    // SAFETY: both ranges lie inside the same live buffer.
-                    unsafe {
-                        std::ptr::copy(s.ptr.add(self.off), s.ptr, self.len);
-                    }
-                }
-                self.off = 0;
-                return;
-            }
-        }
         // Grow path: fresh buffer, geometric growth.
         let new_cap = needed.max((self.end - self.off) * 2).max(64);
         let shared = Shared::alloc(new_cap);

@@ -42,6 +42,9 @@ pub enum EventKind {
         node: NodeId,
         /// Caller-chosen token.
         token: u64,
+        /// The boot of `node` that armed the timer: a timer dies with
+        /// its boot, so one that fires in a later boot is dropped.
+        boot: u32,
     },
     /// Call `on_start` on `node` (simulation start or power-on).
     Start {
@@ -137,7 +140,7 @@ mod tests {
     use super::*;
 
     fn timer(node: usize, token: u64) -> EventKind {
-        EventKind::Timer { node: NodeId(node), token }
+        EventKind::Timer { node: NodeId(node), token, boot: 0 }
     }
 
     #[test]

@@ -101,8 +101,14 @@ impl Context {
 
     /// Arms a timer that fires `on_timer(token)` at absolute time `at`.
     ///
-    /// Timers cannot be cancelled; nodes ignore stale wake-ups by tracking
-    /// their own generation counters (see the host adapters in `sttcp`).
+    /// Timers cannot be cancelled, and every one armed is delivered: a
+    /// node whose deadline moves must tell the superseded fire apart
+    /// itself and treat it as inert — above all not arm a successor
+    /// from it, or each moved deadline starts a chain of wake-ups that
+    /// never ends. (The host adapters in `sttcp` own one live stack wake
+    /// and remember when it is due; any other fire arms nothing.) The
+    /// one exception is a power cycle: a timer dies with the boot that
+    /// armed it and is never delivered to a later one.
     /// `at` values in the past fire immediately after the current event.
     pub fn set_timer_at(&mut self, at: SimTime, token: u64) {
         self.timers.push((at.max(self.now), token));

@@ -22,6 +22,8 @@ struct NodeSlot {
     node: Option<Box<dyn Node>>,
     name: String,
     alive: bool,
+    /// Power-ons after the first start; stamps the timers the node arms.
+    boot: u32,
     paused_until: SimTime,
     /// Wiring, indexed by `PortId` (ports are node-local and dense, so a
     /// flat table beats hashing on the per-frame transmit path).
@@ -121,6 +123,7 @@ impl Simulator {
             node: Some(Box::new(node)),
             name: name.into(),
             alive: true,
+            boot: 0,
             paused_until: SimTime::ZERO,
             ports: Vec::new(),
             rules: Vec::new(),
@@ -208,6 +211,8 @@ impl Simulator {
     ///
     /// From that instant the node receives no frames or timers and emits
     /// nothing — fail-stop semantics, the paper's §4.4 failure model.
+    /// Timers it had armed are lost for good, even if it is powered on
+    /// again before they come due.
     pub fn schedule_crash(&mut self, node: NodeId, at: SimTime) {
         self.crash_schedule.push((node, at));
         self.queue.push(at, EventKind::Control(ControlAction::PowerOff(node)));
@@ -349,9 +354,16 @@ impl Simulator {
                     self.dispatch(node, |n, ctx| n.on_start(ctx));
                 }
             }
-            EventKind::Timer { node, token } => {
-                if self.nodes[node.0].alive {
-                    self.dispatch(node, |n, ctx| n.on_timer(token, ctx));
+            EventKind::Timer { node, token, boot } => {
+                let slot = &self.nodes[node.0];
+                if slot.alive {
+                    if slot.boot == boot {
+                        self.dispatch(node, |n, ctx| n.on_timer(token, ctx));
+                    } else {
+                        // Armed before a crash, due after the reboot:
+                        // the machine that set it no longer exists.
+                        self.trace.timers_from_past_boot += 1;
+                    }
                 }
             }
             EventKind::Frame { node, port, frame } => {
@@ -475,8 +487,9 @@ impl Simulator {
         for (port, frame) in ctx.frames.drain(..) {
             self.transmit(id, port, frame);
         }
+        let boot = self.nodes[id.0].boot;
         for (at, token) in ctx.timers.drain(..) {
-            self.queue.push(at, EventKind::Timer { node: id, token });
+            self.queue.push(at, EventKind::Timer { node: id, token, boot });
         }
         for action in ctx.control.drain(..) {
             self.queue.push(self.now, EventKind::Control(action));
@@ -496,6 +509,7 @@ impl Simulator {
             ControlAction::PowerOn(node) => {
                 if !self.nodes[node.0].alive {
                     self.nodes[node.0].alive = true;
+                    self.nodes[node.0].boot += 1;
                     self.queue.push(self.now, EventKind::Start { node });
                     self.trace_power(node, PowerKind::PowerOn);
                 }
@@ -728,6 +742,36 @@ mod tests {
         sim.run_for(SimDuration::from_millis(30));
         assert_eq!(sim.node_ref::<Boots>(n).boots, 2);
         assert!(sim.is_alive(n));
+    }
+
+    #[test]
+    fn timers_do_not_survive_a_power_cycle() {
+        /// Arms one timer 100 ms after every start; logs what fires.
+        struct Sleeper {
+            boots: u64,
+            fired: Vec<(SimTime, u64)>,
+        }
+        impl Node for Sleeper {
+            fn on_start(&mut self, ctx: &mut Context) {
+                self.boots += 1;
+                ctx.set_timer_after(SimDuration::from_millis(100), self.boots);
+            }
+            fn on_frame(&mut self, _p: PortId, _f: Bytes, _ctx: &mut Context) {}
+            fn on_timer(&mut self, token: u64, ctx: &mut Context) {
+                self.fired.push((ctx.now(), token));
+            }
+        }
+        let ms = |n| SimTime::ZERO + SimDuration::from_millis(n);
+        let mut sim = Simulator::new();
+        let n = sim.add_node("sleeper", Sleeper { boots: 0, fired: Vec::new() });
+        sim.schedule_crash(n, ms(10));
+        sim.schedule_power_on(n, ms(20));
+        sim.run_for(SimDuration::from_secs(1));
+        // The first boot's timer came due at 100 ms, inside the second
+        // boot: it must not reach the rebooted node. The second boot's
+        // own timer (armed at 20 ms) does.
+        assert_eq!(sim.node_ref::<Sleeper>(n).fired, vec![(ms(120), 2)]);
+        assert_eq!(sim.trace().timers_from_past_boot, 1);
     }
 
     #[test]

@@ -59,6 +59,9 @@ pub struct Trace {
     pub frames_to_dead_node: u64,
     /// Frames emitted on an unwired port.
     pub frames_unwired: u64,
+    /// Timers armed in one boot of a node that came due in a later one
+    /// (dropped: timers do not survive a power cycle).
+    pub timers_from_past_boot: u64,
     /// The frame log, populated only when recording is on.
     pub frames: Vec<FrameRecord>,
     record: bool,

@@ -129,6 +129,13 @@ obs_enum! {
         SelectiveRetransmits => "selective_retransmits",
         /// Congestion-state mirror messages sent over the side channel.
         CongSyncsSent => "cong_syncs_sent",
+        /// Stack-timer wake-ups a host adapter took from the simulator.
+        StackWakes => "stack_wakes",
+        /// Those of them that were for nothing: the poll found no
+        /// connection deadline due and emitted no frame (a superseded
+        /// wake, a lazily cancelled wheel entry, a coarse-slot early
+        /// wake). The share of `stack_wakes` is the timer path's waste.
+        StackWakesIdle => "stack_wakes_idle",
     }
 }
 

@@ -21,7 +21,7 @@ use bytes::Bytes;
 use netsim::node::{Context, Node, PortId};
 use netsim::power::power_off_frame;
 use netsim::{SimDuration, SimTime};
-use obs::{SharedRecorder, TraceEvent};
+use obs::{Counter, SharedRecorder, TraceEvent};
 use std::any::Any;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
@@ -51,8 +51,10 @@ struct ConnState {
     peer_closed: bool,
 }
 
-/// Tracks the single timer the node keeps armed for stack deadlines,
-/// ignoring stale wake-ups.
+/// The one *live* stack wake a node owns. Simulator timers cannot be
+/// cancelled, so a deadline that moves earlier leaves the old wake in
+/// the event queue; `armed` is the earliest wake still to fire, and
+/// every other `TOK_STACK` fire is superseded and must stay inert.
 #[derive(Debug, Default)]
 struct StackTimer {
     armed: Option<SimTime>,
@@ -68,8 +70,23 @@ impl StackTimer {
         }
     }
 
-    fn fired(&mut self) {
-        self.armed = None;
+    /// A `TOK_STACK` fire at `now`. Only the armed wake (`armed ≤ now`)
+    /// disarms: a superseded fire that cleared `armed` would make the
+    /// pump arm a second wake for a deadline that already has one, and
+    /// since every fire arms one successor that chain would never die.
+    fn fired(&mut self, now: SimTime) {
+        if self.armed.is_some_and(|a| a <= now) {
+            self.armed = None;
+        }
+    }
+
+    /// Counts the wake a `TOK_STACK` fire was; `busy` is what the pump
+    /// it led to reports (a connection deadline due, or a frame sent).
+    fn count_wake(recorder: &SharedRecorder, busy: bool) {
+        recorder.count(Counter::StackWakes, 1);
+        if !busy {
+            recorder.count(Counter::StackWakesIdle, 1);
+        }
     }
 }
 
@@ -264,7 +281,9 @@ impl ServerNode {
         engine.on_tapped_primary_segment(now, key, seq, ack, syn, &mut self.stack);
     }
 
-    fn pump(&mut self, ctx: &mut Context) {
+    /// One pass over everything the node does. Returns whether the stack
+    /// had work of its own: a connection deadline due or a frame to send.
+    fn pump(&mut self, ctx: &mut Context) -> bool {
         let now = ctx.now();
         // 1. Adopt newly established (or shadowed) connections.
         for si in 0..self.services.len() {
@@ -365,11 +384,13 @@ impl ServerNode {
         // 5. flush engine messages / fencing / logger queries.
         self.flush_engine(now, ctx);
         // 6. Transmit stack output and rearm the stack timer.
-        self.stack.poll_into(now, &mut self.tx);
+        let due = self.stack.poll_into(now, &mut self.tx);
+        let busy = due > 0 || !self.tx.is_empty();
         for frame in self.tx.drain(..) {
             ctx.send_frame(LAN, frame);
         }
         self.timer.rearm(ctx, self.stack.next_deadline());
+        busy
     }
 
     fn flush_engine(&mut self, now: SimTime, ctx: &mut Context) {
@@ -447,7 +468,12 @@ impl Node for ServerNode {
                     ctx.set_timer_after(engine.tick_interval(), TOK_TICK);
                 }
             }
-            TOK_STACK => self.timer.fired(),
+            TOK_STACK => {
+                self.timer.fired(ctx.now());
+                let busy = self.pump(ctx);
+                StackTimer::count_wake(&self.recorder, busy);
+                return;
+            }
             t if t >= TOK_APP_BASE => {
                 let sock = SockId::from_raw(t - TOK_APP_BASE);
                 let now = ctx.now();
@@ -475,6 +501,7 @@ pub struct ClientNode {
     connected: bool,
     peer_closed: bool,
     timer: StackTimer,
+    recorder: SharedRecorder,
     /// Reused frame staging buffer for [`NetStack::poll_into`].
     tx: Vec<Bytes>,
 }
@@ -496,6 +523,7 @@ impl ClientNode {
             connected: false,
             peer_closed: false,
             timer: StackTimer::default(),
+            recorder: obs::nop(),
             tx: Vec::new(),
         }
     }
@@ -505,9 +533,10 @@ impl ClientNode {
         &self.stack
     }
 
-    /// Installs an observability recorder on the client's stack.
+    /// Installs an observability recorder on the client and its stack.
     pub fn set_recorder(&mut self, recorder: SharedRecorder) {
-        self.stack.set_recorder(recorder);
+        self.stack.set_recorder(recorder.clone());
+        self.recorder = recorder;
     }
 
     /// The client's socket handle once connected.
@@ -521,7 +550,8 @@ impl ClientNode {
         app.downcast_ref::<T>()
     }
 
-    fn pump(&mut self, ctx: &mut Context) {
+    /// Returns what [`ServerNode::pump`] does.
+    fn pump(&mut self, ctx: &mut Context) -> bool {
         let now = ctx.now();
         if let Some(sock) = self.sock {
             if let Some(state) = self.stack.state(sock) {
@@ -557,11 +587,13 @@ impl ClientNode {
                 }
             }
         }
-        self.stack.poll_into(now, &mut self.tx);
+        let due = self.stack.poll_into(now, &mut self.tx);
+        let busy = due > 0 || !self.tx.is_empty();
         for frame in self.tx.drain(..) {
             ctx.send_frame(LAN, frame);
         }
         self.timer.rearm(ctx, self.stack.next_deadline());
+        busy
     }
 }
 
@@ -580,7 +612,12 @@ impl Node for ClientNode {
             TOK_CONNECT if self.sock.is_none() => {
                 self.sock = self.stack.connect(ctx.now(), self.target.0, self.target.1).ok();
             }
-            TOK_STACK => self.timer.fired(),
+            TOK_STACK => {
+                self.timer.fired(ctx.now());
+                let busy = self.pump(ctx);
+                StackTimer::count_wake(&self.recorder, busy);
+                return;
+            }
             t if t >= TOK_APP_BASE => {
                 if let Some(sock) = self.sock {
                     let now = ctx.now();
@@ -623,5 +660,56 @@ impl Node for GatewayNode {
             let out_port = PortId(out_side.index());
             ctx.send_frame(out_port, out_frame);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use netsim::Simulator;
+
+    /// Drives a [`StackTimer`] the way a pump does — every fire re-arms
+    /// for the stack deadline `deadline(now)` — and logs the fires.
+    struct Probe {
+        timer: StackTimer,
+        deadline: fn(SimTime) -> Option<SimTime>,
+        fires: Vec<(SimTime, Option<SimTime>)>,
+    }
+
+    impl Node for Probe {
+        fn on_start(&mut self, ctx: &mut Context) {
+            self.timer.rearm(ctx, Some(ms(30))); // T1
+            self.timer.rearm(ctx, Some(ms(10))); // T0 < T1: the deadline moved earlier
+        }
+        fn on_frame(&mut self, _port: PortId, _frame: Bytes, _ctx: &mut Context) {}
+        fn on_timer(&mut self, token: u64, ctx: &mut Context) {
+            assert_eq!(token, TOK_STACK);
+            self.timer.fired(ctx.now());
+            self.timer.rearm(ctx, (self.deadline)(ctx.now()));
+            self.fires.push((ctx.now(), self.timer.armed));
+        }
+    }
+
+    fn ms(n: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_millis(n)
+    }
+
+    #[test]
+    fn a_superseded_stack_wake_arms_nothing() {
+        // The stack's one deadline sits at T2 = 50 ms from the first
+        // fire on, so whatever the pump arms, it arms for T2.
+        let deadline = |now: SimTime| (now < ms(50)).then_some(ms(50));
+        let mut sim = Simulator::new();
+        let n =
+            sim.add_node("probe", Probe { timer: StackTimer::default(), deadline, fires: vec![] });
+        sim.run_until_idle(100);
+        // T0 is the armed wake: it disarms and re-arms T2. T1 is the
+        // wake T0 superseded: it must leave `armed` alone and set no
+        // timer — a second T2 fire is the start of an immortal chain.
+        assert_eq!(
+            sim.node_ref::<Probe>(n).fires,
+            vec![(ms(10), Some(ms(50))), (ms(30), Some(ms(50))), (ms(50), None)]
+        );
+        assert_eq!(sim.trace().events_processed, 4, "one start, three fires");
     }
 }

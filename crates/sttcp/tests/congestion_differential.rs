@@ -53,6 +53,12 @@ impl TraceDigest {
 /// config), captured pre-refactor.
 const BULK_100MB_DIGEST: (u64, u64) = (0xf6cc_9c4e_6e20_1a1d, 215_472);
 
+/// Simulator events the same run takes. The digest says the frames are
+/// the same; the count says nobody is paying for them twice (from PR 6
+/// until the stack-wake rule of DESIGN.md "Timer contract" the run took
+/// 270 816: every superseded timer fire armed a successor).
+const BULK_100MB_EVENTS: u64 = 219_440;
+
 /// Golden digest of the 80-client failover fleet (the
 /// `fleet_failover_frame_traces_are_bit_identical` scenario), captured
 /// pre-refactor (PR 9) and held through the engine collapse (PR 12):
@@ -60,6 +66,11 @@ const BULK_100MB_DIGEST: (u64, u64) = (0xf6cc_9c4e_6e20_1a1d, 215_472);
 /// deposed, so the pair's wire trace does not move after the takeover
 /// either.
 const FLEET_80_FAILOVER_DIGEST: (u64, u64) = (0x24bf_5764_6391_d5fd, 4_228);
+
+/// Simulator events of the failover fleet and of its fault-free twin
+/// (see [`BULK_100MB_EVENTS`]).
+const FLEET_80_FAILOVER_EVENTS: u64 = 5_106;
+const FLEET_80_FAULT_FREE_EVENTS: u64 = 4_619;
 
 #[test]
 fn reno_via_trait_matches_prerefactor_bulk_100mb() {
@@ -79,6 +90,7 @@ fn reno_via_trait_matches_prerefactor_bulk_100mb() {
         d.hash,
         d.frames
     );
+    assert_eq!(s.sim.trace().events_processed, BULK_100MB_EVENTS, "same frames, other event count");
 }
 
 /// Golden digest of the same 80-client fleet with no crash (whole run),
@@ -95,9 +107,9 @@ const FLEET_80_TAKEOVER: SimTime = SimTime::from_nanos(300_000_000);
 const FLEET_80_PRE_PROMOTION_DIGEST: (u64, u64) = (0x2efc_b375_8c3f_a909, 4_129);
 
 /// Runs the 80-client fleet; returns the whole-run digest, the digest of
-/// the frames departing before [`FLEET_80_TAKEOVER`], and the backup's
-/// promotion instant.
-fn fleet_80(crash: bool) -> ((u64, u64), (u64, u64), Option<SimTime>) {
+/// the frames departing before [`FLEET_80_TAKEOVER`], the backup's
+/// promotion instant, and the simulator events processed.
+fn fleet_80(crash: bool) -> ((u64, u64), (u64, u64), Option<SimTime>, u64) {
     let mut spec = FleetSpec::new(80).connect_spread(SimDuration::from_millis(80));
     if crash {
         spec = spec.crash_primary_at(SimTime::ZERO + SimDuration::from_millis(140));
@@ -116,12 +128,12 @@ fn fleet_80(crash: bool) -> ((u64, u64), (u64, u64), Option<SimTime>) {
     assert!(f.verified_clean(), "all 80 client streams must verify clean");
     let takeover = f.sim.node_ref::<ServerNode>(f.backup).backup_engine().unwrap().takeover_at();
     let d = digests.borrow();
-    ((d.0.hash, d.0.frames), (d.1.hash, d.1.frames), takeover)
+    ((d.0.hash, d.0.frames), (d.1.hash, d.1.frames), takeover, f.sim.trace().events_processed)
 }
 
 #[test]
 fn reno_via_trait_matches_prerefactor_fleet_failover() {
-    let (whole, prefix, takeover) = fleet_80(true);
+    let (whole, prefix, takeover, events) = fleet_80(true);
     assert_eq!(takeover, Some(FLEET_80_TAKEOVER), "the takeover instant moved");
     assert_eq!(
         prefix, FLEET_80_PRE_PROMOTION_DIGEST,
@@ -133,17 +145,19 @@ fn reno_via_trait_matches_prerefactor_fleet_failover() {
         "default-config 80-client failover wire trace diverged (got ({:#018x}, {}))",
         whole.0, whole.1
     );
+    assert_eq!(events, FLEET_80_FAILOVER_EVENTS, "same frames, other event count");
 }
 
 #[test]
 fn fault_free_fleet_matches_the_pre_collapse_pair() {
-    let (whole, _, takeover) = fleet_80(false);
+    let (whole, _, takeover, events) = fleet_80(false);
     assert_eq!(takeover, None, "nobody promotes in a fault-free run");
     assert_eq!(
         whole, FLEET_80_FAULT_FREE_DIGEST,
         "fault-free 80-client fleet wire trace diverged (got ({:#018x}, {}))",
         whole.0, whole.1
     );
+    assert_eq!(events, FLEET_80_FAULT_FREE_EVENTS, "same frames, other event count");
 }
 
 /// Golden digest of a 1 MB upload through 15 % tap loss, a primary

@@ -69,8 +69,9 @@ pub(crate) struct Conn {
     /// Listening port whose accept queue still references this socket
     /// (cleared on accept), so release can unlink from exactly one queue.
     pub listen_port: Option<u16>,
-    /// Earliest timer-wheel entry currently scheduled for this socket,
-    /// or `None` when every scheduled entry has already popped.
+    /// The socket's live timer-wheel entry: the earliest one scheduled
+    /// and not yet popped. `None` once that entry pops (later, stale
+    /// entries may still sit in the wheel; their pops leave this alone).
     pub armed: Option<SimTime>,
     /// Whether the socket is already queued for the next poll pass.
     pub queued_poll: bool,

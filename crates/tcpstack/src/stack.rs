@@ -673,17 +673,29 @@ impl NetStack {
     /// O(active): only sockets touched since the last poll (ingress, API
     /// calls, `tcb_mut`) or with a due timer-wheel entry are visited —
     /// idle connections cost nothing, no matter how many exist.
-    pub fn poll_into(&mut self, now: SimTime, frames: &mut Vec<Bytes>) {
+    ///
+    /// Returns how many of the sockets the timer wheel woke had a
+    /// deadline due. Zero, with no frame appended, tells an embedder
+    /// that woke for [`NetStack::next_deadline`] that the wake was for
+    /// nothing (a stale or coarse-slotted wheel entry).
+    pub fn poll_into(&mut self, now: SimTime, frames: &mut Vec<Bytes>) -> usize {
         self.retry_arp(now);
         self.builder.recycle();
         // Due (or stale — lazy cancellation) wheel entries join the pass.
         let mut expired = std::mem::take(&mut self.wheel_expired);
         expired.clear();
         self.wheel.advance(now.as_nanos(), &mut expired);
+        let mut due = 0;
         for &raw in &expired {
             let sock = SockId::from_raw(raw);
             if let Some(conn) = self.tcbs.get_mut(sock) {
-                conn.armed = None;
+                // Only the armed entry's pop disarms. A stale pop that
+                // did would have `rearm` schedule the deadline a second
+                // time, and each of the two entries would do so again.
+                if conn.armed.is_some_and(|armed| armed <= now) {
+                    conn.armed = None;
+                }
+                due += usize::from(conn.tcb.next_deadline().is_some_and(|d| d <= now));
                 self.mark_dirty(sock);
             }
         }
@@ -711,12 +723,14 @@ impl NetStack {
         self.poll_queue.clear();
         self.stats.frames_out += self.out.len() as u64;
         frames.extend(self.out.drain(..));
+        due
     }
 
     /// Ensures the wheel will wake the stack no later than `sock`'s
     /// earliest TCB deadline. Called after every visit; entries are
     /// never cancelled (stale ones pop harmlessly), so scheduling is
-    /// needed only when the deadline moved *earlier* than what's armed.
+    /// needed only when the deadline moved *earlier* than what's armed,
+    /// or when the armed entry has popped.
     fn rearm(&mut self, sock: SockId) {
         if let Some(conn) = self.tcbs.get_mut(sock) {
             if let Some(deadline) = conn.tcb.next_deadline() {
@@ -1117,6 +1131,30 @@ mod tests {
         now += SimDuration::from_secs(61);
         c.poll(now);
         assert_eq!(c.state(cs), Some(TcpState::Closed));
+    }
+
+    #[test]
+    fn a_moved_deadline_leaves_one_live_wheel_entry() {
+        // The client's deadline moves earlier twice — SYN RTO (1 s),
+        // then the FIN's RTO, then the delayed ACK for the server's
+        // reply — and ends as TIME_WAIT's 60 s, later than all three.
+        let (mut c, mut s, cs, ss, mut now) = established_pair();
+        c.close(now, cs);
+        pump(&mut c, &mut s, &mut now, SimDuration::from_micros(100));
+        assert_eq!(s.write(ss, b"bye").unwrap(), 3);
+        pump(&mut c, &mut s, &mut now, SimDuration::from_micros(100));
+        assert_eq!(c.wheel.len(), 3, "three wakes scheduled, none popped yet");
+        s.close(now, ss);
+        pump(&mut c, &mut s, &mut now, SimDuration::from_micros(100));
+        assert_eq!(c.state(cs), Some(TcpState::TimeWait));
+        // Driven the way an embedder drives it, past all three: the
+        // first pop schedules TIME_WAIT's wake, and the two stale pops
+        // that follow must not schedule it again.
+        while let Some(next) = c.next_deadline().filter(|&t| t < now + SimDuration::from_secs(2)) {
+            assert!(c.poll(next).is_empty());
+        }
+        assert_eq!(c.wheel.len(), 1, "one socket, one deadline, one entry");
+        assert_eq!(c.state(cs), Some(TcpState::TimeWait));
     }
 
     #[test]

@@ -16,12 +16,31 @@
 //! Entries are never cancelled — a deadline that moves or disappears
 //! leaves a stale entry behind, which pops harmlessly: the owning socket
 //! gets polled, its `check_timers` does nothing, and the stack re-arms
-//! from the TCB's real `next_deadline()`. [`TimerWheel::next_expiry`] is
-//! therefore *conservative*: it may be up to one slot-span early (the
-//! embedding wakes, finds nothing due, re-arms precisely — entries within
-//! the current tick live in a side list carrying exact times so
-//! convergence takes at most one spurious wake per level), but it is
-//! never late, which is the property the simulation's liveness rests on.
+//! from the TCB's real `next_deadline()` — *if* the pop was that of the
+//! socket's armed (earliest) entry. A stale pop schedules nothing: the
+//! stack keeps one live entry per socket, not one per pop (DESIGN.md,
+//! "Timer contract"). [`TimerWheel::next_expiry`] is *conservative*: for
+//! an entry parked at a coarse level it names the start of the entry's
+//! block, where the embedding wakes, finds nothing due, and the entry
+//! cascades one level finer; entries within the current tick live in a
+//! side list carrying exact times. A deadline scheduled far ahead so
+//! costs up to one early wake per level it descends plus one at the
+//! start of its tick — but it is never late, which is the property the
+//! simulation's liveness rests on.
+//!
+//! # Representation
+//!
+//! All entries live in one arena, a `Vec<Entry>` whose vacant cells
+//! form a free list. Each of the 4 × 64 slots, the imminent list and a
+//! cascade in flight is a FIFO threaded through the arena by `next`
+//! indices, held as a head/tail pair; occupancy bitmaps say which slots
+//! are non-empty. An empty wheel is the 2 KiB of slot indices inline
+//! and one 1.5 KiB allocation (64 entries), a slot costs nothing until
+//! used, moving a slot's entries to a cascade batch is O(1), and once
+//! the arena has grown to a run's high-water mark nothing allocates.
+//! (The wheel it replaces kept a pre-sized `Vec` per slot: 40 KB in 263
+//! allocations per stack, most of a fleet client's footprint. It
+//! survives as the oracle of `tests/twheel_differential.rs`.)
 //!
 //! # Determinism
 //!
@@ -34,38 +53,65 @@ const TICK_SHIFT: u32 = 20; // 2^20 ns ≈ 1.05 ms per tick
 const SLOT_BITS: u32 = 6;
 const SLOTS: usize = 64;
 const LEVELS: usize = 4;
+/// Arena index meaning "no entry" (list terminator, empty list).
+const NIL: u32 = u32::MAX;
 
 #[derive(Debug, Clone, Copy)]
 struct Entry<T> {
     /// Precise expiry, nanoseconds of virtual time.
     at: u64,
     token: T,
+    /// Next entry of the list this one is on (a slot, the imminent
+    /// list, a cascade batch, or the free list).
+    next: u32,
 }
 
-#[derive(Debug)]
-struct Level<T> {
-    /// Bit i set ⇔ `slots[i]` is non-empty.
-    occupied: u64,
-    slots: Vec<Vec<Entry<T>>>,
+/// A FIFO of arena entries: pushes go to the tail, walks start at the
+/// head, so a list keeps insertion order.
+#[derive(Debug, Clone, Copy)]
+struct List {
+    head: u32,
+    tail: u32,
 }
 
-impl<T> Level<T> {
-    fn new() -> Self {
-        // Small initial capacity per slot keeps the steady-state hot path
-        // allocation-free (the zero-alloc guard test runs over this).
-        Level { occupied: 0, slots: (0..SLOTS).map(|_| Vec::with_capacity(8)).collect() }
+impl List {
+    const EMPTY: List = List { head: NIL, tail: NIL };
+
+    fn push_back<T>(&mut self, arena: &mut [Entry<T>], i: u32) {
+        arena[i as usize].next = NIL;
+        match self.tail {
+            NIL => self.head = i,
+            tail => arena[tail as usize].next = i,
+        }
+        self.tail = i;
+    }
+
+    /// Moves every entry of `other` (not empty) to the end of `self`, in
+    /// order.
+    fn append<T>(&mut self, arena: &mut [Entry<T>], other: &mut List) {
+        debug_assert!(other.head != NIL, "only occupied slots are drained");
+        match self.tail {
+            NIL => self.head = other.head,
+            tail => arena[tail as usize].next = other.head,
+        }
+        self.tail = other.tail;
+        *other = List::EMPTY;
     }
 }
 
 /// A four-level hierarchical timer wheel. See the module docs.
 #[derive(Debug)]
 pub struct TimerWheel<T> {
-    levels: Vec<Level<T>>,
+    /// Every entry, scheduled or free; all lists thread through it.
+    arena: Vec<Entry<T>>,
+    /// Head of the free list (LIFO).
+    free: u32,
+    /// Per level: bit i set ⇔ `slots[level][i]` is non-empty.
+    occupied: [u64; LEVELS],
+    slots: [[List; SLOTS]; LEVELS],
     /// Entries due within the current tick, carrying precise times so
     /// [`TimerWheel::next_expiry`] converges to the exact deadline.
-    imminent: Vec<Entry<T>>,
-    /// Cascade staging buffer (kept for capacity reuse).
-    scratch: Vec<Entry<T>>,
+    imminent: List,
     now_tick: u64,
     len: usize,
 }
@@ -80,9 +126,14 @@ impl<T: Copy> TimerWheel<T> {
     /// An empty wheel positioned at virtual time zero.
     pub fn new() -> Self {
         TimerWheel {
-            levels: (0..LEVELS).map(|_| Level::new()).collect(),
-            imminent: Vec::with_capacity(16),
-            scratch: Vec::with_capacity(64),
+            // One allocation up front keeps the first connections'
+            // timers off the allocator (the zero-alloc guard tests run
+            // over this); a busier wheel grows it to its high-water mark.
+            arena: Vec::with_capacity(SLOTS),
+            free: NIL,
+            occupied: [0; LEVELS],
+            slots: [[List::EMPTY; SLOTS]; LEVELS],
+            imminent: List::EMPTY,
             now_tick: 0,
             len: 0,
         }
@@ -101,33 +152,55 @@ impl<T: Copy> TimerWheel<T> {
     /// Schedules `token` to pop at or before virtual time `at_ns`. O(1).
     pub fn schedule(&mut self, at_ns: u64, token: T) {
         self.len += 1;
-        self.place(Entry { at: at_ns, token });
+        let entry = Entry { at: at_ns, token, next: NIL };
+        let i = match self.free {
+            NIL => {
+                let i = u32::try_from(self.arena.len()).ok().filter(|&i| i != NIL);
+                let i = i.expect("timer arena full");
+                self.arena.push(entry);
+                i
+            }
+            i => {
+                self.free = self.arena[i as usize].next;
+                self.arena[i as usize] = entry;
+                i
+            }
+        };
+        self.place(i);
     }
 
-    fn place(&mut self, e: Entry<T>) {
-        let at_tick = e.at >> TICK_SHIFT;
+    /// Puts entry `i` back on the free list and returns its token.
+    fn release(&mut self, i: u32) -> T {
+        self.len -= 1;
+        let e = &mut self.arena[i as usize];
+        e.next = self.free;
+        self.free = i;
+        e.token
+    }
+
+    /// Links entry `i` onto the list its time belongs to.
+    fn place(&mut self, i: u32) {
+        let at_tick = self.arena[i as usize].at >> TICK_SHIFT;
         if at_tick <= self.now_tick {
             // Due now or within the current tick: precise side list.
-            self.imminent.push(e);
+            self.imminent.push_back(&mut self.arena, i);
             return;
         }
-        for (lvl, level) in self.levels.iter_mut().enumerate() {
-            let shift = SLOT_BITS * lvl as u32;
-            let high_delta = (at_tick >> shift) - (self.now_tick >> shift);
-            if high_delta <= 63 {
-                let slot = ((at_tick >> shift) & 63) as usize;
-                level.slots[slot].push(e);
-                level.occupied |= 1 << slot;
-                return;
-            }
-        }
-        // Beyond the top-level horizon (~4.9 h out): park in the farthest
-        // top-level slot; it cascades inward when that block is reached.
-        let shift = SLOT_BITS * (LEVELS - 1) as u32;
-        let slot = (((self.now_tick >> shift) + 63) & 63) as usize;
-        let top = self.levels.last_mut().expect("LEVELS > 0");
-        top.slots[slot].push(e);
-        top.occupied |= 1 << slot;
+        // The first level whose window reaches the tick — or, beyond the
+        // top-level horizon (~4.9 h out), the farthest top-level slot,
+        // which cascades inward when that block is reached.
+        let (lvl, slot) = (0..LEVELS)
+            .find_map(|lvl| {
+                let shift = SLOT_BITS * lvl as u32;
+                let high_delta = (at_tick >> shift) - (self.now_tick >> shift);
+                (high_delta <= 63).then_some((lvl, (at_tick >> shift) & 63))
+            })
+            .unwrap_or_else(|| {
+                let shift = SLOT_BITS * (LEVELS - 1) as u32;
+                (LEVELS - 1, ((self.now_tick >> shift) + 63) & 63)
+            });
+        self.slots[lvl][slot as usize].push_back(&mut self.arena, i);
+        self.occupied[lvl] |= 1 << slot;
     }
 
     /// Advances the wheel to `now_ns`, pushing every token whose entry
@@ -135,73 +208,76 @@ impl<T: Copy> TimerWheel<T> {
     /// whose blocks are reached but whose precise time is still in the
     /// future cascade toward finer levels.
     pub fn advance(&mut self, now_ns: u64, expired: &mut Vec<T>) {
-        if !self.imminent.is_empty() {
-            let len = &mut self.len;
-            self.imminent.retain(|e| {
-                if e.at <= now_ns {
-                    expired.push(e.token);
-                    *len -= 1;
-                    false
-                } else {
-                    true
-                }
-            });
-        }
+        // The due imminent entries expire; the rest go back on in order.
+        let imminent = std::mem::replace(&mut self.imminent, List::EMPTY);
+        self.dispatch(imminent, now_ns, expired);
         let target = now_ns >> TICK_SHIFT;
         if target <= self.now_tick {
             return;
         }
         let old = self.now_tick;
         self.now_tick = target;
-        debug_assert!(self.scratch.is_empty());
-        let mut batch = std::mem::take(&mut self.scratch);
-        for (lvl, level) in self.levels.iter_mut().enumerate() {
+        let mut batch = List::EMPTY;
+        for lvl in 0..LEVELS {
             let shift = SLOT_BITS * lvl as u32;
             let old_high = old >> shift;
             let new_high = target >> shift;
             if old_high == new_high {
                 break; // higher levels unchanged too
             }
-            if level.occupied == 0 {
+            if self.occupied[lvl] == 0 {
                 continue;
             }
             if new_high - old_high >= 64 {
                 // Jump past the whole level: drain every occupied slot.
-                let mut occ = level.occupied;
+                let mut occ = self.occupied[lvl];
                 while occ != 0 {
                     let s = occ.trailing_zeros() as usize;
                     occ &= occ - 1;
-                    batch.append(&mut level.slots[s]);
+                    batch.append(&mut self.arena, &mut self.slots[lvl][s]);
                 }
-                level.occupied = 0;
+                self.occupied[lvl] = 0;
             } else {
                 for h in (old_high + 1)..=new_high {
                     let s = (h & 63) as usize;
-                    if level.occupied & (1 << s) != 0 {
-                        batch.append(&mut level.slots[s]);
-                        level.occupied &= !(1u64 << s);
+                    if self.occupied[lvl] & (1 << s) != 0 {
+                        batch.append(&mut self.arena, &mut self.slots[lvl][s]);
+                        self.occupied[lvl] &= !(1u64 << s);
                     }
                 }
             }
         }
-        for e in batch.drain(..) {
-            if e.at <= now_ns {
-                expired.push(e.token);
-                self.len -= 1;
+        self.dispatch(batch, now_ns, expired);
+    }
+
+    /// Walks `list` in order: entries due by `now_ns` expire, the rest
+    /// are placed afresh relative to the current tick.
+    fn dispatch(&mut self, list: List, now_ns: u64, expired: &mut Vec<T>) {
+        let mut i = list.head;
+        while i != NIL {
+            let Entry { at, next, .. } = self.arena[i as usize];
+            if at <= now_ns {
+                expired.push(self.release(i));
             } else {
-                self.place(e);
+                self.place(i);
             }
+            i = next;
         }
-        self.scratch = batch;
     }
 
     /// The earliest instant the wheel needs attention: never later than
     /// any scheduled entry, possibly up to one block-span early for
     /// entries still parked at coarse levels.
     pub fn next_expiry(&self) -> Option<u64> {
-        let mut best: Option<u64> = self.imminent.iter().map(|e| e.at).min();
-        for (lvl, level) in self.levels.iter().enumerate() {
-            if level.occupied == 0 {
+        let mut best: Option<u64> = None;
+        let mut i = self.imminent.head;
+        while i != NIL {
+            let e = &self.arena[i as usize];
+            best = Some(best.map_or(e.at, |b| b.min(e.at)));
+            i = e.next;
+        }
+        for (lvl, &occupied) in self.occupied.iter().enumerate() {
+            if occupied == 0 {
                 continue;
             }
             let shift = SLOT_BITS * lvl as u32;
@@ -209,7 +285,7 @@ impl<T: Copy> TimerWheel<T> {
             let cur_slot = (cur_high & 63) as u32;
             // Distance 1..=64 to the first occupied slot cyclically after
             // the current one — the next block boundary with entries.
-            let rot = level.occupied.rotate_right((cur_slot + 1) & 63);
+            let rot = occupied.rotate_right((cur_slot + 1) & 63);
             let d = u64::from(rot.trailing_zeros()) + 1;
             let cand = ((cur_high + d) << shift) << TICK_SHIFT;
             best = Some(best.map_or(cand, |b| b.min(cand)));

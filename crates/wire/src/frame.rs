@@ -74,6 +74,9 @@ pub struct TcpFrameHeader<'a> {
 #[derive(Debug)]
 pub struct FrameBuilder {
     buf: BytesMut,
+    /// Size of the next buffer while the builder is still growing (see
+    /// [`FrameBuilder::make_room`]).
+    next_capacity: usize,
     /// Largest burst (bytes between recycles) seen so far.
     high_water: usize,
     burst_bytes: usize,
@@ -86,8 +89,13 @@ impl Default for FrameBuilder {
 }
 
 impl FrameBuilder {
-    /// Default initial buffer capacity (grows to the working set).
-    const DEFAULT_CAPACITY: usize = 64 * 1024;
+    /// Default initial buffer capacity: room for a connection's worth of
+    /// handshake, request and ACK frames, which is all most stacks of a
+    /// large fleet ever send.
+    const DEFAULT_CAPACITY: usize = 2 * 1024;
+    /// Where doubling stops: a bulk sender's buffer, reached within its
+    /// first few bursts (≈ 43 full-size frames between reclaims).
+    const MAX_CAPACITY: usize = 64 * 1024;
 
     /// Creates a builder with the default capacity.
     pub fn new() -> FrameBuilder {
@@ -96,7 +104,12 @@ impl FrameBuilder {
 
     /// Creates a builder with a specific initial capacity.
     pub fn with_capacity(cap: usize) -> FrameBuilder {
-        FrameBuilder { buf: BytesMut::with_capacity(cap), high_water: 0, burst_bytes: 0 }
+        FrameBuilder {
+            buf: BytesMut::with_capacity(cap),
+            next_capacity: cap,
+            high_water: 0,
+            burst_bytes: 0,
+        }
     }
 
     /// Marks a burst boundary (call once per poll).
@@ -107,7 +120,23 @@ impl FrameBuilder {
     pub fn recycle(&mut self) {
         self.high_water = self.high_water.max(self.burst_bytes);
         self.burst_bytes = 0;
-        self.buf.reserve(self.high_water);
+        self.make_room(self.high_water);
+    }
+
+    /// Ensures `need` contiguous bytes. A miss while frames split from
+    /// the buffer are still in flight pins it, so it is replaced: by one
+    /// twice the size while the builder is growing into its working set
+    /// (a bulk sender reaches [`Self::MAX_CAPACITY`] within its first
+    /// few bursts; an idle stack never pays for it), and from then on by
+    /// one sized to the burst, as [`BytesMut::reserve`] does.
+    fn make_room(&mut self, need: usize) {
+        debug_assert!(self.buf.is_empty(), "frame left unfinished in builder");
+        if self.next_capacity >= Self::MAX_CAPACITY {
+            self.buf.reserve(need);
+        } else if !self.buf.try_reclaim(need) {
+            self.next_capacity = (2 * self.next_capacity).min(Self::MAX_CAPACITY);
+            self.buf = BytesMut::with_capacity(need.max(self.next_capacity));
+        }
     }
 
     /// Composes one Ethernet+IPv4+TCP frame in a single pass.
@@ -232,8 +261,7 @@ impl FrameBuilder {
 
     /// Readies the buffer for one frame of `frame_len` bytes.
     fn begin(&mut self, frame_len: usize) -> &mut BytesMut {
-        debug_assert!(self.buf.is_empty(), "frame left unfinished in builder");
-        self.buf.reserve(frame_len);
+        self.make_room(frame_len);
         &mut self.buf
     }
 
