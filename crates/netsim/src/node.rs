@@ -11,6 +11,7 @@ use crate::time::SimTime;
 use bytes::Bytes;
 use std::any::Any;
 use std::fmt;
+use wire::MacAddr;
 
 /// Identifies a node within a [`crate::Simulator`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -51,6 +52,24 @@ pub enum ControlAction {
     Pause(NodeId, crate::time::SimTime),
 }
 
+/// A NIC's hardware unicast filter: the station addresses it passes up
+/// to its host. Group destinations (broadcast included) always pass — the
+/// host knows which it joined — and so does a runt, for its parser to count.
+#[derive(Debug)]
+pub(crate) struct NicFilter {
+    own: MacAddr,
+    also: Box<[MacAddr]>,
+}
+
+impl NicFilter {
+    pub(crate) fn passes(&self, frame: &[u8]) -> bool {
+        let Some(dst) = frame.first_chunk().copied().map(MacAddr) else {
+            return true;
+        };
+        dst.is_multicast() || dst == self.own || self.also.contains(&dst)
+    }
+}
+
 /// Buffered effects and environment for one node callback.
 ///
 /// Everything a node does during `on_start`/`on_frame`/`on_timer` goes
@@ -62,12 +81,21 @@ pub struct Context {
     pub(crate) frames: Vec<(PortId, Bytes)>,
     pub(crate) timers: Vec<(SimTime, u64)>,
     pub(crate) control: Vec<ControlAction>,
+    pub(crate) nic: Option<NicFilter>,
     pub(crate) rng: SplitMix64,
 }
 
 impl Context {
     pub(crate) fn new(now: SimTime, node: NodeId, rng: SplitMix64) -> Self {
-        Context { now, node, frames: Vec::new(), timers: Vec::new(), control: Vec::new(), rng }
+        Context {
+            now,
+            node,
+            frames: Vec::new(),
+            timers: Vec::new(),
+            control: Vec::new(),
+            nic: None,
+            rng,
+        }
     }
 
     /// Re-arms a used context for the next dispatch, keeping the effect
@@ -79,6 +107,7 @@ impl Context {
         self.frames.clear();
         self.timers.clear();
         self.control.clear();
+        self.nic = None;
     }
 
     /// Current virtual time.
@@ -117,6 +146,22 @@ impl Context {
     /// Arms a timer `after` from now. Convenience over [`Self::set_timer_at`].
     pub fn set_timer_after(&mut self, after: crate::time::SimDuration, token: u64) {
         self.set_timer_at(self.now + after, token);
+    }
+
+    /// Programs this node's NIC with a hardware unicast filter: from the
+    /// end of this callback on, a unicast frame for neither `own` nor one
+    /// of `also` is discarded by the NIC — counted in
+    /// [`crate::Trace::frames_filtered_nic`], never handed to
+    /// [`Node::on_frame`] — the way a station discards what a switch
+    /// floods past it. Group frames always reach the host (`also` skips them).
+    ///
+    /// A node that never calls this (a hub, a switch, a promiscuous tap)
+    /// sees every frame. A power cycle resets the NIC: the next
+    /// `on_start` must program it again. The frame's arrival stays an
+    /// event, and the receiver's ingress fault rules judge it first.
+    pub fn set_nic_filter(&mut self, own: MacAddr, also: impl IntoIterator<Item = MacAddr>) {
+        let also = also.into_iter().filter(|mac| !mac.is_multicast()).collect();
+        self.nic = Some(NicFilter { own, also });
     }
 
     /// Requests a privileged control action (see [`ControlAction`]).
@@ -175,6 +220,20 @@ mod tests {
         assert_eq!(ctx.control, vec![ControlAction::PowerOff(NodeId(9))]);
         assert_eq!(ctx.node_id(), NodeId(3));
         assert_eq!(ctx.now(), SimTime::from_nanos(100));
+    }
+
+    #[test]
+    fn nic_filter_judges_by_destination_only() {
+        let mut ctx = Context::new(SimTime::ZERO, NodeId(0), SplitMix64::new(1));
+        ctx.set_nic_filter(MacAddr::local(1), [MacAddr::local(2)]);
+        let nic = ctx.nic.take().expect("buffered like any other effect");
+        let to = |dst: MacAddr| [&dst.0[..], &[0u8; 58]].concat();
+        assert!(nic.passes(&to(MacAddr::local(1))) && nic.passes(&to(MacAddr::local(2))));
+        assert!(
+            nic.passes(&to(MacAddr::BROADCAST)) && nic.passes(&to(MacAddr([1, 0, 0x5e, 0, 0, 7])))
+        );
+        assert!(!nic.passes(&to(MacAddr::local(3))));
+        assert!(nic.passes(&[2, 0, 0]), "a runt is the host's parser's to count");
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::fault::{
     DelayRule, DropRule, DuplicateRule, IngressAction, IngressRule, RuleId, RuleStats,
 };
 use crate::link::{LinkId, LinkSpec, LinkStats, LossModel};
-use crate::node::{Context, ControlAction, Node, NodeId, PortId};
+use crate::node::{Context, ControlAction, NicFilter, Node, NodeId, PortId};
 use crate::rng::SplitMix64;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{FrameRecord, ProbeEvent, Trace};
@@ -25,6 +25,9 @@ struct NodeSlot {
     /// Power-ons after the first start; stamps the timers the node arms.
     boot: u32,
     paused_until: SimTime,
+    /// The unicast filter the current boot programmed into its NIC
+    /// ([`Context::set_nic_filter`]); `None` passes every frame.
+    nic: Option<NicFilter>,
     /// Wiring, indexed by `PortId` (ports are node-local and dense, so a
     /// flat table beats hashing on the per-frame transmit path).
     ports: Vec<Option<(LinkId, usize)>>,
@@ -125,6 +128,7 @@ impl Simulator {
             alive: true,
             boot: 0,
             paused_until: SimTime::ZERO,
+            nic: None,
             ports: Vec::new(),
             rules: Vec::new(),
         });
@@ -366,49 +370,36 @@ impl Simulator {
                     }
                 }
             }
-            EventKind::Frame { node, port, frame } => {
-                if !self.nodes[node.0].alive {
-                    self.trace.frames_to_dead_node += 1;
-                } else {
-                    match self.ingress_decide(node, &frame) {
-                        IngressAction::Drop => {
-                            self.trace.frames_dropped_ingress += 1;
-                            self.recorder.count(Counter::IngressDrops, 1);
-                            self.trace_fault(FaultKind::Drop);
-                        }
-                        IngressAction::Delay(d) => {
-                            self.trace.frames_delayed_ingress += 1;
-                            self.recorder.count(Counter::IngressDelays, 1);
-                            self.trace_fault(FaultKind::Delay);
-                            self.queue
-                                .push(self.now + d, EventKind::InjectedFrame { node, port, frame });
-                        }
-                        IngressAction::Duplicate(d) => {
-                            self.trace.frames_duplicated_ingress += 1;
-                            self.recorder.count(Counter::IngressDuplicates, 1);
-                            self.trace_fault(FaultKind::Duplicate);
-                            self.queue.push(
-                                self.now + d,
-                                EventKind::InjectedFrame { node, port, frame: frame.clone() },
-                            );
-                            self.trace.frames_delivered += 1;
-                            self.dispatch(node, |n, ctx| n.on_frame(port, frame, ctx));
-                        }
-                        IngressAction::Deliver => {
-                            self.trace.frames_delivered += 1;
-                            self.dispatch(node, |n, ctx| n.on_frame(port, frame, ctx));
-                        }
-                    }
-                }
+            EventKind::Frame { node, .. } | EventKind::InjectedFrame { node, .. }
+                if !self.nodes[node.0].alive =>
+            {
+                self.trace.frames_to_dead_node += 1;
             }
-            EventKind::InjectedFrame { node, port, frame } => {
-                if !self.nodes[node.0].alive {
-                    self.trace.frames_to_dead_node += 1;
-                } else {
-                    self.trace.frames_delivered += 1;
-                    self.dispatch(node, |n, ctx| n.on_frame(port, frame, ctx));
+            EventKind::Frame { node, port, frame } => match self.ingress_decide(node, &frame) {
+                IngressAction::Drop => {
+                    self.trace.frames_dropped_ingress += 1;
+                    self.recorder.count(Counter::IngressDrops, 1);
+                    self.trace_fault(FaultKind::Drop);
                 }
-            }
+                IngressAction::Delay(d) => {
+                    self.trace.frames_delayed_ingress += 1;
+                    self.recorder.count(Counter::IngressDelays, 1);
+                    self.trace_fault(FaultKind::Delay);
+                    self.queue.push(self.now + d, EventKind::InjectedFrame { node, port, frame });
+                }
+                IngressAction::Duplicate(d) => {
+                    self.trace.frames_duplicated_ingress += 1;
+                    self.recorder.count(Counter::IngressDuplicates, 1);
+                    self.trace_fault(FaultKind::Duplicate);
+                    self.queue.push(
+                        self.now + d,
+                        EventKind::InjectedFrame { node, port, frame: frame.clone() },
+                    );
+                    self.deliver(node, port, frame);
+                }
+                IngressAction::Deliver => self.deliver(node, port, frame),
+            },
+            EventKind::InjectedFrame { node, port, frame } => self.deliver(node, port, frame),
             EventKind::Control(action) => self.apply_control(action),
         }
         true
@@ -467,6 +458,18 @@ impl Simulator {
         verdict
     }
 
+    /// A frame reaches the NIC of live node `id`, whose filter decides
+    /// whether the host sees it or the arrival event was all it cost.
+    fn deliver(&mut self, id: NodeId, port: PortId, frame: Bytes) {
+        if self.nodes[id.0].nic.as_ref().is_some_and(|nic| !nic.passes(&frame)) {
+            self.trace.frames_filtered_nic += 1;
+            self.recorder.count(Counter::NicFiltered, 1);
+            return;
+        }
+        self.trace.frames_delivered += 1;
+        self.dispatch(id, |n, ctx| n.on_frame(port, frame, ctx));
+    }
+
     fn dispatch(&mut self, id: NodeId, call: impl FnOnce(&mut dyn Node, &mut Context)) {
         let mut node = self.nodes[id.0].node.take().expect("re-entrant dispatch");
         let mut ctx = match self.scratch.take() {
@@ -484,6 +487,9 @@ impl Simulator {
     }
 
     fn apply_effects(&mut self, id: NodeId, ctx: &mut Context) {
+        if let Some(nic) = ctx.nic.take() {
+            self.nodes[id.0].nic = Some(nic);
+        }
         for (port, frame) in ctx.frames.drain(..) {
             self.transmit(id, port, frame);
         }
@@ -510,6 +516,7 @@ impl Simulator {
                 if !self.nodes[node.0].alive {
                     self.nodes[node.0].alive = true;
                     self.nodes[node.0].boot += 1;
+                    self.nodes[node.0].nic = None;
                     self.queue.push(self.now, EventKind::Start { node });
                     self.trace_power(node, PowerKind::PowerOn);
                 }
@@ -1048,6 +1055,176 @@ mod tests {
         let rx = &sim.node_ref::<Sink>(b).received;
         assert_eq!(rx.len(), 3, "no frame may be lost by a pause");
         assert!(rx.iter().all(|(t, _)| *t >= SimTime::ZERO + SimDuration::from_millis(50)));
+    }
+
+    // ---------------------------------------------------- NIC filter
+
+    use wire::MacAddr;
+
+    const GROUP: MacAddr = MacAddr([0x01, 0x00, 0x5e, 0, 0, 7]);
+
+    /// A host whose every boot programs its NIC with the next of `macs`
+    /// (`None`, or running out, programs nothing) and logs the
+    /// destination of every frame that reaches it.
+    #[derive(Default)]
+    struct Station {
+        macs: Vec<Option<(MacAddr, Vec<MacAddr>)>>,
+        boots: usize,
+        seen: Vec<MacAddr>,
+    }
+
+    impl Station {
+        fn with(own: MacAddr, also: &[MacAddr]) -> Self {
+            Station { macs: vec![Some((own, also.to_vec()))], ..Self::default() }
+        }
+    }
+
+    impl Node for Station {
+        fn on_start(&mut self, ctx: &mut Context) {
+            if let Some(Some((own, also))) = self.macs.get(self.boots) {
+                ctx.set_nic_filter(*own, also.iter().copied());
+            }
+            self.boots += 1;
+        }
+        fn on_frame(&mut self, _port: PortId, frame: Bytes, _ctx: &mut Context) {
+            self.seen.push(MacAddr(frame[..6].try_into().unwrap()));
+        }
+    }
+
+    /// Sends one 64-byte frame to each `(at, dst)` of its script.
+    struct Script(Vec<(SimTime, MacAddr)>);
+
+    impl Node for Script {
+        fn on_start(&mut self, ctx: &mut Context) {
+            for (i, &(at, _)) in self.0.iter().enumerate() {
+                ctx.set_timer_at(at, i as u64);
+            }
+        }
+        fn on_frame(&mut self, _port: PortId, _frame: Bytes, _ctx: &mut Context) {}
+        fn on_timer(&mut self, token: u64, ctx: &mut Context) {
+            let mut frame = vec![0u8; 64];
+            frame[..6].copy_from_slice(&self.0[token as usize].1 .0);
+            ctx.send_frame(PortId(0), Bytes::from(frame));
+        }
+    }
+
+    fn at_ms(n: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_millis(n)
+    }
+
+    /// `script` wired straight to `station` over an ideal link.
+    fn scripted(
+        seed: u64,
+        script: Vec<(SimTime, MacAddr)>,
+        station: Station,
+    ) -> (Simulator, NodeId) {
+        let mut sim = Simulator::with_seed(seed);
+        let tx = sim.add_node("script", Script(script));
+        let rx = sim.add_node("station", station);
+        sim.connect(tx, PortId(0), rx, PortId(0), LinkSpec::ideal());
+        (sim, rx)
+    }
+
+    #[test]
+    fn nic_drops_foreign_unicast_and_passes_own_and_group() {
+        let (own, alias, foreign) = (MacAddr::local(1), MacAddr::local(2), MacAddr::local(9));
+        let script = [foreign, own, MacAddr::BROADCAST, foreign, GROUP, alias];
+        let script = script.iter().map(|&dst| (at_ms(1), dst)).collect();
+        let (mut sim, rx) = scripted(1, script, Station::with(own, &[alias]));
+        let events = sim.run_until_idle(100);
+        assert_eq!(sim.node_ref::<Station>(rx).seen, [own, MacAddr::BROADCAST, GROUP, alias]);
+        // One `on_frame` per delivered frame; the filtered frames are
+        // counted apart, and their arrival events stand.
+        assert_eq!(sim.trace().frames_delivered, 4);
+        assert_eq!(sim.trace().frames_filtered_nic, 2);
+        assert_eq!(events, 2 + 6 + 6, "two starts, six sends, six arrivals");
+    }
+
+    #[test]
+    fn an_unprogrammed_nic_sees_everything() {
+        let script = vec![(at_ms(1), MacAddr::local(9)), (at_ms(1), GROUP)];
+        let (mut sim, rx) = scripted(1, script, Station::default());
+        sim.run_until_idle(100);
+        assert_eq!(sim.node_ref::<Station>(rx).seen, [MacAddr::local(9), GROUP]);
+        assert_eq!(sim.trace().frames_filtered_nic, 0);
+    }
+
+    #[test]
+    fn a_power_cycle_reprograms_the_nic() {
+        let (a, b) = (MacAddr::local(1), MacAddr::local(2));
+        // Boot 1 is station `a`, boot 2 station `b`, boot 3 programs
+        // nothing; both addresses are tried in each boot and in between.
+        let times = [5, 15, 25, 35, 45];
+        let script = times.iter().flat_map(|&t| [(at_ms(t), a), (at_ms(t), b)]).collect();
+        let station = Station {
+            macs: vec![Some((a, vec![])), Some((b, vec![])), None],
+            ..Station::default()
+        };
+        let (mut sim, rx) = scripted(1, script, station);
+        for (off, on) in [(10, 20), (30, 40)] {
+            sim.schedule_crash(rx, at_ms(off));
+            sim.schedule_power_on(rx, at_ms(on));
+        }
+        sim.run_until_idle(1000);
+        assert_eq!(sim.node_ref::<Station>(rx).seen, [a, b, a, b], "a | down | b | down | both");
+        assert_eq!(sim.trace().frames_to_dead_node, 4, "a dead node's NIC filters nothing");
+        assert_eq!(sim.trace().frames_filtered_nic, 2);
+        assert_eq!(sim.trace().frames_delivered, 4);
+    }
+
+    #[test]
+    fn a_paused_node_filters_when_the_deferred_frame_comes_due() {
+        let (own, foreign) = (MacAddr::local(1), MacAddr::local(9));
+        let script = vec![(at_ms(5), foreign), (at_ms(6), own)];
+        let (mut sim, rx) = scripted(1, script, Station::with(own, &[]));
+        sim.schedule_pause(rx, at_ms(1), SimDuration::from_millis(50));
+        sim.run_until(at_ms(50));
+        assert_eq!(sim.trace().frames_delivered, 0, "both arrivals are deferred, not judged");
+        assert_eq!(sim.trace().frames_filtered_nic, 0);
+        sim.run_until_idle(100);
+        assert_eq!(sim.node_ref::<Station>(rx).seen, [own]);
+        assert_eq!((sim.trace().frames_delivered, sim.trace().frames_filtered_nic), (1, 1));
+    }
+
+    #[test]
+    fn fault_rules_judge_a_frame_before_the_nic_does() {
+        // The same 400 frames, three in four of them foreign, through a
+        // 30 % drop rule, a delay rule and a duplicate rule: the rules
+        // must match, fire and draw from the RNG exactly as they do when
+        // the NIC filters nothing, whatever becomes of the frame after.
+        let (own, foreign) = (MacAddr::local(1), MacAddr::local(9));
+        let run = |station: Station| {
+            let script = (0..400).map(|i| (at_ms(i), if i % 4 == 0 { own } else { foreign }));
+            let (mut sim, rx) = scripted(77, script.collect(), station);
+            let rules = [
+                sim.add_ingress_drop(rx, DropRule::rate(0.3, |_| true)),
+                sim.add_ingress_delay(
+                    rx,
+                    DelayRule::by(SimDuration::from_millis(3), |_| true).rate(0.2),
+                ),
+                sim.add_ingress_duplicate(
+                    rx,
+                    DuplicateRule::after(SimDuration::from_millis(2), |_| true).rate(0.2),
+                ),
+            ];
+            let events = sim.run_until_idle(10_000);
+            let stats = rules.map(|id| sim.ingress_rule_stats(rx, id));
+            let t = sim.trace();
+            let at_nic = t.frames_delivered + t.frames_filtered_nic;
+            let counts = (t.frames_dropped_ingress, t.frames_delayed_ingress, at_nic);
+            let own_seen = sim.node_ref::<Station>(rx).seen.iter().filter(|&&d| d == own).count();
+            (events, stats, sim.rng, counts, own_seen, t.frames_filtered_nic)
+        };
+        let (open, filtering) = (run(Station::default()), run(Station::with(own, &[])));
+        assert_eq!(
+            (open.0, open.1, open.2, open.3, open.4),
+            (filtering.0, filtering.1, filtering.2, filtering.3, filtering.4)
+        );
+        assert!(open.1.iter().all(|s| s.matched == 400 && s.fired > 40), "{:?}", open.1);
+        assert_eq!(open.5, 0);
+        // Every foreign frame that got past the drop rule was filtered,
+        // delayed ones when re-injected and duplicates once per copy.
+        assert!(filtering.5 > 150, "{} filtered", filtering.5);
     }
 
     #[test]

@@ -45,8 +45,12 @@ pub struct FrameRecord {
 pub struct Trace {
     /// Total events the simulator has processed.
     pub events_processed: u64,
-    /// Frames handed to a live node.
+    /// Frames handed to a live node: one `on_frame` call each.
     pub frames_delivered: u64,
+    /// Unicast frames for another station that a live node's NIC
+    /// discarded ([`crate::Context::set_nic_filter`]) and the node never
+    /// saw; with `frames_delivered`, everything that reached a NIC.
+    pub frames_filtered_nic: u64,
     /// Frames dropped by link loss models.
     pub frames_lost_on_link: u64,
     /// Frames dropped by node ingress [`crate::DropRule`]s.

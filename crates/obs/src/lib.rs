@@ -113,6 +113,9 @@ obs_enum! {
         IngressDelays => "ingress_delays",
         /// Frames duplicated by an injected ingress fault rule.
         IngressDuplicates => "ingress_duplicates",
+        /// Unicast frames for another station that a node's NIC filter
+        /// discarded before its host saw them (flood copies, mostly).
+        NicFiltered => "nic_filtered",
         /// Batched (multiplexed) ack messages sent by cluster backups.
         AckBatchesSent => "ack_batches_sent",
         /// Per-connection ack entries carried inside those batches.

@@ -45,10 +45,65 @@ const TOK_APP_BASE: u64 = 1000;
 /// Creates fresh application instances, one per accepted connection.
 pub type AppFactory = Box<dyn FnMut() -> Box<dyn Application> + Send>;
 
+/// One application on one socket, as both host adapters run it.
 struct ConnState {
     app: Box<dyn Application>,
     connected: bool,
     peer_closed: bool,
+}
+
+impl ConnState {
+    fn new(app: Box<dyn Application>) -> Self {
+        ConnState { app, connected: false, peer_closed: false }
+    }
+
+    /// Makes one application callback over `sock`, then arms the wake
+    /// the application asked for as timer `token`.
+    fn call(
+        &mut self,
+        stack: &mut NetStack,
+        sock: SockId,
+        token: u64,
+        ctx: &mut Context,
+        callback: impl FnOnce(&mut dyn Application, &mut StackApi),
+    ) {
+        let mut api = StackApi::new(stack, sock, ctx.now());
+        callback(self.app.as_mut(), &mut api);
+        if let Some(after) = api.take_wake() {
+            ctx.set_timer_after(after, token);
+        }
+    }
+
+    /// The application's turn on its socket: connected (once, when the
+    /// handshake completes), the unread bytes in place, writable while
+    /// the send buffer has room, peer closed (once).
+    fn pump(&mut self, stack: &mut NetStack, sock: SockId, token: u64, ctx: &mut Context) {
+        let Some(state) = stack.state(sock) else {
+            return;
+        };
+        if !self.connected && state.is_synchronized() {
+            self.connected = true;
+            self.call(stack, sock, token, ctx, |app, api| app.on_connected(api));
+        }
+        let _ = stack.read_in_place(sock, |stack, data| {
+            self.call(stack, sock, token, ctx, |app, api| app.on_data(data, api));
+        });
+        if stack.tcb(sock).is_some_and(|t| t.writable() > 0) {
+            self.call(stack, sock, token, ctx, |app, api| app.on_writable(api));
+        }
+        if !self.peer_closed && stack.tcb(sock).is_some_and(|t| t.peer_closed()) {
+            self.peer_closed = true;
+            self.call(stack, sock, token, ctx, |app, api| app.on_peer_closed(api));
+        }
+    }
+}
+
+/// Programs the node's NIC with the addresses its stack filters by
+/// ([`StackConfig::nic_macs`]); a promiscuous stack programs nothing.
+fn program_nic(cfg: &StackConfig, ctx: &mut Context) {
+    if let Some((own, also)) = cfg.nic_macs() {
+        ctx.set_nic_filter(own, also.iter().copied());
+    }
 }
 
 /// The one *live* stack wake a node owns. Simulator timers cannot be
@@ -58,6 +113,8 @@ struct ConnState {
 #[derive(Debug, Default)]
 struct StackTimer {
     armed: Option<SimTime>,
+    /// Reused frame staging buffer for [`NetStack::poll_into`].
+    tx: Vec<Bytes>,
 }
 
 impl StackTimer {
@@ -68,6 +125,19 @@ impl StackTimer {
                 self.armed = Some(d);
             }
         }
+    }
+
+    /// The last step of every pump: transmits the stack's output on the
+    /// LAN port and re-arms the stack wake. Returns whether the stack
+    /// had work of its own: a connection deadline due or a frame to send.
+    fn flush(&mut self, stack: &mut NetStack, ctx: &mut Context) -> bool {
+        let due = stack.poll_into(ctx.now(), &mut self.tx);
+        let busy = due > 0 || !self.tx.is_empty();
+        for frame in self.tx.drain(..) {
+            ctx.send_frame(LAN, frame);
+        }
+        self.rearm(ctx, stack.next_deadline());
+        busy
     }
 
     /// A `TOK_STACK` fire at `now`. Only the armed wake (`armed ≤ now`)
@@ -112,8 +182,6 @@ pub struct ServerNode {
     /// Observability recorder, re-applied to the fresh stack/engine on
     /// every (re)boot.
     recorder: SharedRecorder,
-    /// Reused frame staging buffer for [`NetStack::poll_into`].
-    tx: Vec<Bytes>,
     /// Reused buffer for the stack's per-pump activity drain.
     active: Vec<SockId>,
     /// Reused buffer for draining the engine's targeted outbox.
@@ -142,7 +210,6 @@ impl ServerNode {
             timer: StackTimer::default(),
             booted: false,
             recorder: obs::nop(),
-            tx: Vec::new(),
             active: Vec::new(),
             side_out: Vec::new(),
             boot_count: 0,
@@ -288,8 +355,7 @@ impl ServerNode {
         // 1. Adopt newly established (or shadowed) connections.
         for si in 0..self.services.len() {
             while let Some(sock) = self.stack.accept(self.services[si].0) {
-                let app = (self.services[si].1)();
-                self.conns.insert(sock, ConnState { app, connected: false, peer_closed: false });
+                self.conns.insert(sock, ConnState::new((self.services[si].1)()));
                 self.accepted.push(sock);
                 if let Some(engine) = &mut self.engine {
                     engine.on_accept(sock, &mut self.stack);
@@ -325,41 +391,9 @@ impl ServerNode {
             }
         }
         for &sock in &active {
-            let Some(conn) = self.conns.get_mut(&sock) else {
-                continue; // side-channel / unadopted socket
-            };
-            let Some(state) = self.stack.state(sock) else {
-                continue;
-            };
-            if !conn.connected && state.is_synchronized() {
-                conn.connected = true;
-                let mut api = StackApi::new(&mut self.stack, sock, now);
-                conn.app.on_connected(&mut api);
-                if let Some(after) = api.take_wake() {
-                    ctx.set_timer_after(after, TOK_APP_BASE + sock.raw());
-                }
-            }
-            let _ = self.stack.read_in_place(sock, |stack, data| {
-                let mut api = StackApi::new(stack, sock, now);
-                conn.app.on_data(data, &mut api);
-                if let Some(after) = api.take_wake() {
-                    ctx.set_timer_after(after, TOK_APP_BASE + sock.raw());
-                }
-            });
-            if self.stack.tcb(sock).map(|t| t.writable() > 0).unwrap_or(false) {
-                let mut api = StackApi::new(&mut self.stack, sock, now);
-                conn.app.on_writable(&mut api);
-                if let Some(after) = api.take_wake() {
-                    ctx.set_timer_after(after, TOK_APP_BASE + sock.raw());
-                }
-            }
-            if !conn.peer_closed && self.stack.tcb(sock).map(|t| t.peer_closed()).unwrap_or(false) {
-                conn.peer_closed = true;
-                let mut api = StackApi::new(&mut self.stack, sock, now);
-                conn.app.on_peer_closed(&mut api);
-                if let Some(after) = api.take_wake() {
-                    ctx.set_timer_after(after, TOK_APP_BASE + sock.raw());
-                }
+            // Side-channel and unadopted sockets have no application.
+            if let Some(conn) = self.conns.get_mut(&sock) {
+                conn.pump(&mut self.stack, sock, TOK_APP_BASE + sock.raw(), ctx);
             }
         }
         // 3b. Reap connections that have fully closed: drop the app and
@@ -384,13 +418,7 @@ impl ServerNode {
         // 5. flush engine messages / fencing / logger queries.
         self.flush_engine(now, ctx);
         // 6. Transmit stack output and rearm the stack timer.
-        let due = self.stack.poll_into(now, &mut self.tx);
-        let busy = due > 0 || !self.tx.is_empty();
-        for frame in self.tx.drain(..) {
-            ctx.send_frame(LAN, frame);
-        }
-        self.timer.rearm(ctx, self.stack.next_deadline());
-        busy
+        self.timer.flush(&mut self.stack, ctx)
     }
 
     fn flush_engine(&mut self, now: SimTime, ctx: &mut Context) {
@@ -435,6 +463,7 @@ impl Node for ServerNode {
         }
         self.booted = true;
         self.boot_count += 1;
+        program_nic(&self.stack_cfg, ctx);
         // The server pump is activity-driven; the client node stays on
         // the always-pump path (single connection, nothing to win).
         self.stack.set_activity_tracking(true);
@@ -476,13 +505,8 @@ impl Node for ServerNode {
             }
             t if t >= TOK_APP_BASE => {
                 let sock = SockId::from_raw(t - TOK_APP_BASE);
-                let now = ctx.now();
                 if let Some(conn) = self.conns.get_mut(&sock) {
-                    let mut api = StackApi::new(&mut self.stack, sock, now);
-                    conn.app.on_wake(&mut api);
-                    if let Some(after) = api.take_wake() {
-                        ctx.set_timer_after(after, TOK_APP_BASE + sock.raw());
-                    }
+                    conn.call(&mut self.stack, sock, t, ctx, |app, api| app.on_wake(api));
                 }
             }
             _ => {}
@@ -496,14 +520,10 @@ pub struct ClientNode {
     stack: NetStack,
     target: (Ipv4Addr, u16),
     connect_delay: SimDuration,
-    app: Box<dyn Application>,
+    conn: ConnState,
     sock: Option<SockId>,
-    connected: bool,
-    peer_closed: bool,
     timer: StackTimer,
     recorder: SharedRecorder,
-    /// Reused frame staging buffer for [`NetStack::poll_into`].
-    tx: Vec<Bytes>,
 }
 
 impl ClientNode {
@@ -518,13 +538,10 @@ impl ClientNode {
             stack: NetStack::new(stack_cfg),
             target,
             connect_delay,
-            app: Box::new(app),
+            conn: ConnState::new(Box::new(app)),
             sock: None,
-            connected: false,
-            peer_closed: false,
             timer: StackTimer::default(),
             recorder: obs::nop(),
-            tx: Vec::new(),
         }
     }
 
@@ -546,59 +563,22 @@ impl ClientNode {
 
     /// The application, downcast to its concrete type.
     pub fn app<T: Application>(&self) -> Option<&T> {
-        let app: &dyn Any = self.app.as_ref();
+        let app: &dyn Any = self.conn.app.as_ref();
         app.downcast_ref::<T>()
     }
 
     /// Returns what [`ServerNode::pump`] does.
     fn pump(&mut self, ctx: &mut Context) -> bool {
-        let now = ctx.now();
         if let Some(sock) = self.sock {
-            if let Some(state) = self.stack.state(sock) {
-                if !self.connected && state.is_synchronized() {
-                    self.connected = true;
-                    let mut api = StackApi::new(&mut self.stack, sock, now);
-                    self.app.on_connected(&mut api);
-                    if let Some(after) = api.take_wake() {
-                        ctx.set_timer_after(after, TOK_APP_BASE);
-                    }
-                }
-            }
-            let _ = self.stack.read_in_place(sock, |stack, data| {
-                let mut api = StackApi::new(stack, sock, now);
-                self.app.on_data(data, &mut api);
-                if let Some(after) = api.take_wake() {
-                    ctx.set_timer_after(after, TOK_APP_BASE);
-                }
-            });
-            if self.stack.tcb(sock).map(|t| t.writable() > 0).unwrap_or(false) {
-                let mut api = StackApi::new(&mut self.stack, sock, now);
-                self.app.on_writable(&mut api);
-                if let Some(after) = api.take_wake() {
-                    ctx.set_timer_after(after, TOK_APP_BASE);
-                }
-            }
-            if !self.peer_closed && self.stack.tcb(sock).map(|t| t.peer_closed()).unwrap_or(false) {
-                self.peer_closed = true;
-                let mut api = StackApi::new(&mut self.stack, sock, now);
-                self.app.on_peer_closed(&mut api);
-                if let Some(after) = api.take_wake() {
-                    ctx.set_timer_after(after, TOK_APP_BASE);
-                }
-            }
+            self.conn.pump(&mut self.stack, sock, TOK_APP_BASE, ctx);
         }
-        let due = self.stack.poll_into(now, &mut self.tx);
-        let busy = due > 0 || !self.tx.is_empty();
-        for frame in self.tx.drain(..) {
-            ctx.send_frame(LAN, frame);
-        }
-        self.timer.rearm(ctx, self.stack.next_deadline());
-        busy
+        self.timer.flush(&mut self.stack, ctx)
     }
 }
 
 impl Node for ClientNode {
     fn on_start(&mut self, ctx: &mut Context) {
+        program_nic(self.stack.config(), ctx);
         ctx.set_timer_after(self.connect_delay, TOK_CONNECT);
     }
 
@@ -620,12 +600,9 @@ impl Node for ClientNode {
             }
             t if t >= TOK_APP_BASE => {
                 if let Some(sock) = self.sock {
-                    let now = ctx.now();
-                    let mut api = StackApi::new(&mut self.stack, sock, now);
-                    self.app.on_wake(&mut api);
-                    if let Some(after) = api.take_wake() {
-                        ctx.set_timer_after(after, TOK_APP_BASE);
-                    }
+                    self.conn.call(&mut self.stack, sock, TOK_APP_BASE, ctx, |app, api| {
+                        app.on_wake(api)
+                    });
                 }
             }
             _ => {}

@@ -1,0 +1,78 @@
+//! The NIC unicast filter, end to end: a fleet's hosts see exactly the
+//! frames addressed to them.
+//!
+//! Fleet clients hold a static ARP entry for the VIP, so every SYN sent
+//! before the primary has transmitted its first frame is addressed to a
+//! MAC the switch has not learned, and is flooded to every port. Each
+//! of those copies is an arrival event at a client that is not its
+//! addressee; the client's NIC discards it and the host — node, stack,
+//! pump — never runs.
+
+use netsim::{NodeId, SimDuration, SimTime, Switch};
+use std::cell::RefCell;
+use std::collections::HashMap;
+use std::rc::Rc;
+use sttcp::fleet::{self, FleetSpec};
+use sttcp::node::{ClientNode, ServerNode};
+use tcpstack::StackConfig;
+use wire::MacAddr;
+
+/// Whether a host configured with `cfg` is an addressee of `dst`.
+fn addressed_to(cfg: &StackConfig, dst: MacAddr) -> bool {
+    dst.is_multicast() || cfg.nic_macs().is_none_or(|(own, also)| dst == own || also.contains(&dst))
+}
+
+#[test]
+fn a_fleets_hosts_see_exactly_the_frames_addressed_to_them() {
+    let spec = FleetSpec::new(500)
+        .connect_spread(SimDuration::from_millis(100))
+        .crash_primary_at(SimTime::ZERO + SimDuration::from_millis(150));
+    let mut f = fleet::build(&spec);
+    let mut hosts: HashMap<NodeId, StackConfig> = HashMap::new();
+    for &c in &f.clients {
+        hosts.insert(c, f.sim.node_ref::<ClientNode>(c).stack().config().clone());
+    }
+    for &s in &f.servers {
+        hosts.insert(s, f.sim.node_ref::<ServerNode>(s).stack().config().clone());
+    }
+    // Transmissions towards a host that is not their addressee, and the
+    // departure time of the last one.
+    let foreign = Rc::new(RefCell::new((0u64, SimTime::ZERO)));
+    let sink = Rc::clone(&foreign);
+    f.sim.set_probe(move |ev| {
+        let dst = MacAddr(ev.frame[..6].try_into().expect("an Ethernet frame"));
+        if hosts.get(&ev.to).is_some_and(|cfg| !addressed_to(cfg, dst)) {
+            let mut seen = sink.borrow_mut();
+            *seen = (seen.0 + 1, ev.time);
+        }
+    });
+    assert!(f.run_until_done(SimDuration::from_secs(120)), "fleet must finish");
+    assert!(f.verified_clean(), "all 500 client streams must verify clean");
+
+    let (foreign, last) = *foreign.borrow();
+    let trace = f.sim.trace();
+    assert!(foreign > 1_000, "the cold switch floods the first SYNs: {foreign} copies");
+    assert!(last + SimDuration::from_millis(100) < f.sim.now(), "none is still in flight");
+    assert_eq!(trace.frames_filtered_nic, foreign, "each was dropped by a NIC, and nothing else");
+
+    // What the NICs passed is what the nodes processed: every host's
+    // stack, plus the switch (which handles each frame it is given).
+    let mut processed = 0;
+    for &c in &f.clients {
+        let stats = f.sim.node_ref::<ClientNode>(c).stack().stats;
+        assert_eq!(stats.frames_filtered, 0, "a client's stack saw a frame for another station");
+        processed += stats.frames_in;
+    }
+    for &s in &f.servers {
+        let stats = f.sim.node_ref::<ServerNode>(s).stack().stats;
+        assert_eq!(stats.frames_filtered, 0);
+        processed += stats.frames_in;
+    }
+    let sw = f.sim.node_ref::<Switch>(f.fabric);
+    processed += sw.floods + sw.unicast_forwards;
+    assert_eq!(trace.frames_delivered, processed);
+    // A flooded SYN reaches its addressee, the mirror tap, and the 499
+    // clients that did not send it.
+    assert_eq!(foreign % 499, 0);
+    assert!(foreign / 499 <= sw.floods, "{} floods made {foreign} copies", sw.floods);
+}

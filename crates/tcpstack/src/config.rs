@@ -193,6 +193,13 @@ impl StackConfig {
         }
     }
 
+    /// The addresses the NIC filter accepts besides broadcast (own MAC,
+    /// `accept_macs`), `None` when promiscuous: what `handle_frame`
+    /// filters by and what a NIC hosting the stack is programmed with.
+    pub fn nic_macs(&self) -> Option<(MacAddr, &[MacAddr])> {
+        (!self.promiscuous).then_some((self.mac, &self.accept_macs))
+    }
+
     /// True when `dst` is on this host's subnet.
     pub fn on_subnet(&self, dst: Ipv4Addr) -> bool {
         let bits = u32::from(self.netmask_bits.min(32));

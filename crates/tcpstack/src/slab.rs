@@ -66,9 +66,9 @@ impl fmt::Debug for SockId {
 pub(crate) struct Conn {
     /// The connection state machine itself.
     pub tcb: Tcb,
-    /// Listening port whose accept queue still references this socket
-    /// (cleared on accept), so release can unlink from exactly one queue.
-    pub listen_port: Option<u16>,
+    /// Set on a passive open: the socket joins the accept queue of its
+    /// local port's listener when it synchronizes (which clears this).
+    pub queue_on_sync: bool,
     /// The socket's live timer-wheel entry: the earliest one scheduled
     /// and not yet popped. `None` once that entry pops (later, stale
     /// entries may still sit in the wheel; their pops leave this alone).
@@ -82,7 +82,7 @@ pub(crate) struct Conn {
 
 impl Conn {
     pub(crate) fn new(tcb: Tcb) -> Self {
-        Conn { tcb, listen_port: None, armed: None, queued_poll: false, queued_activity: false }
+        Conn { tcb, queue_on_sync: false, armed: None, queued_poll: false, queued_activity: false }
     }
 }
 

@@ -105,8 +105,15 @@ pub struct NetStack {
     tcbs: TcbSlab,
     /// Quad demux for established/handshaking connections.
     by_quad: HashMap<Quad, SockId>,
-    /// Listener-port table: accept backlog per listening port.
-    listeners: HashMap<u16, Vec<SockId>>,
+    /// Listening ports, each with its accept queue: passively opened
+    /// connections in the order they synchronized, until accepted.
+    listeners: HashMap<u16, VecDeque<SockId>>,
+    /// Handles queued over all listeners (nothing ready is the common
+    /// case: [`NetStack::accept`] answers it without a lookup).
+    ready: usize,
+    /// Queued handles [`NetStack::accept`] has resolved against the slab.
+    #[cfg(test)]
+    accept_visits: u64,
     udps: Vec<UdpSocket>,
     /// UDP demux: destination port → `udps` index (first bind wins).
     udp_ports: HashMap<u16, usize>,
@@ -161,6 +168,9 @@ impl NetStack {
             tcbs: TcbSlab::new(),
             by_quad: HashMap::new(),
             listeners: HashMap::new(),
+            ready: 0,
+            #[cfg(test)]
+            accept_visits: 0,
             udps: Vec::new(),
             udp_ports: HashMap::new(),
             wheel: TimerWheel::new(),
@@ -237,20 +247,30 @@ impl NetStack {
         self.listeners.entry(port).or_default();
     }
 
-    /// Returns the next fully established connection accepted on `port`.
+    /// Returns the next connection a peer opened on `port`, oldest first.
+    ///
+    /// A passive open joins its listener's queue when its handshake
+    /// completes (a shadow's included): the order is that of
+    /// synchronization, and a half-open or reset handshake is never
+    /// queued. A handle whose connection closed or was released while
+    /// queued is dropped here. With nothing queued on any port this is
+    /// one comparison, however many connections the stack holds.
     pub fn accept(&mut self, port: u16) -> Option<SockId> {
-        let queue = self.listeners.get_mut(&port)?;
-        let pos = queue.iter().position(|&sid| {
-            matches!(
-                self.tcbs.get(sid).map(|c| c.tcb.state()),
-                Some(s) if s.is_synchronized() && s != TcpState::Closed
-            )
-        })?;
-        let sock = queue.remove(pos);
-        if let Some(conn) = self.tcbs.get_mut(sock) {
-            conn.listen_port = None;
+        if self.ready == 0 {
+            return None;
         }
-        Some(sock)
+        let queue = self.listeners.get_mut(&port)?;
+        while let Some(sock) = queue.pop_front() {
+            self.ready -= 1;
+            #[cfg(test)]
+            {
+                self.accept_visits += 1;
+            }
+            if self.tcbs.get(sock).is_some_and(|c| c.tcb.state() != TcpState::Closed) {
+                return Some(sock);
+            }
+        }
+        None
     }
 
     /// Opens a connection from `local_ip` (must be one of ours) to the
@@ -419,13 +439,6 @@ impl NetStack {
         if let Some(conn) = self.tcbs.remove(sock) {
             debug_assert_eq!(conn.tcb.state(), TcpState::Closed, "release() requires a closed TCB");
             self.by_quad.remove(&conn.tcb.quad());
-            // At most one listener queue can still reference the socket;
-            // the slot remembers which.
-            if let Some(port) = conn.listen_port {
-                if let Some(queue) = self.listeners.get_mut(&port) {
-                    queue.retain(|&sid| sid != sock);
-                }
-            }
         }
     }
 
@@ -464,15 +477,8 @@ impl NetStack {
         };
         let src_port = sock.port();
         let dgram = UdpDatagram::new(src_port, dst_port, payload);
-        let packet = Ipv4Packet {
-            ident: self.next_ident(),
-            ttl: 64,
-            protocol: IpProtocol::Udp,
-            src: self.cfg.ip,
-            dst: dst_ip,
-            payload: dgram.encode(self.cfg.ip, dst_ip),
-        };
-        self.emit_ip(now, packet);
+        let payload = dgram.encode(self.cfg.ip, dst_ip);
+        self.emit_ip(now, self.cfg.ip, dst_ip, IpProtocol::Udp, payload);
     }
 
     /// Receives the oldest queued datagram on `udp`.
@@ -518,11 +524,8 @@ impl NetStack {
             self.stats.parse_errors += 1;
             return None;
         };
-        let for_us = eth.dst == self.cfg.mac
-            || eth.dst.is_broadcast()
-            || self.cfg.accept_macs.contains(&eth.dst)
-            || self.cfg.promiscuous;
-        if !for_us {
+        let for_us = |(own, also): (MacAddr, &[MacAddr])| eth.dst == own || also.contains(&eth.dst);
+        if !(eth.dst.is_broadcast() || self.cfg.nic_macs().is_none_or(for_us)) {
             self.stats.frames_filtered += 1;
             return None;
         }
@@ -552,7 +555,7 @@ impl NetStack {
             let reply = ArpPacket::reply(self.cfg.mac, arp.target_ip, &arp);
             let frame =
                 EthernetFrame::new(arp.sender_mac, self.cfg.mac, EtherType::Arp, reply.encode());
-            self.push_frame(frame.encode());
+            self.out.push_back(frame.encode());
         }
     }
 
@@ -586,8 +589,13 @@ impl NetStack {
         if let Some(&sock) = self.by_quad.get(&quad) {
             if let Some(conn) = self.tcbs.get_mut(sock) {
                 conn.tcb.on_segment(now, &seg);
-                if conn.tcb.state() == TcpState::Closed {
+                let state = conn.tcb.state();
+                if state == TcpState::Closed {
                     self.by_quad.remove(&quad);
+                } else if state.is_synchronized() && std::mem::take(&mut conn.queue_on_sync) {
+                    let listener = self.listeners.get_mut(&quad.local_port);
+                    listener.expect("a passive open has a listener").push_back(sock);
+                    self.ready += 1;
                 }
                 self.mark_dirty(sock);
                 return;
@@ -602,8 +610,7 @@ impl NetStack {
             let mut tcb = Tcb::accept(now, quad, iss, &seg, self.cfg.tcp.clone());
             tcb.set_recorder(self.recorder.clone());
             let sid = self.insert_tcb(quad, tcb);
-            self.tcbs.get_mut(sid).expect("just inserted").listen_port = Some(seg.dst_port);
-            self.listeners.get_mut(&seg.dst_port).expect("checked").push(sid);
+            self.tcbs.get_mut(sid).expect("just inserted").queue_on_sync = true;
             return;
         }
         // Otherwise: RST (never in response to a RST).
@@ -616,27 +623,11 @@ impl NetStack {
         let rst = if seg.flags.contains(TcpFlags::ACK) {
             TcpSegment::bare(seg.dst_port, seg.src_port, seg.ack, 0, TcpFlags::RST, 0)
         } else {
-            let mut s = TcpSegment::bare(
-                seg.dst_port,
-                seg.src_port,
-                0,
-                seg.seq.wrapping_add(seg.seq_len()),
-                TcpFlags::RST | TcpFlags::ACK,
-                0,
-            );
-            s.ack = seg.seq.wrapping_add(seg.seq_len());
-            s
+            let ack = seg.seq.wrapping_add(seg.seq_len());
+            TcpSegment::bare(seg.dst_port, seg.src_port, 0, ack, TcpFlags::RST | TcpFlags::ACK, 0)
         };
         self.stats.rsts_sent += 1;
-        let packet = Ipv4Packet {
-            ident: self.next_ident(),
-            ttl: 64,
-            protocol: IpProtocol::Tcp,
-            src: dst,
-            dst: src,
-            payload: rst.encode(dst, src),
-        };
-        self.emit_ip(now, packet);
+        self.emit_ip(now, dst, src, IpProtocol::Tcp, rst.encode(dst, src));
     }
 
     fn handle_udp(&mut self, ip: Ipv4Packet) {
@@ -785,16 +776,11 @@ impl NetStack {
                 &TraceEvent::WireData { conn: quad.trace_conn(), seq, len, flags: flags.bits() },
             );
         }
-        let next_hop = if self.cfg.on_subnet(quad.remote_ip) {
-            quad.remote_ip
-        } else {
-            match self.cfg.gateway {
-                Some(gw) => gw,
-                None => return, // unroutable
-            }
+        let Some(next_hop) = self.next_hop(quad.remote_ip) else {
+            return; // unroutable
         };
         if let Some(mac) = self.arp.lookup(next_hop) {
-            for staged_seg in tcb.staged() {
+            for staged_seg in staged {
                 self.ip_ident = self.ip_ident.wrapping_add(1);
                 let mut hdr = TcpFrameHeader {
                     eth_dst: mac,
@@ -836,40 +822,9 @@ impl NetStack {
             // ARP miss: materialize the staged segments and queue them
             // as IP packets behind the request (the pre-builder path).
             for i in 0..staged.len() {
-                let seg = tcb.materialize(i);
-                let packet = Ipv4Packet {
-                    ident: {
-                        self.ip_ident = self.ip_ident.wrapping_add(1);
-                        self.ip_ident
-                    },
-                    ttl: 64,
-                    protocol: IpProtocol::Tcp,
-                    src: quad.local_ip,
-                    dst: quad.remote_ip,
-                    payload: seg.encode(quad.local_ip, quad.remote_ip),
-                };
-                let entry = self.pending_arp.entry(next_hop).or_insert(ArpPending {
-                    last_request: now,
-                    tries: 0,
-                    queued: Vec::new(),
-                });
-                if entry.queued.len() < 64 {
-                    entry.queued.push(packet);
-                } else {
-                    self.stats.arp_queue_drops += 1;
-                }
-                if entry.tries == 0 {
-                    entry.tries = 1;
-                    entry.last_request = now;
-                    let req = ArpPacket::request(self.cfg.mac, self.cfg.ip, next_hop);
-                    let frame = EthernetFrame::new(
-                        MacAddr::BROADCAST,
-                        self.cfg.mac,
-                        EtherType::Arp,
-                        req.encode(),
-                    );
-                    self.out.push_back(frame.encode());
-                }
+                let seg = self.tcbs.get(sock).expect("live TCB").tcb.materialize(i);
+                let payload = seg.encode(quad.local_ip, quad.remote_ip);
+                self.emit_ip(now, quad.local_ip, quad.remote_ip, IpProtocol::Tcp, payload);
             }
         }
     }
@@ -887,75 +842,81 @@ impl NetStack {
         [tcb_min, arp_min].into_iter().flatten().min()
     }
 
-    fn emit_ip(&mut self, now: SimTime, packet: Ipv4Packet) {
+    /// Sends `payload` as one IP packet from `src` (one of ours) to `dst`.
+    fn emit_ip(
+        &mut self,
+        now: SimTime,
+        src: Ipv4Addr,
+        dst: Ipv4Addr,
+        protocol: IpProtocol,
+        payload: Bytes,
+    ) {
+        let ident = self.next_ident();
         // Egress suppression is enforced at the single emission choke
         // point so that *every* frame sourced from a suppressed IP is
         // covered — connection segments, RSTs for unknown quads, all of
         // it. A backup that RST a client because its shadow was missing
         // would kill the very connection it exists to protect.
-        if self.suppressed.contains(&packet.src) {
+        if self.suppressed.contains(&src) {
             self.stats.segs_suppressed += 1;
             self.recorder.count(Counter::SegsSuppressed, 1);
             return;
         }
-        let next_hop = if self.cfg.on_subnet(packet.dst) {
-            packet.dst
-        } else {
-            match self.cfg.gateway {
-                Some(gw) => gw,
-                None => return, // unroutable
-            }
+        let Some(next_hop) = self.next_hop(dst) else {
+            return; // unroutable
         };
-        match self.arp.lookup(next_hop) {
-            Some(mac) => {
-                let frame = self.builder.ip_frame(mac, self.cfg.mac, &packet);
-                self.push_frame(frame);
-            }
-            None => {
-                let entry = self.pending_arp.entry(next_hop).or_insert(ArpPending {
-                    last_request: now,
-                    tries: 0,
-                    queued: Vec::new(),
-                });
-                if entry.queued.len() < 64 {
-                    entry.queued.push(packet);
-                } else {
-                    self.stats.arp_queue_drops += 1;
-                }
-                if entry.tries == 0 {
-                    entry.tries = 1;
-                    entry.last_request = now;
-                    self.send_arp_request(next_hop);
-                }
-            }
+        let packet = Ipv4Packet { ident, ..Ipv4Packet::new(src, dst, protocol, payload) };
+        if let Some(mac) = self.arp.lookup(next_hop) {
+            let frame = self.builder.ip_frame(mac, self.cfg.mac, &packet);
+            self.out.push_back(frame);
+            return;
+        }
+        // Hold the packet until `next_hop` resolves (at most 64 per
+        // hop), asking for it if nobody has yet.
+        let entry = self.pending_arp.entry(next_hop).or_insert(ArpPending {
+            last_request: now,
+            tries: 0,
+            queued: Vec::new(),
+        });
+        if entry.queued.len() < 64 {
+            entry.queued.push(packet);
+        } else {
+            self.stats.arp_queue_drops += 1;
+        }
+        if entry.tries == 0 {
+            entry.tries = 1;
+            entry.last_request = now;
+            self.send_arp_request(next_hop);
+        }
+    }
+
+    /// Where a packet for `dst` goes next: `dst` itself on our subnet,
+    /// the gateway otherwise, nowhere without one.
+    fn next_hop(&self, dst: Ipv4Addr) -> Option<Ipv4Addr> {
+        if self.cfg.on_subnet(dst) {
+            Some(dst)
+        } else {
+            self.cfg.gateway
         }
     }
 
     fn retry_arp(&mut self, now: SimTime) {
-        let mut dead: Vec<Ipv4Addr> = Vec::new();
         let mut to_request: Vec<Ipv4Addr> = Vec::new();
-        for (&ip, pending) in &mut self.pending_arp {
-            if now
-                .checked_duration_since(pending.last_request)
-                .map(|d| d >= ARP_RETRY)
-                .unwrap_or(false)
-            {
+        let stats = &mut self.stats;
+        self.pending_arp.retain(|&ip, pending| {
+            if now.checked_duration_since(pending.last_request).is_some_and(|d| d >= ARP_RETRY) {
                 if pending.tries >= ARP_MAX_TRIES {
-                    dead.push(ip);
-                } else {
-                    pending.tries += 1;
-                    pending.last_request = now;
-                    to_request.push(ip);
+                    stats.arp_queue_drops += pending.queued.len() as u64;
+                    return false;
                 }
+                pending.tries += 1;
+                pending.last_request = now;
+                to_request.push(ip);
             }
-        }
+            true
+        });
         for ip in to_request {
             self.send_arp_request(ip);
-        }
-        for ip in dead {
-            if let Some(p) = self.pending_arp.remove(&ip) {
-                self.stats.arp_queue_drops += p.queued.len() as u64;
-            }
         }
     }
 
@@ -963,7 +924,7 @@ impl NetStack {
         let req = ArpPacket::request(self.cfg.mac, self.cfg.ip, target);
         let frame =
             EthernetFrame::new(MacAddr::BROADCAST, self.cfg.mac, EtherType::Arp, req.encode());
-        self.push_frame(frame.encode());
+        self.out.push_back(frame.encode());
     }
 
     fn flush_arp_queue(&mut self, _now: SimTime, ip: Ipv4Addr) {
@@ -976,12 +937,8 @@ impl NetStack {
         };
         for packet in pending.queued {
             let frame = EthernetFrame::new(mac, self.cfg.mac, EtherType::Ipv4, packet.encode());
-            self.push_frame(frame.encode());
+            self.out.push_back(frame.encode());
         }
-    }
-
-    fn push_frame(&mut self, frame: Bytes) {
-        self.out.push_back(frame);
     }
 
     fn next_ident(&mut self) -> u16 {
@@ -1155,6 +1112,85 @@ mod tests {
         }
         assert_eq!(c.wheel.len(), 1, "one socket, one deadline, one entry");
         assert_eq!(c.state(cs), Some(TcpState::TimeWait));
+    }
+
+    /// A bare segment from client port `port` to the server's port 80.
+    fn from_client(port: u16, flags: TcpFlags, seq: u32, ack: u32) -> Bytes {
+        let seg = TcpSegment::bare(port, 80, seq, ack, flags, 8192);
+        let ip = Ipv4Packet::new(
+            CLIENT_IP,
+            SERVER_IP,
+            IpProtocol::Tcp,
+            seg.encode(CLIENT_IP, SERVER_IP),
+        );
+        EthernetFrame::new(MacAddr::local(2), MacAddr::local(1), EtherType::Ipv4, ip.encode())
+            .encode()
+    }
+
+    #[test]
+    fn the_accept_queue_holds_only_what_accept_can_return() {
+        // A SYN flood: 5 000 handshakes left half-open and 5 000 reset
+        // before they completed, all on one port.
+        let mut s = server();
+        s.listen(80);
+        let now = SimTime::ZERO;
+        for port in 1000..11_000u16 {
+            s.handle_frame(now, from_client(port, TcpFlags::SYN, 7, 0));
+            if port % 2 == 0 {
+                s.handle_frame(now, from_client(port, TcpFlags::RST, 8, 0));
+            }
+        }
+        s.poll(now);
+        assert_eq!(s.sock_count(), 10_000);
+        // None of them is acceptable, and accept() knows without looking
+        // at a single TCB — on every pump of every frame.
+        assert_eq!(s.accept(80), None);
+        assert_eq!((s.accept_visits, s.ready), (0, 0));
+        assert!(s.listeners[&80].is_empty());
+        // A handshake that does complete is the one thing queued.
+        s.handle_frame(now, from_client(999, TcpFlags::SYN, 7, 0));
+        let quad = Quad::new(SERVER_IP, 80, CLIENT_IP, 999);
+        let sock = s.sock_by_quad(quad).expect("half-open");
+        let iss = s.tcb(sock).unwrap().iss().raw();
+        s.handle_frame(now, from_client(999, TcpFlags::ACK, 8, iss.wrapping_add(1)));
+        assert_eq!(s.accept(80), Some(sock));
+        assert_eq!(s.accept(80), None);
+        assert_eq!((s.accept_visits, s.ready), (1, 0));
+        // Releasing the dead leaves nothing of them with the listener.
+        let dead: Vec<SockId> =
+            s.socks().filter(|&id| s.state(id) == Some(TcpState::Closed)).collect();
+        assert_eq!(dead.len(), 5_000);
+        dead.into_iter().for_each(|id| s.release(id));
+        assert_eq!(s.sock_count(), 5_001);
+        assert!(s.listeners[&80].is_empty() && s.ready == 0);
+    }
+
+    #[test]
+    fn accept_is_fifo_and_skips_what_died_in_the_queue() {
+        let mut s = server();
+        s.listen(80);
+        let now = SimTime::ZERO;
+        let mut socks = Vec::new();
+        // SYNs arrive 1, 2, 3, 4; the handshakes complete 3, 1, 4, 2.
+        for port in 1..=4u16 {
+            s.handle_frame(now, from_client(port, TcpFlags::SYN, 7, 0));
+            socks.push(s.sock_by_quad(Quad::new(SERVER_IP, 80, CLIENT_IP, port)).unwrap());
+        }
+        for port in [3u16, 1, 4, 2] {
+            let iss = s.tcb(socks[usize::from(port) - 1]).unwrap().iss().raw();
+            s.handle_frame(now, from_client(port, TcpFlags::ACK, 8, iss.wrapping_add(1)));
+        }
+        assert_eq!(s.ready, 4);
+        // 3 is reset and released while queued, 1 reset and left closed.
+        for port in [3u16, 1] {
+            s.handle_frame(now, from_client(port, TcpFlags::RST, 8, 0));
+        }
+        s.release(socks[2]);
+        assert_eq!(s.accept(80), Some(socks[3]), "the stale and the closed handle are skipped");
+        assert_eq!(s.accept(80), Some(socks[1]));
+        assert_eq!(s.accept(80), None);
+        assert_eq!((s.accept_visits, s.ready), (4, 0));
+        assert_eq!(s.accept(81), None, "not a listening port");
     }
 
     #[test]

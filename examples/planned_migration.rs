@@ -10,6 +10,7 @@
 //!
 //! Run with: `cargo run --release --example planned_migration`
 
+use st_tcp::netsim::Switch;
 use st_tcp::obs::TakeoverBreakdown;
 use st_tcp::sttcp::cluster::DrainPhase;
 use st_tcp::sttcp::prelude::*;
@@ -42,6 +43,14 @@ fn main() {
         fleet.clients.len(),
         got,
         want
+    );
+    let trace = fleet.sim.trace();
+    println!(
+        "network: {} switch floods; {} frames delivered to a node, {} more dropped by the \
+         filter of a NIC they were not for",
+        fleet.sim.node_ref::<Switch>(fleet.fabric).floods,
+        trace.frames_delivered,
+        trace.frames_filtered_nic,
     );
     println!(
         "old primary: {:?}/{:?}; successor unsuppressed at {:.3} s\n",

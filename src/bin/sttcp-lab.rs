@@ -26,7 +26,7 @@
 
 use st_tcp::apps::Workload;
 use st_tcp::netsim::pcap::SharedPcap;
-use st_tcp::netsim::{DropRule, SimDuration, SimTime};
+use st_tcp::netsim::{DropRule, SimDuration, SimTime, Switch};
 use st_tcp::sttcp::scenario::{addrs, build, FaultSpec, RunLimits, ScenarioSpec, Topology};
 use st_tcp::sttcp::{ServerNode, SttcpConfig};
 use st_tcp::wire::{EtherType, EthernetFrame, IpProtocol, Ipv4Packet};
@@ -233,6 +233,11 @@ fn main() {
     println!("simulator");
     println!("  events processed  : {}", trace.events_processed);
     println!("  frames delivered  : {}", trace.frames_delivered);
+    println!("  filtered by NICs  : {}", trace.frames_filtered_nic);
+    if !matches!(args.topology, Topology::Hub | Topology::SharedMediumHub { .. }) {
+        let floods = scenario.sim.node_ref::<Switch>(scenario.fabric).floods;
+        println!("  switch floods     : {floods}");
+    }
     if let (Some(rec), Some(path)) = (pcap, args.pcap) {
         match rec.save(&path) {
             Ok(()) => println!("  pcap written      : {path} ({} frames)", rec.len()),
