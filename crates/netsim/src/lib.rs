@@ -84,7 +84,7 @@ pub use link::{LinkId, LinkProfile, LinkSpec, LinkStats, LossModel};
 pub use logger::PacketLogger;
 pub use node::{Context, Node, NodeId, PortId};
 pub use power::PowerSwitch;
-pub use rng::SplitMix64;
+pub use rng::{DetHashMap, SplitMix64};
 pub use shared_hub::SharedHub;
 pub use sim::Simulator;
 pub use switch::Switch;

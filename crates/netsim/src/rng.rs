@@ -6,6 +6,19 @@
 //! for this use; we do not need cryptographic strength to decide whether
 //! a frame is dropped.
 
+use std::collections::hash_map::DefaultHasher;
+use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
+
+/// A `HashMap` hashed with fixed keys. `std`'s default `RandomState`
+/// draws its keys per process, so the order a map is *walked* in differs
+/// from run to run; anything sent, polled or released in that order
+/// breaks bit-for-bit replay. Simulation code builds its maps from this
+/// alias (`DetHashMap::default()`): same SipHash, same order every run.
+/// What the random keys buy — no attacker can craft colliding keys — a
+/// simulator that generates its own traffic does not need.
+pub type DetHashMap<K, V> = HashMap<K, V, BuildHasherDefault<DefaultHasher>>;
+
 /// SplitMix64 PRNG state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SplitMix64 {

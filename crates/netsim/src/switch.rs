@@ -14,15 +14,15 @@
 //!    network without management support.
 
 use crate::node::{Context, Node, PortId};
+use crate::rng::DetHashMap;
 use bytes::Bytes;
-use std::collections::HashMap;
 use wire::{EthernetFrame, MacAddr};
 
 /// A learning switch.
 #[derive(Debug, Clone, Default)]
 pub struct Switch {
     ports: usize,
-    table: HashMap<MacAddr, PortId>,
+    table: DetHashMap<MacAddr, PortId>,
     mirrors: Vec<(PortId, PortId)>,
     /// Frames flooded because the destination was unknown or a group MAC.
     pub floods: u64,
@@ -53,7 +53,7 @@ impl Switch {
     }
 
     /// The learned MAC table (for assertions in tests).
-    pub fn table(&self) -> &HashMap<MacAddr, PortId> {
+    pub fn table(&self) -> &DetHashMap<MacAddr, PortId> {
         &self.table
     }
 

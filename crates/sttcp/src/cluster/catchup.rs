@@ -19,8 +19,7 @@
 //! [`gaps`]: CatchupTracker::gaps
 
 use crate::messages::ConnKey;
-use netsim::{SimDuration, SimTime};
-use std::collections::HashMap;
+use netsim::{DetHashMap, SimDuration, SimTime};
 use tcpstack::{NetStack, SeqNum, Tcb};
 
 /// Per-connection sync state.
@@ -62,7 +61,7 @@ fn shadow(stack: &NetStack, key: ConnKey) -> Option<&Tcb> {
 /// See the module docs.
 #[derive(Debug, Default)]
 pub struct CatchupTracker {
-    conns: HashMap<ConnKey, ConnSync>,
+    conns: DetHashMap<ConnKey, ConnSync>,
     /// Connections with possibly-unacked receive progress.
     pending: Vec<ConnKey>,
     /// Reused swap buffer for the scans (no per-pump allocation).

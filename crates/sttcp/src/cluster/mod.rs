@@ -64,10 +64,9 @@ use bytes::Bytes;
 use catchup::{CatchupTracker, MissingOut};
 use migration::{DrainCoordinator, DrainFollower};
 use netsim::logger::ReplayQuery;
-use netsim::{SimDuration, SimTime};
+use netsim::{DetHashMap, SimDuration, SimTime};
 use obs::{Counter, Gauge, Mark, MigrationPhase, SharedRecorder, TraceEvent};
 use promotion::PromotionTimer;
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use tcpstack::{NetStack, SeqNum, SockId, TcpState};
 
@@ -137,7 +136,7 @@ struct Peer {
     last_heard: SimTime,
     alive: bool,
     /// The point this backup has acknowledged, per connection.
-    acks: HashMap<ConnKey, SeqNum>,
+    acks: DetHashMap<ConnKey, SeqNum>,
 }
 
 /// See the module docs.
@@ -163,7 +162,7 @@ pub struct ClusterEngine {
     backups_dead_at: Option<SimTime>,
     /// Last congestion snapshot mirrored per connection (primary side,
     /// [`SttcpConfig::cong_sync`]); suppresses no-change rebroadcasts.
-    cong_sent: HashMap<ConnKey, (u32, u32)>,
+    cong_sent: DetHashMap<ConnKey, (u32, u32)>,
     takeover_at: Option<SimTime>,
     /// The primary this node deposed on a timeout, and the rank it held
     /// under it. A timeout is a suspicion, not a death certificate
@@ -177,7 +176,7 @@ pub struct ClusterEngine {
     fence_request: Option<u32>,
     logger_queries: Vec<ReplayQuery>,
     last_logger_query: Option<SimTime>,
-    bootstrap_attempts: HashMap<ConnKey, SimTime>,
+    bootstrap_attempts: DetHashMap<ConnKey, SimTime>,
     ack_scratch: Vec<catchup::AckOut>,
     req_scratch: Vec<MissingOut>,
     gap_scratch: Vec<catchup::Gap>,
@@ -187,7 +186,7 @@ pub struct ClusterEngine {
 }
 
 fn fresh_peers(topo: &Topology, now: SimTime) -> Vec<Peer> {
-    let peer = |&ip| Peer { ip, last_heard: now, alive: true, acks: HashMap::new() };
+    let peer = |&ip| Peer { ip, last_heard: now, alive: true, acks: DetHashMap::default() };
     topo.backups().iter().map(peer).collect()
 }
 
@@ -222,14 +221,14 @@ impl ClusterEngine {
             hb_seq: 0,
             peers: if rank == 0 { fresh_peers(&topology, now) } else { Vec::new() },
             backups_dead_at: None,
-            cong_sent: HashMap::new(),
+            cong_sent: DetHashMap::default(),
             takeover_at: None,
             deposed: None,
             outbox: Vec::new(),
             fence_request: None,
             logger_queries: Vec::new(),
             last_logger_query: None,
-            bootstrap_attempts: HashMap::new(),
+            bootstrap_attempts: DetHashMap::default(),
             ack_scratch: Vec::new(),
             req_scratch: Vec::new(),
             gap_scratch: Vec::new(),

@@ -604,7 +604,7 @@ mod tests {
 
     #[test]
     fn client_addresses_are_unique_and_off_server_subnet() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for i in 0..1000 {
             let ip = client_ip(i);
             assert!(seen.insert(ip), "duplicate client ip {ip}");

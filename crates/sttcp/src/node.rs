@@ -20,10 +20,9 @@ use apps::{Application, StackApi};
 use bytes::Bytes;
 use netsim::node::{Context, Node, PortId};
 use netsim::power::power_off_frame;
-use netsim::{SimDuration, SimTime};
+use netsim::{DetHashMap, SimDuration, SimTime};
 use obs::{Counter, SharedRecorder, TraceEvent};
 use std::any::Any;
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use tcpstack::{Gateway, NetStack, SeqNum, Side, SockId, StackConfig, UdpId};
 use wire::{IpProtocol, Ipv4Packet, TcpFlags, TcpSegment};
@@ -176,7 +175,7 @@ pub struct ServerNode {
     /// installs one; [`ServerNode::add_service`] appends more (a fleet
     /// server offering several workload classes on distinct ports).
     services: Vec<(u16, AppFactory)>,
-    conns: HashMap<SockId, ConnState>,
+    conns: DetHashMap<SockId, ConnState>,
     timer: StackTimer,
     booted: bool,
     /// Observability recorder, re-applied to the fresh stack/engine on
@@ -206,7 +205,7 @@ impl ServerNode {
             replication,
             side_udp: None,
             services: vec![(listen_port, factory)],
-            conns: HashMap::new(),
+            conns: DetHashMap::default(),
             timer: StackTimer::default(),
             booted: false,
             recorder: obs::nop(),

@@ -8,9 +8,8 @@
 //! addressee; the client's NIC discards it and the host — node, stack,
 //! pump — never runs.
 
-use netsim::{NodeId, SimDuration, SimTime, Switch};
+use netsim::{DetHashMap, NodeId, SimDuration, SimTime, Switch};
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 use sttcp::fleet::{self, FleetSpec};
 use sttcp::node::{ClientNode, ServerNode};
@@ -28,7 +27,7 @@ fn a_fleets_hosts_see_exactly_the_frames_addressed_to_them() {
         .connect_spread(SimDuration::from_millis(100))
         .crash_primary_at(SimTime::ZERO + SimDuration::from_millis(150));
     let mut f = fleet::build(&spec);
-    let mut hosts: HashMap<NodeId, StackConfig> = HashMap::new();
+    let mut hosts: DetHashMap<NodeId, StackConfig> = DetHashMap::default();
     for &c in &f.clients {
         hosts.insert(c, f.sim.node_ref::<ClientNode>(c).stack().config().clone());
     }

@@ -6,21 +6,24 @@
 //! learning, because RFC 1812 forbids learning a multicast MAC from an
 //! ARP reply — the whole reason the paper installs them statically.
 
-use std::collections::HashMap;
+use netsim::DetHashMap;
 use std::net::Ipv4Addr;
 use wire::MacAddr;
 
 /// Static-first ARP table.
 #[derive(Debug, Clone, Default)]
 pub struct ArpCache {
-    static_entries: HashMap<Ipv4Addr, MacAddr>,
-    dynamic: HashMap<Ipv4Addr, MacAddr>,
+    static_entries: DetHashMap<Ipv4Addr, MacAddr>,
+    dynamic: DetHashMap<Ipv4Addr, MacAddr>,
 }
 
 impl ArpCache {
     /// Creates a cache with the given static entries.
     pub fn new(static_entries: impl IntoIterator<Item = (Ipv4Addr, MacAddr)>) -> Self {
-        ArpCache { static_entries: static_entries.into_iter().collect(), dynamic: HashMap::new() }
+        ArpCache {
+            static_entries: static_entries.into_iter().collect(),
+            dynamic: DetHashMap::default(),
+        }
     }
 
     /// Looks up the MAC for `ip` (static entries win).

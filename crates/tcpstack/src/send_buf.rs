@@ -8,19 +8,28 @@ use std::collections::VecDeque;
 /// Bytes enter via [`SendBuffer::write`] and leave when the peer's
 /// cumulative ACK advances past them ([`SendBuffer::ack_to`]). The TCB
 /// reads transmission windows out of the middle with
-/// [`SendBuffer::copy_range`]; nothing is removed until acknowledged, so
-/// retransmission is always possible.
+/// [`SendBuffer::slices_range`]; nothing is removed until acknowledged,
+/// so retransmission is always possible.
+///
+/// A release is *logical*: the bytes of the latest `ack_to` leave every
+/// count at once but stay readable through `slices_range` until the
+/// buffer is next mutated (`write`, the next `ack_to`, `rebase`). A
+/// shadow's poll stages a segment and may release its bytes before the
+/// stack has emitted it (§4.1 auto-trim); the plan reads them here
+/// instead of carrying a copy.
 #[derive(Debug, Clone)]
 pub struct SendBuffer {
     base: SeqNum,
+    /// `released` bytes the last `ack_to` let go, then the live ones.
     data: VecDeque<u8>,
+    released: usize,
     capacity: usize,
 }
 
 impl SendBuffer {
     /// Creates an empty buffer whose first byte will carry seq `base`.
     pub fn new(base: SeqNum, capacity: usize) -> Self {
-        SendBuffer { base, data: VecDeque::new(), capacity }
+        SendBuffer { base, data: VecDeque::new(), released: 0, capacity }
     }
 
     /// Sequence number of the first unacknowledged byte.
@@ -30,22 +39,22 @@ impl SendBuffer {
 
     /// Sequence number one past the last buffered byte.
     pub fn end(&self) -> SeqNum {
-        self.base.add(self.data.len() as u32)
+        self.base.add(self.len() as u32)
     }
 
     /// Bytes currently buffered (sent-unacked plus unsent).
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.data.len() - self.released
     }
 
     /// True when nothing is buffered.
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.len() == 0
     }
 
     /// Space left for the application.
     pub fn free_space(&self) -> usize {
-        self.capacity - self.data.len()
+        self.capacity - self.len()
     }
 
     /// Rebases the sequence space (ST-TCP backup ISN resynchronization,
@@ -56,69 +65,74 @@ impl SendBuffer {
     /// Panics if data is already buffered — resync happens during the
     /// handshake, before any payload exists.
     pub fn rebase(&mut self, base: SeqNum) {
-        assert!(self.data.is_empty(), "cannot rebase a non-empty send buffer");
+        assert!(self.is_empty(), "cannot rebase a non-empty send buffer");
+        self.drop_released();
         self.base = base;
     }
 
     /// Appends as much of `data` as fits; returns the number accepted.
     pub fn write(&mut self, data: &[u8]) -> usize {
+        self.drop_released();
         let n = data.len().min(self.free_space());
         self.data.extend(&data[..n]);
         n
     }
 
-    /// Borrows up to `len` bytes starting at `seq` as the (at most two)
-    /// contiguous halves of the ring — the zero-copy counterpart of
-    /// [`SendBuffer::copy_range`]. Either slice may be empty. Returns
-    /// `None` if `seq` is outside the buffered range.
+    /// Borrows the readable part of `[seq, seq + len)` as the (at most
+    /// two) contiguous halves of the ring; either slice may be empty.
+    /// Readable is everything buffered plus what the last `ack_to`
+    /// released; a range that starts outside it yields nothing.
     ///
     /// The caller writes these straight into the frame builder, so a
     /// transmitted payload costs exactly one memcpy end-to-end.
-    pub fn slices_range(&self, seq: SeqNum, len: usize) -> Option<(&[u8], &[u8])> {
-        if !seq.ge(self.base) || !seq.le(self.end()) {
-            return None;
+    pub fn slices_range(&self, seq: SeqNum, len: usize) -> (&[u8], &[u8]) {
+        let off = seq.distance(self.base) + self.released as i64;
+        if off < 0 || off as usize > self.data.len() {
+            return (&[], &[]);
         }
-        let off = seq.distance(self.base) as usize;
+        let off = off as usize;
         let n = len.min(self.data.len() - off);
         let (front, back) = self.data.as_slices();
         if off < front.len() {
             let a = &front[off..front.len().min(off + n)];
-            let b = &back[..n - a.len()];
-            Some((a, b))
+            (a, &back[..n - a.len()])
         } else {
-            Some((&back[off - front.len()..off - front.len() + n], &[]))
+            (&back[off - front.len()..off - front.len() + n], &[])
         }
     }
 
-    /// Copies up to `len` bytes starting at `seq` into a fresh vector.
-    /// Returns `None` if `seq` is outside the buffered range.
-    pub fn copy_range(&self, seq: SeqNum, len: usize) -> Option<Vec<u8>> {
-        self.slices_range(seq, len).map(|(a, b)| {
-            let mut v = Vec::with_capacity(a.len() + b.len());
-            v.extend_from_slice(a);
-            v.extend_from_slice(b);
-            v
-        })
-    }
-
-    /// Advances `snd_una` to `new_base`, discarding acknowledged bytes.
+    /// Advances `snd_una` to `new_base`, releasing acknowledged bytes.
     /// Returns how many bytes were released. ACKs below the current base
     /// or beyond buffered data release nothing beyond the valid range.
     pub fn ack_to(&mut self, new_base: SeqNum) -> usize {
+        self.drop_released();
         let target = new_base.min(self.end());
         if !target.gt(self.base) {
             return 0;
         }
         let n = target.distance(self.base) as usize;
-        self.data.drain(..n);
+        self.released = n;
         self.base = target;
         n
+    }
+
+    /// Lets go of the bytes the last `ack_to` released.
+    fn drop_released(&mut self) {
+        if self.released > 0 {
+            self.data.drain(..self.released);
+            self.released = 0;
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn copy(b: &SendBuffer, seq: SeqNum, len: usize) -> Vec<u8> {
+        let (x, y) = b.slices_range(seq, len);
+        [x, y].concat()
+    }
 
     #[test]
     fn write_and_ack_cycle() {
@@ -131,17 +145,18 @@ mod tests {
         assert_eq!(b.ack_to(SeqNum(1003)), 3);
         assert_eq!(b.base(), SeqNum(1003));
         assert_eq!(b.free_space(), 3);
-        assert_eq!(b.copy_range(SeqNum(1003), 7).unwrap(), b"loworld");
+        assert_eq!(copy(&b, SeqNum(1003), 7), b"loworld");
     }
 
     #[test]
     fn copy_range_mid_buffer() {
         let mut b = SendBuffer::new(SeqNum(0), 100);
         b.write(b"abcdefghij");
-        assert_eq!(b.copy_range(SeqNum(3), 4).unwrap(), b"defg");
-        assert_eq!(b.copy_range(SeqNum(8), 100).unwrap(), b"ij");
-        assert_eq!(b.copy_range(SeqNum(10), 5).unwrap(), b"", "end is valid, empty");
-        assert_eq!(b.copy_range(SeqNum(11), 1), None);
+        assert_eq!(copy(&b, SeqNum(3), 4), b"defg");
+        assert_eq!(copy(&b, SeqNum(8), 100), b"ij");
+        assert_eq!(copy(&b, SeqNum(10), 5), b"", "end is valid, empty");
+        assert_eq!(copy(&b, SeqNum(11), 1), b"", "past the end: nothing, and no panic");
+        assert_eq!(copy(&b, SeqNum(u32::MAX), 4), b"", "before the base: nothing");
     }
 
     #[test]
@@ -154,6 +169,7 @@ mod tests {
         // Keep a residue buffered: a fully drained VecDeque may reset its
         // ring head, which would keep the storage contiguous forever.
         assert_eq!(b.write(b"\xAA\xBB\xCC"), 3);
+        let mut model = b"\xAA\xBB\xCC".to_vec();
         for _ in 0..40 {
             let chunk: Vec<u8> = (0..6)
                 .map(|_| {
@@ -162,18 +178,20 @@ mod tests {
                 })
                 .collect();
             assert_eq!(b.write(&chunk), 6);
+            model.extend_from_slice(&chunk);
             for off in 0..=b.len() {
                 let seq = b.base().add(off as u32);
                 for len in [0usize, 1, 4, 16] {
-                    let (x, y) = b.slices_range(seq, len).unwrap();
+                    let (x, y) = b.slices_range(seq, len);
                     seam_seen |= !x.is_empty() && !y.is_empty();
-                    assert_eq!([x, y].concat(), b.copy_range(seq, len).unwrap());
+                    assert_eq!([x, y].concat(), model[off..model.len().min(off + len)]);
                 }
             }
             b.ack_to(b.base().add(6));
+            model.drain(..6);
         }
         assert!(seam_seen, "test never exercised the wrapped two-slice case");
-        assert_eq!(b.slices_range(b.end().add(1), 1), None);
+        assert_eq!(b.slices_range(b.end().add(1), 1), (&[][..], &[][..]));
     }
 
     #[test]
@@ -184,6 +202,27 @@ mod tests {
         assert_eq!(b.ack_to(SeqNum(200)), 10, "overshoot clamps to end");
         assert_eq!(b.base(), SeqNum(110));
         assert!(b.is_empty());
+    }
+
+    #[test]
+    fn released_bytes_stay_readable_until_the_next_mutation() {
+        let mut b = SendBuffer::new(SeqNum(100), 10);
+        b.write(b"0123456789");
+        assert_eq!(b.ack_to(SeqNum(106)), 6);
+        // Gone from every count ...
+        assert_eq!((b.base(), b.len(), b.free_space()), (SeqNum(106), 4, 6));
+        // ... yet a plan staged before the release still reads its bytes,
+        // alone or running on into the live ones.
+        assert_eq!(copy(&b, SeqNum(100), 6), b"012345");
+        assert_eq!(copy(&b, SeqNum(104), 4), b"4567");
+        // Each mutation lets them go: the next release ...
+        assert_eq!(b.ack_to(SeqNum(108)), 2);
+        assert_eq!(copy(&b, SeqNum(100), 6), b"");
+        assert_eq!(copy(&b, SeqNum(106), 4), b"6789");
+        // ... and a write, into the space they were counted out of.
+        assert_eq!(b.write(b"abcdefghij"), 8);
+        assert_eq!(copy(&b, SeqNum(106), 2), b"");
+        assert_eq!(copy(&b, SeqNum(108), 10), b"89abcdefgh");
     }
 
     #[test]
@@ -208,7 +247,7 @@ mod tests {
         let mut b = SendBuffer::new(SeqNum(u32::MAX - 2), 100);
         b.write(b"abcdef");
         assert_eq!(b.end(), SeqNum(3));
-        assert_eq!(b.copy_range(SeqNum(u32::MAX), 3).unwrap(), b"cde");
+        assert_eq!(copy(&b, SeqNum(u32::MAX), 3), b"cde");
         // Acking up to seq 1 covers MAX-2, MAX-1, MAX, 0 — four bytes.
         assert_eq!(b.ack_to(SeqNum(1)), 4, "ack across the wrap");
         assert_eq!(b.base(), SeqNum(1));

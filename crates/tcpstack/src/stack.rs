@@ -5,15 +5,21 @@
 //! tells the embedding when to call back. The `sttcp` crate builds the
 //! primary/backup/client simulation nodes on top of this.
 //!
+//! There is one way out: every IP packet — a connection's staged
+//! segment, a RST for an unknown quad, a datagram — leaves through
+//! `NetStack::emit`, which decides suppression, next hop, ARP and the IP
+//! ident once and composes the frame with the one [`FrameBuilder`]
+//! (DESIGN.md §8, "The egress contract").
+//!
 //! ST-TCP specifics handled at this layer:
 //!
 //! * **NIC filtering for tapping** — accepts frames for the configured
 //!   multicast MACs (`SME`/`GME`) or everything in promiscuous mode;
-//! * **egress suppression** — frames sourced from a suppressed IP (the
-//!   backup's copy of the service VIP) are generated and then dropped,
-//!   which is precisely the paper's "replies from the backup server to
-//!   the client are dropped" (§4.2), and ARP replies for a suppressed
-//!   IP are never sent;
+//! * **egress suppression** — packets sourced from a suppressed IP (the
+//!   backup's copy of the service VIP) are planned and then dropped
+//!   before a byte of them is read, which is the paper's "replies from
+//!   the backup server to the client are dropped" (§4.2), and ARP
+//!   replies for a suppressed IP are never sent;
 //! * **MAC learning from tapped IP traffic** — so the backup can address
 //!   the client the instant it takes over.
 
@@ -25,9 +31,9 @@ use crate::tcb::{StagedSeg, Tcb, TcpState};
 use crate::twheel::TimerWheel;
 use crate::udp_socket::{UdpRecv, UdpSocket};
 use bytes::Bytes;
-use netsim::{SimDuration, SimTime, SplitMix64};
+use netsim::{DetHashMap, SimDuration, SimTime, SplitMix64};
 use obs::{Counter, Mark, SharedRecorder, TraceEvent};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::net::Ipv4Addr;
 use wire::{
@@ -94,7 +100,20 @@ const EPHEMERAL_BASE: u16 = 40000;
 struct ArpPending {
     last_request: SimTime,
     tries: u32,
-    queued: Vec<Ipv4Packet>,
+    /// Finished frames, complete but for the destination MAC.
+    queued: Vec<Vec<u8>>,
+}
+
+/// What an outgoing IP packet carries; its [`Quad`] (local = source)
+/// says between which endpoints.
+#[derive(Clone, Copy)]
+enum Packet<'a> {
+    /// A TCP segment. The connection that staged it holds its payload
+    /// (see [`Tcb::payload_slices`]); a RST answering a segment no
+    /// connection claims has neither.
+    Tcp(&'a StagedSeg, Option<SockId>),
+    /// A datagram's payload.
+    Udp(&'a [u8]),
 }
 
 /// One host's network stack. See the module docs.
@@ -104,10 +123,10 @@ pub struct NetStack {
     /// Connection storage: generation-tagged slab, O(1) insert/remove.
     tcbs: TcbSlab,
     /// Quad demux for established/handshaking connections.
-    by_quad: HashMap<Quad, SockId>,
+    by_quad: DetHashMap<Quad, SockId>,
     /// Listening ports, each with its accept queue: passively opened
     /// connections in the order they synchronized, until accepted.
-    listeners: HashMap<u16, VecDeque<SockId>>,
+    listeners: DetHashMap<u16, VecDeque<SockId>>,
     /// Handles queued over all listeners (nothing ready is the common
     /// case: [`NetStack::accept`] answers it without a lookup).
     ready: usize,
@@ -116,7 +135,7 @@ pub struct NetStack {
     accept_visits: u64,
     udps: Vec<UdpSocket>,
     /// UDP demux: destination port → `udps` index (first bind wins).
-    udp_ports: HashMap<u16, usize>,
+    udp_ports: DetHashMap<u16, usize>,
     /// Connection-deadline wake index (tokens are raw [`SockId`]s).
     wheel: TimerWheel<u64>,
     /// Scratch for wheel pops (capacity reused across polls).
@@ -128,10 +147,15 @@ pub struct NetStack {
     /// (see [`NetStack::drain_activity`]). Only fed when enabled.
     activity: Vec<SockId>,
     activity_tracking: bool,
+    /// The one transmit queue: what the connection being polled staged,
+    /// emitted and cleared before the next is polled (capacity reused).
+    staged: Vec<StagedSeg>,
     out: VecDeque<Bytes>,
     builder: FrameBuilder,
-    pending_arp: HashMap<Ipv4Addr, ArpPending>,
-    suppressed: HashSet<Ipv4Addr>,
+    /// Unresolved next hops, in address order (retries walk it).
+    pending_arp: BTreeMap<Ipv4Addr, ArpPending>,
+    /// Source IPs whose egress is dropped: none, or a backup's VIP.
+    suppressed: Vec<Ipv4Addr>,
     recorder: SharedRecorder,
     /// Armed by [`NetStack::unsuppress`]: the next *data* segment to
     /// leave the stack stamps the first-post-takeover-byte mark.
@@ -157,7 +181,7 @@ impl NetStack {
     /// Builds a stack from its configuration.
     pub fn new(cfg: StackConfig) -> Self {
         let arp = ArpCache::new(cfg.static_arp.iter().copied());
-        let suppressed = cfg.suppressed_ips.iter().copied().collect();
+        let suppressed = cfg.suppressed_ips.clone();
         let isn_rng = SplitMix64::new(cfg.isn_seed);
         NetStack {
             arp,
@@ -166,21 +190,22 @@ impl NetStack {
             takeover_watch: false,
             isn_rng,
             tcbs: TcbSlab::new(),
-            by_quad: HashMap::new(),
-            listeners: HashMap::new(),
+            by_quad: DetHashMap::default(),
+            listeners: DetHashMap::default(),
             ready: 0,
             #[cfg(test)]
             accept_visits: 0,
             udps: Vec::new(),
-            udp_ports: HashMap::new(),
+            udp_ports: DetHashMap::default(),
             wheel: TimerWheel::new(),
             wheel_expired: Vec::with_capacity(32),
             poll_queue: Vec::with_capacity(32),
             activity: Vec::new(),
             activity_tracking: false,
+            staged: Vec::new(),
             out: VecDeque::new(),
             builder: FrameBuilder::new(),
-            pending_arp: HashMap::new(),
+            pending_arp: BTreeMap::new(),
             ip_ident: 0,
             next_ephemeral: EPHEMERAL_BASE,
             stats: StackStats::default(),
@@ -475,10 +500,8 @@ impl NetStack {
         let Some(sock) = self.udps.get(udp.0) else {
             return;
         };
-        let src_port = sock.port();
-        let dgram = UdpDatagram::new(src_port, dst_port, payload);
-        let payload = dgram.encode(self.cfg.ip, dst_ip);
-        self.emit_ip(now, self.cfg.ip, dst_ip, IpProtocol::Udp, payload);
+        let quad = Quad::new(self.cfg.ip, sock.port(), dst_ip, dst_port);
+        self.emit(now, quad, [Packet::Udp(&payload)]);
     }
 
     /// Receives the oldest queued datagram on `udp`.
@@ -490,7 +513,8 @@ impl NetStack {
 
     /// Suppresses all egress sourced from `ip` (backup shadow mode).
     pub fn suppress(&mut self, now: SimTime, ip: Ipv4Addr) {
-        if self.suppressed.insert(ip) {
+        if !self.suppressed.contains(&ip) {
+            self.suppressed.push(ip);
             self.recorder.trace(now.as_nanos(), &TraceEvent::Suppression { ip, on: true });
         }
     }
@@ -499,7 +523,9 @@ impl NetStack {
     /// flag is set, the kernel starts sending the packets to the client
     /// instead of dropping them" (§5).
     pub fn unsuppress(&mut self, now: SimTime, ip: Ipv4Addr) {
-        if self.suppressed.remove(&ip) {
+        let before = self.suppressed.len();
+        self.suppressed.retain(|&s| s != ip);
+        if self.suppressed.len() < before {
             self.takeover_watch = true;
             self.recorder.trace(now.as_nanos(), &TraceEvent::Suppression { ip, on: false });
         }
@@ -615,19 +641,16 @@ impl NetStack {
         }
         // Otherwise: RST (never in response to a RST).
         if !seg.flags.contains(TcpFlags::RST) {
-            self.send_rst(now, src, dst, &seg);
+            let (seq, ack, flags) = if seg.flags.contains(TcpFlags::ACK) {
+                (seg.ack, 0, TcpFlags::RST)
+            } else {
+                (0, seg.seq.wrapping_add(seg.seq_len()), TcpFlags::RST | TcpFlags::ACK)
+            };
+            let rst =
+                StagedSeg { seq: SeqNum(seq), ack, len: 0, window: 0, flags, options: Vec::new() };
+            self.stats.rsts_sent += 1;
+            self.emit(now, quad, [Packet::Tcp(&rst, None)]);
         }
-    }
-
-    fn send_rst(&mut self, now: SimTime, src: Ipv4Addr, dst: Ipv4Addr, seg: &TcpSegment) {
-        let rst = if seg.flags.contains(TcpFlags::ACK) {
-            TcpSegment::bare(seg.dst_port, seg.src_port, seg.ack, 0, TcpFlags::RST, 0)
-        } else {
-            let ack = seg.seq.wrapping_add(seg.seq_len());
-            TcpSegment::bare(seg.dst_port, seg.src_port, 0, ack, TcpFlags::RST | TcpFlags::ACK, 0)
-        };
-        self.stats.rsts_sent += 1;
-        self.emit_ip(now, dst, src, IpProtocol::Tcp, rst.encode(dst, src));
     }
 
     fn handle_udp(&mut self, ip: Ipv4Packet) {
@@ -657,9 +680,10 @@ impl NetStack {
     /// Drives timers and appends every ready frame to `frames`.
     ///
     /// The allocation-lean form of [`NetStack::poll`]: callers keep and
-    /// reuse `frames`, staged segments stay inside each TCB, and data
-    /// payloads flow from the send-buffer ring straight into the frame
-    /// builder — one memcpy, zero allocations per frame at steady state.
+    /// reuse `frames`, every connection stages into the stack's one
+    /// queue, and data payloads flow from the send-buffer ring straight
+    /// into the frame builder — one memcpy, zero allocations per frame at
+    /// steady state.
     ///
     /// O(active): only sockets touched since the last poll (ingress, API
     /// calls, `tcb_mut`) or with a due timer-wheel entry are visited —
@@ -691,6 +715,7 @@ impl NetStack {
             }
         }
         self.wheel_expired = expired;
+        let mut staged = std::mem::take(&mut self.staged);
         let mut i = 0;
         while i < self.poll_queue.len() {
             let sock = self.poll_queue[i];
@@ -699,18 +724,18 @@ impl NetStack {
                 continue; // released since it was queued
             };
             conn.queued_poll = false;
-            conn.tcb.poll_stage(now);
-            self.emit_staged(now, sock);
-            let closed_quad = {
-                let conn = self.tcbs.get_mut(sock).expect("live conn");
-                conn.tcb.clear_staged();
-                (conn.tcb.state() == TcpState::Closed).then(|| conn.tcb.quad())
-            };
-            if let Some(quad) = closed_quad {
+            conn.tcb.poll_stage(now, &mut staged);
+            let (quad, closed) = (conn.tcb.quad(), conn.tcb.state() == TcpState::Closed);
+            if !staged.is_empty() {
+                self.emit(now, quad, staged.iter().map(|seg| Packet::Tcp(seg, Some(sock))));
+                staged.clear();
+            }
+            if closed {
                 self.by_quad.remove(&quad);
             }
             self.rearm(sock);
         }
+        self.staged = staged;
         self.poll_queue.clear();
         self.stats.frames_out += self.out.len() as u64;
         frames.extend(self.out.drain(..));
@@ -734,101 +759,6 @@ impl NetStack {
         }
     }
 
-    /// Transmits everything `sock` staged in this poll.
-    ///
-    /// With a resolved next hop this composes each segment straight into
-    /// the frame builder (borrowing data payloads from the send buffer);
-    /// without one it falls back to the layered encode chain and queues
-    /// the packets behind an ARP request.
-    fn emit_staged(&mut self, now: SimTime, sock: SockId) {
-        let tcb = &self.tcbs.get(sock).expect("live TCB").tcb;
-        let staged = tcb.staged();
-        if staged.is_empty() {
-            return;
-        }
-        let quad = tcb.quad();
-        if self.suppressed.contains(&quad.local_ip) {
-            self.stats.segs_suppressed += staged.len() as u64;
-            self.recorder.count(Counter::SegsSuppressed, staged.len() as u64);
-            return;
-        }
-        if self.takeover_watch {
-            let carries_data = staged.iter().any(|s| match s {
-                StagedSeg::Ctl(seg) => !seg.payload.is_empty(),
-                StagedSeg::Data { len, .. } => *len > 0,
-            });
-            if carries_data {
-                self.recorder.mark_first(Mark::FirstByteAfterTakeover, now.as_nanos());
-                self.recorder
-                    .trace(now.as_nanos(), &TraceEvent::FirstByte { conn: quad.trace_conn() });
-                self.takeover_watch = false;
-            }
-        }
-        // Wire summary: one event per segment reaching the wire (never
-        // for suppressed egress above).
-        for s in staged {
-            let (seq, len, flags) = match s {
-                StagedSeg::Ctl(seg) => (seg.seq, seg.payload.len() as u32, seg.flags),
-                StagedSeg::Data { seq, len, flags, .. } => (seq.raw(), u32::from(*len), *flags),
-            };
-            self.recorder.trace(
-                now.as_nanos(),
-                &TraceEvent::WireData { conn: quad.trace_conn(), seq, len, flags: flags.bits() },
-            );
-        }
-        let Some(next_hop) = self.next_hop(quad.remote_ip) else {
-            return; // unroutable
-        };
-        if let Some(mac) = self.arp.lookup(next_hop) {
-            for staged_seg in staged {
-                self.ip_ident = self.ip_ident.wrapping_add(1);
-                let mut hdr = TcpFrameHeader {
-                    eth_dst: mac,
-                    eth_src: self.cfg.mac,
-                    ip_src: quad.local_ip,
-                    ip_dst: quad.remote_ip,
-                    ident: self.ip_ident,
-                    ttl: 64,
-                    src_port: quad.local_port,
-                    dst_port: quad.remote_port,
-                    seq: 0,
-                    ack: 0,
-                    flags: TcpFlags::from_bits(0),
-                    window: 0,
-                    options: &[],
-                };
-                let frame = match staged_seg {
-                    StagedSeg::Ctl(seg) => {
-                        hdr.src_port = seg.src_port;
-                        hdr.dst_port = seg.dst_port;
-                        hdr.seq = seg.seq;
-                        hdr.ack = seg.ack;
-                        hdr.flags = seg.flags;
-                        hdr.window = seg.window;
-                        hdr.options = &seg.options;
-                        self.builder.tcp_frame(&hdr, (&seg.payload, &[]))
-                    }
-                    StagedSeg::Data { seq, len, flags, ack, window } => {
-                        hdr.seq = seq.raw();
-                        hdr.ack = *ack;
-                        hdr.flags = *flags;
-                        hdr.window = *window;
-                        self.builder.tcp_frame(&hdr, tcb.payload_slices(*seq, usize::from(*len)))
-                    }
-                };
-                self.out.push_back(frame);
-            }
-        } else {
-            // ARP miss: materialize the staged segments and queue them
-            // as IP packets behind the request (the pre-builder path).
-            for i in 0..staged.len() {
-                let seg = self.tcbs.get(sock).expect("live TCB").tcb.materialize(i);
-                let payload = seg.encode(quad.local_ip, quad.remote_ip);
-                self.emit_ip(now, quad.local_ip, quad.remote_ip, IpProtocol::Tcp, payload);
-            }
-        }
-    }
-
     /// The earliest instant at which [`NetStack::poll`] has new work.
     ///
     /// O(1): read off the timer wheel instead of scanning TCBs. The value
@@ -842,51 +772,123 @@ impl NetStack {
         [tcb_min, arp_min].into_iter().flatten().min()
     }
 
-    /// Sends `payload` as one IP packet from `src` (one of ours) to `dst`.
-    fn emit_ip(
+    /// Sends IP packets from `quad`'s local end (one of our IPs) to its
+    /// remote end: the single place that decides suppression, next hop,
+    /// ARP (once for the lot) and the IP ident (for each), and composes
+    /// the frames.
+    fn emit<'a>(
         &mut self,
         now: SimTime,
-        src: Ipv4Addr,
-        dst: Ipv4Addr,
-        protocol: IpProtocol,
-        payload: Bytes,
+        quad: Quad,
+        packets: impl IntoIterator<Item = Packet<'a>>,
     ) {
-        let ident = self.next_ident();
-        // Egress suppression is enforced at the single emission choke
-        // point so that *every* frame sourced from a suppressed IP is
-        // covered — connection segments, RSTs for unknown quads, all of
-        // it. A backup that RST a client because its shadow was missing
-        // would kill the very connection it exists to protect.
-        if self.suppressed.contains(&src) {
-            self.stats.segs_suppressed += 1;
-            self.recorder.count(Counter::SegsSuppressed, 1);
-            return;
-        }
-        let Some(next_hop) = self.next_hop(dst) else {
-            return; // unroutable
-        };
-        let packet = Ipv4Packet { ident, ..Ipv4Packet::new(src, dst, protocol, payload) };
-        if let Some(mac) = self.arp.lookup(next_hop) {
-            let frame = self.builder.ip_frame(mac, self.cfg.mac, &packet);
-            self.out.push_back(frame);
-            return;
-        }
-        // Hold the packet until `next_hop` resolves (at most 64 per
-        // hop), asking for it if nobody has yet.
-        let entry = self.pending_arp.entry(next_hop).or_insert(ArpPending {
-            last_request: now,
-            tries: 0,
-            queued: Vec::new(),
-        });
-        if entry.queued.len() < 64 {
-            entry.queued.push(packet);
+        // Egress suppression covers *every* packet sourced from a
+        // suppressed IP — connection segments, RSTs for unknown quads,
+        // all of it. A backup that RST a client because its shadow was
+        // missing would kill the very connection it exists to protect.
+        let suppressed = self.suppressed.contains(&quad.local_ip);
+        let route = if suppressed {
+            None // nothing will be composed
         } else {
-            self.stats.arp_queue_drops += 1;
-        }
-        if entry.tries == 0 {
-            entry.tries = 1;
-            entry.last_request = now;
-            self.send_arp_request(next_hop);
+            self.next_hop(quad.remote_ip).map(|hop| (hop, self.arp.lookup(hop)))
+        };
+        // A frame that must wait for ARP is composed all the same, to be
+        // parked — with a builder of its own, because the stack's sizes
+        // its buffers by the burst and a parked frame leaves with none.
+        let mut aside = FrameBuilder::with_capacity(0);
+        for packet in packets {
+            // The ident rule: a RST or datagram takes its ident before
+            // anything can drop it; a connection's segment only once it
+            // is certain to be composed. A promoted backup's first
+            // frames show which idents its suppressed life consumed.
+            let staged = matches!(packet, Packet::Tcp(_, Some(_)));
+            let early_ident = (!staged).then(|| self.next_ident());
+            if suppressed {
+                self.stats.segs_suppressed += 1;
+                self.recorder.count(Counter::SegsSuppressed, 1);
+                continue;
+            }
+            if let Packet::Tcp(seg, Some(_)) = packet {
+                if self.takeover_watch && seg.len > 0 {
+                    self.recorder.mark_first(Mark::FirstByteAfterTakeover, now.as_nanos());
+                    self.recorder
+                        .trace(now.as_nanos(), &TraceEvent::FirstByte { conn: quad.trace_conn() });
+                    self.takeover_watch = false;
+                }
+                // Wire summary: one event per segment reaching the wire.
+                self.recorder.trace(
+                    now.as_nanos(),
+                    &TraceEvent::WireData {
+                        conn: quad.trace_conn(),
+                        seq: seg.seq.raw(),
+                        len: u32::from(seg.len),
+                        flags: seg.flags.bits(),
+                    },
+                );
+            }
+            let Some((next_hop, mac)) = route else {
+                continue; // unroutable
+            };
+            let ident = early_ident.unwrap_or_else(|| self.next_ident());
+            let (eth_dst, eth_src) = (mac.unwrap_or(MacAddr::BROADCAST), self.cfg.mac);
+            let builder = if mac.is_some() { &mut self.builder } else { &mut aside };
+            let frame = match packet {
+                Packet::Tcp(seg, conn) => {
+                    let hdr = TcpFrameHeader {
+                        eth_dst,
+                        eth_src,
+                        ip_src: quad.local_ip,
+                        ip_dst: quad.remote_ip,
+                        ident,
+                        ttl: 64,
+                        src_port: quad.local_port,
+                        dst_port: quad.remote_port,
+                        seq: seg.seq.raw(),
+                        ack: seg.ack,
+                        flags: seg.flags,
+                        window: seg.window,
+                        options: &seg.options,
+                    };
+                    let payload = match conn.and_then(|sock| self.tcbs.get(sock)) {
+                        Some(conn) => conn.tcb.payload_slices(seg),
+                        None => (&[][..], &[][..]),
+                    };
+                    builder.tcp_frame(&hdr, payload)
+                }
+                Packet::Udp(payload) => builder.udp_frame(
+                    eth_dst,
+                    eth_src,
+                    quad.local_ip,
+                    quad.remote_ip,
+                    ident,
+                    64,
+                    quad.local_port,
+                    quad.remote_port,
+                    payload,
+                ),
+            };
+            if mac.is_some() {
+                self.out.push_back(frame);
+                continue;
+            }
+            // Park the frame until `next_hop` resolves (at most 64 per
+            // hop), asking for it if nobody has yet. A copy, for the
+            // reply to patch.
+            let entry = self.pending_arp.entry(next_hop).or_insert(ArpPending {
+                last_request: now,
+                tries: 0,
+                queued: Vec::new(),
+            });
+            if entry.queued.len() < 64 {
+                entry.queued.push(frame.to_vec());
+            } else {
+                self.stats.arp_queue_drops += 1;
+            }
+            if entry.tries == 0 {
+                entry.tries = 1;
+                entry.last_request = now;
+                self.send_arp_request(next_hop);
+            }
         }
     }
 
@@ -935,9 +937,9 @@ impl NetStack {
             self.pending_arp.insert(ip, pending);
             return;
         };
-        for packet in pending.queued {
-            let frame = EthernetFrame::new(mac, self.cfg.mac, EtherType::Ipv4, packet.encode());
-            self.out.push_back(frame.encode());
+        for mut frame in pending.queued {
+            frame[..6].copy_from_slice(&mac.octets());
+            self.out.push_back(Bytes::from(frame));
         }
     }
 
@@ -1274,6 +1276,102 @@ mod tests {
         b.udp_send(now, ub, CLIENT_IP, 5000, Bytes::from_static(b"ack"));
         pump(&mut a, &mut b, &mut now, SimDuration::from_micros(100));
         assert_eq!(a.udp_recv(ua).unwrap().payload, Bytes::from_static(b"ack"));
+    }
+
+    /// `frame` taken apart and put together again by the layered
+    /// `encode` chain, with the IP ident and destination MAC it carries.
+    fn relayered(frame: &Bytes) -> (Bytes, u16, MacAddr) {
+        let eth = EthernetFrame::parse(frame.clone()).unwrap();
+        let ip = Ipv4Packet::parse(eth.payload.clone()).unwrap();
+        let l4 = match ip.protocol {
+            IpProtocol::Tcp => TcpSegment::parse(ip.payload.clone(), ip.src, ip.dst)
+                .unwrap()
+                .encode(ip.src, ip.dst),
+            _ => UdpDatagram::parse(ip.payload.clone(), ip.src, ip.dst)
+                .unwrap()
+                .encode(ip.src, ip.dst),
+        };
+        let again =
+            Ipv4Packet { ident: ip.ident, ..Ipv4Packet::new(ip.src, ip.dst, ip.protocol, l4) };
+        let layered =
+            EthernetFrame::new(eth.dst, eth.src, EtherType::Ipv4, again.encode()).encode();
+        (layered, ip.ident, eth.dst)
+    }
+
+    #[test]
+    fn parked_frames_leave_as_the_layered_chain_would_build_them() {
+        // Nothing resolves SERVER_IP yet: a datagram, a RST and a
+        // connection's SYN are composed, given their idents, and parked.
+        let mut c = client();
+        let now = SimTime::ZERO;
+        let u = c.udp_bind(5000);
+        c.udp_send(now, u, SERVER_IP, 6000, Bytes::from_static(b"heartbeat"));
+        let stray = TcpSegment::bare(80, 4242, 7, 99, TcpFlags::ACK, 512);
+        let ip = Ipv4Packet::new(
+            SERVER_IP,
+            CLIENT_IP,
+            IpProtocol::Tcp,
+            stray.encode(SERVER_IP, CLIENT_IP),
+        );
+        let frame =
+            EthernetFrame::new(MacAddr::local(1), MacAddr::local(2), EtherType::Ipv4, ip.encode());
+        c.handle_frame(now, frame.encode());
+        let cs = c.connect(now, SERVER_IP, 80).unwrap();
+        let asked = c.poll(now);
+        assert_eq!(asked.len(), 1, "one ARP request, everything else waits: {asked:?}");
+        assert_eq!(EthernetFrame::parse(asked[0].clone()).unwrap().ethertype, EtherType::Arp);
+        // The answer releases them, in the order they were parked.
+        let req = ArpPacket::parse(&EthernetFrame::parse(asked[0].clone()).unwrap().payload);
+        let reply = ArpPacket::reply(MacAddr::local(2), SERVER_IP, &req.unwrap());
+        let reply = EthernetFrame::new(
+            MacAddr::local(1),
+            MacAddr::local(2),
+            EtherType::Arp,
+            reply.encode(),
+        );
+        c.handle_frame(now, reply.encode());
+        let released = c.poll(now);
+        assert_eq!(released.len(), 3);
+        for (i, frame) in released.iter().enumerate() {
+            let (layered, ident, dst) = relayered(frame);
+            assert_eq!(frame, &layered, "frame {i} is not what the layered chain builds");
+            assert_eq!(usize::from(ident), i + 1, "idents are assigned when parked");
+            assert_eq!(dst, MacAddr::local(2), "the destination MAC is the one that answered");
+        }
+        let tcp = |f: &Bytes| {
+            let ip = Ipv4Packet::parse(EthernetFrame::parse(f.clone()).unwrap().payload).unwrap();
+            TcpSegment::parse(ip.payload, ip.src, ip.dst).unwrap()
+        };
+        let (rst, syn) = (tcp(&released[1]), tcp(&released[2]));
+        assert_eq!((rst.flags, rst.seq, rst.src_port, rst.dst_port), (TcpFlags::RST, 99, 4242, 80));
+        assert_eq!((syn.flags, syn.seq), (TcpFlags::SYN, c.tcb(cs).unwrap().iss().raw()));
+        assert!(syn.mss().is_some(), "the SYN's options survive the wait");
+    }
+
+    #[test]
+    fn a_suppressed_segment_takes_no_ident_a_suppressed_rst_or_datagram_does() {
+        let mut s = server();
+        s.listen(80);
+        let u = s.udp_bind(5000);
+        let now = SimTime::ZERO;
+        s.suppress(now, SERVER_IP);
+        // A shadow's SYN/ACK: planned, counted, dropped — no ident.
+        s.handle_frame(now, from_client(1000, TcpFlags::SYN, 7, 0));
+        assert!(s.poll(now).is_empty());
+        assert_eq!((s.stats.segs_suppressed, s.ip_ident), (1, 0));
+        // A RST for a quad nobody owns and a datagram: dropped too, but
+        // each has taken its ident by then.
+        s.handle_frame(now, from_client(1001, TcpFlags::ACK, 8, 5));
+        s.udp_send(now, u, CLIENT_IP, 9, Bytes::from_static(b"x"));
+        assert!(s.poll(now).is_empty());
+        assert_eq!((s.stats.segs_suppressed, s.stats.rsts_sent, s.ip_ident), (3, 1, 2));
+        // So the first frame of the promoted stack — the SYN/ACK's
+        // retransmission — carries ident 3, not 1 and not 4.
+        s.unsuppress(now, SERVER_IP);
+        s.arp.learn(CLIENT_IP, MacAddr::local(1));
+        let frames = s.poll(now + SimDuration::from_secs(1));
+        assert_eq!(frames.len(), 1);
+        assert_eq!(relayered(&frames[0]).1, 3);
     }
 
     #[test]

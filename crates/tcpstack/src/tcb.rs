@@ -15,8 +15,11 @@
 //!   the side channel (§4.2), see [`crate::recv_buf::RecvBuffer`].
 //!
 //! The TCB is sans-io: segments go in via [`Tcb::on_segment`], segments
-//! come out of [`Tcb::poll`], and time only moves when the caller passes
-//! it in.
+//! come out of [`Tcb::poll_stage`] (as plans, into the caller's queue;
+//! [`Tcb::poll`] materializes them for tests), and time only moves when
+//! the caller passes it in. Nothing is staged outside a poll: intake and
+//! the application record what the connection owes — a SYN, a fast
+//! retransmission, a RST, an ACK — and the next poll stages it.
 
 use crate::config::{Quad, TcpConfig};
 use crate::congestion::{idle_restart_due, CongSnapshot, CongestionController, CongestionCtrl};
@@ -162,6 +165,12 @@ pub struct Tcb {
     last_send: SimTime,
     bytes_since_ack: u32,
     ack_pending: bool,
+    /// Owed since the last poll, staged first by the next one, in this
+    /// order: a SYN (opening, or answering a duplicate SYN), the fast
+    /// retransmission three duplicate ACKs asked for, [`Tcb::abort`]'s RST.
+    syn_pending: bool,
+    rexmit_pending: bool,
+    rst_pending: bool,
 
     // Shadow mode.
     shadow_peer_ack: SeqNum,
@@ -172,37 +181,33 @@ pub struct Tcb {
     /// Counters.
     pub stats: TcbStats,
     recorder: SharedRecorder,
-    out: Vec<StagedSeg>,
 }
 
-/// One staged outbound segment, as produced by [`Tcb::poll_stage`].
+/// One staged outbound segment, as produced by [`Tcb::poll_stage`]: a
+/// *plan*, not a packet.
 ///
-/// Data segments are staged as a *plan* — sequence range plus the header
-/// fields frozen at stage time — rather than a materialized
-/// [`TcpSegment`], so the stack can write the payload straight from the
-/// send buffer's ring ([`Tcb::payload_slices`]) into the frame builder
-/// with a single memcpy and zero allocations.
+/// The header fields are frozen at stage time, so a later state change
+/// inside the same poll cannot alter the wire bytes. The payload is
+/// never owned: it is `len` bytes of the connection's send buffer from
+/// `seq` on (none for a SYN, pure ACK, FIN, RST or window probe), which
+/// the stack writes straight from the ring ([`Tcb::payload_slices`])
+/// into the frame builder — one memcpy, no allocation — and which a
+/// suppressed shadow never reads at all.
 #[derive(Debug, Clone)]
-pub enum StagedSeg {
-    /// A fully materialized control segment (SYN, pure ACK, FIN, RST,
-    /// window probe — never carries payload from the send buffer).
-    Ctl(TcpSegment),
-    /// A data segment whose payload still lives in the send buffer at
-    /// `[seq, seq + len)`. Header fields were frozen at stage time so a
-    /// later state change inside the same poll cannot alter the wire
-    /// bytes.
-    Data {
-        /// First payload byte's sequence number.
-        seq: SeqNum,
-        /// Payload length (bounded by the MSS, so `u16` suffices).
-        len: u16,
-        /// Flags (always includes ACK; may add PSH/FIN).
-        flags: TcpFlags,
-        /// Acknowledgment number frozen at stage time.
-        ack: u32,
-        /// Window field frozen at stage time.
-        window: u16,
-    },
+pub struct StagedSeg {
+    /// Sequence number (of the first payload byte, if any).
+    pub seq: SeqNum,
+    /// Acknowledgment number (0 until the peer's ISN is known).
+    pub ack: u32,
+    /// Payload length (bounded by the MSS, so `u16` suffices).
+    pub len: u16,
+    /// Window field.
+    pub window: u16,
+    /// Flags.
+    pub flags: TcpFlags,
+    /// Options: a SYN's offers, or the SACK blocks of an ACK. Empty —
+    /// and unallocated — on everything else.
+    pub options: Vec<TcpOption>,
 }
 
 const SYN_MAX_ATTEMPTS: u32 = 6;
@@ -211,7 +216,7 @@ impl Tcb {
     /// Opens a connection actively: stages a SYN and enters `SynSent`.
     pub fn connect(now: SimTime, quad: Quad, iss: SeqNum, cfg: TcpConfig) -> Self {
         let mut tcb = Self::new(now, quad, iss, cfg, TcpState::SynSent);
-        tcb.stage_syn(now, false);
+        tcb.syn_pending = true;
         tcb.rtx_deadline = Some(now + tcb.rto.rto());
         tcb
     }
@@ -225,7 +230,7 @@ impl Tcb {
         tcb.rcv_buf = RecvBuffer::new(tcb.irs.add(1), tcb.cfg.recv_buf, tcb.cfg.retention_buf);
         tcb.peer_mss = u32::from(syn.mss().unwrap_or(536));
         tcb.negotiate_wscale(syn);
-        tcb.stage_syn(now, true);
+        tcb.syn_pending = true;
         tcb.rtx_deadline = Some(now + tcb.rto.rto());
         tcb.rtt_probe = Some((tcb.iss.add(1), now));
         tcb
@@ -268,11 +273,13 @@ impl Tcb {
             last_send: now,
             bytes_since_ack: 0,
             ack_pending: false,
+            syn_pending: false,
+            rexmit_pending: false,
+            rst_pending: false,
             shadow_peer_ack: iss,
             isn_fixed: false,
             stats: TcbStats::default(),
             recorder: obs::nop(),
-            out: Vec::new(),
             quad,
             state,
             iss,
@@ -493,12 +500,10 @@ impl Tcb {
         }
     }
 
-    /// Aborts: stages a RST and drops to `Closed`.
+    /// Aborts: owes the peer a RST and drops to `Closed`.
     pub fn abort(&mut self, now: SimTime) {
         if self.state.is_synchronized() && self.state != TcpState::Closed {
-            let mut seg = self.make_seg(TcpFlags::RST | TcpFlags::ACK, self.snd_nxt, Bytes::new());
-            seg.ack = self.ack_seq().raw();
-            self.stage(seg);
+            self.rst_pending = true;
         }
         self.set_state(now, TcpState::Closed);
     }
@@ -551,7 +556,7 @@ impl Tcb {
         }
         if flags.contains(TcpFlags::SYN) && !flags.contains(TcpFlags::ACK) {
             // Duplicate SYN: retransmit the SYN/ACK.
-            self.stage_syn(now, true);
+            self.syn_pending = true;
             return;
         }
         if !flags.contains(TcpFlags::ACK) {
@@ -717,7 +722,8 @@ impl Tcb {
         {
             self.stats.fast_retransmits += 1;
             self.recorder.count(Counter::TcpFastRetransmits, 1);
-            self.retransmit_front(now);
+            self.rtt_probe = None; // Karn
+            self.rexmit_pending = true;
             self.trace_cc(now);
         }
         // Window update (links are FIFO in the simulator, so the newest
@@ -909,86 +915,77 @@ impl Tcb {
     /// Advances timers, emits due (re)transmissions and ACKs, and
     /// returns the staged segments, materialized.
     ///
-    /// Compatibility wrapper around the allocation-free drain
-    /// ([`Tcb::poll_stage`] / [`Tcb::staged`] / [`Tcb::clear_staged`])
-    /// that the stack's hot path uses.
+    /// The test-facing form of [`Tcb::poll_stage`], which the stack's
+    /// hot path drains without allocating.
     pub fn poll(&mut self, now: SimTime) -> Vec<TcpSegment> {
-        self.poll_stage(now);
-        let mut segs = Vec::with_capacity(self.out.len());
-        for i in 0..self.out.len() {
-            segs.push(self.materialize(i));
-        }
-        self.out.clear();
-        segs
+        let mut staged = Vec::new();
+        self.poll_stage(now, &mut staged);
+        staged.iter().map(|seg| self.materialize(seg)).collect()
     }
 
-    /// Advances timers and stages due (re)transmissions and ACKs into
-    /// the internal buffer, readable via [`Tcb::staged`].
+    /// Advances timers and appends what is due — the owed SYN, fast
+    /// retransmission and RST, timer-driven (re)transmissions, new data,
+    /// an ACK — to `out`, the caller's queue.
     ///
-    /// The staging buffer keeps its capacity across polls, so a
-    /// steady-state poll performs no heap allocation.
-    pub fn poll_stage(&mut self, now: SimTime) {
-        self.check_timers(now);
-        self.emit_data(now);
+    /// A staged plan reads its payload out of this connection's send
+    /// buffer: emit (or drop) everything appended before the connection
+    /// is written to, handed a segment or polled again.
+    pub fn poll_stage(&mut self, now: SimTime, out: &mut Vec<StagedSeg>) {
+        if std::mem::take(&mut self.syn_pending) {
+            self.stage_syn(now, out);
+        }
+        if std::mem::take(&mut self.rexmit_pending) {
+            self.retransmit_front(now, out);
+        }
+        if std::mem::take(&mut self.rst_pending) {
+            self.stage(TcpFlags::RST | TcpFlags::ACK, self.snd_nxt, 0, out);
+        }
+        self.check_timers(now, out);
+        self.emit_data(now, out);
         self.shadow_auto_trim(now);
         if self.ack_pending && self.remote_synced && self.state != TcpState::Closed {
-            let mut seg = self.make_seg(TcpFlags::ACK, self.snd_nxt, Bytes::new());
+            self.stage(TcpFlags::ACK, self.snd_nxt, 0, out);
             if self.sack_ok {
                 let islands = self.rcv_buf.sack_ranges();
                 if !islands.is_empty() {
                     let raw: Vec<(u32, u32)> =
                         islands.iter().take(4).map(|&(lo, hi)| (lo.raw(), hi.raw())).collect();
                     self.recorder.count(Counter::SackBlocksSent, raw.len() as u64);
-                    seg.options.push(TcpOption::sack(&raw));
+                    let ack = out.last_mut().expect("just staged");
+                    ack.options.push(TcpOption::sack(&raw));
                 }
             }
-            self.stage(seg);
         }
         self.ack_pending = false;
     }
 
-    /// Segments staged by the last [`Tcb::poll_stage`].
-    pub fn staged(&self) -> &[StagedSeg] {
-        &self.out
-    }
-
-    /// Borrows a staged data payload as the ring's two contiguous halves.
+    /// Borrows a staged segment's payload as the send ring's two
+    /// contiguous halves (both empty for a segment without payload).
     ///
-    /// # Panics
-    ///
-    /// Panics if `[seq, seq + len)` is not buffered — staged plans are
-    /// valid until [`Tcb::clear_staged`], so this only fires on misuse.
-    pub fn payload_slices(&self, seq: SeqNum, len: usize) -> (&[u8], &[u8]) {
-        let (a, b) = self.snd_buf.slices_range(seq, len).expect("staged payload still buffered");
-        debug_assert_eq!(a.len() + b.len(), len, "staged payload truncated");
-        (a, b)
+    /// Cannot panic: [`SendBuffer::slices_range`] is total — it returns
+    /// the readable part of whatever range it is asked for — and for a
+    /// plan used as [`Tcb::poll_stage`] asks, that part is the whole
+    /// payload. A plan's range was buffered when it was staged; every
+    /// plan is staged inside a poll; and the one thing that touches the
+    /// send buffer between there and the caller's emission is the §4.1
+    /// auto-trim's single `ack_to`, whose released bytes stay readable
+    /// until the buffer is next mutated.
+    pub fn payload_slices(&self, seg: &StagedSeg) -> (&[u8], &[u8]) {
+        self.snd_buf.slices_range(seg.seq, usize::from(seg.len))
     }
 
-    /// Discards the staged segments, keeping the buffer's capacity.
-    pub fn clear_staged(&mut self) {
-        self.out.clear();
-    }
-
-    /// Materializes staged segment `i` as a standalone [`TcpSegment`].
-    pub(crate) fn materialize(&self, i: usize) -> TcpSegment {
-        match &self.out[i] {
-            StagedSeg::Ctl(seg) => seg.clone(),
-            StagedSeg::Data { seq, len, flags, ack, window } => {
-                let data = self
-                    .snd_buf
-                    .copy_range(*seq, usize::from(*len))
-                    .expect("staged payload still buffered");
-                let mut seg = TcpSegment::bare(
-                    self.quad.local_port,
-                    self.quad.remote_port,
-                    seq.raw(),
-                    *ack,
-                    *flags,
-                    *window,
-                );
-                seg.payload = Bytes::from(data);
-                seg
-            }
+    /// Materializes a staged segment as a standalone [`TcpSegment`].
+    fn materialize(&self, staged: &StagedSeg) -> TcpSegment {
+        let (a, b) = self.payload_slices(staged);
+        TcpSegment {
+            src_port: self.quad.local_port,
+            dst_port: self.quad.remote_port,
+            seq: staged.seq.raw(),
+            ack: staged.ack,
+            flags: staged.flags,
+            window: staged.window,
+            options: staged.options.clone(),
+            payload: Bytes::from([a, b].concat()),
         }
     }
 
@@ -1006,7 +1003,7 @@ impl Tcb {
         .min()
     }
 
-    fn check_timers(&mut self, now: SimTime) {
+    fn check_timers(&mut self, now: SimTime, out: &mut Vec<StagedSeg>) {
         if let Some(t) = self.time_wait_deadline {
             if t <= now {
                 self.time_wait_deadline = None;
@@ -1016,7 +1013,7 @@ impl Tcb {
         }
         if let Some(t) = self.rtx_deadline {
             if t <= now {
-                self.on_rtx_timeout(now);
+                self.on_rtx_timeout(now, out);
             }
         }
         if let Some(t) = self.delack_deadline {
@@ -1028,12 +1025,12 @@ impl Tcb {
         if let Some(t) = self.probe_deadline {
             if t <= now {
                 self.probe_deadline = None;
-                self.send_window_probe(now);
+                self.send_window_probe(now, out);
             }
         }
     }
 
-    fn on_rtx_timeout(&mut self, now: SimTime) {
+    fn on_rtx_timeout(&mut self, now: SimTime, out: &mut Vec<StagedSeg>) {
         self.rtx_deadline = None;
         match self.state {
             TcpState::SynSent => {
@@ -1043,7 +1040,7 @@ impl Tcb {
                     return;
                 }
                 let backoff = self.rto.backoff();
-                self.stage_syn(now, false);
+                self.stage_syn(now, out);
                 self.rtx_deadline = Some(now + self.rto.rto());
                 self.stats.rto_retransmits += 1;
                 self.recorder.count(Counter::TcpRtoFired, 1);
@@ -1060,7 +1057,7 @@ impl Tcb {
                     return;
                 }
                 let backoff = self.rto.backoff();
-                self.stage_syn(now, true);
+                self.stage_syn(now, out);
                 self.rtx_deadline = Some(now + self.rto.rto());
                 self.stats.rto_retransmits += 1;
                 self.recorder.count(Counter::TcpRtoFired, 1);
@@ -1119,8 +1116,7 @@ impl Tcb {
     }
 
     /// Retransmits one segment starting at `snd_una`.
-    fn retransmit_front(&mut self, now: SimTime) {
-        self.rtt_probe = None; // Karn
+    fn retransmit_front(&mut self, now: SimTime, out: &mut Vec<StagedSeg>) {
         let data_end = self.snd_buf.end();
         if self.snd_una.lt(data_end) {
             let mut len = (data_end.distance(self.snd_una) as usize).min(usize::from(self.cfg.mss));
@@ -1144,17 +1140,16 @@ impl Tcb {
             if self.fin_sent && self.snd_una.add(len as u32).add(1) == self.snd_max {
                 flags |= TcpFlags::FIN;
             }
-            self.stage_data(flags, self.snd_una, len);
+            self.stage(flags, self.snd_una, len, out);
             self.last_send = now;
         } else if self.fin_sent && self.snd_una == data_end {
             // Only the FIN is outstanding.
-            let seg = self.make_seg(TcpFlags::FIN | TcpFlags::ACK, self.snd_una, Bytes::new());
-            self.stage(seg);
+            self.stage(TcpFlags::FIN | TcpFlags::ACK, self.snd_una, 0, out);
             self.last_send = now;
         }
     }
 
-    fn send_window_probe(&mut self, now: SimTime) {
+    fn send_window_probe(&mut self, now: SimTime, out: &mut Vec<StagedSeg>) {
         let has_pending =
             self.snd_nxt.lt(self.snd_buf.end()) || (self.fin_queued && !self.fin_sent);
         if self.snd_wnd > 0 || !has_pending {
@@ -1162,8 +1157,7 @@ impl Tcb {
         }
         // A classic "keepalive-style" probe: one byte below the window,
         // guaranteed to elicit an ACK carrying the current window.
-        let seg = self.make_seg(TcpFlags::ACK, self.snd_una.sub(1), Bytes::new());
-        self.stage(seg);
+        self.stage(TcpFlags::ACK, self.snd_una.sub(1), 0, out);
         self.stats.probes += 1;
         self.recorder.count(Counter::TcpWindowProbes, 1);
         self.probe_backoff = (self.probe_backoff + 1).min(10);
@@ -1171,7 +1165,7 @@ impl Tcb {
         self.probe_deadline = Some(now + interval.min(self.cfg.rto_max));
     }
 
-    fn emit_data(&mut self, now: SimTime) {
+    fn emit_data(&mut self, now: SimTime, out: &mut Vec<StagedSeg>) {
         if !matches!(
             self.state,
             TcpState::Established
@@ -1243,7 +1237,7 @@ impl Tcb {
             if end_seq == data_end {
                 flags |= TcpFlags::PSH;
             }
-            self.stage_data(flags, self.snd_nxt, n);
+            self.stage(flags, self.snd_nxt, n, out);
             if is_new {
                 let new_bytes = end_seq.distance(self.snd_max.max(self.snd_nxt)) as u64;
                 self.stats.bytes_out += new_bytes;
@@ -1277,8 +1271,7 @@ impl Tcb {
             && (!self.fin_sent || self.snd_nxt.lt(self.snd_max))
         {
             let first = !self.fin_sent;
-            let seg = self.make_seg(TcpFlags::FIN | TcpFlags::ACK, self.snd_nxt, Bytes::new());
-            self.stage(seg);
+            self.stage(TcpFlags::FIN | TcpFlags::ACK, self.snd_nxt, 0, out);
             self.fin_sent = true;
             self.snd_nxt = self.snd_nxt.add(1);
             self.snd_max = self.snd_max.max(self.snd_nxt);
@@ -1321,71 +1314,40 @@ impl Tcb {
         self.bytes_since_ack = 0;
     }
 
-    fn stage_syn(&mut self, now: SimTime, with_ack: bool) {
-        let mut flags = TcpFlags::SYN;
-        if with_ack {
-            flags |= TcpFlags::ACK;
-        }
-        let mut seg = TcpSegment::bare(
-            self.quad.local_port,
-            self.quad.remote_port,
-            self.iss.raw(),
-            if with_ack { self.irs.add(1).raw() } else { 0 },
-            flags,
-            // SYN window fields are never scaled (RFC 1323).
-            self.rcv_buf.window().min(65535) as u16,
-        );
-        seg.options = vec![TcpOption::Mss(self.cfg.mss), TcpOption::SackPermitted];
+    /// Stages the opening segment: a SYN before the peer's is known, a
+    /// SYN/ACK after.
+    fn stage_syn(&mut self, now: SimTime, out: &mut Vec<StagedSeg>) {
+        let with_ack = self.remote_synced;
+        let mut options = vec![TcpOption::Mss(self.cfg.mss), TcpOption::SackPermitted];
         if let Some(shift) = self.cfg.window_scale {
-            seg.options.push(TcpOption::WindowScale(shift.min(14)));
+            options.push(TcpOption::WindowScale(shift.min(14)));
         }
-        self.stage(seg);
+        self.stats.segs_out += 1;
+        out.push(StagedSeg {
+            seq: self.iss,
+            ack: if with_ack { self.irs.add(1).raw() } else { 0 },
+            len: 0,
+            // SYN window fields are never scaled (RFC 1323).
+            window: self.rcv_buf.window().min(65535) as u16,
+            flags: if with_ack { TcpFlags::SYN | TcpFlags::ACK } else { TcpFlags::SYN },
+            options,
+        });
         self.last_send = now;
     }
 
-    fn make_seg(&self, flags: TcpFlags, seq: SeqNum, payload: Bytes) -> TcpSegment {
-        let mut seg = TcpSegment::bare(
-            self.quad.local_port,
-            self.quad.remote_port,
-            seq.raw(),
-            0,
-            flags,
-            self.own_window_field(),
-        );
-        if self.remote_synced && flags.contains(TcpFlags::ACK) {
-            seg.ack = self.ack_seq().raw();
-        }
-        seg.payload = payload;
-        seg
-    }
-
-    fn stage(&mut self, seg: TcpSegment) {
+    /// Stages a segment carrying `len` bytes of the send buffer from
+    /// `seq` on — none for a pure ACK, FIN, RST or window probe.
+    fn stage(&mut self, flags: TcpFlags, seq: SeqNum, len: usize, out: &mut Vec<StagedSeg>) {
+        debug_assert!(len <= usize::from(u16::MAX));
         self.stats.segs_out += 1;
-        self.out.push(StagedSeg::Ctl(seg));
-    }
-
-    /// Stages a data segment whose payload is `[seq, seq + len)` of the
-    /// send buffer.
-    ///
-    /// Non-shadow connections stage a plan (payload borrowed at emit
-    /// time — the zero-copy hot path). Shadow connections materialize
-    /// eagerly: `shadow_auto_trim` may release the staged bytes later in
-    /// the same poll, and the wire bytes must not change under it.
-    fn stage_data(&mut self, flags: TcpFlags, seq: SeqNum, len: usize) {
-        debug_assert!(len > 0 && len <= usize::from(u16::MAX));
-        if self.cfg.shadow {
-            let data = self.snd_buf.copy_range(seq, len).expect("staged payload present");
-            let seg = self.make_seg(flags, seq, Bytes::from(data));
-            self.stage(seg);
-        } else {
-            self.stats.segs_out += 1;
-            self.out.push(StagedSeg::Data {
-                seq,
-                len: len as u16,
-                flags,
-                ack: if self.remote_synced { self.ack_seq().raw() } else { 0 },
-                window: self.own_window_field(),
-            });
-        }
+        let acks = self.remote_synced && flags.contains(TcpFlags::ACK);
+        out.push(StagedSeg {
+            seq,
+            ack: if acks { self.ack_seq().raw() } else { 0 },
+            len: len as u16,
+            window: self.own_window_field(),
+            flags,
+            options: Vec::new(),
+        });
     }
 }

@@ -5,7 +5,7 @@
 use netsim::{SimDuration, SimTime, SplitMix64};
 use std::net::Ipv4Addr;
 use tcpstack::{NetStack, SockId, StackConfig, TcpConfig, TcpState};
-use wire::MacAddr;
+use wire::{EthernetFrame, Ipv4Packet, MacAddr, TcpSegment};
 
 const CLIENT_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
 const PRIMARY_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
@@ -183,6 +183,49 @@ fn shadow_send_side_tracks_client_acks() {
     );
     let p_tcb = net.stacks[1].tcb(ps).unwrap();
     assert_eq!(b_tcb.snd_una(), p_tcb.snd_una());
+}
+
+#[test]
+fn a_lagging_unsuppressed_shadow_sends_the_bytes_its_own_poll_trims() {
+    let (mut net, cs, ps, bs) = shadow_rig();
+    net.stacks[0].write(cs, b"req").unwrap();
+    net.settle(50);
+    let mut buf = [0u8; 16];
+    net.stacks[1].read(ps, &mut buf).unwrap();
+    net.stacks[2].read(bs, &mut buf).unwrap();
+    // The primary answers and the client acknowledges before the
+    // backup's application has produced a byte: the client's (tapped)
+    // ACK runs ahead of the shadow's `snd_nxt`.
+    net.stacks[1].write(ps, b"response-bytes").unwrap();
+    net.settle(50);
+    net.advance(SimDuration::from_millis(50));
+    net.settle(50);
+    let b = &net.stacks[2];
+    let behind = b.tcb(bs).unwrap().snd_nxt();
+    assert_eq!(b.tcb(bs).unwrap().peer_ack_high_water(), behind.add(14), "the shadow lags");
+    // Promoted, its application catches up. One poll stages the segment
+    // *and* completes it against the remembered ACK (§4.1 auto-trim)
+    // before the stack has read a byte of it.
+    let now = net.now;
+    net.stacks[2].unsuppress(now, VIP);
+    net.stacks[2].write(bs, b"response-bytes").unwrap();
+    let payloads: Vec<Vec<u8>> = net.stacks[2]
+        .poll(now)
+        .into_iter()
+        .map(|frame| {
+            let ip = Ipv4Packet::parse(EthernetFrame::parse(frame).unwrap().payload).unwrap();
+            TcpSegment::parse(ip.payload, ip.src, ip.dst).unwrap()
+        })
+        .filter(|seg| !seg.payload.is_empty())
+        .map(|seg| {
+            assert_eq!(seg.seq, behind.raw());
+            seg.payload.to_vec()
+        })
+        .collect();
+    assert_eq!(payloads, [b"response-bytes".to_vec()], "the wire carries exactly what was written");
+    let b_tcb = net.stacks[2].tcb(bs).unwrap();
+    assert_eq!(b_tcb.snd_una(), behind.add(14), "and the same poll released it");
+    assert_eq!((b_tcb.snd_una(), b_tcb.flight()), (net.stacks[1].tcb(ps).unwrap().snd_una(), 0));
 }
 
 #[test]

@@ -355,3 +355,10 @@ fn writable_is_zero_in_closing() {
     assert_eq!(tcb.state(), TcpState::Closing);
     assert_shut_for_writing(&mut tcb);
 }
+
+#[test]
+fn a_staged_segment_is_a_forty_byte_plan() {
+    // Header fields plus an (almost always empty, unallocated) option
+    // list: what a suppressed shadow pays per segment it never sends.
+    assert!(std::mem::size_of::<tcpstack::StagedSeg>() <= 40);
+}

@@ -20,7 +20,7 @@
 
 use crate::checksum::{checksum, pseudo_header_sum, Checksum};
 use crate::ethernet::{EtherType, MacAddr};
-use crate::ipv4::{IpProtocol, Ipv4Packet};
+use crate::ipv4::IpProtocol;
 use crate::tcp::{options_wire_len, write_options, TcpFlags, TcpOption};
 use crate::{ethernet, ipv4, tcp, udp};
 use bytes::{BufMut, Bytes, BytesMut};
@@ -61,7 +61,7 @@ pub struct TcpFrameHeader<'a> {
     pub flags: TcpFlags,
     /// Advertised window (unscaled).
     pub window: u16,
-    /// TCP options (SYN segments only, in this stack).
+    /// TCP options: a SYN's offers, or the SACK blocks of an ACK.
     pub options: &'a [TcpOption],
 }
 
@@ -231,34 +231,6 @@ impl FrameBuilder {
         self.finish(frame_len)
     }
 
-    /// Wraps an already-encoded IPv4 packet in an Ethernet header, single
-    /// pass (one payload copy instead of the two the layered chain does).
-    ///
-    /// Bit-identical to `packet.encode()` → `EthernetFrame::encode`.
-    pub fn ip_frame(&mut self, eth_dst: MacAddr, eth_src: MacAddr, packet: &Ipv4Packet) -> Bytes {
-        let ip_total = ipv4::HEADER_LEN + packet.payload.len();
-        debug_assert!(ip_total <= u16::MAX as usize, "IPv4 packet too large");
-        let frame_len = ethernet::HEADER_LEN + ip_total;
-        let buf = self.begin(frame_len);
-
-        buf.put_slice(&eth_dst.octets());
-        buf.put_slice(&eth_src.octets());
-        buf.put_u16(EtherType::Ipv4.to_u16());
-
-        write_ip_header(
-            buf,
-            packet.src,
-            packet.dst,
-            packet.protocol,
-            packet.ident,
-            packet.ttl,
-            ip_total,
-        );
-        buf.put_slice(&packet.payload);
-
-        self.finish(frame_len)
-    }
-
     /// Readies the buffer for one frame of `frame_len` bytes.
     fn begin(&mut self, frame_len: usize) -> &mut BytesMut {
         self.make_room(frame_len);
@@ -302,7 +274,7 @@ fn write_ip_header(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{EthernetFrame, TcpSegment, UdpDatagram};
+    use crate::{EthernetFrame, Ipv4Packet, TcpSegment, UdpDatagram};
 
     const SRC_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
     const DST_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 100);
@@ -396,16 +368,6 @@ mod tests {
             let got = b.udp_frame(DST_MAC, SRC_MAC, SRC_IP, DST_IP, 42, 64, 5000, 6000, &payload);
             assert_eq!(got, expected, "udp len {len} diverged from the layered chain");
         }
-    }
-
-    #[test]
-    fn ip_frame_matches_layered_chain() {
-        let mut b = FrameBuilder::new();
-        let mut ip =
-            Ipv4Packet::new(SRC_IP, DST_IP, IpProtocol::Tcp, Bytes::from_static(b"queued"));
-        ip.ident = 99;
-        let expected = EthernetFrame::new(DST_MAC, SRC_MAC, EtherType::Ipv4, ip.encode()).encode();
-        assert_eq!(b.ip_frame(DST_MAC, SRC_MAC, &ip), expected);
     }
 
     #[test]
