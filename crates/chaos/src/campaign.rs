@@ -36,11 +36,6 @@ impl CampaignResult {
     pub fn failed_runs(&self) -> Vec<usize> {
         self.reports.iter().enumerate().filter(|(_, r)| !r.passed()).map(|(i, _)| i).collect()
     }
-
-    /// True when every oracle stayed green across every run.
-    pub fn all_green(&self) -> bool {
-        self.reports.iter().all(RunReport::passed)
-    }
 }
 
 fn profile_key(spec: &RunSpec) -> String {

@@ -30,7 +30,7 @@ use std::rc::Rc;
 use sttcp::cluster::promotion::detection_deadline;
 use sttcp::fleet::{build_cluster, ClusterFleetSpec, Fleet};
 use sttcp::node::{ClientNode, ServerNode};
-use sttcp::scenario::{addrs, build, ScenarioSpec, StopReason};
+use sttcp::scenario::{addrs, build, RunLimits, ScenarioSpec, StopReason};
 use sttcp::{ClusterRole, SttcpConfig};
 use tcpstack::{CongestionAlgo, TcpState};
 use wire::{EtherType, EthernetFrame, IpProtocol, Ipv4Packet, TcpFlags, TcpSegment, UdpDatagram};
@@ -410,28 +410,9 @@ fn attach_probe(fleet: &mut Fleet, pcap: Option<SharedPcap>) -> Rc<RefCell<Probe
 // ---------------------------------------------------------------------
 // Driving a pass.
 
-/// Drives `fleet` in 50 ms chunks until every client finishes, a budget
-/// of `spec` runs out, or the event queue wedges — and says which.
-/// `sample` sees the fleet after every chunk.
-fn drive(fleet: &mut Fleet, spec: &RunSpec, mut sample: impl FnMut(&Fleet)) -> StopReason {
-    let deadline = fleet.sim.now() + spec.limit;
-    let events_before = fleet.sim.trace().events_processed;
-    loop {
-        if fleet.all_done() {
-            return StopReason::Completed;
-        }
-        if fleet.sim.now() >= deadline {
-            return StopReason::TimeLimit;
-        }
-        if fleet.sim.trace().events_processed - events_before >= spec.max_events {
-            return StopReason::EventLimit;
-        }
-        if fleet.sim.pending_events() == 0 {
-            return StopReason::WedgedClient;
-        }
-        fleet.sim.run_for(SimDuration::from_millis(50));
-        sample(fleet);
-    }
+/// [`Fleet::run`] on the budgets of `spec`.
+fn drive(fleet: &mut Fleet, spec: &RunSpec, sample: impl FnMut(&Fleet)) -> StopReason {
+    fleet.run(RunLimits::time(spec.limit).max_events(spec.max_events), sample)
 }
 
 /// Measures the fault-free [`Profile`] for a spec (ignoring its plan).

@@ -52,7 +52,7 @@ fn cascade_campaign_three_seeds() {
     // First crash lands mid-connect-spread (half the fleet still
     // handshaking); the second lands 160 ms later — right past rank 1's
     // 150 ms detection deadline, i.e. mid-takeover.
-    let pinned = [0x3a62_39c0_f77f_53d8, 0xc988_66e5_e444_1be2, 0x9490_502f_6bcb_2c19];
+    let pinned = [0x4314_d2ea_2193_065f, 0xa6de_d10b_71ae_e741, 0x302b_800a_0400_9329];
     let campaign = cascade_campaign();
     assert_eq!(campaign.runs.len(), pinned.len());
     for (spec, digest) in campaign.runs.iter().zip(pinned) {

@@ -2,7 +2,7 @@
 //!
 //! The single-connection campaigns in `engine.rs` stress the protocol
 //! state machine; these sweep the *connection-scale* hot path instead —
-//! slab socket tables, hash demux, the timer wheel, and the backup's
+//! slab socket tables, hash demux, the timer queue, and the backup's
 //! O(active) bookkeeping — by crossing RNG seeds with crash times over
 //! mixed-workload fleets. Every run must finish with every client's
 //! byte stream intact, crash or no crash, and crashed runs must hand

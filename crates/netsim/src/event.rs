@@ -1,6 +1,7 @@
-//! The simulator's event queue.
+//! The time-ordered queue: the simulator's events and a stack's
+//! connection deadlines.
 //!
-//! Events are ordered by `(time, sequence)`, where the sequence number is
+//! Entries are ordered by `(time, sequence)`, where the sequence number is
 //! assigned at insertion. Ties in virtual time therefore process in
 //! insertion order, which — together with the buffered-effects node API —
 //! makes every simulation run bit-reproducible.
@@ -56,27 +57,27 @@ pub enum EventKind {
 }
 
 #[derive(Debug)]
-struct Entry {
+struct Entry<T> {
     at: SimTime,
     seq: u64,
-    kind: EventKind,
+    item: T,
 }
 
-impl PartialEq for Entry {
+impl<T> PartialEq for Entry<T> {
     fn eq(&self, other: &Self) -> bool {
         self.at == other.at && self.seq == other.seq
     }
 }
-impl Eq for Entry {}
+impl<T> Eq for Entry<T> {}
 
-impl Ord for Entry {
+impl<T> Ord for Entry<T> {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed: BinaryHeap is a max-heap, we want earliest first.
         other.at.cmp(&self.at).then_with(|| other.seq.cmp(&self.seq))
     }
 }
 
-impl PartialOrd for Entry {
+impl<T> PartialOrd for Entry<T> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
@@ -94,42 +95,64 @@ pub fn event_target(kind: &EventKind) -> Option<NodeId> {
     }
 }
 
-/// A deterministic time-ordered event queue.
-#[derive(Debug, Default)]
-pub struct EventQueue {
-    heap: BinaryHeap<Entry>,
+/// A deterministic time-ordered queue: items come out by time, and
+/// within one instant in the order they went in. Nothing is ever
+/// cancelled — an owner whose deadline moved leaves the old entry to pop
+/// and ignores it.
+#[derive(Debug)]
+pub struct TimeQueue<T> {
+    heap: BinaryHeap<Entry<T>>,
     next_seq: u64,
 }
 
-impl EventQueue {
+/// The simulator's queue of pending events.
+pub type EventQueue = TimeQueue<EventKind>;
+
+impl<T> Default for TimeQueue<T> {
+    fn default() -> Self {
+        TimeQueue { heap: BinaryHeap::new(), next_seq: 0 }
+    }
+}
+
+impl<T> TimeQueue<T> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Schedules `kind` to fire at `at`.
-    pub fn push(&mut self, at: SimTime, kind: EventKind) {
+    /// Schedules `item` for `at`.
+    pub fn push(&mut self, at: SimTime, item: T) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Entry { at, seq, kind });
+        self.heap.push(Entry { at, seq, item });
     }
 
-    /// Removes and returns the earliest event.
-    pub fn pop(&mut self) -> Option<(SimTime, EventKind)> {
-        self.heap.pop().map(|e| (e.at, e.kind))
+    /// Removes and returns the earliest entry.
+    pub fn pop(&mut self) -> Option<(SimTime, T)> {
+        self.heap.pop().map(|e| (e.at, e.item))
     }
 
-    /// The time of the earliest pending event.
+    /// Removes and returns the earliest entry if its time has come
+    /// (`at <= now`); call until `None` to sweep everything due.
+    pub fn pop_due(&mut self, now: SimTime) -> Option<(SimTime, T)> {
+        if self.peek_time()? <= now {
+            self.pop()
+        } else {
+            None
+        }
+    }
+
+    /// The time of the earliest pending entry, exactly.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|e| e.at)
     }
 
-    /// Number of pending events.
+    /// Number of pending entries.
     pub fn len(&self) -> usize {
         self.heap.len()
     }
 
-    /// True when no events are pending.
+    /// True when nothing is pending.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
@@ -172,6 +195,24 @@ mod tests {
             })
             .collect();
         assert_eq!(order, (0..100).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn pop_due_takes_what_is_due_in_order_and_stops() {
+        let at = SimTime::from_nanos;
+        let mut q = TimeQueue::new();
+        q.push(at(40), 'c');
+        q.push(at(20), 'a');
+        q.push(at(61_000), 'e');
+        q.push(at(20), 'b'); // same instant, later insert
+        q.push(at(40), 'c'); // a second entry for one item: both pop
+        assert_eq!(q.pop_due(at(19)), None);
+        let swept: Vec<_> = std::iter::from_fn(|| q.pop_due(at(50))).collect();
+        assert_eq!(swept, [(at(20), 'a'), (at(20), 'b'), (at(40), 'c'), (at(40), 'c')]);
+        q.push(at(5), 'd'); // already past: due at once, and the new head
+        assert_eq!(q.peek_time(), Some(at(5)));
+        assert_eq!(q.pop_due(at(50)), Some((at(5), 'd')));
+        assert_eq!((q.pop_due(at(50)), q.peek_time(), q.len()), (None, Some(at(61_000)), 1));
     }
 
     #[test]

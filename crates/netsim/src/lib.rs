@@ -76,6 +76,7 @@ pub mod switch;
 pub mod time;
 pub mod trace;
 
+pub use event::TimeQueue;
 pub use fault::{
     DelayRule, DropRule, DuplicateRule, IngressAction, IngressRule, RuleId, RuleStats,
 };

@@ -55,11 +55,6 @@ impl SharedHub {
         }
     }
 
-    /// The classic 10 Mbit shared Ethernet.
-    pub fn ten_mbit(ports: usize) -> Self {
-        Self::new(ports, 10_000_000)
-    }
-
     fn air_time(&self, len: usize) -> SimDuration {
         // Reuse the link model's framing overhead accounting.
         LinkSpec::ideal().with_bandwidth_bps(self.medium_bps).serialization_time(len)

@@ -8,7 +8,7 @@ use crate::link::{LinkId, LinkSpec, LinkStats, LossModel};
 use crate::node::{Context, ControlAction, NicFilter, Node, NodeId, PortId};
 use crate::rng::SplitMix64;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{FrameRecord, ProbeEvent, Trace};
+use crate::trace::{ProbeEvent, Trace};
 use bytes::Bytes;
 use obs::trace::{FaultKind, PowerKind};
 use obs::{Counter, Gauge, SharedRecorder, TraceEvent};
@@ -313,24 +313,14 @@ impl Simulator {
         &self.links[link.0].stats
     }
 
-    /// Replaces the link spec (e.g. to degrade a link mid-run).
-    pub fn set_link_spec(&mut self, link: LinkId, spec: LinkSpec) {
-        self.links[link.0].spec = spec;
-    }
-
     /// Installs a probe observing every frame accepted for transmission.
     pub fn set_probe(&mut self, probe: impl FnMut(ProbeEvent<'_>) + 'static) {
         self.probe = Some(Box::new(probe));
     }
 
-    /// Counters and (optionally) the frame log.
+    /// The simulator's counters.
     pub fn trace(&self) -> &Trace {
         &self.trace
-    }
-
-    /// Mutable access to the trace (to enable frame recording).
-    pub fn trace_mut(&mut self) -> &mut Trace {
-        &mut self.trace
     }
 
     /// Runs a single event. Returns `false` when the queue is empty.
@@ -595,13 +585,6 @@ impl Simulator {
         if let Some(probe) = self.probe.as_mut() {
             probe(ProbeEvent { time: departure, link: link_id, from, to, frame: &frame });
         }
-        self.trace.record_frame(FrameRecord {
-            time: departure,
-            link: link_id,
-            from,
-            to,
-            len: frame.len(),
-        });
         self.queue.push(arrival, EventKind::Frame { node: to, port: to_port, frame });
     }
 }
@@ -977,17 +960,6 @@ mod tests {
         });
         sim.run_until_idle(100);
         assert_eq!(count.load(Ordering::Relaxed), 4);
-    }
-
-    #[test]
-    fn frame_recording() {
-        let (mut sim, a, _b) = pair(LinkSpec::ideal());
-        sim.node_mut::<Blaster>(a).count = 2;
-        sim.node_mut::<Blaster>(a).len = 70;
-        sim.trace_mut().set_recording(true);
-        sim.run_until_idle(100);
-        assert_eq!(sim.trace().frames.len(), 2);
-        assert!(sim.trace().frames.iter().all(|r| r.len == 70));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Frame-level observability: counters, optional frame log, and probes.
+//! Frame-level observability: counters and probes.
 //!
 //! The benchmark harness uses probes to classify traffic (e.g. measuring
 //! the side-channel overhead claim of paper §4.3: one 128-byte ack per
@@ -25,22 +25,7 @@ pub struct ProbeEvent<'a> {
     pub frame: &'a Bytes,
 }
 
-/// A recorded frame transmission (only when frame recording is enabled).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FrameRecord {
-    /// Departure time.
-    pub time: SimTime,
-    /// Link traversed.
-    pub link: LinkId,
-    /// Transmitting node.
-    pub from: NodeId,
-    /// Receiving node.
-    pub to: NodeId,
-    /// Frame length in bytes.
-    pub len: usize,
-}
-
-/// Aggregate counters plus the optional frame log.
+/// Aggregate counters.
 #[derive(Debug, Default)]
 pub struct Trace {
     /// Total events the simulator has processed.
@@ -66,50 +51,4 @@ pub struct Trace {
     /// Timers armed in one boot of a node that came due in a later one
     /// (dropped: timers do not survive a power cycle).
     pub timers_from_past_boot: u64,
-    /// The frame log, populated only when recording is on.
-    pub frames: Vec<FrameRecord>,
-    record: bool,
-}
-
-impl Trace {
-    /// Turns per-frame recording on or off. Off by default: a 100 MB bulk
-    /// run transmits ~150k frames and recording them all is only useful
-    /// for targeted assertions.
-    pub fn set_recording(&mut self, on: bool) {
-        self.record = on;
-    }
-
-    /// Whether per-frame recording is on.
-    pub fn recording(&self) -> bool {
-        self.record
-    }
-
-    pub(crate) fn record_frame(&mut self, rec: FrameRecord) {
-        if self.record {
-            self.frames.push(rec);
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn recording_gate() {
-        let mut t = Trace::default();
-        let rec = FrameRecord {
-            time: SimTime::ZERO,
-            link: LinkId(0),
-            from: NodeId(0),
-            to: NodeId(1),
-            len: 60,
-        };
-        t.record_frame(rec.clone());
-        assert!(t.frames.is_empty(), "recording should default to off");
-        t.set_recording(true);
-        assert!(t.recording());
-        t.record_frame(rec.clone());
-        assert_eq!(t.frames, vec![rec]);
-    }
 }

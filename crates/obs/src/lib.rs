@@ -136,8 +136,9 @@ obs_enum! {
         StackWakes => "stack_wakes",
         /// Those of them that were for nothing: the poll found no
         /// connection deadline due and emitted no frame (a superseded
-        /// wake, a lazily cancelled wheel entry, a coarse-slot early
-        /// wake). The share of `stack_wakes` is the timer path's waste.
+        /// wake, or the entry of a deadline that has since moved later:
+        /// neither the simulator's timers nor the stack's can be
+        /// cancelled). The share of `stack_wakes` is the timer path's waste.
         StackWakesIdle => "stack_wakes_idle",
     }
 }

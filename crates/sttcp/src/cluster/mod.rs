@@ -33,10 +33,11 @@
 //! # Side-channel economy
 //!
 //! Rank 1 sends one [`SideMsg::BackupAck`] per connection (the paper's
-//! dialect). Ranks ≥ 2 accumulate their acks and flush a single
-//! [`SideMsg::AckBatch`] per sync tick — the side channel grows by one
-//! datagram per extra backup per tick, not by another per-connection
-//! stream (`bench` records the ratio as
+//! dialect). Ranks ≥ 2 accumulate their acks and flush them once per
+//! sync tick as [`SideMsg::AckBatch`]es of up to 63 connections, each
+//! datagram within [`SIDE_CHUNK`] — the side channel grows by a
+//! datagram or a few per extra backup per tick, not by another
+//! per-connection stream (`bench` records the ratio as
 //! `side_channel_overhead_{1,2,3}backups`).
 //!
 //! # Retention in a chain
@@ -72,6 +73,10 @@ use tcpstack::{NetStack, SeqNum, SockId, TcpState};
 
 /// Side-channel datagrams are kept under this payload size.
 pub const SIDE_CHUNK: usize = 1024;
+
+/// Most entries one [`SideMsg::AckBatch`] carries under [`SIDE_CHUNK`]:
+/// tag, rank and count take 4 B, an entry (key, sequence number) 16 B.
+const ACK_BATCH_MAX: usize = (SIDE_CHUNK - 4) / 16;
 
 /// What a cluster member currently is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -263,11 +268,6 @@ impl ClusterEngine {
     /// This node's rank in its current topology view.
     pub fn rank(&self) -> Option<u8> {
         self.topo.rank_of(self.self_ip)
-    }
-
-    /// Whether this node currently serves the VIP.
-    pub fn is_primary_now(&self) -> bool {
-        self.role == ClusterRole::Primary
     }
 
     /// Whom this node owes a backup's shadow duties, and the rank whose
@@ -575,14 +575,16 @@ impl ClusterEngine {
                 self.outbox
                     .push((upstream, SideMsg::BackupAck { conn: key, acked_next: next.raw() }));
             }
-        } else if !acks.is_empty() {
-            let entries: Vec<(ConnKey, u32)> =
-                acks.iter().map(|&(key, next, _)| (key, next.raw())).collect();
-            self.stats.ack_batches_sent += 1;
-            self.stats.ack_batch_entries += entries.len() as u64;
-            self.recorder.count(Counter::AckBatchesSent, 1);
-            self.recorder.count(Counter::AckBatchEntries, entries.len() as u64);
-            self.outbox.push((upstream, SideMsg::AckBatch { rank, entries }));
+        } else {
+            for batch in acks.chunks(ACK_BATCH_MAX) {
+                let entries: Vec<(ConnKey, u32)> =
+                    batch.iter().map(|&(key, next, _)| (key, next.raw())).collect();
+                self.stats.ack_batches_sent += 1;
+                self.stats.ack_batch_entries += entries.len() as u64;
+                self.recorder.count(Counter::AckBatchesSent, 1);
+                self.recorder.count(Counter::AckBatchEntries, entries.len() as u64);
+                self.outbox.push((upstream, SideMsg::AckBatch { rank, entries }));
+            }
         }
         acks.clear();
         self.ack_scratch = acks;

@@ -48,7 +48,7 @@
 use crate::cluster::{ClusterEngine, Topology};
 use crate::config::SttcpConfig;
 use crate::node::{ClientNode, ServerNode, LAN};
-use crate::scenario::addrs;
+use crate::scenario::{addrs, drive, RunLimits, StopReason};
 use apps::{
     BulkServer, EchoServer, InteractiveServer, UploadServer, Workload, WorkloadClient, REQUEST_SIZE,
 };
@@ -559,21 +559,18 @@ impl Fleet {
             .fold((0, 0), |(a, b), (x, y)| (a + x, b + y))
     }
 
-    /// Drives the fleet until every client finishes or `limit` virtual
-    /// time passes; returns whether all finished. Exits early if the
-    /// event queue drains (nothing will ever complete the stragglers).
+    /// Drives the fleet until every client finishes, a budget of
+    /// `limits` runs out, or the event queue drains (nothing will ever
+    /// complete the stragglers) — and says which. `sample` sees the
+    /// fleet after every 50 ms chunk.
+    pub fn run(&mut self, limits: RunLimits, sample: impl FnMut(&Fleet)) -> StopReason {
+        drive(self, |f| &mut f.sim, Fleet::all_done, limits, sample)
+    }
+
+    /// [`Fleet::run`] for `limit` virtual time; returns whether every
+    /// client finished.
     pub fn run_until_done(&mut self, limit: SimDuration) -> bool {
-        let deadline = self.sim.now() + limit;
-        while self.sim.now() < deadline {
-            self.sim.run_for(SimDuration::from_millis(50));
-            if self.all_done() {
-                return true;
-            }
-            if self.sim.pending_events() == 0 {
-                return false;
-            }
-        }
-        self.all_done()
+        self.run(RunLimits::time(limit), |_| {}) == StopReason::Completed
     }
 }
 

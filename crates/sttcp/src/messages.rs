@@ -135,7 +135,8 @@ pub enum SideMsg {
     /// every connection whose shadow progressed since the last batch.
     /// This is what keeps the side channel sub-linear in the backup
     /// count: deep-chain backups coalesce per-connection acks into one
-    /// datagram per sync tick instead of one per connection.
+    /// datagram per sync tick and 63 connections instead of one per
+    /// connection.
     AckBatch {
         /// The sender's rank in the current topology.
         rank: u8,

@@ -688,4 +688,71 @@ mod tests {
         );
         assert_eq!(sim.trace().events_processed, 4, "one start, three fires");
     }
+
+    /// A host whose stack has one deadline, `deadline`, which the pump
+    /// that runs at `arm_at` arms; logs what reaches it, in order.
+    struct Host {
+        timer: StackTimer,
+        arm_at: SimTime,
+        deadline: SimTime,
+        seen: Vec<(SimTime, &'static str)>,
+    }
+
+    const TOK_PUMP: u64 = 99;
+
+    impl Node for Host {
+        fn on_start(&mut self, ctx: &mut Context) {
+            ctx.set_timer_at(self.arm_at, TOK_PUMP);
+        }
+        fn on_frame(&mut self, _port: PortId, _frame: Bytes, ctx: &mut Context) {
+            self.seen.push((ctx.now(), "frame"));
+        }
+        fn on_timer(&mut self, token: u64, ctx: &mut Context) {
+            match token {
+                TOK_PUMP => self.timer.rearm(ctx, Some(self.deadline)),
+                _ => self.seen.push((ctx.now(), "wake")),
+            }
+        }
+    }
+
+    /// Puts one frame on its link at `at`.
+    struct Peer {
+        at: SimTime,
+    }
+
+    impl Node for Peer {
+        fn on_start(&mut self, ctx: &mut Context) {
+            ctx.set_timer_at(self.at, 0);
+        }
+        fn on_frame(&mut self, _port: PortId, _frame: Bytes, _ctx: &mut Context) {}
+        fn on_timer(&mut self, _token: u64, ctx: &mut Context) {
+            ctx.send_frame(LAN, Bytes::from_static(&[0; 60]));
+        }
+    }
+
+    /// What a host whose deadline is 200 ms sees at 200 ms when a frame
+    /// sent at 190 ms over a 10 ms link lands on that nanosecond too.
+    fn same_nanosecond_order(arm_at: SimTime) -> Vec<(SimTime, &'static str)> {
+        let mut sim = Simulator::new();
+        let host = Host { timer: StackTimer::default(), arm_at, deadline: ms(200), seen: vec![] };
+        let host = sim.add_node("host", host);
+        let peer = sim.add_node("peer", Peer { at: ms(190) });
+        let link = netsim::LinkSpec::ideal().with_latency(SimDuration::from_millis(10));
+        sim.connect(host, LAN, peer, LAN, link);
+        sim.run_until_idle(100);
+        std::mem::take(&mut sim.node_mut::<Host>(host).seen)
+    }
+
+    #[test]
+    fn a_wake_armed_when_the_deadline_is_set_runs_before_a_later_frame() {
+        // Events of one instant run in the order they were scheduled.
+        // An exact `NetStack::next_deadline()` lets the pump that *sets*
+        // a deadline arm its wake, so the wake is older than any frame
+        // sent afterwards that lands on the same nanosecond: the RTO
+        // fires, then the frame is handled.
+        assert_eq!(same_nanosecond_order(ms(0)), [(ms(200), "wake"), (ms(200), "frame")]);
+        // A wake armed only once the deadline is near (a timer wheel's
+        // coarse slot) is the younger event, and the frame gets in first.
+        assert_eq!(same_nanosecond_order(ms(199)), [(ms(200), "frame"), (ms(200), "wake")]);
+    }
 }

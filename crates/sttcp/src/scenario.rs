@@ -680,35 +680,50 @@ impl RunLimits {
     }
 }
 
+/// The one run loop: drives `world`'s simulator in 50 ms chunks until
+/// `done(world)`, a budget of `limits` runs out, or the event queue
+/// drains — and says which. `sample` sees the world after every chunk.
+pub(crate) fn drive<W>(
+    world: &mut W,
+    sim_of: fn(&mut W) -> &mut Simulator,
+    done: fn(&W) -> bool,
+    limits: RunLimits,
+    mut sample: impl FnMut(&W),
+) -> StopReason {
+    let deadline = sim_of(world).now() + limits.time;
+    let events_before = sim_of(world).trace().events_processed;
+    loop {
+        if done(world) {
+            return StopReason::Completed;
+        }
+        let sim = sim_of(world);
+        if sim.now() >= deadline {
+            return StopReason::TimeLimit;
+        }
+        if sim.trace().events_processed - events_before >= limits.max_events {
+            return StopReason::EventLimit;
+        }
+        if sim.pending_events() == 0 {
+            return StopReason::WedgedClient;
+        }
+        sim.run_for(SimDuration::from_millis(50));
+        sample(world);
+    }
+}
+
 impl Scenario {
     /// Drives the scenario until the workload completes, the
     /// [`RunLimits`] budget runs out, or the event queue wedges — and
     /// says which.
     pub fn run(&mut self, limits: RunLimits) -> RunOutcome {
-        let deadline = self.sim.now() + limits.time;
-        let chunk = SimDuration::from_millis(50);
         let events_before = self.sim.trace().events_processed;
-        let spent = |sim: &Simulator| sim.trace().events_processed - events_before;
-        let reason = loop {
-            if self.workload_client().is_done() {
-                break StopReason::Completed;
-            }
-            if self.sim.now() >= deadline {
-                break StopReason::TimeLimit;
-            }
-            if spent(&self.sim) >= limits.max_events {
-                break StopReason::EventLimit;
-            }
-            if self.sim.pending_events() == 0 {
-                break StopReason::WedgedClient;
-            }
-            self.sim.run_for(chunk);
-        };
+        let done = |s: &Scenario| s.workload_client().is_done();
+        let reason = drive(self, |s| &mut s.sim, done, limits, |_| {});
         RunOutcome {
             reason,
             metrics: self.workload_client().metrics.clone(),
             progress: self.workload_client().progress(),
-            events: spent(&self.sim),
+            events: self.sim.trace().events_processed - events_before,
             stopped_at: self.sim.now(),
         }
     }

@@ -56,8 +56,10 @@ const BULK_100MB_DIGEST: (u64, u64) = (0xf6cc_9c4e_6e20_1a1d, 215_472);
 /// Simulator events the same run takes. The digest says the frames are
 /// the same; the count says nobody is paying for them twice (from PR 6
 /// until the stack-wake rule of DESIGN.md "Timer contract" the run took
-/// 270 816: every superseded timer fire armed a successor).
-const BULK_100MB_EVENTS: u64 = 219_440;
+/// 270 816: every superseded timer fire armed a successor; until the
+/// stack's deadlines moved onto the exact `TimeQueue` it took 219 440:
+/// a timer wheel's coarse slots woke the node early).
+const BULK_100MB_EVENTS: u64 = 217_314;
 
 /// Golden digest of the 80-client failover fleet (the
 /// `fleet_failover_frame_traces_are_bit_identical` scenario), captured
@@ -65,12 +67,22 @@ const BULK_100MB_EVENTS: u64 = 219_440;
 /// the promoted member keeps up its shadow duties toward the primary it
 /// deposed, so the pair's wire trace does not move after the takeover
 /// either.
-const FLEET_80_FAILOVER_DIGEST: (u64, u64) = (0x24bf_5764_6391_d5fd, 4_228);
+///
+/// Re-pinned once, from (0x24bf_5764_6391_d5fd, 4 228), when the stack's
+/// deadlines became exact: two clients' 200 ms retransmissions reach the
+/// promoted backup on the nanosecond its shadows' own 200 ms RTOs come
+/// due, and the RTO wake — armed when the deadline was set, so the older
+/// event — now runs first. RTO retransmission, then a pure ACK for the
+/// duplicate request, where the duplicate used to get in first and the
+/// retransmission carried its ACK: two 54-byte ACKs over two hops, four
+/// frames, every other frame in place (the order rule is pinned by
+/// `node::tests::a_wake_armed_when_the_deadline_is_set_runs_before_a_later_frame`).
+const FLEET_80_FAILOVER_DIGEST: (u64, u64) = (0x048a_fb1b_dcd3_80e7, 4_232);
 
 /// Simulator events of the failover fleet and of its fault-free twin
 /// (see [`BULK_100MB_EVENTS`]).
-const FLEET_80_FAILOVER_EVENTS: u64 = 5_106;
-const FLEET_80_FAULT_FREE_EVENTS: u64 = 4_619;
+const FLEET_80_FAILOVER_EVENTS: u64 = 4_758;
+const FLEET_80_FAULT_FREE_EVENTS: u64 = 4_499;
 
 #[test]
 fn reno_via_trait_matches_prerefactor_bulk_100mb() {

@@ -81,10 +81,10 @@ fn failover_frame_traces_are_bit_identical() {
 
 #[test]
 fn fleet_failover_frame_traces_are_bit_identical() {
-    // The multi-connection pin for the slab/demux/timer-wheel hot
+    // The multi-connection pin for the slab/demux/timer-queue hot
     // path: 80 mixed-workload clients, a mid-stagger primary crash,
     // every frame digested. Hash-demux iteration never reaches the
-    // wire (slab order, poll-queue touch order, and wheel slot order
+    // wire (slab order, poll-queue touch order, and timer pop order
     // are all deterministic), so two runs must agree bit-for-bit.
     let run = || {
         let spec = FleetSpec::new(80)

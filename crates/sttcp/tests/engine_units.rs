@@ -489,3 +489,53 @@ fn backup_applies_mirrored_congestion_snapshot() {
     assert_eq!(cong.cwnd(), 99_280);
     assert_eq!(cong.ssthresh(), 7_300);
 }
+
+#[test]
+fn a_deep_backup_splits_its_ack_batch_into_side_chunk_datagrams() {
+    use sttcp::cluster::SIDE_CHUNK;
+    const BACKUP2: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 4);
+    let chain = || Topology::new(vec![PRIMARY, BACKUP, BACKUP2]);
+    // 200 shadows at rank 2, each 10 bytes into its client's stream.
+    let mut bcfg = StackConfig::host(MacAddr::local(4), BACKUP2);
+    bcfg.extra_ips = vec![VIP];
+    bcfg.suppressed_ips = vec![VIP];
+    bcfg.promiscuous = true; // the deliver() helper addresses the primary's MAC
+    bcfg.tcp = TcpConfig::st_tcp_backup();
+    let mut stack = NetStack::new(bcfg);
+    stack.listen(80);
+    let now = SimTime::ZERO;
+    let mut rank2 = ClusterEngine::new(cfg(), BACKUP2, chain(), 12 * 1024, now);
+    for port in 40_000..40_200u16 {
+        let mut syn = TcpSegment::bare(port, 80, 5000, 0, TcpFlags::SYN, 17520);
+        syn.options = vec![wire::TcpOption::Mss(1460)];
+        deliver(&mut stack, now, &syn);
+        let mut ack = TcpSegment::bare(port, 80, 5001, 999_001, TcpFlags::ACK, 17520);
+        ack.payload = Bytes::from_static(b"0123456789");
+        deliver(&mut stack, now, &ack);
+        let sock = stack.accept(80).expect("shadow established");
+        rank2.on_accept(sock, &mut stack);
+        rank2.note_activity(ConnKey { client_port: port, ..key() });
+    }
+    rank2.maybe_send_acks(&mut stack, false);
+    assert!(sent(&mut rank2).is_empty(), "a deep backup acks on the sync tick only");
+    rank2.maybe_send_acks(&mut stack, true);
+    let batches = sent(&mut rank2);
+    let sizes: Vec<usize> = batches
+        .iter()
+        .map(|m| match m {
+            SideMsg::AckBatch { rank: 2, entries } => entries.len(),
+            other => panic!("not a rank-2 ack batch: {other:?}"),
+        })
+        .collect();
+    assert_eq!(sizes, [63, 63, 63, 11]);
+    assert!(batches.iter().all(|m| m.encode().len() <= SIDE_CHUNK));
+    assert_eq!((rank2.stats.ack_batches_sent, rank2.stats.ack_batch_entries), (4, 200));
+    // Every entry of every datagram reaches the primary's books.
+    let mut primary = ClusterEngine::new(cfg(), PRIMARY, chain(), 12 * 1024, now);
+    let mut pstack = NetStack::new(StackConfig::host(MacAddr::local(2), PRIMARY));
+    for msg in batches {
+        let wire = SideMsg::decode(msg.encode()).expect("a batch survives the wire");
+        primary.on_side_msg(now, BACKUP2, wire, &mut pstack);
+    }
+    assert_eq!(primary.stats.acks_applied, 200);
+}

@@ -102,9 +102,10 @@ fn sack_improves_takeover_under_reordering_loss() {
 /// superseded timer fire that re-arms itself multiplies: before the
 /// one-live-wake rule (DESIGN.md, "Timer contract") more than 80 % of
 /// this run's simulator events were stack wakes that found nothing due,
-/// and with the rule broken in the node adapter alone it is 40 %. What
-/// remains (11 %) is the timer wheel converging on each real deadline
-/// — block boundary, tick, exact time — and lazily cancelled entries.
+/// and with the rule broken in the node adapter alone it is 40 %. A
+/// timer wheel converging on each real deadline — block boundary, tick,
+/// exact time — made it 11 %; what remains (4.9 %) is the one stale pop
+/// per deadline that moved later, because entries are not cancelled.
 #[test]
 fn idle_stack_wakes_stay_a_small_share_of_events_under_burst_loss() {
     let mut spec = ScenarioSpec::new(Workload::bulk_mb(5))
@@ -125,7 +126,7 @@ fn idle_stack_wakes_stay_a_small_share_of_events_under_burst_loss() {
     println!("wan_burst_loss 5 MB: {events} events, {wakes} stack wakes, {idle} idle");
     assert!(wakes > 0 && idle <= wakes, "{wakes} wakes counted, {idle} idle ones among them");
     assert!(
-        idle * 5 <= events,
+        idle * 10 <= events,
         "{idle} of {events} events were stack wakes with nothing due and nothing to send"
     );
 }

@@ -183,11 +183,6 @@ impl Gateway {
     pub fn poll(&mut self) -> Vec<(Side, Bytes)> {
         self.out.drain(..).collect()
     }
-
-    /// Installs a static ARP entry on one side after construction.
-    pub fn insert_static_arp(&mut self, side: Side, ip: Ipv4Addr, mac: MacAddr) {
-        self.arp[side.index()].insert_static(ip, mac);
-    }
 }
 
 #[cfg(test)]

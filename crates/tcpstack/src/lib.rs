@@ -69,7 +69,6 @@ pub mod seq;
 pub mod slab;
 pub mod stack;
 pub mod tcb;
-pub mod twheel;
 pub mod udp_socket;
 
 pub use config::{Quad, StackConfig, TcpConfig};
@@ -79,5 +78,4 @@ pub use sack::SackScoreboard;
 pub use seq::SeqNum;
 pub use stack::{NetStack, SockId, StackError, UdpId};
 pub use tcb::{StagedSeg, Tcb, TcpState};
-pub use twheel::TimerWheel;
 pub use udp_socket::UdpRecv;

@@ -69,9 +69,9 @@ pub(crate) struct Conn {
     /// Set on a passive open: the socket joins the accept queue of its
     /// local port's listener when it synchronizes (which clears this).
     pub queue_on_sync: bool,
-    /// The socket's live timer-wheel entry: the earliest one scheduled
+    /// The socket's live timer-queue entry: the earliest one pushed
     /// and not yet popped. `None` once that entry pops (later, stale
-    /// entries may still sit in the wheel; their pops leave this alone).
+    /// entries may still sit in the queue; their pops leave this alone).
     pub armed: Option<SimTime>,
     /// Whether the socket is already queued for the next poll pass.
     pub queued_poll: bool,

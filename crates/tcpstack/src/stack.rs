@@ -28,10 +28,9 @@ use crate::config::{Quad, StackConfig};
 use crate::seq::SeqNum;
 use crate::slab::{Conn, TcbSlab};
 use crate::tcb::{StagedSeg, Tcb, TcpState};
-use crate::twheel::TimerWheel;
 use crate::udp_socket::{UdpRecv, UdpSocket};
 use bytes::Bytes;
-use netsim::{DetHashMap, SimDuration, SimTime, SplitMix64};
+use netsim::{DetHashMap, SimDuration, SimTime, SplitMix64, TimeQueue};
 use obs::{Counter, Mark, SharedRecorder, TraceEvent};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -136,10 +135,9 @@ pub struct NetStack {
     udps: Vec<UdpSocket>,
     /// UDP demux: destination port → `udps` index (first bind wins).
     udp_ports: DetHashMap<u16, usize>,
-    /// Connection-deadline wake index (tokens are raw [`SockId`]s).
-    wheel: TimerWheel<u64>,
-    /// Scratch for wheel pops (capacity reused across polls).
-    wheel_expired: Vec<u64>,
+    /// Connection deadlines: one live entry per socket ([`Conn::armed`])
+    /// and the stale ones it left behind.
+    timers: TimeQueue<SockId>,
     /// Sockets with potential work for the next poll pass. Deduplicated
     /// via `Conn::queued_poll`; drained by [`NetStack::poll_into`].
     poll_queue: Vec<SockId>,
@@ -197,8 +195,7 @@ impl NetStack {
             accept_visits: 0,
             udps: Vec::new(),
             udp_ports: DetHashMap::default(),
-            wheel: TimerWheel::new(),
-            wheel_expired: Vec::with_capacity(32),
+            timers: TimeQueue::new(),
             poll_queue: Vec::with_capacity(32),
             activity: Vec::new(),
             activity_tracking: false,
@@ -686,26 +683,23 @@ impl NetStack {
     /// steady state.
     ///
     /// O(active): only sockets touched since the last poll (ingress, API
-    /// calls, `tcb_mut`) or with a due timer-wheel entry are visited —
-    /// idle connections cost nothing, no matter how many exist.
+    /// calls, `tcb_mut`) or with a timer-queue entry that has come due
+    /// are visited — idle connections cost nothing, no matter how many
+    /// exist.
     ///
-    /// Returns how many of the sockets the timer wheel woke had a
+    /// Returns how many of the sockets a due timer entry woke had a
     /// deadline due. Zero, with no frame appended, tells an embedder
     /// that woke for [`NetStack::next_deadline`] that the wake was for
-    /// nothing (a stale or coarse-slotted wheel entry).
+    /// nothing: the entry was stale (its deadline had moved later).
     pub fn poll_into(&mut self, now: SimTime, frames: &mut Vec<Bytes>) -> usize {
         self.retry_arp(now);
         self.builder.recycle();
-        // Due (or stale — lazy cancellation) wheel entries join the pass.
-        let mut expired = std::mem::take(&mut self.wheel_expired);
-        expired.clear();
-        self.wheel.advance(now.as_nanos(), &mut expired);
+        // Due (or stale — lazy cancellation) timer entries join the pass.
         let mut due = 0;
-        for &raw in &expired {
-            let sock = SockId::from_raw(raw);
+        while let Some((_, sock)) = self.timers.pop_due(now) {
             if let Some(conn) = self.tcbs.get_mut(sock) {
                 // Only the armed entry's pop disarms. A stale pop that
-                // did would have `rearm` schedule the deadline a second
+                // did would have `rearm` push the deadline a second
                 // time, and each of the two entries would do so again.
                 if conn.armed.is_some_and(|armed| armed <= now) {
                     conn.armed = None;
@@ -714,7 +708,6 @@ impl NetStack {
                 self.mark_dirty(sock);
             }
         }
-        self.wheel_expired = expired;
         let mut staged = std::mem::take(&mut self.staged);
         let mut i = 0;
         while i < self.poll_queue.len() {
@@ -742,32 +735,32 @@ impl NetStack {
         due
     }
 
-    /// Ensures the wheel will wake the stack no later than `sock`'s
-    /// earliest TCB deadline. Called after every visit; entries are
-    /// never cancelled (stale ones pop harmlessly), so scheduling is
-    /// needed only when the deadline moved *earlier* than what's armed,
-    /// or when the armed entry has popped.
+    /// Ensures the timer queue holds `sock`'s earliest TCB deadline.
+    /// Called after every visit; entries are never cancelled (stale ones
+    /// pop harmlessly), so a push is needed only when the deadline moved
+    /// *earlier* than what's armed, or when the armed entry has popped.
     fn rearm(&mut self, sock: SockId) {
         if let Some(conn) = self.tcbs.get_mut(sock) {
             if let Some(deadline) = conn.tcb.next_deadline() {
                 let need = conn.armed.is_none_or(|armed| deadline < armed);
                 if need {
                     conn.armed = Some(deadline);
-                    self.wheel.schedule(deadline.as_nanos(), sock.raw());
+                    self.timers.push(deadline, sock);
                 }
             }
         }
     }
 
-    /// The earliest instant at which [`NetStack::poll`] has new work.
+    /// The earliest instant at which [`NetStack::poll`] has new work:
+    /// the head of the timer queue (or an ARP retry), O(1).
     ///
-    /// O(1): read off the timer wheel instead of scanning TCBs. The value
-    /// is *conservative* — never later than any real deadline, possibly
-    /// early for coarse-slotted entries (the poll finds nothing due and
-    /// re-arms precisely; see the `twheel` module docs). Accurate only
-    /// after a poll, which every embedder performs before sleeping.
+    /// Exact after a poll, which every embedder performs before
+    /// sleeping: no connection's deadline is earlier, and the value is a
+    /// deadline some connection has now or had when it was armed — a
+    /// deadline that has since moved *later* leaves its entry behind
+    /// (entries are not cancelled), and the wake for it finds nothing due.
     pub fn next_deadline(&self) -> Option<SimTime> {
-        let tcb_min = self.wheel.next_expiry().map(SimTime::from_nanos);
+        let tcb_min = self.timers.peek_time();
         let arp_min = self.pending_arp.values().map(|p| p.last_request + ARP_RETRY).min();
         [tcb_min, arp_min].into_iter().flatten().min()
     }
@@ -1093,7 +1086,7 @@ mod tests {
     }
 
     #[test]
-    fn a_moved_deadline_leaves_one_live_wheel_entry() {
+    fn a_moved_deadline_leaves_one_live_queue_entry() {
         // The client's deadline moves earlier twice — SYN RTO (1 s),
         // then the FIN's RTO, then the delayed ACK for the server's
         // reply — and ends as TIME_WAIT's 60 s, later than all three.
@@ -1102,7 +1095,7 @@ mod tests {
         pump(&mut c, &mut s, &mut now, SimDuration::from_micros(100));
         assert_eq!(s.write(ss, b"bye").unwrap(), 3);
         pump(&mut c, &mut s, &mut now, SimDuration::from_micros(100));
-        assert_eq!(c.wheel.len(), 3, "three wakes scheduled, none popped yet");
+        assert_eq!(c.timers.len(), 3, "three wakes scheduled, none popped yet");
         s.close(now, ss);
         pump(&mut c, &mut s, &mut now, SimDuration::from_micros(100));
         assert_eq!(c.state(cs), Some(TcpState::TimeWait));
@@ -1112,8 +1105,46 @@ mod tests {
         while let Some(next) = c.next_deadline().filter(|&t| t < now + SimDuration::from_secs(2)) {
             assert!(c.poll(next).is_empty());
         }
-        assert_eq!(c.wheel.len(), 1, "one socket, one deadline, one entry");
+        assert_eq!(c.timers.len(), 1, "one socket, one deadline, one entry");
         assert_eq!(c.state(cs), Some(TcpState::TimeWait));
+        // That entry is TIME_WAIT's 60 s, to the nanosecond: one wake.
+        assert_eq!(one_wake(&mut c), (1, 0));
+        assert_eq!(c.state(cs), Some(TcpState::Closed));
+        assert_eq!(c.next_deadline(), None);
+    }
+
+    /// Wakes `stack` the way an embedder does — at `next_deadline()`,
+    /// which must be its connections' earliest deadline exactly — and
+    /// returns what the wake found due and how many frames it sent.
+    fn one_wake(stack: &mut NetStack) -> (usize, usize) {
+        let at = stack.next_deadline().expect("a deadline is pending");
+        let earliest = stack.socks().filter_map(|sock| stack.tcb(sock)?.next_deadline()).min();
+        assert_eq!(Some(at), earliest, "next_deadline() names no connection's deadline");
+        let mut frames = Vec::new();
+        let due = stack.poll_into(at, &mut frames);
+        (due, frames.len())
+    }
+
+    #[test]
+    fn a_deadline_costs_one_wake_at_its_exact_instant() {
+        let (mut c, mut s, cs, _ss, mut now) = established_pair();
+        assert_eq!(c.write(cs, b"ping").unwrap(), 4);
+        let request = c.poll(now);
+        assert_eq!(request.len(), 1);
+        now += SimDuration::from_micros(100);
+        for f in request {
+            s.handle_frame(now, f);
+        }
+        // The server owes a delayed ACK, 40 ms out (its SYN/ACK's RTO
+        // entry is stale and later): one wake, due, one ACK.
+        assert!(s.poll(now).is_empty());
+        assert_eq!(s.next_deadline(), Some(now + SimDuration::from_millis(40)));
+        assert_eq!(one_wake(&mut s), (1, 1));
+        // The ACK is lost; the client's RTO (200 ms after the RTT the
+        // handshake measured) is one wake and one retransmission too.
+        let rto = c.next_deadline().expect("unacked data arms the RTO");
+        assert!(rto >= SimTime::ZERO + SimDuration::from_millis(200));
+        assert_eq!(one_wake(&mut c), (1, 1));
     }
 
     /// A bare segment from client port `port` to the server's port 80.

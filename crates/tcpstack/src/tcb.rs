@@ -428,21 +428,6 @@ impl Tcb {
         self.cong.import(snap);
     }
 
-    /// True when SACK was negotiated on this connection.
-    pub fn sack_negotiated(&self) -> bool {
-        self.sack_ok
-    }
-
-    /// The sender's SACK scoreboard (read-only, for tests).
-    pub fn sack_scoreboard(&self) -> &SackScoreboard {
-        &self.sack_board
-    }
-
-    /// RTO estimator (read-only, for tests/benches).
-    pub fn rto_estimator(&self) -> &RtoEstimator {
-        &self.rto
-    }
-
     // ---------------------------------------------------- application
 
     /// Queues application data; returns bytes accepted.

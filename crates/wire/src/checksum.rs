@@ -61,12 +61,6 @@ impl Checksum {
         self
     }
 
-    /// Adds one big-endian 16-bit word.
-    pub fn add_u16(&mut self, word: u16) -> &mut Self {
-        self.sum = self.sum.wrapping_add(u32::from(word));
-        self
-    }
-
     /// Folds carries and returns the one's-complement checksum.
     ///
     /// A result of `0` is transmitted as `0xFFFF` by UDP; callers decide.
