@@ -7,7 +7,7 @@
 
 use crate::api::{Api, Application};
 use crate::metrics::RunMetrics;
-use crate::pattern::{mismatches, pattern_mismatches, request_bytes, write_pattern};
+use crate::pattern::{pattern_mismatches, request_bytes, request_pos, write_pattern};
 use crate::upload::UploadServer;
 use crate::{INTERACTIVE_REPLY, REQUEST_SIZE};
 use netsim::SimTime;
@@ -95,25 +95,31 @@ impl Workload {
         }
     }
 
-    /// Expected content byte at offset `off` of reply `k`.
-    ///
-    /// Per-byte reference semantics for [`Workload::verify_chunk`]; the
-    /// equivalence test keeps the two in lockstep.
-    #[cfg(test)]
-    fn expected_byte(&self, k: u64, off: u64) -> u8 {
+    /// Where reply `k` starts in the pattern stream.
+    fn reply_pos(&self, k: u64) -> u64 {
         match *self {
             // The echo reply is the request itself.
-            Workload::Echo { .. } => {
-                request_bytes(k, REQUEST_SIZE)[usize::try_from(off).expect("small")]
-            }
-            // Servers emit the absolute pattern stream.
-            Workload::Interactive { reply_size, .. } => {
-                crate::pattern::pattern_byte(k * reply_size as u64 + off)
-            }
-            Workload::Bulk { .. } => crate::pattern::pattern_byte(k * self.reply_len(k) + off),
+            Workload::Echo { .. } => request_pos(k),
             // The upload confirmation is a fixed deterministic message.
-            Workload::Upload { .. } => {
-                UploadServer::confirmation()[usize::try_from(off).expect("small")]
+            Workload::Upload { .. } => request_pos(UploadServer::CONFIRMATION),
+            // Servers emit the absolute pattern stream.
+            Workload::Interactive { .. } | Workload::Bulk { .. } => k * self.reply_len(k),
+        }
+    }
+
+    /// Expected content byte at offset `off` of reply `k`.
+    ///
+    /// Per-byte reference semantics for [`Workload::verify_chunk`],
+    /// from the messages themselves where `verify_chunk` goes by
+    /// position; the equivalence test keeps the two in lockstep.
+    #[cfg(test)]
+    fn expected_byte(&self, k: u64, off: u64) -> u8 {
+        let at = usize::try_from(off).expect("small");
+        match *self {
+            Workload::Echo { .. } => request_bytes(k)[at],
+            Workload::Upload { .. } => UploadServer::confirmation()[at],
+            Workload::Interactive { .. } | Workload::Bulk { .. } => {
+                crate::pattern::pattern_byte(k * self.reply_len(k) + off)
             }
         }
     }
@@ -121,23 +127,11 @@ impl Workload {
     /// Verifies `data` against bytes `off..off + data.len()` of reply
     /// `k` in one pass. Returns the mismatch count and the offset
     /// *within `data`* of the first mismatch. The caller guarantees the
-    /// range lies inside the reply; equivalent to checking
-    /// `Workload::expected_byte` per position, but without the
-    /// per-byte dispatch (and, for Echo, without re-deriving the whole
-    /// request for every byte) — this runs over every delivered byte.
+    /// range lies inside the reply. Every reply is a stretch of the
+    /// pattern stream, so this builds nothing: it runs over every
+    /// delivered byte.
     fn verify_chunk(&self, k: u64, off: u64, data: &[u8]) -> (u64, Option<u64>) {
-        let message = match *self {
-            // The echo reply is the request itself.
-            Workload::Echo { .. } => request_bytes(k, REQUEST_SIZE),
-            // The upload confirmation is a fixed deterministic message.
-            Workload::Upload { .. } => UploadServer::confirmation(),
-            // Servers emit the absolute pattern stream.
-            Workload::Interactive { .. } | Workload::Bulk { .. } => {
-                return pattern_mismatches(k * self.reply_len(k) + off, data);
-            }
-        };
-        let at = usize::try_from(off).expect("small");
-        mismatches(&message[at..at + data.len()], data)
+        pattern_mismatches(self.reply_pos(k).wrapping_add(off), data)
     }
 }
 
@@ -199,7 +193,7 @@ impl WorkloadClient {
         if let Workload::Upload { file_size } = self.workload {
             write_pattern(api, &mut self.upload_sent, file_size);
         } else {
-            let req = request_bytes(self.requests_sent, REQUEST_SIZE);
+            let req = request_bytes(self.requests_sent);
             let n = api.write(&req);
             debug_assert_eq!(n, req.len(), "request must fit the send buffer");
         }

@@ -6,6 +6,7 @@
 //! merely counting them.
 
 use crate::api::Api;
+use crate::REQUEST_SIZE;
 
 /// The byte at position `pos` of a deterministic stream.
 ///
@@ -33,24 +34,82 @@ const K: u64 = 0x9E37_79B9_7F4A_7C15;
 /// Positions per run: `pos >> 8` is constant inside one.
 const RUN: usize = 256;
 
+/// Bits 0..55 of a product: the part below the byte a position takes
+/// from it.
+const LOW55: u64 = (1 << 55) - 1;
+
+/// What offset `j` of a run contributes, whatever the run: the 256
+/// products `j·K` are constants.
+struct RunTable {
+    /// Bits 55..63 of `j·K`.
+    top: [u8; RUN],
+    /// How many of the 256 values `low55(j·K)` are below this one.
+    rank: [u8; RUN],
+    /// The 256 values `low55(j·K)`, ascending.
+    lows: [u64; RUN],
+}
+
+static TABLE: RunTable = run_table();
+
+const fn run_table() -> RunTable {
+    let mut table = RunTable { top: [0; RUN], rank: [0; RUN], lows: [0; RUN] };
+    let mut j = 0;
+    while j < RUN {
+        let product = (j as u64).wrapping_mul(K);
+        let low = product & LOW55;
+        let mut below = 0;
+        let mut i = 0;
+        while i < RUN {
+            let other = (i as u64).wrapping_mul(K) & LOW55;
+            // A tie would put two offsets on one rank and leave a hole
+            // in `lows`.
+            assert!(i == j || other != low, "the 256 lows are distinct");
+            if other < low {
+                below += 1;
+            }
+            i += 1;
+        }
+        table.top[j] = (product >> 55) as u8;
+        table.rank[j] = below as u8;
+        table.lows[below] = low;
+        j += 1;
+    }
+    table
+}
+
 /// Fills `buf` with the pattern starting at stream position `start`.
 ///
 /// The run kernel every bulk producer and checker shares. Bits 8..16
 /// of `(pos·K).rotate_left(17) ^ pos` are bits 55..63 of `pos·K` xor
-/// bits 8..16 of `pos`: inside a 256-aligned run the second term is
-/// constant and the first advances by `K` per byte, so the inner loop
-/// is one add, one shift and one xor, and vectorises.
+/// bits 8..16 of `pos`. Inside a 256-aligned run the second term is
+/// constant, and with `B` the product at the run's base the first is
+/// `(B + j·K) >> 55 = (B >> 55) + (j·K >> 55) + carry`, where offset
+/// `j` carries when `low55(j·K) ≥ 2⁵⁵ − low55(B)`. [`RunTable`] holds
+/// the lows sorted, so one binary search per run finds how many stay
+/// below that threshold, and the carry test becomes a comparison of
+/// `j`'s rank with that count: the inner loop reads two byte arrays and
+/// writes one, sixteen positions to a 128-bit instruction.
 pub fn fill_pattern(start: u64, buf: &mut [u8]) {
     let mut pos = start;
     let mut rest = buf;
     while !rest.is_empty() {
-        let run = (RUN - (pos % RUN as u64) as usize).min(rest.len());
+        let at = (pos % RUN as u64) as usize;
+        let run = (RUN - at).min(rest.len());
         let (head, tail) = rest.split_at_mut(run);
+        let base = (pos - at as u64).wrapping_mul(K);
+        let threshold = (1 << 55) - (base & LOW55);
+        // `lows[0]` is 0 (offset 0 never carries) and every threshold
+        // is at least 1, so `clear` is in 1..=256 and the ranks that
+        // do not carry are `0..=clear - 1`.
+        let clear = TABLE.lows.partition_point(|&low| low < threshold);
+        let last_clear = (clear - 1) as u8;
+        // Counted down from the carried value: `<=` is the byte compare
+        // SSE2 has unsigned, and the 1 moves out of the loop.
+        let carried = ((base >> 55) as u8).wrapping_add(1);
         let high = (pos >> 8) as u8;
-        let mut acc = pos.wrapping_mul(K);
-        for b in head {
-            *b = (acc >> 55) as u8 ^ high;
-            acc = acc.wrapping_add(K);
+        let offsets = TABLE.top[at..at + run].iter().zip(&TABLE.rank[at..at + run]);
+        for (b, (&top, &rank)) in head.iter_mut().zip(offsets) {
+            *b = carried.wrapping_add(top).wrapping_sub(u8::from(rank <= last_clear)) ^ high;
         }
         pos = pos.wrapping_add(run as u64);
         rest = tail;
@@ -59,7 +118,7 @@ pub fn fill_pattern(start: u64, buf: &mut [u8]) {
 
 /// Counts positions where `data` differs from `expected` (equal
 /// lengths); also reports the index of the first difference.
-pub fn mismatches(expected: &[u8], data: &[u8]) -> (u64, Option<u64>) {
+fn mismatches(expected: &[u8], data: &[u8]) -> (u64, Option<u64>) {
     debug_assert_eq!(expected.len(), data.len());
     if expected == data {
         return (0, None);
@@ -78,15 +137,20 @@ pub fn mismatches(expected: &[u8], data: &[u8]) -> (u64, Option<u64>) {
 /// Counts bytes of `data` differing from the pattern stream at `start`;
 /// also reports the index *within `data`* of the first difference.
 pub fn pattern_mismatches(start: u64, data: &[u8]) -> (u64, Option<u64>) {
-    let mut expected = [0u8; RUN];
+    let mut expected = [0u8; 4 * RUN];
     let (mut errors, mut first) = (0u64, None);
-    for (i, chunk) in data.chunks(RUN).enumerate() {
-        let off = (i * RUN) as u64;
-        let expected = &mut expected[..chunk.len()];
-        fill_pattern(start.wrapping_add(off), expected);
-        let (e, f) = mismatches(expected, chunk);
+    let mut off = 0;
+    while off < data.len() {
+        let pos = start.wrapping_add(off as u64);
+        // Chunks end on a run boundary, so only the first fill starts
+        // inside a run.
+        let len = (expected.len() - (pos % RUN as u64) as usize).min(data.len() - off);
+        let expected = &mut expected[..len];
+        fill_pattern(pos, expected);
+        let (e, f) = mismatches(expected, &data[off..off + len]);
         errors += e;
-        first = first.or(f.map(|f| off + f));
+        first = first.or(f.map(|f| off as u64 + f));
+        off += len;
     }
     (errors, first)
 }
@@ -117,13 +181,18 @@ pub fn write_pattern(api: &mut dyn Api, sent: &mut u64, goal: u64) {
     }
 }
 
+/// Where request number `idx` starts in the pattern stream. Requests
+/// draw from a region disjoint from the replies'; positions wrap (the
+/// pattern is defined on all of `u64`).
+pub fn request_pos(idx: u64) -> u64 {
+    (u64::MAX / 2).wrapping_add(idx.wrapping_mul(REQUEST_SIZE as u64))
+}
+
 /// The content of request number `idx` (requests are also patterned so
 /// the echo server's reflection can be verified byte-for-byte).
-pub fn request_bytes(idx: u64, size: usize) -> Vec<u8> {
-    let mut buf = vec![0u8; size];
-    // Requests draw from a disjoint region of the pattern space;
-    // positions wrap (the pattern is defined on all of u64).
-    fill_pattern((u64::MAX / 2).wrapping_add(idx.wrapping_mul(size as u64)), &mut buf);
+pub fn request_bytes(idx: u64) -> [u8; REQUEST_SIZE] {
+    let mut buf = [0u8; REQUEST_SIZE];
+    fill_pattern(request_pos(idx), &mut buf);
     buf
 }
 
@@ -228,6 +297,50 @@ mod tests {
         }
     }
 
+    /// The first position of a run whose base product has `low55` as
+    /// its low 55 bits. A base is `256·m·K`, so its low byte is zero.
+    fn run_with_low55(low55: u64) -> u64 {
+        assert_eq!(low55 % RUN as u64, 0, "not the low bits of any run's base");
+        let mut inverse = K; // Newton: each step doubles the correct low bits
+        for _ in 0..6 {
+            inverse = inverse.wrapping_mul(2u64.wrapping_sub(K.wrapping_mul(inverse)));
+        }
+        let pos = (low55 >> 8).wrapping_mul(inverse) << 8;
+        assert_eq!(pos.wrapping_mul(K) & LOW55, low55);
+        pos
+    }
+
+    fn assert_run_agrees(pos: u64) {
+        let mut buf = [0u8; RUN];
+        fill_pattern(pos, &mut buf);
+        for (j, &b) in buf.iter().enumerate() {
+            assert_eq!(b, pattern_byte(pos + j as u64), "run at {pos:#x} offset {j}");
+        }
+    }
+
+    #[test]
+    fn kernel_agrees_at_every_carry_count() {
+        assert!(TABLE.lows.windows(2).all(|w| w[0] < w[1]), "sorted, no ties");
+        for (j, &rank) in TABLE.rank.iter().enumerate() {
+            assert_eq!(TABLE.lows[usize::from(rank)], (j as u64).wrapping_mul(K) & LOW55);
+        }
+        // No offset carries: `pos = 0`, threshold 2⁵⁵, above every low.
+        assert_eq!(run_with_low55(0), 0);
+        assert_run_agrees(0);
+        // Every offset but 0 carries: the largest low 55 bits a base can
+        // have (2⁵⁵ − 1 is odd, so no run has it) put the threshold at
+        // 256, below every low but offset 0's.
+        assert!(TABLE.lows[1] >= RUN as u64);
+        assert_run_agrees(run_with_low55((1 << 55) - RUN as u64));
+        // And each count between: the first threshold a base can have
+        // above the `clear`-th low and its neighbour on the other side.
+        for &low in &TABLE.lows[1..] {
+            let above = (low / RUN as u64 + 1) * RUN as u64;
+            assert_run_agrees(run_with_low55((1 << 55) - above));
+            assert_run_agrees(run_with_low55((1 << 55) - (above - RUN as u64)));
+        }
+    }
+
     #[test]
     fn pattern_content_is_pinned() {
         // FNV-1a over the first 64 KiB. The golden frame digests would
@@ -315,9 +428,8 @@ mod tests {
 
     #[test]
     fn requests_differ_by_index() {
-        assert_ne!(request_bytes(0, 150), request_bytes(1, 150));
-        assert_eq!(request_bytes(3, 150), request_bytes(3, 150));
-        assert_eq!(request_bytes(0, 150).len(), 150);
+        assert_ne!(request_bytes(0), request_bytes(1));
+        assert_eq!(request_bytes(3), request_bytes(3));
     }
 
     #[test]

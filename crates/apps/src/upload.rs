@@ -49,9 +49,12 @@ impl UploadServer {
         self.received
     }
 
+    /// The request number whose content is the confirmation message.
+    pub(crate) const CONFIRMATION: u64 = u64::MAX / 3;
+
     /// The deterministic confirmation message.
-    pub fn confirmation() -> Vec<u8> {
-        request_bytes(u64::MAX / 3, REQUEST_SIZE)
+    pub fn confirmation() -> [u8; REQUEST_SIZE] {
+        request_bytes(Self::CONFIRMATION)
     }
 
     fn flush(&mut self, api: &mut dyn Api) {
@@ -71,7 +74,7 @@ impl Application for UploadServer {
         self.received += data.len() as u64;
         if self.received >= self.expected && !self.confirmation_sent {
             self.confirmation_sent = true;
-            self.pending = Self::confirmation();
+            self.pending = Self::confirmation().to_vec();
         }
         self.flush(api);
     }

@@ -38,6 +38,18 @@
 //! too, because the service table (not per-run state) determines the
 //! app a migrated connection lands on.
 //!
+//! # Connections stay open
+//!
+//! A [`FleetSpec`] fleet never closes a connection:
+//! [`ClusterFleetSpec::pair`] sets `close_when_done: false`, and at the
+//! end of a 10 000-client run all 10 000 clients are `Established`. So
+//! a peak-memory figure for such a fleet (the benchmark's
+//! `peak_alloc_mb` on `fleet_churn` / `fleet_failover`) measures that
+//! many idle established connections on three nodes, not churn: at
+//! 10 000 clients ≈ 101 MB of 262 MB was the capacity of drained
+//! `VecDeque` socket buffers (measured while sizing ISSUE 23).
+//! [`ClusterFleetSpec::new`] closes.
+//!
 //! # Determinism
 //!
 //! Everything is derived from the spec: client addresses, MACs, ISN

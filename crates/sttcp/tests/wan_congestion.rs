@@ -68,7 +68,7 @@ fn takeover_under_loss(sack: bool) -> (u64, f64) {
 }
 
 #[test]
-fn sack_improves_takeover_under_reordering_loss() {
+fn sack_keeps_first_byte_latency_under_reordering_loss() {
     let (gbn_fb, gbn_total) = takeover_under_loss(false);
     let (sack_fb, sack_total) = takeover_under_loss(true);
     println!(
@@ -78,21 +78,15 @@ fn sack_improves_takeover_under_reordering_loss() {
         sack_fb as f64 / 1e6,
     );
     // The first byte after takeover is the hole at snd_una in both
-    // recovery styles, so SACK's win is in everything after it: the
-    // promoted go-back-N sender re-sends the client's entire buffered
-    // window before reaching new data, the scoreboard sender skips
-    // straight past the SACKed islands. First-byte must not regress
-    // (small tolerance: the wire histories differ slightly by then) and
-    // the client must finish strictly earlier.
+    // recovery styles, so it must not regress (small tolerance: the
+    // wire histories differ slightly by then). Completion time is
+    // printed, not asserted: which style finishes first depends on the
+    // seed (59.55 s vs 73.72 s here, 75.6 s vs 72.1 s in the ten-seed
+    // mean PR 12 measured), so an ordering at one seed says nothing.
     assert!(
         sack_fb <= gbn_fb + 5_000_000,
         "selective retransmit must not delay the first post-takeover byte \
          (sack {sack_fb}ns vs go-back-N {gbn_fb}ns)"
-    );
-    assert!(
-        sack_total < gbn_total,
-        "selective retransmit must finish the transfer earlier than go-back-N \
-         under reordering loss (sack {sack_total:.2}s vs go-back-N {gbn_total:.2}s)"
     );
 }
 

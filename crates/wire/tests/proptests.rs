@@ -3,6 +3,7 @@
 use bytes::Bytes;
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
+use wire::checksum::{checksum, Checksum};
 use wire::{
     ArpOp, ArpPacket, EtherType, EthernetFrame, IpProtocol, Ipv4Packet, MacAddr, TcpFlags,
     TcpOption, TcpSegment, UdpDatagram,
@@ -37,7 +38,68 @@ fn arb_options() -> impl Strategy<Value = Vec<TcpOption>> {
     )
 }
 
+/// The definition `Checksum::add_bytes` must agree with: the RFC 1071
+/// sum two bytes at a time, big-endian, an odd tail padded with zero.
+fn reference_checksum(data: &[u8]) -> u16 {
+    let mut sum: u32 = 0;
+    for pair in data.chunks(2) {
+        let word = u16::from_be_bytes([pair[0], pair.get(1).copied().unwrap_or(0)]);
+        sum += u32::from(word);
+        sum = (sum & 0xFFFF) + (sum >> 16);
+    }
+    !(sum as u16)
+}
+
+#[test]
+fn checksum_agrees_with_reference_at_every_short_length_and_offset() {
+    // Offsets 0..8 of one buffer: every alignment of the 8-byte words
+    // and 32-byte blocks against the allocation.
+    let buffer: Vec<u8> = (0..108u32).map(|i| (i * 151 + 7) as u8).collect();
+    for len in 0..=100 {
+        for offset in 0..8 {
+            let data = &buffer[offset..offset + len];
+            assert_eq!(checksum(data), reference_checksum(data), "len {len} offset {offset}");
+        }
+    }
+    // The sums that fold the furthest.
+    let ones = [0xFFu8; 100];
+    for len in 0..=ones.len() {
+        assert_eq!(checksum(&ones[..len]), reference_checksum(&ones[..len]), "len {len}");
+    }
+}
+
 proptest! {
+    #[test]
+    fn checksum_agrees_with_reference(
+        data in proptest::collection::vec(any::<u8>(), 0..9008),
+        offset in 0usize..8,
+    ) {
+        let data = &data[offset.min(data.len())..];
+        prop_assert_eq!(checksum(data), reference_checksum(data));
+    }
+
+    #[test]
+    fn checksum_over_an_even_split_equals_one_shot(
+        data in proptest::collection::vec(any::<u8>(), 0..3000),
+        cut in any::<usize>(),
+    ) {
+        // Any even cut, an odd-length second half included: only the
+        // last section's tail is padded.
+        let cut = cut % (data.len() / 2 + 1) * 2;
+        let mut sections = Checksum::new();
+        sections.add_bytes(&data[..cut]).add_bytes(&data[cut..]);
+        prop_assert_eq!(sections.finish(), checksum(&data));
+    }
+
+    #[test]
+    fn checksum_pads_an_odd_tail_with_zero(data in proptest::collection::vec(any::<u8>(), 0..200)) {
+        let mut padded = data.clone();
+        if data.len() % 2 == 1 {
+            padded.push(0);
+        }
+        prop_assert_eq!(checksum(&data), checksum(&padded));
+    }
+
     #[test]
     fn ethernet_roundtrip(dst in arb_mac(), src in arb_mac(), et in any::<u16>(), payload in arb_payload(2048)) {
         let f = EthernetFrame::new(dst, src, EtherType::from_u16(et), payload);
