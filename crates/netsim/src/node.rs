@@ -157,8 +157,11 @@ impl Context {
     ///
     /// A node that never calls this (a hub, a switch, a promiscuous tap)
     /// sees every frame. A power cycle resets the NIC: the next
-    /// `on_start` must program it again. The frame's arrival stays an
-    /// event, and the receiver's ingress fault rules judge it first.
+    /// `on_start` must program it again — and `on_start` is where to
+    /// call this, since a boot's filter is taken to be static: a frame
+    /// it refuses is judged as it goes on the wire, charged to its link
+    /// in full and never scheduled, unless the node is down or paused
+    /// at that instant or has ingress fault rules, which judge first.
     pub fn set_nic_filter(&mut self, own: MacAddr, also: impl IntoIterator<Item = MacAddr>) {
         let also = also.into_iter().filter(|mac| !mac.is_multicast()).collect();
         self.nic = Some(NicFilter { own, also });

@@ -34,6 +34,14 @@ struct NodeSlot {
     rules: Vec<IngressRule>,
 }
 
+impl NodeSlot {
+    /// The one NIC verdict: whether the filter this boot programmed
+    /// discards `frame` before the host sees it.
+    fn nic_rejects(&self, frame: &[u8]) -> bool {
+        self.nic.as_ref().is_some_and(|nic| !nic.passes(frame))
+    }
+}
+
 struct LinkState {
     spec: LinkSpec,
     ends: [(NodeId, PortId); 2],
@@ -448,16 +456,21 @@ impl Simulator {
         verdict
     }
 
-    /// A frame reaches the NIC of live node `id`, whose filter decides
-    /// whether the host sees it or the arrival event was all it cost.
+    /// A frame reaches the NIC of live node `id` as an event, and the
+    /// filter decides whether the host sees it. (A refusal that was
+    /// already certain when the frame went on the wire never gets here:
+    /// see the end of [`Simulator::transmit`].)
     fn deliver(&mut self, id: NodeId, port: PortId, frame: Bytes) {
-        if self.nodes[id.0].nic.as_ref().is_some_and(|nic| !nic.passes(&frame)) {
-            self.trace.frames_filtered_nic += 1;
-            self.recorder.count(Counter::NicFiltered, 1);
-            return;
+        if self.nodes[id.0].nic_rejects(&frame) {
+            return self.count_nic_filtered();
         }
         self.trace.frames_delivered += 1;
         self.dispatch(id, |n, ctx| n.on_frame(port, frame, ctx));
+    }
+
+    fn count_nic_filtered(&mut self) {
+        self.trace.frames_filtered_nic += 1;
+        self.recorder.count(Counter::NicFiltered, 1);
     }
 
     fn dispatch(&mut self, id: NodeId, call: impl FnOnce(&mut dyn Node, &mut Context)) {
@@ -584,6 +597,16 @@ impl Simulator {
 
         if let Some(probe) = self.probe.as_mut() {
             probe(ProbeEvent { time: departure, link: link_id, from, to, frame: &frame });
+        }
+        // The wire has been charged in full. A NIC's filter is static
+        // within a boot, so when the far node is up, running and has no
+        // ingress rule to judge the frame first, a rejection is already
+        // known: the copy is counted now and never becomes an event.
+        // Every other frame is scheduled, and `deliver` judges it.
+        let far = &self.nodes[to.0];
+        let decidable = far.alive && far.paused_until <= self.now && far.rules.is_empty();
+        if decidable && far.nic_rejects(&frame) {
+            return self.count_nic_filtered();
         }
         self.queue.push(arrival, EventKind::Frame { node: to, port: to_port, frame });
     }
@@ -1037,12 +1060,13 @@ mod tests {
 
     /// A host whose every boot programs its NIC with the next of `macs`
     /// (`None`, or running out, programs nothing) and logs the
-    /// destination of every frame that reaches it.
+    /// destination and the instant of every frame that reaches it.
     #[derive(Default)]
     struct Station {
         macs: Vec<Option<(MacAddr, Vec<MacAddr>)>>,
         boots: usize,
         seen: Vec<MacAddr>,
+        seen_at: Vec<SimTime>,
     }
 
     impl Station {
@@ -1058,8 +1082,9 @@ mod tests {
             }
             self.boots += 1;
         }
-        fn on_frame(&mut self, _port: PortId, frame: Bytes, _ctx: &mut Context) {
+        fn on_frame(&mut self, _port: PortId, frame: Bytes, ctx: &mut Context) {
             self.seen.push(MacAddr(frame[..6].try_into().unwrap()));
+            self.seen_at.push(ctx.now());
         }
     }
 
@@ -1090,10 +1115,19 @@ mod tests {
         script: Vec<(SimTime, MacAddr)>,
         station: Station,
     ) -> (Simulator, NodeId) {
+        scripted_over(LinkSpec::ideal(), seed, script, station)
+    }
+
+    fn scripted_over(
+        spec: LinkSpec,
+        seed: u64,
+        script: Vec<(SimTime, MacAddr)>,
+        station: Station,
+    ) -> (Simulator, NodeId) {
         let mut sim = Simulator::with_seed(seed);
         let tx = sim.add_node("script", Script(script));
         let rx = sim.add_node("station", station);
-        sim.connect(tx, PortId(0), rx, PortId(0), LinkSpec::ideal());
+        sim.connect(tx, PortId(0), rx, PortId(0), spec);
         (sim, rx)
     }
 
@@ -1106,10 +1140,11 @@ mod tests {
         let events = sim.run_until_idle(100);
         assert_eq!(sim.node_ref::<Station>(rx).seen, [own, MacAddr::BROADCAST, GROUP, alias]);
         // One `on_frame` per delivered frame; the filtered frames are
-        // counted apart, and their arrival events stand.
+        // counted apart and, their verdict known at transmit, are never
+        // events.
         assert_eq!(sim.trace().frames_delivered, 4);
         assert_eq!(sim.trace().frames_filtered_nic, 2);
-        assert_eq!(events, 2 + 6 + 6, "two starts, six sends, six arrivals");
+        assert_eq!(events, 2 + 6 + 4, "two starts, six sends, four arrivals");
     }
 
     #[test]
@@ -1197,6 +1232,111 @@ mod tests {
         // Every foreign frame that got past the drop rule was filtered,
         // delayed ones when re-injected and duplicates once per copy.
         assert!(filtering.5 > 150, "{} filtered", filtering.5);
+    }
+
+    #[test]
+    fn a_flood_charges_the_wire_the_same_whether_or_not_the_nics_filter() {
+        use crate::switch::Switch;
+        use std::cell::RefCell;
+        use std::rc::Rc;
+        const STATIONS: u32 = 8;
+        // One sender floods 20 frames for station 1 through a switch that
+        // never learns it (no station ever transmits); every link has a
+        // rate, a latency and jitter, so each copy occupies its wire and
+        // draws from the RNG. Returns what the wires saw — per-link
+        // frames and bytes, every probe observation, when the addressee
+        // heard each frame, the RNG — and what it cost: events, frames
+        // filtered, frames delivered.
+        let run = |others_filter: bool| {
+            let mut sim = Simulator::with_seed(5);
+            let script = (0..20).map(|i| (at_ms(i), MacAddr::local(1))).collect();
+            let tx = sim.add_node("script", Script(script));
+            let sw = sim.add_node("switch", Switch::new(STATIONS as usize + 1));
+            let spec = LinkSpec::ideal()
+                .with_bandwidth_bps(10_000_000)
+                .with_latency(SimDuration::from_micros(50))
+                .with_jitter(SimDuration::from_micros(20));
+            let mut links = vec![sim.connect(tx, PortId(0), sw, PortId(0), spec)];
+            let mut stations = Vec::new();
+            for i in 1..=STATIONS {
+                let station = match i == 1 || others_filter {
+                    true => Station::with(MacAddr::local(i), &[]),
+                    false => Station::default(),
+                };
+                stations.push(sim.add_node(format!("s{i}"), station));
+                links.push(sim.connect(
+                    stations[i as usize - 1],
+                    PortId(0),
+                    sw,
+                    PortId(i as usize),
+                    spec,
+                ));
+            }
+            let probed = Rc::new(RefCell::new(Vec::new()));
+            let sink = Rc::clone(&probed);
+            sim.set_probe(move |ev| {
+                sink.borrow_mut().push((ev.time, ev.link, ev.from, ev.to, ev.frame.clone()))
+            });
+            let events = sim.run_until_idle(10_000);
+            let stats = |l: &LinkId| {
+                let s = sim.link_stats(*l);
+                (s.a_to_b.frames, s.a_to_b.bytes, s.b_to_a.frames, s.b_to_a.bytes)
+            };
+            let stats: Vec<_> = links.iter().map(stats).collect();
+            let heard = sim.node_ref::<Station>(stations[0]).seen_at.clone();
+            assert_eq!(heard.len(), 20);
+            let t = sim.trace();
+            (
+                (stats, probed.take(), heard, sim.rng),
+                [events, t.frames_filtered_nic, t.frames_delivered],
+            )
+        };
+        let ((open_wire, open), (filtering_wire, filtering)) = (run(false), run(true));
+        assert_eq!(open_wire, filtering_wire);
+        // What differs is what it cost: a copy no NIC takes is no event.
+        let copies = 20 * u64::from(STATIONS - 1);
+        let ([events, filtered, delivered], [events_f, filtered_f, delivered_f]) =
+            (open, filtering);
+        assert_eq!((filtered, filtered_f), (0, copies));
+        assert_eq!((events - events_f, delivered - delivered_f), (copies, copies));
+    }
+
+    #[test]
+    fn a_frame_sent_to_a_powered_off_node_is_judged_by_the_boot_it_lands_in() {
+        let (a, b) = (MacAddr::local(1), MacAddr::local(2));
+        let spec = LinkSpec::ideal().with_latency(SimDuration::from_millis(10));
+        let station =
+            Station { macs: vec![Some((a, vec![])), Some((b, vec![]))], ..Station::default() };
+        // Both frames leave at 15 ms, while the station is down, and land
+        // at 25 ms in its second boot — which is station `b`.
+        let (mut sim, rx) = scripted_over(spec, 1, vec![(at_ms(15), a), (at_ms(15), b)], station);
+        sim.schedule_crash(rx, at_ms(10));
+        sim.schedule_power_on(rx, at_ms(20));
+        sim.run_until(at_ms(24));
+        let t = sim.trace();
+        assert_eq!((t.frames_filtered_nic, t.frames_to_dead_node), (0, 0), "no verdict yet");
+        assert_eq!(sim.pending_events(), 2, "both arrivals are events");
+        sim.run_until_idle(100);
+        assert_eq!(sim.node_ref::<Station>(rx).seen, [b]);
+        let t = sim.trace();
+        assert_eq!((t.frames_filtered_nic, t.frames_delivered, t.frames_to_dead_node), (1, 1, 0));
+    }
+
+    #[test]
+    fn a_foreign_frame_in_flight_at_a_crash_is_counted_filtered() {
+        let (own, foreign) = (MacAddr::local(1), MacAddr::local(9));
+        let spec = LinkSpec::ideal().with_latency(SimDuration::from_millis(10));
+        // Sent at 5 ms to a station that is up, due at 15 ms; it dies at
+        // 10 ms. The NIC's verdict on the foreign frame was taken when it
+        // left; the station's own frame was an event and finds it dead.
+        let script = vec![(at_ms(5), foreign), (at_ms(5), own)];
+        let (mut sim, rx) = scripted_over(spec, 1, script, Station::with(own, &[]));
+        sim.schedule_crash(rx, at_ms(10));
+        sim.run_until(at_ms(9));
+        assert_eq!(sim.trace().frames_filtered_nic, 1, "counted at transmit");
+        sim.run_until_idle(100);
+        let t = sim.trace();
+        assert_eq!((t.frames_filtered_nic, t.frames_to_dead_node, t.frames_delivered), (1, 1, 0));
     }
 
     #[test]

@@ -16,7 +16,8 @@
 use crate::node::{Context, Node, PortId};
 use crate::rng::DetHashMap;
 use bytes::Bytes;
-use wire::{EthernetFrame, MacAddr};
+use wire::ethernet::HEADER_LEN;
+use wire::MacAddr;
 
 /// A learning switch.
 #[derive(Debug, Clone, Default)]
@@ -30,8 +31,8 @@ pub struct Switch {
     pub unicast_forwards: u64,
     /// Copies produced by mirroring.
     pub mirrored: u64,
-    /// Reused per-frame delivery list — on a fleet-scale LAN the switch
-    /// forwards every frame, so this path must not allocate.
+    /// Reused delivery list of a forwarded frame — on a fleet-scale LAN
+    /// the switch forwards every frame, so this path must not allocate.
     delivered: Vec<PortId>,
 }
 
@@ -56,45 +57,39 @@ impl Switch {
     pub fn table(&self) -> &DetHashMap<MacAddr, PortId> {
         &self.table
     }
-
-    /// Fills `out` with the delivery ports for a frame entering at
-    /// `ingress` addressed to `dst`.
-    fn out_ports(&mut self, ingress: PortId, dst: MacAddr, out: &mut Vec<PortId>) {
-        if dst.is_multicast() {
-            // Broadcast and multicast: flood. Group MACs are never learned.
-            self.floods += 1;
-            out.extend((0..self.ports).map(PortId).filter(|&p| p != ingress));
-            return;
-        }
-        match self.table.get(&dst) {
-            Some(&p) if p != ingress => {
-                self.unicast_forwards += 1;
-                out.push(p);
-            }
-            Some(_) => {} // destination is on the ingress segment
-            None => {
-                self.floods += 1;
-                out.extend((0..self.ports).map(PortId).filter(|&p| p != ingress));
-            }
-        }
-    }
 }
 
 impl Node for Switch {
     fn on_frame(&mut self, port: PortId, frame: Bytes, ctx: &mut Context) {
-        let Ok(eth) = EthernetFrame::parse(frame.clone()) else {
+        if frame.len() < HEADER_LEN {
             return; // runt frame: drop silently
-        };
+        }
+        // The two addresses are all a switch reads of a frame.
+        let mac = |at: usize| MacAddr(frame[at..at + 6].try_into().expect("six bytes"));
+        let (dst, src) = (mac(0), mac(6));
         // Learn the source unless it is a group address (the multicast
         // SME must stay unlearned or flooding — the tap — would stop).
-        if !eth.src.is_multicast() {
-            self.table.insert(eth.src, port);
+        if !src.is_multicast() {
+            self.table.insert(src, port);
         }
+        // Broadcast and multicast flood — group MACs are never learned —
+        // and so does unknown unicast.
+        let learned = if dst.is_multicast() { None } else { self.table.get(&dst).copied() };
+        let Some(out) = learned else {
+            // A flood reaches every port but the ingress, every monitor
+            // port among them, so it owes no mirror copy.
+            self.floods += 1;
+            for p in (0..self.ports).map(PortId).filter(|&p| p != port) {
+                ctx.send_frame(p, frame.clone());
+            }
+            return;
+        };
         let mut delivered = std::mem::take(&mut self.delivered);
-        delivered.clear();
-        self.out_ports(port, eth.dst, &mut delivered);
-        for &p in &delivered {
-            ctx.send_frame(p, frame.clone());
+        // Nothing to forward if the destination is on the ingress segment.
+        if out != port {
+            self.unicast_forwards += 1;
+            ctx.send_frame(out, frame.clone());
+            delivered.push(out);
         }
         // Mirroring: copy frames touching a monitored port to its monitor
         // port, unless the frame already reaches that port normally.
@@ -118,7 +113,7 @@ mod tests {
     use crate::link::LinkSpec;
     use crate::sim::Simulator;
     use crate::time::SimDuration;
-    use wire::EtherType;
+    use wire::{EtherType, EthernetFrame};
 
     struct Host {
         mac: MacAddr,

@@ -28,13 +28,18 @@ pub struct ProbeEvent<'a> {
 /// Aggregate counters.
 #[derive(Debug, Default)]
 pub struct Trace {
-    /// Total events the simulator has processed.
+    /// Total events the simulator has processed: starts, timers, control
+    /// actions and frame arrivals — which a copy a NIC refused as it went
+    /// on the wire (see `frames_filtered_nic`) never is.
     pub events_processed: u64,
     /// Frames handed to a live node: one `on_frame` call each.
     pub frames_delivered: u64,
     /// Unicast frames for another station that a live node's NIC
     /// discarded ([`crate::Context::set_nic_filter`]) and the node never
-    /// saw; with `frames_delivered`, everything that reached a NIC.
+    /// saw; with `frames_delivered`, everything that reached a NIC. The
+    /// verdict is taken when the frame goes on the wire if nothing can
+    /// change it before arrival, and such a copy is counted here without
+    /// ever being an event — also if its node crashes before it lands.
     pub frames_filtered_nic: u64,
     /// Frames dropped by link loss models.
     pub frames_lost_on_link: u64,

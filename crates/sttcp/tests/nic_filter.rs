@@ -4,9 +4,10 @@
 //! Fleet clients hold a static ARP entry for the VIP, so every SYN sent
 //! before the primary has transmitted its first frame is addressed to a
 //! MAC the switch has not learned, and is flooded to every port. Each
-//! of those copies is an arrival event at a client that is not its
-//! addressee; the client's NIC discards it and the host — node, stack,
-//! pump — never runs.
+//! of those copies is a transmission toward a client that is not its
+//! addressee; the client's NIC refuses it — as it goes on the wire, so
+//! it is not even an event — and the host — node, stack, pump — never
+//! runs.
 
 use netsim::{DetHashMap, NodeId, SimDuration, SimTime, Switch};
 use std::cell::RefCell;
@@ -74,4 +75,25 @@ fn a_fleets_hosts_see_exactly_the_frames_addressed_to_them() {
     // clients that did not send it.
     assert_eq!(foreign % 499, 0);
     assert!(foreign / 499 <= sw.floods, "{} floods made {foreign} copies", sw.floods);
+}
+
+/// The crash herd (`simperf`'s `conn_herd_3k`, the benchmark's
+/// `fleet_failover` at the library seed): 3 000 clients connect over
+/// 200 ms and the primary dies at 150 ms. More than half of what its
+/// links carry is flood copies for other stations, and none of them
+/// costs an event: a NIC's verdict on a frame it will refuse is taken
+/// when the frame goes on the wire (DESIGN.md §8 "When it runs"). The
+/// three counts are exact; only their sum with `events_processed` was
+/// what the run took before that.
+#[test]
+fn the_crash_herds_flood_copies_are_counted_and_never_events() {
+    let spec =
+        FleetSpec::new(3_000).crash_primary_at(SimTime::ZERO + SimDuration::from_millis(150));
+    let mut f = fleet::build(&spec);
+    assert!(f.run_until_done(SimDuration::from_secs(120)), "fleet must finish");
+    assert!(f.verified_clean(), "all 3 000 client streams must verify clean");
+    let t = f.sim.trace();
+    assert_eq!(t.frames_filtered_nic, 203_932);
+    assert_eq!(t.frames_delivered, 117_122);
+    assert_eq!(t.events_processed + t.frames_filtered_nic, 387_272);
 }
