@@ -25,6 +25,10 @@
 //! so neither is a per-frame cost.
 
 #![warn(missing_docs)]
+// The workspace builds without LTO, so a non-generic function called
+// across a crate boundary is a real call unless it is `#[inline]`: a
+// two-byte `put_u16` used to be four calls and a `memcpy`.
+#![warn(clippy::missing_inline_in_public_items)]
 
 use std::fmt;
 use std::mem::ManuallyDrop;
@@ -68,6 +72,7 @@ impl Shared {
 ///
 /// # Safety
 /// `shared` must point at a live `Shared` (refcount ≥ 1).
+#[inline]
 unsafe fn incref(shared: NonNull<Shared>) {
     shared.as_ref().refs.fetch_add(1, Ordering::Relaxed);
 }
@@ -76,6 +81,7 @@ unsafe fn incref(shared: NonNull<Shared>) {
 ///
 /// # Safety
 /// The caller must own one reference and never use `shared` again.
+#[inline]
 unsafe fn decref(shared: NonNull<Shared>) {
     if shared.as_ref().refs.fetch_sub(1, Ordering::Release) == 1 {
         fence(Ordering::Acquire);
@@ -120,34 +126,47 @@ unsafe impl Sync for Bytes {}
 
 impl Bytes {
     /// An empty view. Never allocates.
+    #[inline]
     pub const fn new() -> Bytes {
         Bytes { shared: None, ptr: NonNull::<u8>::dangling().as_ptr(), len: 0 }
     }
 
     /// Wraps `'static` data without allocating.
+    #[inline]
     pub const fn from_static(data: &'static [u8]) -> Bytes {
         Bytes { shared: None, ptr: data.as_ptr(), len: data.len() }
     }
 
     /// Copies `data` into a fresh buffer.
+    #[inline]
     pub fn copy_from_slice(data: &[u8]) -> Bytes {
         Bytes::from(data.to_vec())
     }
 
     /// Length of the view in bytes.
+    #[inline]
     pub fn len(&self) -> usize {
         self.len
     }
 
     /// Whether the view is empty.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// Keeps the first `len` bytes of the view; a `len` at or past its
+    /// end leaves it as it is. Touches no refcount.
+    #[inline]
+    pub fn truncate(&mut self, len: usize) {
+        self.len = self.len.min(len);
     }
 
     /// Returns a sub-view; shares the buffer, never copies.
     ///
     /// # Panics
     /// Panics when the range is out of bounds.
+    #[inline]
     pub fn slice(&self, range: impl RangeBounds<usize>) -> Bytes {
         let (start, end) = resolve_range(range, self.len);
         if let Some(shared) = self.shared {
@@ -166,6 +185,7 @@ impl Bytes {
 impl Deref for Bytes {
     type Target = [u8];
 
+    #[inline]
     fn deref(&self) -> &[u8] {
         // SAFETY: ptr/len describe initialized bytes that no writer
         // touches (see the `Send`/`Sync` comment).
@@ -174,6 +194,7 @@ impl Deref for Bytes {
 }
 
 impl Clone for Bytes {
+    #[inline]
     fn clone(&self) -> Bytes {
         if let Some(shared) = self.shared {
             // SAFETY: we hold a reference, so the header is live.
@@ -184,6 +205,7 @@ impl Clone for Bytes {
 }
 
 impl Drop for Bytes {
+    #[inline]
     fn drop(&mut self) {
         if let Some(shared) = self.shared {
             // SAFETY: we own exactly one reference.
@@ -193,18 +215,21 @@ impl Drop for Bytes {
 }
 
 impl Default for Bytes {
+    #[inline]
     fn default() -> Bytes {
         Bytes::new()
     }
 }
 
 impl fmt::Debug for Bytes {
+    #[allow(clippy::missing_inline_in_public_items, reason = "diagnostics, not a per-frame call")]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt_bytes_debug(self, f)
     }
 }
 
 impl From<Vec<u8>> for Bytes {
+    #[inline]
     fn from(vec: Vec<u8>) -> Bytes {
         if vec.capacity() == 0 {
             return Bytes::new();
@@ -217,6 +242,7 @@ impl From<Vec<u8>> for Bytes {
 }
 
 impl PartialEq for Bytes {
+    #[inline]
     fn eq(&self, other: &Bytes) -> bool {
         self[..] == other[..]
     }
@@ -251,11 +277,13 @@ unsafe impl Sync for BytesMut {}
 
 impl BytesMut {
     /// An empty writer. Never allocates.
+    #[inline]
     pub const fn new() -> BytesMut {
         BytesMut { shared: None, off: 0, end: 0, len: 0 }
     }
 
     /// A writer with at least `cap` bytes of capacity.
+    #[inline]
     pub fn with_capacity(cap: usize) -> BytesMut {
         if cap == 0 {
             return BytesMut::new();
@@ -267,15 +295,18 @@ impl BytesMut {
     }
 
     /// Initialized length.
+    #[inline]
     pub fn len(&self) -> usize {
         self.len
     }
 
     /// Whether no bytes have been written.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
 
+    #[inline]
     fn base(&self) -> *mut u8 {
         match self.shared {
             // SAFETY: we hold a reference, so the header is live.
@@ -291,6 +322,7 @@ impl BytesMut {
     /// from this buffer has been dropped (this writer holds the only
     /// reference) and the whole buffer, reclaimed in place, is large
     /// enough — the steady state of the frame hot path.
+    #[inline]
     pub fn try_reclaim(&mut self, additional: usize) -> bool {
         if self.end - self.off - self.len >= additional {
             return true;
@@ -319,12 +351,23 @@ impl BytesMut {
     /// Ensures room for `additional` more bytes: in place when
     /// [`BytesMut::try_reclaim`] can, otherwise in a fresh buffer that
     /// the initialized bytes are moved over to.
+    #[inline]
     pub fn reserve(&mut self, additional: usize) {
+        if self.end - self.off - self.len < additional {
+            self.grow(additional);
+        }
+    }
+
+    /// [`BytesMut::reserve`] past the room in hand: out of line, so the
+    /// callers that inline `reserve` do not carry the allocation code.
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self, additional: usize) {
         if self.try_reclaim(additional) {
             return;
         }
         let needed = self.len + additional;
-        // Grow path: fresh buffer, geometric growth.
+        // Fresh buffer, geometric growth.
         let new_cap = needed.max((self.end - self.off) * 2).max(64);
         let shared = Shared::alloc(new_cap);
         // SAFETY: freshly allocated, disjoint from the old buffer.
@@ -346,6 +389,7 @@ impl BytesMut {
     }
 
     /// Appends `src`, growing as needed.
+    #[inline]
     pub fn extend_from_slice(&mut self, src: &[u8]) {
         self.reserve(src.len());
         // SAFETY: reserve guaranteed room; the destination region
@@ -361,6 +405,7 @@ impl BytesMut {
     }
 
     /// Freezes the writer into an immutable view. Never copies.
+    #[inline]
     pub fn freeze(self) -> Bytes {
         let this = ManuallyDrop::new(self);
         match this.shared {
@@ -376,6 +421,7 @@ impl BytesMut {
 
     /// Splits off and returns all initialized bytes as their own
     /// writer; `self` keeps the rest of the region. No copying.
+    #[inline]
     pub fn split(&mut self) -> BytesMut {
         if let Some(shared) = self.shared {
             // SAFETY: we hold a reference, so the header is live.
@@ -392,6 +438,7 @@ impl BytesMut {
 impl Deref for BytesMut {
     type Target = [u8];
 
+    #[inline]
     fn deref(&self) -> &[u8] {
         // SAFETY: [off, off+len) is initialized and exclusively ours.
         unsafe { std::slice::from_raw_parts(self.base().add(self.off), self.len) }
@@ -399,6 +446,7 @@ impl Deref for BytesMut {
 }
 
 impl DerefMut for BytesMut {
+    #[inline]
     fn deref_mut(&mut self) -> &mut [u8] {
         // SAFETY: [off, off+len) is initialized and exclusively ours.
         unsafe { std::slice::from_raw_parts_mut(self.base().add(self.off), self.len) }
@@ -406,6 +454,7 @@ impl DerefMut for BytesMut {
 }
 
 impl Drop for BytesMut {
+    #[inline]
     fn drop(&mut self) {
         if let Some(shared) = self.shared {
             // SAFETY: we own exactly one reference.
@@ -415,12 +464,14 @@ impl Drop for BytesMut {
 }
 
 impl Default for BytesMut {
+    #[inline]
     fn default() -> BytesMut {
         BytesMut::new()
     }
 }
 
 impl fmt::Debug for BytesMut {
+    #[allow(clippy::missing_inline_in_public_items, reason = "diagnostics, not a per-frame call")]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt_bytes_debug(self, f)
     }
@@ -442,6 +493,7 @@ pub trait Buf {
     fn advance(&mut self, cnt: usize);
 
     /// Reads one byte.
+    #[inline]
     fn get_u8(&mut self) -> u8 {
         let v = self.chunk()[0];
         self.advance(1);
@@ -449,6 +501,7 @@ pub trait Buf {
     }
 
     /// Reads a big-endian `u16`.
+    #[inline]
     fn get_u16(&mut self) -> u16 {
         let c = self.chunk();
         let v = u16::from_be_bytes([c[0], c[1]]);
@@ -457,6 +510,7 @@ pub trait Buf {
     }
 
     /// Reads a big-endian `u32`.
+    #[inline]
     fn get_u32(&mut self) -> u32 {
         let c = self.chunk();
         let v = u32::from_be_bytes([c[0], c[1], c[2], c[3]]);
@@ -465,6 +519,7 @@ pub trait Buf {
     }
 
     /// Reads a big-endian `u64`.
+    #[inline]
     fn get_u64(&mut self) -> u64 {
         let c = self.chunk();
         let v = u64::from_be_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]);
@@ -474,14 +529,17 @@ pub trait Buf {
 }
 
 impl Buf for Bytes {
+    #[inline]
     fn remaining(&self) -> usize {
         self.len
     }
 
+    #[inline]
     fn chunk(&self) -> &[u8] {
         self
     }
 
+    #[inline]
     fn advance(&mut self, cnt: usize) {
         assert!(cnt <= self.len, "advance {cnt} > remaining {}", self.len);
         // SAFETY: cnt ≤ len keeps the pointer in bounds.
@@ -496,32 +554,38 @@ pub trait BufMut {
     fn put_slice(&mut self, src: &[u8]);
 
     /// Appends one byte.
+    #[inline]
     fn put_u8(&mut self, v: u8) {
         self.put_slice(&[v]);
     }
 
     /// Appends a big-endian `u16`.
+    #[inline]
     fn put_u16(&mut self, v: u16) {
         self.put_slice(&v.to_be_bytes());
     }
 
     /// Appends a big-endian `u32`.
+    #[inline]
     fn put_u32(&mut self, v: u32) {
         self.put_slice(&v.to_be_bytes());
     }
 
     /// Appends a big-endian `u64`.
+    #[inline]
     fn put_u64(&mut self, v: u64) {
         self.put_slice(&v.to_be_bytes());
     }
 
     /// Appends a little-endian `u32`.
+    #[inline]
     fn put_u32_le(&mut self, v: u32) {
         self.put_slice(&v.to_le_bytes());
     }
 }
 
 impl BufMut for BytesMut {
+    #[inline]
     fn put_slice(&mut self, src: &[u8]) {
         self.extend_from_slice(src);
     }
@@ -622,6 +686,39 @@ mod tests {
         assert_eq!(b.remaining(), 1);
         assert_eq!(b.get_u8(), 9);
         assert_eq!(b.remaining(), 0);
+    }
+
+    #[test]
+    fn truncate_keeps_a_prefix_and_never_grows() {
+        let mut b = Bytes::from(vec![1u8, 2, 3, 4, 5]);
+        b.truncate(9);
+        assert_eq!(&b[..], &[1, 2, 3, 4, 5], "longer than the view is a no-op");
+        b.truncate(3);
+        assert_eq!(&b[..], &[1, 2, 3]);
+        b.truncate(5);
+        assert_eq!(&b[..], &[1, 2, 3], "a cut-off tail does not come back");
+        b.truncate(0);
+        assert!(b.is_empty());
+    }
+
+    #[test]
+    fn a_narrowed_view_is_the_one_reference_it_was() {
+        // How a parser narrows: advance past a header, truncate to the
+        // length field. The view still holds exactly one reference, so
+        // dropping it hands the whole buffer back to the writer.
+        let mut m = BytesMut::with_capacity(64);
+        let base = m.as_ptr();
+        m.put_slice(b"HDR:payload;pad");
+        let mut view = m.split().freeze();
+        view.advance(4);
+        view.truncate(7);
+        assert_eq!(&view[..], b"payload");
+        assert_eq!(view.as_ptr(), unsafe { base.add(4) }, "narrowing never copies");
+        assert!(!m.try_reclaim(64), "the view still pins the buffer");
+        drop(view);
+        assert!(m.try_reclaim(64), "its one reference was the last");
+        m.put_slice(b"next");
+        assert_eq!(m.as_ptr(), base);
     }
 
     #[test]

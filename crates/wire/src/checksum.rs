@@ -99,6 +99,14 @@ pub fn checksum(data: &[u8]) -> u16 {
     c.finish()
 }
 
+/// The checksum field a fresh encode would carry, from a failed check:
+/// `found` is the received field, `folded` is [`Checksum::finish`] over
+/// the bytes with `found` in place. It is their ones'-complement sum
+/// (end-around carry), zero written `0x0000` as `finish` writes it.
+pub(crate) fn expected_field(found: u16, folded: u16) -> u16 {
+    ((u32::from(found) + u32::from(folded)) % 0xFFFF) as u16
+}
+
 /// Partial sum for the TCP/UDP pseudo-header.
 ///
 /// Covers source address, destination address, zero-padded protocol
@@ -156,6 +164,17 @@ mod tests {
         assert!(verify(&data));
         data[0] ^= 0x01;
         assert!(!verify(&data));
+    }
+
+    #[test]
+    fn expected_field_carries_end_around() {
+        // Content summing to 0x1234 wants the field !0x1234 = 0xEDCB.
+        // Received with 0xFFFE there, the check folds 0x1234 + 0xFFFE
+        // to 0x1233 and finishes 0xEDCC; 0xFFFE + 0xEDCC carries out.
+        assert_eq!(expected_field(0xFFFE, 0xEDCC), 0xEDCB);
+        assert_eq!(expected_field(0x0001, 0x0002), 0x0003);
+        // A sum of 0xFFFF is written 0x0000, however it was received.
+        assert_eq!(expected_field(0x1234, !0x1234), 0x0000);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! that both the primary's and backup's virtual NICs are programmed with.
 
 use crate::error::{need, ParseError};
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -156,24 +156,21 @@ impl EthernetFrame {
         buf.freeze()
     }
 
-    /// Parses on-wire bytes.
+    /// Parses on-wire bytes. The payload is `raw` itself, narrowed past
+    /// the header: no copy and no refcount traffic.
     ///
     /// # Errors
     ///
     /// Returns [`ParseError::Truncated`] if shorter than the 14-byte header.
-    pub fn parse(raw: Bytes) -> Result<Self, ParseError> {
+    pub fn parse(mut raw: Bytes) -> Result<Self, ParseError> {
         need(&raw, HEADER_LEN)?;
         let mut dst = [0u8; 6];
         let mut src = [0u8; 6];
         dst.copy_from_slice(&raw[0..6]);
         src.copy_from_slice(&raw[6..12]);
         let ethertype = EtherType::from_u16(u16::from_be_bytes([raw[12], raw[13]]));
-        Ok(EthernetFrame {
-            dst: MacAddr(dst),
-            src: MacAddr(src),
-            ethertype,
-            payload: raw.slice(HEADER_LEN..),
-        })
+        raw.advance(HEADER_LEN);
+        Ok(EthernetFrame { dst: MacAddr(dst), src: MacAddr(src), ethertype, payload: raw })
     }
 
     /// Total on-wire length in bytes, including header.

@@ -4,8 +4,10 @@
 //! The layered `encode()` chain (`TcpSegment::encode` →
 //! `Ipv4Packet::encode` → `EthernetFrame::encode`) allocates three
 //! buffers and copies the payload three times per frame. The
-//! [`FrameBuilder`] writes every header and the payload once, directly
-//! into one [`BytesMut`], computes both checksums in place, and hands
+//! [`FrameBuilder`] composes the fixed Ethernet+IPv4+L4 header as one
+//! block of plain stores on the stack (IPv4 checksum included), copies
+//! it, the options and the payload once into one [`BytesMut`], patches
+//! the transport checksum in place, and hands
 //! the finished frame out as a refcounted [`Bytes`] view — at most one
 //! payload memcpy, and zero heap allocations once the buffer has grown
 //! to the working-set size (frames of one burst pack back-to-back into
@@ -154,23 +156,25 @@ impl FrameBuilder {
         let ip_total = ipv4::HEADER_LEN + tcp_len;
         debug_assert!(ip_total <= u16::MAX as usize, "IPv4 packet too large");
         let frame_len = ethernet::HEADER_LEN + ip_total;
+
+        // The fixed headers as one block of plain stores, then one copy.
+        let mut hdr = [0u8; L4_OFF + tcp::HEADER_LEN];
+        hdr[0..6].copy_from_slice(&h.eth_dst.octets());
+        hdr[6..12].copy_from_slice(&h.eth_src.octets());
+        hdr[12..14].copy_from_slice(&EtherType::Ipv4.to_u16().to_be_bytes());
+        let (ip, l4) = hdr[IP_OFF..].split_at_mut(ipv4::HEADER_LEN);
+        write_ip_header(ip, h.ip_src, h.ip_dst, IpProtocol::Tcp, h.ident, h.ttl, ip_total);
+        l4[0..2].copy_from_slice(&h.src_port.to_be_bytes());
+        l4[2..4].copy_from_slice(&h.dst_port.to_be_bytes());
+        l4[4..8].copy_from_slice(&h.seq.to_be_bytes());
+        l4[8..12].copy_from_slice(&h.ack.to_be_bytes());
+        l4[12] = ((tcp_header_len / 4) as u8) << 4;
+        l4[13] = h.flags.bits();
+        l4[14..16].copy_from_slice(&h.window.to_be_bytes());
+        // 16..18: checksum, patched below; 18..20: urgent pointer, zero.
+
         let buf = self.begin(frame_len);
-
-        buf.put_slice(&h.eth_dst.octets());
-        buf.put_slice(&h.eth_src.octets());
-        buf.put_u16(EtherType::Ipv4.to_u16());
-
-        write_ip_header(buf, h.ip_src, h.ip_dst, IpProtocol::Tcp, h.ident, h.ttl, ip_total);
-
-        buf.put_u16(h.src_port);
-        buf.put_u16(h.dst_port);
-        buf.put_u32(h.seq);
-        buf.put_u32(h.ack);
-        buf.put_u8(((tcp_header_len / 4) as u8) << 4);
-        buf.put_u8(h.flags.bits());
-        buf.put_u16(h.window);
-        buf.put_u16(0); // checksum placeholder
-        buf.put_u16(0); // urgent pointer
+        buf.put_slice(&hdr);
         write_options(buf, h.options);
         buf.put_slice(payload.0);
         buf.put_slice(payload.1);
@@ -205,18 +209,20 @@ impl FrameBuilder {
         debug_assert!(udp_len <= u16::MAX as usize, "UDP datagram too large");
         let ip_total = ipv4::HEADER_LEN + udp_len;
         let frame_len = ethernet::HEADER_LEN + ip_total;
+
+        let mut hdr = [0u8; L4_OFF + udp::HEADER_LEN];
+        hdr[0..6].copy_from_slice(&eth_dst.octets());
+        hdr[6..12].copy_from_slice(&eth_src.octets());
+        hdr[12..14].copy_from_slice(&EtherType::Ipv4.to_u16().to_be_bytes());
+        let (ip, l4) = hdr[IP_OFF..].split_at_mut(ipv4::HEADER_LEN);
+        write_ip_header(ip, ip_src, ip_dst, IpProtocol::Udp, ident, ttl, ip_total);
+        l4[0..2].copy_from_slice(&src_port.to_be_bytes());
+        l4[2..4].copy_from_slice(&dst_port.to_be_bytes());
+        l4[4..6].copy_from_slice(&(udp_len as u16).to_be_bytes());
+        // 6..8: checksum, patched below.
+
         let buf = self.begin(frame_len);
-
-        buf.put_slice(&eth_dst.octets());
-        buf.put_slice(&eth_src.octets());
-        buf.put_u16(EtherType::Ipv4.to_u16());
-
-        write_ip_header(buf, ip_src, ip_dst, IpProtocol::Udp, ident, ttl, ip_total);
-
-        buf.put_u16(src_port);
-        buf.put_u16(dst_port);
-        buf.put_u16(udp_len as u16);
-        buf.put_u16(0); // checksum placeholder
+        buf.put_slice(&hdr);
         buf.put_slice(payload);
 
         let mut c = Checksum::new();
@@ -245,11 +251,12 @@ impl FrameBuilder {
     }
 }
 
-/// Writes a 20-byte IPv4 header with its checksum patched in place.
+/// Writes a 20-byte IPv4 header into `ip`, a zeroed slice of a header
+/// block, with its checksum computed over it.
 ///
 /// Field order and constants mirror `Ipv4Packet::encode` exactly.
 fn write_ip_header(
-    buf: &mut BytesMut,
+    ip: &mut [u8],
     src: Ipv4Addr,
     dst: Ipv4Addr,
     protocol: IpProtocol,
@@ -257,18 +264,16 @@ fn write_ip_header(
     ttl: u8,
     ip_total: usize,
 ) {
-    buf.put_u8(0x45); // version 4, IHL 5
-    buf.put_u8(0); // DSCP/ECN
-    buf.put_u16(ip_total as u16);
-    buf.put_u16(ident);
-    buf.put_u16(0x4000); // flags: DF, fragment offset 0
-    buf.put_u8(ttl);
-    buf.put_u8(protocol.to_u8());
-    buf.put_u16(0); // checksum placeholder
-    buf.put_slice(&src.octets());
-    buf.put_slice(&dst.octets());
-    let csum = checksum(&buf[IP_OFF..IP_OFF + ipv4::HEADER_LEN]);
-    buf[IP_OFF + 10..IP_OFF + 12].copy_from_slice(&csum.to_be_bytes());
+    ip[0] = 0x45; // version 4, IHL 5; DSCP/ECN 0
+    ip[2..4].copy_from_slice(&(ip_total as u16).to_be_bytes());
+    ip[4..6].copy_from_slice(&ident.to_be_bytes());
+    ip[6] = 0x40; // flags: DF, fragment offset 0
+    ip[8] = ttl;
+    ip[9] = protocol.to_u8();
+    ip[12..16].copy_from_slice(&src.octets());
+    ip[16..20].copy_from_slice(&dst.octets());
+    let csum = checksum(ip);
+    ip[10..12].copy_from_slice(&csum.to_be_bytes());
 }
 
 #[cfg(test)]

@@ -5,9 +5,9 @@
 //! segmentation, which matches the paper's testbed (a single Ethernet
 //! LAN). The Don't Fragment bit is always set on encode.
 
-use crate::checksum::{checksum, Checksum};
+use crate::checksum::{checksum, expected_field};
 use crate::error::{need, ParseError};
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -102,7 +102,9 @@ impl Ipv4Packet {
         buf.freeze()
     }
 
-    /// Parses and validates on-wire bytes.
+    /// Parses and validates on-wire bytes. The payload is `raw` itself,
+    /// narrowed to `ihl..total_len` (bytes past the total length, such
+    /// as Ethernet minimum-frame padding, are cut off).
     ///
     /// # Errors
     ///
@@ -111,7 +113,7 @@ impl Ipv4Packet {
     /// * [`ParseError::BadHeaderLength`] — IHL < 5 or longer than buffer.
     /// * [`ParseError::BadTotalLength`] — total length disagrees with buffer.
     /// * [`ParseError::BadChecksum`] — header checksum mismatch.
-    pub fn parse(raw: Bytes) -> Result<Self, ParseError> {
+    pub fn parse(mut raw: Bytes) -> Result<Self, ParseError> {
         need(&raw, HEADER_LEN)?;
         let version = raw[0] >> 4;
         if version != 4 {
@@ -125,21 +127,23 @@ impl Ipv4Packet {
         if total_len < ihl || total_len > raw.len() {
             return Err(ParseError::BadTotalLength { claimed: total_len, got: raw.len() });
         }
-        let mut c = Checksum::new();
-        c.add_bytes(&raw[..ihl]);
-        let folded = c.finish();
+        let folded = checksum(&raw[..ihl]);
         if folded != 0 {
             let found = u16::from_be_bytes([raw[10], raw[11]]);
-            return Err(ParseError::BadChecksum { found, expected: found.wrapping_add(folded) });
+            return Err(ParseError::BadChecksum { found, expected: expected_field(found, folded) });
         }
-        Ok(Ipv4Packet {
+        let mut packet = Ipv4Packet {
             ident: u16::from_be_bytes([raw[4], raw[5]]),
             ttl: raw[8],
             protocol: IpProtocol::from_u8(raw[9]),
             src: Ipv4Addr::new(raw[12], raw[13], raw[14], raw[15]),
             dst: Ipv4Addr::new(raw[16], raw[17], raw[18], raw[19]),
-            payload: raw.slice(ihl..total_len),
-        })
+            payload: Bytes::new(),
+        };
+        raw.truncate(total_len);
+        raw.advance(ihl);
+        packet.payload = raw;
+        Ok(packet)
     }
 }
 
@@ -173,6 +177,27 @@ mod tests {
         let mut raw = sample().encode().to_vec();
         raw[16] ^= 0xFF; // flip destination octet
         assert!(matches!(Ipv4Packet::parse(Bytes::from(raw)), Err(ParseError::BadChecksum { .. })));
+    }
+
+    #[test]
+    fn bad_checksum_expects_what_a_fresh_encode_writes() {
+        let p = sample();
+        let good = p.encode();
+        let mut carried = false;
+        for ttl in (0..=u8::MAX).filter(|&t| t != p.ttl) {
+            let mut raw = good.to_vec();
+            raw[8] = ttl;
+            let fresh = Ipv4Packet { ttl, ..p.clone() }.encode();
+            let folded = checksum(&raw[..HEADER_LEN]);
+            let Err(ParseError::BadChecksum { found, expected }) =
+                Ipv4Packet::parse(Bytes::from(raw))
+            else {
+                panic!("ttl {ttl} must fail the header checksum");
+            };
+            assert_eq!(expected, u16::from_be_bytes([fresh[10], fresh[11]]), "ttl {ttl}");
+            carried |= u32::from(found) + u32::from(folded) > 0xFFFF;
+        }
+        assert!(carried, "some corruption must take the end-around carry");
     }
 
     #[test]

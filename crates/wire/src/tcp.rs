@@ -8,9 +8,9 @@
 //! timestamps on, the primary's and backup's segments would differ and
 //! the tap-equivalence invariant checks would need to mask them.
 
-use crate::checksum::{pseudo_header_sum, Checksum};
+use crate::checksum::{expected_field, pseudo_header_sum, Checksum};
 use crate::error::{need, ParseError};
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -311,7 +311,7 @@ impl TcpSegment {
     /// * [`ParseError::BadTcpOption`] — option length byte of 0/1 or
     ///   overrunning the option area.
     /// * [`ParseError::BadChecksum`] — pseudo-header checksum mismatch.
-    pub fn parse(raw: Bytes, src: Ipv4Addr, dst: Ipv4Addr) -> Result<Self, ParseError> {
+    pub fn parse(mut raw: Bytes, src: Ipv4Addr, dst: Ipv4Addr) -> Result<Self, ParseError> {
         need(&raw, HEADER_LEN)?;
         let data_offset = raw[12] >> 4;
         let header_len = usize::from(data_offset) * 4;
@@ -321,9 +321,10 @@ impl TcpSegment {
         let mut c = Checksum::new();
         c.add_sum(pseudo_header_sum(src, dst, 6, raw.len() as u16));
         c.add_bytes(&raw);
-        if c.finish() != 0 {
+        let folded = c.finish();
+        if folded != 0 {
             let found = u16::from_be_bytes([raw[16], raw[17]]);
-            return Err(ParseError::BadChecksum { found, expected: 0 });
+            return Err(ParseError::BadChecksum { found, expected: expected_field(found, folded) });
         }
         let mut options = Vec::new();
         let mut i = HEADER_LEN;
@@ -386,7 +387,7 @@ impl TcpSegment {
                 }
             }
         }
-        Ok(TcpSegment {
+        let mut seg = TcpSegment {
             src_port: u16::from_be_bytes([raw[0], raw[1]]),
             dst_port: u16::from_be_bytes([raw[2], raw[3]]),
             seq: u32::from_be_bytes([raw[4], raw[5], raw[6], raw[7]]),
@@ -394,8 +395,11 @@ impl TcpSegment {
             flags: TcpFlags::from_bits(raw[13]),
             window: u16::from_be_bytes([raw[14], raw[15]]),
             options,
-            payload: raw.slice(header_len..),
-        })
+            payload: Bytes::new(),
+        };
+        raw.advance(header_len);
+        seg.payload = raw;
+        Ok(seg)
     }
 
     /// The MSS option value, if present.
@@ -520,6 +524,33 @@ mod tests {
         let n = raw.len();
         raw[n - 1] ^= 1;
         assert!(TcpSegment::parse(Bytes::from(raw), A, B).is_err());
+    }
+
+    #[test]
+    fn bad_checksum_expects_what_a_fresh_encode_writes() {
+        let mut s = TcpSegment::bare(1, 2, 3, 4, TcpFlags::ACK, 10);
+        s.payload = Bytes::from_static(b"data!");
+        let good = s.encode(A, B);
+        let at = HEADER_LEN + 2;
+        let mut carried = false;
+        for byte in (0..=u8::MAX).filter(|&b| b != good[at]) {
+            let mut raw = good.to_vec();
+            raw[at] = byte;
+            let mut corrupted = s.clone();
+            corrupted.payload = Bytes::copy_from_slice(&raw[HEADER_LEN..]);
+            let fresh = corrupted.encode(A, B);
+            let mut c = Checksum::new();
+            c.add_sum(pseudo_header_sum(A, B, 6, raw.len() as u16)).add_bytes(&raw);
+            let folded = c.finish();
+            let Err(ParseError::BadChecksum { found, expected }) =
+                TcpSegment::parse(Bytes::from(raw), A, B)
+            else {
+                panic!("byte {byte:#04x} must fail the checksum");
+            };
+            assert_eq!(expected, u16::from_be_bytes([fresh[16], fresh[17]]), "byte {byte:#04x}");
+            carried |= u32::from(found) + u32::from(folded) > 0xFFFF;
+        }
+        assert!(carried, "some corruption must take the end-around carry");
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! acknowledgments, missing-segment requests, and heartbeats (paper §4.2);
 //! this module provides the wire encoding for that channel.
 
-use crate::checksum::{pseudo_header_sum, Checksum};
+use crate::checksum::{expected_field, pseudo_header_sum, Checksum};
 use crate::error::{need, ParseError};
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -58,7 +58,7 @@ impl UdpDatagram {
     /// * [`ParseError::Truncated`] — shorter than 8 bytes or than the
     ///   length field claims.
     /// * [`ParseError::BadChecksum`] — pseudo-header checksum mismatch.
-    pub fn parse(raw: Bytes, src: Ipv4Addr, dst: Ipv4Addr) -> Result<Self, ParseError> {
+    pub fn parse(mut raw: Bytes, src: Ipv4Addr, dst: Ipv4Addr) -> Result<Self, ParseError> {
         need(&raw, HEADER_LEN)?;
         let len = usize::from(u16::from_be_bytes([raw[4], raw[5]]));
         if len < HEADER_LEN || len > raw.len() {
@@ -69,15 +69,21 @@ impl UdpDatagram {
             let mut c = Checksum::new();
             c.add_sum(pseudo_header_sum(src, dst, 17, len as u16));
             c.add_bytes(&raw[..len]);
-            if c.finish() != 0 {
-                return Err(ParseError::BadChecksum { found, expected: 0 });
+            let folded = c.finish();
+            if folded != 0 {
+                // RFC 768: a sender writes a zero sum as 0xFFFF.
+                let expected = match expected_field(found, folded) {
+                    0 => 0xFFFF,
+                    e => e,
+                };
+                return Err(ParseError::BadChecksum { found, expected });
             }
         }
-        Ok(UdpDatagram {
-            src_port: u16::from_be_bytes([raw[0], raw[1]]),
-            dst_port: u16::from_be_bytes([raw[2], raw[3]]),
-            payload: raw.slice(HEADER_LEN..len),
-        })
+        let (src_port, dst_port) =
+            (u16::from_be_bytes([raw[0], raw[1]]), u16::from_be_bytes([raw[2], raw[3]]));
+        raw.truncate(len);
+        raw.advance(HEADER_LEN);
+        Ok(UdpDatagram { src_port, dst_port, payload: raw })
     }
 }
 
@@ -120,6 +126,31 @@ mod tests {
         let last = raw.len() - 1;
         raw[last] ^= 0x40;
         assert!(UdpDatagram::parse(Bytes::from(raw), A, B).is_err());
+    }
+
+    #[test]
+    fn bad_checksum_expects_what_a_fresh_encode_writes() {
+        let d = UdpDatagram::new(1, 2, Bytes::from_static(b"abcd"));
+        let good = d.encode(A, B);
+        let at = HEADER_LEN + 1;
+        let mut carried = false;
+        for byte in (0..=u8::MAX).filter(|&b| b != good[at]) {
+            let mut raw = good.to_vec();
+            raw[at] = byte;
+            let fresh =
+                UdpDatagram::new(1, 2, Bytes::copy_from_slice(&raw[HEADER_LEN..])).encode(A, B);
+            let mut c = Checksum::new();
+            c.add_sum(pseudo_header_sum(A, B, 17, raw.len() as u16)).add_bytes(&raw);
+            let folded = c.finish();
+            let Err(ParseError::BadChecksum { found, expected }) =
+                UdpDatagram::parse(Bytes::from(raw), A, B)
+            else {
+                panic!("byte {byte:#04x} must fail the checksum");
+            };
+            assert_eq!(expected, u16::from_be_bytes([fresh[6], fresh[7]]), "byte {byte:#04x}");
+            carried |= u32::from(found) + u32::from(folded) > 0xFFFF;
+        }
+        assert!(carried, "some corruption must take the end-around carry");
     }
 
     #[test]

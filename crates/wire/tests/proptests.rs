@@ -5,8 +5,8 @@ use proptest::prelude::*;
 use std::net::Ipv4Addr;
 use wire::checksum::{checksum, Checksum};
 use wire::{
-    ArpOp, ArpPacket, EtherType, EthernetFrame, IpProtocol, Ipv4Packet, MacAddr, TcpFlags,
-    TcpOption, TcpSegment, UdpDatagram,
+    ArpOp, ArpPacket, EtherType, EthernetFrame, FrameBuilder, IpProtocol, Ipv4Packet, MacAddr,
+    ParseError, TcpFlags, TcpFrameHeader, TcpOption, TcpSegment, UdpDatagram,
 };
 
 fn arb_mac() -> impl Strategy<Value = MacAddr> {
@@ -36,6 +36,28 @@ fn arb_options() -> impl Strategy<Value = Vec<TcpOption>> {
         ],
         0..4,
     )
+}
+
+/// Every option shape a stack sends: none, a SYN's offers, or the 1–4
+/// SACK blocks of a duplicate ACK.
+fn arb_option_shape() -> impl Strategy<Value = Vec<TcpOption>> {
+    prop_oneof![
+        Just(Vec::new()),
+        arb_options(),
+        proptest::collection::vec((any::<u32>(), any::<u32>()), 1..5)
+            .prop_map(|blocks| vec![TcpOption::sack(&blocks)]),
+    ]
+}
+
+/// The layered reference chain `FrameBuilder` must match bit for bit.
+fn layered(dst: MacAddr, src: MacAddr, ip: &Ipv4Packet) -> Bytes {
+    EthernetFrame::new(dst, src, EtherType::Ipv4, ip.encode()).encode()
+}
+
+/// The view `payload` must be: the last `payload.len()` bytes of
+/// `frame`'s own buffer, not a copy of them.
+fn points_into(frame: &Bytes, payload: &Bytes) -> bool {
+    payload.as_ptr() == frame[frame.len() - payload.len()..].as_ptr()
 }
 
 /// The definition `Checksum::add_bytes` must agree with: the RFC 1071
@@ -201,5 +223,136 @@ proptest! {
         let ip2 = Ipv4Packet::parse(eth2.payload.clone()).unwrap();
         let seg2 = TcpSegment::parse(ip2.payload.clone(), ip2.src, ip2.dst).unwrap();
         prop_assert_eq!(seg2, seg);
+    }
+
+    #[test]
+    fn tcp_frame_equals_the_layered_chain_and_parses_back_in_place(
+        (eth_dst, eth_src, ip_src, ip_dst) in (arb_mac(), arb_mac(), arb_ip(), arb_ip()),
+        (src_port, dst_port, seq, ack) in (any::<u16>(), any::<u16>(), any::<u32>(), any::<u32>()),
+        (ident, ttl, flags, window) in (any::<u16>(), any::<u8>(), arb_flags(), any::<u16>()),
+        options in arb_option_shape(),
+        payload in arb_payload(1461),
+        cut in any::<usize>(),
+    ) {
+        let seg = TcpSegment { src_port, dst_port, seq, ack, flags, window, options, payload };
+        let mut ip = Ipv4Packet::new(ip_src, ip_dst, IpProtocol::Tcp, seg.encode(ip_src, ip_dst));
+        ip.ident = ident;
+        ip.ttl = ttl;
+        let header = TcpFrameHeader {
+            eth_dst, eth_src, ip_src, ip_dst, ident, ttl, src_port, dst_port, seq, ack, flags,
+            window, options: &seg.options,
+        };
+        let cut = cut % (seg.payload.len() + 1);
+        let frame = FrameBuilder::new()
+            .tcp_frame(&header, (&seg.payload[..cut], &seg.payload[cut..]));
+        prop_assert_eq!(&frame, &layered(eth_dst, eth_src, &ip));
+
+        let eth = EthernetFrame::parse(frame.clone()).unwrap();
+        let ip2 = Ipv4Packet::parse(eth.payload).unwrap();
+        prop_assert_eq!(&ip2.payload, &ip.payload);
+        let back = TcpSegment::parse(ip2.payload, ip_src, ip_dst).unwrap();
+        prop_assert!(points_into(&frame, &back.payload), "the payload was copied");
+        prop_assert_eq!(back, seg);
+    }
+
+    #[test]
+    fn udp_frame_equals_the_layered_chain_and_parses_back_in_place(
+        (eth_dst, eth_src, ip_src, ip_dst) in (arb_mac(), arb_mac(), arb_ip(), arb_ip()),
+        (src_port, dst_port, ident, ttl) in (any::<u16>(), any::<u16>(), any::<u16>(), any::<u8>()),
+        payload in proptest::collection::vec(any::<u8>(), 0..1473),
+        zero_sum in any::<bool>(),
+    ) {
+        let mut payload = payload;
+        if zero_sum {
+            // End on a word that makes the sum fold to 0xFFFF: the
+            // checksum is then zero, and sent as 0xFFFF (RFC 768).
+            payload.truncate(payload.len() & !1);
+            payload.extend_from_slice(&[0, 0]);
+            let probe = UdpDatagram::new(src_port, dst_port, Bytes::from(payload.clone()));
+            let field = probe.encode(ip_src, ip_dst).slice(6..8);
+            let n = payload.len();
+            payload[n - 2..].copy_from_slice(&field);
+        }
+        let d = UdpDatagram::new(src_port, dst_port, Bytes::from(payload.clone()));
+        let mut ip = Ipv4Packet::new(ip_src, ip_dst, IpProtocol::Udp, d.encode(ip_src, ip_dst));
+        ip.ident = ident;
+        ip.ttl = ttl;
+        let frame = FrameBuilder::new()
+            .udp_frame(eth_dst, eth_src, ip_src, ip_dst, ident, ttl, src_port, dst_port, &payload);
+        prop_assert_eq!(&frame, &layered(eth_dst, eth_src, &ip));
+        if zero_sum {
+            prop_assert_eq!(&frame[40..42], &[0xFF_u8; 2]);
+        }
+
+        let ip2 = Ipv4Packet::parse(EthernetFrame::parse(frame.clone()).unwrap().payload).unwrap();
+        let back = UdpDatagram::parse(ip2.payload, ip_src, ip_dst).unwrap();
+        prop_assert!(points_into(&frame, &back.payload), "the payload was copied");
+        prop_assert_eq!(back, d);
+    }
+
+    #[test]
+    fn ipv4_padding_past_total_len_is_cut_off(
+        payload in arb_payload(1480),
+        padding in proptest::collection::vec(any::<u8>(), 1..64),
+    ) {
+        let p = Ipv4Packet::new(
+            Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2), IpProtocol::Udp, payload,
+        );
+        let mut raw = p.encode().to_vec();
+        let total_len = raw.len();
+        raw.extend_from_slice(&padding);
+        let parsed = Ipv4Packet::parse(Bytes::from(raw)).unwrap();
+        prop_assert_eq!(parsed.payload.len(), total_len - 20);
+        prop_assert_eq!(parsed, p);
+    }
+
+    #[test]
+    fn every_truncation_fails_at_the_layer_that_owns_the_length(
+        options in arb_option_shape(),
+        payload in arb_payload(200),
+    ) {
+        let (a, b) = (Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2));
+        let mut seg = TcpSegment::bare(80, 40000, 7, 9, TcpFlags::ACK, 4096);
+        seg.options = options;
+        seg.payload = payload.clone();
+        let header = TcpFrameHeader {
+            eth_dst: MacAddr::local(2), eth_src: MacAddr::local(1), ip_src: a, ip_dst: b,
+            ident: 1, ttl: 64, src_port: 80, dst_port: 40000, seq: 7, ack: 9,
+            flags: TcpFlags::ACK, window: 4096, options: &seg.options,
+        };
+        let frame = FrameBuilder::new().tcp_frame(&header, (&payload, &[]));
+        // A frame: Ethernet needs its 14 bytes; past them the IPv4
+        // header, then its total length, catches every cut.
+        for cut in 0..frame.len() {
+            let eth = EthernetFrame::parse(frame.slice(..cut));
+            if cut < 14 {
+                prop_assert_eq!(eth, Err(ParseError::Truncated { needed: 14, got: cut }));
+                continue;
+            }
+            let ip = Ipv4Packet::parse(eth.unwrap().payload);
+            if cut < 34 {
+                prop_assert_eq!(ip, Err(ParseError::Truncated { needed: 20, got: cut - 14 }));
+            } else {
+                prop_assert!(matches!(ip, Err(ParseError::BadTotalLength { .. })), "cut {}", cut);
+            }
+        }
+        // A bare segment has no length field: its header is checked by
+        // size and data offset, the rest by the checksum, never a panic.
+        let raw = seg.encode(a, b);
+        let header_len = usize::from(raw[12] >> 4) * 4;
+        for cut in 0..raw.len() {
+            let got = TcpSegment::parse(raw.slice(..cut), a, b);
+            if cut < 20 {
+                prop_assert_eq!(got, Err(ParseError::Truncated { needed: 20, got: cut }));
+            } else if cut < header_len {
+                prop_assert_eq!(got, Err(ParseError::BadDataOffset((header_len / 4) as u8)));
+            }
+        }
+        // A datagram's length field catches every cut.
+        let raw = UdpDatagram::new(5000, 6000, payload).encode(a, b);
+        for cut in 0..raw.len() {
+            let got = UdpDatagram::parse(raw.slice(..cut), a, b);
+            prop_assert!(matches!(got, Err(ParseError::Truncated { .. })), "udp cut {}", cut);
+        }
     }
 }
