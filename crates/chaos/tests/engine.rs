@@ -7,7 +7,9 @@
 //!
 //! Every frame digest asserted here was captured from the runner of the
 //! commit before the pair and chain runners were merged: the merged
-//! runner builds the same simulations, only the judging moved.
+//! runner builds the same simulations, only the judging moved. The five
+//! runs with a takeover were re-pinned once since, when a promoted
+//! backup stopped acking and heartbeating the primary it replaced.
 
 use apps::Workload;
 use chaos::{
@@ -47,7 +49,7 @@ fn crash_with_tap_loss_recovers_and_is_green() {
     let report = execute(&spec);
     assert!(report.violations.is_empty(), "violations: {:?}", report.violations);
     assert!(report.takeover_latency.is_some(), "a crashed primary must hand over");
-    assert_eq!(report.digest, 0x77b7_8e27_4bd1_4325);
+    assert_eq!(report.digest, 0x5a3c_80e8_b6de_faa9);
     assert_eq!(report.final_epoch, 1, "the backup serves under the first promotion's epoch");
     assert_eq!(report.injections, [("tap_drop@backup(skip 2, 2)".to_string(), 24, 2)]);
 }
@@ -68,7 +70,7 @@ fn synack_only_window_bulk_regression() {
     );
     let report = execute(&spec);
     assert!(report.violations.is_empty(), "violations: {:?}", report.violations);
-    assert_eq!(report.digest, 0x5582_b9e0_143e_48c6);
+    assert_eq!(report.digest, 0x8168_65c1_b7b0_dd31);
 }
 
 #[test]
@@ -83,7 +85,7 @@ fn runs_are_bit_deterministic() {
     );
     let a = execute(&spec);
     let b = execute(&spec);
-    assert_eq!(a.digest, 0x01a2_7937_0774_8387);
+    assert_eq!(a.digest, 0xc457_be86_b662_d5c9);
     assert_eq!(a.digest, b.digest, "identical specs must produce identical frame traces");
     assert_eq!(a.virtual_duration, b.virtual_duration);
     assert_eq!(a.takeover_latency, b.takeover_latency);
@@ -109,12 +111,12 @@ fn canary_is_caught_shrunk_and_replayable() {
         "split brain must be caught: {:?}",
         report.violations
     );
-    assert_eq!(report.digest, 0x650c_d293_a559_fee0);
+    assert_eq!(report.digest, 0x99ac_8fca_75f3_6158);
 
     let result = shrink(&spec, OracleKind::SingleServer, 16).expect("original failure reproduces");
     assert!(!result.minimal.plan.ops.is_empty(), "shrink must not empty the schedule");
     assert_eq!(result.minimal.plan.describe(), "pause@10%/300ms");
-    assert_eq!(result.report.digest, 0xf3c4_b614_4acb_677b);
+    assert_eq!(result.report.digest, 0x0bc9_f1dc_3b4d_4ead);
 
     let artifact =
         FailureArtifact::capture(&result.minimal, &result.report, OracleKind::SingleServer);
@@ -140,10 +142,12 @@ fn innocent_side_channel_noise_is_not_flagged() {
     assert_eq!(report.injections, [("side_dup@backup(5ms)".to_string(), 64, 64)]);
 }
 
-/// An artifact exactly as the engine wrote it before chains shared the
+/// An artifact in the form the engine wrote before chains shared the
 /// format: no testbed members, no `target` on the tap op, the
-/// side-channel op addressed by the `"backup"` tag.
-const PARENT_ERA_ARTIFACT: &str = r#"{"format":"sttcp-chaos-artifact-v1","workload":{"kind":"echo","requests":100},"seed":"0x0000000000000007","fencing":false,"limit_ms":60000,"max_events":20000000,"link":"lan","congestion":"reno","sack":false,"plan":{"ops":[{"op":"pause_primary","at_pct":10,"dur_ms":300},{"op":"tap_drop","skip":0,"count":1},{"op":"side_duplicate","target":"backup","offset_ms":5}]},"oracle":"single-server","details":["[single-server] t=t=1.246907s node 1 still sourcing VIP traffic at t=1.246907s, 946.907ms after takeover"],"digest":"0xf0b56bf276607e24"}"#;
+/// side-channel op addressed by the `"backup"` tag. Its recorded
+/// `digest` is the current runner's (the promoted backup no longer talks
+/// to the primary it replaced); the violation text is as first written.
+const PARENT_ERA_ARTIFACT: &str = r#"{"format":"sttcp-chaos-artifact-v1","workload":{"kind":"echo","requests":100},"seed":"0x0000000000000007","fencing":false,"limit_ms":60000,"max_events":20000000,"link":"lan","congestion":"reno","sack":false,"plan":{"ops":[{"op":"pause_primary","at_pct":10,"dur_ms":300},{"op":"tap_drop","skip":0,"count":1},{"op":"side_duplicate","target":"backup","offset_ms":5}]},"oracle":"single-server","details":["[single-server] t=t=1.246907s node 1 still sourcing VIP traffic at t=1.246907s, 946.907ms after takeover"],"digest":"0x585d822265cf7b46"}"#;
 
 #[test]
 fn parent_era_artifact_parses_to_the_same_spec_and_replays() {

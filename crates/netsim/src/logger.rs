@@ -350,8 +350,7 @@ mod tests {
     #[test]
     fn capacity_eviction() {
         let mut lg = PacketLogger::new(SimDuration::from_secs(3600), 300, SimDuration::ZERO);
-        let mut ctx =
-            Context::new(SimTime::ZERO, crate::node::NodeId(0), crate::rng::SplitMix64::new(0));
+        let mut ctx = Context::new(SimTime::ZERO, crate::node::NodeId(0));
         for i in 0..10 {
             lg.on_frame(PortId(0), tcp_frame(i * 10, b"0123456789"), &mut ctx);
         }
@@ -366,11 +365,10 @@ mod tests {
     #[test]
     fn time_eviction() {
         let mut lg = PacketLogger::new(SimDuration::from_millis(10), usize::MAX, SimDuration::ZERO);
-        let mut ctx =
-            Context::new(SimTime::ZERO, crate::node::NodeId(0), crate::rng::SplitMix64::new(0));
+        let mut ctx = Context::new(SimTime::ZERO, crate::node::NodeId(0));
         lg.on_frame(PortId(0), tcp_frame(0, b"old"), &mut ctx);
         let later = SimTime::ZERO + SimDuration::from_millis(100);
-        let mut ctx2 = Context::new(later, crate::node::NodeId(0), crate::rng::SplitMix64::new(0));
+        let mut ctx2 = Context::new(later, crate::node::NodeId(0));
         lg.on_frame(PortId(0), tcp_frame(10, b"new"), &mut ctx2);
         assert_eq!(lg.frames_evicted, 1);
         assert_eq!(lg.ring.len(), 1);

@@ -6,7 +6,6 @@
 //! simulator applies the effects after the callback returns, which keeps
 //! event ordering deterministic and sidesteps aliasing between nodes.
 
-use crate::rng::SplitMix64;
 use crate::time::SimTime;
 use bytes::Bytes;
 use std::any::Any;
@@ -74,6 +73,11 @@ impl NicFilter {
 ///
 /// Everything a node does during `on_start`/`on_frame`/`on_timer` goes
 /// through this context. Frames are transmitted in the order queued.
+///
+/// A context carries no randomness. What a node sends is a function of
+/// what it received, when, and its own state; anything a node wants to
+/// draw (an ISN, a jittered plan) it seeds itself, so its choices never
+/// shift the streams the links and fault rules draw from.
 #[derive(Debug)]
 pub struct Context {
     now: SimTime,
@@ -82,11 +86,10 @@ pub struct Context {
     pub(crate) timers: Vec<(SimTime, u64)>,
     pub(crate) control: Vec<ControlAction>,
     pub(crate) nic: Option<NicFilter>,
-    pub(crate) rng: SplitMix64,
 }
 
 impl Context {
-    pub(crate) fn new(now: SimTime, node: NodeId, rng: SplitMix64) -> Self {
+    pub(crate) fn new(now: SimTime, node: NodeId) -> Self {
         Context {
             now,
             node,
@@ -94,16 +97,14 @@ impl Context {
             timers: Vec::new(),
             control: Vec::new(),
             nic: None,
-            rng,
         }
     }
 
     /// Re-arms a used context for the next dispatch, keeping the effect
     /// vectors' capacity so a steady-state dispatch never allocates.
-    pub(crate) fn rearm(&mut self, now: SimTime, node: NodeId, rng: SplitMix64) {
+    pub(crate) fn rearm(&mut self, now: SimTime, node: NodeId) {
         self.now = now;
         self.node = node;
-        self.rng = rng;
         self.frames.clear();
         self.timers.clear();
         self.control.clear();
@@ -171,11 +172,6 @@ impl Context {
     pub fn control(&mut self, action: ControlAction) {
         self.control.push(action);
     }
-
-    /// Deterministic per-simulation randomness.
-    pub fn rng(&mut self) -> &mut SplitMix64 {
-        &mut self.rng
-    }
 }
 
 /// A device attached to the simulated network.
@@ -212,7 +208,7 @@ mod tests {
 
     #[test]
     fn context_buffers_effects_in_order() {
-        let mut ctx = Context::new(SimTime::from_nanos(100), NodeId(3), SplitMix64::new(1));
+        let mut ctx = Context::new(SimTime::from_nanos(100), NodeId(3));
         ctx.send_frame(PortId(0), Bytes::from_static(b"a"));
         ctx.send_frame(PortId(1), Bytes::from_static(b"b"));
         ctx.set_timer_after(SimDuration::from_nanos(50), 7);
@@ -227,7 +223,7 @@ mod tests {
 
     #[test]
     fn nic_filter_judges_by_destination_only() {
-        let mut ctx = Context::new(SimTime::ZERO, NodeId(0), SplitMix64::new(1));
+        let mut ctx = Context::new(SimTime::ZERO, NodeId(0));
         ctx.set_nic_filter(MacAddr::local(1), [MacAddr::local(2)]);
         let nic = ctx.nic.take().expect("buffered like any other effect");
         let to = |dst: MacAddr| [&dst.0[..], &[0u8; 58]].concat();
@@ -241,7 +237,7 @@ mod tests {
 
     #[test]
     fn past_timers_clamp_to_now() {
-        let mut ctx = Context::new(SimTime::from_nanos(100), NodeId(0), SplitMix64::new(1));
+        let mut ctx = Context::new(SimTime::from_nanos(100), NodeId(0));
         ctx.set_timer_at(SimTime::from_nanos(10), 1);
         assert_eq!(ctx.timers[0].0, SimTime::from_nanos(100));
     }
@@ -249,7 +245,7 @@ mod tests {
     #[test]
     fn default_trait_methods_are_noops() {
         let mut n = Null;
-        let mut ctx = Context::new(SimTime::ZERO, NodeId(0), SplitMix64::new(1));
+        let mut ctx = Context::new(SimTime::ZERO, NodeId(0));
         n.on_start(&mut ctx);
         n.on_timer(0, &mut ctx);
         assert!(ctx.frames.is_empty() && ctx.timers.is_empty());

@@ -6,7 +6,7 @@ use crate::fault::{
 };
 use crate::link::{LinkId, LinkSpec, LinkStats, LossModel};
 use crate::node::{Context, ControlAction, NicFilter, Node, NodeId, PortId};
-use crate::rng::SplitMix64;
+use crate::rng::{link_stream_id, node_stream_id, SplitMix64};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{ProbeEvent, Trace};
 use bytes::Bytes;
@@ -32,6 +32,8 @@ struct NodeSlot {
     /// flat table beats hashing on the per-frame transmit path).
     ports: Vec<Option<(LinkId, usize)>>,
     rules: Vec<IngressRule>,
+    /// The stream `rules` draw from.
+    rng: SplitMix64,
 }
 
 impl NodeSlot {
@@ -50,6 +52,9 @@ struct LinkState {
     /// Per-direction Gilbert–Elliott burst state (true = bad state);
     /// only consulted by `LossModel::GilbertElliott`.
     ge_bad: [bool; 2],
+    /// Per-direction stream the loss model and the jitter draw from:
+    /// one direction's frames never move the other's dice.
+    rng: [SplitMix64; 2],
 }
 
 /// A deterministic discrete-event network simulator.
@@ -62,7 +67,9 @@ pub struct Simulator {
     links: Vec<LinkState>,
     queue: EventQueue,
     now: SimTime,
-    rng: SplitMix64,
+    /// Names the whole family of random streams (see
+    /// [`Simulator::with_seed`]).
+    seed: u64,
     trace: Trace,
     probe: Option<Probe>,
     /// Recycled dispatch context (keeps its effect vectors' capacity, so
@@ -98,15 +105,25 @@ impl Simulator {
         Self::with_seed(0xD15C_0B01)
     }
 
-    /// Creates a simulator whose loss models draw from a generator seeded
-    /// with `seed`. Equal seeds (and equal scenarios) replay identically.
+    /// Creates a simulator whose random decisions derive from `seed`.
+    /// Equal seeds (and equal scenarios) replay identically.
+    ///
+    /// Nothing shares a generator. Each direction of each link draws its
+    /// loss and jitter from its own stream, and each node's ingress rules
+    /// from another, every one named by `seed` and a stable id — the
+    /// link's index and direction, the node's index — through the
+    /// SplitMix finalizer. So a frame only rolls the dice of the
+    /// wire direction it crosses and the node it enters: extra traffic
+    /// elsewhere, or a rule on another node, leaves every decision here
+    /// as it was. Links and nodes are numbered in the order they are
+    /// added, so a scenario built in the same order draws the same.
     pub fn with_seed(seed: u64) -> Self {
         Simulator {
             nodes: Vec::new(),
             links: Vec::new(),
             queue: EventQueue::new(),
             now: SimTime::ZERO,
-            rng: SplitMix64::new(seed),
+            seed,
             trace: Trace::default(),
             probe: None,
             scratch: None,
@@ -139,6 +156,7 @@ impl Simulator {
             nic: None,
             ports: Vec::new(),
             rules: Vec::new(),
+            rng: SplitMix64::stream(self.seed, node_stream_id(id.0)),
         });
         self.queue.push(SimTime::ZERO, EventKind::Start { node: id });
         id
@@ -172,6 +190,7 @@ impl Simulator {
             stats: LinkStats::default(),
             busy_until: [SimTime::ZERO; 2],
             ge_bad: [false; 2],
+            rng: [0, 1].map(|end| SplitMix64::stream(self.seed, link_stream_id(id.0, end))),
         });
         id
     }
@@ -442,7 +461,7 @@ impl Simulator {
         }
         let mut verdict = IngressAction::Deliver;
         for rule in &mut slot.rules {
-            match (rule.decide(frame, self.now, &mut self.rng), &mut verdict) {
+            match (rule.decide(frame, self.now, &mut slot.rng), &mut verdict) {
                 (IngressAction::Drop, v) => *v = IngressAction::Drop,
                 (IngressAction::Delay(d), IngressAction::Delay(held)) => *held = (*held).max(d),
                 (IngressAction::Delay(_), IngressAction::Drop) => {}
@@ -477,13 +496,12 @@ impl Simulator {
         let mut node = self.nodes[id.0].node.take().expect("re-entrant dispatch");
         let mut ctx = match self.scratch.take() {
             Some(mut c) => {
-                c.rearm(self.now, id, self.rng);
+                c.rearm(self.now, id);
                 c
             }
-            None => Context::new(self.now, id, self.rng),
+            None => Context::new(self.now, id),
         };
         call(node.as_mut(), &mut ctx);
-        self.rng = ctx.rng;
         self.nodes[id.0].node = Some(node);
         self.apply_effects(id, &mut ctx);
         self.scratch = Some(ctx);
@@ -546,19 +564,20 @@ impl Simulator {
         let link = &mut self.links[link_id.0];
         let (to, to_port) = link.ends[1 - end];
         let dir = if end == 0 { &mut link.stats.a_to_b } else { &mut link.stats.b_to_a };
+        let rng = &mut link.rng[end];
 
         // Loss model decides before the frame occupies the wire (a frame
         // corrupted on the wire still consumed air time; modelling it as
         // pre-drop keeps throughput slightly optimistic but simple).
         let lost = match link.spec.loss {
             LossModel::None => false,
-            LossModel::Rate(p) => self.rng.chance(p),
+            LossModel::Rate(p) => rng.chance(p),
             LossModel::GilbertElliott { p_enter, p_exit, loss } => {
                 // Advance this direction's two-state Markov chain, then
                 // draw the (state-conditional) loss.
                 let bad = &mut link.ge_bad[end];
-                *bad = if *bad { !self.rng.chance(p_exit) } else { self.rng.chance(p_enter) };
-                *bad && self.rng.chance(loss)
+                *bad = if *bad { !rng.chance(p_exit) } else { rng.chance(p_enter) };
+                *bad && rng.chance(loss)
             }
         };
         if lost {
@@ -589,8 +608,7 @@ impl Simulator {
         );
         let mut arrival = departure + link.spec.latency;
         if !link.spec.jitter.is_zero() {
-            arrival +=
-                SimDuration::from_nanos(self.rng.next_below(link.spec.jitter.as_nanos() + 1));
+            arrival += SimDuration::from_nanos(rng.next_below(link.spec.jitter.as_nanos() + 1));
         }
         dir.frames += 1;
         dir.bytes += frame.len() as u64;
@@ -871,6 +889,119 @@ mod tests {
         sim.run_until_idle(100_000);
         assert!(sim.link_stats(l).a_to_b.dropped > 0);
         assert_eq!(sim.link_stats(l).b_to_a.dropped, 0);
+    }
+
+    /// Sends one 64-byte frame carrying `tag` at each `(at, tag)` of its
+    /// plan and logs the tag and arrival instant of every frame it hears.
+    struct Chatter {
+        plan: Vec<(SimTime, u64)>,
+        heard: Vec<(u64, SimTime)>,
+    }
+
+    impl Chatter {
+        /// Tags `first..first + 200`, one per millisecond.
+        fn every_ms(first: u64) -> Self {
+            let plan = (0..200).map(|i| (SimTime::ZERO + SimDuration::from_millis(i), first + i));
+            Chatter { plan: plan.collect(), heard: Vec::new() }
+        }
+    }
+
+    impl Node for Chatter {
+        fn on_start(&mut self, ctx: &mut Context) {
+            for (k, &(at, _)) in self.plan.iter().enumerate() {
+                ctx.set_timer_at(at, k as u64);
+            }
+        }
+        fn on_frame(&mut self, _port: PortId, frame: Bytes, ctx: &mut Context) {
+            let tag = u64::from_le_bytes(frame[..8].try_into().unwrap());
+            self.heard.push((tag, ctx.now()));
+        }
+        fn on_timer(&mut self, token: u64, ctx: &mut Context) {
+            let mut frame = vec![0u8; 64];
+            frame[..8].copy_from_slice(&self.plan[token as usize].1.to_le_bytes());
+            ctx.send_frame(PortId(0), Bytes::from(frame));
+        }
+    }
+
+    /// Links `a`–`b` (A) and `c`–`d` (B), each direction losing 30 % and
+    /// jittering up to 400 µs, with 200 frames each way on each link; `a`
+    /// sends `extra` more. `rule` runs on the simulator before it starts.
+    /// Returns the simulator, the nodes and the links.
+    fn two_lossy_links(
+        extra: u64,
+        rule: impl FnOnce(&mut Simulator, [NodeId; 4]),
+    ) -> (Simulator, [NodeId; 4], [LinkId; 2]) {
+        let spec = LinkSpec::ideal()
+            .with_latency(SimDuration::from_millis(1))
+            .with_jitter(SimDuration::from_micros(400))
+            .with_loss(LossModel::Rate(0.3));
+        let mut sim = Simulator::with_seed(11);
+        let mut a = Chatter::every_ms(0);
+        let half_ms = SimDuration::from_micros(500);
+        a.plan.extend((0..extra).map(|i| (at_ms(i) + half_ms, 1_000 + i)));
+        let nodes = [
+            sim.add_node("a", a),
+            sim.add_node("b", Chatter::every_ms(2_000)),
+            sim.add_node("c", Chatter::every_ms(3_000)),
+            sim.add_node("d", Chatter::every_ms(4_000)),
+        ];
+        let links = [
+            sim.connect(nodes[0], PortId(0), nodes[1], PortId(0), spec),
+            sim.connect(nodes[2], PortId(0), nodes[3], PortId(0), spec),
+        ];
+        rule(&mut sim, nodes);
+        sim.run_until_idle(100_000);
+        (sim, nodes, links)
+    }
+
+    fn heard(sim: &Simulator, node: NodeId) -> Vec<(u64, SimTime)> {
+        sim.node_ref::<Chatter>(node).heard.clone()
+    }
+
+    #[test]
+    fn extra_frames_in_one_direction_move_no_other_draw() {
+        let (base, nodes, [a, b]) = two_lossy_links(0, |_, _| {});
+        let (more, ..) = two_lossy_links(150, |_, _| {});
+        // Every loss and jitter decision of A's other direction and of
+        // both directions of B is the one the quiet run took.
+        assert_eq!(heard(&base, nodes[0]), heard(&more, nodes[0]), "b→a on A");
+        assert_eq!(heard(&base, nodes[2]), heard(&more, nodes[2]), "d→c on B");
+        assert_eq!(heard(&base, nodes[3]), heard(&more, nodes[3]), "c→d on B");
+        let drops = |sim: &Simulator| {
+            let (a, b) = (sim.link_stats(a), sim.link_stats(b));
+            (a.b_to_a.dropped, b.a_to_b.dropped, b.b_to_a.dropped)
+        };
+        assert_eq!(drops(&base), drops(&more));
+        assert!(drops(&base).0 > 20, "the links do lose frames: {:?}", drops(&base));
+        // The direction the extra frames crossed is the one they re-roll.
+        let from_a = |sim: &Simulator| {
+            heard(sim, nodes[1]).into_iter().filter(|&(tag, _)| tag < 200).collect::<Vec<_>>()
+        };
+        assert_ne!(from_a(&base), from_a(&more));
+    }
+
+    #[test]
+    fn an_ingress_rule_moves_no_link_draw() {
+        let (base, nodes, links) = two_lossy_links(0, |_, _| {});
+        let (ruled, ..) = two_lossy_links(0, |sim, nodes| {
+            sim.add_ingress_drop(nodes[1], DropRule::rate(0.5, |_| true));
+        });
+        for node in [nodes[0], nodes[2], nodes[3]] {
+            assert_eq!(heard(&base, node), heard(&ruled, node), "{}", base.node_name(node));
+        }
+        // `b` hears a subset of what it heard without the rule, each
+        // frame at the instant its link gave it.
+        let (all, kept) = (heard(&base, nodes[1]), heard(&ruled, nodes[1]));
+        assert!(kept.len() < all.len() * 3 / 4, "{} of {}", kept.len(), all.len());
+        assert!(kept.iter().all(|f| all.contains(f)));
+        for link in links {
+            let drops = |sim: &Simulator| {
+                let s = sim.link_stats(link);
+                (s.a_to_b.dropped, s.b_to_a.dropped)
+            };
+            assert_eq!(drops(&base), drops(&ruled));
+            assert_eq!(base.links[link.0].rng, ruled.links[link.0].rng);
+        }
     }
 
     #[test]
@@ -1197,8 +1328,9 @@ mod tests {
     fn fault_rules_judge_a_frame_before_the_nic_does() {
         // The same 400 frames, three in four of them foreign, through a
         // 30 % drop rule, a delay rule and a duplicate rule: the rules
-        // must match, fire and draw from the RNG exactly as they do when
-        // the NIC filters nothing, whatever becomes of the frame after.
+        // must match, fire and draw from the node's stream exactly as
+        // they do when the NIC filters nothing, whatever becomes of the
+        // frame after.
         let (own, foreign) = (MacAddr::local(1), MacAddr::local(9));
         let run = |station: Station| {
             let script = (0..400).map(|i| (at_ms(i), if i % 4 == 0 { own } else { foreign }));
@@ -1220,7 +1352,8 @@ mod tests {
             let at_nic = t.frames_delivered + t.frames_filtered_nic;
             let counts = (t.frames_dropped_ingress, t.frames_delayed_ingress, at_nic);
             let own_seen = sim.node_ref::<Station>(rx).seen.iter().filter(|&&d| d == own).count();
-            (events, stats, sim.rng, counts, own_seen, t.frames_filtered_nic)
+            let streams = (sim.nodes[rx.0].rng, sim.links[0].rng);
+            (events, stats, streams, counts, own_seen, t.frames_filtered_nic)
         };
         let (open, filtering) = (run(Station::default()), run(Station::with(own, &[])));
         assert_eq!(
@@ -1243,10 +1376,10 @@ mod tests {
         // One sender floods 20 frames for station 1 through a switch that
         // never learns it (no station ever transmits); every link has a
         // rate, a latency and jitter, so each copy occupies its wire and
-        // draws from the RNG. Returns what the wires saw — per-link
-        // frames and bytes, every probe observation, when the addressee
-        // heard each frame, the RNG — and what it cost: events, frames
-        // filtered, frames delivered.
+        // draws from that direction's stream. Returns what the wires saw
+        // — per-link frames and bytes, every probe observation, when the
+        // addressee heard each frame, every link's and node's stream —
+        // and what it cost: events, frames filtered, frames delivered.
         let run = |others_filter: bool| {
             let mut sim = Simulator::with_seed(5);
             let script = (0..20).map(|i| (at_ms(i), MacAddr::local(1))).collect();
@@ -1286,8 +1419,10 @@ mod tests {
             let heard = sim.node_ref::<Station>(stations[0]).seen_at.clone();
             assert_eq!(heard.len(), 20);
             let t = sim.trace();
+            let streams: Vec<_> = sim.links.iter().flat_map(|l| l.rng).collect();
+            let node_streams: Vec<_> = sim.nodes.iter().map(|n| n.rng).collect();
             (
-                (stats, probed.take(), heard, sim.rng),
+                (stats, probed.take(), heard, streams, node_streams),
                 [events, t.frames_filtered_nic, t.frames_delivered],
             )
         };

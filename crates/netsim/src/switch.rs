@@ -218,7 +218,7 @@ mod tests {
         sim.run_for(SimDuration::from_millis(1));
         // Direct unit-level check of learning behaviour:
         let now = sim.now();
-        let mut ctx = crate::node::Context::new(now, sw, crate::rng::SplitMix64::new(0));
+        let mut ctx = crate::node::Context::new(now, sw);
         sim.node_mut::<Switch>(sw).on_frame(PortId(0), f.encode(), &mut ctx);
         assert!(!sim.node_ref::<Switch>(sw).table().contains_key(&sme));
     }

@@ -25,10 +25,13 @@
 //!   itself only after the successor proves shadow-consistency.
 //!
 //! A node starts as rank-0 primary or rank-k backup and moves through
-//! promotion/retirement as the topology evolves. A member promoted on a
-//! *timeout* keeps up a backup's duties (acks, liveness) toward the
-//! primary it deposed: the suspicion may be wrong (§3.2), and it is what
-//! the paper's backup does after it takes over.
+//! promotion/retirement as the topology evolves. Only a backup owes
+//! anybody shadow duties (acks, liveness, missing-segment requests),
+//! and only to its current primary. A member that promotes owes the
+//! primary it replaced nothing: the paper makes a wrong suspicion
+//! correct by cutting the suspect's power (§3.2, §4.4), so after a
+//! takeover the old primary is dead or fenced, and after a handover it
+//! has stepped down itself.
 //!
 //! # Side-channel economy
 //!
@@ -169,14 +172,6 @@ pub struct ClusterEngine {
     /// [`SttcpConfig::cong_sync`]); suppresses no-change rebroadcasts.
     cong_sent: DetHashMap<ConnKey, (u32, u32)>,
     takeover_at: Option<SimTime>,
-    /// The primary this node deposed on a timeout, and the rank it held
-    /// under it. A timeout is a suspicion, not a death certificate
-    /// (§3.2): a wrongly suspected primary still serves and still
-    /// retains for this node, so the shadow duties toward it — acks,
-    /// liveness, missing-segment retries — outlive the promotion, as
-    /// the paper's backup keeps up its side of the pair after it takes
-    /// over. A handover *is* a certificate and leaves this `None`.
-    deposed: Option<(Ipv4Addr, u8)>,
     outbox: Vec<(Ipv4Addr, SideMsg)>,
     fence_request: Option<u32>,
     logger_queries: Vec<ReplayQuery>,
@@ -228,7 +223,6 @@ impl ClusterEngine {
             backups_dead_at: None,
             cong_sent: DetHashMap::default(),
             takeover_at: None,
-            deposed: None,
             outbox: Vec::new(),
             fence_request: None,
             logger_queries: Vec::new(),
@@ -271,15 +265,13 @@ impl ClusterEngine {
     }
 
     /// Whom this node owes a backup's shadow duties, and the rank whose
-    /// ack dialect it speaks: its primary, or — once promoted on a
-    /// timeout — the primary it deposed. `None` means nobody (a booted
-    /// or handed-over primary, a retired member).
+    /// ack dialect it speaks: a backup's current primary. Anybody else
+    /// owes nobody (see the module docs).
     fn upstream(&self) -> Option<(Ipv4Addr, u8)> {
-        match self.role {
-            ClusterRole::Backup => Some((self.topo.primary(), self.rank()?)),
-            ClusterRole::Primary => self.deposed,
-            ClusterRole::Retired => None,
+        if self.role != ClusterRole::Backup {
+            return None;
         }
+        Some((self.topo.primary(), self.rank()?))
     }
 
     /// Whether this node tracks its connections' receive progress for
@@ -489,7 +481,12 @@ impl ClusterEngine {
                         // crash-case meaning so TakeoverBreakdown reads
                         // the same either way.
                         self.recorder.mark_first(Mark::SuspectedPrimaryDead, now.as_nanos());
-                        self.promote(now, stack, Some(epoch));
+                        self.promote(now, stack);
+                        debug_assert_eq!(
+                            self.topo.epoch(),
+                            epoch,
+                            "handover epoch must match the epoch-by-rank rule"
+                        );
                     }
                 }
             }
@@ -559,7 +556,7 @@ impl ClusterEngine {
         // a promotion: keep exactly one ack window of retained history
         // and release the rest, so the shadow's advertised window never
         // collapses under retention spill.
-        if self.role == ClusterRole::Backup && usize::from(rank) + 1 < self.topo.members().len() {
+        if usize::from(rank) + 1 < self.topo.members().len() {
             for &(key, _, prev) in &acks {
                 if let Some(sock) = stack.sock_by_quad(key.server_quad()) {
                     if let Some(tcb) = stack.tcb_mut(sock) {
@@ -620,7 +617,6 @@ impl ClusterEngine {
 
     fn adopt(&mut self, now: SimTime, epoch: u32, members: Vec<Ipv4Addr>, stack: &mut NetStack) {
         self.topo = Topology::with_epoch(epoch, members);
-        self.deposed = None;
         self.stats.adoptions += 1;
         match self.rank() {
             Some(0) => {
@@ -818,21 +814,6 @@ impl ClusterEngine {
         }
     }
 
-    /// The shadow duties owed to `upstream` on every tick: the forced
-    /// ack flush (§4.3), liveness (payload-free: the primary treats any
-    /// datagram as life), and the retry of stale missing-segment
-    /// requests.
-    fn shadow_tick(&mut self, now: SimTime, upstream: Ipv4Addr, stack: &mut NetStack) {
-        self.maybe_send_acks(stack, true);
-        self.outbox.push((upstream, SideMsg::Heartbeat { seq: self.hb_seq }));
-        let window = self.cfg.effective_sync_time().saturating_mul(2);
-        let mut reqs = std::mem::take(&mut self.req_scratch);
-        reqs.clear();
-        self.catchup.retry_stale(now, window, self.cfg.missing_req_chunk, stack, &mut reqs);
-        self.push_missing_reqs(upstream, &mut reqs);
-        self.req_scratch = reqs;
-    }
-
     /// One heartbeat per backup. At epoch 0 every member's constructor
     /// already holds this topology, so the paper's payload-free
     /// heartbeat says all there is to say; a later reign announces its
@@ -857,9 +838,6 @@ impl ClusterEngine {
 
     fn primary_tick(&mut self, now: SimTime, stack: &mut NetStack) {
         self.broadcast_topology();
-        if let Some((deposed, _)) = self.deposed {
-            self.shadow_tick(now, deposed, stack);
-        }
         if self.cfg.cong_sync {
             self.mirror_congestion(stack);
         }
@@ -950,7 +928,19 @@ impl ClusterEngine {
     }
 
     fn backup_tick(&mut self, now: SimTime, stack: &mut NetStack) {
-        self.shadow_tick(now, self.topo.primary(), stack);
+        // The shadow duties owed to the primary on every tick: the
+        // forced ack flush (§4.3), liveness (payload-free: the primary
+        // treats any datagram as life), and the retry of stale
+        // missing-segment requests.
+        let primary = self.topo.primary();
+        self.maybe_send_acks(stack, true);
+        self.outbox.push((primary, SideMsg::Heartbeat { seq: self.hb_seq }));
+        let window = self.cfg.effective_sync_time().saturating_mul(2);
+        let mut reqs = std::mem::take(&mut self.req_scratch);
+        reqs.clear();
+        self.catchup.retry_stale(now, window, self.cfg.missing_req_chunk, stack, &mut reqs);
+        self.push_missing_reqs(primary, &mut reqs);
+        self.req_scratch = reqs;
         let Some(rank) = self.rank() else {
             return;
         };
@@ -978,7 +968,7 @@ impl ClusterEngine {
             // one backup this is the paper's unconditional takeover).
             let my_turn = lag == 0 || usize::from(rank) + 1 == self.topo.members().len();
             if my_turn && self.replay_ready_at.is_none_or(|ready| now >= ready) {
-                self.promote(now, stack, None);
+                self.promote(now, stack);
                 return;
             }
             // Keep healing: the primary is suspected dead, so only the
@@ -1089,18 +1079,9 @@ impl ClusterEngine {
         }
     }
 
-    fn promote(&mut self, now: SimTime, stack: &mut NetStack, epoch_override: Option<u32>) {
+    fn promote(&mut self, now: SimTime, stack: &mut NetStack) {
         let rank = self.rank().expect("only members promote");
-        let new_topo = self.topo.promoted(rank);
-        match epoch_override {
-            Some(epoch) => debug_assert_eq!(
-                epoch,
-                new_topo.epoch(),
-                "handover epoch must match the epoch-by-rank rule"
-            ),
-            None => self.deposed = Some((self.topo.primary(), rank)),
-        }
-        self.topo = new_topo;
+        self.topo = self.topo.promoted(rank);
         self.become_primary(now, stack);
         // Announce the new reign immediately — deeper ranks re-anchor
         // their detection clocks on us instead of promoting in parallel.

@@ -63,28 +63,35 @@ const BULK_100MB_EVENTS: u64 = 217_314;
 
 /// Golden digest of the 80-client failover fleet (the
 /// `fleet_failover_frame_traces_are_bit_identical` scenario), captured
-/// pre-refactor (PR 9) and held through the engine collapse (PR 12):
-/// the promoted member keeps up its shadow duties toward the primary it
-/// deposed, so the pair's wire trace does not move after the takeover
-/// either.
+/// pre-refactor (PR 9) and held through the engine collapse (PR 12).
+/// The loss-free LAN draws nothing at random, so only protocol changes
+/// move it. Re-pinned twice:
 ///
-/// Re-pinned once, from (0x24bf_5764_6391_d5fd, 4 228), when the stack's
-/// deadlines became exact: two clients' 200 ms retransmissions reach the
-/// promoted backup on the nanosecond its shadows' own 200 ms RTOs come
-/// due, and the RTO wake — armed when the deadline was set, so the older
-/// event — now runs first. RTO retransmission, then a pure ACK for the
-/// duplicate request, where the duplicate used to get in first and the
-/// retransmission carried its ACK: two 54-byte ACKs over two hops, four
-/// frames, every other frame in place (the order rule is pinned by
-/// `node::tests::a_wake_armed_when_the_deadline_is_set_runs_before_a_later_frame`).
-const FLEET_80_FAILOVER_DIGEST: (u64, u64) = (0x048a_fb1b_dcd3_80e7, 4_232);
+/// * from (0x24bf_5764_6391_d5fd, 4 228) when the stack's deadlines
+///   became exact: two clients' 200 ms retransmissions reach the
+///   promoted backup on the nanosecond its shadows' own 200 ms RTOs come
+///   due, and the RTO wake — armed when the deadline was set, so the
+///   older event — now runs first. RTO retransmission, then a pure ACK
+///   for the duplicate request, where the duplicate used to get in first
+///   and the retransmission carried its ACK: two 54-byte ACKs over two
+///   hops, four frames, every other frame in place (the order rule is
+///   pinned by
+///   `node::tests::a_wake_armed_when_the_deadline_is_set_runs_before_a_later_frame`);
+/// * from (0x048a_fb1b_dcd3_80e7, 4 232) when the promoted backup
+///   stopped serving the primary it replaced: the heartbeats and
+///   `BackupAck`s it still sent that primary on its 350 ms and 400 ms
+///   ticks, eight frames in all (`Fleet80::dead_primary_frames` counts
+///   what is left of them: nothing). [`FLEET_80_PRE_PROMOTION_DIGEST`]
+///   held.
+const FLEET_80_FAILOVER_DIGEST: (u64, u64) = (0x50f1_49f6_3bf2_afef, 4_224);
 
 /// Simulator events of the failover fleet and of its fault-free twin
 /// (see [`BULK_100MB_EVENTS`]) plus the flood copies the clients' NICs
 /// refused: such a copy was an arrival event until its verdict moved to
 /// the transmit (DESIGN.md §8 "When it runs"), so the sum is what has
 /// stayed put since — 4 284 + 474 and 4 025 + 474 when that happened.
-const FLEET_80_FAILOVER_EVENTS: u64 = 4_758;
+/// The failover fleet's fell from 4 758 with the heartbeats to the dead.
+const FLEET_80_FAILOVER_EVENTS: u64 = 4_756;
 const FLEET_80_FAULT_FREE_EVENTS: u64 = 4_499;
 
 #[test]
@@ -121,36 +128,60 @@ const FLEET_80_TAKEOVER: SimTime = SimTime::from_nanos(300_000_000);
 /// the promotion, the pair's pre-takeover wire trace may not move.
 const FLEET_80_PRE_PROMOTION_DIGEST: (u64, u64) = (0x2efc_b375_8c3f_a909, 4_129);
 
-/// Runs the 80-client fleet; returns the whole-run digest, the digest of
-/// the frames departing before [`FLEET_80_TAKEOVER`], the backup's
-/// promotion instant, and the simulator events processed plus the
-/// frames a NIC filtered.
-fn fleet_80(crash: bool) -> ((u64, u64), (u64, u64), Option<SimTime>, u64) {
+/// What one run of the 80-client fleet put on the wire.
+struct Fleet80 {
+    /// Digest of every frame.
+    whole: (u64, u64),
+    /// Digest of the frames departing before [`FLEET_80_TAKEOVER`].
+    prefix: (u64, u64),
+    /// The backup's promotion instant.
+    takeover: Option<SimTime>,
+    /// Simulator events processed plus the frames a NIC filtered.
+    events: u64,
+    /// Frames addressed to the primary's own IPv4 address that depart
+    /// more than one heartbeat after [`FLEET_80_TAKEOVER`].
+    dead_primary_frames: u64,
+}
+
+/// Runs the 80-client fleet, crashing the primary at 140 ms if `crash`.
+fn fleet_80(crash: bool) -> Fleet80 {
     let mut spec = FleetSpec::new(80).connect_spread(SimDuration::from_millis(80));
     if crash {
         spec = spec.crash_primary_at(SimTime::ZERO + SimDuration::from_millis(140));
     }
     let mut f = fleet::build(&spec);
-    let digests = Rc::new(RefCell::new((TraceDigest::new(), TraceDigest::new())));
-    let sink = Rc::clone(&digests);
+    let settled = FLEET_80_TAKEOVER + spec.st_tcp.hb_interval;
+    let primary = fleet::server_ip(0).octets();
+    let seen = Rc::new(RefCell::new((TraceDigest::new(), TraceDigest::new(), 0)));
+    let sink = Rc::clone(&seen);
     f.sim.set_probe(move |ev| {
-        let (whole, prefix) = &mut *sink.borrow_mut();
+        let (whole, prefix, dead) = &mut *sink.borrow_mut();
         whole.observe(&ev);
         if ev.time < FLEET_80_TAKEOVER {
             prefix.observe(&ev);
         }
+        let to_primary = wire::EthernetFrame::parse(ev.frame.clone())
+            .ok()
+            .and_then(|eth| wire::Ipv4Packet::parse(eth.payload).ok())
+            .is_some_and(|ip| ip.dst.octets() == primary);
+        *dead += u64::from(ev.time > settled && to_primary);
     });
     assert!(f.run_until_done(SimDuration::from_secs(120)), "fleet must finish");
     assert!(f.verified_clean(), "all 80 client streams must verify clean");
     let takeover = f.sim.node_ref::<ServerNode>(f.backup).backup_engine().unwrap().takeover_at();
-    let d = digests.borrow();
-    let events = f.sim.trace().events_processed + f.sim.trace().frames_filtered_nic;
-    ((d.0.hash, d.0.frames), (d.1.hash, d.1.frames), takeover, events)
+    let (whole, prefix, dead_primary_frames) = &*seen.borrow();
+    Fleet80 {
+        whole: (whole.hash, whole.frames),
+        prefix: (prefix.hash, prefix.frames),
+        takeover,
+        events: f.sim.trace().events_processed + f.sim.trace().frames_filtered_nic,
+        dead_primary_frames: *dead_primary_frames,
+    }
 }
 
 #[test]
 fn reno_via_trait_matches_prerefactor_fleet_failover() {
-    let (whole, prefix, takeover, events) = fleet_80(true);
+    let Fleet80 { whole, prefix, takeover, events, .. } = fleet_80(true);
     assert_eq!(takeover, Some(FLEET_80_TAKEOVER), "the takeover instant moved");
     assert_eq!(
         prefix, FLEET_80_PRE_PROMOTION_DIGEST,
@@ -166,8 +197,20 @@ fn reno_via_trait_matches_prerefactor_fleet_failover() {
 }
 
 #[test]
+fn the_promoted_backup_sends_the_dead_primary_nothing() {
+    // The power switch makes a wrong suspicion correct (§3.2, §4.4): once
+    // the backup has taken over, nothing is owed to the primary it
+    // replaced. Within one heartbeat of the takeover no frame is
+    // addressed to that primary any more — no heartbeat, no ack, no
+    // missing-segment request.
+    let run = fleet_80(true);
+    assert_eq!(run.takeover, Some(FLEET_80_TAKEOVER));
+    assert_eq!(run.dead_primary_frames, 0);
+}
+
+#[test]
 fn fault_free_fleet_matches_the_pre_collapse_pair() {
-    let (whole, _, takeover, events) = fleet_80(false);
+    let Fleet80 { whole, takeover, events, .. } = fleet_80(false);
     assert_eq!(takeover, None, "nobody promotes in a fault-free run");
     assert_eq!(
         whole, FLEET_80_FAULT_FREE_DIGEST,
@@ -184,7 +227,14 @@ fn fault_free_fleet_matches_the_pre_collapse_pair() {
 /// recovery traffic in place — which missing-segment requests go out,
 /// when, and what the promoted backup sends afterwards — where the
 /// loss-free fleet digests above cannot see it.
-const TAP_LOSS_FAILOVER_DIGEST: (u64, u64) = (0x86d4_57de_ad58_b603, 9_657);
+///
+/// Re-pinned once, from (0x86d4_57de_ad58_b603, 9 657), for two
+/// reasons at once. The promoted backup stopped serving the primary it
+/// replaced: its acks, heartbeats and missing-segment retries to the
+/// dead (that alone made 6 827 frames). And the tap-loss rule stopped
+/// sharing the simulator's one generator: it draws from the backup's
+/// own ingress stream.
+const TAP_LOSS_FAILOVER_DIGEST: (u64, u64) = (0xa2a8_a55d_b719_20c3, 6_440);
 
 #[test]
 fn tap_loss_failover_matches_the_pre_collapse_pair() {

@@ -421,15 +421,17 @@ fn takeover_is_idempotent_under_continued_silence() {
     assert!(engine.has_taken_over());
     let first_takeover = engine.takeover_at();
     // More silent ticks must not move the takeover timestamp or
-    // re-suppress anything. A timeout is no death certificate, so the
-    // promoted node keeps telling the primary it deposed that it is
-    // alive: one payload-free heartbeat per tick, nothing else.
+    // re-suppress anything. The primary it replaced is fenced or dead
+    // (§3.2, §4.4): the promoted node sends it nothing — no heartbeat,
+    // no ack, no missing-segment request — and, as the last member of
+    // the pair, has nobody else to talk to.
     let _ = sent(&mut engine);
     for i in 2..10u64 {
         engine.on_tick(ms(1000 * i), &mut stack);
         let mut out = Vec::new();
         engine.drain_outbox_into(&mut out);
-        assert_eq!(out, vec![(PRIMARY, SideMsg::Heartbeat { seq: i })]);
+        assert!(out.iter().all(|(to, _)| *to != PRIMARY), "tick {i} talks to the dead: {out:?}");
+        assert!(out.is_empty(), "tick {i}: {out:?}");
     }
     assert_eq!(engine.takeover_at(), first_takeover);
     assert!(!stack.is_suppressed(VIP));

@@ -84,7 +84,9 @@ fn a_fleets_hosts_see_exactly_the_frames_addressed_to_them() {
 /// costs an event: a NIC's verdict on a frame it will refuse is taken
 /// when the frame goes on the wire (DESIGN.md §8 "When it runs"). The
 /// three counts are exact; only their sum with `events_processed` was
-/// what the run took before that.
+/// what the run took before that. The last two fell (from 117 122 and
+/// 387 272) when the promoted backup stopped acking and heartbeating
+/// the dead primary; the flood copies, all sent before the crash, held.
 #[test]
 fn the_crash_herds_flood_copies_are_counted_and_never_events() {
     let spec =
@@ -94,6 +96,6 @@ fn the_crash_herds_flood_copies_are_counted_and_never_events() {
     assert!(f.verified_clean(), "all 3 000 client streams must verify clean");
     let t = f.sim.trace();
     assert_eq!(t.frames_filtered_nic, 203_932);
-    assert_eq!(t.frames_delivered, 117_122);
-    assert_eq!(t.events_processed + t.frames_filtered_nic, 387_272);
+    assert_eq!(t.frames_delivered, 110_257);
+    assert_eq!(t.events_processed + t.frames_filtered_nic, 373_126);
 }

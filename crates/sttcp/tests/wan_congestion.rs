@@ -81,8 +81,10 @@ fn sack_keeps_first_byte_latency_under_reordering_loss() {
     // recovery styles, so it must not regress (small tolerance: the
     // wire histories differ slightly by then). Completion time is
     // printed, not asserted: which style finishes first depends on the
-    // seed (59.55 s vs 73.72 s here, 75.6 s vs 72.1 s in the ten-seed
-    // mean PR 12 measured), so an ordering at one seed says nothing.
+    // loss draws (SACK 59.55 s vs go-back-N 73.72 s here while every
+    // link drew from one shared generator, 72.52 s vs 72.15 s since each
+    // link direction has its own stream; 75.6 s vs 72.1 s in a ten-seed
+    // mean), so an ordering at one seed says nothing.
     assert!(
         sack_fb <= gbn_fb + 5_000_000,
         "selective retransmit must not delay the first post-takeover byte \
@@ -98,7 +100,7 @@ fn sack_keeps_first_byte_latency_under_reordering_loss() {
 /// this run's simulator events were stack wakes that found nothing due,
 /// and with the rule broken in the node adapter alone it is 40 %. A
 /// timer wheel converging on each real deadline — block boundary, tick,
-/// exact time — made it 11 %; what remains (4.9 %) is the one stale pop
+/// exact time — made it 11 %; what remains (5–6 %) is the one stale pop
 /// per deadline that moved later, because entries are not cancelled.
 #[test]
 fn idle_stack_wakes_stay_a_small_share_of_events_under_burst_loss() {

@@ -90,6 +90,11 @@ pub struct StackStats {
     pub rsts_sent: u64,
     /// IP packets dropped awaiting ARP resolution that never completed.
     pub arp_queue_drops: u64,
+    /// Passive opens that closed before [`NetStack::accept`] returned
+    /// them — reset or timed out half-open, or closed while queued — and
+    /// whose slots the stack freed itself, since nobody holds their
+    /// handles to release them.
+    pub unaccepted_released: u64,
 }
 
 const ARP_RETRY: SimDuration = SimDuration::from_secs(1);
@@ -274,22 +279,24 @@ impl NetStack {
     /// A passive open joins its listener's queue when its handshake
     /// completes (a shadow's included): the order is that of
     /// synchronization, and a half-open or reset handshake is never
-    /// queued. A handle whose connection closed or was released while
-    /// queued is dropped here. With nothing queued on any port this is
-    /// one comparison, however many connections the stack holds.
+    /// queued — the stack frees it as it closes. A queued connection
+    /// that closed before this call is freed here, and one the caller
+    /// released is skipped. With nothing queued on any port this is one
+    /// comparison, however many connections the stack holds.
     pub fn accept(&mut self, port: u16) -> Option<SockId> {
         if self.ready == 0 {
             return None;
         }
-        let queue = self.listeners.get_mut(&port)?;
-        while let Some(sock) = queue.pop_front() {
+        while let Some(sock) = self.listeners.get_mut(&port)?.pop_front() {
             self.ready -= 1;
             #[cfg(test)]
             {
                 self.accept_visits += 1;
             }
-            if self.tcbs.get(sock).is_some_and(|c| c.tcb.state() != TcpState::Closed) {
-                return Some(sock);
+            match self.state(sock) {
+                Some(TcpState::Closed) => self.release_unaccepted(sock),
+                Some(_) => return Some(sock),
+                None => {}
             }
         }
         None
@@ -460,7 +467,21 @@ impl NetStack {
     pub fn release(&mut self, sock: SockId) {
         if let Some(conn) = self.tcbs.remove(sock) {
             debug_assert_eq!(conn.tcb.state(), TcpState::Closed, "release() requires a closed TCB");
-            self.by_quad.remove(&conn.tcb.quad());
+            self.unmap(conn.tcb.quad(), sock);
+        }
+    }
+
+    /// [`NetStack::release`] for a closed passive open nobody accepted.
+    fn release_unaccepted(&mut self, sock: SockId) {
+        self.release(sock);
+        self.stats.unaccepted_released += 1;
+    }
+
+    /// Drops `quad`'s demux entry if it still names `sock`: once a
+    /// connection closes, a new one may take its four-tuple.
+    fn unmap(&mut self, quad: Quad, sock: SockId) {
+        if self.by_quad.get(&quad) == Some(&sock) {
+            self.by_quad.remove(&quad);
         }
     }
 
@@ -615,6 +636,9 @@ impl NetStack {
                 let state = conn.tcb.state();
                 if state == TcpState::Closed {
                     self.by_quad.remove(&quad);
+                    if conn.queue_on_sync {
+                        return self.release_unaccepted(sock);
+                    }
                 } else if state.is_synchronized() && std::mem::take(&mut conn.queue_on_sync) {
                     let listener = self.listeners.get_mut(&quad.local_port);
                     listener.expect("a passive open has a listener").push_back(sock);
@@ -719,12 +743,18 @@ impl NetStack {
             conn.queued_poll = false;
             conn.tcb.poll_stage(now, &mut staged);
             let (quad, closed) = (conn.tcb.quad(), conn.tcb.state() == TcpState::Closed);
+            let unaccepted = conn.queue_on_sync;
             if !staged.is_empty() {
                 self.emit(now, quad, staged.iter().map(|seg| Packet::Tcp(seg, Some(sock))));
                 staged.clear();
             }
             if closed {
-                self.by_quad.remove(&quad);
+                self.unmap(quad, sock);
+                if unaccepted {
+                    // A half-open that gave up on its handshake.
+                    self.release_unaccepted(sock);
+                    continue;
+                }
             }
             self.rearm(sock);
         }
@@ -1174,7 +1204,11 @@ mod tests {
             }
         }
         s.poll(now);
-        assert_eq!(s.sock_count(), 10_000);
+        // Nobody can accept a reset half-open, so nobody would release
+        // it: the stack frees its slot itself.
+        assert_eq!(s.sock_count(), 5_000);
+        assert_eq!(s.stats.unaccepted_released, 5_000);
+        assert!(s.socks().all(|id| s.state(id) == Some(TcpState::SynRcvd)));
         // None of them is acceptable, and accept() knows without looking
         // at a single TCB — on every pump of every frame.
         assert_eq!(s.accept(80), None);
@@ -1189,13 +1223,26 @@ mod tests {
         assert_eq!(s.accept(80), Some(sock));
         assert_eq!(s.accept(80), None);
         assert_eq!((s.accept_visits, s.ready), (1, 0));
-        // Releasing the dead leaves nothing of them with the listener.
-        let dead: Vec<SockId> =
-            s.socks().filter(|&id| s.state(id) == Some(TcpState::Closed)).collect();
-        assert_eq!(dead.len(), 5_000);
-        dead.into_iter().for_each(|id| s.release(id));
         assert_eq!(s.sock_count(), 5_001);
-        assert!(s.listeners[&80].is_empty() && s.ready == 0);
+    }
+
+    #[test]
+    fn a_half_open_that_gives_up_frees_its_slot() {
+        let mut s = server();
+        s.listen(80);
+        s.handle_frame(SimTime::ZERO, from_client(1000, TcpFlags::SYN, 7, 0));
+        s.poll(SimTime::ZERO);
+        // The client never answers: the SYN/ACK is retried with backoff
+        // until the handshake is abandoned.
+        let mut wakes = 0;
+        while let Some(at) = s.next_deadline() {
+            s.poll(at);
+            wakes += 1;
+            assert!(wakes < 100, "the half-open never gave up");
+        }
+        assert_eq!((s.sock_count(), s.stats.unaccepted_released), (0, 1));
+        assert_eq!(s.sock_by_quad(Quad::new(SERVER_IP, 80, CLIENT_IP, 1000)), None);
+        assert_eq!(s.accept(80), None);
     }
 
     #[test]
@@ -1224,6 +1271,10 @@ mod tests {
         assert_eq!(s.accept(80), None);
         assert_eq!((s.accept_visits, s.ready), (4, 0));
         assert_eq!(s.accept(81), None, "not a listening port");
+        // The closed handle nobody accepted is gone; the one its caller
+        // released was never the stack's to count.
+        assert_eq!(s.state(socks[0]), None);
+        assert_eq!((s.sock_count(), s.stats.unaccepted_released), (2, 1));
     }
 
     #[test]
