@@ -84,6 +84,9 @@ pub struct Context {
     node: NodeId,
     pub(crate) frames: Vec<(PortId, Bytes)>,
     pub(crate) timers: Vec<(SimTime, u64)>,
+    /// The last [`Context::set_wake`] of this callback, if it made one:
+    /// where the node's wake goes (`None` clears it) and its token.
+    pub(crate) wake: Option<Option<(SimTime, u64)>>,
     pub(crate) control: Vec<ControlAction>,
     pub(crate) nic: Option<NicFilter>,
 }
@@ -95,6 +98,7 @@ impl Context {
             node,
             frames: Vec::new(),
             timers: Vec::new(),
+            wake: None,
             control: Vec::new(),
             nic: None,
         }
@@ -107,6 +111,7 @@ impl Context {
         self.node = node;
         self.frames.clear();
         self.timers.clear();
+        self.wake = None;
         self.control.clear();
         self.nic = None;
     }
@@ -129,16 +134,12 @@ impl Context {
         self.frames.push((port, frame));
     }
 
-    /// Arms a timer that fires `on_timer(token)` at absolute time `at`.
-    ///
-    /// Timers cannot be cancelled, and every one armed is delivered: a
-    /// node whose deadline moves must tell the superseded fire apart
-    /// itself and treat it as inert — above all not arm a successor
-    /// from it, or each moved deadline starts a chain of wake-ups that
-    /// never ends. (The host adapters in `sttcp` own one live stack wake
-    /// and remember when it is due; any other fire arms nothing.) The
-    /// one exception is a power cycle: a timer dies with the boot that
-    /// armed it and is never delivered to a later one.
+    /// Arms a one-shot timer that fires `on_timer(token)` at absolute
+    /// time `at`. Every timer armed is delivered, however many a node
+    /// arms, except across a power cycle: a timer dies with the boot that
+    /// armed it and never reaches a later one. A deadline that moves — a
+    /// retransmission timeout, a delayed ACK — belongs in the node's
+    /// wake ([`Context::set_wake`]), which moves instead of multiplying.
     /// `at` values in the past fire immediately after the current event.
     pub fn set_timer_at(&mut self, at: SimTime, token: u64) {
         self.timers.push((at.max(self.now), token));
@@ -147,6 +148,20 @@ impl Context {
     /// Arms a timer `after` from now. Convenience over [`Self::set_timer_at`].
     pub fn set_timer_after(&mut self, after: crate::time::SimDuration, token: u64) {
         self.set_timer_at(self.now + after, token);
+    }
+
+    /// Moves this node's one wake to `at`, or clears it with `None`;
+    /// when it comes due the simulator calls `on_timer(token)` and the
+    /// wake is spent. A node has at most one wake: each call replaces
+    /// what the last one set (only a callback's last call counts), so a
+    /// wake that moved is never delivered at its old time — not as an
+    /// event, not as a call. A move orders among same-instant events as
+    /// if the wake were armed anew, so a node whose deadline has not
+    /// changed should leave its wake alone. A pause defers the wake to
+    /// the pause's end; a power-off clears it. `at` values in the past
+    /// come due immediately after the current event.
+    pub fn set_wake(&mut self, at: Option<SimTime>, token: u64) {
+        self.wake = Some(at.map(|at| (at.max(self.now), token)));
     }
 
     /// Programs this node's NIC with a hardware unicast filter: from the
@@ -189,8 +204,8 @@ pub trait Node: Any {
     /// Called when a frame arrives on `port`.
     fn on_frame(&mut self, port: PortId, frame: Bytes, ctx: &mut Context);
 
-    /// Called when a timer armed via [`Context::set_timer_at`] fires.
-    /// Default: do nothing.
+    /// Called when a timer armed via [`Context::set_timer_at`] fires or
+    /// the wake set by [`Context::set_wake`] comes due. Default: do nothing.
     fn on_timer(&mut self, token: u64, ctx: &mut Context) {
         let _ = (token, ctx);
     }

@@ -10,19 +10,99 @@
 //! (each direction of each link, each node's ingress rules) owns a
 //! stream named by a stable id, from `SplitMix64::stream`, so traffic
 //! in one place never moves the dice rolled in another.
+//!
+//! The same replay rule gives the simulation its map type,
+//! [`DetHashMap`], whose hasher has no per-process keys.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
+use std::hash::{BuildHasherDefault, Hasher};
 
-/// A `HashMap` hashed with fixed keys. `std`'s default `RandomState`
-/// draws its keys per process, so the order a map is *walked* in differs
-/// from run to run; anything sent, polled or released in that order
-/// breaks bit-for-bit replay. Simulation code builds its maps from this
-/// alias (`DetHashMap::default()`): same SipHash, same order every run.
-/// What the random keys buy — no attacker can craft colliding keys — a
-/// simulator that generates its own traffic does not need.
-pub type DetHashMap<K, V> = HashMap<K, V, BuildHasherDefault<DefaultHasher>>;
+/// The `HashMap` every simulation map is built from
+/// (`DetHashMap::default()`), hashed by [`WordHasher`].
+///
+/// `std`'s default `RandomState` draws its keys per process, so the
+/// order a map is *walked* in differs from run to run; anything sent,
+/// polled or released in that order breaks bit-for-bit replay. A fixed
+/// hasher makes the order the same every run, but it is still an order
+/// the hasher chose: a walk whose order can reach the wire sorts its
+/// keys first, so that no choice of hasher moves a frame. What the
+/// random keys buy — no attacker can craft colliding keys — a simulator
+/// that generates its own traffic does not need.
+pub type DetHashMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
+
+/// A fast, fixed hasher for the simulator's small keys (addresses,
+/// ports, four-tuples, socket handles).
+///
+/// Each 8-byte word is folded in FxHash-style — rotate, xor, multiply —
+/// which is one multiply per field instead of SipHash's rounds. A
+/// multiply only carries upward, so the low bits of that state see only
+/// the low bits of the input (a MAC's varying octets sit in the high
+/// bits of its word), and its top bits follow arithmetic patterns in the
+/// input (consecutive socket handles); `hashbrown` picks the bucket from
+/// the low bits and a 7-bit tag from the top seven. [`Hasher::finish`]
+/// therefore runs the state through SplitMix64's finalizer, whose every
+/// output bit depends on every input bit. `sttcp/tests/hash_spread.rs`
+/// holds both ends uniform over a 10 000-client fleet's keys.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct WordHasher {
+    state: u64,
+}
+
+/// FxHash's multiplier (`rustc-hash`): odd, with its set bits spread.
+const FX: u64 = 0x517c_c1b7_2722_0a95;
+
+impl WordHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.state = (self.state.rotate_left(5) ^ word).wrapping_mul(FX);
+    }
+}
+
+impl Hasher for WordHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.add(u64::from_le_bytes(word.try_into().expect("an 8-byte chunk")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut word = [0u8; 8];
+            word[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, n: u8) {
+        self.add(u64::from(n));
+    }
+
+    #[inline]
+    fn write_u16(&mut self, n: u16) {
+        self.add(u64::from(n));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        finalize(self.state)
+    }
+}
 
 /// SplitMix64 PRNG state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

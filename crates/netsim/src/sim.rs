@@ -73,8 +73,10 @@ pub struct Simulator {
     trace: Trace,
     probe: Option<Probe>,
     /// Recycled dispatch context (keeps its effect vectors' capacity, so
-    /// steady-state dispatches allocate nothing).
-    scratch: Option<Context>,
+    /// steady-state dispatches allocate nothing). Boxed: a dispatch takes
+    /// it out and puts it back, and a pointer moves cheaper than the
+    /// context itself.
+    scratch: Option<Box<Context>>,
     /// Every crash scheduled through [`Simulator::schedule_crash`], in
     /// scheduling order (campaign reports attribute failures to it).
     crash_schedule: Vec<(NodeId, SimTime)>,
@@ -360,12 +362,16 @@ impl Simulator {
         self.trace.events_processed += 1;
         // A paused node (performance failure) neither processes nor
         // loses its events: they are deferred until the pause ends, like
-        // a machine stalled in a long GC pause or an SMI. Control events
-        // (power) act on the hardware and are never deferred.
+        // a machine stalled in a long GC pause or an SMI; a deferred wake
+        // stays the node's one wake. Control events (power) act on the
+        // hardware and are never deferred.
         if let Some(node) = event_target(&kind) {
             let until = self.nodes[node.0].paused_until;
             if until > self.now {
-                self.queue.push(until, kind);
+                match kind {
+                    EventKind::Wake { .. } => self.queue.set(node.0, until, kind),
+                    _ => self.queue.push(until, kind),
+                }
                 return true;
             }
         }
@@ -386,6 +392,10 @@ impl Simulator {
                         self.trace.timers_from_past_boot += 1;
                     }
                 }
+            }
+            EventKind::Wake { node, token } => {
+                debug_assert!(self.nodes[node.0].alive, "a power-off clears the wake");
+                self.dispatch(node, |n, ctx| n.on_timer(token, ctx));
             }
             EventKind::Frame { node, .. } | EventKind::InjectedFrame { node, .. }
                 if !self.nodes[node.0].alive =>
@@ -499,7 +509,7 @@ impl Simulator {
                 c.rearm(self.now, id);
                 c
             }
-            None => Context::new(self.now, id),
+            None => Box::new(Context::new(self.now, id)),
         };
         call(node.as_mut(), &mut ctx);
         self.nodes[id.0].node = Some(node);
@@ -518,6 +528,13 @@ impl Simulator {
         for (at, token) in ctx.timers.drain(..) {
             self.queue.push(at, EventKind::Timer { node: id, token, boot });
         }
+        match ctx.wake.take() {
+            Some(Some((at, token))) => {
+                self.queue.set(id.0, at, EventKind::Wake { node: id, token })
+            }
+            Some(None) => self.queue.clear(id.0),
+            None => {}
+        }
         for action in ctx.control.drain(..) {
             self.queue.push(self.now, EventKind::Control(action));
         }
@@ -527,6 +544,7 @@ impl Simulator {
         match action {
             ControlAction::PowerOff(node) => {
                 self.nodes[node.0].alive = false;
+                self.queue.clear(node.0);
                 self.trace_power(node, PowerKind::Crash);
             }
             ControlAction::Pause(node, until) => {
@@ -1181,6 +1199,64 @@ mod tests {
         let rx = &sim.node_ref::<Sink>(b).received;
         assert_eq!(rx.len(), 3, "no frame may be lost by a pause");
         assert!(rx.iter().all(|(t, _)| *t >= SimTime::ZERO + SimDuration::from_millis(50)));
+    }
+
+    /// Sets its wake to the next of `wakes` on every start (`None`, or
+    /// running out, sets none) and logs every wake that reaches it.
+    struct Waker {
+        wakes: Vec<Option<SimTime>>,
+        boots: usize,
+        woke: Vec<(SimTime, u64)>,
+    }
+
+    impl Waker {
+        fn new(wakes: Vec<Option<SimTime>>) -> Self {
+            Waker { wakes, boots: 0, woke: Vec::new() }
+        }
+    }
+
+    impl Node for Waker {
+        fn on_start(&mut self, ctx: &mut Context) {
+            self.boots += 1;
+            if let Some(&Some(at)) = self.wakes.get(self.boots - 1) {
+                ctx.set_wake(Some(at), self.boots as u64);
+            }
+        }
+        fn on_frame(&mut self, _p: PortId, _f: Bytes, _ctx: &mut Context) {}
+        fn on_timer(&mut self, token: u64, ctx: &mut Context) {
+            self.woke.push((ctx.now(), token));
+        }
+    }
+
+    #[test]
+    fn a_wake_due_during_a_pause_fires_when_the_pause_ends() {
+        let mut sim = Simulator::new();
+        let n = sim.add_node("waker", Waker::new(vec![Some(at_ms(30))]));
+        sim.schedule_pause(n, at_ms(20), SimDuration::from_millis(30));
+        sim.run_until(at_ms(40));
+        assert!(sim.node_ref::<Waker>(n).woke.is_empty(), "paused at 30 ms");
+        assert_eq!(sim.pending_events(), 1, "the deferred wake is still the node's one wake");
+        sim.run_until_idle(100);
+        assert_eq!(sim.node_ref::<Waker>(n).woke, [(at_ms(50), 1)]);
+        assert_eq!(sim.trace().events_processed, 4, "start, pause, the deferral, the wake");
+    }
+
+    #[test]
+    fn a_wake_armed_before_a_crash_never_reaches_the_next_boot() {
+        // Boot 1 sets its wake for 100 ms and dies at 10 ms; boot 2,
+        // powered on at 20 ms, sets its own for 150 ms.
+        let mut sim = Simulator::new();
+        let n = sim.add_node("waker", Waker::new(vec![Some(at_ms(100)), Some(at_ms(150))]));
+        sim.schedule_crash(n, at_ms(10));
+        sim.schedule_power_on(n, at_ms(20));
+        sim.run_until(at_ms(11));
+        assert_eq!(sim.pending_events(), 1, "the power-off cleared the wake: only the power-on");
+        sim.run_until_idle(100);
+        assert_eq!(sim.node_ref::<Waker>(n).woke, [(at_ms(150), 2)]);
+        // The dead boot's wake was never an event, so nothing had to be
+        // told apart as a timer from a past boot.
+        assert_eq!(sim.trace().timers_from_past_boot, 0);
+        assert_eq!(sim.trace().events_processed, 5, "two starts, crash, power-on, one wake");
     }
 
     // ---------------------------------------------------- NIC filter

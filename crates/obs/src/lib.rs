@@ -135,10 +135,9 @@ obs_enum! {
         /// Stack-timer wake-ups a host adapter took from the simulator.
         StackWakes => "stack_wakes",
         /// Those of them that were for nothing: the poll found no
-        /// connection deadline due and emitted no frame (a superseded
-        /// wake, or the entry of a deadline that has since moved later:
-        /// neither the simulator's timers nor the stack's can be
-        /// cancelled). The share of `stack_wakes` is the timer path's waste.
+        /// connection deadline due and emitted no frame. A node's wake
+        /// moves with its stack's deadline, so this reads 0; anything
+        /// else is a wake armed for a deadline nobody has.
         StackWakesIdle => "stack_wakes_idle",
     }
 }

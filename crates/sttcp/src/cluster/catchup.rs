@@ -287,8 +287,11 @@ impl CatchupTracker {
             .sum()
     }
 
-    /// The unhealed gaps, as logger-query windows.
+    /// The unhealed gaps, as logger-query windows, in [`ConnKey`] order:
+    /// they become requests on the wire, so their order is the keys',
+    /// not the map's.
     pub fn gaps(&self, stack: &NetStack, out: &mut Vec<Gap>) {
+        let start = out.len();
         for (&key, c) in &self.conns {
             let Some(primary_ack) = c.highest_primary_ack else {
                 continue;
@@ -300,6 +303,7 @@ impl CatchupTracker {
                 out.push((key, tcb.rcv_nxt(), primary_ack));
             }
         }
+        out[start..].sort_unstable_by_key(|&(key, ..)| key);
     }
 }
 

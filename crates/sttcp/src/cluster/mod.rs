@@ -876,8 +876,10 @@ impl ClusterEngine {
             if let Some(survivor) = self.peers.iter().find(|p| p.alive) {
                 // The dead peer no longer gates releases: re-derive
                 // every connection's floor from the survivors (a
-                // releasable connection has an entry with each of them).
-                let keys: Vec<ConnKey> = survivor.acks.keys().copied().collect();
+                // releasable connection has an entry with each of them),
+                // in key order — a release can put a segment on the wire.
+                let mut keys: Vec<ConnKey> = survivor.acks.keys().copied().collect();
+                keys.sort_unstable();
                 for key in keys {
                     self.release_conn(key, stack);
                 }
@@ -1302,5 +1304,90 @@ mod tests {
         let mut out = Vec::new();
         e.drain_outbox_into(&mut out);
         assert!(out.is_empty());
+    }
+
+    /// 1 000 connections, and a stack holding each as a half-open
+    /// passive open of member `last` (its shadow when `suppressed`).
+    fn thousand_conns(last: u8, suppressed: bool) -> (NetStack, Vec<ConnKey>) {
+        use wire::{EtherType, EthernetFrame, IpProtocol, Ipv4Packet, TcpFlags, TcpSegment};
+        let mut stack = stack_for(last, suppressed);
+        stack.listen(80);
+        let keys: Vec<ConnKey> = (0..1_000u16)
+            .map(|i| ConnKey {
+                client_ip: Ipv4Addr::new(10, 1, (i >> 8) as u8, i as u8),
+                client_port: 40_000 + i % 7,
+                server_ip: VIP,
+                server_port: 80,
+            })
+            .collect();
+        for key in &keys {
+            let syn = TcpSegment::bare(key.client_port, 80, 7, 0, TcpFlags::SYN, 8192);
+            let (src, dst) = (key.client_ip, VIP);
+            let ip = Ipv4Packet::new(src, dst, IpProtocol::Tcp, syn.encode(src, dst));
+            let (to, from) = (MacAddr::local(u32::from(last)), MacAddr::local(1));
+            stack.handle_frame(
+                t(0),
+                EthernetFrame::new(to, from, EtherType::Ipv4, ip.encode()).encode(),
+            );
+        }
+        stack.poll(t(0));
+        assert_eq!(stack.sock_count(), keys.len());
+        (stack, keys)
+    }
+
+    /// `keys`, inserted first to last or last to first.
+    fn in_order(keys: &[ConnKey], reverse: bool) -> Vec<ConnKey> {
+        let mut keys = keys.to_vec();
+        if reverse {
+            keys.reverse();
+        }
+        keys
+    }
+
+    #[test]
+    fn gaps_come_in_key_order_whatever_order_the_keys_went_in() {
+        let (stack, keys) = thousand_conns(3, true);
+        let gaps = |reverse: bool| {
+            let mut tracker = CatchupTracker::new();
+            for key in in_order(&keys, reverse) {
+                tracker.register(key, SeqNum(8));
+                tracker.on_primary_ack(key, SeqNum(5_000));
+            }
+            let mut out = Vec::new();
+            tracker.gaps(&stack, &mut out);
+            out
+        };
+        let forward = gaps(false);
+        assert_eq!(forward.len(), keys.len(), "every shadow trails the primary");
+        assert_eq!(forward, gaps(true));
+        assert!(forward.windows(2).all(|w| w[0].0 < w[1].0));
+    }
+
+    #[test]
+    fn a_dead_backups_releases_come_in_key_order_whatever_order_the_acks_came_in() {
+        // Both backups have acked every connection; the second falls
+        // silent, and the primary re-derives every floor from the first.
+        // Each release touches its socket, in the order it is walked.
+        let released = |reverse: bool| {
+            let (mut stack, keys) = thousand_conns(2, false);
+            stack.set_activity_tracking(true);
+            let mut e = ClusterEngine::new(cfg(), ip(2), topo(), 1024, SimTime::ZERO);
+            for peer in &mut e.peers {
+                for key in in_order(&keys, reverse) {
+                    peer.acks.insert(key, SeqNum(8));
+                }
+            }
+            e.peers[0].last_heard = t(1_000);
+            e.on_tick(t(1_000), &mut stack);
+            assert!(e.peers[0].alive && !e.peers[1].alive);
+            let mut touched = Vec::new();
+            stack.drain_activity(&mut touched);
+            let key = |sock| ConnKey::from_server_quad(stack.tcb(sock).expect("live").quad());
+            touched.into_iter().map(key).collect::<Vec<_>>()
+        };
+        let forward = released(false);
+        assert_eq!(forward.len(), 1_000);
+        assert_eq!(forward, released(true));
+        assert!(forward.windows(2).all(|w| w[0] < w[1]));
     }
 }

@@ -37,8 +37,8 @@ const TOK_TICK: u64 = 2;
 const TOK_CONNECT: u64 = 3;
 /// Application wake tokens: `TOK_APP_BASE + SockId::raw()`. Raw socket
 /// handles carry a non-zero generation in their high 32 bits, so they
-/// never collide with the low control tokens. Wakes may be spurious
-/// (timers cannot be cancelled); applications guard.
+/// never collide with the low control tokens. These are one-shot timers,
+/// and one may outlive the reason it was armed; applications guard.
 const TOK_APP_BASE: u64 = 1000;
 
 /// Creates fresh application instances, one per accepted connection.
@@ -105,24 +105,24 @@ fn program_nic(cfg: &StackConfig, ctx: &mut Context) {
     }
 }
 
-/// The one *live* stack wake a node owns. Simulator timers cannot be
-/// cancelled, so a deadline that moves earlier leaves the old wake in
-/// the event queue; `armed` is the earliest wake still to fire, and
-/// every other `TOK_STACK` fire is superseded and must stay inert.
+/// The node's wake ([`Context::set_wake`]) kept on its stack's next
+/// deadline: moved whenever that changes, so it comes due only when a
+/// connection deadline (or an ARP retry) does.
 #[derive(Debug, Default)]
 struct StackTimer {
+    /// Where the wake is set; `None` when it is clear or spent.
     armed: Option<SimTime>,
     /// Reused frame staging buffer for [`NetStack::poll_into`].
     tx: Vec<Bytes>,
 }
 
 impl StackTimer {
+    /// Puts the wake on `deadline`, unless it is there already: a move
+    /// re-orders the wake among same-instant events.
     fn rearm(&mut self, ctx: &mut Context, deadline: Option<SimTime>) {
-        if let Some(d) = deadline {
-            if self.armed.is_none_or(|a| d < a) {
-                ctx.set_timer_at(d, TOK_STACK);
-                self.armed = Some(d);
-            }
+        if deadline != self.armed {
+            ctx.set_wake(deadline, TOK_STACK);
+            self.armed = deadline;
         }
     }
 
@@ -137,16 +137,6 @@ impl StackTimer {
         }
         self.rearm(ctx, stack.next_deadline());
         busy
-    }
-
-    /// A `TOK_STACK` fire at `now`. Only the armed wake (`armed ≤ now`)
-    /// disarms: a superseded fire that cleared `armed` would make the
-    /// pump arm a second wake for a deadline that already has one, and
-    /// since every fire arms one successor that chain would never die.
-    fn fired(&mut self, now: SimTime) {
-        if self.armed.is_some_and(|a| a <= now) {
-            self.armed = None;
-        }
     }
 
     /// Counts the wake a `TOK_STACK` fire was; `busy` is what the pump
@@ -497,7 +487,7 @@ impl Node for ServerNode {
                 }
             }
             TOK_STACK => {
-                self.timer.fired(ctx.now());
+                self.timer.armed = None; // a wake is spent when it comes due
                 let busy = self.pump(ctx);
                 StackTimer::count_wake(&self.recorder, busy);
                 return;
@@ -592,7 +582,7 @@ impl Node for ClientNode {
                 self.sock = self.stack.connect(ctx.now(), self.target.0, self.target.1).ok();
             }
             TOK_STACK => {
-                self.timer.fired(ctx.now());
+                self.timer.armed = None; // a wake is spent when it comes due
                 let busy = self.pump(ctx);
                 StackTimer::count_wake(&self.recorder, busy);
                 return;
@@ -644,25 +634,33 @@ mod tests {
     use super::*;
     use netsim::Simulator;
 
-    /// Drives a [`StackTimer`] the way a pump does — every fire re-arms
-    /// for the stack deadline `deadline(now)` — and logs the fires.
+    /// Moves a [`StackTimer`]'s wake the way pumps do: twice in its
+    /// start, then once per scripted pump, each time to the deadline
+    /// the stack would have then; logs every wake that reaches it.
     struct Probe {
         timer: StackTimer,
-        deadline: fn(SimTime) -> Option<SimTime>,
-        fires: Vec<(SimTime, Option<SimTime>)>,
+        /// `(when a pump runs, the stack's deadline after it)`.
+        pumps: Vec<(SimTime, Option<SimTime>)>,
+        wakes: Vec<SimTime>,
     }
 
     impl Node for Probe {
         fn on_start(&mut self, ctx: &mut Context) {
-            self.timer.rearm(ctx, Some(ms(30))); // T1
-            self.timer.rearm(ctx, Some(ms(10))); // T0 < T1: the deadline moved earlier
+            self.timer.rearm(ctx, Some(ms(30)));
+            self.timer.rearm(ctx, Some(ms(10))); // one callback: the last move counts
+            for (i, &(at, _)) in self.pumps.iter().enumerate() {
+                ctx.set_timer_at(at, TOK_PUMP + i as u64);
+            }
         }
         fn on_frame(&mut self, _port: PortId, _frame: Bytes, _ctx: &mut Context) {}
         fn on_timer(&mut self, token: u64, ctx: &mut Context) {
-            assert_eq!(token, TOK_STACK);
-            self.timer.fired(ctx.now());
-            self.timer.rearm(ctx, (self.deadline)(ctx.now()));
-            self.fires.push((ctx.now(), self.timer.armed));
+            if token == TOK_STACK {
+                self.timer.armed = None;
+                self.wakes.push(ctx.now());
+                return;
+            }
+            let (_, deadline) = self.pumps[(token - TOK_PUMP) as usize];
+            self.timer.rearm(ctx, deadline);
         }
     }
 
@@ -671,22 +669,22 @@ mod tests {
     }
 
     #[test]
-    fn a_superseded_stack_wake_arms_nothing() {
-        // The stack's one deadline sits at T2 = 50 ms from the first
-        // fire on, so whatever the pump arms, it arms for T2.
-        let deadline = |now: SimTime| (now < ms(50)).then_some(ms(50));
+    fn a_moved_deadline_is_never_a_wake() {
+        // The deadline is 10 ms after the start, moves later to 50 ms,
+        // goes away, comes back at 40 ms and stays there: one wake, at
+        // 40 ms. Every deadline it had before is neither an event nor a
+        // call — not one superseded fire for the node to tell apart.
+        let pumps = vec![
+            (ms(5), Some(ms(50))),
+            (ms(20), None),
+            (ms(25), Some(ms(40))),
+            (ms(30), Some(ms(40))),
+        ];
         let mut sim = Simulator::new();
-        let n =
-            sim.add_node("probe", Probe { timer: StackTimer::default(), deadline, fires: vec![] });
+        let n = sim.add_node("probe", Probe { timer: StackTimer::default(), pumps, wakes: vec![] });
         sim.run_until_idle(100);
-        // T0 is the armed wake: it disarms and re-arms T2. T1 is the
-        // wake T0 superseded: it must leave `armed` alone and set no
-        // timer — a second T2 fire is the start of an immortal chain.
-        assert_eq!(
-            sim.node_ref::<Probe>(n).fires,
-            vec![(ms(10), Some(ms(50))), (ms(30), Some(ms(50))), (ms(50), None)]
-        );
-        assert_eq!(sim.trace().events_processed, 4, "one start, three fires");
+        assert_eq!(sim.node_ref::<Probe>(n).wakes, [ms(40)]);
+        assert_eq!(sim.trace().events_processed, 6, "one start, four pumps, one wake");
     }
 
     /// A host whose stack has one deadline, `deadline`, which the pump

@@ -58,8 +58,11 @@ const BULK_100MB_DIGEST: (u64, u64) = (0xf6cc_9c4e_6e20_1a1d, 215_472);
 /// until the stack-wake rule of DESIGN.md "Timer contract" the run took
 /// 270 816: every superseded timer fire armed a successor; until the
 /// stack's deadlines moved onto the exact `TimeQueue` it took 219 440:
-/// a timer wheel's coarse slots woke the node early).
-const BULK_100MB_EVENTS: u64 = 217_314;
+/// a timer wheel's coarse slots woke the node early; until each node's
+/// wake and each socket's deadline became one entry that moves, it took
+/// 217 314: a deadline that moved later still woke the node at its old
+/// instant).
+const BULK_100MB_EVENTS: u64 = 215_475;
 
 /// Golden digest of the 80-client failover fleet (the
 /// `fleet_failover_frame_traces_are_bit_identical` scenario), captured
@@ -91,8 +94,10 @@ const FLEET_80_FAILOVER_DIGEST: (u64, u64) = (0x50f1_49f6_3bf2_afef, 4_224);
 /// the transmit (DESIGN.md §8 "When it runs"), so the sum is what has
 /// stayed put since — 4 284 + 474 and 4 025 + 474 when that happened.
 /// The failover fleet's fell from 4 758 with the heartbeats to the dead.
-const FLEET_80_FAILOVER_EVENTS: u64 = 4_756;
-const FLEET_80_FAULT_FREE_EVENTS: u64 = 4_499;
+/// Both fell again (4 756 → 4 484, 4 499 → 4 454) when a moved deadline
+/// stopped waking its node at the old instant.
+const FLEET_80_FAILOVER_EVENTS: u64 = 4_484;
+const FLEET_80_FAULT_FREE_EVENTS: u64 = 4_454;
 
 #[test]
 fn reno_via_trait_matches_prerefactor_bulk_100mb() {
@@ -141,11 +146,14 @@ struct Fleet80 {
     /// Frames addressed to the primary's own IPv4 address that depart
     /// more than one heartbeat after [`FLEET_80_TAKEOVER`].
     dead_primary_frames: u64,
+    /// Stack wakes the servers took (clients record nothing), and how
+    /// many of them found no deadline due and sent nothing.
+    stack_wakes: (u64, u64),
 }
 
 /// Runs the 80-client fleet, crashing the primary at 140 ms if `crash`.
 fn fleet_80(crash: bool) -> Fleet80 {
-    let mut spec = FleetSpec::new(80).connect_spread(SimDuration::from_millis(80));
+    let mut spec = FleetSpec::new(80).connect_spread(SimDuration::from_millis(80)).recording();
     if crash {
         spec = spec.crash_primary_at(SimTime::ZERO + SimDuration::from_millis(140));
     }
@@ -170,12 +178,14 @@ fn fleet_80(crash: bool) -> Fleet80 {
     assert!(f.verified_clean(), "all 80 client streams must verify clean");
     let takeover = f.sim.node_ref::<ServerNode>(f.backup).backup_engine().unwrap().takeover_at();
     let (whole, prefix, dead_primary_frames) = &*seen.borrow();
+    let snap = f.obs.as_ref().expect("recording on").snapshot();
     Fleet80 {
         whole: (whole.hash, whole.frames),
         prefix: (prefix.hash, prefix.frames),
         takeover,
         events: f.sim.trace().events_processed + f.sim.trace().frames_filtered_nic,
         dead_primary_frames: *dead_primary_frames,
+        stack_wakes: (snap.get("stack_wakes"), snap.get("stack_wakes_idle")),
     }
 }
 
@@ -210,7 +220,7 @@ fn the_promoted_backup_sends_the_dead_primary_nothing() {
 
 #[test]
 fn fault_free_fleet_matches_the_pre_collapse_pair() {
-    let Fleet80 { whole, takeover, events, .. } = fleet_80(false);
+    let Fleet80 { whole, takeover, events, stack_wakes: (wakes, idle), .. } = fleet_80(false);
     assert_eq!(takeover, None, "nobody promotes in a fault-free run");
     assert_eq!(
         whole, FLEET_80_FAULT_FREE_DIGEST,
@@ -218,6 +228,10 @@ fn fault_free_fleet_matches_the_pre_collapse_pair() {
         whole.0, whole.1
     );
     assert_eq!(events, FLEET_80_FAULT_FREE_EVENTS, "same frames, other event count");
+    // A wake is a deadline that came due: none finds nothing to do. (The
+    // servers — the recorded hosts — took 18 wakes here, every one idle,
+    // while a deadline that moved later still woke its node.)
+    assert_eq!(idle, 0, "{idle} of {wakes} stack wakes found nothing due and sent nothing");
 }
 
 /// Golden digest of a 1 MB upload through 15 % tap loss, a primary

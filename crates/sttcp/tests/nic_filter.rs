@@ -87,6 +87,8 @@ fn a_fleets_hosts_see_exactly_the_frames_addressed_to_them() {
 /// what the run took before that. The last two fell (from 117 122 and
 /// 387 272) when the promoted backup stopped acking and heartbeating
 /// the dead primary; the flood copies, all sent before the crash, held.
+/// The sum fell again (373 126 → 351 606) when a moved deadline stopped
+/// waking its node at the old instant.
 #[test]
 fn the_crash_herds_flood_copies_are_counted_and_never_events() {
     let spec =
@@ -97,5 +99,5 @@ fn the_crash_herds_flood_copies_are_counted_and_never_events() {
     let t = f.sim.trace();
     assert_eq!(t.frames_filtered_nic, 203_932);
     assert_eq!(t.frames_delivered, 110_257);
-    assert_eq!(t.events_processed + t.frames_filtered_nic, 373_126);
+    assert_eq!(t.events_processed + t.frames_filtered_nic, 351_606);
 }

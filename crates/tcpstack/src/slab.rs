@@ -19,7 +19,6 @@
 //! in which order slots were freed and reused.
 
 use crate::tcb::Tcb;
-use netsim::SimTime;
 use std::fmt;
 
 /// Handle to a TCP connection owned by a `NetStack`.
@@ -69,10 +68,6 @@ pub(crate) struct Conn {
     /// Set on a passive open: the socket joins the accept queue of its
     /// local port's listener when it synchronizes (which clears this).
     pub queue_on_sync: bool,
-    /// The socket's live timer-queue entry: the earliest one pushed
-    /// and not yet popped. `None` once that entry pops (later, stale
-    /// entries may still sit in the queue; their pops leave this alone).
-    pub armed: Option<SimTime>,
     /// Whether the socket is already queued for the next poll pass.
     pub queued_poll: bool,
     /// Whether the socket is already queued on the embedder-visible
@@ -82,7 +77,7 @@ pub(crate) struct Conn {
 
 impl Conn {
     pub(crate) fn new(tcb: Tcb) -> Self {
-        Conn { tcb, queue_on_sync: false, armed: None, queued_poll: false, queued_activity: false }
+        Conn { tcb, queue_on_sync: false, queued_poll: false, queued_activity: false }
     }
 }
 
@@ -204,6 +199,7 @@ mod tests {
     use super::*;
     use crate::config::{Quad, TcpConfig};
     use crate::seq::SeqNum;
+    use netsim::SimTime;
     use std::net::Ipv4Addr;
 
     fn conn(port: u16) -> Conn {

@@ -140,8 +140,8 @@ pub struct NetStack {
     udps: Vec<UdpSocket>,
     /// UDP demux: destination port → `udps` index (first bind wins).
     udp_ports: DetHashMap<u16, usize>,
-    /// Connection deadlines: one live entry per socket ([`Conn::armed`])
-    /// and the stale ones it left behind.
+    /// Connection deadlines: each socket's earliest, as the queue's one
+    /// entry under the socket's slab index, moved whenever it changes.
     timers: TimeQueue<SockId>,
     /// Sockets with potential work for the next poll pass. Deduplicated
     /// via `Conn::queued_poll`; drained by [`NetStack::poll_into`].
@@ -468,6 +468,7 @@ impl NetStack {
         if let Some(conn) = self.tcbs.remove(sock) {
             debug_assert_eq!(conn.tcb.state(), TcpState::Closed, "release() requires a closed TCB");
             self.unmap(conn.tcb.quad(), sock);
+            self.timers.clear(sock.index());
         }
     }
 
@@ -707,27 +708,22 @@ impl NetStack {
     /// steady state.
     ///
     /// O(active): only sockets touched since the last poll (ingress, API
-    /// calls, `tcb_mut`) or with a timer-queue entry that has come due
-    /// are visited — idle connections cost nothing, no matter how many
+    /// calls, `tcb_mut`) or with a deadline that has come due are
+    /// visited — idle connections cost nothing, no matter how many
     /// exist.
     ///
-    /// Returns how many of the sockets a due timer entry woke had a
-    /// deadline due. Zero, with no frame appended, tells an embedder
-    /// that woke for [`NetStack::next_deadline`] that the wake was for
-    /// nothing: the entry was stale (its deadline had moved later).
+    /// Returns how many sockets had a deadline due. Zero, with no frame
+    /// appended, tells an embedder that woke for
+    /// [`NetStack::next_deadline`] that the wake was for nothing.
     pub fn poll_into(&mut self, now: SimTime, frames: &mut Vec<Bytes>) -> usize {
         self.retry_arp(now);
         self.builder.recycle();
-        // Due (or stale — lazy cancellation) timer entries join the pass.
+        // Sockets whose deadline came due join the pass. (A deadline the
+        // last frame moved later is not re-filed until the visit below,
+        // so its old entry may pop here: the socket is dirty anyway.)
         let mut due = 0;
         while let Some((_, sock)) = self.timers.pop_due(now) {
-            if let Some(conn) = self.tcbs.get_mut(sock) {
-                // Only the armed entry's pop disarms. A stale pop that
-                // did would have `rearm` push the deadline a second
-                // time, and each of the two entries would do so again.
-                if conn.armed.is_some_and(|armed| armed <= now) {
-                    conn.armed = None;
-                }
+            if let Some(conn) = self.tcbs.get(sock) {
                 due += usize::from(conn.tcb.next_deadline().is_some_and(|d| d <= now));
                 self.mark_dirty(sock);
             }
@@ -765,18 +761,18 @@ impl NetStack {
         due
     }
 
-    /// Ensures the timer queue holds `sock`'s earliest TCB deadline.
-    /// Called after every visit; entries are never cancelled (stale ones
-    /// pop harmlessly), so a push is needed only when the deadline moved
-    /// *earlier* than what's armed, or when the armed entry has popped.
+    /// Files `sock`'s earliest TCB deadline as its one timer entry.
+    /// Called after every visit; an unchanged deadline keeps its entry
+    /// (and its place among same-instant ties).
     fn rearm(&mut self, sock: SockId) {
-        if let Some(conn) = self.tcbs.get_mut(sock) {
-            if let Some(deadline) = conn.tcb.next_deadline() {
-                let need = conn.armed.is_none_or(|armed| deadline < armed);
-                if need {
-                    conn.armed = Some(deadline);
-                    self.timers.push(deadline, sock);
-                }
+        let Some(conn) = self.tcbs.get(sock) else {
+            return;
+        };
+        let deadline = conn.tcb.next_deadline();
+        if deadline != self.timers.deadline(sock.index()) {
+            match deadline {
+                Some(at) => self.timers.set(sock.index(), at, sock),
+                None => self.timers.clear(sock.index()),
             }
         }
     }
@@ -785,10 +781,8 @@ impl NetStack {
     /// the head of the timer queue (or an ARP retry), O(1).
     ///
     /// Exact after a poll, which every embedder performs before
-    /// sleeping: no connection's deadline is earlier, and the value is a
-    /// deadline some connection has now or had when it was armed — a
-    /// deadline that has since moved *later* leaves its entry behind
-    /// (entries are not cancelled), and the wake for it finds nothing due.
+    /// sleeping: it is some connection's earliest deadline (or an ARP
+    /// retry), and no connection's is earlier.
     pub fn next_deadline(&self) -> Option<SimTime> {
         let tcb_min = self.timers.peek_time();
         let arp_min = self.pending_arp.values().map(|p| p.last_request + ARP_RETRY).min();
@@ -1116,31 +1110,32 @@ mod tests {
     }
 
     #[test]
-    fn a_moved_deadline_leaves_one_live_queue_entry() {
-        // The client's deadline moves earlier twice — SYN RTO (1 s),
-        // then the FIN's RTO, then the delayed ACK for the server's
-        // reply — and ends as TIME_WAIT's 60 s, later than all three.
+    fn a_socket_has_one_queue_entry_ever() {
+        // The client's deadline is the SYN's RTO, goes when the SYN is
+        // acknowledged, comes back as the FIN's RTO and the delayed ACK
+        // for the server's reply, and ends as TIME_WAIT's 60 s. Through
+        // every move the socket holds at most one entry, at its deadline.
         let (mut c, mut s, cs, ss, mut now) = established_pair();
+        let one_entry = |c: &NetStack| {
+            let deadline = c.tcb(cs).unwrap().next_deadline();
+            assert_eq!(c.timers.len(), usize::from(deadline.is_some()), "one socket, one entry");
+            assert_eq!(c.next_deadline(), deadline);
+        };
+        one_entry(&c);
         c.close(now, cs);
         pump(&mut c, &mut s, &mut now, SimDuration::from_micros(100));
+        one_entry(&c);
         assert_eq!(s.write(ss, b"bye").unwrap(), 3);
         pump(&mut c, &mut s, &mut now, SimDuration::from_micros(100));
-        assert_eq!(c.timers.len(), 3, "three wakes scheduled, none popped yet");
+        one_entry(&c);
         s.close(now, ss);
         pump(&mut c, &mut s, &mut now, SimDuration::from_micros(100));
         assert_eq!(c.state(cs), Some(TcpState::TimeWait));
-        // Driven the way an embedder drives it, past all three: the
-        // first pop schedules TIME_WAIT's wake, and the two stale pops
-        // that follow must not schedule it again.
-        while let Some(next) = c.next_deadline().filter(|&t| t < now + SimDuration::from_secs(2)) {
-            assert!(c.poll(next).is_empty());
-        }
-        assert_eq!(c.timers.len(), 1, "one socket, one deadline, one entry");
-        assert_eq!(c.state(cs), Some(TcpState::TimeWait));
+        one_entry(&c);
         // That entry is TIME_WAIT's 60 s, to the nanosecond: one wake.
         assert_eq!(one_wake(&mut c), (1, 0));
         assert_eq!(c.state(cs), Some(TcpState::Closed));
-        assert_eq!(c.next_deadline(), None);
+        assert_eq!((c.next_deadline(), c.timers.len()), (None, 0));
     }
 
     /// Wakes `stack` the way an embedder does — at `next_deadline()`,
@@ -1165,8 +1160,8 @@ mod tests {
         for f in request {
             s.handle_frame(now, f);
         }
-        // The server owes a delayed ACK, 40 ms out (its SYN/ACK's RTO
-        // entry is stale and later): one wake, due, one ACK.
+        // The server owes a delayed ACK, 40 ms out: one wake, due, one
+        // ACK.
         assert!(s.poll(now).is_empty());
         assert_eq!(s.next_deadline(), Some(now + SimDuration::from_millis(40)));
         assert_eq!(one_wake(&mut s), (1, 1));

@@ -528,6 +528,7 @@ impl Tcb {
             self.snd_wnd = self.peer_window(seg);
             self.set_state(now, TcpState::Established);
             self.rtx_deadline = None;
+            self.rto.reset_backoff();
             self.take_rtt_sample(now, self.snd_una);
             self.ack_now();
         }
@@ -590,6 +591,7 @@ impl Tcb {
         self.snd_wnd = self.peer_window(seg);
         self.set_state(now, TcpState::Established);
         self.rtx_deadline = None;
+        self.rto.reset_backoff();
         // The handshake ACK may carry data or a FIN: fall through.
         self.on_segment_synchronized(now, seg);
     }
@@ -1025,6 +1027,7 @@ impl Tcb {
                     return;
                 }
                 let backoff = self.rto.backoff();
+                self.rtt_probe = None; // Karn: no samples from retransmits
                 self.stage_syn(now, out);
                 self.rtx_deadline = Some(now + self.rto.rto());
                 self.stats.rto_retransmits += 1;
@@ -1042,6 +1045,7 @@ impl Tcb {
                     return;
                 }
                 let backoff = self.rto.backoff();
+                self.rtt_probe = None; // Karn: no samples from retransmits
                 self.stage_syn(now, out);
                 self.rtx_deadline = Some(now + self.rto.rto());
                 self.stats.rto_retransmits += 1;

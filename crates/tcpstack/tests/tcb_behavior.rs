@@ -3,6 +3,7 @@
 
 use bytes::Bytes;
 use netsim::{SimDuration, SimTime};
+use tcpstack::rto::RtoEstimator;
 use tcpstack::{Quad, SeqNum, Tcb, TcpConfig, TcpState};
 use wire::{TcpFlags, TcpSegment};
 
@@ -361,4 +362,55 @@ fn a_staged_segment_is_a_forty_byte_plan() {
     // Header fields plus an (almost always empty, unallocated) option
     // list: what a suppressed shadow pays per segment it never sends.
     assert!(std::mem::size_of::<tcpstack::StagedSeg>() <= 40);
+}
+
+/// Karn's rule for the handshake: a SYN (or SYN/ACK) sent three times —
+/// at 0, 1 s and 3 s — and answered at 3.4 s gives no RTT sample (which
+/// of the three was answered?), and its backoff ends with the handshake.
+/// So the first data segment's RTO is the initial 1 s. A sample spanning
+/// both retransmissions (3.4 s), times the handshake's backoff of four,
+/// would put it past 40 s.
+fn first_data_rto_after_a_twice_retransmitted_handshake(
+    mut tcb: Tcb,
+    answer: impl FnOnce(&Tcb) -> TcpSegment,
+) -> SimDuration {
+    let t0 = SimTime::ZERO;
+    for at in [0, 1_000, 3_000] {
+        let sent = tcb.poll(t0 + SimDuration::from_millis(at));
+        assert!(sent.len() == 1 && sent[0].flags.contains(TcpFlags::SYN), "at {at} ms: {sent:?}");
+    }
+    let answered = t0 + SimDuration::from_millis(3_400);
+    tcb.on_segment(answered, &answer(&tcb));
+    assert_eq!(tcb.state(), TcpState::Established);
+    assert_eq!(tcb.write(&[7u8; 150]), 150);
+    let request = tcb.poll(answered);
+    assert!(request.iter().any(|s| s.payload.len() == 150), "{request:?}");
+    tcb.next_deadline().expect("unacked data arms the RTO").duration_since(answered)
+}
+
+#[test]
+fn a_retransmitted_syn_leaves_the_first_data_rto_at_the_initial_rto() {
+    let client = Tcb::connect(SimTime::ZERO, quad().flipped(), SeqNum(1), TcpConfig::default());
+    let rto = first_data_rto_after_a_twice_retransmitted_handshake(client, |tcb| {
+        let (ack, flags) = (tcb.iss().raw() + 1, TcpFlags::SYN | TcpFlags::ACK);
+        let mut synack = TcpSegment::bare(80, 40000, 9_000, ack, flags, 17520);
+        synack.options = vec![wire::TcpOption::Mss(1460)];
+        synack
+    });
+    assert_eq!(rto, RtoEstimator::INITIAL);
+}
+
+#[test]
+fn a_retransmitted_syn_ack_leaves_the_first_data_rto_at_the_initial_rto() {
+    let server = Tcb::accept(
+        SimTime::ZERO,
+        quad(),
+        SeqNum(100_000),
+        &client_syn(7000),
+        TcpConfig::default(),
+    );
+    let rto = first_data_rto_after_a_twice_retransmitted_handshake(server, |tcb| {
+        seg(7001, tcb.iss().raw() + 1, TcpFlags::ACK, b"")
+    });
+    assert_eq!(rto, RtoEstimator::INITIAL);
 }
