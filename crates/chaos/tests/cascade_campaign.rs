@@ -10,9 +10,11 @@
 //! the path the cascade took.
 //!
 //! The frame digests were captured from the separate chain runner of the
-//! commit before it was folded into `chaos::run`; the three cascade
-//! digests were re-pinned once since, when a promoted rank stopped
-//! acking and heartbeating the primary it replaced.
+//! commit before it was folded into `chaos::run`. The three cascade
+//! digests were re-pinned twice since: when a promoted rank stopped
+//! acking and heartbeating the primary it replaced, and, with the
+//! fault-free one, when every rank got the one ack rule (ack at X or on
+//! the sync tick, several connections per datagram).
 //!
 //! On failure, the run's replayable artifact (`chaos-hunt --replay`)
 //! lands in `target/tmp/chaos-artifacts/` before the panic.
@@ -54,7 +56,7 @@ fn cascade_campaign_three_seeds() {
     // First crash lands mid-connect-spread (half the fleet still
     // handshaking); the second lands 160 ms later — right past rank 1's
     // 150 ms detection deadline, i.e. mid-takeover.
-    let pinned = [0xaf22_1266_0aa7_952d, 0x6554_bc96_c55a_a2f6, 0x2e39_aa5c_4bd9_98c3];
+    let pinned = [0xe78a_2568_9c8b_f523, 0x7ef4_6d35_2af8_306a, 0x8e6b_6fef_3cc5_4904];
     let campaign = cascade_campaign();
     assert_eq!(campaign.runs.len(), pinned.len());
     for (spec, digest) in campaign.runs.iter().zip(pinned) {
@@ -87,7 +89,7 @@ fn fault_free_chain_promotes_nobody() {
     let spec = RunSpec::chain(BACKUPS, 12, 0xC0FFEE, FaultPlan::none());
     let report = execute(&spec);
     assert_green(&spec, &report);
-    assert_eq!(report.digest, 0xaa19_957a_e6ed_eab3);
+    assert_eq!(report.digest, 0xfe88_6642_c95e_9100);
     assert_eq!(report.final_epoch, 0);
     assert!(report.takeover_latency.is_none());
     assert_eq!(report.progress, (78_528, 78_528));

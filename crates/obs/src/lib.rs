@@ -83,7 +83,8 @@ obs_enum! {
         TcpWindowStalls => "tcp_window_stalls",
         /// Egress segments dropped by ST-TCP suppression (§4.2).
         SegsSuppressed => "segs_suppressed",
-        /// Backup acknowledgments sent over the side channel (§4.3).
+        /// Backup acknowledgments sent over the side channel (§4.3), one
+        /// per connection, whichever datagram carried it.
         BackupAcksSent => "backup_acks_sent",
         /// Backup acknowledgments received by the primary.
         BackupAcksReceived => "backup_acks_received",
@@ -116,10 +117,9 @@ obs_enum! {
         /// Unicast frames for another station that a node's NIC filter
         /// discarded before its host saw them (flood copies, mostly).
         NicFiltered => "nic_filtered",
-        /// Batched (multiplexed) ack messages sent by cluster backups.
+        /// Batched ack datagrams (several connections' acks in one) sent
+        /// by backups.
         AckBatchesSent => "ack_batches_sent",
-        /// Per-connection ack entries carried inside those batches.
-        AckBatchEntries => "ack_batch_entries",
         /// Catch-up replay rounds a lagging backup went through before
         /// reaching promotion eligibility.
         CatchupReplays => "catchup_replays",

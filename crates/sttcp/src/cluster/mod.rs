@@ -35,23 +35,28 @@
 //!
 //! # Side-channel economy
 //!
-//! Rank 1 sends one [`SideMsg::BackupAck`] per connection (the paper's
-//! dialect). Ranks ≥ 2 accumulate their acks and flush them once per
-//! sync tick as [`SideMsg::AckBatch`]es of up to 63 connections, each
-//! datagram within [`SIDE_CHUNK`] — the side channel grows by a
-//! datagram or a few per extra backup per tick, not by another
-//! per-connection stream (`bench` records the ratio as
-//! `side_channel_overhead_{1,2,3}backups`).
+//! Every backup, whatever its rank, runs the paper's one ack rule
+//! (§4.3): each pump acks the connections whose progress crossed X
+//! bytes, and each `SyncTime` tick acks everything still unacked. One
+//! pass sends what it owes as [`SideMsg::AckBatch`]es of up to 63
+//! connections, each datagram within [`SIDE_CHUNK`]; a datagram that
+//! carries one ack is the paper's [`SideMsg::BackupAck`]. So a busy
+//! fleet costs a datagram per 63 active connections per tick, not one
+//! per connection, and each extra backup adds the same batched stream
+//! (`bench` records the cost as `side_channel_overhead_{1,2,3}backups`).
 //!
 //! # Retention in a chain
 //!
 //! The primary releases retained bytes at the *minimum* acknowledged
 //! point over all live backups; when the last one falls silent it
-//! drops to non-fault-tolerant mode (§4.4) until one returns. Each
-//! backup that has a deeper rank behind it also keeps its own retention
-//! buffer and self-releases one ack window behind its own progress:
-//! after a promotion it can serve the deeper ranks' missing segments
-//! from that window without ever having been asked to. The last rank
+//! drops to non-fault-tolerant mode (§4.4) until one returns. Because
+//! every rank acks at X, a chain releases as often as the pair does.
+//! Each backup that has a deeper rank behind it also keeps its own
+//! retention buffer and self-releases one ack window behind its own
+//! acks: after a promotion it can serve the deeper ranks' missing
+//! segments from that window without ever having been asked to. Up to
+//! two ack windows are unreleased there at once, so the fleet builder
+//! gives such a rank twice the primary's retention space. The last rank
 //! has nobody to serve and retains nothing.
 
 pub mod catchup;
@@ -78,8 +83,8 @@ use tcpstack::{NetStack, SeqNum, SockId, TcpState};
 pub const SIDE_CHUNK: usize = 1024;
 
 /// Most entries one [`SideMsg::AckBatch`] carries under [`SIDE_CHUNK`]:
-/// tag, rank and count take 4 B, an entry (key, sequence number) 16 B.
-const ACK_BATCH_MAX: usize = (SIDE_CHUNK - 4) / 16;
+/// tag and count take 3 B, an entry (key, sequence number) 16 B.
+const ACK_BATCH_MAX: usize = (SIDE_CHUNK - 3) / 16;
 
 /// What a cluster member currently is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,14 +111,12 @@ pub struct ClusterStats {
     pub promotions: u64,
     /// Planned migrations completed (as the retiring primary).
     pub migrations: u64,
-    /// Per-connection acks sent (rank-1 dialect).
+    /// Per-connection acks sent, whichever datagram carried them.
     pub acks_sent: u64,
     /// Acks triggered by the X-byte threshold (vs. the SyncTime tick).
     pub acks_threshold_triggered: u64,
-    /// Multiplexed ack batches sent (rank ≥ 2 dialect).
+    /// [`SideMsg::AckBatch`] datagrams sent.
     pub ack_batches_sent: u64,
-    /// Entries across all sent ack batches.
-    pub ack_batch_entries: u64,
     /// Peer acks applied to retention (as primary, entries included).
     pub acks_applied: u64,
     /// Missing-segment requests sent.
@@ -264,9 +267,9 @@ impl ClusterEngine {
         self.topo.rank_of(self.self_ip)
     }
 
-    /// Whom this node owes a backup's shadow duties, and the rank whose
-    /// ack dialect it speaks: a backup's current primary. Anybody else
-    /// owes nobody (see the module docs).
+    /// Whom this node owes a backup's shadow duties, and its own rank:
+    /// a backup's current primary. Anybody else owes nobody (see the
+    /// module docs).
     fn upstream(&self) -> Option<(Ipv4Addr, u8)> {
         if self.role != ClusterRole::Backup {
             return None;
@@ -411,7 +414,7 @@ impl ClusterEngine {
             SideMsg::BackupAck { conn, acked_next } => {
                 self.apply_peer_ack(from, conn, SeqNum(acked_next), stack);
             }
-            SideMsg::AckBatch { rank: _, entries } => {
+            SideMsg::AckBatch { entries } => {
                 for (conn, acked_next) in entries {
                     self.apply_peer_ack(from, conn, SeqNum(acked_next), stack);
                 }
@@ -536,26 +539,29 @@ impl ClusterEngine {
         }
     }
 
-    /// The backup ack strategy (§4.3): rank 1 checks the X threshold
-    /// on every pump (`force = false`) and flushes everything on the
-    /// sync tick (`force = true`); ranks ≥ 2 only flush on the tick
-    /// (one multiplexed batch). Visits only connections queued by
+    /// The backup ack rule (§4.3), the same at every rank: a pump
+    /// (`force = false`) acks the connections whose progress crossed X;
+    /// the sync tick (`force = true`) acks everything unacked. The pass
+    /// sends what it owes as [`SideMsg::AckBatch`]es of at most 63
+    /// entries; a datagram that carries one ack is the paper's
+    /// [`SideMsg::BackupAck`]. Visits only connections queued by
     /// [`ClusterEngine::note_activity`] — an idle shadow costs nothing.
     pub fn maybe_send_acks(&mut self, stack: &mut NetStack, force: bool) {
         let Some((upstream, rank)) = self.upstream() else {
             return;
         };
-        if rank >= 2 && !force {
-            return;
-        }
         let mut acks = std::mem::take(&mut self.ack_scratch);
         acks.clear();
         self.stats.acks_threshold_triggered +=
             self.catchup.collect_acks(stack, self.x_threshold, force, &mut acks);
         // Self-release, while a backup has a deeper rank to serve after
-        // a promotion: keep exactly one ack window of retained history
-        // and release the rest, so the shadow's advertised window never
-        // collapses under retention spill.
+        // a promotion: release up to the previous ack, keeping one ack
+        // window of history. The next window grows on top of it, so just
+        // before the next ack at X two windows (≈ 2X) are retained, and
+        // `fleet::build_cluster` gives such a rank twice the primary's
+        // retention space. With room for one, the spill would shrink the
+        // shadow's receive window below the primary's, and it would drop
+        // tapped segments it then has to request again.
         if usize::from(rank) + 1 < self.topo.members().len() {
             for &(key, _, prev) in &acks {
                 if let Some(sock) = stack.sock_by_quad(key.server_quad()) {
@@ -565,23 +571,19 @@ impl ClusterEngine {
                 }
             }
         }
-        if rank == 1 {
-            for &(key, next, _) in &acks {
-                self.stats.acks_sent += 1;
-                self.recorder.count(Counter::BackupAcksSent, 1);
-                self.outbox
-                    .push((upstream, SideMsg::BackupAck { conn: key, acked_next: next.raw() }));
-            }
-        } else {
-            for batch in acks.chunks(ACK_BATCH_MAX) {
-                let entries: Vec<(ConnKey, u32)> =
-                    batch.iter().map(|&(key, next, _)| (key, next.raw())).collect();
+        for batch in acks.chunks(ACK_BATCH_MAX) {
+            self.stats.acks_sent += batch.len() as u64;
+            self.recorder.count(Counter::BackupAcksSent, batch.len() as u64);
+            let msg = if let [(conn, next, _)] = *batch {
+                SideMsg::BackupAck { conn, acked_next: next.raw() }
+            } else {
                 self.stats.ack_batches_sent += 1;
-                self.stats.ack_batch_entries += entries.len() as u64;
                 self.recorder.count(Counter::AckBatchesSent, 1);
-                self.recorder.count(Counter::AckBatchEntries, entries.len() as u64);
-                self.outbox.push((upstream, SideMsg::AckBatch { rank, entries }));
-            }
+                SideMsg::AckBatch {
+                    entries: batch.iter().map(|&(k, next, _)| (k, next.raw())).collect(),
+                }
+            };
+            self.outbox.push((upstream, msg));
         }
         acks.clear();
         self.ack_scratch = acks;
@@ -1292,18 +1294,6 @@ mod tests {
         p.on_side_msg(t(153), ip(3), hb, &mut ps);
         assert_eq!(p.role(), ClusterRole::Retired);
         assert!(ps.is_suppressed(VIP));
-    }
-
-    #[test]
-    fn deep_ranks_only_flush_on_the_sync_tick() {
-        let mut e = ClusterEngine::new(cfg(), ip(4), topo(), 1024, SimTime::ZERO);
-        let mut s = stack_for(4, true);
-        // No connections: the point here is purely the gating — a
-        // non-forced scan must be a no-op for rank ≥ 2 regardless.
-        e.maybe_send_acks(&mut s, false);
-        let mut out = Vec::new();
-        e.drain_outbox_into(&mut out);
-        assert!(out.is_empty());
     }
 
     /// 1 000 connections, and a stack holding each as a half-open

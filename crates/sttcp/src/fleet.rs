@@ -60,10 +60,8 @@
 use crate::cluster::{ClusterEngine, Topology};
 use crate::config::SttcpConfig;
 use crate::node::{ClientNode, ServerNode, LAN};
-use crate::scenario::{addrs, drive, RunLimits, StopReason};
-use apps::{
-    BulkServer, EchoServer, InteractiveServer, UploadServer, Workload, WorkloadClient, REQUEST_SIZE,
-};
+use crate::scenario::{addrs, drive, make_server_app, RunLimits, StopReason};
+use apps::{EchoServer, Workload, WorkloadClient};
 use netsim::logger::PacketLogger;
 use netsim::node::{NodeId, PortId};
 use netsim::{LinkProfile, LinkSpec, SimDuration, SimTime, Simulator, SplitMix64, Switch};
@@ -266,17 +264,31 @@ pub fn server_mac(rank: usize) -> MacAddr {
     MacAddr::local(2 + rank as u32)
 }
 
+/// The service port that serves `workload`'s class.
+fn class_port(workload: Workload) -> u16 {
+    match workload {
+        Workload::Echo { .. } => ECHO_PORT,
+        Workload::Interactive { .. } => INTERACTIVE_PORT,
+        Workload::Bulk { .. } => BULK_PORT,
+        Workload::Upload { .. } => UPLOAD_PORT,
+    }
+}
+
 /// The four-service factory table every server registers. Keeping it in
 /// one place is what makes a migrated connection land on the same app
-/// type on the backup.
-fn add_fleet_services(node: &mut ServerNode) {
+/// type on the backup. An `overridden` workload replaces its class's
+/// service, so the server sends and expects what the clients do.
+fn add_fleet_services(node: &mut ServerNode, overridden: Option<Workload>) {
     // The constructor installed ECHO_PORT; append the rest.
-    node.add_service(
-        INTERACTIVE_PORT,
-        Box::new(|| Box::new(InteractiveServer::with_sizes(REQUEST_SIZE, INTERACTIVE_REPLY))),
-    );
-    node.add_service(BULK_PORT, Box::new(|| Box::new(BulkServer::new(BULK_FILE))));
-    node.add_service(UPLOAD_PORT, Box::new(|| Box::new(UploadServer::new(UPLOAD_FILE))));
+    for default in [
+        Workload::Interactive { requests: 0, reply_size: INTERACTIVE_REPLY },
+        Workload::Bulk { file_size: BULK_FILE },
+        Workload::Upload { file_size: UPLOAD_FILE },
+    ] {
+        let port = class_port(default);
+        let workload = overridden.filter(|&w| class_port(w) == port).unwrap_or(default);
+        node.add_service(port, Box::new(move || make_server_app(workload, SimDuration::ZERO)));
+    }
 }
 
 /// A fleet served by a replication chain: a [`FleetSpec`] plus what
@@ -434,8 +446,10 @@ pub fn build_cluster(spec: &ClusterFleetSpec) -> Fleet {
         if rank < spec.backups {
             // "Double the space" (§4.2): the primary retains to serve
             // its backups, each backup to serve the *deeper* ranks after
-            // a promotion. The last rank has nobody to retain for.
-            cfg.tcp.retention_buf = cfg.tcp.recv_buf;
+            // a promotion — two ack windows of it (see
+            // `ClusterEngine::maybe_send_acks`). The last rank has nobody
+            // to retain for.
+            cfg.tcp.retention_buf = cfg.tcp.recv_buf * if rank == 0 { 1 } else { 2 };
         }
         if rank > 0 {
             cfg.tcp.shadow = true;
@@ -453,7 +467,7 @@ pub fn build_cluster(spec: &ClusterFleetSpec) -> Fleet {
             topology.clone(),
             Box::new(|| Box::new(EchoServer::new())),
         );
-        add_fleet_services(&mut node);
+        add_fleet_services(&mut node, spec.workload);
         let actor = if rank == 0 { Actor::Primary } else { Actor::Backup };
         if let Some(rec) = recorder_for(actor) {
             node.set_recorder(rec);
@@ -493,12 +507,7 @@ pub fn build_cluster(spec: &ClusterFleetSpec) -> Fleet {
         let mut plan = fleet.client_plan(i);
         if let Some(workload) = spec.workload {
             plan.workload = workload;
-            plan.port = match workload {
-                Workload::Echo { .. } => ECHO_PORT,
-                Workload::Interactive { .. } => INTERACTIVE_PORT,
-                Workload::Bulk { .. } => BULK_PORT,
-                Workload::Upload { .. } => UPLOAD_PORT,
-            };
+            plan.port = class_port(workload);
         }
         let mut c_cfg = StackConfig::host(MacAddr::local(100 + i as u32), plan.ip);
         c_cfg.netmask_bits = 8;

@@ -1,16 +1,25 @@
 //! The UDP side-channel wire protocol between primary and backup
 //! (paper §4.2–§4.3).
 //!
-//! Four message kinds flow on the channel:
+//! Eleven message kinds flow on the channel. The paper's pair needs
+//! the first three groups; a chain and planned migration add the rest:
 //!
 //! * [`SideMsg::Heartbeat`] — periodic liveness, both directions;
-//! * [`SideMsg::BackupAck`] — the backup's cumulative acknowledgment of
-//!   tapped client bytes ("a sequence number that is one less than its
-//!   NextByteExpected value"; we carry `NextByteExpected` itself and
-//!   call it `acked_next`), doubling as the backup's heartbeat;
+//! * [`SideMsg::BackupAck`] / [`SideMsg::AckBatch`] — the backup's
+//!   cumulative acknowledgment of tapped client bytes ("a sequence
+//!   number that is one less than its NextByteExpected value"; we carry
+//!   `NextByteExpected` itself and call it `acked_next`), for one
+//!   connection or for up to 63 in one datagram, doubling as the
+//!   backup's heartbeat;
 //! * [`SideMsg::MissingReq`]/[`SideMsg::MissingData`]/[`SideMsg::MissingNack`]
 //!   — recovery of client bytes the backup's tap missed, served from the
-//!   primary's retention buffer.
+//!   primary's retention buffer;
+//! * [`SideMsg::ClusterHb`] — a heartbeat that also carries the chain's
+//!   epoch and member list, once a promotion has changed them;
+//! * [`SideMsg::Drain`]/[`SideMsg::DrainReady`]/[`SideMsg::Handover`] —
+//!   planned migration of the VIP to a successor;
+//! * [`SideMsg::CongSync`] — the primary's congestion state, mirrored so
+//!   a promoted shadow does not restart from the initial window.
 //!
 //! The paper estimates a 128-byte ack per 3 KB of client data ≈ 4.17 %
 //! extra LAN traffic; the ablation bench re-measures this with the real
@@ -131,15 +140,11 @@ pub enum SideMsg {
         /// `members[1]` the first backup in the promotion order, …
         members: Vec<Ipv4Addr>,
     },
-    /// Backup → primary: one *batched* cumulative-ack message carrying
-    /// every connection whose shadow progressed since the last batch.
-    /// This is what keeps the side channel sub-linear in the backup
-    /// count: deep-chain backups coalesce per-connection acks into one
-    /// datagram per sync tick and 63 connections instead of one per
-    /// connection.
+    /// Backup → primary: the [`SideMsg::BackupAck`]s of several
+    /// connections in one datagram. A backup sends what one ack pass
+    /// owes in batches of up to 63 entries, so the side channel costs a
+    /// datagram per 63 active connections, not one per connection.
     AckBatch {
-        /// The sender's rank in the current topology.
-        rank: u8,
         /// `(connection, NextByteExpected)` pairs.
         entries: Vec<(ConnKey, u32)>,
     },
@@ -202,9 +207,7 @@ impl SideMsg {
             SideMsg::ClusterHb { seq, members, .. } => {
                 (K::ClusterHb, None, *seq, members.len() as u32)
             }
-            SideMsg::AckBatch { rank, entries } => {
-                (K::AckBatch, None, u64::from(*rank), entries.len() as u32)
-            }
+            SideMsg::AckBatch { entries } => (K::AckBatch, None, 0, entries.len() as u32),
             SideMsg::Drain { epoch, successor_rank } => {
                 (K::Drain, None, u64::from(*epoch), u32::from(*successor_rank))
             }
@@ -291,9 +294,8 @@ impl SideMsg {
                     buf.put_slice(&ip.octets());
                 }
             }
-            SideMsg::AckBatch { rank, entries } => {
+            SideMsg::AckBatch { entries } => {
                 buf.put_u8(TAG_ACK_BATCH);
-                buf.put_u8(*rank);
                 debug_assert!(entries.len() <= u16::MAX as usize);
                 buf.put_u16(entries.len() as u16);
                 for (conn, acked_next) in entries {
@@ -392,10 +394,9 @@ impl SideMsg {
                 Some(SideMsg::ClusterHb { seq, epoch, sender_rank, members })
             }
             TAG_ACK_BATCH => {
-                if raw.len() < 3 {
+                if raw.len() < 2 {
                     return None;
                 }
-                let rank = raw.get_u8();
                 let count = raw.get_u16() as usize;
                 if raw.len() < count * 16 {
                     return None;
@@ -408,7 +409,7 @@ impl SideMsg {
                     }
                     entries.push((conn, raw.get_u32()));
                 }
-                Some(SideMsg::AckBatch { rank, entries })
+                Some(SideMsg::AckBatch { entries })
             }
             TAG_DRAIN => {
                 if raw.len() < 5 {
@@ -471,7 +472,7 @@ mod tests {
                     Ipv4Addr::new(10, 0, 0, 4),
                 ],
             },
-            SideMsg::AckBatch { rank: 2, entries: vec![(key(), 0xDEAD_BEEF), (key(), 77)] },
+            SideMsg::AckBatch { entries: vec![(key(), 0xDEAD_BEEF), (key(), 77)] },
             SideMsg::Drain { epoch: 9, successor_rank: 1 },
             SideMsg::DrainReady { rank: 1, epoch: 9 },
             SideMsg::Handover { epoch: 9 },
@@ -490,7 +491,7 @@ mod tests {
 
     #[test]
     fn empty_ack_batch_roundtrips() {
-        let msg = SideMsg::AckBatch { rank: 3, entries: vec![] };
+        let msg = SideMsg::AckBatch { entries: vec![] };
         assert_eq!(SideMsg::decode(msg.encode()), Some(msg));
     }
 
@@ -508,7 +509,7 @@ mod tests {
         forged[14] = 3; // member count byte (tag + seq + epoch + rank before it)
         assert_eq!(SideMsg::decode(Bytes::from(forged)), None);
         // AckBatch claiming an entry with no bytes behind it.
-        assert_eq!(SideMsg::decode(Bytes::from_static(&[TAG_ACK_BATCH, 0, 0, 1])), None);
+        assert_eq!(SideMsg::decode(Bytes::from_static(&[TAG_ACK_BATCH, 0, 1])), None);
         // Truncated drain/handover family.
         assert_eq!(SideMsg::decode(Bytes::from_static(&[TAG_DRAIN, 0, 0])), None);
         assert_eq!(SideMsg::decode(Bytes::from_static(&[TAG_DRAIN_READY, 1])), None);
@@ -525,7 +526,7 @@ mod tests {
         // whole point of piggybacking is amortizing the tag byte and
         // datagram overheads.
         let k = 16;
-        let batch = SideMsg::AckBatch { rank: 1, entries: (0..k).map(|i| (key(), i)).collect() };
+        let batch = SideMsg::AckBatch { entries: (0..k).map(|i| (key(), i)).collect() };
         let standalone: usize =
             (0..k).map(|i| SideMsg::BackupAck { conn: key(), acked_next: i }.encode().len()).sum();
         assert!(batch.encode().len() < standalone);

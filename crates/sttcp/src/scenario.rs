@@ -325,7 +325,8 @@ pub struct Scenario {
     pub flight: Option<Arc<FlightRecorder>>,
 }
 
-fn make_server_app(workload: Workload, think: SimDuration) -> Box<dyn Application> {
+/// The server application that answers `workload`'s clients.
+pub(crate) fn make_server_app(workload: Workload, think: SimDuration) -> Box<dyn Application> {
     match workload {
         Workload::Echo { .. } => Box::new(EchoServer::new()),
         Workload::Interactive { requests: _, reply_size } => Box::new(

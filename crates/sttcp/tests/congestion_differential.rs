@@ -68,7 +68,7 @@ const BULK_100MB_EVENTS: u64 = 215_475;
 /// `fleet_failover_frame_traces_are_bit_identical` scenario), captured
 /// pre-refactor (PR 9) and held through the engine collapse (PR 12).
 /// The loss-free LAN draws nothing at random, so only protocol changes
-/// move it. Re-pinned twice:
+/// move it. Re-pinned three times:
 ///
 /// * from (0x24bf_5764_6391_d5fd, 4 228) when the stack's deadlines
 ///   became exact: two clients' 200 ms retransmissions reach the
@@ -85,8 +85,13 @@ const BULK_100MB_EVENTS: u64 = 215_475;
 ///   `BackupAck`s it still sent that primary on its 350 ms and 400 ms
 ///   ticks, eight frames in all (`Fleet80::dead_primary_frames` counts
 ///   what is left of them: nothing). [`FLEET_80_PRE_PROMOTION_DIGEST`]
-///   held.
-const FLEET_80_FAILOVER_DIGEST: (u64, u64) = (0x50f1_49f6_3bf2_afef, 4_224);
+///   held;
+/// * from (0x50f1_49f6_3bf2_afef, 4 224) when every backup got the one
+///   ack rule: an ack pass that owes several connections sends one
+///   `AckBatch` datagram for up to 63 of them instead of a `BackupAck`
+///   each, 252 frames fewer (two hops per datagram). The takeover
+///   instant held; [`FLEET_80_PRE_PROMOTION_DIGEST`] moved with it.
+const FLEET_80_FAILOVER_DIGEST: (u64, u64) = (0x7fef_36b3_12c6_7909, 3_972);
 
 /// Simulator events of the failover fleet and of its fault-free twin
 /// (see [`BULK_100MB_EVENTS`]) plus the flood copies the clients' NICs
@@ -95,9 +100,11 @@ const FLEET_80_FAILOVER_DIGEST: (u64, u64) = (0x50f1_49f6_3bf2_afef, 4_224);
 /// stayed put since — 4 284 + 474 and 4 025 + 474 when that happened.
 /// The failover fleet's fell from 4 758 with the heartbeats to the dead.
 /// Both fell again (4 756 → 4 484, 4 499 → 4 454) when a moved deadline
-/// stopped waking its node at the old instant.
-const FLEET_80_FAILOVER_EVENTS: u64 = 4_484;
-const FLEET_80_FAULT_FREE_EVENTS: u64 = 4_454;
+/// stopped waking its node at the old instant, and again (→ 4 232,
+/// → 4 202) when acks for several connections began to share a datagram:
+/// one event per frame fewer.
+const FLEET_80_FAILOVER_EVENTS: u64 = 4_232;
+const FLEET_80_FAULT_FREE_EVENTS: u64 = 4_202;
 
 #[test]
 fn reno_via_trait_matches_prerefactor_bulk_100mb() {
@@ -122,7 +129,9 @@ fn reno_via_trait_matches_prerefactor_bulk_100mb() {
 
 /// Golden digest of the same 80-client fleet with no crash (whole run),
 /// captured on the commit before the engine collapse (PR 12).
-const FLEET_80_FAULT_FREE_DIGEST: (u64, u64) = (0xd42d_b817_8f53_a80b, 4_215);
+/// Re-pinned once, from (0xd42d_b817_8f53_a80b, 4 215), for batched
+/// acks (see [`FLEET_80_FAILOVER_DIGEST`]): 256 frames fewer.
+const FLEET_80_FAULT_FREE_DIGEST: (u64, u64) = (0xc251_a78b_5b63_382b, 3_959);
 
 /// When the backup of the 80-client failover fleet promotes itself.
 const FLEET_80_TAKEOVER: SimTime = SimTime::from_nanos(300_000_000);
@@ -131,7 +140,9 @@ const FLEET_80_TAKEOVER: SimTime = SimTime::from_nanos(300_000_000);
 /// before [`FLEET_80_TAKEOVER`], captured on the commit before the
 /// engine collapse (PR 12): whatever the surviving engine does after
 /// the promotion, the pair's pre-takeover wire trace may not move.
-const FLEET_80_PRE_PROMOTION_DIGEST: (u64, u64) = (0x2efc_b375_8c3f_a909, 4_129);
+/// Re-pinned once, from (0x2efc_b375_8c3f_a909, 4 129), for batched
+/// acks (see [`FLEET_80_FAILOVER_DIGEST`]).
+const FLEET_80_PRE_PROMOTION_DIGEST: (u64, u64) = (0x4ef5_6c6a_869e_b9b1, 3_877);
 
 /// What one run of the 80-client fleet put on the wire.
 struct Fleet80 {

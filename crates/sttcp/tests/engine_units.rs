@@ -1,8 +1,8 @@
 //! Focused engine-level tests exercising paths the end-to-end scenarios
 //! cross only incidentally: missing-data chunking, request retry,
 //! retention release ordering, detection, and takeover idempotence —
-//! all on the paper's pair, i.e. [`ClusterEngine`] over the two-member
-//! topology.
+//! mostly on the paper's pair, i.e. [`ClusterEngine`] over the
+//! two-member topology; the ack rule is also checked at rank 2.
 
 use bytes::Bytes;
 use netsim::{SimDuration, SimTime};
@@ -492,13 +492,17 @@ fn backup_applies_mirrored_congestion_snapshot() {
     assert_eq!(cong.ssthresh(), 7_300);
 }
 
-#[test]
-fn a_deep_backup_splits_its_ack_batch_into_side_chunk_datagrams() {
-    use sttcp::cluster::SIDE_CHUNK;
-    const BACKUP2: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 4);
-    let chain = || Topology::new(vec![PRIMARY, BACKUP, BACKUP2]);
-    // 200 shadows at rank 2, each 10 bytes into its client's stream.
-    let mut bcfg = StackConfig::host(MacAddr::local(4), BACKUP2);
+const BACKUP2: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 4);
+
+fn chain() -> Topology {
+    Topology::new(vec![PRIMARY, BACKUP, BACKUP2])
+}
+
+/// The chain member `ip` as a backup with an X threshold of `x` bytes,
+/// and its stack shadowing `conns` connections, each 10 bytes into its
+/// client's stream and queued for the next ack pass.
+fn shadowing(ip: Ipv4Addr, x: usize, conns: u16) -> (ClusterEngine, NetStack) {
+    let mut bcfg = StackConfig::host(MacAddr::local(u32::from(ip.octets()[3])), ip);
     bcfg.extra_ips = vec![VIP];
     bcfg.suppressed_ips = vec![VIP];
     bcfg.promiscuous = true; // the deliver() helper addresses the primary's MAC
@@ -506,8 +510,8 @@ fn a_deep_backup_splits_its_ack_batch_into_side_chunk_datagrams() {
     let mut stack = NetStack::new(bcfg);
     stack.listen(80);
     let now = SimTime::ZERO;
-    let mut rank2 = ClusterEngine::new(cfg(), BACKUP2, chain(), 12 * 1024, now);
-    for port in 40_000..40_200u16 {
+    let mut engine = ClusterEngine::new(cfg(), ip, chain(), x, now);
+    for port in 40_000..40_000 + conns {
         let mut syn = TcpSegment::bare(port, 80, 5000, 0, TcpFlags::SYN, 17520);
         syn.options = vec![wire::TcpOption::Mss(1460)];
         deliver(&mut stack, now, &syn);
@@ -515,29 +519,62 @@ fn a_deep_backup_splits_its_ack_batch_into_side_chunk_datagrams() {
         ack.payload = Bytes::from_static(b"0123456789");
         deliver(&mut stack, now, &ack);
         let sock = stack.accept(80).expect("shadow established");
-        rank2.on_accept(sock, &mut stack);
-        rank2.note_activity(ConnKey { client_port: port, ..key() });
+        engine.on_accept(sock, &mut stack);
+        engine.note_activity(ConnKey { client_port: port, ..key() });
     }
+    (engine, stack)
+}
+
+#[test]
+fn a_deep_backup_acks_at_x_without_waiting_for_the_tick() {
+    // Rank 2 runs the same rule as rank 1 (§4.3): progress of X bytes is
+    // acked on the pump that sees it, so the primary, which releases at
+    // the minimum over its backups, is not held to the sync tick.
+    let (mut rank2, mut stack) = shadowing(BACKUP2, 10, 1);
     rank2.maybe_send_acks(&mut stack, false);
-    assert!(sent(&mut rank2).is_empty(), "a deep backup acks on the sync tick only");
+    assert_eq!(sent(&mut rank2), [SideMsg::BackupAck { conn: key(), acked_next: 5011 }]);
+    assert_eq!(rank2.stats.acks_threshold_triggered, 1);
+    // Below X a pump owes nothing; the tick owes everything.
+    let (mut rank2, mut stack) = shadowing(BACKUP2, 11, 1);
+    rank2.maybe_send_acks(&mut stack, false);
+    assert!(sent(&mut rank2).is_empty());
     rank2.maybe_send_acks(&mut stack, true);
-    let batches = sent(&mut rank2);
-    let sizes: Vec<usize> = batches
-        .iter()
-        .map(|m| match m {
-            SideMsg::AckBatch { rank: 2, entries } => entries.len(),
-            other => panic!("not a rank-2 ack batch: {other:?}"),
-        })
-        .collect();
-    assert_eq!(sizes, [63, 63, 63, 11]);
-    assert!(batches.iter().all(|m| m.encode().len() <= SIDE_CHUNK));
-    assert_eq!((rank2.stats.ack_batches_sent, rank2.stats.ack_batch_entries), (4, 200));
-    // Every entry of every datagram reaches the primary's books.
-    let mut primary = ClusterEngine::new(cfg(), PRIMARY, chain(), 12 * 1024, now);
-    let mut pstack = NetStack::new(StackConfig::host(MacAddr::local(2), PRIMARY));
-    for msg in batches {
-        let wire = SideMsg::decode(msg.encode()).expect("a batch survives the wire");
-        primary.on_side_msg(now, BACKUP2, wire, &mut pstack);
+    assert_eq!(sent(&mut rank2), [SideMsg::BackupAck { conn: key(), acked_next: 5011 }]);
+}
+
+#[test]
+fn every_rank_acks_one_connection_alone_and_two_hundred_in_four_batches() {
+    use sttcp::cluster::SIDE_CHUNK;
+    for ip in [BACKUP, BACKUP2] {
+        let (mut engine, mut stack) = shadowing(ip, 12 * 1024, 1);
+        engine.maybe_send_acks(&mut stack, true);
+        assert_eq!(
+            sent(&mut engine),
+            [SideMsg::BackupAck { conn: key(), acked_next: 5011 }],
+            "{ip}: one connection owed is the paper's BackupAck"
+        );
+        assert_eq!((engine.stats.ack_batches_sent, engine.stats.acks_sent), (0, 1));
+
+        let (mut engine, mut stack) = shadowing(ip, 12 * 1024, 200);
+        engine.maybe_send_acks(&mut stack, true);
+        let batches = sent(&mut engine);
+        let sizes: Vec<usize> = batches
+            .iter()
+            .map(|m| match m {
+                SideMsg::AckBatch { entries } => entries.len(),
+                other => panic!("{ip}: not an ack batch: {other:?}"),
+            })
+            .collect();
+        assert_eq!(sizes, [63, 63, 63, 11], "{ip}");
+        assert!(batches.iter().all(|m| m.encode().len() <= SIDE_CHUNK));
+        assert_eq!((engine.stats.ack_batches_sent, engine.stats.acks_sent), (4, 200));
+        // Every entry of every datagram reaches the primary's books.
+        let mut primary = ClusterEngine::new(cfg(), PRIMARY, chain(), 12 * 1024, SimTime::ZERO);
+        let mut pstack = NetStack::new(StackConfig::host(MacAddr::local(2), PRIMARY));
+        for msg in batches {
+            let wire = SideMsg::decode(msg.encode()).expect("a batch survives the wire");
+            primary.on_side_msg(SimTime::ZERO, ip, wire, &mut pstack);
+        }
+        assert_eq!(primary.stats.acks_applied, 200);
     }
-    assert_eq!(primary.stats.acks_applied, 200);
 }

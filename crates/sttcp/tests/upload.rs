@@ -7,7 +7,7 @@
 use apps::{UploadServer, Workload};
 use netsim::{DropRule, SimDuration, SimTime};
 use sttcp::scenario::{addrs, build, FaultSpec, RunLimits, ScenarioSpec};
-use sttcp::{ServerNode, SttcpConfig};
+use sttcp::{build_cluster, ClusterFleetSpec, ServerNode, SttcpConfig};
 
 fn st_cfg() -> SttcpConfig {
     SttcpConfig::new(addrs::VIP, 80)
@@ -174,4 +174,47 @@ fn slow_backup_acks_shrink_the_window_but_nothing_breaks() {
     let app = node.app::<UploadServer>(node.accepted[0]).unwrap();
     assert_eq!(app.content_errors, 0);
     assert_eq!(app.received(), 1 << 20);
+}
+
+#[test]
+fn a_chain_upload_finishes_as_fast_as_the_pair() {
+    // Every rank acks at X (§4.3), so the primary, releasing at the
+    // minimum over its backups, releases as often for a chain as for the
+    // pair; a middle rank has room for the two ack windows it keeps.
+    let run = |backups: usize| {
+        let spec = ClusterFleetSpec::new(1, backups).workload(Workload::upload_mb(5));
+        let mut fleet = build_cluster(&ClusterFleetSpec { close_when_done: false, ..spec });
+        assert!(fleet.run_until_done(SimDuration::from_secs(60)), "N = {backups} stalled");
+        assert!(fleet.verified_clean(), "N = {backups}");
+        for (rank, &id) in fleet.servers.iter().enumerate() {
+            let node = fleet.sim.node_ref::<ServerNode>(id);
+            let app = node.app::<UploadServer>(node.accepted[0]).expect("upload server app");
+            assert_eq!(app.received(), 5 << 20, "N = {backups}, rank {rank}");
+            assert_eq!(fleet.engine(rank).stats.missing_reqs, 0, "N = {backups}, rank {rank}");
+        }
+        fleet.sim.now()
+    };
+    let pair = run(1);
+    assert_eq!(run(2), pair);
+    assert_eq!(run(3), pair);
+}
+
+#[test]
+fn a_fleet_workload_override_reaches_the_servers() {
+    let open = |workload| ClusterFleetSpec {
+        close_when_done: false, // keep the server's app to inspect
+        ..ClusterFleetSpec::new(1, 1).workload(workload)
+    };
+    let mut bulk = build_cluster(&open(Workload::bulk_mb(1)));
+    assert!(bulk.run_until_done(SimDuration::from_secs(60)), "1 MiB download");
+    assert!(bulk.verified_clean());
+    let mut upload = build_cluster(&open(Workload::upload_mb(1)));
+    assert!(upload.run_until_done(SimDuration::from_secs(60)), "1 MiB upload");
+    assert!(upload.verified_clean());
+    for &id in &upload.servers {
+        let node = upload.sim.node_ref::<ServerNode>(id);
+        let app = node.app::<UploadServer>(node.accepted[0]).expect("upload server app");
+        assert_eq!(app.received(), 1 << 20, "{}", upload.sim.node_name(id));
+        assert_eq!(app.content_errors, 0);
+    }
 }
