@@ -11,10 +11,12 @@
 //!
 //! The frame digests were captured from the separate chain runner of the
 //! commit before it was folded into `chaos::run`. The three cascade
-//! digests were re-pinned twice since: when a promoted rank stopped
-//! acking and heartbeating the primary it replaced, and, with the
+//! digests were re-pinned three times since: when a promoted rank stopped
+//! acking and heartbeating the primary it replaced and, with the
 //! fault-free one, when every rank got the one ack rule (ack at X or on
-//! the sync tick, several connections per datagram).
+//! the sync tick, several connections per datagram) and when the side
+//! channel got one heartbeat (the primary's carries its epoch, a
+//! backup's acks are its heartbeat).
 //!
 //! On failure, the run's replayable artifact (`chaos-hunt --replay`)
 //! lands in `target/tmp/chaos-artifacts/` before the panic.
@@ -56,7 +58,7 @@ fn cascade_campaign_three_seeds() {
     // First crash lands mid-connect-spread (half the fleet still
     // handshaking); the second lands 160 ms later — right past rank 1's
     // 150 ms detection deadline, i.e. mid-takeover.
-    let pinned = [0xe78a_2568_9c8b_f523, 0x7ef4_6d35_2af8_306a, 0x8e6b_6fef_3cc5_4904];
+    let pinned = [0x858c_cc92_21be_65d9, 0xfcc5_7084_584a_e265, 0xbbaa_8060_4b70_ce20];
     let campaign = cascade_campaign();
     assert_eq!(campaign.runs.len(), pinned.len());
     for (spec, digest) in campaign.runs.iter().zip(pinned) {
@@ -89,7 +91,7 @@ fn fault_free_chain_promotes_nobody() {
     let spec = RunSpec::chain(BACKUPS, 12, 0xC0FFEE, FaultPlan::none());
     let report = execute(&spec);
     assert_green(&spec, &report);
-    assert_eq!(report.digest, 0xfe88_6642_c95e_9100);
+    assert_eq!(report.digest, 0x79c7_b2e3_66e8_adb2);
     assert_eq!(report.final_epoch, 0);
     assert!(report.takeover_latency.is_none());
     assert_eq!(report.progress, (78_528, 78_528));

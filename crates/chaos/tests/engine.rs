@@ -9,7 +9,10 @@
 //! commit before the pair and chain runners were merged: the merged
 //! runner builds the same simulations, only the judging moved. The five
 //! runs with a takeover were re-pinned once since, when a promoted
-//! backup stopped acking and heartbeating the primary it replaced.
+//! backup stopped acking and heartbeating the primary it replaced. Every
+//! digest but the bulk regression's was re-pinned when the side channel
+//! got one heartbeat: the primary's carries its epoch (13 bytes, was 9),
+//! and a backup's acks are its heartbeat.
 
 use apps::Workload;
 use chaos::{
@@ -23,7 +26,7 @@ fn plan(ops: &[FaultOp]) -> FaultPlan {
 
 /// The fault-free 20-echo run; side-channel duplication at the backup's
 /// ingress adds deliveries, not transmissions, so it shares the digest.
-const ECHO20_SEED1_DIGEST: u64 = 0x3fc9_465b_9daa_0799;
+const ECHO20_SEED1_DIGEST: u64 = 0x1126_a6a1_abeb_6f5d;
 
 #[test]
 fn fault_free_run_is_green() {
@@ -49,7 +52,7 @@ fn crash_with_tap_loss_recovers_and_is_green() {
     let report = execute(&spec);
     assert!(report.violations.is_empty(), "violations: {:?}", report.violations);
     assert!(report.takeover_latency.is_some(), "a crashed primary must hand over");
-    assert_eq!(report.digest, 0x5a3c_80e8_b6de_faa9);
+    assert_eq!(report.digest, 0x7771_c170_a3a4_3ec2);
     assert_eq!(report.final_epoch, 1, "the backup serves under the first promotion's epoch");
     assert_eq!(report.injections, [("tap_drop@backup(skip 2, 2)".to_string(), 24, 2)]);
 }
@@ -85,7 +88,7 @@ fn runs_are_bit_deterministic() {
     );
     let a = execute(&spec);
     let b = execute(&spec);
-    assert_eq!(a.digest, 0xc457_be86_b662_d5c9);
+    assert_eq!(a.digest, 0xda98_3e84_534b_87d3);
     assert_eq!(a.digest, b.digest, "identical specs must produce identical frame traces");
     assert_eq!(a.virtual_duration, b.virtual_duration);
     assert_eq!(a.takeover_latency, b.takeover_latency);
@@ -96,7 +99,7 @@ fn different_seeds_diverge() {
     let mk = |seed| RunSpec::new(Workload::Echo { requests: 15 }, seed, plan(&[]));
     let a = execute(&mk(1));
     let b = execute(&mk(2));
-    assert_eq!((a.digest, b.digest), (0xbf2f_1357_ddff_c0a3, 0xe561_2839_f2df_fc29));
+    assert_eq!((a.digest, b.digest), (0xc994_357c_e37d_d86f, 0xba09_11be_ff30_a751));
 }
 
 #[test]
@@ -111,12 +114,12 @@ fn canary_is_caught_shrunk_and_replayable() {
         "split brain must be caught: {:?}",
         report.violations
     );
-    assert_eq!(report.digest, 0x99ac_8fca_75f3_6158);
+    assert_eq!(report.digest, 0x20c4_0d9b_f6cc_65b8);
 
     let result = shrink(&spec, OracleKind::SingleServer, 16).expect("original failure reproduces");
     assert!(!result.minimal.plan.ops.is_empty(), "shrink must not empty the schedule");
     assert_eq!(result.minimal.plan.describe(), "pause@10%/300ms");
-    assert_eq!(result.report.digest, 0x0bc9_f1dc_3b4d_4ead);
+    assert_eq!(result.report.digest, 0x1d7c_6c5b_d04a_78b7);
 
     let artifact =
         FailureArtifact::capture(&result.minimal, &result.report, OracleKind::SingleServer);
@@ -146,8 +149,9 @@ fn innocent_side_channel_noise_is_not_flagged() {
 /// format: no testbed members, no `target` on the tap op, the
 /// side-channel op addressed by the `"backup"` tag. Its recorded
 /// `digest` is the current runner's (the promoted backup no longer talks
-/// to the primary it replaced); the violation text is as first written.
-const PARENT_ERA_ARTIFACT: &str = r#"{"format":"sttcp-chaos-artifact-v1","workload":{"kind":"echo","requests":100},"seed":"0x0000000000000007","fencing":false,"limit_ms":60000,"max_events":20000000,"link":"lan","congestion":"reno","sack":false,"plan":{"ops":[{"op":"pause_primary","at_pct":10,"dur_ms":300},{"op":"tap_drop","skip":0,"count":1},{"op":"side_duplicate","target":"backup","offset_ms":5}]},"oracle":"single-server","details":["[single-server] t=t=1.246907s node 1 still sourcing VIP traffic at t=1.246907s, 946.907ms after takeover"],"digest":"0x585d822265cf7b46"}"#;
+/// to the primary it replaced, and the side channel has one heartbeat);
+/// the violation text is as first written.
+const PARENT_ERA_ARTIFACT: &str = r#"{"format":"sttcp-chaos-artifact-v1","workload":{"kind":"echo","requests":100},"seed":"0x0000000000000007","fencing":false,"limit_ms":60000,"max_events":20000000,"link":"lan","congestion":"reno","sack":false,"plan":{"ops":[{"op":"pause_primary","at_pct":10,"dur_ms":300},{"op":"tap_drop","skip":0,"count":1},{"op":"side_duplicate","target":"backup","offset_ms":5}]},"oracle":"single-server","details":["[single-server] t=t=1.246907s node 1 still sourcing VIP traffic at t=1.246907s, 946.907ms after takeover"],"digest":"0x8b843bcbf74cc064"}"#;
 
 #[test]
 fn parent_era_artifact_parses_to_the_same_spec_and_replays() {

@@ -154,7 +154,7 @@ macro_rules! named_enum {
 named_enum! {
     /// The kind of a side-channel message (§4.3 sync protocol).
     SideMsgKind {
-        /// Primary liveness heartbeat.
+        /// Primary liveness heartbeat, carrying its reign's epoch.
         Heartbeat => "heartbeat",
         /// Backup cumulative acknowledgment (`LastByteAcked`).
         BackupAck => "backup_ack",
@@ -164,8 +164,6 @@ named_enum! {
         MissingData => "missing_data",
         /// Primary refusal of a missing-segment request.
         MissingNack => "missing_nack",
-        /// Cluster heartbeat carrying the rank-ordered topology.
-        ClusterHb => "cluster_hb",
         /// Batched per-connection cumulative acks from one backup.
         AckBatch => "ack_batch",
         /// Planned-migration drain announcement.
@@ -262,7 +260,8 @@ pub enum TraceEvent {
         conn: Option<TraceConn>,
         /// Kind-specific sequence number (TCP seq, or heartbeat seq).
         seq: u64,
-        /// Payload length for data-carrying kinds.
+        /// Payload length for data-carrying kinds (a heartbeat's
+        /// epoch, a batch's entry count, a drain's rank otherwise).
         len: u32,
     },
     /// A side-channel message was received.
@@ -273,7 +272,8 @@ pub enum TraceEvent {
         conn: Option<TraceConn>,
         /// Kind-specific sequence number (TCP seq, or heartbeat seq).
         seq: u64,
-        /// Payload length for data-carrying kinds.
+        /// Payload length for data-carrying kinds (a heartbeat's
+        /// epoch, a batch's entry count, a drain's rank otherwise).
         len: u32,
     },
     /// The backup suspected the primary dead (§4.4 detection).
@@ -969,7 +969,7 @@ pub(crate) mod tests {
         fr.record(
             Actor::Primary,
             8_500,
-            &TraceEvent::SideSend { msg: SideMsgKind::ClusterHb, conn: None, seq: 3, len: 3 },
+            &TraceEvent::SideSend { msg: SideMsgKind::AckBatch, conn: None, seq: 0, len: 3 },
         );
         fr.record(
             Actor::Primary,

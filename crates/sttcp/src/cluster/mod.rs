@@ -8,12 +8,13 @@
 //! ([`crate::node::ServerNode::primary`] / `backup` build the
 //! two-member [`Topology`]); longer chains add nothing but ranks:
 //!
-//! * [`Topology`] — the epoch + member list, with the epoch-by-rank
-//!   promotion rule that makes cascades converge without elections
-//!   ([`topology`]). While a reign is still the one every member was
-//!   constructed with (epoch 0) the primary's heartbeat is the paper's
-//!   payload-free [`SideMsg::Heartbeat`]; once a promotion has changed
-//!   it, heartbeats carry the whole list as [`SideMsg::ClusterHb`].
+//! * [`Topology`] — the chain every member was built with and the
+//!   epoch of the reign in force, with the epoch-by-rank promotion rule
+//!   that makes cascades converge without elections ([`topology`]). A
+//!   reign's members are the chain from index `epoch` on, so the
+//!   primary's [`SideMsg::Heartbeat`] carries the epoch and nothing
+//!   else; a member that hears a higher one from that reign's primary
+//!   adopts it.
 //! * [`promotion`] — rank-staggered failure detection: rank 1 uses the
 //!   paper's window, each deeper rank waits two extra heartbeats, so
 //!   at most one member unsuppresses the VIP per reign.
@@ -26,12 +27,12 @@
 //!
 //! A node starts as rank-0 primary or rank-k backup and moves through
 //! promotion/retirement as the topology evolves. Only a backup owes
-//! anybody shadow duties (acks, liveness, missing-segment requests),
-//! and only to its current primary. A member that promotes owes the
-//! primary it replaced nothing: the paper makes a wrong suspicion
-//! correct by cutting the suspect's power (§3.2, §4.4), so after a
-//! takeover the old primary is dead or fenced, and after a handover it
-//! has stepped down itself.
+//! anybody shadow duties (acks, missing-segment requests), and only to
+//! its current primary; its acks are its liveness (§4.4). A member that
+//! promotes owes the primary it replaced nothing: the paper makes a
+//! wrong suspicion correct by cutting the suspect's power (§3.2, §4.4),
+//! so after a takeover the old primary is dead or fenced, and after a
+//! handover it has stepped down itself.
 //!
 //! # Side-channel economy
 //!
@@ -44,6 +45,12 @@
 //! fleet costs a datagram per 63 active connections per tick, not one
 //! per connection, and each extra backup adds the same batched stream
 //! (`bench` records the cost as `side_channel_overhead_{1,2,3}backups`).
+//!
+//! The paper's backup has no heartbeat of its own: "the acks sent by the
+//! backup server" are its heartbeats (§4.4). A tick that owes no ack
+//! sends one empty [`SideMsg::AckBatch`], and the primary counts any
+//! datagram from a backup as life. The primary's one heartbeat per
+//! backup per tick is 13 bytes: its sequence number and its epoch.
 //!
 //! # Retention in a chain
 //!
@@ -115,7 +122,8 @@ pub struct ClusterStats {
     pub acks_sent: u64,
     /// Acks triggered by the X-byte threshold (vs. the SyncTime tick).
     pub acks_threshold_triggered: u64,
-    /// [`SideMsg::AckBatch`] datagrams sent.
+    /// [`SideMsg::AckBatch`] datagrams sent with acks in them (not the
+    /// empty one a tick that owes none sends).
     pub ack_batches_sent: u64,
     /// Peer acks applied to retention (as primary, entries included).
     pub acks_applied: u64,
@@ -370,6 +378,7 @@ impl ClusterEngine {
     pub fn on_close(&mut self, key: ConnKey) {
         self.catchup.forget(key);
         self.cong_sent.remove(&key);
+        self.bootstrap_attempts.remove(&key);
         for peer in &mut self.peers {
             peer.acks.remove(&key);
         }
@@ -390,18 +399,20 @@ impl ClusterEngine {
     ) {
         // Topology adoption first: the liveness check below must judge
         // `from` against the *new* reign when this very message
-        // announces one.
-        if let SideMsg::ClusterHb { epoch, members, .. } = &msg {
-            if *epoch > self.topo.epoch() {
-                let members = members.clone();
-                self.adopt(now, *epoch, members, stack);
+        // announces one. Only that reign's primary announces it, and
+        // only a reign that leaves a member exists.
+        if let SideMsg::Heartbeat { epoch, .. } = msg {
+            if epoch > self.topo.epoch() && from != self.self_ip {
+                if let Some(topo) = self.topo.at_epoch(epoch).filter(|t| t.primary() == from) {
+                    self.adopt(now, topo, stack);
+                }
             }
         }
         if from == self.topo.primary() && self.role != ClusterRole::Primary {
             // Any datagram from the primary is life (§4.4).
             self.timer.note_heard(now);
             self.recorder.mark_latest(Mark::LastPrimaryHeard, now.as_nanos());
-            if matches!(msg, SideMsg::Heartbeat { .. } | SideMsg::ClusterHb { .. }) {
+            if let SideMsg::Heartbeat { .. } = msg {
                 self.stats.hbs_received += 1;
                 self.recorder.count(Counter::HeartbeatsReceived, 1);
             }
@@ -410,7 +421,7 @@ impl ClusterEngine {
             self.note_peer(now, from);
         }
         match msg {
-            SideMsg::ClusterHb { .. } | SideMsg::Heartbeat { .. } => {} // handled above
+            SideMsg::Heartbeat { .. } => {} // handled above
             SideMsg::BackupAck { conn, acked_next } => {
                 self.apply_peer_ack(from, conn, SeqNum(acked_next), stack);
             }
@@ -544,8 +555,10 @@ impl ClusterEngine {
     /// the sync tick (`force = true`) acks everything unacked. The pass
     /// sends what it owes as [`SideMsg::AckBatch`]es of at most 63
     /// entries; a datagram that carries one ack is the paper's
-    /// [`SideMsg::BackupAck`]. Visits only connections queued by
-    /// [`ClusterEngine::note_activity`] — an idle shadow costs nothing.
+    /// [`SideMsg::BackupAck`]. The acks are the backup's heartbeat, so a
+    /// tick that owes none sends an empty batch. Visits only connections
+    /// queued by [`ClusterEngine::note_activity`] — an idle shadow costs
+    /// nothing but that one datagram per tick.
     pub fn maybe_send_acks(&mut self, stack: &mut NetStack, force: bool) {
         let Some((upstream, rank)) = self.upstream() else {
             return;
@@ -585,6 +598,9 @@ impl ClusterEngine {
             };
             self.outbox.push((upstream, msg));
         }
+        if force && acks.is_empty() {
+            self.outbox.push((upstream, SideMsg::AckBatch { entries: Vec::new() }));
+        }
         acks.clear();
         self.ack_scratch = acks;
     }
@@ -617,34 +633,25 @@ impl ClusterEngine {
 
     // --- internals --------------------------------------------------
 
-    fn adopt(&mut self, now: SimTime, epoch: u32, members: Vec<Ipv4Addr>, stack: &mut NetStack) {
-        self.topo = Topology::with_epoch(epoch, members);
+    /// Adopts the later reign `topo`, announced by its own primary: this
+    /// node is a backup in it or out of it. Only a node's own promotion
+    /// lifts suppression.
+    fn adopt(&mut self, now: SimTime, topo: Topology, stack: &mut NetStack) {
+        self.topo = topo;
         self.stats.adoptions += 1;
+        if self.role == ClusterRole::Primary {
+            // Superseded: a higher reign exists. Yield the VIP
+            // immediately — at-most-one-server is the invariant
+            // everything else exists to protect.
+            stack.suppress(now, self.cfg.vip);
+        }
         match self.rank() {
-            Some(0) => {
-                // Only reachable if another node proclaimed us primary
-                // (a handover we missed); honour it.
-                if self.role != ClusterRole::Primary {
-                    self.become_primary(now, stack);
-                }
-            }
             Some(rank) => {
-                if self.role == ClusterRole::Primary {
-                    // Superseded: a higher reign exists. Yield the VIP
-                    // immediately — at-most-one-server is the invariant
-                    // everything else exists to protect.
-                    stack.suppress(now, self.cfg.vip);
-                }
                 self.role = ClusterRole::Backup;
                 self.timer.reset(now);
                 self.recorder.gauge_max(Gauge::PromotionRank, u64::from(rank) + 1);
             }
-            None => {
-                if self.role == ClusterRole::Primary {
-                    stack.suppress(now, self.cfg.vip);
-                }
-                self.role = ClusterRole::Retired;
-            }
+            None => self.role = ClusterRole::Retired,
         }
     }
 
@@ -816,30 +823,20 @@ impl ClusterEngine {
         }
     }
 
-    /// One heartbeat per backup. At epoch 0 every member's constructor
-    /// already holds this topology, so the paper's payload-free
-    /// heartbeat says all there is to say; a later reign announces its
-    /// member list so deeper ranks and late joiners re-anchor on it.
-    fn broadcast_topology(&mut self) {
+    /// One heartbeat per backup, stamped with this reign's epoch: every
+    /// member derives the reign's members from it, so deeper ranks and
+    /// members that missed a promotion re-anchor on it.
+    fn broadcast_heartbeat(&mut self) {
+        let (seq, epoch) = (self.hb_seq, self.topo.epoch());
         for &backup in self.topo.backups() {
-            let hb = if self.topo.epoch() == 0 {
-                SideMsg::Heartbeat { seq: self.hb_seq }
-            } else {
-                SideMsg::ClusterHb {
-                    seq: self.hb_seq,
-                    epoch: self.topo.epoch(),
-                    sender_rank: 0,
-                    members: self.topo.members().to_vec(),
-                }
-            };
-            self.outbox.push((backup, hb));
+            self.outbox.push((backup, SideMsg::Heartbeat { seq, epoch }));
             self.stats.hbs_sent += 1;
             self.recorder.count(Counter::HeartbeatsSent, 1);
         }
     }
 
     fn primary_tick(&mut self, now: SimTime, stack: &mut NetStack) {
-        self.broadcast_topology();
+        self.broadcast_heartbeat();
         if self.cfg.cong_sync {
             self.mirror_congestion(stack);
         }
@@ -933,12 +930,10 @@ impl ClusterEngine {
 
     fn backup_tick(&mut self, now: SimTime, stack: &mut NetStack) {
         // The shadow duties owed to the primary on every tick: the
-        // forced ack flush (§4.3), liveness (payload-free: the primary
-        // treats any datagram as life), and the retry of stale
-        // missing-segment requests.
+        // forced ack flush (§4.3), which is also this backup's liveness
+        // (§4.4), and the retry of stale missing-segment requests.
         let primary = self.topo.primary();
         self.maybe_send_acks(stack, true);
-        self.outbox.push((primary, SideMsg::Heartbeat { seq: self.hb_seq }));
         let window = self.cfg.effective_sync_time().saturating_mul(2);
         let mut reqs = std::mem::take(&mut self.req_scratch);
         reqs.clear();
@@ -1089,7 +1084,7 @@ impl ClusterEngine {
         self.become_primary(now, stack);
         // Announce the new reign immediately — deeper ranks re-anchor
         // their detection clocks on us instead of promoting in parallel.
-        self.broadcast_topology();
+        self.broadcast_heartbeat();
         if self.cfg.use_logger {
             self.queue_logger_queries(now, stack);
         }
@@ -1147,11 +1142,12 @@ mod tests {
         e.on_tick(t(50), &mut s);
         let mut out = Vec::new();
         e.drain_outbox_into(&mut out);
-        // Every member was constructed with this topology: nothing to
-        // announce, so the 9-byte heartbeat of the paper's pair.
         assert_eq!(
             out,
-            vec![(ip(3), SideMsg::Heartbeat { seq: 1 }), (ip(4), SideMsg::Heartbeat { seq: 1 })],
+            vec![
+                (ip(3), SideMsg::Heartbeat { seq: 1, epoch: 0 }),
+                (ip(4), SideMsg::Heartbeat { seq: 1, epoch: 0 })
+            ],
             "one targeted heartbeat per backup, rank order"
         );
         assert_eq!(e.stats.hbs_sent, 2);
@@ -1174,7 +1170,7 @@ mod tests {
         e.drain_outbox_into(&mut out);
         assert!(
             out.iter()
-                .any(|(to, m)| *to == ip(4) && matches!(m, SideMsg::ClusterHb { epoch: 1, .. })),
+                .any(|(to, m)| *to == ip(4) && matches!(m, SideMsg::Heartbeat { epoch: 1, .. })),
             "the new primary announces its reign to the survivors at once"
         );
     }
@@ -1189,12 +1185,7 @@ mod tests {
         assert_eq!(e.role(), ClusterRole::Backup);
         assert!(s.is_suppressed(VIP));
         // The new primary's heartbeat arrives: adopt, reset the clock.
-        e.on_side_msg(
-            t(205),
-            ip(3),
-            SideMsg::ClusterHb { seq: 1, epoch: 1, sender_rank: 0, members: vec![ip(3), ip(4)] },
-            &mut s,
-        );
+        e.on_side_msg(t(205), ip(3), SideMsg::Heartbeat { seq: 1, epoch: 1 }, &mut s);
         assert_eq!(e.topology().epoch(), 1);
         assert_eq!(e.rank(), Some(1), "rank 2 became rank 1 under the new reign");
         // Old deadline instant passes harmlessly — the clock restarted.
@@ -1213,24 +1204,23 @@ mod tests {
         let mut e = ClusterEngine::new(cfg(), ip(2), topo(), 1024, SimTime::ZERO);
         let mut s = stack_for(2, false);
         assert!(!s.is_suppressed(VIP));
-        // A higher reign that still lists us (e.g. we were wrongly
-        // suspected): we yield and fall in line as a backup.
-        e.on_side_msg(
-            t(300),
-            ip(3),
-            SideMsg::ClusterHb { seq: 9, epoch: 3, sender_rank: 0, members: vec![ip(3), ip(2)] },
-            &mut s,
-        );
-        assert_eq!(e.role(), ClusterRole::Backup);
-        assert!(s.is_suppressed(VIP), "at most one server sources the VIP");
-        // And a reign that drops us entirely retires us.
-        e.on_side_msg(
-            t(400),
-            ip(4),
-            SideMsg::ClusterHb { seq: 1, epoch: 5, sender_rank: 0, members: vec![ip(4)] },
-            &mut s,
-        );
+        // Only a reign's own primary announces it, and only a reign
+        // that leaves a member exists: none of these is one.
+        for (from, epoch) in [(ip(4), 1), (ip(9), 1), (ip(4), 3), (ip(4), u32::MAX)] {
+            e.on_side_msg(t(300), from, SideMsg::Heartbeat { seq: 9, epoch }, &mut s);
+            assert_eq!(
+                (e.role(), e.topology().epoch()),
+                (ClusterRole::Primary, 0),
+                "{from} {epoch}"
+            );
+        }
+        assert!(!s.is_suppressed(VIP));
+        // A higher reign (e.g. we were wrongly suspected) drops us: we
+        // yield the VIP and retire.
+        e.on_side_msg(t(400), ip(4), SideMsg::Heartbeat { seq: 1, epoch: 2 }, &mut s);
         assert_eq!(e.role(), ClusterRole::Retired);
+        assert!(s.is_suppressed(VIP), "at most one server sources the VIP");
+        assert_eq!(e.topology().members(), &[ip(4)]);
     }
 
     #[test]
@@ -1287,7 +1277,7 @@ mod tests {
         b.drain_outbox_into(&mut out);
         let hb = out
             .iter()
-            .find(|(_, m)| matches!(m, SideMsg::ClusterHb { .. }))
+            .find(|(_, m)| matches!(m, SideMsg::Heartbeat { epoch: 1, .. }))
             .expect("new reign announced")
             .1
             .clone();

@@ -1,21 +1,22 @@
 //! The UDP side-channel wire protocol between primary and backup
 //! (paper §4.2–§4.3).
 //!
-//! Eleven message kinds flow on the channel. The paper's pair needs
-//! the first three groups; a chain and planned migration add the rest:
+//! Ten message kinds flow on the channel. The paper's pair needs the
+//! first three groups; a chain and planned migration add the rest:
 //!
-//! * [`SideMsg::Heartbeat`] — periodic liveness, both directions;
+//! * [`SideMsg::Heartbeat`] — the primary's periodic liveness beacon,
+//!   stamped with its reign's epoch. The chain's members are never
+//!   sent: every member derives them from the epoch
+//!   ([`crate::cluster::Topology`]);
 //! * [`SideMsg::BackupAck`] / [`SideMsg::AckBatch`] — the backup's
 //!   cumulative acknowledgment of tapped client bytes ("a sequence
 //!   number that is one less than its NextByteExpected value"; we carry
 //!   `NextByteExpected` itself and call it `acked_next`), for one
-//!   connection or for up to 63 in one datagram, doubling as the
-//!   backup's heartbeat;
+//!   connection or for up to 63 in one datagram. These are the backup's
+//!   heartbeat (§4.4): a tick that owes no ack sends an empty batch;
 //! * [`SideMsg::MissingReq`]/[`SideMsg::MissingData`]/[`SideMsg::MissingNack`]
 //!   — recovery of client bytes the backup's tap missed, served from the
 //!   primary's retention buffer;
-//! * [`SideMsg::ClusterHb`] — a heartbeat that also carries the chain's
-//!   epoch and member list, once a promotion has changed them;
 //! * [`SideMsg::Drain`]/[`SideMsg::DrainReady`]/[`SideMsg::Handover`] —
 //!   planned migration of the VIP to a successor;
 //! * [`SideMsg::CongSync`] — the primary's congestion state, mirrored so
@@ -82,16 +83,19 @@ impl fmt::Display for ConnKey {
 /// ```
 /// use sttcp::SideMsg;
 ///
-/// let hb = SideMsg::Heartbeat { seq: 42 };
+/// let hb = SideMsg::Heartbeat { seq: 42, epoch: 1 };
 /// assert_eq!(SideMsg::decode(hb.encode()), Some(hb));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SideMsg {
-    /// Periodic liveness beacon.
+    /// Primary → backups: periodic liveness beacon.
     Heartbeat {
         /// Monotonic sender sequence (diagnostics; detection only uses
         /// arrival times).
         seq: u64,
+        /// The sender's reign. A higher epoch supersedes a lower one, and
+        /// its members are the chain from index `epoch` on.
+        epoch: u32,
     },
     /// Backup → primary: "I have every client byte below `acked_next`."
     BackupAck {
@@ -125,25 +129,11 @@ pub enum SideMsg {
         /// The `from` of the request being refused.
         from: u32,
     },
-    /// Cluster heartbeat: liveness *plus* the authoritative replication
-    /// topology — the epoch and the rank-ordered member list ride on
-    /// every beat, so every backup always knows the promotion order
-    /// without a separate membership protocol.
-    ClusterHb {
-        /// Monotonic sender sequence.
-        seq: u64,
-        /// Topology epoch; a higher epoch supersedes a lower one.
-        epoch: u32,
-        /// The sender's rank in `members` (0 = primary).
-        sender_rank: u8,
-        /// Rank-ordered member addresses: `members[0]` is the primary,
-        /// `members[1]` the first backup in the promotion order, …
-        members: Vec<Ipv4Addr>,
-    },
     /// Backup → primary: the [`SideMsg::BackupAck`]s of several
     /// connections in one datagram. A backup sends what one ack pass
     /// owes in batches of up to 63 entries, so the side channel costs a
-    /// datagram per 63 active connections, not one per connection.
+    /// datagram per 63 active connections, not one per connection. An
+    /// empty batch is the heartbeat of a backup that owes no ack.
     AckBatch {
         /// `(connection, NextByteExpected)` pairs.
         entries: Vec<(ConnKey, u32)>,
@@ -187,11 +177,12 @@ impl SideMsg {
     /// Decomposes the message into the fields a trace event carries:
     /// kind, connection (absent for heartbeats), the kind's sequence
     /// number (heartbeat seq, `acked_next`, `from`, or data `seq`), and
-    /// a payload/request length where one exists.
+    /// a payload/request length where one exists (a heartbeat's epoch,
+    /// a batch's entry count, a drain's rank otherwise).
     pub fn trace_parts(&self) -> (obs::trace::SideMsgKind, Option<obs::TraceConn>, u64, u32) {
         use obs::trace::SideMsgKind as K;
         match self {
-            SideMsg::Heartbeat { seq } => (K::Heartbeat, None, *seq, 0),
+            SideMsg::Heartbeat { seq, epoch } => (K::Heartbeat, None, *seq, *epoch),
             SideMsg::BackupAck { conn, acked_next } => {
                 (K::BackupAck, Some(conn.trace_conn()), u64::from(*acked_next), 0)
             }
@@ -203,9 +194,6 @@ impl SideMsg {
             }
             SideMsg::MissingNack { conn, from } => {
                 (K::MissingNack, Some(conn.trace_conn()), u64::from(*from), 0)
-            }
-            SideMsg::ClusterHb { seq, members, .. } => {
-                (K::ClusterHb, None, *seq, members.len() as u32)
             }
             SideMsg::AckBatch { entries } => (K::AckBatch, None, 0, entries.len() as u32),
             SideMsg::Drain { epoch, successor_rank } => {
@@ -227,7 +215,6 @@ const TAG_BACKUP_ACK: u8 = 2;
 const TAG_MISSING_REQ: u8 = 3;
 const TAG_MISSING_DATA: u8 = 4;
 const TAG_MISSING_NACK: u8 = 5;
-const TAG_CLUSTER_HB: u8 = 6;
 const TAG_ACK_BATCH: u8 = 7;
 const TAG_DRAIN: u8 = 8;
 const TAG_DRAIN_READY: u8 = 9;
@@ -257,9 +244,10 @@ impl SideMsg {
     pub fn encode(&self) -> Bytes {
         let mut buf = BytesMut::with_capacity(32);
         match self {
-            SideMsg::Heartbeat { seq } => {
+            SideMsg::Heartbeat { seq, epoch } => {
                 buf.put_u8(TAG_HEARTBEAT);
                 buf.put_u64(*seq);
+                buf.put_u32(*epoch);
             }
             SideMsg::BackupAck { conn, acked_next } => {
                 buf.put_u8(TAG_BACKUP_ACK);
@@ -282,17 +270,6 @@ impl SideMsg {
                 buf.put_u8(TAG_MISSING_NACK);
                 put_key(&mut buf, conn);
                 buf.put_u32(*from);
-            }
-            SideMsg::ClusterHb { seq, epoch, sender_rank, members } => {
-                buf.put_u8(TAG_CLUSTER_HB);
-                buf.put_u64(*seq);
-                buf.put_u32(*epoch);
-                buf.put_u8(*sender_rank);
-                debug_assert!(members.len() <= u8::MAX as usize);
-                buf.put_u8(members.len() as u8);
-                for ip in members {
-                    buf.put_slice(&ip.octets());
-                }
             }
             SideMsg::AckBatch { entries } => {
                 buf.put_u8(TAG_ACK_BATCH);
@@ -337,10 +314,10 @@ impl SideMsg {
         let tag = raw.get_u8();
         match tag {
             TAG_HEARTBEAT => {
-                if raw.len() < 8 {
+                if raw.len() < 12 {
                     return None;
                 }
-                Some(SideMsg::Heartbeat { seq: raw.get_u64() })
+                Some(SideMsg::Heartbeat { seq: raw.get_u64(), epoch: raw.get_u32() })
             }
             TAG_BACKUP_ACK => {
                 let conn = get_key(&mut raw)?;
@@ -370,28 +347,6 @@ impl SideMsg {
                     return None;
                 }
                 Some(SideMsg::MissingNack { conn, from: raw.get_u32() })
-            }
-            TAG_CLUSTER_HB => {
-                if raw.len() < 14 {
-                    return None;
-                }
-                let seq = raw.get_u64();
-                let epoch = raw.get_u32();
-                let sender_rank = raw.get_u8();
-                let count = raw.get_u8() as usize;
-                if raw.len() < count * 4 {
-                    return None;
-                }
-                let mut members = Vec::with_capacity(count);
-                for _ in 0..count {
-                    members.push(Ipv4Addr::new(
-                        raw.get_u8(),
-                        raw.get_u8(),
-                        raw.get_u8(),
-                        raw.get_u8(),
-                    ));
-                }
-                Some(SideMsg::ClusterHb { seq, epoch, sender_rank, members })
             }
             TAG_ACK_BATCH => {
                 if raw.len() < 2 {
@@ -457,21 +412,11 @@ mod tests {
     #[test]
     fn roundtrip_all_variants() {
         let msgs = vec![
-            SideMsg::Heartbeat { seq: 42 },
+            SideMsg::Heartbeat { seq: 42, epoch: 3 },
             SideMsg::BackupAck { conn: key(), acked_next: 0xDEADBEEF },
             SideMsg::MissingReq { conn: key(), from: 100, len: 4096 },
             SideMsg::MissingData { conn: key(), seq: 100, data: Bytes::from_static(b"payload") },
             SideMsg::MissingNack { conn: key(), from: 100 },
-            SideMsg::ClusterHb {
-                seq: 7,
-                epoch: 3,
-                sender_rank: 0,
-                members: vec![
-                    Ipv4Addr::new(10, 0, 0, 2),
-                    Ipv4Addr::new(10, 0, 0, 3),
-                    Ipv4Addr::new(10, 0, 0, 4),
-                ],
-            },
             SideMsg::AckBatch { entries: vec![(key(), 0xDEAD_BEEF), (key(), 77)] },
             SideMsg::Drain { epoch: 9, successor_rank: 1 },
             SideMsg::DrainReady { rank: 1, epoch: 9 },
@@ -484,9 +429,12 @@ mod tests {
     }
 
     #[test]
-    fn cluster_hb_with_no_members_roundtrips() {
-        let msg = SideMsg::ClusterHb { seq: 1, epoch: 0, sender_rank: 0, members: vec![] };
-        assert_eq!(SideMsg::decode(msg.encode()), Some(msg));
+    fn a_heartbeat_is_thirteen_bytes_at_every_epoch() {
+        for epoch in [0, 1, u32::MAX] {
+            let msg = SideMsg::Heartbeat { seq: u64::MAX, epoch };
+            assert_eq!(msg.encode().len(), 13, "tag, seq, epoch");
+            assert_eq!(SideMsg::decode(msg.encode()), Some(msg));
+        }
     }
 
     #[test]
@@ -497,17 +445,11 @@ mod tests {
 
     #[test]
     fn truncated_cluster_messages_rejected() {
-        // ClusterHb claiming 3 members but carrying only 1.
-        let full = SideMsg::ClusterHb {
-            seq: 1,
-            epoch: 0,
-            sender_rank: 0,
-            members: vec![Ipv4Addr::new(10, 0, 0, 2)],
-        }
-        .encode();
-        let mut forged = full.to_vec();
-        forged[14] = 3; // member count byte (tag + seq + epoch + rank before it)
-        assert_eq!(SideMsg::decode(Bytes::from(forged)), None);
+        // A heartbeat with its seq but not its epoch.
+        let full = SideMsg::Heartbeat { seq: 1, epoch: 2 }.encode();
+        assert_eq!(SideMsg::decode(full.slice(..9)), None);
+        // The retired member-list tag is garbage.
+        assert_eq!(SideMsg::decode(Bytes::from_static(&[6; 20])), None);
         // AckBatch claiming an entry with no bytes behind it.
         assert_eq!(SideMsg::decode(Bytes::from_static(&[TAG_ACK_BATCH, 0, 1])), None);
         // Truncated drain/handover family.

@@ -79,10 +79,11 @@ fn backup_tick_steady_state_allocates_nothing() {
 
     // One cycle: every connection reports activity and the ack scan
     // visits exactly the pending set; then the primary's heartbeat
-    // arrives and the SyncTime tick runs (forced acks, heartbeat, retry
-    // scan, detection) and the node adapter drains the outbox. (No
-    // shadow TCBs exist in this stack, so no acks are emitted — the
-    // point is the bookkeeping, which used to allocate per call.)
+    // arrives and the SyncTime tick runs (forced acks, retry scan,
+    // detection) and the node adapter drains the outbox. (No shadow
+    // TCBs exist in this stack, so no acks are owed and the tick's one
+    // datagram is an empty ack batch — the point is the bookkeeping,
+    // which used to allocate per call.)
     let mut now = SimTime::ZERO;
     let mut outbox = Vec::new();
     let mut cycle = |engine: &mut ClusterEngine, stack: &mut NetStack| {
@@ -91,10 +92,14 @@ fn backup_tick_steady_state_allocates_nothing() {
         }
         engine.maybe_send_acks(stack, false);
         now += tick;
-        engine.on_side_msg(now, PRIMARY_IP, SideMsg::Heartbeat { seq: 1 }, stack);
+        engine.on_side_msg(now, PRIMARY_IP, SideMsg::Heartbeat { seq: 1, epoch: 0 }, stack);
         engine.on_tick(now, stack);
         engine.drain_outbox_into(&mut outbox);
-        assert_eq!(outbox.len(), 1, "an idle backup tick sends exactly its heartbeat");
+        assert_eq!(
+            outbox,
+            [(PRIMARY_IP, SideMsg::AckBatch { entries: Vec::new() })],
+            "an idle backup tick sends exactly its empty ack batch"
+        );
         outbox.clear();
     };
 

@@ -68,7 +68,7 @@ const BULK_100MB_EVENTS: u64 = 215_475;
 /// `fleet_failover_frame_traces_are_bit_identical` scenario), captured
 /// pre-refactor (PR 9) and held through the engine collapse (PR 12).
 /// The loss-free LAN draws nothing at random, so only protocol changes
-/// move it. Re-pinned three times:
+/// move it. Re-pinned four times:
 ///
 /// * from (0x24bf_5764_6391_d5fd, 4 228) when the stack's deadlines
 ///   became exact: two clients' 200 ms retransmissions reach the
@@ -90,8 +90,13 @@ const BULK_100MB_EVENTS: u64 = 215_475;
 ///   ack rule: an ack pass that owes several connections sends one
 ///   `AckBatch` datagram for up to 63 of them instead of a `BackupAck`
 ///   each, 252 frames fewer (two hops per datagram). The takeover
-///   instant held; [`FLEET_80_PRE_PROMOTION_DIGEST`] moved with it.
-const FLEET_80_FAILOVER_DIGEST: (u64, u64) = (0x7fef_36b3_12c6_7909, 3_972);
+///   instant held; [`FLEET_80_PRE_PROMOTION_DIGEST`] moved with it;
+/// * from (0x7fef_36b3_12c6_7909, 3 972) when the side channel got one
+///   heartbeat: the primary's carries its epoch (13 bytes, was 9), and
+///   a backup's acks are its heartbeat, so a tick that acked no longer
+///   also sent one, 6 frames fewer. The takeover instant held;
+///   [`FLEET_80_PRE_PROMOTION_DIGEST`] moved with it.
+const FLEET_80_FAILOVER_DIGEST: (u64, u64) = (0xd65b_8bc3_0b21_d1a8, 3_966);
 
 /// Simulator events of the failover fleet and of its fault-free twin
 /// (see [`BULK_100MB_EVENTS`]) plus the flood copies the clients' NICs
@@ -100,11 +105,12 @@ const FLEET_80_FAILOVER_DIGEST: (u64, u64) = (0x7fef_36b3_12c6_7909, 3_972);
 /// stayed put since — 4 284 + 474 and 4 025 + 474 when that happened.
 /// The failover fleet's fell from 4 758 with the heartbeats to the dead.
 /// Both fell again (4 756 → 4 484, 4 499 → 4 454) when a moved deadline
-/// stopped waking its node at the old instant, and again (→ 4 232,
+/// stopped waking its node at the old instant, again (→ 4 232,
 /// → 4 202) when acks for several connections began to share a datagram:
-/// one event per frame fewer.
-const FLEET_80_FAILOVER_EVENTS: u64 = 4_232;
-const FLEET_80_FAULT_FREE_EVENTS: u64 = 4_202;
+/// one event per frame fewer, and again (→ 4 226, → 4 196) when a backup
+/// stopped sending a heartbeat beside its acks.
+const FLEET_80_FAILOVER_EVENTS: u64 = 4_226;
+const FLEET_80_FAULT_FREE_EVENTS: u64 = 4_196;
 
 #[test]
 fn reno_via_trait_matches_prerefactor_bulk_100mb() {
@@ -129,9 +135,10 @@ fn reno_via_trait_matches_prerefactor_bulk_100mb() {
 
 /// Golden digest of the same 80-client fleet with no crash (whole run),
 /// captured on the commit before the engine collapse (PR 12).
-/// Re-pinned once, from (0xd42d_b817_8f53_a80b, 4 215), for batched
-/// acks (see [`FLEET_80_FAILOVER_DIGEST`]): 256 frames fewer.
-const FLEET_80_FAULT_FREE_DIGEST: (u64, u64) = (0xc251_a78b_5b63_382b, 3_959);
+/// Re-pinned twice: from (0xd42d_b817_8f53_a80b, 4 215) for batched
+/// acks (see [`FLEET_80_FAILOVER_DIGEST`]), 256 frames fewer, and from
+/// (0xc251_a78b_5b63_382b, 3 959) for the one heartbeat, 7 fewer.
+const FLEET_80_FAULT_FREE_DIGEST: (u64, u64) = (0xa239_214d_a47d_322a, 3_952);
 
 /// When the backup of the 80-client failover fleet promotes itself.
 const FLEET_80_TAKEOVER: SimTime = SimTime::from_nanos(300_000_000);
@@ -140,9 +147,10 @@ const FLEET_80_TAKEOVER: SimTime = SimTime::from_nanos(300_000_000);
 /// before [`FLEET_80_TAKEOVER`], captured on the commit before the
 /// engine collapse (PR 12): whatever the surviving engine does after
 /// the promotion, the pair's pre-takeover wire trace may not move.
-/// Re-pinned once, from (0x2efc_b375_8c3f_a909, 4 129), for batched
-/// acks (see [`FLEET_80_FAILOVER_DIGEST`]).
-const FLEET_80_PRE_PROMOTION_DIGEST: (u64, u64) = (0x4ef5_6c6a_869e_b9b1, 3_877);
+/// Re-pinned twice, from (0x2efc_b375_8c3f_a909, 4 129) for batched
+/// acks and from (0x4ef5_6c6a_869e_b9b1, 3 877) for the one heartbeat
+/// (see [`FLEET_80_FAILOVER_DIGEST`]).
+const FLEET_80_PRE_PROMOTION_DIGEST: (u64, u64) = (0x5cb8_f76f_ab42_fba2, 3_871);
 
 /// What one run of the 80-client fleet put on the wire.
 struct Fleet80 {
@@ -253,13 +261,15 @@ fn fault_free_fleet_matches_the_pre_collapse_pair() {
 /// when, and what the promoted backup sends afterwards — where the
 /// loss-free fleet digests above cannot see it.
 ///
-/// Re-pinned once, from (0x86d4_57de_ad58_b603, 9 657), for two
+/// Re-pinned twice. First from (0x86d4_57de_ad58_b603, 9 657), for two
 /// reasons at once. The promoted backup stopped serving the primary it
 /// replaced: its acks, heartbeats and missing-segment retries to the
 /// dead (that alone made 6 827 frames). And the tap-loss rule stopped
 /// sharing the simulator's one generator: it draws from the backup's
-/// own ingress stream.
-const TAP_LOSS_FAILOVER_DIGEST: (u64, u64) = (0xa2a8_a55d_b719_20c3, 6_440);
+/// own ingress stream. Then from (0xa2a8_a55d_b719_20c3, 6 440), when the
+/// side channel got one heartbeat: the primary's carries its epoch, and
+/// the backup's acks are its heartbeat (36 frames fewer).
+const TAP_LOSS_FAILOVER_DIGEST: (u64, u64) = (0x8db8_78a8_1c7d_636d, 6_404);
 
 #[test]
 fn tap_loss_failover_matches_the_pre_collapse_pair() {

@@ -203,10 +203,9 @@ fn primary_heartbeats_every_tick() {
     let mut engine = primary(cfg());
     engine.on_tick(ms(50), &mut stack);
     engine.on_tick(ms(100), &mut stack);
-    // The pair's pre-takeover dialect: the 9-byte classic heartbeat.
     assert_eq!(
         sent(&mut engine),
-        vec![SideMsg::Heartbeat { seq: 1 }, SideMsg::Heartbeat { seq: 2 }]
+        vec![SideMsg::Heartbeat { seq: 1, epoch: 0 }, SideMsg::Heartbeat { seq: 2, epoch: 0 }]
     );
     assert_eq!(engine.stats.hbs_sent, 2);
     assert_eq!(engine.tick_interval(), cfg().hb_interval);
@@ -218,8 +217,9 @@ fn primary_declares_the_backup_dead_after_the_threshold_and_takes_it_back() {
     let (mut stack, _) = primary_with_data(&payload);
     let sock = stack.sock_by_quad(key().server_quad()).unwrap();
     let mut engine = primary(cfg());
-    // Backup says hello at t=100. Threshold = 3 × 50 ms.
-    engine.on_side_msg(ms(100), BACKUP, SideMsg::Heartbeat { seq: 1 }, &mut stack);
+    // Backup says hello at t=100 (its ack tick: an empty batch).
+    // Threshold = 3 × 50 ms.
+    engine.on_side_msg(ms(100), BACKUP, SideMsg::AckBatch { entries: vec![] }, &mut stack);
     engine.on_tick(ms(250), &mut stack);
     assert!(engine.backup_alive(), "150 ms of silence is still inside the window");
     assert_eq!(stack.tcb(sock).unwrap().retained(), 64);
@@ -273,9 +273,9 @@ fn backup_retries_stale_missing_requests() {
     let first = sent(&mut engine);
     assert!(first.iter().any(|m| matches!(m, SideMsg::MissingReq { len: 400, .. })), "{first:?}");
     // No reply arrives; ticks past 2×SyncTime re-issue the request.
-    engine.on_side_msg(now, PRIMARY, SideMsg::Heartbeat { seq: 1 }, &mut stack);
+    engine.on_side_msg(now, PRIMARY, SideMsg::Heartbeat { seq: 1, epoch: 0 }, &mut stack);
     let later = ms(150);
-    engine.on_side_msg(later, PRIMARY, SideMsg::Heartbeat { seq: 2 }, &mut stack);
+    engine.on_side_msg(later, PRIMARY, SideMsg::Heartbeat { seq: 2, epoch: 0 }, &mut stack);
     engine.on_tick(later, &mut stack);
     let retried = sent(&mut engine);
     assert!(
@@ -294,23 +294,26 @@ fn backup_retries_stale_missing_requests() {
     assert_eq!(stack.tcb(sock).unwrap().rcv_nxt(), rcv_nxt.add(400));
     assert_eq!(engine.stats.missing_bytes_recovered, 400);
     let after = ms(300);
-    engine.on_side_msg(after, PRIMARY, SideMsg::Heartbeat { seq: 3 }, &mut stack);
+    engine.on_side_msg(after, PRIMARY, SideMsg::Heartbeat { seq: 3, epoch: 0 }, &mut stack);
     engine.on_tick(after, &mut stack);
     let quiet = sent(&mut engine);
     assert!(
         !quiet.iter().any(|m| matches!(m, SideMsg::MissingReq { .. })),
         "healed gap must not be re-requested: {quiet:?}"
     );
-    // The forced tick acked the recovered bytes and said hello.
-    assert!(quiet.iter().any(|m| matches!(m, SideMsg::BackupAck { .. })), "{quiet:?}");
-    assert!(quiet.iter().any(|m| matches!(m, SideMsg::Heartbeat { .. })), "{quiet:?}");
+    // The forced tick acked the recovered bytes, and that ack is its
+    // heartbeat: nothing else goes out.
+    assert!(matches!(quiet.as_slice(), [SideMsg::BackupAck { .. }]), "{quiet:?}");
+    // A tick that owes no ack still says hello, with an empty batch.
+    engine.on_tick(ms(350), &mut stack);
+    assert_eq!(sent(&mut engine), [SideMsg::AckBatch { entries: vec![] }]);
 }
 
 #[test]
 fn backup_detection_fires_after_three_silent_intervals() {
     let mut engine = backup(cfg());
     let mut stack = backup_stack();
-    engine.on_side_msg(SimTime::ZERO, PRIMARY, SideMsg::Heartbeat { seq: 1 }, &mut stack);
+    engine.on_side_msg(SimTime::ZERO, PRIMARY, SideMsg::Heartbeat { seq: 1, epoch: 0 }, &mut stack);
     // Tick just inside the window: no suspicion.
     engine.on_tick(ms(150), &mut stack);
     assert!(!engine.has_taken_over());
@@ -331,7 +334,8 @@ fn heartbeats_defer_detection() {
     let mut engine = backup(cfg());
     let mut stack = backup_stack();
     for i in 1..100u64 {
-        engine.on_side_msg(ms(50 * i), PRIMARY, SideMsg::Heartbeat { seq: i }, &mut stack);
+        let hb = SideMsg::Heartbeat { seq: i, epoch: 0 };
+        engine.on_side_msg(ms(50 * i), PRIMARY, hb, &mut stack);
         engine.on_tick(ms(50 * i), &mut stack);
     }
     assert!(!engine.has_taken_over());
@@ -414,6 +418,31 @@ fn unknown_conn_syn_ack_triggers_bootstrap() {
 }
 
 #[test]
+fn closing_a_connection_forgets_its_bootstrap_attempt() {
+    // `on_close` leaves no per-connection record behind, so the engine's
+    // state is bounded by open connections: a connection that closes and
+    // reappears under the same key is a new one, not a retry.
+    let mut engine = backup(cfg().with_logger());
+    let mut stack = backup_stack();
+    let mut tapped_syn_ack = |engine: &mut ClusterEngine| {
+        engine.on_tapped_primary_segment(
+            ms(10),
+            key(),
+            SeqNum(5000),
+            SeqNum(1001),
+            true,
+            &mut stack,
+        );
+        engine.take_logger_queries().len()
+    };
+    assert_eq!(tapped_syn_ack(&mut engine), 1, "no shadow: ask the logger");
+    assert_eq!(tapped_syn_ack(&mut engine), 0, "at most one query per 2 × SyncTime");
+    engine.on_close(key());
+    assert_eq!(tapped_syn_ack(&mut engine), 1, "the closed connection's attempt is forgotten");
+    assert_eq!(engine.stats.bootstrap_queries, 2);
+}
+
+#[test]
 fn takeover_is_idempotent_under_continued_silence() {
     let mut stack = backup_stack();
     let mut engine = backup(cfg());
@@ -444,7 +473,7 @@ fn primary_mirrors_congestion_snapshots_only_on_change() {
     engine.on_tick(ms(50), &mut stack);
     let first = sent(&mut engine);
     assert!(
-        matches!(first[0], SideMsg::Heartbeat { seq: 1 }),
+        matches!(first[0], SideMsg::Heartbeat { seq: 1, epoch: 0 }),
         "the heartbeat leads the tick: {first:?}"
     );
     let syncs: Vec<_> = first.iter().filter(|m| matches!(m, SideMsg::CongSync { .. })).collect();
@@ -455,7 +484,7 @@ fn primary_mirrors_congestion_snapshots_only_on_change() {
     let snap = stack.tcb(sock).unwrap().export_congestion();
     assert_eq!((*cwnd, *ssthresh), (snap.cwnd, snap.ssthresh));
     // Nothing changed the window since: the next tick stays quiet.
-    engine.on_side_msg(ms(60), BACKUP, SideMsg::Heartbeat { seq: 1 }, &mut stack);
+    engine.on_side_msg(ms(60), BACKUP, SideMsg::AckBatch { entries: vec![] }, &mut stack);
     engine.on_tick(ms(100), &mut stack);
     let again = sent(&mut engine);
     assert!(

@@ -2,25 +2,17 @@
 //! round-trips, and arbitrary bytes never panic the decoder (the UDP
 //! channel is untrusted input like any other network surface).
 
+mod common;
+
 use bytes::Bytes;
+use common::arb_key;
 use proptest::prelude::*;
-use std::net::Ipv4Addr;
-use sttcp::{ConnKey, SideMsg};
+use sttcp::SideMsg;
 
-fn arb_key() -> impl Strategy<Value = ConnKey> {
-    (any::<[u8; 4]>(), any::<u16>(), any::<[u8; 4]>(), any::<u16>()).prop_map(
-        |(cip, cport, sip, sport)| ConnKey {
-            client_ip: Ipv4Addr::from(cip),
-            client_port: cport,
-            server_ip: Ipv4Addr::from(sip),
-            server_port: sport,
-        },
-    )
-}
-
+/// Any message of any kind.
 fn arb_msg() -> impl Strategy<Value = SideMsg> {
     prop_oneof![
-        any::<u64>().prop_map(|seq| SideMsg::Heartbeat { seq }),
+        (any::<u64>(), any::<u32>()).prop_map(|(seq, epoch)| SideMsg::Heartbeat { seq, epoch }),
         (arb_key(), any::<u32>())
             .prop_map(|(conn, acked_next)| SideMsg::BackupAck { conn, acked_next }),
         (arb_key(), any::<u32>(), any::<u32>()).prop_map(|(conn, from, len)| SideMsg::MissingReq {
@@ -32,9 +24,22 @@ fn arb_msg() -> impl Strategy<Value = SideMsg> {
             |(conn, seq, data)| SideMsg::MissingData { conn, seq, data: Bytes::from(data) }
         ),
         (arb_key(), any::<u32>()).prop_map(|(conn, from)| SideMsg::MissingNack { conn, from }),
+        proptest::collection::vec((arb_key(), any::<u32>()), 0..70)
+            .prop_map(|entries| SideMsg::AckBatch { entries }),
+        (any::<u32>(), any::<u8>())
+            .prop_map(|(epoch, successor_rank)| SideMsg::Drain { epoch, successor_rank }),
+        (any::<u8>(), any::<u32>()).prop_map(|(rank, epoch)| SideMsg::DrainReady { rank, epoch }),
+        any::<u32>().prop_map(|epoch| SideMsg::Handover { epoch }),
         (arb_key(), any::<u32>(), any::<u32>())
             .prop_map(|(conn, cwnd, ssthresh)| SideMsg::CongSync { conn, cwnd, ssthresh }),
     ]
+}
+
+#[test]
+fn arb_msg_draws_every_kind() {
+    let mut rng = TestRng::for_test("arb_msg_draws_every_kind");
+    let msgs: Vec<SideMsg> = (0..500).map(|_| arb_msg().generate(&mut rng)).collect();
+    common::assert_every_kind(&msgs);
 }
 
 proptest! {

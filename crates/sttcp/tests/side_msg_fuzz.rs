@@ -7,6 +7,8 @@
 //! checks — truncation at **every** byte offset of every variant, every
 //! possible tag byte, and seeded random-byte fuzz.
 
+mod common;
+
 use bytes::Bytes;
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
@@ -21,10 +23,10 @@ fn sample_key() -> ConnKey {
     }
 }
 
-/// One canonical message per wire variant.
+/// One canonical message per wire kind, in [`common::kind`] order.
 fn sample_msgs() -> Vec<SideMsg> {
     vec![
-        SideMsg::Heartbeat { seq: 0xDEAD_BEEF_0123_4567 },
+        SideMsg::Heartbeat { seq: 0xDEAD_BEEF_0123_4567, epoch: 0x8000_0002 },
         SideMsg::BackupAck { conn: sample_key(), acked_next: 0x8000_0001 },
         SideMsg::MissingReq { conn: sample_key(), from: 42, len: 2920 },
         SideMsg::MissingData {
@@ -33,7 +35,26 @@ fn sample_msgs() -> Vec<SideMsg> {
             data: Bytes::from(vec![0xA5; 1460]),
         },
         SideMsg::MissingNack { conn: sample_key(), from: 7 },
+        SideMsg::AckBatch { entries: vec![(sample_key(), 0x8000_0001), (sample_key(), 3)] },
+        SideMsg::Drain { epoch: 2, successor_rank: 2 },
+        SideMsg::DrainReady { rank: 2, epoch: 2 },
+        SideMsg::Handover { epoch: 0xFFFF_FFFF },
+        SideMsg::CongSync { conn: sample_key(), cwnd: 29_200, ssthresh: 0x7FFF_FFFF },
     ]
+}
+
+#[test]
+fn the_samples_are_every_kind_once() {
+    let kinds: Vec<usize> = sample_msgs().iter().map(common::kind).collect();
+    assert_eq!(kinds, (0..common::KINDS).collect::<Vec<_>>());
+    // And the wire has no other kind: exactly these tags decode a zero
+    // body long enough for any kind's fixed fields.
+    let zeros_after = |tag: u8| [&[tag][..], &[0; 64]].concat();
+    let decodable: Vec<u8> = (0u8..=255)
+        .filter(|&tag| SideMsg::decode(Bytes::from(zeros_after(tag))).is_some())
+        .collect();
+    let sampled: Vec<u8> = sample_msgs().iter().map(|m| m.encode()[0]).collect();
+    assert_eq!(decodable, sampled);
 }
 
 #[test]
@@ -79,7 +100,7 @@ proptest! {
     }
 
     #[test]
-    fn bit_flips_at_every_offset_never_panic(msg_idx in 0usize..5, flip in 1u8..=255) {
+    fn bit_flips_at_every_offset_never_panic(msg_idx in 0..sample_msgs().len(), flip in 1u8..=255) {
         let msg = sample_msgs().swap_remove(msg_idx);
         let base = msg.encode().to_vec();
         for pos in 0..base.len() {

@@ -270,11 +270,15 @@ impl RecvBuffer {
     /// Serves retained (or still unread) bytes `[seq, seq+len)` for the
     /// backup's missing-segment recovery. Returns `None` if any requested
     /// byte is no longer held or was never received.
+    /// The range is measured from the floor, not compared on the
+    /// sequence circle: a request wider than half of it would otherwise
+    /// pass both circular checks.
     pub fn fetch(&self, seq: SeqNum, len: usize) -> Option<Vec<u8>> {
-        if !seq.ge(self.floor) || !seq.add(len as u32).le(self.rcv_nxt) {
+        let off = seq.distance(self.floor);
+        if off < 0 || off + i64::try_from(len).ok()? > self.rcv_nxt.distance(self.floor) {
             return None;
         }
-        let off = seq.distance(self.floor) as usize;
+        let off = off as usize;
         let mut out = vec![0u8; len];
         self.copy_out(off, &mut out);
         Some(out)
@@ -496,6 +500,10 @@ mod tests {
         b.read(&mut out); // retained: abcd, unread: efgh
         assert_eq!(b.fetch(SeqNum(1002), 4).unwrap(), b"cdef", "fetch may span both regions");
         assert_eq!(b.fetch(SeqNum(1000), 9), None, "past rcv_nxt refused");
+        // Both ends of this range pass a circular comparison: it starts
+        // 2³¹ − 16 past the floor and wraps round to end before rcv_nxt.
+        let far = SeqNum(1000).add((1 << 31) - 16);
+        assert_eq!(b.fetch(far, (1 << 31) + 20), None, "a range past half the circle is refused");
     }
 
     /// Reads everything unread from `b` in place and from a clone by
