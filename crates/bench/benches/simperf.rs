@@ -61,7 +61,6 @@ use std::rc::Rc;
 use std::time::Instant;
 use sttcp::fleet::{self, FleetSpec};
 use sttcp::scenario::{build, FaultSpec, RunLimits, ScenarioSpec};
-use sttcp::{build_cluster, ClusterFleetSpec};
 use sttcp_bench::{quick_mode, st_cfg, Table};
 use tcpstack::CongestionAlgo;
 use wire::{EtherType, EthernetFrame, IpProtocol, Ipv4Packet, UdpDatagram};
@@ -237,9 +236,9 @@ impl SideChannelCase {
 /// same batched stream; [`check_side_channel`] holds each N to its
 /// committed cost.
 fn run_side_channel_case(backups: usize) -> SideChannelCase {
-    let spec = ClusterFleetSpec::new(20, backups);
-    let side_port = spec.fleet.st_tcp.side_channel_port;
-    let mut fleet = build_cluster(&spec);
+    let spec = FleetSpec::new(20).backups(backups).closing();
+    let side_port = spec.st_tcp.side_channel_port;
+    let mut fleet = fleet::build(&spec);
     let server_ids: Vec<usize> = fleet.servers.iter().map(|n| n.0).collect();
     let tally = Rc::new(Cell::new((0u64, 0u64)));
     let handle = Rc::clone(&tally);

@@ -28,7 +28,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 use sttcp::cluster::promotion::detection_deadline;
-use sttcp::fleet::{build_cluster, ClusterFleetSpec, Fleet};
+use sttcp::fleet::{self, Fleet, FleetSpec};
 use sttcp::node::{ClientNode, ServerNode};
 use sttcp::scenario::{addrs, build, RunLimits, ScenarioSpec, StopReason};
 use sttcp::{ClusterRole, SttcpConfig};
@@ -285,19 +285,19 @@ fn build_fleet(spec: &RunSpec, cfg: &SttcpConfig) -> Fleet {
             build(&sc).into_fleet()
         }
         Testbed::Chain { backups, clients } => {
-            let mut fs = ClusterFleetSpec::new(clients, backups);
-            fs.fleet = fs
-                .fleet
+            let mut fs = FleetSpec::new(clients)
+                .backups(backups)
+                .closing()
                 .seed(spec.seed)
                 .recording()
                 .tracing_with_capacity(TRACE_RING)
                 .link_profile(spec.link)
                 .congestion(spec.congestion);
             if spec.sack {
-                fs.fleet = fs.fleet.with_sack();
+                fs = fs.with_sack();
             }
-            fs.fleet.st_tcp = cfg.clone();
-            build_cluster(&fs)
+            fs.st_tcp = cfg.clone();
+            fleet::build(&fs)
         }
     }
 }

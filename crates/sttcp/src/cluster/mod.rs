@@ -397,6 +397,11 @@ impl ClusterEngine {
         msg: SideMsg,
         stack: &mut NetStack,
     ) {
+        // The side channel is UDP, so any host can send anything: only
+        // the chain this topology was built with is heard.
+        if !self.topo.is_in_chain(from) {
+            return;
+        }
         // Topology adoption first: the liveness check below must judge
         // `from` against the *new* reign when this very message
         // announces one. Only that reign's primary announces it, and
@@ -461,7 +466,7 @@ impl ClusterEngine {
                 }
             }
             SideMsg::Drain { epoch, successor_rank } => {
-                if self.role == ClusterRole::Backup {
+                if self.role == ClusterRole::Backup && from == self.topo.primary() {
                     if let Some(rank) = self.rank() {
                         if self.follower.on_drain(rank, self.topo.epoch(), epoch, successor_rank) {
                             self.ready_traced = false;
@@ -470,10 +475,12 @@ impl ClusterEngine {
                 }
             }
             SideMsg::DrainReady { rank, epoch } => {
-                if self.role == ClusterRole::Primary && self.drain.on_drain_ready(rank, epoch) {
-                    if let Some(&succ) = self.topo.members().get(usize::from(rank)) {
-                        self.outbox.push((succ, SideMsg::Handover { epoch }));
-                    }
+                // Only the member at the rank it names speaks for it.
+                if self.role == ClusterRole::Primary
+                    && self.topo.rank_of(from) == Some(rank)
+                    && self.drain.on_drain_ready(rank, epoch)
+                {
+                    self.outbox.push((from, SideMsg::Handover { epoch }));
                     // Fence ourselves: the successor owns the VIP the
                     // instant it reads the Handover. Retention stays on —
                     // the residual retained bytes are served from here.
@@ -488,7 +495,7 @@ impl ClusterEngine {
                 }
             }
             SideMsg::Handover { epoch } => {
-                if self.role == ClusterRole::Backup {
+                if self.role == ClusterRole::Backup && from == self.topo.primary() {
                     if let Some(epoch) = self.follower.on_handover(epoch) {
                         // The handover is the (benign) death certificate
                         // of the old reign; the takeover marks keep their

@@ -63,6 +63,12 @@ impl Topology {
         &self.members()[1..]
     }
 
+    /// True when `ip` is in the chain this topology was built with, in
+    /// any reign.
+    pub(crate) fn is_in_chain(&self, ip: Ipv4Addr) -> bool {
+        self.chain.contains(&ip)
+    }
+
     /// This member's rank, if it is one.
     pub fn rank_of(&self, ip: Ipv4Addr) -> Option<u8> {
         self.members().iter().position(|&m| m == ip).map(|r| r as u8)

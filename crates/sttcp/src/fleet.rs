@@ -1,6 +1,6 @@
 //! Fleet-scale workload generator: hundreds to thousands of clients on
-//! one ST-TCP replication chain — the paper's pair ([`build`]) or a
-//! primary with N chained backups ([`build_cluster`]).
+//! one ST-TCP replication chain — the paper's pair, or a primary with N
+//! chained backups ([`FleetSpec::backups`]) — built by [`build`].
 //!
 //! The paper's evaluation drives a single client; the protocol,
 //! however, is per-connection, and the interesting regime for a
@@ -13,13 +13,20 @@
 //!
 //! # Wiring
 //!
-//! Server `rank` sits on switch port `rank` (the primary optionally
-//! behind the inline packet logger); clients follow. Every server port
-//! is mirrored to every *backup* port: whoever currently sources the
-//! VIP, all shadows keep seeing both directions of the client
-//! conversation — that is what lets a cascade (kill the primary, then
-//! kill its successor mid-takeover) keep converging without re-wiring.
-//! With one backup this is the single primary→backup mirror of §3.1.
+//! Server `rank` sits on switch port `rank`; clients follow. Every
+//! server port is mirrored to every *backup* port: whoever currently
+//! sources the VIP, all shadows keep seeing both directions of the
+//! client conversation — that is what lets a cascade (kill the primary,
+//! then kill its successor mid-takeover) keep converging without
+//! re-wiring. With one backup this is the single primary→backup mirror
+//! of §3.1.
+//!
+//! The servers' stacks, the recorders and the devices the protocol
+//! configuration names come from the same parts as
+//! [`crate::scenario::build`]'s: the in-network packet logger sits
+//! inline on the primary's hop when `st_tcp.use_logger` is set, and the
+//! power switch on rank 1's management port when `st_tcp.fencing` names
+//! an outlet.
 //!
 //! Clients keep a static `VIP → initial primary MAC` ARP entry
 //! (clients are unmodified, §2): no per-client ARP broadcast, and after
@@ -40,15 +47,14 @@
 //!
 //! # Connections stay open
 //!
-//! A [`FleetSpec`] fleet never closes a connection:
-//! [`ClusterFleetSpec::pair`] sets `close_when_done: false`, and at the
-//! end of a 10 000-client run all 10 000 clients are `Established`. So
-//! a peak-memory figure for such a fleet (the benchmark's
+//! A [`FleetSpec::new`] fleet never closes a connection, and at the end
+//! of a 10 000-client run all 10 000 clients are `Established`. So a
+//! peak-memory figure for such a fleet (the benchmark's
 //! `peak_alloc_mb` on `fleet_churn` / `fleet_failover`) measures that
 //! many idle established connections on three nodes, not churn: at
 //! 10 000 clients ≈ 101 MB of 262 MB was the capacity of drained
-//! `VecDeque` socket buffers (measured while sizing ISSUE 23).
-//! [`ClusterFleetSpec::new`] closes.
+//! `VecDeque` socket buffers.
+//! [`FleetSpec::closing`] closes.
 //!
 //! # Determinism
 //!
@@ -58,14 +64,15 @@
 //! spec replay bit-identically (see `tests/determinism.rs`).
 
 use crate::cluster::{ClusterEngine, Topology};
-use crate::config::SttcpConfig;
+use crate::config::{Fencing, SttcpConfig};
 use crate::node::{ClientNode, ServerNode, LAN};
-use crate::scenario::{addrs, drive, make_server_app, RunLimits, StopReason};
+use crate::scenario::{
+    addrs, connect_hop, drive, make_server_app, plug_power_switch, Recording, RunLimits, StopReason,
+};
 use apps::{EchoServer, Workload, WorkloadClient};
-use netsim::logger::PacketLogger;
 use netsim::node::{NodeId, PortId};
 use netsim::{LinkProfile, LinkSpec, SimDuration, SimTime, Simulator, SplitMix64, Switch};
-use obs::{Actor, FlightRecorder, ObsSink, SharedRecorder};
+use obs::{Actor, FlightRecorder, ObsSink};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 use tcpstack::{CongestionAlgo, StackConfig, TcpConfig};
@@ -94,19 +101,34 @@ pub const UPLOAD_FILE: u64 = 8 * 1024;
 pub struct FleetSpec {
     /// Number of workload clients.
     pub clients: usize,
+    /// Number of backups (chain length N; 1 is the paper's pair).
+    pub backups: usize,
     /// Master seed: workload mix, request counts, stagger jitter, ISNs.
     pub seed: u64,
     /// Per-hop link characteristics.
     pub link: LinkSpec,
-    /// ST-TCP protocol configuration (heartbeats, thresholds).
+    /// ST-TCP protocol configuration (heartbeats, thresholds), and the
+    /// devices it talks to: the logger when `use_logger`, the power
+    /// switch when `fencing` names an outlet.
     pub st_tcp: SttcpConfig,
     /// TCP tuning template (role flags applied automatically).
     pub tcp: TcpConfig,
     /// Window over which client connects are staggered (first connect
     /// at 1 ms, last at 1 ms + spread).
     pub connect_spread: SimDuration,
+    /// Give every client this workload instead of the seeded mix
+    /// (single-scenario demos like `examples/double_failure_logger`).
+    pub workload: Option<Workload>,
+    /// Have each client close its connection after its final response.
+    pub close_when_done: bool,
     /// Crash the primary at this instant, if set.
     pub crash_primary_at: Option<SimTime>,
+    /// Backup crash schedule: `(server rank ≥ 1, instant)` pairs — rank
+    /// 1 is the primary's first successor, and so on.
+    pub crashes: Vec<(usize, SimTime)>,
+    /// Planned migration: `drain_and_handover()` to the rank-`r`
+    /// backup starting at the instant.
+    pub migrate: Option<(SimTime, u8)>,
     /// Record protocol counters into a shared [`ObsSink`].
     pub record_obs: bool,
     /// Flight-recorder ring capacity, when tracing.
@@ -114,20 +136,49 @@ pub struct FleetSpec {
 }
 
 impl FleetSpec {
-    /// A fleet of `clients` with the standard seed and calibrated LAN
-    /// links.
+    /// A fleet of `clients` against the paper's pair, with the standard
+    /// seed and calibrated LAN links; connections stay open.
     pub fn new(clients: usize) -> Self {
         FleetSpec {
             clients,
+            backups: 1,
             seed: 0xF1EE7,
             link: LinkSpec::lan(),
             st_tcp: SttcpConfig::new(addrs::VIP, ECHO_PORT),
             tcp: TcpConfig::default(),
             connect_spread: SimDuration::from_millis(200),
+            workload: None,
+            close_when_done: false,
             crash_primary_at: None,
+            crashes: Vec::new(),
+            migrate: None,
             record_obs: false,
             trace_capacity: None,
         }
+    }
+
+    /// Serves the fleet from a primary and `backups` chained backups
+    /// (builder style).
+    #[must_use]
+    pub fn backups(mut self, backups: usize) -> Self {
+        assert!(backups >= 1, "a chain needs at least one backup");
+        self.backups = backups;
+        self
+    }
+
+    /// Replaces the seeded workload mix with one uniform workload
+    /// (builder style).
+    #[must_use]
+    pub fn workload(mut self, workload: Workload) -> Self {
+        self.workload = Some(workload);
+        self
+    }
+
+    /// Each client closes after its final response (builder style).
+    #[must_use]
+    pub fn closing(mut self) -> Self {
+        self.close_when_done = true;
+        self
     }
 
     /// Sets the master seed (builder style).
@@ -141,6 +192,24 @@ impl FleetSpec {
     #[must_use]
     pub fn crash_primary_at(mut self, at: SimTime) -> Self {
         self.crash_primary_at = Some(at);
+        self
+    }
+
+    /// Schedules the crash of server `rank` (builder style; one per
+    /// rank).
+    #[must_use]
+    pub fn crash(mut self, rank: usize, at: SimTime) -> Self {
+        match rank {
+            0 => self.crash_primary_at = Some(at),
+            _ => self.crashes.push((rank, at)),
+        }
+        self
+    }
+
+    /// Schedules a planned migration (builder style).
+    #[must_use]
+    pub fn migrate_at(mut self, at: SimTime, successor_rank: u8) -> Self {
+        self.migrate = Some((at, successor_rank));
         self
     }
 
@@ -194,6 +263,11 @@ impl FleetSpec {
     pub fn with_sack(mut self) -> Self {
         self.tcp.sack = true;
         self
+    }
+
+    /// The initial topology this spec builds.
+    pub fn topology(&self) -> Topology {
+        Topology::new((0..=self.backups).map(server_ip).collect())
     }
 
     /// The deterministic plan for client `index` under this spec.
@@ -264,6 +338,31 @@ pub fn server_mac(rank: usize) -> MacAddr {
     MacAddr::local(2 + rank as u32)
 }
 
+/// The stack of server `rank` in a primary + `backups` chain (a solo
+/// server is rank 0 of none): its address, the VIP, its ISN seed, the
+/// retention its rank needs, and — for a backup — the suppressed shadow.
+/// Each builder adds only how its NIC taps the service traffic.
+pub(crate) fn server_stack(rank: usize, backups: usize, seed: u64, tcp: &TcpConfig) -> StackConfig {
+    let mut cfg = StackConfig::host(server_mac(rank), server_ip(rank));
+    cfg.extra_ips = vec![addrs::VIP];
+    cfg.learn_from_ip = true;
+    cfg.isn_seed = seed ^ (0x2222u64.wrapping_add(rank as u64 * 0x1111));
+    cfg.tcp = tcp.clone();
+    if rank < backups {
+        // "Double the space" (§4.2): the primary retains to serve its
+        // backups, each backup to serve the *deeper* ranks after a
+        // promotion — two ack windows of it (see
+        // `ClusterEngine::maybe_send_acks`). The last rank has nobody
+        // to retain for.
+        cfg.tcp.retention_buf = cfg.tcp.recv_buf * if rank == 0 { 1 } else { 2 };
+    }
+    if rank > 0 {
+        cfg.tcp.shadow = true;
+        cfg.suppressed_ips = vec![addrs::VIP];
+    }
+    cfg
+}
+
 /// The service port that serves `workload`'s class.
 fn class_port(workload: Workload) -> u16 {
     match workload {
@@ -291,93 +390,6 @@ fn add_fleet_services(node: &mut ServerNode, overridden: Option<Workload>) {
     }
 }
 
-/// A fleet served by a replication chain: a [`FleetSpec`] plus what
-/// only a chain of N backups can express.
-#[derive(Debug, Clone)]
-pub struct ClusterFleetSpec {
-    /// Clients, seed, links, protocol and TCP tuning, recording.
-    pub fleet: FleetSpec,
-    /// Number of backups (chain length N; 1 is the paper's pair).
-    pub backups: usize,
-    /// Give every client this workload instead of the seeded mix
-    /// (single-scenario demos like `examples/double_failure_logger`).
-    pub workload: Option<Workload>,
-    /// Have each client close its connection after its final response.
-    pub close_when_done: bool,
-    /// Backup crash schedule: `(server rank ≥ 1, instant)` pairs — rank
-    /// 1 is the primary's first successor, and so on. (The primary's
-    /// crash is [`FleetSpec::crash_primary_at`].)
-    pub crashes: Vec<(usize, SimTime)>,
-    /// Planned migration: `drain_and_handover()` to the rank-`r`
-    /// backup starting at the instant.
-    pub migrate: Option<(SimTime, u8)>,
-    /// Insert the in-network packet logger inline on the primary's
-    /// uplink (and enable logger catch-up in the engines).
-    pub use_logger: bool,
-}
-
-impl ClusterFleetSpec {
-    /// The paper's pair serving `fleet`: one backup, connections left
-    /// open — what [`build`] builds.
-    pub fn pair(fleet: FleetSpec) -> Self {
-        ClusterFleetSpec {
-            fleet,
-            backups: 1,
-            workload: None,
-            close_when_done: false,
-            crashes: Vec::new(),
-            migrate: None,
-            use_logger: false,
-        }
-    }
-
-    /// A fleet of `clients` (closing when done) against a primary +
-    /// `backups` chain.
-    pub fn new(clients: usize, backups: usize) -> Self {
-        assert!(backups >= 1, "a chain needs at least one backup");
-        let pair = ClusterFleetSpec::pair(FleetSpec::new(clients));
-        ClusterFleetSpec { backups, close_when_done: true, ..pair }
-    }
-
-    /// Replaces the seeded workload mix with one uniform workload
-    /// (builder style).
-    #[must_use]
-    pub fn workload(mut self, workload: Workload) -> Self {
-        self.workload = Some(workload);
-        self
-    }
-
-    /// Schedules the crash of server `rank` (builder style; one per
-    /// rank).
-    #[must_use]
-    pub fn crash(mut self, rank: usize, at: SimTime) -> Self {
-        match rank {
-            0 => self.fleet.crash_primary_at = Some(at),
-            _ => self.crashes.push((rank, at)),
-        }
-        self
-    }
-
-    /// Schedules a planned migration (builder style).
-    #[must_use]
-    pub fn migrate_at(mut self, at: SimTime, successor_rank: u8) -> Self {
-        self.migrate = Some((at, successor_rank));
-        self
-    }
-
-    /// Inserts the in-network packet logger (builder style).
-    #[must_use]
-    pub fn with_logger(mut self) -> Self {
-        self.use_logger = true;
-        self
-    }
-
-    /// The initial topology this spec builds.
-    pub fn topology(&self) -> Topology {
-        Topology::new((0..=self.backups).map(server_ip).collect())
-    }
-}
-
 /// A built fleet: the simulator plus every node of interest.
 pub struct Fleet {
     /// The simulator, ready to run.
@@ -392,84 +404,46 @@ pub struct Fleet {
     pub backup: NodeId,
     /// The mirroring switch.
     pub fabric: NodeId,
-    /// The inline packet logger, when requested.
+    /// The inline packet logger, when `st_tcp.use_logger`.
     pub logger: Option<NodeId>,
+    /// The power switch on rank 1's management port, when
+    /// `st_tcp.fencing` names an outlet.
+    pub power: Option<NodeId>,
     /// Shared counter sink, when `record_obs` was set.
     pub obs: Option<Arc<ObsSink>>,
     /// Flight-recorder ring, when tracing was on.
     pub flight: Option<Arc<FlightRecorder>>,
 }
 
-/// Builds the paper's pair for `spec`: the chain of length one.
-pub fn build(spec: &FleetSpec) -> Fleet {
-    build_cluster(&ClusterFleetSpec::pair(spec.clone()))
-}
-
 /// Builds the simulator for `spec`. See the module docs for the
 /// wiring.
-pub fn build_cluster(spec: &ClusterFleetSpec) -> Fleet {
-    let fleet = &spec.fleet;
-    let n = fleet.clients;
+pub fn build(spec: &FleetSpec) -> Fleet {
+    let n = spec.clients;
     let servers_total = 1 + spec.backups;
-    let mut sim = Simulator::with_seed(fleet.seed);
-    let obs = fleet.record_obs.then(|| Arc::new(ObsSink::new()));
-    let flight = fleet.trace_capacity.map(|cap| Arc::new(FlightRecorder::new(cap)));
-    let recorder_for = |actor: Actor| -> Option<SharedRecorder> {
-        let metrics: SharedRecorder = match &obs {
-            Some(sink) => sink.clone(),
-            None => obs::nop(),
-        };
-        match &flight {
-            Some(ring) => Some(obs::for_actor(actor, metrics, ring.clone())),
-            None => obs.as_ref().map(|sink| sink.clone() as SharedRecorder),
-        }
-    };
-    if let Some(rec) = recorder_for(Actor::Net) {
-        sim.set_recorder(rec);
-    }
-
-    let mut st_tcp = fleet.st_tcp.clone();
-    if spec.use_logger {
-        st_tcp = st_tcp.with_logger();
-    }
+    let mut sim = Simulator::with_seed(spec.seed);
+    let recording = Recording::new(&mut sim, spec.record_obs, spec.trace_capacity);
     let topology = spec.topology();
 
     // --- servers ----------------------------------------------------
     let mut servers = Vec::with_capacity(servers_total);
     for rank in 0..servers_total {
-        let mut cfg = StackConfig::host(server_mac(rank), server_ip(rank));
-        cfg.extra_ips = vec![addrs::VIP];
-        cfg.learn_from_ip = true;
+        let mut cfg = server_stack(rank, spec.backups, spec.seed, &spec.tcp);
         cfg.netmask_bits = 8;
-        cfg.isn_seed = fleet.seed ^ (0x2222u64.wrapping_add(rank as u64 * 0x1111));
-        cfg.tcp = fleet.tcp.clone();
-        if rank < spec.backups {
-            // "Double the space" (§4.2): the primary retains to serve
-            // its backups, each backup to serve the *deeper* ranks after
-            // a promotion — two ack windows of it (see
-            // `ClusterEngine::maybe_send_acks`). The last rank has nobody
-            // to retain for.
-            cfg.tcp.retention_buf = cfg.tcp.recv_buf * if rank == 0 { 1 } else { 2 };
-        }
-        if rank > 0 {
-            cfg.tcp.shadow = true;
-            cfg.promiscuous = true; // taps the mirror copies
-            cfg.suppressed_ips = vec![addrs::VIP];
-        }
-        // Full-mesh static ARP among the servers: the side channel is
-        // unicast UDP and must not depend on broadcast resolution.
+        cfg.promiscuous = rank > 0; // a backup taps the mirror copies
+                                    // Full-mesh static ARP among the servers: the side channel is
+                                    // unicast UDP and must not depend on broadcast resolution.
         for other in (0..servers_total).filter(|&other| other != rank) {
             cfg.static_arp.push((server_ip(other), server_mac(other)));
         }
         let mut node = ServerNode::cluster(
             cfg,
-            st_tcp.clone(),
+            spec.st_tcp.clone(),
             topology.clone(),
             Box::new(|| Box::new(EchoServer::new())),
         );
         add_fleet_services(&mut node, spec.workload);
         let actor = if rank == 0 { Actor::Primary } else { Actor::Backup };
-        if let Some(rec) = recorder_for(actor) {
+        if let Some(rec) = recording.recorder(actor) {
             node.set_recorder(rec);
         }
         let name = if rank == 0 { "primary".to_string() } else { format!("backup{rank}") };
@@ -486,25 +460,18 @@ pub fn build_cluster(spec: &ClusterFleetSpec) -> Fleet {
     let fabric = sim.add_node("switch", sw);
     let mut logger = None;
     for (rank, &server) in servers.iter().enumerate() {
-        if rank == 0 && spec.use_logger {
-            // Inline on the primary's uplink, splitting the hop latency
-            // so the end-to-end RTT is unchanged (§3.2). Replayed
-            // frames re-enter the switch on port 0 and ride the same
-            // mirrors as live traffic.
-            let half = fleet.link.with_latency(fleet.link.latency / 2);
-            let lg = sim.add_node("logger", PacketLogger::with_defaults());
-            sim.connect(server, LAN, lg, PortId(0), half);
-            sim.connect(lg, PortId(1), fabric, PortId(rank), half);
-            logger = Some(lg);
-        } else {
-            sim.connect(server, LAN, fabric, PortId(rank), fleet.link);
-        }
+        // The logger sits on the primary's hop: replayed frames re-enter
+        // the switch on port 0 and ride the same mirrors as live
+        // traffic.
+        let on_hop = rank == 0 && spec.st_tcp.use_logger;
+        let lg = connect_hop(&mut sim, (server, LAN), (fabric, PortId(rank)), spec.link, on_hop);
+        logger = logger.or(lg);
     }
 
     // --- clients ----------------------------------------------------
     let mut clients = Vec::with_capacity(n);
     for i in 0..n {
-        let mut plan = fleet.client_plan(i);
+        let mut plan = spec.client_plan(i);
         if let Some(workload) = spec.workload {
             plan.workload = workload;
             plan.port = class_port(workload);
@@ -513,19 +480,21 @@ pub fn build_cluster(spec: &ClusterFleetSpec) -> Fleet {
         c_cfg.netmask_bits = 8;
         c_cfg.isn_seed = plan.isn_seed;
         c_cfg.static_arp.push((addrs::VIP, server_mac(0)));
-        c_cfg.tcp = fleet.tcp.clone();
+        c_cfg.tcp = spec.tcp.clone();
         let mut app = WorkloadClient::new(plan.workload);
         if spec.close_when_done {
             app = app.closing();
         }
         let node = ClientNode::new(c_cfg, (addrs::VIP, plan.port), plan.connect_at, app);
         let id = sim.add_node(format!("client{i}"), node);
-        sim.connect(id, LAN, fabric, PortId(servers_total + i), fleet.link);
+        sim.connect(id, LAN, fabric, PortId(servers_total + i), spec.link);
         clients.push(id);
     }
+    let fences = spec.st_tcp.fencing != Fencing::None;
+    let power = plug_power_switch(&mut sim, servers[1], servers[0], fences);
 
     // --- faults and migrations --------------------------------------
-    let crash_primary = fleet.crash_primary_at.map(|at| (0, at));
+    let crash_primary = spec.crash_primary_at.map(|at| (0, at));
     for &(rank, at) in crash_primary.iter().chain(&spec.crashes) {
         sim.schedule_crash(servers[rank], at);
     }
@@ -537,7 +506,8 @@ pub fn build_cluster(spec: &ClusterFleetSpec) -> Fleet {
     }
 
     let (primary, backup) = (servers[0], servers[1]);
-    Fleet { sim, clients, servers, primary, backup, fabric, logger, obs, flight }
+    let (obs, flight) = (recording.obs, recording.flight);
+    Fleet { sim, clients, servers, primary, backup, fabric, logger, power, obs, flight }
 }
 
 impl Fleet {
@@ -652,7 +622,7 @@ mod tests {
 
     #[test]
     fn fault_free_chain_completes_clean() {
-        let mut fleet = build_cluster(&ClusterFleetSpec::new(8, 2));
+        let mut fleet = build(&FleetSpec::new(8).backups(2).closing());
         assert!(
             fleet.run_until_done(SimDuration::from_secs(30)),
             "8-client, 2-backup fleet must finish"
@@ -670,9 +640,11 @@ mod tests {
     fn crash_failover_promotes_rank1_and_finishes() {
         // Crash mid-connect-spread, while the workloads are in flight
         // (the default echo mix drains within a few hundred ms).
-        let spec =
-            ClusterFleetSpec::new(8, 2).crash(0, SimTime::ZERO + SimDuration::from_millis(150));
-        let mut fleet = build_cluster(&spec);
+        let spec = FleetSpec::new(8)
+            .backups(2)
+            .closing()
+            .crash(0, SimTime::ZERO + SimDuration::from_millis(150));
+        let mut fleet = build(&spec);
         assert!(
             fleet.run_until_done(SimDuration::from_secs(60)),
             "fleet must finish across the failover"

@@ -59,7 +59,6 @@ pub mod scenario;
 
 pub use cluster::{ClusterEngine, ClusterRole, ClusterStats};
 pub use config::{Fencing, SttcpConfig, TakeoverPolicy};
-pub use fleet::{build_cluster, ClusterFleetSpec};
 pub use messages::{ConnKey, SideMsg};
 pub use node::{ClientNode, GatewayNode, ServerNode};
 pub use scenario::{

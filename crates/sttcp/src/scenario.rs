@@ -4,6 +4,16 @@
 //! 10/100 Mbit hub) and the switched-Ethernet tapping architectures of
 //! §3.1, wiring [`crate::node`] adapters into a [`netsim::Simulator`].
 //!
+//! The pair and [`crate::fleet::build`]'s fleets are built from the
+//! same parts: each server's stack comes from
+//! `fleet::server_stack` (this module adds only how each [`Topology`]'s
+//! NICs tap the service traffic, decided in one `match`), the recorders
+//! from one `Recording`, the §3.2 packet logger from `connect_hop` —
+//! inline on the client's hop on every tap, exactly when the
+//! configuration uses it — and the power switch from
+//! `plug_power_switch`, on the backup's management port exactly when
+//! the configuration fences.
+//!
 //! Calibration: 100 Mbit links with 2.5 ms one-way latency per hop give
 //! a ≈10 ms client↔server RTT; with the 12×MSS (17 520 B) receive window this
 //! reproduces the paper's measured bulk throughput (≈1.56 MB/s — 100 MB
@@ -12,8 +22,8 @@
 
 use crate::cluster::ClusterEngine;
 use crate::config::{Fencing, SttcpConfig};
-use crate::fleet::Fleet;
-use crate::node::{ClientNode, GatewayNode, ServerNode, LAN, MGMT};
+use crate::fleet::{server_stack, Fleet};
+use crate::node::{AppFactory, ClientNode, GatewayNode, ServerNode, LAN, MGMT};
 use apps::{
     Application, BulkServer, EchoServer, InteractiveServer, RunMetrics, UploadServer, Workload,
     WorkloadClient,
@@ -174,9 +184,12 @@ pub struct ScenarioSpec {
     /// Capacity of the flight-recorder trace ring, when tracing is on
     /// (off by default for the same hot-path reason as `record_obs`).
     pub trace_capacity: Option<usize>,
-    /// Insert the in-network packet logger (§3.2).
+    /// Insert the in-network packet logger (§3.2) on the client's hop,
+    /// whatever the tap; [`ScenarioSpec::st_tcp`] sets it from
+    /// `use_logger`.
     pub with_logger: bool,
-    /// Attach a power switch on the management segment.
+    /// Attach a power switch on the backup's management port;
+    /// [`ScenarioSpec::st_tcp`] sets it when `fencing` names an outlet.
     pub with_power_switch: bool,
     /// TCP tuning template for all hosts (retention/shadow flags are set
     /// per role automatically).
@@ -337,6 +350,84 @@ pub(crate) fn make_server_app(workload: Workload, think: SimDuration) -> Box<dyn
     }
 }
 
+/// A run's observability, shared by [`build`] and
+/// [`crate::fleet::build`]: counters go to one shared sink when
+/// recording, trace events into one flight ring tagged with the actor
+/// that emitted them when tracing.
+pub(crate) struct Recording {
+    pub(crate) obs: Option<Arc<ObsSink>>,
+    pub(crate) flight: Option<Arc<FlightRecorder>>,
+}
+
+impl Recording {
+    /// The sink and ring a spec asks for, with the simulator's own
+    /// recorder installed.
+    pub(crate) fn new(
+        sim: &mut Simulator,
+        record_obs: bool,
+        trace_capacity: Option<usize>,
+    ) -> Recording {
+        let recording = Recording {
+            obs: record_obs.then(|| Arc::new(ObsSink::new())),
+            flight: trace_capacity.map(|cap| Arc::new(FlightRecorder::new(cap))),
+        };
+        if let Some(rec) = recording.recorder(Actor::Net) {
+            sim.set_recorder(rec);
+        }
+        recording
+    }
+
+    /// `actor`'s recorder; `None` when neither is on, so the node keeps
+    /// its allocation-free no-op.
+    pub(crate) fn recorder(&self, actor: Actor) -> Option<SharedRecorder> {
+        let metrics = self.obs.clone().map(|sink| sink as SharedRecorder);
+        match &self.flight {
+            Some(ring) => {
+                Some(obs::for_actor(actor, metrics.unwrap_or_else(obs::nop), ring.clone()))
+            }
+            None => metrics,
+        }
+    }
+}
+
+/// Joins `a` to `b` over `link`. With `logger`, the §3.2 in-network
+/// packet logger sits inline on the hop (`a` on its port 0, `b` on its
+/// port 1) and the hop's latency is split around it, so the end-to-end
+/// RTT is unchanged ("the logger introduces a very small delay").
+pub(crate) fn connect_hop(
+    sim: &mut Simulator,
+    (a, a_port): (NodeId, PortId),
+    (b, b_port): (NodeId, PortId),
+    link: LinkSpec,
+    logger: bool,
+) -> Option<NodeId> {
+    if !logger {
+        sim.connect(a, a_port, b, b_port, link);
+        return None;
+    }
+    let half = link.with_latency(link.latency / 2);
+    let lg = sim.add_node("logger", PacketLogger::with_defaults());
+    sim.connect(a, a_port, lg, PortId(0), half);
+    sim.connect(lg, PortId(1), b, b_port, half);
+    Some(lg)
+}
+
+/// With `plugged`, puts a power switch feeding `victim` (outlet 0) on
+/// `fencer`'s management port — a fencer sending into an unplugged port
+/// fails without a word.
+pub(crate) fn plug_power_switch(
+    sim: &mut Simulator,
+    fencer: NodeId,
+    victim: NodeId,
+    plugged: bool,
+) -> Option<NodeId> {
+    plugged.then(|| {
+        let psw = sim.add_node("power-switch", PowerSwitch::new(vec![victim]));
+        sim.connect(fencer, MGMT, psw, PortId(0), LinkSpec::lan());
+        psw
+    })
+}
+
 /// Builds the simulator for `spec`.
 pub fn build(spec: &ScenarioSpec) -> Scenario {
     let sme = MacAddr::multicast_for_ip(addrs::VIP);
@@ -344,42 +435,53 @@ pub fn build(spec: &ScenarioSpec) -> Scenario {
     let gme = MacAddr::multicast_for_ip(addrs::GW_LAN_SIDE);
     let mut sim = Simulator::with_seed(spec.seed);
     let workload = spec.workload;
-    let obs = spec.record_obs.then(|| Arc::new(ObsSink::new()));
-    let flight = spec.trace_capacity.map(|cap| Arc::new(FlightRecorder::new(cap)));
-    // One recorder per role: metrics go to the shared sink (when
-    // recording), traces into the flight ring tagged with the actor.
-    let recorder_for = |actor: Actor| -> Option<SharedRecorder> {
-        let metrics: SharedRecorder = match &obs {
-            Some(sink) => sink.clone(),
-            None => obs::nop(),
-        };
-        match &flight {
-            Some(ring) => Some(obs::for_actor(actor, metrics, ring.clone())),
-            None => obs.as_ref().map(|sink| sink.clone() as SharedRecorder),
-        }
-    };
-    if let Some(rec) = recorder_for(Actor::Net) {
-        sim.set_recorder(rec);
-    }
+    let recording = Recording::new(&mut sim, spec.record_obs, spec.trace_capacity);
 
-    // --- client -----------------------------------------------------
-    let gateway_topology = spec.topology == Topology::GatewaySwitch;
-    let client_ip = if gateway_topology { addrs::REMOTE_CLIENT } else { addrs::CLIENT };
-    let mut client_cfg = StackConfig::host(MacAddr::local(1), client_ip);
+    // --- host stacks --------------------------------------------------
+    let mut client_cfg = StackConfig::host(MacAddr::local(1), addrs::CLIENT);
     client_cfg.isn_seed = spec.seed ^ 0x1111;
     client_cfg.tcp = spec.tcp.clone();
+    let backups = match spec.deployment {
+        Deployment::StandardTcp => 0,
+        Deployment::StTcp(_) => 1,
+    };
+    let mut servers: Vec<StackConfig> =
+        (0..=backups).map(|rank| server_stack(rank, backups, spec.seed, &spec.tcp)).collect();
+    // How each NIC sees the service traffic (§3.1).
     match spec.topology {
-        Topology::Hub | Topology::SharedMediumHub { .. } | Topology::SwitchMirror => {}
+        Topology::Hub | Topology::SharedMediumHub { .. } | Topology::SwitchMirror => {
+            for backup in &mut servers[1..] {
+                backup.promiscuous = true;
+            }
+        }
         Topology::SwitchMulticast => {
             // The client plays the gateway's role: static SVI→SME entry,
             // and it accepts the multicast MAC the servers use to reach it.
             client_cfg.static_arp.push((addrs::VIP, sme));
             client_cfg.accept_macs.push(cme);
+            for (rank, server) in servers.iter_mut().enumerate() {
+                server.accept_macs.push(sme);
+                if rank > 0 {
+                    server.accept_macs.push(cme);
+                }
+                server.static_arp.push((addrs::CLIENT, cme));
+            }
         }
         Topology::GatewaySwitch => {
+            client_cfg.ip = addrs::REMOTE_CLIENT;
             client_cfg.gateway = Some(addrs::GW_CLIENT_SIDE);
+            for (rank, server) in servers.iter_mut().enumerate() {
+                server.accept_macs.push(sme);
+                if rank > 0 {
+                    server.accept_macs.push(gme);
+                }
+                server.gateway = Some(addrs::GW_LAN_SIDE);
+                server.static_arp.push((addrs::GW_LAN_SIDE, gme));
+            }
         }
     }
+
+    // --- hosts --------------------------------------------------------
     let client_app = if spec.close_when_done {
         WorkloadClient::new(workload).closing()
     } else {
@@ -387,89 +489,34 @@ pub fn build(spec: &ScenarioSpec) -> Scenario {
     };
     let mut client_node =
         ClientNode::new(client_cfg, (addrs::VIP, 80), SimDuration::from_millis(1), client_app);
-    if let Some(rec) = recorder_for(Actor::Client) {
+    if let Some(rec) = recording.recorder(Actor::Client) {
         client_node.set_recorder(rec);
     }
     let client = sim.add_node("client", client_node);
 
-    // --- servers ----------------------------------------------------
     let think = spec.interactive_think;
-    let mk_factory =
-        move || -> crate::node::AppFactory { Box::new(move || make_server_app(workload, think)) };
-
-    let mut primary_cfg = StackConfig::host(MacAddr::local(2), addrs::PRIMARY);
-    primary_cfg.extra_ips = vec![addrs::VIP];
-    primary_cfg.isn_seed = spec.seed ^ 0x2222;
-    primary_cfg.learn_from_ip = true;
-    primary_cfg.tcp = spec.tcp.clone();
-    match spec.topology {
-        Topology::Hub | Topology::SharedMediumHub { .. } | Topology::SwitchMirror => {}
-        Topology::SwitchMulticast => {
-            primary_cfg.accept_macs.push(sme);
-            primary_cfg.static_arp.push((addrs::CLIENT, cme));
+    let mut ids = Vec::with_capacity(servers.len());
+    for (rank, cfg) in servers.into_iter().enumerate() {
+        let factory: AppFactory = Box::new(move || make_server_app(workload, think));
+        let (mut node, name) = match &spec.deployment {
+            Deployment::StandardTcp => (ServerNode::solo(cfg, 80, factory), "server"),
+            Deployment::StTcp(st_tcp) => {
+                let chain = crate::cluster::Topology::new(vec![addrs::PRIMARY, addrs::BACKUP]);
+                let node = ServerNode::cluster(cfg, st_tcp.clone(), chain, factory);
+                (node, if rank == 0 { "primary" } else { "backup" })
+            }
+        };
+        let actor = if rank == 0 { Actor::Primary } else { Actor::Backup };
+        if let Some(rec) = recording.recorder(actor) {
+            node.set_recorder(rec);
         }
-        Topology::GatewaySwitch => {
-            primary_cfg.accept_macs.push(sme);
-            primary_cfg.gateway = Some(addrs::GW_LAN_SIDE);
-            primary_cfg.static_arp.push((addrs::GW_LAN_SIDE, gme));
-        }
+        ids.push(sim.add_node(name, node));
     }
-
-    let (primary, backup) = match &spec.deployment {
-        Deployment::StandardTcp => {
-            let mut node = ServerNode::solo(primary_cfg, 80, mk_factory());
-            if let Some(rec) = recorder_for(Actor::Primary) {
-                node.set_recorder(rec);
-            }
-            (sim.add_node("server", node), None)
-        }
-        Deployment::StTcp(sttcp_cfg) => {
-            let mut p_tcp = spec.tcp.clone();
-            p_tcp.retention_buf = p_tcp.recv_buf; // "double the space" (§4.2)
-            let mut p_cfg = primary_cfg.clone();
-            p_cfg.tcp = p_tcp;
-            let mut p_node =
-                ServerNode::primary(p_cfg, sttcp_cfg.clone(), addrs::BACKUP, mk_factory());
-            if let Some(rec) = recorder_for(Actor::Primary) {
-                p_node.set_recorder(rec);
-            }
-            let primary = sim.add_node("primary", p_node);
-
-            let mut b_cfg = StackConfig::host(MacAddr::local(3), addrs::BACKUP);
-            b_cfg.extra_ips = vec![addrs::VIP];
-            b_cfg.isn_seed = spec.seed ^ 0x3333;
-            b_cfg.learn_from_ip = true;
-            b_cfg.suppressed_ips = vec![addrs::VIP];
-            let mut b_tcp = spec.tcp.clone();
-            b_tcp.shadow = true;
-            b_cfg.tcp = b_tcp;
-            match spec.topology {
-                Topology::Hub | Topology::SharedMediumHub { .. } | Topology::SwitchMirror => {
-                    b_cfg.promiscuous = true;
-                }
-                Topology::SwitchMulticast => {
-                    b_cfg.accept_macs.extend([sme, cme]);
-                    b_cfg.static_arp.push((addrs::CLIENT, cme));
-                }
-                Topology::GatewaySwitch => {
-                    b_cfg.accept_macs.extend([sme, gme]);
-                    b_cfg.gateway = Some(addrs::GW_LAN_SIDE);
-                    b_cfg.static_arp.push((addrs::GW_LAN_SIDE, gme));
-                }
-            }
-            let mut b_node =
-                ServerNode::backup(b_cfg, sttcp_cfg.clone(), addrs::PRIMARY, mk_factory());
-            if let Some(rec) = recorder_for(Actor::Backup) {
-                b_node.set_recorder(rec);
-            }
-            (primary, Some(sim.add_node("backup", b_node)))
-        }
-    };
+    let (primary, backup) = (ids[0], ids.get(1).copied());
 
     // --- fabric and wiring -------------------------------------------
-    let mut logger = None;
-    let mut gateway = None;
-    let fabric = match spec.topology {
+    let (fabric, cable) = match spec.topology {
+        Topology::Hub => (sim.add_node("hub", Hub::new(4)), spec.link),
         Topology::SharedMediumHub { medium_bps } => {
             // The medium does the serialization; port cables carry
             // latency only (no double-counted bandwidth).
@@ -481,96 +528,40 @@ pub fn build(spec: &ScenarioSpec) -> Scenario {
                 max_queue: None,
                 jitter: spec.link.jitter,
             };
-            let fabric = sim.add_node("shared-hub", SharedHub::new(4, medium_bps));
-            if spec.with_logger {
-                let half = cable.with_latency(spec.link.latency / 2);
-                let lg = sim.add_node("logger", PacketLogger::with_defaults());
-                sim.connect(client, LAN, lg, PortId(0), half);
-                sim.connect(lg, PortId(1), fabric, PortId(0), half);
-                logger = Some(lg);
-            } else {
-                sim.connect(client, LAN, fabric, PortId(0), cable);
-            }
-            sim.connect(primary, LAN, fabric, PortId(1), cable);
-            if let Some(b) = backup {
-                sim.connect(b, LAN, fabric, PortId(2), cable);
-            }
-            fabric
+            (sim.add_node("shared-hub", SharedHub::new(4, medium_bps)), cable)
         }
-        Topology::Hub => {
-            let fabric = sim.add_node("hub", Hub::new(4));
-            if spec.with_logger {
-                // Inline on the client's path, splitting the hop latency
-                // so the end-to-end RTT is unchanged ("the logger
-                // introduces a very small delay", §3.2).
-                let half = spec.link.with_latency(spec.link.latency / 2);
-                let lg = sim.add_node("logger", PacketLogger::with_defaults());
-                sim.connect(client, LAN, lg, PortId(0), half);
-                sim.connect(lg, PortId(1), fabric, PortId(0), half);
-                logger = Some(lg);
-            } else {
-                sim.connect(client, LAN, fabric, PortId(0), spec.link);
-            }
-            sim.connect(primary, LAN, fabric, PortId(1), spec.link);
-            if let Some(b) = backup {
-                sim.connect(b, LAN, fabric, PortId(2), spec.link);
-            }
-            fabric
-        }
-        Topology::SwitchMirror | Topology::SwitchMulticast => {
+        Topology::SwitchMirror => {
             let mut sw = Switch::new(4);
-            if spec.topology == Topology::SwitchMirror {
-                sw.add_mirror(PortId(1), PortId(2)); // primary's port → backup
-            }
-            let fabric = sim.add_node("switch", sw);
-            sim.connect(client, LAN, fabric, PortId(0), spec.link);
-            sim.connect(primary, LAN, fabric, PortId(1), spec.link);
-            if let Some(b) = backup {
-                sim.connect(b, LAN, fabric, PortId(2), spec.link);
-            }
-            fabric
+            sw.add_mirror(PortId(1), PortId(2)); // primary's port → backup
+            (sim.add_node("switch", sw), spec.link)
         }
-        Topology::GatewaySwitch => {
-            let fabric = sim.add_node("switch", Switch::new(4));
-            // Gateway between the client subnet and the LAN, static
-            // SVI→SME on the LAN side (the paper's key entry).
-            let gw = Gateway::new(
-                GatewayIface {
-                    mac: MacAddr::local(10),
-                    ip: addrs::GW_CLIENT_SIDE,
-                    netmask_bits: 24,
-                },
-                GatewayIface { mac: MacAddr::local(11), ip: addrs::GW_LAN_SIDE, netmask_bits: 24 },
-                [],
-                [(addrs::VIP, sme)],
-            );
-            let gw_id = sim.add_node("gateway", GatewayNode::new(gw));
-            gateway = Some(gw_id);
-            sim.connect(client, LAN, gw_id, PortId(0), spec.link);
-            if spec.with_logger {
-                let lg = sim.add_node("logger", PacketLogger::with_defaults());
-                sim.connect(gw_id, PortId(1), lg, PortId(0), spec.link);
-                sim.connect(lg, PortId(1), fabric, PortId(0), spec.link);
-                logger = Some(lg);
-            } else {
-                sim.connect(gw_id, PortId(1), fabric, PortId(0), spec.link);
-            }
-            sim.connect(primary, LAN, fabric, PortId(1), spec.link);
-            if let Some(b) = backup {
-                sim.connect(b, LAN, fabric, PortId(2), spec.link);
-            }
-            fabric
+        Topology::SwitchMulticast | Topology::GatewaySwitch => {
+            (sim.add_node("switch", Switch::new(4)), spec.link)
         }
     };
-    // --- power switch -------------------------------------------------
-    let mut power = None;
-    if spec.with_power_switch {
-        if let Some(b) = backup {
-            let psw = sim.add_node("power-switch", PowerSwitch::new(vec![primary]));
-            sim.connect(b, MGMT, psw, PortId(0), LinkSpec::lan());
-            power = Some(psw);
-        }
+    let mut gateway = None;
+    let mut client_end = (client, LAN);
+    if spec.topology == Topology::GatewaySwitch {
+        // Gateway between the client subnet and the LAN, static
+        // SVI→SME on the LAN side (the paper's key entry).
+        let gw = Gateway::new(
+            GatewayIface { mac: MacAddr::local(10), ip: addrs::GW_CLIENT_SIDE, netmask_bits: 24 },
+            GatewayIface { mac: MacAddr::local(11), ip: addrs::GW_LAN_SIDE, netmask_bits: 24 },
+            [],
+            [(addrs::VIP, sme)],
+        );
+        let gw_id = sim.add_node("gateway", GatewayNode::new(gw));
+        sim.connect(client, LAN, gw_id, PortId(0), spec.link);
+        gateway = Some(gw_id);
+        client_end = (gw_id, PortId(1));
     }
+    // The logger sits on the client's hop, whatever the tap.
+    let logger = connect_hop(&mut sim, client_end, (fabric, PortId(0)), cable, spec.with_logger);
+    for (rank, &server) in ids.iter().enumerate() {
+        sim.connect(server, LAN, fabric, PortId(1 + rank), cable);
+    }
+    let power =
+        backup.and_then(|b| plug_power_switch(&mut sim, b, primary, spec.with_power_switch));
 
     // --- faults -------------------------------------------------------
     for fault in &spec.faults.faults {
@@ -580,6 +571,7 @@ pub fn build(spec: &ScenarioSpec) -> Scenario {
         }
     }
 
+    let (obs, flight) = (recording.obs, recording.flight);
     Scenario { sim, client, primary, backup, fabric, logger, power, gateway, obs, flight }
 }
 
@@ -767,6 +759,7 @@ impl Scenario {
             backup,
             fabric: self.fabric,
             logger: self.logger,
+            power: self.power,
             obs: self.obs,
             flight: self.flight,
         }

@@ -14,7 +14,7 @@ use bytes::Bytes;
 use netsim::{DropRule, SimDuration, SimTime};
 use std::cell::RefCell;
 use std::rc::Rc;
-use sttcp::fleet::{self, build_cluster, ClusterFleetSpec, FleetSpec};
+use sttcp::fleet::{self, FleetSpec};
 use sttcp::scenario::{addrs, build, FaultSpec, RunLimits, ScenarioSpec};
 use sttcp::{SideMsg, SttcpConfig};
 use wire::{EtherType, EthernetFrame, IpProtocol, Ipv4Packet, TcpSegment, UdpDatagram};
@@ -156,11 +156,10 @@ fn replay_with_gaps_on_many_connections_is_bit_identical() {
     // every time, so nothing but a digest sees it.
     let run = || {
         let crash = SimTime::ZERO + SimDuration::from_millis(600);
-        let spec = ClusterFleetSpec::new(12, 1)
-            .workload(Workload::Echo { requests: 100 })
-            .with_logger()
-            .crash(0, crash);
-        let mut f = build_cluster(&spec);
+        let mut spec =
+            FleetSpec::new(12).closing().workload(Workload::Echo { requests: 100 }).crash(0, crash);
+        spec.st_tcp = spec.st_tcp.with_logger();
+        let mut f = fleet::build(&spec);
         f.sim.add_ingress_drop(f.backup, DropRule::window(299, 40, client_request));
         f.sim.add_ingress_drop(f.backup, DropRule::all(missing_data_reply));
         let digest = Rc::new(RefCell::new(TraceDigest::new()));

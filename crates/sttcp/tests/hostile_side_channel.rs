@@ -10,6 +10,9 @@
 //! sequence numbers aim at it, so the per-connection paths run too.
 //! The oracle: nothing panics, every message an engine sends survives
 //! the codec, and a backup always has a rank in a reign with a member.
+//! Beyond not panicking, an engine obeys only its chain: a stranger's
+//! datagram moves nothing and draws no reply, only the reign's primary
+//! orders a drain, and only the member at a rank speaks for it.
 
 mod common;
 
@@ -265,4 +268,106 @@ fn a_member_list_on_the_wire_is_garbage() {
             run(target, &[Step::Raw(PRIMARY, raw.clone()), Step::Tick(50)]);
         }
     }
+}
+
+/// What a stranger's datagram must not move: role, reign, whether the
+/// VIP is suppressed, and the connection's receive point.
+fn state(engine: &ClusterEngine, stack: &NetStack) -> (ClusterRole, u32, bool, u32) {
+    let sock = stack.sock_by_quad(key().server_quad()).expect("the connection lives");
+    let rcv_nxt = stack.tcb(sock).expect("live").rcv_nxt().raw();
+    (engine.role(), engine.topology().epoch(), stack.is_suppressed(VIP), rcv_nxt)
+}
+
+/// Everything `engine` would send, fence or ask the logger for.
+fn replies(engine: &mut ClusterEngine, stack: &mut NetStack) -> Vec<String> {
+    engine.maybe_send_acks(stack, false);
+    let mut out = Vec::new();
+    engine.drain_outbox_into(&mut out);
+    let mut replies: Vec<String> = out.iter().map(|(to, msg)| format!("{msg:?} to {to}")).collect();
+    replies.extend(engine.take_fence_request().map(|outlet| format!("fence outlet {outlet}")));
+    replies.extend(engine.take_logger_queries().iter().map(|q| format!("{q:?}")));
+    replies
+}
+
+#[test]
+fn a_strangers_orders_move_nothing_and_draw_no_reply() {
+    let next = CLIENT_ISS + 11; // the client byte after the 10 held
+                                // What a member would send to make each role act: announce a
+                                // reign, ack, ask for or supply bytes, and walk a drain through to
+                                // the handover for rank 1 and for rank 2.
+    let orders = [
+        SideMsg::Heartbeat { seq: 1, epoch: 1 },
+        SideMsg::BackupAck { conn: key(), acked_next: next },
+        SideMsg::AckBatch { entries: vec![(key(), next)] },
+        SideMsg::MissingReq { conn: key(), from: CLIENT_ISS + 1, len: 10 },
+        SideMsg::MissingData { conn: key(), seq: next, data: Bytes::from_static(b"forged") },
+        SideMsg::MissingNack { conn: key(), from: next },
+        SideMsg::CongSync { conn: key(), cwnd: 1, ssthresh: 1 },
+        SideMsg::DrainReady { rank: 1, epoch: 1 },
+        SideMsg::Drain { epoch: 1, successor_rank: 1 },
+        SideMsg::Handover { epoch: 1 },
+        SideMsg::Drain { epoch: 2, successor_rank: 2 },
+        SideMsg::Handover { epoch: 2 },
+    ];
+    common::assert_every_kind(&orders);
+    for target in TARGETS {
+        let (mut engine, mut stack) = build(target);
+        if let Target::Primary = target {
+            // Mid-drain, so a forged `DrainReady` would retire it.
+            engine.schedule_drain(ms(1), 1);
+            engine.on_tick(ms(1), &mut stack);
+        }
+        let _ = replies(&mut engine, &mut stack);
+        let before = state(&engine, &stack);
+        for (i, order) in orders.iter().enumerate() {
+            engine.on_side_msg(ms(2 + i as u64), STRANGER, order.clone(), &mut stack);
+            let _ = stack.poll(ms(2 + i as u64));
+            assert_eq!(
+                replies(&mut engine, &mut stack),
+                Vec::<String>::new(),
+                "{target:?} {order:?}"
+            );
+            assert_eq!(state(&engine, &stack), before, "{target:?} after {order:?}");
+        }
+    }
+}
+
+#[test]
+fn only_the_reigns_primary_orders_a_handover_and_only_a_member_speaks_for_its_rank() {
+    let drain = |rank: u8| {
+        let epoch = u32::from(rank);
+        [SideMsg::Drain { epoch, successor_rank: rank }, SideMsg::Handover { epoch }]
+    };
+    // A backup, ordered by the other backup, stays a backup.
+    for (target, other, rank) in [(Target::Rank1, RANK2, 1), (Target::Rank2, RANK1, 2)] {
+        let (mut engine, mut stack) = build(target);
+        let before = state(&engine, &stack);
+        for order in drain(rank) {
+            engine.on_side_msg(ms(2), other, order, &mut stack);
+        }
+        assert_eq!(state(&engine, &stack), before, "{target:?} ordered by {other}");
+        // The same orders from the primary hand it the VIP.
+        for order in drain(rank) {
+            engine.on_side_msg(ms(3), PRIMARY, order, &mut stack);
+        }
+        assert_eq!(engine.role(), ClusterRole::Primary, "{target:?} ordered by the primary");
+        assert!(!stack.is_suppressed(VIP));
+    }
+
+    // A draining primary hands over only when rank 1 itself is ready.
+    let (mut engine, mut stack) = build(Target::Primary);
+    engine.schedule_drain(ms(1), 1);
+    engine.on_tick(ms(1), &mut stack);
+    let _ = replies(&mut engine, &mut stack);
+    let before = state(&engine, &stack);
+    engine.on_side_msg(ms(2), RANK2, SideMsg::DrainReady { rank: 1, epoch: 1 }, &mut stack);
+    assert_eq!(replies(&mut engine, &mut stack), Vec::<String>::new());
+    assert_eq!(state(&engine, &stack), before, "rank 2 spoke for rank 1");
+    engine.on_side_msg(ms(3), RANK1, SideMsg::DrainReady { rank: 1, epoch: 1 }, &mut stack);
+    assert_eq!(
+        replies(&mut engine, &mut stack),
+        [format!("{:?} to {RANK1}", SideMsg::Handover { epoch: 1 })]
+    );
+    assert_eq!(engine.role(), ClusterRole::Retired);
+    assert!(stack.is_suppressed(VIP));
 }

@@ -22,7 +22,7 @@ use netsim::{DropRule, SimDuration, SimTime};
 use std::cell::RefCell;
 use std::rc::Rc;
 use sttcp::cluster::promotion::detection_deadline;
-use sttcp::fleet::{build_cluster, ClusterFleetSpec, Fleet, UPLOAD_FILE};
+use sttcp::fleet::{self, Fleet, FleetSpec, UPLOAD_FILE};
 use sttcp::scenario::addrs;
 use sttcp::{ClusterRole, ServerNode, SideMsg};
 use wire::{EtherType, EthernetFrame, IpProtocol, Ipv4Packet, TcpSegment, UdpDatagram};
@@ -55,10 +55,13 @@ const CRASH: SimTime = SimTime::from_nanos(600_000_000);
 /// `lagging_ranks` backups, and neither do the primary's side-channel
 /// recovery replies.
 fn chain_with_tap_omission(lagging_ranks: usize) -> Fleet {
-    let mut spec =
-        ClusterFleetSpec::new(1, 2).workload(Workload::Echo { requests: 100 }).crash(0, CRASH);
-    spec.fleet.connect_spread = SimDuration::ZERO;
-    let mut fleet = build_cluster(&spec);
+    let spec = FleetSpec::new(1)
+        .backups(2)
+        .closing()
+        .workload(Workload::Echo { requests: 100 })
+        .crash(0, CRASH)
+        .connect_spread(SimDuration::ZERO);
+    let mut fleet = fleet::build(&spec);
     for rank in 1..=lagging_ranks {
         let node = fleet.servers[rank];
         fleet.sim.add_ingress_drop(node, DropRule::window(40, 1, client_request));
@@ -146,13 +149,13 @@ fn a_lagging_successor_catches_up_on_an_idle_connection_and_takes_the_handover()
     // finally gets through recovers one chunk, and nothing asks for the
     // rest.
     let migrate_at = SimTime::ZERO + SimDuration::from_secs(1);
-    let mut spec = ClusterFleetSpec::new(1, 2)
+    let mut spec = FleetSpec::new(1)
+        .backups(2)
         .workload(Workload::Upload { file_size: UPLOAD_FILE })
-        .migrate_at(migrate_at, 1);
-    spec.close_when_done = false;
-    spec.fleet.st_tcp.missing_req_chunk = 2 * 1024;
-    spec.fleet.connect_spread = SimDuration::ZERO;
-    let mut fleet = build_cluster(&spec);
+        .migrate_at(migrate_at, 1)
+        .connect_spread(SimDuration::ZERO);
+    spec.st_tcp.missing_req_chunk = 2 * 1024;
+    let mut fleet = fleet::build(&spec);
     let rank1 = fleet.servers[1];
     fleet.sim.add_ingress_drop(rank1, DropRule::window(1, 5, client_request));
     let heals_at = SimTime::ZERO + SimDuration::from_millis(500);

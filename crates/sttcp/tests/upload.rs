@@ -6,8 +6,9 @@
 
 use apps::{UploadServer, Workload};
 use netsim::{DropRule, SimDuration, SimTime};
+use sttcp::fleet::{self, FleetSpec};
 use sttcp::scenario::{addrs, build, FaultSpec, RunLimits, ScenarioSpec};
-use sttcp::{build_cluster, ClusterFleetSpec, ServerNode, SttcpConfig};
+use sttcp::{ServerNode, SttcpConfig};
 
 fn st_cfg() -> SttcpConfig {
     SttcpConfig::new(addrs::VIP, 80)
@@ -182,8 +183,8 @@ fn a_chain_upload_finishes_as_fast_as_the_pair() {
     // minimum over its backups, releases as often for a chain as for the
     // pair; a middle rank has room for the two ack windows it keeps.
     let run = |backups: usize| {
-        let spec = ClusterFleetSpec::new(1, backups).workload(Workload::upload_mb(5));
-        let mut fleet = build_cluster(&ClusterFleetSpec { close_when_done: false, ..spec });
+        let spec = FleetSpec::new(1).backups(backups).workload(Workload::upload_mb(5));
+        let mut fleet = fleet::build(&spec);
         assert!(fleet.run_until_done(SimDuration::from_secs(60)), "N = {backups} stalled");
         assert!(fleet.verified_clean(), "N = {backups}");
         for (rank, &id) in fleet.servers.iter().enumerate() {
@@ -201,14 +202,12 @@ fn a_chain_upload_finishes_as_fast_as_the_pair() {
 
 #[test]
 fn a_fleet_workload_override_reaches_the_servers() {
-    let open = |workload| ClusterFleetSpec {
-        close_when_done: false, // keep the server's app to inspect
-        ..ClusterFleetSpec::new(1, 1).workload(workload)
-    };
-    let mut bulk = build_cluster(&open(Workload::bulk_mb(1)));
+    // Connections stay open, which keeps the server's app to inspect.
+    let open = |workload| FleetSpec::new(1).workload(workload);
+    let mut bulk = fleet::build(&open(Workload::bulk_mb(1)));
     assert!(bulk.run_until_done(SimDuration::from_secs(60)), "1 MiB download");
     assert!(bulk.verified_clean());
-    let mut upload = build_cluster(&open(Workload::upload_mb(1)));
+    let mut upload = fleet::build(&open(Workload::upload_mb(1)));
     assert!(upload.run_until_done(SimDuration::from_secs(60)), "1 MiB upload");
     assert!(upload.verified_clean());
     for &id in &upload.servers {

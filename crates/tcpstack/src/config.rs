@@ -81,9 +81,6 @@ pub struct TcpConfig {
     pub rto_max: SimDuration,
     /// TIME_WAIT hold time.
     pub time_wait: SimDuration,
-    /// Restart the congestion window after an idle period > RTO
-    /// (RFC 2581 §4.1). On in Linux.
-    pub idle_restart: bool,
     /// ST-TCP backup shadow semantics: resynchronize the ISN from the
     /// client's handshake ACK and tolerate ACKs ahead of `snd_nxt`
     /// (the primary's transmissions the shadow has not made yet).
@@ -114,7 +111,6 @@ impl Default for TcpConfig {
             rto_min: SimDuration::from_millis(200),
             rto_max: SimDuration::from_secs(120),
             time_wait: SimDuration::from_secs(60),
-            idle_restart: true,
             shadow: false,
             window_scale: None,
             congestion: CongestionAlgo::Reno,

@@ -1165,10 +1165,10 @@ impl Tcb {
         ) {
             return;
         }
-        // Restart from the initial window after an idle period (§4.1 of
-        // RFC 2581); shapes the Interactive workload.
-        if self.cfg.idle_restart
-            && self.flight() == 0
+        // Restart from the initial window after an idle period longer
+        // than the RTO (RFC 5681 §4.1, as Linux does); shapes the
+        // Interactive workload.
+        if self.flight() == 0
             && self.snd_nxt == self.snd_max // not mid-recovery after a go-back-N rollback
             && self.snd_nxt.lt(self.snd_buf.end())
             && idle_restart_due(now.duration_since(self.last_send), self.rto.rto())

@@ -13,8 +13,8 @@
 //! Run with: `cargo run --release --example double_failure_logger`
 
 use st_tcp::netsim::DropRule;
+use st_tcp::sttcp::fleet::{self, FleetSpec};
 use st_tcp::sttcp::prelude::*;
-use st_tcp::sttcp::{build_cluster, ClusterFleetSpec};
 use st_tcp::wire::{EtherType, EthernetFrame, IpProtocol, Ipv4Packet, TcpSegment, UdpDatagram};
 
 fn client_request_frame(frame: &bytes::Bytes) -> bool {
@@ -47,14 +47,15 @@ fn missing_data_reply(frame: &bytes::Bytes) -> bool {
 }
 
 fn run_once(with_logger: bool) {
-    let mut spec = ClusterFleetSpec::new(1, 1)
+    let mut spec = FleetSpec::new(1)
+        .closing()
         .workload(Workload::Echo { requests: 100 })
-        .crash(0, SimTime::ZERO + SimDuration::from_millis(600));
-    spec.fleet.connect_spread = SimDuration::from_millis(0);
+        .crash(0, SimTime::ZERO + SimDuration::from_millis(600))
+        .connect_spread(SimDuration::ZERO);
     if with_logger {
-        spec = spec.with_logger();
+        spec.st_tcp = spec.st_tcp.with_logger();
     }
-    let mut fleet = build_cluster(&spec);
+    let mut fleet = fleet::build(&spec);
     let backup = fleet.servers[1];
     // The double failure: request #41 never reaches the backup's tap...
     fleet.sim.add_ingress_drop(backup, DropRule::window(40, 1, client_request_frame));

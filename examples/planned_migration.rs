@@ -13,15 +13,15 @@
 use st_tcp::netsim::Switch;
 use st_tcp::obs::TakeoverBreakdown;
 use st_tcp::sttcp::cluster::DrainPhase;
+use st_tcp::sttcp::fleet::{self, FleetSpec};
 use st_tcp::sttcp::prelude::*;
-use st_tcp::sttcp::{build_cluster, ClusterFleetSpec, ClusterRole};
+use st_tcp::sttcp::ClusterRole;
 
 fn main() {
     let migrate_at = SimTime::ZERO + SimDuration::from_millis(100);
-    let mut spec = ClusterFleetSpec::new(12, 2).migrate_at(migrate_at, 1);
-    spec.fleet = spec.fleet.recording();
-    let hb = spec.fleet.st_tcp.hb_interval;
-    let mut fleet = build_cluster(&spec);
+    let spec = FleetSpec::new(12).backups(2).closing().migrate_at(migrate_at, 1).recording();
+    let hb = spec.st_tcp.hb_interval;
+    let mut fleet = fleet::build(&spec);
 
     println!("12 clients, primary + 2 backups; drain-and-handover to rank 1 at t=100 ms\n");
     assert!(fleet.run_until_done(SimDuration::from_secs(30)), "fleet must finish");

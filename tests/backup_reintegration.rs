@@ -197,19 +197,20 @@ fn chain_reintegration_releases_retention_for_new_connections_again() {
     // for good once the last backup died and discard every later ack: a
     // post-reintegration connection then filled the second buffer,
     // spilled into the first, closed the advertised window and stalled.)
-    use st_tcp::sttcp::fleet::{build_cluster, ClusterFleetSpec};
+    use st_tcp::sttcp::fleet::{self, FleetSpec};
     // 400 × 150 B of requests ≫ recv_buf + retention_buf (2 × 17 520 B):
     // the connection stalls unless its retention keeps being released.
-    let mut spec = ClusterFleetSpec::new(3, 2).workload(Workload::Echo { requests: 400 });
+    let mut spec =
+        FleetSpec::new(3).backups(2).closing().workload(Workload::Echo { requests: 400 });
     // Client 0 connects at once and lives through the outage; client 1
     // connects at 0.6 s, in the middle of it (both served unprotected:
     // with nobody to ack, neither may retain); client 2 connects at
     // 1.2 s, after rank 1 has rebooted.
-    spec.fleet.connect_spread = SimDuration::from_millis(1200);
+    spec.connect_spread = SimDuration::from_millis(1200);
     for rank in [1, 2] {
         spec = spec.crash(rank, SimTime::ZERO + secs(0.3));
     }
-    let mut fleet = build_cluster(&spec);
+    let mut fleet = fleet::build(&spec);
     fleet.sim.schedule_power_on(fleet.servers[1], SimTime::ZERO + secs(0.8));
 
     fleet.sim.run_until(SimTime::ZERO + secs(0.7));
