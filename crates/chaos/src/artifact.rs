@@ -55,7 +55,8 @@ impl FailureArtifact {
 
     /// Serializes to JSON text. The testbed is written as its own
     /// members — `workload` + `fencing` for the pair (the whole format
-    /// before chains existed), `backups` + `clients` for a chain.
+    /// before chains existed), `workload` + `"tap": "mirror"` for the
+    /// mirrored pair, `backups` + `clients` for a chain.
     pub fn to_json(&self) -> String {
         let spec = &self.spec;
         let mut fields = vec![("format", json::str(FORMAT))];
@@ -64,6 +65,11 @@ impl FailureArtifact {
                 ("workload", workload_to_value(workload)),
                 ("seed", json::hex(spec.seed)),
                 ("fencing", Value::Bool(fencing)),
+            ]),
+            Testbed::Mirrored { workload } => fields.extend([
+                ("workload", workload_to_value(workload)),
+                ("seed", json::hex(spec.seed)),
+                ("tap", json::str("mirror")),
             ]),
             Testbed::Chain { backups, clients } => fields.extend([
                 ("backups", Value::Num(backups as u64)),
@@ -96,6 +102,9 @@ impl FailureArtifact {
             return None;
         }
         let testbed = match (v.get("backups"), v.get("fencing")) {
+            (None, None) if v.get("tap")?.as_str()? == "mirror" => {
+                Testbed::Mirrored { workload: workload_from_value(v.get("workload")?)? }
+            }
             (Some(backups), None) => Testbed::Chain {
                 backups: usize::try_from(backups.as_u64()?).ok().filter(|&n| n >= 1)?,
                 clients: usize::try_from(v.get("clients")?.as_u64()?).ok()?,

@@ -4,6 +4,7 @@
 //! ```text
 //! chaos-hunt [--smoke | --demo | --wan | --cascade] [--skip-canary]
 //!            [--threads N] [--replay FILE] [--artifacts DIR]
+//! chaos-hunt --sweep <twin | wan | lossy-chain> [--seeds N] [--threads N]
 //! ```
 //!
 //! * `--smoke`     bounded campaign for CI (default): the pair matrix,
@@ -11,6 +12,12 @@
 //! * `--demo`      the full ≥200-run campaign.
 //! * `--wan`       burst-loss WAN failover matrix (seeds × controllers).
 //! * `--cascade`   cascading failure over a 3-backup chain (three seeds).
+//! * `--sweep`     one spec over `--seeds` seeds (default 64) with every
+//!   oracle on: the pass rate, a Wilson 95 % bound on the failure rate,
+//!   and the failing seeds grouped by first oracle. `twin` is the
+//!   fault-free `fleet_failover` twin, `wan` the benchmark's
+//!   `wan_loss_failover`, `lossy-chain` the burst-loss chain. Exit code
+//!   0 iff every seed passed; no canary.
 //! * `--replay`    replay a failure artifact JSON file and verify it
 //!   reproduces (same oracle, same frame digest).
 //! * `--artifacts` write each failure's reproducer to DIR: the JSON
@@ -22,8 +29,8 @@
 
 use chaos::{
     broken_config_canary, cascade_campaign, demo_campaign, execute_with_pcap, measure_profile,
-    run_campaign, shrink, smoke_campaign, wan_burst_loss_campaign, Campaign, FailureArtifact,
-    OracleKind, Profile,
+    run_campaign, run_sweep, shrink, smoke_campaign, wan_burst_loss_campaign, Campaign,
+    FailureArtifact, OracleKind, Profile, Sweep,
 };
 use netsim::pcap::SharedPcap;
 use std::process::ExitCode;
@@ -38,6 +45,8 @@ enum Matrix {
 
 struct Args {
     matrix: Matrix,
+    sweep: Option<Sweep>,
+    seeds: u64,
     skip_canary: bool,
     threads: usize,
     replay: Option<String>,
@@ -47,6 +56,8 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         matrix: Matrix::Smoke,
+        sweep: None,
+        seeds: 64,
         skip_canary: false,
         threads: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4),
         replay: None,
@@ -60,6 +71,14 @@ fn parse_args() -> Result<Args, String> {
             "--wan" => args.matrix = Matrix::Wan,
             "--cascade" => args.matrix = Matrix::Cascade,
             "--skip-canary" => args.skip_canary = true,
+            "--sweep" => {
+                let v = it.next().ok_or("--sweep needs a spec")?;
+                args.sweep = Some(Sweep::from_name(&v).ok_or(format!("unknown sweep {v:?}"))?);
+            }
+            "--seeds" => {
+                let v = it.next().ok_or("--seeds needs a value")?;
+                args.seeds = v.parse().map_err(|_| format!("bad seed count {v:?}"))?;
+            }
             "--threads" => {
                 let v = it.next().ok_or("--threads needs a value")?;
                 args.threads = v.parse().map_err(|_| format!("bad thread count {v:?}"))?;
@@ -73,7 +92,8 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 println!(
                     "usage: chaos-hunt [--smoke | --demo | --wan | --cascade] [--skip-canary] \
-                     [--threads N] [--replay FILE] [--artifacts DIR]"
+                     [--threads N] [--replay FILE] [--artifacts DIR]\n       \
+                     chaos-hunt --sweep <twin | wan | lossy-chain> [--seeds N] [--threads N]"
                 );
                 std::process::exit(0);
             }
@@ -250,6 +270,15 @@ fn main() -> ExitCode {
     };
     if let Some(path) = &args.replay {
         return if run_replay(path) { ExitCode::SUCCESS } else { ExitCode::FAILURE };
+    }
+    if let Some(sweep) = args.sweep {
+        let started = Instant::now();
+        println!("== sweep `{}`: {} seeds on {} threads", sweep.name(), args.seeds, args.threads);
+        let result = run_sweep(sweep, args.seeds, args.threads);
+        print!("{result}");
+        println!("   {:.1}s wall", started.elapsed().as_secs_f64());
+        let green = result.passed() == result.runs.len();
+        return if green { ExitCode::SUCCESS } else { ExitCode::FAILURE };
     }
     let campaigns = match args.matrix {
         Matrix::Smoke => vec![smoke_campaign(), cascade_campaign()],

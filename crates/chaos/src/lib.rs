@@ -49,6 +49,7 @@ pub mod oracle;
 pub mod plan;
 pub mod run;
 pub mod shrink;
+pub mod sweep;
 
 pub use artifact::FailureArtifact;
 pub use campaign::{
@@ -63,3 +64,4 @@ pub use run::{
     Testbed,
 };
 pub use shrink::{shrink, ShrinkResult};
+pub use sweep::{run_sweep, Sweep, SweepResult};

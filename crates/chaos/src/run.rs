@@ -30,7 +30,7 @@ use std::rc::Rc;
 use sttcp::cluster::promotion::detection_deadline;
 use sttcp::fleet::{self, Fleet, FleetSpec};
 use sttcp::node::{ClientNode, ServerNode};
-use sttcp::scenario::{addrs, build, RunLimits, ScenarioSpec, StopReason};
+use sttcp::scenario::{addrs, build, RunLimits, ScenarioSpec, StopReason, Topology};
 use sttcp::{ClusterRole, SttcpConfig};
 use tcpstack::{CongestionAlgo, TcpState};
 use wire::{EtherType, EthernetFrame, IpProtocol, Ipv4Packet, TcpFlags, TcpSegment, UdpDatagram};
@@ -49,6 +49,14 @@ pub enum Testbed {
         /// oracles notice.
         fencing: bool,
     },
+    /// The benchmark's `wan_loss_failover` testbed: one client driving
+    /// one workload at a primary and its backup on a port-mirroring
+    /// switch, with 2 MB receive and 4 MB send buffers under window
+    /// scaling, and neither logger nor fencing hardware.
+    Mirrored {
+        /// The client workload.
+        workload: Workload,
+    },
     /// A primary and `backups` chained backups behind a mirroring
     /// switch, serving `clients` of the seeded workload mix. The chain
     /// has no fencing hardware and no logger.
@@ -64,7 +72,7 @@ impl Testbed {
     /// Servers in the testbed (ranks `0..servers`).
     pub fn servers(&self) -> usize {
         match *self {
-            Testbed::Pair { .. } => 2,
+            Testbed::Pair { .. } | Testbed::Mirrored { .. } => 2,
             Testbed::Chain { backups, .. } => 1 + backups,
         }
     }
@@ -73,6 +81,7 @@ impl Testbed {
     pub fn label(&self) -> String {
         match *self {
             Testbed::Pair { workload, .. } => workload.label().to_string(),
+            Testbed::Mirrored { workload } => format!("{} on a mirror", workload.label()),
             Testbed::Chain { backups, clients } => format!("chain 1+{backups} × {clients}"),
         }
     }
@@ -122,6 +131,11 @@ impl RunSpec {
         RunSpec::on(Testbed::Pair { workload, fencing: true }, seed, plan)
     }
 
+    /// A run on the benchmark's mirrored pair, same budgets.
+    pub fn mirrored(workload: Workload, seed: u64, plan: FaultPlan) -> Self {
+        RunSpec::on(Testbed::Mirrored { workload }, seed, plan)
+    }
+
     /// A run on a chain of `backups` serving `clients`, same budgets.
     pub fn chain(backups: usize, clients: usize, seed: u64, plan: FaultPlan) -> Self {
         RunSpec::on(Testbed::Chain { backups, clients }, seed, plan)
@@ -132,12 +146,13 @@ impl RunSpec {
     ///
     /// # Panics
     ///
-    /// Panics on a chain: it has no fencing hardware to take away.
+    /// Panics on a chain or the mirrored pair: neither has fencing
+    /// hardware to take away.
     #[must_use]
     pub fn without_fencing(mut self) -> Self {
         match &mut self.testbed {
             Testbed::Pair { fencing, .. } => *fencing = false,
-            Testbed::Chain { .. } => panic!("a chain testbed has no fencing to disable"),
+            _ => panic!("this testbed has no fencing to disable"),
         }
         self
     }
@@ -281,6 +296,24 @@ fn build_fleet(spec: &RunSpec, cfg: &SttcpConfig) -> Fleet {
             if spec.sack {
                 sc = sc.with_sack();
             }
+            sc.seed = spec.seed;
+            build(&sc).into_fleet()
+        }
+        Testbed::Mirrored { workload } => {
+            let mut sc = ScenarioSpec::new(workload)
+                .topology(Topology::SwitchMirror)
+                .st_tcp(cfg.clone())
+                .closing()
+                .recording()
+                .tracing_with_capacity(TRACE_RING)
+                .link_profile(spec.link)
+                .congestion(spec.congestion);
+            if spec.sack {
+                sc = sc.with_sack();
+            }
+            sc.tcp.recv_buf = 2 << 20;
+            sc.tcp.send_buf = 4 << 20;
+            sc.tcp.window_scale = Some(6);
             sc.seed = spec.seed;
             build(&sc).into_fleet()
         }

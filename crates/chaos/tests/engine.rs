@@ -12,7 +12,11 @@
 //! backup stopped acking and heartbeating the primary it replaced. Every
 //! digest but the bulk regression's was re-pinned when the side channel
 //! got one heartbeat: the primary's carries its epoch (13 bytes, was 9),
-//! and a backup's acks are its heartbeat.
+//! and a backup's acks are its heartbeat. Every digest was re-pinned
+//! when the backup's tap began to carry only the client's half: the
+//! primary's half comes as side-channel `Frontier` entries, a backup
+//! sends a loopback frame at boot, and a promoted backup speaks first
+//! (CHANGES.md has the table).
 
 use apps::Workload;
 use chaos::{
@@ -26,7 +30,7 @@ fn plan(ops: &[FaultOp]) -> FaultPlan {
 
 /// The fault-free 20-echo run; side-channel duplication at the backup's
 /// ingress adds deliveries, not transmissions, so it shares the digest.
-const ECHO20_SEED1_DIGEST: u64 = 0x1126_a6a1_abeb_6f5d;
+const ECHO20_SEED1_DIGEST: u64 = 0x76ad_3177_dc3a_b011;
 
 #[test]
 fn fault_free_run_is_green() {
@@ -52,9 +56,9 @@ fn crash_with_tap_loss_recovers_and_is_green() {
     let report = execute(&spec);
     assert!(report.violations.is_empty(), "violations: {:?}", report.violations);
     assert!(report.takeover_latency.is_some(), "a crashed primary must hand over");
-    assert_eq!(report.digest, 0x7771_c170_a3a4_3ec2);
+    assert_eq!(report.digest, 0x9beb_2515_fd16_1043);
     assert_eq!(report.final_epoch, 1, "the backup serves under the first promotion's epoch");
-    assert_eq!(report.injections, [("tap_drop@backup(skip 2, 2)".to_string(), 24, 2)]);
+    assert_eq!(report.injections, [("tap_drop@backup(skip 2, 2)".to_string(), 23, 2)]);
 }
 
 #[test]
@@ -73,7 +77,7 @@ fn synack_only_window_bulk_regression() {
     );
     let report = execute(&spec);
     assert!(report.violations.is_empty(), "violations: {:?}", report.violations);
-    assert_eq!(report.digest, 0x8168_65c1_b7b0_dd31);
+    assert_eq!(report.digest, 0xa554_b815_fefc_012b);
 }
 
 #[test]
@@ -88,7 +92,7 @@ fn runs_are_bit_deterministic() {
     );
     let a = execute(&spec);
     let b = execute(&spec);
-    assert_eq!(a.digest, 0xda98_3e84_534b_87d3);
+    assert_eq!(a.digest, 0x3755_e7d8_0dd0_6228);
     assert_eq!(a.digest, b.digest, "identical specs must produce identical frame traces");
     assert_eq!(a.virtual_duration, b.virtual_duration);
     assert_eq!(a.takeover_latency, b.takeover_latency);
@@ -99,7 +103,7 @@ fn different_seeds_diverge() {
     let mk = |seed| RunSpec::new(Workload::Echo { requests: 15 }, seed, plan(&[]));
     let a = execute(&mk(1));
     let b = execute(&mk(2));
-    assert_eq!((a.digest, b.digest), (0xc994_357c_e37d_d86f, 0xba09_11be_ff30_a751));
+    assert_eq!((a.digest, b.digest), (0x95ab_8e5e_b941_d6d1, 0xbd3b_1877_1cbf_d309));
 }
 
 #[test]
@@ -114,12 +118,12 @@ fn canary_is_caught_shrunk_and_replayable() {
         "split brain must be caught: {:?}",
         report.violations
     );
-    assert_eq!(report.digest, 0x20c4_0d9b_f6cc_65b8);
+    assert_eq!(report.digest, 0x7b7f_26e8_3832_cba0);
 
     let result = shrink(&spec, OracleKind::SingleServer, 16).expect("original failure reproduces");
     assert!(!result.minimal.plan.ops.is_empty(), "shrink must not empty the schedule");
     assert_eq!(result.minimal.plan.describe(), "pause@10%/300ms");
-    assert_eq!(result.report.digest, 0x1d7c_6c5b_d04a_78b7);
+    assert_eq!(result.report.digest, 0x4f4f_e0ac_d4a5_9f10);
 
     let artifact =
         FailureArtifact::capture(&result.minimal, &result.report, OracleKind::SingleServer);
@@ -142,16 +146,17 @@ fn innocent_side_channel_noise_is_not_flagged() {
     assert!(report.violations.is_empty(), "violations: {:?}", report.violations);
     assert!(report.takeover_latency.is_none(), "no takeover without a real fault");
     assert_eq!(report.digest, ECHO20_SEED1_DIGEST);
-    assert_eq!(report.injections, [("side_dup@backup(5ms)".to_string(), 64, 64)]);
+    assert_eq!(report.injections, [("side_dup@backup(5ms)".to_string(), 69, 69)]);
 }
 
 /// An artifact in the form the engine wrote before chains shared the
 /// format: no testbed members, no `target` on the tap op, the
 /// side-channel op addressed by the `"backup"` tag. Its recorded
-/// `digest` is the current runner's (the promoted backup no longer talks
-/// to the primary it replaced, and the side channel has one heartbeat);
-/// the violation text is as first written.
-const PARENT_ERA_ARTIFACT: &str = r#"{"format":"sttcp-chaos-artifact-v1","workload":{"kind":"echo","requests":100},"seed":"0x0000000000000007","fencing":false,"limit_ms":60000,"max_events":20000000,"link":"lan","congestion":"reno","sack":false,"plan":{"ops":[{"op":"pause_primary","at_pct":10,"dur_ms":300},{"op":"tap_drop","skip":0,"count":1},{"op":"side_duplicate","target":"backup","offset_ms":5}]},"oracle":"single-server","details":["[single-server] t=t=1.246907s node 1 still sourcing VIP traffic at t=1.246907s, 946.907ms after takeover"],"digest":"0x8b843bcbf74cc064"}"#;
+/// `digest` and violation text are the current runner's: the digest
+/// moved when the promoted backup stopped talking to the primary it
+/// replaced and when the side channel got one heartbeat, and both moved
+/// when the mirror began to copy only the client's half.
+const PARENT_ERA_ARTIFACT: &str = r#"{"format":"sttcp-chaos-artifact-v1","workload":{"kind":"echo","requests":100},"seed":"0x0000000000000007","fencing":false,"limit_ms":60000,"max_events":20000000,"link":"lan","congestion":"reno","sack":false,"plan":{"ops":[{"op":"pause_primary","at_pct":10,"dur_ms":300},{"op":"tap_drop","skip":0,"count":1},{"op":"side_duplicate","target":"backup","offset_ms":5}]},"oracle":"single-server","details":["[single-server] t=t=1.242605s node 1 still sourcing VIP traffic at t=1.242605s, 942.605ms after takeover"],"digest":"0x734333411f9f7cf7"}"#;
 
 #[test]
 fn parent_era_artifact_parses_to_the_same_spec_and_replays() {

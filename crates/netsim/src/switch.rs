@@ -6,7 +6,12 @@
 //!
 //! 1. **Port mirroring** ([`Switch::add_mirror`]): "some managed Ethernet
 //!    switches provide an option to forward traffic flowing from/to a
-//!    port to some other port."
+//!    port to some other port." We mirror only what flows *to* the
+//!    monitored port (a SPAN session's "tx" direction): a backup replays
+//!    the client's half of a connection, and the few facts it needs from
+//!    the primary's half come over the side channel
+//!    (`sttcp::SideMsg::Frontier`). Mirroring both directions roughly
+//!    doubled what the backup's port carried and let it fall behind.
 //! 2. **Multicast flooding**: frames addressed to a *group* (multicast)
 //!    MAC are never learned and always flooded, which is why mapping the
 //!    service IP to a multicast MAC (see
@@ -31,6 +36,10 @@ pub struct Switch {
     pub unicast_forwards: u64,
     /// Copies produced by mirroring.
     pub mirrored: u64,
+    /// Frames for a station on the segment they arrived from, which the
+    /// switch does not forward: a host's loopback frame to itself, or a
+    /// logger's replay on a monitored hop (mirrored all the same).
+    pub local: u64,
     /// Reused delivery list of a forwarded frame — on a fleet-scale LAN
     /// the switch forwards every frame, so this path must not allocate.
     delivered: Vec<PortId>,
@@ -47,8 +56,12 @@ impl Switch {
         Switch { ports, ..Self::default() }
     }
 
-    /// Mirrors all traffic ingressing or egressing `monitored` to
-    /// `mirror_to` (a SPAN/monitor port).
+    /// Mirrors to `mirror_to` (a SPAN/monitor port) every frame the
+    /// switch sends to `monitored`: a frame whose learned destination is
+    /// that port. Frames `monitored` sends are not copied. A frame for
+    /// the monitored port that arrives on it (from an inline device on
+    /// that hop, such as the packet logger replaying) is copied too,
+    /// though the switch itself does not forward it.
     pub fn add_mirror(&mut self, monitored: PortId, mirror_to: PortId) {
         self.mirrors.push((monitored, mirror_to));
     }
@@ -90,13 +103,14 @@ impl Node for Switch {
             self.unicast_forwards += 1;
             ctx.send_frame(out, frame.clone());
             delivered.push(out);
+        } else {
+            self.local += 1;
         }
-        // Mirroring: copy frames touching a monitored port to its monitor
+        // Mirroring: copy frames sent to a monitored port to its monitor
         // port, unless the frame already reaches that port normally.
         for mi in 0..self.mirrors.len() {
             let (monitored, to) = self.mirrors[mi];
-            let touches = port == monitored || delivered.contains(&monitored);
-            if touches && to != port && !delivered.contains(&to) {
+            if out == monitored && to != port && !delivered.contains(&to) {
                 ctx.send_frame(to, frame.clone());
                 delivered.push(to);
                 self.mirrored += 1;
@@ -224,25 +238,37 @@ mod tests {
     }
 
     #[test]
-    fn port_mirroring_copies_both_directions() {
+    fn port_mirroring_copies_only_what_the_monitored_port_is_sent() {
         let (mut sim, sw, hosts) = three_hosts();
         // Mirror port 0 (host a, "the primary") to port 2 ("the backup").
         sim.node_mut::<Switch>(sw).add_mirror(PortId(0), PortId(2));
-        // Teach the switch a and b first via a broadcast each... instead
-        // seed the table directly for a focused test.
+        // Seed the table directly for a focused test.
         sim.node_mut::<Switch>(sw).table.insert(MacAddr::local(0), PortId(0));
         sim.node_mut::<Switch>(sw).table.insert(MacAddr::local(1), PortId(1));
-        // a -> b unicast (egress of port 0): backup must get a copy.
+        // b -> a unicast (sent to port 0): the backup gets a copy.
+        sim.node_mut::<Host>(hosts[1]).outbox.push((MacAddr::local(0), Bytes::from_static(b"b2a")));
+        // a -> b unicast (sent by port 0): the backup gets none.
         sim.node_mut::<Host>(hosts[0]).outbox.push((MacAddr::local(1), Bytes::from_static(b"a2b")));
         sim.run_for(SimDuration::from_millis(2));
-        assert!(sim.node_ref::<Host>(hosts[2]).heard.iter().any(|f| f.payload.as_ref() == b"a2b"));
-        // b -> a unicast (ingress toward port 0): backup must get a copy.
-        sim.node_mut::<Host>(hosts[1]).outbox.push((MacAddr::local(0), Bytes::from_static(b"b2a")));
-        sim.schedule_crash(hosts[1], sim.now());
-        sim.schedule_power_on(hosts[1], sim.now() + SimDuration::from_millis(1));
-        sim.run_for(SimDuration::from_millis(5));
-        assert!(sim.node_ref::<Host>(hosts[2]).heard.iter().any(|f| f.payload.as_ref() == b"b2a"));
-        assert!(sim.node_ref::<Switch>(sw).mirrored >= 2);
+        let heard: Vec<&[u8]> =
+            sim.node_ref::<Host>(hosts[2]).heard.iter().map(|f| f.payload.as_ref()).collect();
+        assert_eq!(heard, [b"b2a"]);
+        assert_eq!(sim.node_ref::<Switch>(sw).mirrored, 1);
+    }
+
+    #[test]
+    fn a_frame_for_the_monitored_port_arriving_on_it_is_mirrored() {
+        // A replay from an inline logger on the monitored hop enters on
+        // the monitored port, addressed to the station behind it: the
+        // switch does not forward it, but the monitor port sees it.
+        let (mut sim, sw, hosts) = three_hosts();
+        sim.node_mut::<Switch>(sw).add_mirror(PortId(0), PortId(2));
+        sim.node_mut::<Switch>(sw).table.insert(MacAddr::local(0), PortId(0));
+        sim.node_mut::<Host>(hosts[0]).outbox.push((MacAddr::local(0), Bytes::from_static(b"rep")));
+        sim.run_for(SimDuration::from_millis(2));
+        assert!(sim.node_ref::<Host>(hosts[1]).heard.is_empty());
+        assert_eq!(sim.node_ref::<Host>(hosts[2]).heard.len(), 1);
+        assert_eq!(sim.node_ref::<Switch>(sw).local, 1);
     }
 
     #[test]

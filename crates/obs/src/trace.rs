@@ -174,6 +174,8 @@ named_enum! {
         Handover => "handover",
         /// Primary→backup congestion-state mirror (cwnd/ssthresh).
         CongSync => "cong_sync",
+        /// Primary→backup cumulative ACKs and answered SYNs' ISS.
+        Frontier => "frontier",
     }
 }
 

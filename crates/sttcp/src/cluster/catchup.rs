@@ -34,7 +34,7 @@ struct ConnSync {
     prev_acked_next: SeqNum,
     /// Highest cumulative ACK seen from the primary (tapped segments).
     highest_primary_ack: Option<SeqNum>,
-    /// In-flight missing-segment request: `(from, sent_at)`.
+    /// In-flight missing-segment request: `(end of the range, sent_at)`.
     outstanding_req: Option<(SeqNum, SimTime)>,
     /// Queued for the next ack scan.
     pending_ack: bool,
@@ -53,6 +53,10 @@ pub type MissingOut = (ConnKey, SeqNum, u32);
 
 /// One unhealed gap: `(conn, from, to)` — the logger-query window.
 pub type Gap = (ConnKey, SeqNum, SeqNum);
+
+/// How far past a shadow's `rcv_nxt` a query for bytes nobody has
+/// located asks: more than any window a client may have had open.
+pub const TAIL: u32 = 1 << 20;
 
 fn shadow(stack: &NetStack, key: ConnKey) -> Option<&Tcb> {
     stack.sock_by_quad(key.server_quad()).and_then(|s| stack.tcb(s))
@@ -128,11 +132,28 @@ impl CatchupTracker {
         }
     }
 
-    /// Clears the in-flight request for `key` (answered or refused).
+    /// Clears the in-flight request for `key` (refused).
     pub fn clear_outstanding(&mut self, key: ConnKey) {
         if let Some(c) = self.conns.get_mut(&key) {
             c.outstanding_req = None;
         }
+    }
+
+    /// A reply to `key`'s request arrived. The request is answered once
+    /// the shadow holds the whole range it asked for (a reply comes in
+    /// several datagrams); returns whether `key` has none in flight.
+    pub fn settle_reply(&mut self, key: ConnKey, stack: &NetStack) -> bool {
+        let Some(c) = self.conns.get_mut(&key) else {
+            return false;
+        };
+        let held = shadow(stack, key).map(|t| t.rcv_nxt());
+        if let (Some((end, _)), Some(next)) = (c.outstanding_req, held) {
+            if end.gt(next) {
+                return false;
+            }
+        }
+        c.outstanding_req = None;
+        true
     }
 
     /// Issues a missing-segment request for `key` if its shadow trails
@@ -165,7 +186,7 @@ impl CatchupTracker {
             return; // one request in flight per connection
         }
         let (from, len) = (tcb.rcv_nxt(), (gap as usize).min(chunk) as u32);
-        c.outstanding_req = Some((from, now));
+        c.outstanding_req = Some((from.add(len), now));
         if !c.in_flight {
             c.in_flight = true;
             self.in_flight.push(key);
@@ -289,18 +310,27 @@ impl CatchupTracker {
 
     /// The unhealed gaps, as logger-query windows, in [`ConnKey`] order:
     /// they become requests on the wire, so their order is the keys',
-    /// not the map's.
-    pub fn gaps(&self, stack: &NetStack, out: &mut Vec<Gap>) {
+    /// not the map's. A gap ends at the primary's last known ACK or past
+    /// the shadow's own out-of-order bytes, whichever is further. Where
+    /// the client acknowledged output this shadow never made, the
+    /// primary read input the shadow has not, wherever it is: that
+    /// connection's window is the [`TAIL`] after `rcv_nxt`, and with
+    /// `tails` every connection's is — bytes the primary acknowledged
+    /// after its last frontier entry reached us show in no gap.
+    pub fn gaps(&self, stack: &NetStack, tails: bool, out: &mut Vec<Gap>) {
         let start = out.len();
         for (&key, c) in &self.conns {
-            let Some(primary_ack) = c.highest_primary_ack else {
-                continue;
-            };
             let Some(tcb) = shadow(stack, key) else {
                 continue;
             };
-            if primary_ack.gt(tcb.ack_seq()) {
-                out.push((key, tcb.rcv_nxt(), primary_ack));
+            let next = tcb.rcv_nxt();
+            let front = c.highest_primary_ack.map_or(tcb.rcv_high(), |a| a.max(tcb.rcv_high()));
+            let mut to = front.gt(tcb.ack_seq()).then_some(front);
+            if tails || tcb.peer_ack_high_water().gt(tcb.snd_nxt()) {
+                to = Some(to.unwrap_or(next).max(next.add(TAIL)));
+            }
+            if let Some(to) = to {
+                out.push((key, next, to));
             }
         }
         out[start..].sort_unstable_by_key(|&(key, ..)| key);

@@ -25,6 +25,14 @@
 //! * [`migration`] — `drain_and_handover()`: a healthy primary fences
 //!   itself only after the successor proves shadow-consistency.
 //!
+//! The backup taps only the client's half of each connection (the
+//! mirror copies what the switch sends to the primary's port). What it
+//! needs of the primary's half — the ISS of each answered SYN, the
+//! primary's cumulative ACK where it leads the backup's last ack, and
+//! thereby the connections it has no shadow for — comes as
+//! [`SideMsg::Frontier`] entries: a SYN's with the SYN/ACK, the rest
+//! with each heartbeat (see `DESIGN.md` §12 "The tap").
+//!
 //! A node starts as rank-0 primary or rank-k backup and moves through
 //! promotion/retirement as the topology evolves. Only a backup owes
 //! anybody shadow duties (acks, missing-segment requests), and only to
@@ -50,7 +58,9 @@
 //! backup server" are its heartbeats (§4.4). A tick that owes no ack
 //! sends one empty [`SideMsg::AckBatch`], and the primary counts any
 //! datagram from a backup as life. The primary's one heartbeat per
-//! backup per tick is 13 bytes: its sequence number and its epoch.
+//! backup per tick is 13 bytes: its sequence number and its epoch; a
+//! [`SideMsg::Frontier`] batch follows it when that backup trails the
+//! primary on some connection.
 //!
 //! # Retention in a chain
 //!
@@ -83,6 +93,7 @@ use netsim::logger::ReplayQuery;
 use netsim::{DetHashMap, SimDuration, SimTime};
 use obs::{Counter, Gauge, Mark, MigrationPhase, SharedRecorder, TraceEvent};
 use promotion::PromotionTimer;
+use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 use tcpstack::{NetStack, SeqNum, SockId, TcpState};
 
@@ -92,6 +103,13 @@ pub const SIDE_CHUNK: usize = 1024;
 /// Most entries one [`SideMsg::AckBatch`] carries under [`SIDE_CHUNK`]:
 /// tag and count take 3 B, an entry (key, sequence number) 16 B.
 const ACK_BATCH_MAX: usize = (SIDE_CHUNK - 3) / 16;
+
+/// Most entries one [`SideMsg::Frontier`] carries under [`SIDE_CHUNK`]:
+/// an entry with an ISS takes 21 B (key, ACK, flag, ISS).
+const FRONTIER_BATCH_MAX: usize = (SIDE_CHUNK - 3) / 21;
+
+/// One [`SideMsg::Frontier`] entry: `(conn, cumulative ACK, ISS)`.
+type FrontierEntry = (ConnKey, u32, Option<u32>);
 
 /// What a cluster member currently is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -182,6 +200,14 @@ pub struct ClusterEngine {
     /// Last congestion snapshot mirrored per connection (primary side,
     /// [`SttcpConfig::cong_sync`]); suppresses no-change rebroadcasts.
     cong_sent: DetHashMap<ConnKey, (u32, u32)>,
+    /// As primary: the connections touched since their receive frontier
+    /// last matched every live backup's ack. The heartbeat's frontier
+    /// scan visits only these, in key order, and drops those it finds
+    /// acked.
+    frontier: BTreeSet<ConnKey>,
+    /// As primary: the entries of the SYNs answered since the last
+    /// flush, each carrying the ISS of its SYN/ACK.
+    answered: Vec<FrontierEntry>,
     takeover_at: Option<SimTime>,
     outbox: Vec<(Ipv4Addr, SideMsg)>,
     fence_request: Option<u32>,
@@ -233,6 +259,8 @@ impl ClusterEngine {
             peers: if rank == 0 { fresh_peers(&topology, now) } else { Vec::new() },
             backups_dead_at: None,
             cong_sent: DetHashMap::default(),
+            frontier: BTreeSet::new(),
+            answered: Vec::new(),
             takeover_at: None,
             outbox: Vec::new(),
             fence_request: None,
@@ -378,15 +406,36 @@ impl ClusterEngine {
     pub fn on_close(&mut self, key: ConnKey) {
         self.catchup.forget(key);
         self.cong_sent.remove(&key);
+        self.frontier.remove(&key);
         self.bootstrap_attempts.remove(&key);
         for peer in &mut self.peers {
             peer.acks.remove(&key);
         }
     }
 
-    /// Notes receive progress on `key`'s shadow (queues an ack check).
+    /// Notes that `key`'s socket was touched since the last pump: a
+    /// backup queues an ack check of its shadow, a primary the frontier
+    /// check of the next heartbeat.
     pub fn note_activity(&mut self, key: ConnKey) {
-        self.catchup.note_activity(key);
+        match self.role {
+            ClusterRole::Backup => self.catchup.note_activity(key),
+            ClusterRole::Primary if self.backup_alive() => {
+                self.frontier.insert(key);
+            }
+            ClusterRole::Primary | ClusterRole::Retired => {}
+        }
+    }
+
+    /// As primary: the node adapter's stack answered a SYN on `key`
+    /// with a SYN/ACK starting at `iss`; `ack` is that SYN/ACK's ACK.
+    /// The entry goes to every live backup once the SYN/ACK is out
+    /// ([`ClusterEngine::flush_answered`]): the shadow takes its ISN from
+    /// it (§4.1), and a backup with no shadow learns the connection
+    /// exists.
+    pub fn note_answered_syn(&mut self, key: ConnKey, ack: SeqNum, iss: SeqNum) {
+        if self.role == ClusterRole::Primary {
+            self.answered.push((key, ack.raw(), Some(iss.raw())));
+        }
     }
 
     /// Handles one side-channel datagram from `from`.
@@ -445,6 +494,13 @@ impl ClusterEngine {
                     self.apply_missing_data(now, conn, SeqNum(seq), &data, stack);
                 }
             }
+            SideMsg::Frontier { entries } => {
+                if self.role == ClusterRole::Backup && from == self.topo.primary() {
+                    for (conn, ack, iss) in entries {
+                        self.on_primary_frontier(now, conn, SeqNum(ack), iss.map(SeqNum), stack);
+                    }
+                }
+            }
             SideMsg::CongSync { conn, cwnd, ssthresh } => {
                 // Adopt the primary's operating point so a takeover does
                 // not cold-start from the initial window. Advisory: the
@@ -462,7 +518,7 @@ impl ClusterEngine {
                 if self.role == ClusterRole::Backup && self.cfg.use_logger {
                     // The primary no longer holds those bytes; only the
                     // in-network logger can heal the gap now.
-                    self.queue_logger_queries(now, stack);
+                    self.queue_logger_queries(now, stack, false);
                 }
             }
             SideMsg::Drain { epoch, successor_rank } => {
@@ -514,26 +570,22 @@ impl ClusterEngine {
         }
     }
 
-    /// Inspects a tapped primary→client TCP segment (backup role; the
-    /// node adapter feeds every mirrored VIP-sourced ACK here).
+    /// One [`SideMsg::Frontier`] entry from the primary (backup role).
     ///
-    /// * A SYN/ACK reveals the primary's ISN — the authoritative source
-    ///   for the shadow's sequence-space resynchronization (robust
+    /// * An entry's ISS (a SYN's, or one for a connection this backup
+    ///   has not acked yet) is the authoritative source for the
+    ///   shadow's sequence-space resynchronization in `SynRcvd` (robust
     ///   against the client piggybacking its handshake ACK onto data).
     /// * The cumulative ACK (`primary_ack`, the primary's
     ///   `NextByteExpected`) exposes tap omissions (§4.2).
-    pub fn on_tapped_primary_segment(
+    fn on_primary_frontier(
         &mut self,
         now: SimTime,
         key: ConnKey,
-        primary_seq: SeqNum,
         primary_ack: SeqNum,
-        is_syn: bool,
+        iss: Option<SeqNum>,
         stack: &mut NetStack,
     ) {
-        if self.role != ClusterRole::Backup {
-            return;
-        }
         let Some(sock) = stack.sock_by_quad(key.server_quad()) else {
             // The primary is serving a connection we have no shadow
             // for: its SYN was lost on the tap. Late-join extension
@@ -541,19 +593,29 @@ impl ClusterEngine {
             // connection's entire client-side history — the replayed
             // SYN builds the shadow, the replayed handshake ACK
             // resynchronizes its ISN, and the replayed data catches the
-            // application up. A SYN/ACK fires it too: if the primary
-            // dies before its first data segment, that is the only
-            // tapped evidence the connection exists.
+            // application up. A SYN's entry fires it too: if the
+            // primary dies before the next heartbeat, that is the only
+            // evidence the connection exists.
             self.maybe_bootstrap(now, key, primary_ack);
             return;
         };
-        if is_syn {
-            // A SYN/ACK's ack field is the handshake, not data.
+        if let Some(iss) = iss {
             if let Some(tcb) = stack.tcb_mut(sock) {
-                tcb.shadow_resync_iss(now, primary_seq);
+                tcb.shadow_resync_iss(now, iss);
             }
-        } else if self.catchup.on_primary_ack(key, primary_ack) {
+        }
+        if self.catchup.on_primary_ack(key, primary_ack) {
             self.request_missing_now(now, key, stack);
+        }
+    }
+
+    /// The shadow stack got a client segment with sequence number `seq`
+    /// for `key`, a connection it has no shadow for: its SYN was lost on
+    /// the tap. Like a frontier entry for an unknown connection, it asks
+    /// the logger for the connection's history (backup role).
+    pub fn on_stray(&mut self, now: SimTime, key: ConnKey, seq: SeqNum) {
+        if self.role == ClusterRole::Backup {
+            self.maybe_bootstrap(now, key, seq);
         }
     }
 
@@ -626,6 +688,21 @@ impl ClusterEngine {
     /// Drains queued `(destination, message)` pairs into `out`.
     pub fn drain_outbox_into(&mut self, out: &mut Vec<(Ipv4Addr, SideMsg)>) {
         out.append(&mut self.outbox);
+    }
+
+    /// Queues the entries of the SYNs answered since the last call for
+    /// every live backup; returns whether there were any. The node
+    /// adapter calls it once the SYN/ACKs are on the wire: an entry
+    /// follows its SYN/ACK and never delays it.
+    pub fn flush_answered(&mut self) -> bool {
+        if self.answered.is_empty() {
+            return false;
+        }
+        for peer in self.peers.iter().filter(|p| p.alive) {
+            push_frontier(&mut self.outbox, peer.ip, &self.answered);
+        }
+        self.answered.clear();
+        true
     }
 
     /// Takes the pending fence request (power-switch outlet), if any.
@@ -779,16 +856,20 @@ impl ClusterEngine {
         }
         self.stats.catchup_replays += 1;
         self.recorder.count(Counter::CatchupReplays, 1);
-        // The request is answered; a tapped ACK that still runs ahead of
-        // the shadow re-requests from the new `rcv_nxt`. Injected bytes
-        // are receive progress: queue the ack check.
-        self.catchup.clear_outstanding(conn);
+        // Once the request is answered, ask at once for the next chunk
+        // while the primary's known frontier still leads: on an idle
+        // connection nothing else would ask before the next heartbeat.
+        // Injected bytes are receive progress: queue the ack check.
+        if self.catchup.settle_reply(conn, stack) {
+            self.request_missing_now(now, conn, stack);
+        }
         self.catchup.note_activity(conn);
     }
 
     /// Fires a full-history replay query for a connection with no
-    /// shadow (rate-limited per connection).
-    fn maybe_bootstrap(&mut self, now: SimTime, key: ConnKey, primary_ack: SeqNum) {
+    /// shadow (rate-limited per connection), anchored at a point of the
+    /// client's sequence space: the primary's ACK or a client segment.
+    fn maybe_bootstrap(&mut self, now: SimTime, key: ConnKey, anchor: SeqNum) {
         if !self.cfg.use_logger {
             return; // without a logger the history is unrecoverable
         }
@@ -801,16 +882,15 @@ impl ClusterEngine {
         self.bootstrap_attempts.insert(key, now);
         self.stats.bootstrap_queries += 1;
         self.recorder.count(Counter::BootstrapQueries, 1);
-        // The client's sequence space is anchored by the primary's
-        // cumulative ACK; a half-space window backwards covers the whole
-        // connection history including the SYN.
+        // A half-space window backwards from the anchor covers the
+        // whole connection history including the SYN.
         self.logger_queries.push(ReplayQuery {
             src_ip: key.client_ip,
             dst_ip: key.server_ip,
             src_port: key.client_port,
             dst_port: key.server_port,
-            seq_from: primary_ack.sub(1 << 30).raw(),
-            seq_to: primary_ack.add(1 << 20).raw(),
+            seq_from: anchor.sub(1 << 30).raw(),
+            seq_to: anchor.add(1 << 20).raw(),
         });
     }
 
@@ -844,6 +924,7 @@ impl ClusterEngine {
 
     fn primary_tick(&mut self, now: SimTime, stack: &mut NetStack) {
         self.broadcast_heartbeat();
+        self.send_frontier(stack);
         if self.cfg.cong_sync {
             self.mirror_congestion(stack);
         }
@@ -902,7 +983,41 @@ impl ClusterEngine {
         // keep asking the logger while they last (the replayed frames
         // themselves ride the lossy tap path).
         if self.takeover_at.is_some() && self.cfg.use_logger && self.logger_query_due(now) {
-            self.queue_logger_queries(now, stack);
+            self.queue_logger_queries(now, stack, false);
+        }
+    }
+
+    /// The heartbeat's frontier: for each live backup, an entry for every
+    /// touched connection whose receive frontier leads that backup's last
+    /// ack — the bytes it still retains for it. A connection that leads
+    /// nobody leaves the scan until it is touched again. A backup that
+    /// never acked a connection is taken to hold its stream's start, and
+    /// its entry carries the ISS: its shadow may still wait for one.
+    fn send_frontier(&mut self, stack: &NetStack) {
+        if self.frontier.is_empty() || !self.backup_alive() {
+            return;
+        }
+        let mut owed: Vec<Vec<FrontierEntry>> = vec![Vec::new(); self.peers.len()];
+        let peers = &self.peers;
+        self.frontier.retain(|&key| {
+            let Some(tcb) = stack.sock_by_quad(key.server_quad()).and_then(|s| stack.tcb(s)) else {
+                return false;
+            };
+            let (front, base) = (tcb.rcv_nxt(), tcb.irs().add(1));
+            let mut leads = false;
+            for (i, peer) in peers.iter().enumerate().filter(|(_, p)| p.alive) {
+                let acked = peer.acks.get(&key).copied();
+                if front.gt(acked.unwrap_or(base)) {
+                    // Until the backup acks, it may lack the ISN too.
+                    let iss = acked.is_none().then(|| tcb.iss().raw());
+                    owed[i].push((key, tcb.ack_seq().raw(), iss));
+                    leads = true;
+                }
+            }
+            leads
+        });
+        for (peer, entries) in self.peers.iter().zip(&owed) {
+            push_frontier(&mut self.outbox, peer.ip, entries);
         }
     }
 
@@ -980,7 +1095,7 @@ impl ClusterEngine {
             // Keep healing: the primary is suspected dead, so only the
             // logger can close the gap.
             if lag > 0 && self.cfg.use_logger && self.logger_query_due(now) {
-                self.queue_logger_queries(now, stack);
+                self.queue_logger_queries(now, stack, false);
             }
         }
         // Planned migration: while a drain names us and we are
@@ -1005,7 +1120,7 @@ impl ClusterEngine {
                 // re-request what the last reply left open.
                 let mut gaps = std::mem::take(&mut self.gap_scratch);
                 gaps.clear();
-                self.catchup.gaps(stack, &mut gaps);
+                self.catchup.gaps(stack, false, &mut gaps);
                 for &(key, _, _) in &gaps {
                     self.request_missing_now(now, key, stack);
                 }
@@ -1049,11 +1164,11 @@ impl ClusterEngine {
     /// Double-failure masking: any gap between what the primary
     /// acknowledged and what we hold can only be healed by the
     /// in-network logger once the primary is gone.
-    fn queue_logger_queries(&mut self, now: SimTime, stack: &NetStack) {
+    fn queue_logger_queries(&mut self, now: SimTime, stack: &NetStack, tails: bool) {
         self.last_logger_query = Some(now);
         let mut gaps = std::mem::take(&mut self.gap_scratch);
         gaps.clear();
-        self.catchup.gaps(stack, &mut gaps);
+        self.catchup.gaps(stack, tails, &mut gaps);
         for &(key, from, to) in &gaps {
             self.logger_queries.push(ReplayQuery {
                 src_ip: key.client_ip,
@@ -1083,6 +1198,16 @@ impl ClusterEngine {
             // The end of the chain: nobody left to retain for.
             release_all_retention(stack);
         }
+        // Speak first: a client that sent what the dead primary never
+        // answered is backing off, and so is a suppressed shadow's timer.
+        // The retransmissions are paced across one heartbeat.
+        let socks: Vec<_> = stack.socks().collect();
+        let step = self.cfg.hb_interval / socks.len().max(1) as u64;
+        for (i, sock) in socks.into_iter().enumerate() {
+            if let Some(tcb) = stack.tcb_mut(sock) {
+                tcb.speak_first(now + step * i as u64);
+            }
+        }
     }
 
     fn promote(&mut self, now: SimTime, stack: &mut NetStack) {
@@ -1093,8 +1218,17 @@ impl ClusterEngine {
         // their detection clocks on us instead of promoting in parallel.
         self.broadcast_heartbeat();
         if self.cfg.use_logger {
-            self.queue_logger_queries(now, stack);
+            // The last frontier the dead primary sent is up to one
+            // heartbeat old: ask for what may follow every shadow too.
+            self.queue_logger_queries(now, stack, true);
         }
+    }
+}
+
+/// Queues `entries` for `to` as [`SideMsg::Frontier`] batches.
+fn push_frontier(outbox: &mut Vec<(Ipv4Addr, SideMsg)>, to: Ipv4Addr, entries: &[FrontierEntry]) {
+    for batch in entries.chunks(FRONTIER_BATCH_MAX) {
+        outbox.push((to, SideMsg::Frontier { entries: batch.to_vec() }));
     }
 }
 
@@ -1341,7 +1475,7 @@ mod tests {
                 tracker.on_primary_ack(key, SeqNum(5_000));
             }
             let mut out = Vec::new();
-            tracker.gaps(&stack, &mut out);
+            tracker.gaps(&stack, false, &mut out);
             out
         };
         let forward = gaps(false);

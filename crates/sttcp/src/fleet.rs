@@ -13,13 +13,16 @@
 //!
 //! # Wiring
 //!
-//! Server `rank` sits on switch port `rank`; clients follow. Every
-//! server port is mirrored to every *backup* port: whoever currently
-//! sources the VIP, all shadows keep seeing both directions of the
-//! client conversation — that is what lets a cascade (kill the primary,
-//! then kill its successor mid-takeover) keep converging without
-//! re-wiring. With one backup this is the single primary→backup mirror
-//! of §3.1.
+//! Server `rank` sits on switch port `rank`; clients follow. What the
+//! switch sends to the initial primary's port 0 is mirrored to every
+//! *backup* port: the client's half of every conversation, which is all
+//! a shadow replays. Whoever currently sources the VIP, the clients'
+//! frames still go to port 0 (below), so every shadow keeps seeing them
+//! — that is what lets a cascade (kill the primary, then kill its
+//! successor mid-takeover) keep converging without re-wiring. The
+//! serving member's half reaches the shadows as side-channel
+//! [`crate::SideMsg::Frontier`] entries. With one backup this is the
+//! single primary→backup mirror of §3.1.
 //!
 //! The servers' stacks, the recorders and the devices the protocol
 //! configuration names come from the same parts as
@@ -452,10 +455,8 @@ pub fn build(spec: &FleetSpec) -> Fleet {
 
     // --- fabric -----------------------------------------------------
     let mut sw = Switch::new(servers_total + n);
-    for from in 0..servers_total {
-        for to in (1..servers_total).filter(|&to| to != from) {
-            sw.add_mirror(PortId(from), PortId(to));
-        }
+    for to in 1..servers_total {
+        sw.add_mirror(PortId(0), PortId(to));
     }
     let fabric = sim.add_node("switch", sw);
     let mut logger = None;

@@ -1,8 +1,8 @@
 //! The UDP side-channel wire protocol between primary and backup
 //! (paper §4.2–§4.3).
 //!
-//! Ten message kinds flow on the channel. The paper's pair needs the
-//! first three groups; a chain and planned migration add the rest:
+//! Eleven message kinds flow on the channel. The paper's pair needs the
+//! first four groups; a chain and planned migration add the rest:
 //!
 //! * [`SideMsg::Heartbeat`] — the primary's periodic liveness beacon,
 //!   stamped with its reign's epoch. The chain's members are never
@@ -14,6 +14,13 @@
 //!   `NextByteExpected` itself and call it `acked_next`), for one
 //!   connection or for up to 63 in one datagram. These are the backup's
 //!   heartbeat (§4.4): a tick that owes no ack sends an empty batch;
+//! * [`SideMsg::Frontier`] — what the backup needs of the primary's half
+//!   of each connection, which the mirror does not copy
+//!   (`netsim::Switch::add_mirror`): the ISS of each SYN the primary
+//!   answers, and on each heartbeat the primary's cumulative ACK for
+//!   every connection where it leads the backup's last ack. The backup
+//!   learns its ISN, its tap omissions (§4.2) and the connections it has
+//!   no shadow for from these entries;
 //! * [`SideMsg::MissingReq`]/[`SideMsg::MissingData`]/[`SideMsg::MissingNack`]
 //!   — recovery of client bytes the backup's tap missed, served from the
 //!   primary's retention buffer;
@@ -138,6 +145,17 @@ pub enum SideMsg {
         /// `(connection, NextByteExpected)` pairs.
         entries: Vec<(ConnKey, u32)>,
     },
+    /// Primary → backups: the primary's half of its connections, in
+    /// batches. An entry `(conn, ack, iss)` carries the primary's
+    /// cumulative ACK (its `NextByteExpected`, FIN included) and, for a
+    /// SYN it has just answered, its initial sequence number. The
+    /// primary sends a SYN's entry as it sends the SYN/ACK, and with
+    /// each heartbeat an entry for every connection whose receive
+    /// frontier leads the backup's last ack (Lin et al.'s piggybacking).
+    Frontier {
+        /// `(connection, cumulative ACK, ISS of an answered SYN)`.
+        entries: Vec<(ConnKey, u32, Option<u32>)>,
+    },
     /// Primary → designated successor: planned migration begins — the
     /// primary is draining and will hand the VIP over.
     Drain {
@@ -196,6 +214,7 @@ impl SideMsg {
                 (K::MissingNack, Some(conn.trace_conn()), u64::from(*from), 0)
             }
             SideMsg::AckBatch { entries } => (K::AckBatch, None, 0, entries.len() as u32),
+            SideMsg::Frontier { entries } => (K::Frontier, None, 0, entries.len() as u32),
             SideMsg::Drain { epoch, successor_rank } => {
                 (K::Drain, None, u64::from(*epoch), u32::from(*successor_rank))
             }
@@ -220,6 +239,7 @@ const TAG_DRAIN: u8 = 8;
 const TAG_DRAIN_READY: u8 = 9;
 const TAG_HANDOVER: u8 = 10;
 const TAG_CONG_SYNC: u8 = 11;
+const TAG_FRONTIER: u8 = 12;
 
 fn put_key(buf: &mut BytesMut, key: &ConnKey) {
     buf.put_slice(&key.client_ip.octets());
@@ -278,6 +298,22 @@ impl SideMsg {
                 for (conn, acked_next) in entries {
                     put_key(&mut buf, conn);
                     buf.put_u32(*acked_next);
+                }
+            }
+            SideMsg::Frontier { entries } => {
+                buf.put_u8(TAG_FRONTIER);
+                debug_assert!(entries.len() <= u16::MAX as usize);
+                buf.put_u16(entries.len() as u16);
+                for (conn, ack, iss) in entries {
+                    put_key(&mut buf, conn);
+                    buf.put_u32(*ack);
+                    match iss {
+                        Some(iss) => {
+                            buf.put_u8(1);
+                            buf.put_u32(*iss);
+                        }
+                        None => buf.put_u8(0),
+                    }
                 }
             }
             SideMsg::Drain { epoch, successor_rank } => {
@@ -366,6 +402,30 @@ impl SideMsg {
                 }
                 Some(SideMsg::AckBatch { entries })
             }
+            TAG_FRONTIER => {
+                if raw.len() < 2 {
+                    return None;
+                }
+                let count = raw.get_u16() as usize;
+                if raw.len() < count * 17 {
+                    return None;
+                }
+                let mut entries = Vec::with_capacity(count);
+                for _ in 0..count {
+                    let conn = get_key(&mut raw)?;
+                    if raw.len() < 5 {
+                        return None;
+                    }
+                    let ack = raw.get_u32();
+                    let iss = match raw.get_u8() {
+                        0 => None,
+                        1 if raw.len() >= 4 => Some(raw.get_u32()),
+                        _ => return None,
+                    };
+                    entries.push((conn, ack, iss));
+                }
+                Some(SideMsg::Frontier { entries })
+            }
             TAG_DRAIN => {
                 if raw.len() < 5 {
                     return None;
@@ -418,6 +478,8 @@ mod tests {
             SideMsg::MissingData { conn: key(), seq: 100, data: Bytes::from_static(b"payload") },
             SideMsg::MissingNack { conn: key(), from: 100 },
             SideMsg::AckBatch { entries: vec![(key(), 0xDEAD_BEEF), (key(), 77)] },
+            SideMsg::Frontier { entries: vec![(key(), 0xDEAD_BEEF, Some(7)), (key(), 77, None)] },
+            SideMsg::Frontier { entries: vec![] },
             SideMsg::Drain { epoch: 9, successor_rank: 1 },
             SideMsg::DrainReady { rank: 1, epoch: 9 },
             SideMsg::Handover { epoch: 9 },
@@ -452,6 +514,13 @@ mod tests {
         assert_eq!(SideMsg::decode(Bytes::from_static(&[6; 20])), None);
         // AckBatch claiming an entry with no bytes behind it.
         assert_eq!(SideMsg::decode(Bytes::from_static(&[TAG_ACK_BATCH, 0, 1])), None);
+        // A frontier entry whose ISS flag promises four bytes it lacks,
+        // and one whose flag is neither 0 nor 1.
+        let entry = SideMsg::Frontier { entries: vec![(key(), 5, Some(6))] }.encode();
+        assert_eq!(SideMsg::decode(entry.slice(..entry.len() - 1)), None);
+        let mut bad_flag = entry.to_vec();
+        bad_flag[3 + 12 + 4] = 2;
+        assert_eq!(SideMsg::decode(Bytes::from(bad_flag)), None);
         // Truncated drain/handover family.
         assert_eq!(SideMsg::decode(Bytes::from_static(&[TAG_DRAIN, 0, 0])), None);
         assert_eq!(SideMsg::decode(Bytes::from_static(&[TAG_DRAIN_READY, 1])), None);

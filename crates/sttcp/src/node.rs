@@ -3,7 +3,12 @@
 //!
 //! * [`ServerNode`] — a service host: a standard-TCP solo server (the
 //!   paper's baseline) or a member of an ST-TCP replication chain (the
-//!   paper's primary/backup pair is the chain of length one).
+//!   paper's primary/backup pair is the chain of length one). A member's
+//!   pump hands its engine what its role tracks: a primary's touched
+//!   connections and the SYNs it answers (the side channel's `Frontier`
+//!   entries), a backup's receive progress and the client segments its
+//!   shadow stack holds no connection for. A backup taps only the
+//!   client's half of the traffic; it has no use for the primary's.
 //! * [`ClientNode`] — an *unmodified* TCP client driving a workload;
 //!   deliberately built from the plain [`NetStack`] with no ST-TCP
 //!   code, because client transparency is the paper's core claim.
@@ -13,7 +18,7 @@
 //! Port conventions: port 0 is the LAN NIC; port 1 (servers only) is
 //! the management segment holding the power switch.
 
-use crate::cluster::{ClusterEngine, ClusterRole, Topology};
+use crate::cluster::{ClusterEngine, Topology};
 use crate::config::SttcpConfig;
 use crate::messages::{ConnKey, SideMsg};
 use apps::{Application, StackApi};
@@ -24,13 +29,19 @@ use netsim::{DetHashMap, SimDuration, SimTime};
 use obs::{Counter, SharedRecorder, TraceEvent};
 use std::any::Any;
 use std::net::Ipv4Addr;
-use tcpstack::{Gateway, NetStack, SeqNum, Side, SockId, StackConfig, UdpId};
-use wire::{IpProtocol, Ipv4Packet, TcpFlags, TcpSegment};
+use tcpstack::{Gateway, NetStack, Quad, SeqNum, Side, SockId, StackConfig, TcpState, UdpId};
+use wire::{EtherType, EthernetFrame};
 
 /// LAN-facing port of every host node.
 pub const LAN: PortId = PortId(0);
 /// Management port (servers): power switch segment.
 pub const MGMT: PortId = PortId(1);
+
+/// The Ethernet configuration testing protocol's EtherType (loopback).
+const LOOPBACK: u16 = 0x9000;
+/// A loopback frame's body: skip count 0, then a reply function with
+/// receipt number 0.
+const LOOP_REPLY: Bytes = Bytes::from_static(&[0, 0, 0, 1, 0, 0]);
 
 const TOK_STACK: u64 = 1;
 const TOK_TICK: u64 = 2;
@@ -175,6 +186,8 @@ pub struct ServerNode {
     active: Vec<SockId>,
     /// Reused buffer for draining the engine's targeted outbox.
     side_out: Vec<(Ipv4Addr, SideMsg)>,
+    /// Reused buffer for draining the stack's stray segments.
+    strays: Vec<(Quad, SeqNum)>,
     /// Times this node has booted (1 after a normal start).
     pub boot_count: u32,
     /// Accepted connections in order (diagnostics / tests).
@@ -201,6 +214,7 @@ impl ServerNode {
             recorder: obs::nop(),
             active: Vec::new(),
             side_out: Vec::new(),
+            strays: Vec::new(),
             boot_count: 0,
             accepted: Vec::new(),
         };
@@ -310,33 +324,6 @@ impl ServerNode {
         app.downcast_ref::<T>()
     }
 
-    /// Backup inspection of a tapped packet the stack parsed but did
-    /// not deliver: primary→client segments carry the primary's
-    /// cumulative ACK. A segment failing its TCP checksum is ignored.
-    /// A serving member does no tap work at all.
-    fn inspect_tapped(&mut self, now: SimTime, ip: Ipv4Packet) {
-        let Some(engine) = self.engine.as_mut().filter(|e| e.role() == ClusterRole::Backup) else {
-            return;
-        };
-        if ip.src != engine.config().vip || ip.protocol != IpProtocol::Tcp {
-            return;
-        }
-        let Ok(seg) = TcpSegment::parse(ip.payload, ip.src, ip.dst) else {
-            return;
-        };
-        if !seg.flags.contains(TcpFlags::ACK) {
-            return;
-        }
-        let key = ConnKey {
-            client_ip: ip.dst,
-            client_port: seg.dst_port,
-            server_ip: ip.src,
-            server_port: seg.src_port,
-        };
-        let (seq, ack, syn) = (SeqNum(seg.seq), SeqNum(seg.ack), seg.flags.contains(TcpFlags::SYN));
-        engine.on_tapped_primary_segment(now, key, seq, ack, syn, &mut self.stack);
-    }
-
     /// One pass over everything the node does. Returns whether the stack
     /// had work of its own: a connection deadline due or a frame to send.
     fn pump(&mut self, ctx: &mut Context) -> bool {
@@ -363,6 +350,13 @@ impl ServerNode {
                 engine.on_side_msg(now, dgram.src_ip, msg, &mut self.stack);
             }
         }
+        // 2b. Client segments the shadow has no connection for.
+        if let Some(engine) = &mut self.engine {
+            self.stack.drain_strays(&mut self.strays);
+            for (quad, seq) in self.strays.drain(..) {
+                engine.on_stray(now, ConnKey::from_server_quad(quad), seq);
+            }
+        }
         // 3. Pump applications — only over sockets the stack reports as
         // touched since the last pump (ingress, timers, engine injection).
         // Idle connections cost nothing here, which is what keeps a pump
@@ -370,12 +364,17 @@ impl ServerNode {
         let mut active = std::mem::take(&mut self.active);
         active.clear();
         self.stack.drain_activity(&mut active);
-        // Feed receive progress to the ack strategy of a shadowing member
-        // (the engine dedups; acks themselves go out in step 4).
-        if let Some(engine) = self.engine.as_mut().filter(|e| e.is_shadowing()) {
+        // Feed the engine what its role tracks: receive progress for a
+        // backup's acks, a primary's frontier and the SYNs it answers
+        // (the engine dedups; messages go out in steps 4 and 5).
+        if let Some(engine) = &mut self.engine {
             for &sock in &active {
-                if let Some(tcb) = self.stack.tcb(sock) {
-                    engine.note_activity(ConnKey::from_server_quad(tcb.quad()));
+                let Some(tcb) = self.stack.tcb(sock) else { continue };
+                let key = ConnKey::from_server_quad(tcb.quad());
+                if tcb.state() == TcpState::SynRcvd {
+                    engine.note_answered_syn(key, tcb.ack_seq(), tcb.iss());
+                } else {
+                    engine.note_activity(key);
                 }
             }
         }
@@ -392,7 +391,7 @@ impl ServerNode {
         // enough — no full-map sweep. `accepted` keeps the historical
         // handle; the reused `active` buffer keeps this allocation-free.
         for &sock in &active {
-            if matches!(self.stack.state(sock), None | Some(tcpstack::TcpState::Closed))
+            if matches!(self.stack.state(sock), None | Some(TcpState::Closed))
                 && self.conns.remove(&sock).is_some()
             {
                 if let (Some(engine), Some(tcb)) = (&mut self.engine, self.stack.tcb(sock)) {
@@ -407,7 +406,13 @@ impl ServerNode {
         // 5. flush engine messages / fencing / logger queries.
         self.flush_engine(now, ctx);
         // 6. Transmit stack output and rearm the stack timer.
-        self.timer.flush(&mut self.stack, ctx)
+        let busy = self.timer.flush(&mut self.stack, ctx);
+        // 7. The entries of the SYNs just answered follow their SYN/ACKs.
+        if self.engine.as_mut().is_some_and(ClusterEngine::flush_answered) {
+            self.flush_engine(now, ctx);
+            self.timer.flush(&mut self.stack, ctx);
+        }
+        busy
     }
 
     fn flush_engine(&mut self, now: SimTime, ctx: &mut Context) {
@@ -462,6 +467,17 @@ impl Node for ServerNode {
         if let Some(engine) = &self.engine {
             self.side_udp = Some(self.stack.udp_bind(engine.config().side_channel_port));
             ctx.set_timer_after(engine.tick_interval(), TOK_TICK);
+            if engine.is_shadowing() {
+                // A backup sends nothing until its first ack, and the
+                // primary's first side-channel datagrams to it would
+                // flood every port of a switch that has not learned it.
+                // A loopback frame addressed to itself (Ethernet CTP, as
+                // switch keepalives use) teaches the switch its port and
+                // goes nowhere.
+                let mac = self.stack_cfg.mac;
+                let hello = EthernetFrame::new(mac, mac, EtherType::Other(LOOPBACK), LOOP_REPLY);
+                ctx.send_frame(LAN, hello.encode());
+            }
         }
         self.pump(ctx);
     }
@@ -470,9 +486,7 @@ impl Node for ServerNode {
         if port != LAN {
             return; // nothing listens on the management port
         }
-        if let Some(tapped) = self.stack.handle_frame(ctx.now(), frame) {
-            self.inspect_tapped(ctx.now(), tapped);
-        }
+        self.stack.handle_frame(ctx.now(), frame);
         self.pump(ctx);
     }
 

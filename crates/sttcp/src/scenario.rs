@@ -76,7 +76,8 @@ pub enum Topology {
         /// Medium line rate in bits/s (the paper's hub: 10/100 Mbit).
         medium_bps: u64,
     },
-    /// Managed switch with port mirroring of the primary's port.
+    /// Managed switch mirroring what it sends to the primary's port —
+    /// the client's half of the conversation — to the backup's.
     SwitchMirror,
     /// Switch + unicast-IP→multicast-MAC mapping (`SVI→SME`,
     /// client→`CME`), no management features needed.
@@ -432,7 +433,6 @@ pub(crate) fn plug_power_switch(
 pub fn build(spec: &ScenarioSpec) -> Scenario {
     let sme = MacAddr::multicast_for_ip(addrs::VIP);
     let cme = MacAddr::multicast_for_ip(addrs::CLIENT);
-    let gme = MacAddr::multicast_for_ip(addrs::GW_LAN_SIDE);
     let mut sim = Simulator::with_seed(spec.seed);
     let workload = spec.workload;
     let recording = Recording::new(&mut sim, spec.record_obs, spec.trace_capacity);
@@ -457,24 +457,21 @@ pub fn build(spec: &ScenarioSpec) -> Scenario {
         Topology::SwitchMulticast => {
             // The client plays the gateway's role: static SVI→SME entry,
             // and it accepts the multicast MAC the servers use to reach it.
+            // Backups tap only the client's half: they join the SME
+            // group and leave the CME group's frames to the client.
             client_cfg.static_arp.push((addrs::VIP, sme));
             client_cfg.accept_macs.push(cme);
-            for (rank, server) in servers.iter_mut().enumerate() {
+            for server in &mut servers {
                 server.accept_macs.push(sme);
-                if rank > 0 {
-                    server.accept_macs.push(cme);
-                }
                 server.static_arp.push((addrs::CLIENT, cme));
             }
         }
         Topology::GatewaySwitch => {
             client_cfg.ip = addrs::REMOTE_CLIENT;
             client_cfg.gateway = Some(addrs::GW_CLIENT_SIDE);
-            for (rank, server) in servers.iter_mut().enumerate() {
+            let gme = MacAddr::multicast_for_ip(addrs::GW_LAN_SIDE);
+            for server in &mut servers {
                 server.accept_macs.push(sme);
-                if rank > 0 {
-                    server.accept_macs.push(gme);
-                }
                 server.gateway = Some(addrs::GW_LAN_SIDE);
                 server.static_arp.push((addrs::GW_LAN_SIDE, gme));
             }

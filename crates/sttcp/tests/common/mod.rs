@@ -8,7 +8,7 @@ use std::net::Ipv4Addr;
 use sttcp::{ConnKey, SideMsg};
 
 /// How many kinds [`kind`] knows.
-pub const KINDS: usize = 10;
+pub const KINDS: usize = 11;
 
 /// `msg`'s kind as an index below [`KINDS`]. No wildcard arm: a new
 /// kind does not compile until it is listed here, and each test that
@@ -25,6 +25,7 @@ pub fn kind(msg: &SideMsg) -> usize {
         SideMsg::DrainReady { .. } => 7,
         SideMsg::Handover { .. } => 8,
         SideMsg::CongSync { .. } => 9,
+        SideMsg::Frontier { .. } => 10,
     }
 }
 

@@ -68,7 +68,7 @@ const BULK_100MB_EVENTS: u64 = 215_475;
 /// `fleet_failover_frame_traces_are_bit_identical` scenario), captured
 /// pre-refactor (PR 9) and held through the engine collapse (PR 12).
 /// The loss-free LAN draws nothing at random, so only protocol changes
-/// move it. Re-pinned four times:
+/// move it. Re-pinned five times:
 ///
 /// * from (0x24bf_5764_6391_d5fd, 4 228) when the stack's deadlines
 ///   became exact: two clients' 200 ms retransmissions reach the
@@ -95,8 +95,16 @@ const BULK_100MB_EVENTS: u64 = 215_475;
 ///   heartbeat: the primary's carries its epoch (13 bytes, was 9), and
 ///   a backup's acks are its heartbeat, so a tick that acked no longer
 ///   also sent one, 6 frames fewer. The takeover instant held;
-///   [`FLEET_80_PRE_PROMOTION_DIGEST`] moved with it.
-const FLEET_80_FAILOVER_DIGEST: (u64, u64) = (0xd65b_8bc3_0b21_d1a8, 3_966);
+///   [`FLEET_80_PRE_PROMOTION_DIGEST`] moved with it;
+/// * from (0xd65b_8bc3_0b21_d1a8, 3 966) when the mirror began to copy
+///   only what the switch sends to the primary's port, 399 frames
+///   fewer: the copies of the primary's half are gone, and the side
+///   channel gained a `Frontier` entry per answered SYN and per
+///   heartbeat, the backup a loopback frame at boot, and the promoted
+///   backup speaks first. The takeover instant held;
+///   [`FLEET_80_PRE_PROMOTION_DIGEST`] moved with it (3 871 → 3 469
+///   frames).
+const FLEET_80_FAILOVER_DIGEST: (u64, u64) = (0x8095_94a5_ec19_80d6, 3_567);
 
 /// Simulator events of the failover fleet and of its fault-free twin
 /// (see [`BULK_100MB_EVENTS`]) plus the flood copies the clients' NICs
@@ -108,9 +116,11 @@ const FLEET_80_FAILOVER_DIGEST: (u64, u64) = (0xd65b_8bc3_0b21_d1a8, 3_966);
 /// stopped waking its node at the old instant, again (→ 4 232,
 /// → 4 202) when acks for several connections began to share a datagram:
 /// one event per frame fewer, and again (→ 4 226, → 4 196) when a backup
-/// stopped sending a heartbeat beside its acks.
-const FLEET_80_FAILOVER_EVENTS: u64 = 4_226;
-const FLEET_80_FAULT_FREE_EVENTS: u64 = 4_196;
+/// stopped sending a heartbeat beside its acks, and again (→ 3 832,
+/// → 3 780) when the mirror stopped copying the primary's half to the
+/// backup.
+const FLEET_80_FAILOVER_EVENTS: u64 = 3_832;
+const FLEET_80_FAULT_FREE_EVENTS: u64 = 3_780;
 
 #[test]
 fn reno_via_trait_matches_prerefactor_bulk_100mb() {
@@ -135,10 +145,12 @@ fn reno_via_trait_matches_prerefactor_bulk_100mb() {
 
 /// Golden digest of the same 80-client fleet with no crash (whole run),
 /// captured on the commit before the engine collapse (PR 12).
-/// Re-pinned twice: from (0xd42d_b817_8f53_a80b, 4 215) for batched
-/// acks (see [`FLEET_80_FAILOVER_DIGEST`]), 256 frames fewer, and from
-/// (0xc251_a78b_5b63_382b, 3 959) for the one heartbeat, 7 fewer.
-const FLEET_80_FAULT_FREE_DIGEST: (u64, u64) = (0xa239_214d_a47d_322a, 3_952);
+/// Re-pinned three times: from (0xd42d_b817_8f53_a80b, 4 215) for
+/// batched acks (see [`FLEET_80_FAILOVER_DIGEST`]), 256 frames fewer,
+/// from (0xc251_a78b_5b63_382b, 3 959) for the one heartbeat, 7 fewer,
+/// and from (0xa239_214d_a47d_322a, 3 952) for the mirror that copies
+/// only the client's half, 415 fewer.
+const FLEET_80_FAULT_FREE_DIGEST: (u64, u64) = (0x2404_154f_a89a_941c, 3_537);
 
 /// When the backup of the 80-client failover fleet promotes itself.
 const FLEET_80_TAKEOVER: SimTime = SimTime::from_nanos(300_000_000);
@@ -147,10 +159,11 @@ const FLEET_80_TAKEOVER: SimTime = SimTime::from_nanos(300_000_000);
 /// before [`FLEET_80_TAKEOVER`], captured on the commit before the
 /// engine collapse (PR 12): whatever the surviving engine does after
 /// the promotion, the pair's pre-takeover wire trace may not move.
-/// Re-pinned twice, from (0x2efc_b375_8c3f_a909, 4 129) for batched
-/// acks and from (0x4ef5_6c6a_869e_b9b1, 3 877) for the one heartbeat
-/// (see [`FLEET_80_FAILOVER_DIGEST`]).
-const FLEET_80_PRE_PROMOTION_DIGEST: (u64, u64) = (0x5cb8_f76f_ab42_fba2, 3_871);
+/// Re-pinned three times, from (0x2efc_b375_8c3f_a909, 4 129) for
+/// batched acks, from (0x4ef5_6c6a_869e_b9b1, 3 877) for the one
+/// heartbeat and from (0x5cb8_f76f_ab42_fba2, 3 871) for the mirror that
+/// copies only the client's half (see [`FLEET_80_FAILOVER_DIGEST`]).
+const FLEET_80_PRE_PROMOTION_DIGEST: (u64, u64) = (0x6034_0b1d_c88a_83ec, 3_469);
 
 /// What one run of the 80-client fleet put on the wire.
 struct Fleet80 {
@@ -261,15 +274,21 @@ fn fault_free_fleet_matches_the_pre_collapse_pair() {
 /// when, and what the promoted backup sends afterwards — where the
 /// loss-free fleet digests above cannot see it.
 ///
-/// Re-pinned twice. First from (0x86d4_57de_ad58_b603, 9 657), for two
+/// Re-pinned three times. First from (0x86d4_57de_ad58_b603, 9 657), for two
 /// reasons at once. The promoted backup stopped serving the primary it
 /// replaced: its acks, heartbeats and missing-segment retries to the
 /// dead (that alone made 6 827 frames). And the tap-loss rule stopped
 /// sharing the simulator's one generator: it draws from the backup's
 /// own ingress stream. Then from (0xa2a8_a55d_b719_20c3, 6 440), when the
 /// side channel got one heartbeat: the primary's carries its epoch, and
-/// the backup's acks are its heartbeat (36 frames fewer).
-const TAP_LOSS_FAILOVER_DIGEST: (u64, u64) = (0x8db8_78a8_1c7d_636d, 6_404);
+/// the backup's acks are its heartbeat (36 frames fewer). Then from
+/// (0x8db8_78a8_1c7d_636d, 6 404), when the mirror began to copy only
+/// the client's half: the primary's frontier reaches the backup on each
+/// heartbeat, not with each segment, so the promoted backup asks the
+/// logger for what follows each shadow and for the holes it sees
+/// itself (77 queries, each flooded), and speaks first. The upload
+/// finishes at 8.84 s instead of 23.78 s; 8 896 frames.
+const TAP_LOSS_FAILOVER_DIGEST: (u64, u64) = (0xf462_57ac_2059_949b, 8_896);
 
 #[test]
 fn tap_loss_failover_matches_the_pre_collapse_pair() {

@@ -93,6 +93,12 @@ fn deliver(stack: &mut NetStack, now: SimTime, seg: &TcpSegment) {
     stack.handle_frame(now, eth.encode());
 }
 
+/// The primary's one-entry frontier for [`key`]: its cumulative ACK,
+/// and the ISS of a SYN it answered.
+fn frontier(ack: SeqNum, iss: Option<SeqNum>) -> SideMsg {
+    SideMsg::Frontier { entries: vec![(key(), ack.raw(), iss.map(SeqNum::raw))] }
+}
+
 fn parse_tcp(frame: &Bytes) -> TcpSegment {
     use wire::{EthernetFrame, Ipv4Packet};
     let eth = EthernetFrame::parse(frame.clone()).unwrap();
@@ -268,8 +274,8 @@ fn backup_retries_stale_missing_requests() {
 
     let mut engine = backup(cfg());
     engine.on_accept(sock, &mut stack);
-    // A tapped primary ACK reveals a 400-byte gap.
-    engine.on_tapped_primary_segment(now, key(), SeqNum(0), rcv_nxt.add(400), false, &mut stack);
+    // The primary's frontier reveals a 400-byte gap.
+    engine.on_side_msg(now, PRIMARY, frontier(rcv_nxt.add(400), None), &mut stack);
     let first = sent(&mut engine);
     assert!(first.iter().any(|m| matches!(m, SideMsg::MissingReq { len: 400, .. })), "{first:?}");
     // No reply arrives; ticks past 2×SyncTime re-issue the request.
@@ -376,15 +382,8 @@ fn cold_replay_standby_serves_only_after_restart_and_replay() {
 fn unknown_conn_tapped_ack_is_ignored_without_a_logger() {
     let mut engine = backup(cfg());
     let mut stack = backup_stack();
-    for is_syn in [false, true] {
-        engine.on_tapped_primary_segment(
-            SimTime::ZERO,
-            key(),
-            SeqNum(5000),
-            SeqNum(1001),
-            is_syn,
-            &mut stack,
-        );
+    for iss in [None, Some(SeqNum(5000))] {
+        engine.on_side_msg(SimTime::ZERO, PRIMARY, frontier(SeqNum(1001), iss), &mut stack);
     }
     assert!(sent(&mut engine).is_empty());
     assert_eq!(engine.stats.missing_reqs, 0);
@@ -394,19 +393,13 @@ fn unknown_conn_tapped_ack_is_ignored_without_a_logger() {
 
 #[test]
 fn unknown_conn_syn_ack_triggers_bootstrap() {
-    // A tapped SYN/ACK for a quad with no shadow is sometimes the
+    // A SYN/ACK's entry for a quad with no shadow is sometimes the
     // ONLY evidence a connection exists (primary crashes before its
-    // first data segment), so it must fire the logger bootstrap.
+    // next heartbeat), so it must fire the logger bootstrap.
     let mut engine = backup(cfg().with_logger());
     let mut stack = backup_stack();
-    engine.on_tapped_primary_segment(
-        SimTime::ZERO,
-        key(),
-        SeqNum(5000),
-        SeqNum(1001),
-        true,
-        &mut stack,
-    );
+    let syn_ack = frontier(SeqNum(1001), Some(SeqNum(5000)));
+    engine.on_side_msg(SimTime::ZERO, PRIMARY, syn_ack, &mut stack);
     assert_eq!(engine.stats.bootstrap_queries, 1);
     let queries = engine.take_logger_queries();
     assert_eq!(queries.len(), 1);
@@ -425,14 +418,8 @@ fn closing_a_connection_forgets_its_bootstrap_attempt() {
     let mut engine = backup(cfg().with_logger());
     let mut stack = backup_stack();
     let mut tapped_syn_ack = |engine: &mut ClusterEngine| {
-        engine.on_tapped_primary_segment(
-            ms(10),
-            key(),
-            SeqNum(5000),
-            SeqNum(1001),
-            true,
-            &mut stack,
-        );
+        let syn_ack = frontier(SeqNum(1001), Some(SeqNum(5000)));
+        engine.on_side_msg(ms(10), PRIMARY, syn_ack, &mut stack);
         engine.take_logger_queries().len()
     };
     assert_eq!(tapped_syn_ack(&mut engine), 1, "no shadow: ask the logger");

@@ -177,6 +177,13 @@ fn arb_msg() -> impl Strategy<Value = SideMsg> {
         arb_epoch().prop_map(|epoch| SideMsg::Handover { epoch }),
         (arb_conn(), prop_oneof![0u32..3_000, any::<u32>()], any::<u32>())
             .prop_map(|(conn, cwnd, ssthresh)| SideMsg::CongSync { conn, cwnd, ssthresh }),
+        proptest::collection::vec((arb_conn(), arb_seq(), any::<bool>(), any::<u32>()), 0..4)
+            .prop_map(|entries| SideMsg::Frontier {
+                entries: entries
+                    .into_iter()
+                    .map(|(k, ack, syn, iss)| (k, ack, syn.then_some(iss)))
+                    .collect()
+            }),
     ]
 }
 
@@ -303,6 +310,7 @@ fn a_strangers_orders_move_nothing_and_draw_no_reply() {
         SideMsg::MissingData { conn: key(), seq: next, data: Bytes::from_static(b"forged") },
         SideMsg::MissingNack { conn: key(), from: next },
         SideMsg::CongSync { conn: key(), cwnd: 1, ssthresh: 1 },
+        SideMsg::Frontier { entries: vec![(key(), next + 4_000, None), (key(), next, Some(9))] },
         SideMsg::DrainReady { rank: 1, epoch: 1 },
         SideMsg::Drain { epoch: 1, successor_rank: 1 },
         SideMsg::Handover { epoch: 1 },

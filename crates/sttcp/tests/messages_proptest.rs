@@ -32,6 +32,13 @@ fn arb_msg() -> impl Strategy<Value = SideMsg> {
         any::<u32>().prop_map(|epoch| SideMsg::Handover { epoch }),
         (arb_key(), any::<u32>(), any::<u32>())
             .prop_map(|(conn, cwnd, ssthresh)| SideMsg::CongSync { conn, cwnd, ssthresh }),
+        proptest::collection::vec((arb_key(), any::<u32>(), any::<bool>(), any::<u32>()), 0..60)
+            .prop_map(|entries| SideMsg::Frontier {
+                entries: entries
+                    .into_iter()
+                    .map(|(k, ack, syn, iss)| (k, ack, syn.then_some(iss)))
+                    .collect()
+            }),
     ]
 }
 

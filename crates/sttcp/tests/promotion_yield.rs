@@ -145,9 +145,8 @@ fn a_lagging_successor_catches_up_on_an_idle_connection_and_takes_the_handover()
     // One client uploads the fleet's 8 KB file and then sits on the open
     // connection. Rank 1's tap misses five of the six data segments
     // (≈ 7 KB, several 2 KB request chunks), and the primary's replies
-    // are lost until long after the last tapped ACK: the retry that
-    // finally gets through recovers one chunk, and nothing asks for the
-    // rest.
+    // are lost until after the drain has begun: every heartbeat's
+    // frontier asks again, but nothing heals before the drain does.
     let migrate_at = SimTime::ZERO + SimDuration::from_secs(1);
     let mut spec = FleetSpec::new(1)
         .backups(2)
@@ -158,7 +157,7 @@ fn a_lagging_successor_catches_up_on_an_idle_connection_and_takes_the_handover()
     let mut fleet = fleet::build(&spec);
     let rank1 = fleet.servers[1];
     fleet.sim.add_ingress_drop(rank1, DropRule::window(1, 5, client_request));
-    let heals_at = SimTime::ZERO + SimDuration::from_millis(500);
+    let heals_at = migrate_at + SimDuration::from_millis(200);
     fleet.sim.add_ingress_drop(
         rank1,
         DropRule::all(missing_data_reply).between(SimTime::ZERO, heals_at),

@@ -40,6 +40,9 @@ fn sample_msgs() -> Vec<SideMsg> {
         SideMsg::DrainReady { rank: 2, epoch: 2 },
         SideMsg::Handover { epoch: 0xFFFF_FFFF },
         SideMsg::CongSync { conn: sample_key(), cwnd: 29_200, ssthresh: 0x7FFF_FFFF },
+        SideMsg::Frontier {
+            entries: vec![(sample_key(), 0x8000_0001, Some(0xFFFF_FFFF)), (sample_key(), 3, None)],
+        },
     ]
 }
 

@@ -1,11 +1,12 @@
-//! The backup's tap inspection at the node boundary: the stack parses a
-//! tapped frame once and hands the packet it did not deliver to the
-//! node, which validates the TCP segment before the engine sees it.
+//! Where the backup learns the primary's half of a connection.
 //!
-//! A tapped primary ACK beyond the shadow's `NextByteExpected` makes the
-//! backup request the missing bytes (§4.2) — but only when the segment
-//! passes its TCP checksum: a corrupted ACK must never move
-//! `highest_primary_ack`.
+//! The mirror copies only the client's half (the frames the switch
+//! sends to the primary's port). What the backup once read off the
+//! primary's tapped segments — the ISS of its SYN/ACK and the
+//! cumulative ACK that shows a tap omission (§4.2) — comes as
+//! side-channel `Frontier` entries from the primary. Only those move
+//! the backup: a corrupted datagram fails its UDP checksum, and a
+//! stranger's is not the chain's.
 
 use apps::EchoServer;
 use bytes::Bytes;
@@ -13,16 +14,18 @@ use netsim::node::{Context, Node, PortId};
 use netsim::{LinkSpec, SimDuration, Simulator};
 use std::net::Ipv4Addr;
 use sttcp::node::LAN;
-use sttcp::{ServerNode, SttcpConfig};
+use sttcp::{ConnKey, ServerNode, SideMsg, SttcpConfig};
 use tcpstack::{StackConfig, TcpConfig};
 use wire::{
     EtherType, EthernetFrame, IpProtocol, Ipv4Packet, MacAddr, TcpFlags, TcpOption, TcpSegment,
+    UdpDatagram,
 };
 
 const VIP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 100);
 const CLIENT: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
 const PRIMARY: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
 const BACKUP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 3);
+const STRANGER: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 9);
 const CLIENT_ISS: u32 = 5000;
 const PRIMARY_ISS: u32 = 777_000;
 
@@ -39,41 +42,46 @@ impl Node for Tap {
     fn on_frame(&mut self, _port: PortId, _frame: Bytes, _ctx: &mut Context) {}
 }
 
-fn frame(from_client: bool, seg: &TcpSegment) -> Bytes {
-    let (src, dst) = if from_client { (CLIENT, VIP) } else { (VIP, CLIENT) };
-    let (smac, dmac) = if from_client {
-        (MacAddr::local(1), MacAddr::local(2))
-    } else {
-        (MacAddr::local(2), MacAddr::local(1))
-    };
-    let ip = Ipv4Packet::new(src, dst, IpProtocol::Tcp, seg.encode(src, dst));
-    EthernetFrame::new(dmac, smac, EtherType::Ipv4, ip.encode()).encode()
+/// A client segment to the VIP, as the mirror copies it.
+fn client_frame(seg: &TcpSegment) -> Bytes {
+    let ip = Ipv4Packet::new(CLIENT, VIP, IpProtocol::Tcp, seg.encode(CLIENT, VIP));
+    EthernetFrame::new(MacAddr::local(2), MacAddr::local(1), EtherType::Ipv4, ip.encode()).encode()
 }
 
-/// The tapped handshake of one connection, then a primary ACK saying the
+/// A side-channel datagram from `from` to the backup.
+fn side_frame(from: Ipv4Addr, msg: &SideMsg) -> Bytes {
+    let port = SttcpConfig::new(VIP, 80).side_channel_port;
+    let udp = UdpDatagram::new(port, port, msg.encode());
+    let ip = Ipv4Packet::new(from, BACKUP, IpProtocol::Udp, udp.encode(from, BACKUP));
+    EthernetFrame::new(MacAddr::local(3), MacAddr::local(2), EtherType::Ipv4, ip.encode()).encode()
+}
+
+fn frontier(ack: u32, iss: Option<u32>) -> SideMsg {
+    let key = ConnKey { client_ip: CLIENT, client_port: 40000, server_ip: VIP, server_port: 80 };
+    SideMsg::Frontier { entries: vec![(key, ack, iss)] }
+}
+
+/// The client's handshake on the tap, the primary's SYN entry between
+/// its SYN and ACK, then a frontier entry from `sender` saying the
 /// primary holds 400 client bytes the tap never showed the backup.
-/// Returns how many missing-segment requests the backup made.
-fn missing_requests_after_tapped_ack(corrupt: bool) -> u64 {
+/// Returns the shadow's ISS and how many missing-segment requests the
+/// backup made.
+fn after_frontier(sender: Ipv4Addr, corrupt: bool) -> (u32, u64) {
     let mut syn = TcpSegment::bare(40000, 80, CLIENT_ISS, 0, TcpFlags::SYN, 17520);
     syn.options = vec![TcpOption::Mss(1460)];
-    let mut synack = TcpSegment::bare(
-        80,
-        40000,
-        PRIMARY_ISS,
-        CLIENT_ISS + 1,
-        TcpFlags::SYN | TcpFlags::ACK,
-        17520,
-    );
-    synack.options = vec![TcpOption::Mss(1460)];
     let ack = TcpSegment::bare(40000, 80, CLIENT_ISS + 1, PRIMARY_ISS + 1, TcpFlags::ACK, 17520);
-    let primary_ack =
-        TcpSegment::bare(80, 40000, PRIMARY_ISS + 1, CLIENT_ISS + 1 + 400, TcpFlags::ACK, 17520);
-    let mut last = frame(false, &primary_ack).to_vec();
+    let mut last = side_frame(sender, &frontier(CLIENT_ISS + 1 + 400, None)).to_vec();
     if corrupt {
-        // One bit of the ACK field, checksum left as it was.
-        last[14 + 20 + 8 + 2] ^= 0x01;
+        // One bit of the entry's ACK field, checksum left as it was.
+        let at = last.len() - 2;
+        last[at] ^= 0x01;
     }
-    let tape = vec![frame(true, &syn), frame(false, &synack), frame(true, &ack), Bytes::from(last)];
+    let tape = vec![
+        client_frame(&syn),
+        side_frame(PRIMARY, &frontier(CLIENT_ISS + 1, Some(PRIMARY_ISS))),
+        client_frame(&ack),
+        Bytes::from(last),
+    ];
 
     let mut b_cfg = StackConfig::host(MacAddr::local(3), BACKUP);
     b_cfg.extra_ips = vec![VIP];
@@ -95,15 +103,21 @@ fn missing_requests_after_tapped_ack(corrupt: bool) -> u64 {
 
     let node = sim.node_ref::<ServerNode>(backup);
     assert_eq!(node.accepted.len(), 1, "the tapped handshake built the shadow");
-    node.engine().expect("a chain member").stats.missing_reqs
+    let iss = node.stack().tcb(node.accepted[0]).expect("the shadow").iss().raw();
+    (iss, node.engine().expect("a chain member").stats.missing_reqs)
 }
 
 #[test]
-fn tapped_primary_ack_reveals_a_tap_omission() {
-    assert_eq!(missing_requests_after_tapped_ack(false), 1);
+fn the_primarys_frontier_reveals_a_tap_omission() {
+    assert_eq!(after_frontier(PRIMARY, false), (PRIMARY_ISS, 1));
 }
 
 #[test]
-fn corrupted_tapped_ack_is_ignored() {
-    assert_eq!(missing_requests_after_tapped_ack(true), 0);
+fn a_corrupted_frontier_datagram_moves_nothing() {
+    assert_eq!(after_frontier(PRIMARY, true), (PRIMARY_ISS, 0));
+}
+
+#[test]
+fn a_strangers_frontier_moves_nothing() {
+    assert_eq!(after_frontier(STRANGER, false), (PRIMARY_ISS, 0));
 }

@@ -217,3 +217,46 @@ fn a_fleet_workload_override_reaches_the_servers() {
         assert_eq!(app.content_errors, 0);
     }
 }
+
+/// A client data segment on its way to the VIP.
+fn client_data(frame: &bytes::Bytes) -> bool {
+    (|| {
+        let eth = wire::EthernetFrame::parse(frame.clone()).ok()?;
+        let ip = wire::Ipv4Packet::parse(eth.payload).ok()?;
+        if ip.dst != addrs::VIP || ip.protocol != wire::IpProtocol::Tcp {
+            return None;
+        }
+        let seg = wire::TcpSegment::parse(ip.payload, ip.src, ip.dst).ok()?;
+        Some(!seg.payload.is_empty())
+    })()
+    .unwrap_or(false)
+}
+
+#[test]
+fn an_idle_gap_wider_than_one_request_heals_within_a_few_round_trips() {
+    // The backup's tap loses the last ≈ 21.7 KB of a 64 KiB upload, more
+    // than one 16 KiB request chunk, and the client then sits idle on
+    // the open connection: nothing it sends will show the gap again.
+    // The heartbeat's frontier reveals it once; each answered request
+    // must ask for the next chunk at once, not wait for a heartbeat.
+    let cfg = st_cfg().with_hb_interval(SimDuration::from_millis(200));
+    let spec = ScenarioSpec::new(Workload::Upload { file_size: 64 * 1024 }).st_tcp(cfg);
+    let mut s = build(&spec);
+    let backup = s.backup.unwrap();
+    s.sim.add_ingress_drop(backup, DropRule::window(30, 1_000, client_data));
+    let heard = |s: &sttcp::scenario::Scenario| s.backup().unwrap().stats.missing_reqs > 0;
+    let step = SimDuration::from_millis(1);
+    while !heard(&s) && s.sim.now() < SimTime::ZERO + SimDuration::from_secs(2) {
+        s.sim.run_until(s.sim.now() + step);
+    }
+    assert!(heard(&s), "the heartbeat's frontier reveals the gap");
+    let asked = s.sim.now();
+    let rtt = SimDuration::from_millis(10);
+    s.sim.run_until(asked + rtt.saturating_mul(4));
+    let next = |id| {
+        let node = s.sim.node_ref::<ServerNode>(id);
+        node.stack().tcb(node.accepted[0]).expect("the connection").rcv_nxt()
+    };
+    assert_eq!(next(backup), next(s.primary), "the shadow holds the whole upload");
+    assert!(s.backup().unwrap().stats.missing_reqs >= 2, "more than one chunk was asked for");
+}

@@ -110,6 +110,14 @@ impl RecvBuffer {
         self.capacity.saturating_sub(unread + spill + self.ooo_bytes)
     }
 
+    /// One past the highest byte received, in order or not: above
+    /// `rcv_nxt` exactly when reassembly holds an island beyond a hole.
+    pub fn received_end(&self) -> SeqNum {
+        self.ooo.iter().fold(self.rcv_nxt(), |end, (&start, seg)| {
+            end.max(SeqNum::new(start).add(seg.len() as u32))
+        })
+    }
+
     /// The out-of-order islands above `rcv_nxt`, merged into maximal
     /// contiguous `[lo, hi)` ranges — the receiver's SACK blocks
     /// (RFC 2018). Empty when reassembly has no gaps.

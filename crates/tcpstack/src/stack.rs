@@ -159,6 +159,9 @@ pub struct NetStack {
     pending_arp: BTreeMap<Ipv4Addr, ArpPending>,
     /// Source IPs whose egress is dropped: none, or a backup's VIP.
     suppressed: Vec<Ipv4Addr>,
+    /// Segments to a suppressed address's listening port that match no
+    /// connection, since the last [`NetStack::drain_strays`].
+    strays: Vec<(Quad, SeqNum)>,
     recorder: SharedRecorder,
     /// Armed by [`NetStack::unsuppress`]: the next *data* segment to
     /// leave the stack stamps the first-post-takeover-byte mark.
@@ -189,6 +192,7 @@ impl NetStack {
         NetStack {
             arp,
             suppressed,
+            strays: Vec::new(),
             recorder: obs::nop(),
             takeover_watch: false,
             isn_rng,
@@ -550,6 +554,14 @@ impl NetStack {
         }
     }
 
+    /// Moves into `out` the segments that reached a listening port of a
+    /// suppressed address but matched no connection and opened none: a
+    /// shadow's evidence of a connection whose handshake it missed.
+    /// Each is `(quad, seq)`, the quad seen from this stack.
+    pub fn drain_strays(&mut self, out: &mut Vec<(Quad, SeqNum)>) {
+        out.append(&mut self.strays);
+    }
+
     /// Whether `ip`'s egress is currently suppressed.
     pub fn is_suppressed(&self, ip: Ipv4Addr) -> bool {
         self.suppressed.contains(&ip)
@@ -557,31 +569,25 @@ impl NetStack {
 
     // ---------------------------------------------------------- ingress
 
-    /// Processes one received frame.
-    ///
-    /// Returns the IPv4 packet when the frame passed the NIC filter and
-    /// parsed (header checksum included) but is addressed to none of
-    /// this stack's IPs — a tapped frame. The stack has no use for it;
-    /// an ST-TCP backup inspects it without parsing the frame again.
-    pub fn handle_frame(&mut self, now: SimTime, raw: Bytes) -> Option<Ipv4Packet> {
+    /// Processes one received frame. A frame that passed the NIC filter
+    /// but is addressed to none of this stack's IPs (a promiscuous
+    /// host's flood or hub copy) is dropped once its IP header parsed.
+    pub fn handle_frame(&mut self, now: SimTime, raw: Bytes) {
         self.stats.frames_in += 1;
         let Ok(eth) = EthernetFrame::parse(raw) else {
             self.stats.parse_errors += 1;
-            return None;
+            return;
         };
         let for_us = |(own, also): (MacAddr, &[MacAddr])| eth.dst == own || also.contains(&eth.dst);
         if !(eth.dst.is_broadcast() || self.cfg.nic_macs().is_none_or(for_us)) {
             self.stats.frames_filtered += 1;
-            return None;
+            return;
         }
         self.stats.frames_accepted += 1;
         match eth.ethertype {
-            EtherType::Arp => {
-                self.handle_arp(now, &eth);
-                None
-            }
+            EtherType::Arp => self.handle_arp(now, &eth),
             EtherType::Ipv4 => self.handle_ip(now, eth),
-            EtherType::Other(_) => None,
+            EtherType::Other(_) => {}
         }
     }
 
@@ -604,24 +610,23 @@ impl NetStack {
         }
     }
 
-    fn handle_ip(&mut self, now: SimTime, eth: EthernetFrame) -> Option<Ipv4Packet> {
+    fn handle_ip(&mut self, now: SimTime, eth: EthernetFrame) {
         let Ok(ip) = Ipv4Packet::parse(eth.payload) else {
             self.stats.parse_errors += 1;
-            return None;
+            return;
         };
         if self.cfg.learn_from_ip && !eth.src.is_multicast() {
             self.arp.learn(ip.src, eth.src);
             self.flush_arp_queue(now, ip.src);
         }
         if !self.cfg.all_ips().any(|mine| mine == ip.dst) {
-            return Some(ip); // tapped frame addressed elsewhere
+            return; // a promiscuous copy addressed elsewhere
         }
         match ip.protocol {
             IpProtocol::Tcp => self.handle_tcp(now, ip),
             IpProtocol::Udp => self.handle_udp(ip),
             IpProtocol::Other(_) => {}
         }
-        None
     }
 
     fn handle_tcp(&mut self, now: SimTime, ip: Ipv4Packet) {
@@ -663,6 +668,9 @@ impl NetStack {
         }
         // Otherwise: RST (never in response to a RST).
         if !seg.flags.contains(TcpFlags::RST) {
+            if self.suppressed.contains(&dst) && self.listeners.contains_key(&seg.dst_port) {
+                self.strays.push((quad, SeqNum(seg.seq)));
+            }
             let (seq, ack, flags) = if seg.flags.contains(TcpFlags::ACK) {
                 (seg.ack, 0, TcpFlags::RST)
             } else {
@@ -1464,7 +1472,7 @@ mod tests {
         );
         let frame =
             EthernetFrame::new(MacAddr::local(99), MacAddr::local(1), EtherType::Ipv4, ip.encode());
-        assert!(s.handle_frame(SimTime::ZERO, frame.encode()).is_none(), "never seen by the host");
+        s.handle_frame(SimTime::ZERO, frame.encode());
         assert_eq!(s.stats.frames_filtered, 1);
         assert_eq!(s.stats.frames_accepted, 0);
     }
@@ -1485,13 +1493,11 @@ mod tests {
         );
         let frame =
             EthernetFrame::new(MacAddr::local(2), MacAddr::local(1), EtherType::Ipv4, ip.encode());
-        // Addressed to neither of the tap's IPs: the stack hands the
-        // parsed packet back for the engine to inspect.
-        let tapped = tap.handle_frame(SimTime::ZERO, frame.encode()).expect("handed back");
-        assert_eq!((tapped.src, tapped.dst), (CLIENT_IP, SERVER_IP));
-        let seg = TcpSegment::parse(tapped.payload, CLIENT_IP, SERVER_IP).expect("intact");
-        assert_eq!(seg.payload.as_ref(), b"x");
+        // Addressed to neither of the tap's IPs: accepted by the NIC,
+        // then dropped.
+        tap.handle_frame(SimTime::ZERO, frame.encode());
         assert_eq!(tap.stats.frames_accepted, 1);
+        assert_eq!(tap.sock_count(), 0);
         // It learned the client's MAC from the tapped frame.
         // (Verified indirectly: an emit to CLIENT_IP requires no ARP.)
         tap.udp_bind(7);

@@ -398,6 +398,11 @@ impl Tcb {
         self.snd_nxt.distance(self.snd_una).max(0) as u32
     }
 
+    /// One past the highest byte received, in order or not.
+    pub fn rcv_high(&self) -> SeqNum {
+        self.rcv_buf.received_end()
+    }
+
     /// Highest cumulative ACK seen from the peer (shadow mode records
     /// this even beyond `snd_nxt`).
     pub fn peer_ack_high_water(&self) -> SeqNum {
@@ -566,8 +571,14 @@ impl Tcb {
                 // After this point, the backup's sequence numbers match
                 // those of the primary." Fallback path: correct only
                 // when this really is the handshake-completing ACK —
-                // the tapped primary SYN/ACK (shadow_resync_iss) is the
-                // authoritative source when available.
+                // the primary's SYN/ACK (shadow_resync_iss) is the
+                // authoritative source when available. A segment past
+                // the stream's first byte is not: the client has seen
+                // server data, so its ACK is past the ISN. Wait for the
+                // primary's ISS instead of shifting the send space.
+                if seg.seq != self.irs.add(1).raw() {
+                    return;
+                }
                 let primary_iss = ack.sub(1);
                 if primary_iss != self.iss {
                     self.iss = primary_iss;
@@ -869,6 +880,20 @@ impl Tcb {
             now.as_nanos(),
             &TraceEvent::ShadowResync { conn: self.quad.trace_conn(), iss: primary_iss.raw() },
         );
+    }
+
+    /// Takeover: a promoted shadow speaks first rather than wait out a
+    /// timer its suppressed life backed off. Its retransmission timer,
+    /// if it has one to run, fires at `at` with the backoff restarted: a
+    /// shadow in `SynRcvd` sends its SYN/ACK, one with bytes in flight
+    /// goes back to `snd_una` under the loss window (most of what a
+    /// shadow counts as in flight never reached the wire). It sends
+    /// nothing an honest endpoint would not: no invented duplicate ACKs.
+    pub fn speak_first(&mut self, at: SimTime) {
+        if self.rtx_deadline.is_some() && (self.state == TcpState::SynRcvd || self.flight() > 0) {
+            self.rto.reset_backoff();
+            self.rtx_deadline = Some(at);
+        }
     }
 
     /// Injects bytes recovered via the side channel directly into the

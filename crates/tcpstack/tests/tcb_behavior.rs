@@ -171,6 +171,25 @@ fn shadow_fallback_resync_without_synack() {
 }
 
 #[test]
+fn shadow_fallback_refuses_an_ack_past_the_first_byte() {
+    // The tap lost the handshake ACK (piggybacked on a 150-byte request)
+    // and the primary's SYN/ACK: the next client segment starts 150
+    // bytes in and acks the 2 048-byte reply it got, so its ACK minus
+    // one is no ISN. The shadow waits for the primary's ISS instead.
+    let cfg = TcpConfig { shadow: true, ..TcpConfig::default() };
+    let now = SimTime::ZERO;
+    let mut tcb = Tcb::accept(now, quad(), SeqNum(555), &client_syn(7000), cfg);
+    let _ = tcb.poll(now);
+    tcb.on_segment(now, &seg(7151, 90_001 + 2_048, TcpFlags::ACK, &[7; 150]));
+    assert_eq!(tcb.state(), TcpState::SynRcvd);
+    assert_eq!(tcb.iss(), SeqNum(555));
+    tcb.shadow_resync_iss(now, SeqNum(90_000));
+    tcb.on_segment(now, &seg(7301, 90_001 + 4_096, TcpFlags::ACK, &[7; 150]));
+    assert_eq!(tcb.state(), TcpState::Established);
+    assert_eq!(tcb.iss(), SeqNum(90_000));
+}
+
+#[test]
 fn shadow_resync_is_inert_for_non_shadow_or_established() {
     // Non-shadow TCB: no-op.
     let (mut tcb, _now, _c, iss) = established_server(TcpConfig::default());
