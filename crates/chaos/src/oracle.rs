@@ -30,9 +30,10 @@ pub enum OracleKind {
     /// After a takeover, at most one server transmits from the VIP —
     /// fencing must have silenced the old primary (§4.4).
     SingleServer,
-    /// While the primary lives, the backup's shadow never runs ahead
-    /// of the primary in the client's sequence space (§4.1: the backup
-    /// mirrors, it does not invent).
+    /// A backup's shadow starts its send space at the primary's ISS,
+    /// and, while the primary lives on loss-free links, never runs
+    /// ahead of the primary in the client's sequence space (§4.1: the
+    /// backup mirrors, it does not invent).
     SeqAgreement,
     /// The primary's retention buffer occupancy never exceeds its
     /// configured capacity (§4.2: retention is bounded, backed by the
@@ -114,24 +115,64 @@ pub fn seq_le(a: SeqNum, b: SeqNum) -> bool {
 pub struct ShadowSample {
     /// The connection, as seen from the server side.
     pub quad: Quad,
+    /// The shadow's ISS on the sampled backup.
+    pub shadow_iss: SeqNum,
+    /// The authoritative server's ISS for the same quad.
+    pub primary_iss: SeqNum,
+    /// The client ISN the shadow was built from.
+    pub shadow_irs: SeqNum,
+    /// The client ISN the authoritative server holds for the quad.
+    pub primary_irs: SeqNum,
     /// The shadow's `rcv_nxt` on the sampled backup.
     pub shadow_rcv_nxt: SeqNum,
     /// The authoritative server's `rcv_nxt` for the same quad.
     pub primary_rcv_nxt: SeqNum,
 }
 
-/// §4.1 sequence agreement over an arbitrary shadow set: no shadow may
-/// run ahead of the authoritative server in the client's sequence
-/// space. Pushes one violation per offending sample; returns whether
-/// any fired (callers typically stop sampling after the first).
+/// §4.1 sequence agreement over an arbitrary shadow set. Send space: a
+/// shadow's ISS is the authoritative server's (every server derives it
+/// from the SYN), on every link profile. Receive space, checked only
+/// while `receive` holds (loss-free links before any fault: see
+/// `run::install_plan`): the shadow is of the authoritative server's
+/// incarnation (one IRS), and it does not run ahead of it in the
+/// client's sequence space. Where `receive` does not hold, a pair of
+/// another incarnation (a quad reused after a reboot) is skipped.
+/// Pushes one violation per offending sample; returns whether any fired
+/// (callers typically stop sampling after the first).
 pub fn check_seq_agreement(
     now: SimTime,
     samples: &[ShadowSample],
+    receive: bool,
     violations: &mut Vec<Violation>,
 ) -> bool {
     let mut any = false;
     for s in samples {
-        if !seq_le(s.shadow_rcv_nxt, s.primary_rcv_nxt) {
+        if s.shadow_irs != s.primary_irs {
+            if receive {
+                violations.push(Violation {
+                    oracle: OracleKind::SeqAgreement,
+                    at: now,
+                    detail: format!(
+                        "backup shadow irs {} differs from primary's {} on {:?}",
+                        s.shadow_irs, s.primary_irs, s.quad
+                    ),
+                });
+                any = true;
+            }
+            continue;
+        }
+        if s.shadow_iss != s.primary_iss {
+            violations.push(Violation {
+                oracle: OracleKind::SeqAgreement,
+                at: now,
+                detail: format!(
+                    "backup shadow iss {} differs from primary's {} on {:?}",
+                    s.shadow_iss, s.primary_iss, s.quad
+                ),
+            });
+            any = true;
+        }
+        if receive && !seq_le(s.shadow_rcv_nxt, s.primary_rcv_nxt) {
             violations.push(Violation {
                 oracle: OracleKind::SeqAgreement,
                 at: now,
@@ -213,10 +254,18 @@ mod tests {
     #[test]
     fn two_node_seq_agreement_detail_is_byte_identical() {
         let quad = Quad::new(Ipv4Addr::new(10, 0, 0, 100), 80, Ipv4Addr::new(10, 1, 0, 1), 40000);
-        let sample =
-            ShadowSample { quad, shadow_rcv_nxt: SeqNum(900), primary_rcv_nxt: SeqNum(500) };
+        let (shadow_iss, primary_iss) = (SeqNum(7), SeqNum(7));
+        let sample = ShadowSample {
+            quad,
+            shadow_iss,
+            primary_iss,
+            shadow_irs: SeqNum(3),
+            primary_irs: SeqNum(3),
+            shadow_rcv_nxt: SeqNum(900),
+            primary_rcv_nxt: SeqNum(500),
+        };
         let mut got = Vec::new();
-        assert!(check_seq_agreement(t(250), &[sample], &mut got));
+        assert!(check_seq_agreement(t(250), &[sample], true, &mut got));
         // The legacy string, formatted exactly as crates/chaos/src/run.rs
         // did before the oracle was generalized.
         let legacy = format!(
@@ -230,10 +279,57 @@ mod tests {
         assert_eq!(got[0].at, t(250));
         assert_eq!(got[0].detail, legacy);
 
-        // An agreeing (or equal) shadow stays silent.
-        let ok = ShadowSample { quad, shadow_rcv_nxt: SeqNum(500), primary_rcv_nxt: SeqNum(500) };
+        // An agreeing (or equal) shadow stays silent, and so does a
+        // leading one where the receive space is not checked.
+        let ok = ShadowSample { shadow_rcv_nxt: SeqNum(500), ..sample };
         let mut none = Vec::new();
-        assert!(!check_seq_agreement(t(251), &[ok], &mut none));
+        assert!(!check_seq_agreement(t(251), &[ok], true, &mut none));
+        assert!(!check_seq_agreement(t(251), &[sample], false, &mut none));
+        assert!(none.is_empty());
+    }
+
+    #[test]
+    fn a_shadow_with_another_iss_is_flagged_on_every_profile() {
+        let quad = Quad::new(Ipv4Addr::new(10, 0, 0, 100), 80, Ipv4Addr::new(10, 1, 0, 1), 40000);
+        let sample = ShadowSample {
+            quad,
+            shadow_iss: SeqNum(8),
+            primary_iss: SeqNum(7),
+            shadow_irs: SeqNum(3),
+            primary_irs: SeqNum(3),
+            shadow_rcv_nxt: SeqNum(500),
+            primary_rcv_nxt: SeqNum(500),
+        };
+        for receive in [true, false] {
+            let mut got = Vec::new();
+            assert!(check_seq_agreement(t(250), &[sample], receive, &mut got));
+            assert_eq!(got.len(), 1);
+            assert!(got[0].detail.starts_with("backup shadow iss 8 differs from primary's 7"));
+        }
+    }
+
+    #[test]
+    fn a_shadow_of_another_incarnation_is_flagged_until_a_reboot_can_explain_it() {
+        let quad = Quad::new(Ipv4Addr::new(10, 0, 0, 100), 80, Ipv4Addr::new(10, 1, 0, 1), 40000);
+        // Built from another SYN of the quad: another IRS, so (keyed on
+        // it) another ISS, and a receive space that leads or trails.
+        let sample = ShadowSample {
+            quad,
+            shadow_iss: SeqNum(8),
+            primary_iss: SeqNum(7),
+            shadow_irs: SeqNum(4),
+            primary_irs: SeqNum(3),
+            shadow_rcv_nxt: SeqNum(900),
+            primary_rcv_nxt: SeqNum(500),
+        };
+        let mut got = Vec::new();
+        assert!(check_seq_agreement(t(250), &[sample], true, &mut got));
+        assert_eq!(got.len(), 1, "one violation: the incarnation, not each field it moved");
+        assert!(got[0].detail.starts_with("backup shadow irs 4 differs from primary's 3"));
+        // Past a fault (or on a lossy link) a quad can legitimately be
+        // reused by the next incarnation: the pair is not compared.
+        let mut none = Vec::new();
+        assert!(!check_seq_agreement(t(251), &[sample], false, &mut none));
         assert!(none.is_empty());
     }
 

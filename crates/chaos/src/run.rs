@@ -489,7 +489,7 @@ pub fn measure_profile(spec: &RunSpec) -> Result<Profile, Box<RunReport>> {
 struct Installed {
     /// Earliest instant an op takes each rank out of service.
     down_at: Vec<Option<SimTime>>,
-    /// Sequence-agreement sampling is valid strictly before this time.
+    /// Receive-space agreement is sampled strictly before this time.
     seq_check_until: SimTime,
     /// (op description, node, rule) for post-run stat collection.
     rules: Vec<(String, NodeId, RuleId)>,
@@ -505,12 +505,13 @@ enum Step {
 }
 
 fn install_plan(fleet: &mut Fleet, spec: &RunSpec, side_port: u16, profile: &Profile) -> Installed {
-    // §4.1 sequence agreement assumes the tap sees what the primary
-    // sees. On lossy profiles that breaks legitimately: the fabric
-    // repeats a frame onto the primary's and a backup's links, and each
-    // link draws its own loss — so a shadow can briefly *lead* the
-    // primary until the client retransmits. The oracle is only
-    // meaningful on loss-free links.
+    // §4.1 receive-space agreement assumes the tap sees what the
+    // primary sees. On lossy profiles that breaks legitimately: the
+    // fabric repeats a frame onto the primary's and a backup's links,
+    // and each link draws its own loss — so a shadow can briefly *lead*
+    // the primary until the client retransmits. That half of the oracle
+    // is only meaningful on loss-free links; the send-space half (one
+    // ISS) holds on every profile.
     let mut seq_check_until =
         if spec.link.spec().loss == LossModel::None { SimTime::MAX } else { SimTime::ZERO };
     let mut down_at = vec![None; fleet.servers.len()];
@@ -575,13 +576,15 @@ fn install_plan(fleet: &mut Fleet, spec: &RunSpec, side_port: u16, profile: &Pro
 // ---------------------------------------------------------------------
 // Sampled oracle.
 
-/// Sequence agreement (§4.1): while rank 0 is alive and authoritative
-/// (and before any tap partition), no `Backup`-role server's shadow
-/// leads it. Sampling walks the stacks; the judgment itself is the pure
-/// node-set check in [`crate::oracle`].
+/// Sequence agreement (§4.1): every `Backup`-role server's shadow of a
+/// connection rank 0 holds starts at rank 0's ISS, and while rank 0 is
+/// alive and authoritative (and before any tap partition or lossy link
+/// could make it lag) every shadow is of rank 0's incarnation and none
+/// leads it. Sampling walks the stacks; the
+/// judgment itself is the pure node-set check in [`crate::oracle`].
 fn sample_seq_agreement(fleet: &Fleet, until: SimTime, violations: &mut Vec<Violation>) {
     let now = fleet.sim.now();
-    if now >= until || violations.iter().any(|v| v.oracle == OracleKind::SeqAgreement) {
+    if violations.iter().any(|v| v.oracle == OracleKind::SeqAgreement) {
         return;
     }
     let primary = fleet.sim.node_ref::<ServerNode>(fleet.servers[0]);
@@ -603,12 +606,16 @@ fn sample_seq_agreement(fleet: &Fleet, until: SimTime, violations: &mut Vec<Viol
             }
             samples.push(ShadowSample {
                 quad: btcb.quad(),
+                shadow_iss: btcb.iss(),
+                primary_iss: ptcb.iss(),
+                shadow_irs: btcb.irs(),
+                primary_irs: ptcb.irs(),
                 shadow_rcv_nxt: btcb.rcv_nxt(),
                 primary_rcv_nxt: ptcb.rcv_nxt(),
             });
         }
     }
-    check_seq_agreement(now, &samples, violations);
+    check_seq_agreement(now, &samples, now < until, violations);
 }
 
 // ---------------------------------------------------------------------

@@ -17,8 +17,11 @@
 //! the sync tick, several connections per datagram) and when the side
 //! channel got one heartbeat (the primary's carries its epoch, a
 //! backup's acks are its heartbeat). All four moved when the mirror
-//! began to copy only what the switch sends to the primary's port: the
-//! serving member's half reaches the shadows as `Frontier` entries.
+//! began to copy only what the switch sends to the primary's port, and
+//! again when every server began to derive a passive open's ISS from
+//! the SYN: what the shadows need of the serving member's half rides its
+//! heartbeat as frontier entries, and a mirror copy leaves no earlier
+//! than the frame it copies.
 //!
 //! On failure, the run's replayable artifact (`chaos-hunt --replay`)
 //! lands in `target/tmp/chaos-artifacts/` before the panic.
@@ -60,7 +63,7 @@ fn cascade_campaign_three_seeds() {
     // First crash lands mid-connect-spread (half the fleet still
     // handshaking); the second lands 160 ms later — right past rank 1's
     // 150 ms detection deadline, i.e. mid-takeover.
-    let pinned = [0xed97_e896_4f8e_1f57, 0x64c7_4db4_b864_64de, 0x00a4_8bdb_4476_fabd];
+    let pinned = [0x3283_22a9_dbb3_79f1, 0xc686_9087_f3fc_db29, 0x6292_bb41_eb8e_ff50];
     let campaign = cascade_campaign();
     assert_eq!(campaign.runs.len(), pinned.len());
     for (spec, digest) in campaign.runs.iter().zip(pinned) {
@@ -93,7 +96,7 @@ fn fault_free_chain_promotes_nobody() {
     let spec = RunSpec::chain(BACKUPS, 12, 0xC0FFEE, FaultPlan::none());
     let report = execute(&spec);
     assert_green(&spec, &report);
-    assert_eq!(report.digest, 0xe3e3_f74c_e0cc_4579);
+    assert_eq!(report.digest, 0xb2c2_8001_d17d_ab12);
     assert_eq!(report.final_epoch, 0);
     assert!(report.takeover_latency.is_none());
     assert_eq!(report.progress, (78_528, 78_528));

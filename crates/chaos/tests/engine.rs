@@ -15,8 +15,11 @@
 //! and a backup's acks are its heartbeat. Every digest was re-pinned
 //! when the backup's tap began to carry only the client's half: the
 //! primary's half comes as side-channel `Frontier` entries, a backup
-//! sends a loopback frame at boot, and a promoted backup speaks first
-//! (CHANGES.md has the table).
+//! sends a loopback frame at boot, and a promoted backup speaks first.
+//! Every digest was re-pinned again when every server began to derive
+//! a passive open's ISS from the SYN: the SYN entries went, the frontier
+//! rides the heartbeat, and every server sequence number moved
+//! (CHANGES.md has both tables).
 
 use apps::Workload;
 use chaos::{
@@ -30,7 +33,7 @@ fn plan(ops: &[FaultOp]) -> FaultPlan {
 
 /// The fault-free 20-echo run; side-channel duplication at the backup's
 /// ingress adds deliveries, not transmissions, so it shares the digest.
-const ECHO20_SEED1_DIGEST: u64 = 0x76ad_3177_dc3a_b011;
+const ECHO20_SEED1_DIGEST: u64 = 0x6677_3e10_367d_3adb;
 
 #[test]
 fn fault_free_run_is_green() {
@@ -56,7 +59,7 @@ fn crash_with_tap_loss_recovers_and_is_green() {
     let report = execute(&spec);
     assert!(report.violations.is_empty(), "violations: {:?}", report.violations);
     assert!(report.takeover_latency.is_some(), "a crashed primary must hand over");
-    assert_eq!(report.digest, 0x9beb_2515_fd16_1043);
+    assert_eq!(report.digest, 0x46c2_6046_190a_4715);
     assert_eq!(report.final_epoch, 1, "the backup serves under the first promotion's epoch");
     assert_eq!(report.injections, [("tap_drop@backup(skip 2, 2)".to_string(), 23, 2)]);
 }
@@ -65,7 +68,8 @@ fn crash_with_tap_loss_recovers_and_is_green() {
 fn synack_only_window_bulk_regression() {
     // Regression for a gap the chaos engine originally found: the tap
     // misses the client's SYN and the primary dies before its first
-    // data segment — the tapped SYN/ACK is then the only evidence the
+    // data segment — the client's next segment, which the backup's
+    // stack holds no connection for, is then the only evidence the
     // connection exists and must trigger the logger bootstrap.
     let spec = RunSpec::new(
         Workload::Bulk { file_size: 64 * 1024 },
@@ -77,7 +81,7 @@ fn synack_only_window_bulk_regression() {
     );
     let report = execute(&spec);
     assert!(report.violations.is_empty(), "violations: {:?}", report.violations);
-    assert_eq!(report.digest, 0xa554_b815_fefc_012b);
+    assert_eq!(report.digest, 0x0838_a173_5b5f_9243);
 }
 
 #[test]
@@ -92,7 +96,7 @@ fn runs_are_bit_deterministic() {
     );
     let a = execute(&spec);
     let b = execute(&spec);
-    assert_eq!(a.digest, 0x3755_e7d8_0dd0_6228);
+    assert_eq!(a.digest, 0x88fb_bb00_0547_e3bf);
     assert_eq!(a.digest, b.digest, "identical specs must produce identical frame traces");
     assert_eq!(a.virtual_duration, b.virtual_duration);
     assert_eq!(a.takeover_latency, b.takeover_latency);
@@ -103,7 +107,7 @@ fn different_seeds_diverge() {
     let mk = |seed| RunSpec::new(Workload::Echo { requests: 15 }, seed, plan(&[]));
     let a = execute(&mk(1));
     let b = execute(&mk(2));
-    assert_eq!((a.digest, b.digest), (0x95ab_8e5e_b941_d6d1, 0xbd3b_1877_1cbf_d309));
+    assert_eq!((a.digest, b.digest), (0x6473_b94a_3199_9771, 0xf1e1_6699_3f5c_fdeb));
 }
 
 #[test]
@@ -118,12 +122,12 @@ fn canary_is_caught_shrunk_and_replayable() {
         "split brain must be caught: {:?}",
         report.violations
     );
-    assert_eq!(report.digest, 0x7b7f_26e8_3832_cba0);
+    assert_eq!(report.digest, 0xf0c5_70cd_7ba8_9824);
 
     let result = shrink(&spec, OracleKind::SingleServer, 16).expect("original failure reproduces");
     assert!(!result.minimal.plan.ops.is_empty(), "shrink must not empty the schedule");
     assert_eq!(result.minimal.plan.describe(), "pause@10%/300ms");
-    assert_eq!(result.report.digest, 0x4f4f_e0ac_d4a5_9f10);
+    assert_eq!(result.report.digest, 0x5094_efd6_30f2_bb81);
 
     let artifact =
         FailureArtifact::capture(&result.minimal, &result.report, OracleKind::SingleServer);
@@ -146,7 +150,7 @@ fn innocent_side_channel_noise_is_not_flagged() {
     assert!(report.violations.is_empty(), "violations: {:?}", report.violations);
     assert!(report.takeover_latency.is_none(), "no takeover without a real fault");
     assert_eq!(report.digest, ECHO20_SEED1_DIGEST);
-    assert_eq!(report.injections, [("side_dup@backup(5ms)".to_string(), 69, 69)]);
+    assert_eq!(report.injections, [("side_dup@backup(5ms)".to_string(), 64, 64)]);
 }
 
 /// An artifact in the form the engine wrote before chains shared the
@@ -154,9 +158,10 @@ fn innocent_side_channel_noise_is_not_flagged() {
 /// side-channel op addressed by the `"backup"` tag. Its recorded
 /// `digest` and violation text are the current runner's: the digest
 /// moved when the promoted backup stopped talking to the primary it
-/// replaced and when the side channel got one heartbeat, and both moved
-/// when the mirror began to copy only the client's half.
-const PARENT_ERA_ARTIFACT: &str = r#"{"format":"sttcp-chaos-artifact-v1","workload":{"kind":"echo","requests":100},"seed":"0x0000000000000007","fencing":false,"limit_ms":60000,"max_events":20000000,"link":"lan","congestion":"reno","sack":false,"plan":{"ops":[{"op":"pause_primary","at_pct":10,"dur_ms":300},{"op":"tap_drop","skip":0,"count":1},{"op":"side_duplicate","target":"backup","offset_ms":5}]},"oracle":"single-server","details":["[single-server] t=t=1.242605s node 1 still sourcing VIP traffic at t=1.242605s, 942.605ms after takeover"],"digest":"0x734333411f9f7cf7"}"#;
+/// replaced and when the side channel got one heartbeat, both moved
+/// when the mirror began to copy only the client's half, and both again
+/// when every server began to derive its ISS from the SYN.
+const PARENT_ERA_ARTIFACT: &str = r#"{"format":"sttcp-chaos-artifact-v1","workload":{"kind":"echo","requests":100},"seed":"0x0000000000000007","fencing":false,"limit_ms":60000,"max_events":20000000,"link":"lan","congestion":"reno","sack":false,"plan":{"ops":[{"op":"pause_primary","at_pct":10,"dur_ms":300},{"op":"tap_drop","skip":0,"count":1},{"op":"side_duplicate","target":"backup","offset_ms":5}]},"oracle":"single-server","details":["[single-server] t=t=1.242598s node 1 still sourcing VIP traffic at t=1.242598s, 942.598ms after takeover"],"digest":"0xe2841d22cabaf8fe"}"#;
 
 #[test]
 fn parent_era_artifact_parses_to_the_same_spec_and_replays() {

@@ -82,7 +82,8 @@ impl NicFilter {
 pub struct Context {
     now: SimTime,
     node: NodeId,
-    pub(crate) frames: Vec<(PortId, Bytes)>,
+    /// Queued frames; a `true` marks [`Context::mirror_frame`]'s copies.
+    pub(crate) frames: Vec<(PortId, Bytes, bool)>,
     pub(crate) timers: Vec<(SimTime, u64)>,
     /// The last [`Context::set_wake`] of this callback, if it made one:
     /// where the node's wake goes (`None` clears it) and its token.
@@ -131,7 +132,16 @@ impl Context {
     /// If the port is not wired to a link the frame is silently dropped
     /// (like a cable that isn't plugged in) and counted in the trace.
     pub fn send_frame(&mut self, port: PortId, frame: Bytes) {
-        self.frames.push((port, frame));
+        self.frames.push((port, frame, false));
+    }
+
+    /// Queues a monitor port's copy of the frame [`Context::send_frame`]
+    /// queued last, for transmission out of `port`. A SPAN session copies
+    /// a frame as the monitored port transmits it, so the copy starts
+    /// onto its wire no earlier than that frame starts onto its own: on
+    /// links alike, it never overtakes the frame it copies.
+    pub fn mirror_frame(&mut self, port: PortId, frame: Bytes) {
+        self.frames.push((port, frame, true));
     }
 
     /// Arms a one-shot timer that fires `on_timer(token)` at absolute

@@ -521,8 +521,13 @@ impl Simulator {
         if let Some(nic) = ctx.nic.take() {
             self.nodes[id.0].nic = Some(nic);
         }
-        for (port, frame) in ctx.frames.drain(..) {
-            self.transmit(id, port, frame);
+        // When the last frame sent (not copied) starts onto its wire.
+        let mut started = self.now;
+        for (port, frame, copy) in ctx.frames.drain(..) {
+            let start = self.transmit(id, port, frame, if copy { started } else { self.now });
+            if !copy {
+                started = start;
+            }
         }
         let boot = self.nodes[id.0].boot;
         for (at, token) in ctx.timers.drain(..) {
@@ -574,10 +579,19 @@ impl Simulator {
         );
     }
 
-    fn transmit(&mut self, from: NodeId, port: PortId, frame: Bytes) {
+    /// Puts `frame` on the wire of `from`'s `port`, starting no earlier
+    /// than `not_before`; returns when it starts (now, for a frame that
+    /// never does).
+    fn transmit(
+        &mut self,
+        from: NodeId,
+        port: PortId,
+        frame: Bytes,
+        not_before: SimTime,
+    ) -> SimTime {
         let Some((link_id, end)) = self.nodes[from.0].ports.get(port.0).copied().flatten() else {
             self.trace.frames_unwired += 1;
-            return;
+            return self.now;
         };
         let link = &mut self.links[link_id.0];
         let (to, to_port) = link.ends[1 - end];
@@ -602,7 +616,7 @@ impl Simulator {
             dir.dropped += 1;
             self.trace.frames_lost_on_link += 1;
             self.recorder.count(Counter::LinkLossDrops, 1);
-            return;
+            return self.now;
         }
 
         // Bounded transmit queue: if the serialization backlog already
@@ -614,10 +628,10 @@ impl Simulator {
                 dir.queue_drops += 1;
                 self.trace.frames_lost_on_link += 1;
                 self.recorder.count(Counter::LinkQueueDrops, 1);
-                return;
+                return self.now;
             }
         }
-        let start = self.now.max(link.busy_until[end]);
+        let start = not_before.max(link.busy_until[end]);
         let departure = start + link.spec.serialization_time_dir(frame.len(), end);
         link.busy_until[end] = departure;
         self.recorder.gauge_max(
@@ -642,9 +656,11 @@ impl Simulator {
         let far = &self.nodes[to.0];
         let decidable = far.alive && far.paused_until <= self.now && far.rules.is_empty();
         if decidable && far.nic_rejects(&frame) {
-            return self.count_nic_filtered();
+            self.count_nic_filtered();
+        } else {
+            self.queue.push(arrival, EventKind::Frame { node: to, port: to_port, frame });
         }
-        self.queue.push(arrival, EventKind::Frame { node: to, port: to_port, frame });
+        start
     }
 }
 

@@ -9,8 +9,8 @@
 //!    port to some other port." We mirror only what flows *to* the
 //!    monitored port (a SPAN session's "tx" direction): a backup replays
 //!    the client's half of a connection, and the few facts it needs from
-//!    the primary's half come over the side channel
-//!    (`sttcp::SideMsg::Frontier`). Mirroring both directions roughly
+//!    the primary's half ride the side channel's heartbeat
+//!    (`sttcp::SideMsg::Heartbeat`). Mirroring both directions roughly
 //!    doubled what the backup's port carried and let it fall behind.
 //! 2. **Multicast flooding**: frames addressed to a *group* (multicast)
 //!    MAC are never learned and always flooded, which is why mapping the
@@ -111,7 +111,7 @@ impl Node for Switch {
         for mi in 0..self.mirrors.len() {
             let (monitored, to) = self.mirrors[mi];
             if out == monitored && to != port && !delivered.contains(&to) {
-                ctx.send_frame(to, frame.clone());
+                ctx.mirror_frame(to, frame.clone());
                 delivered.push(to);
                 self.mirrored += 1;
             }

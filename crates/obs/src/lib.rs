@@ -98,7 +98,9 @@ obs_enum! {
         HeartbeatsSent => "heartbeats_sent",
         /// Heartbeats received by the backup.
         HeartbeatsReceived => "heartbeats_received",
-        /// Shadow-connection ISN resyncs from tapped SYN/ACKs (§4.1).
+        /// Shadow handshake ACKs that did not ack the shadow's SYN/ACK:
+        /// its ISS differs from the primary's (the §4.1 check; 0 when
+        /// every server derives the same keyed ISS).
         ShadowIsnResyncs => "shadow_isn_resyncs",
         /// Range queries served by the in-network packet logger (§3.2).
         LoggerQueries => "logger_queries",
@@ -130,7 +132,8 @@ obs_enum! {
         /// Retransmissions that skipped SACKed ranges instead of
         /// resending the whole window (scoreboard-driven recovery).
         SelectiveRetransmits => "selective_retransmits",
-        /// Congestion-state mirror messages sent over the side channel.
+        /// Heartbeat frontier entries that carried a congestion snapshot
+        /// (the congestion-state mirror), one per backup.
         CongSyncsSent => "cong_syncs_sent",
         /// Stack-timer wake-ups a host adapter took from the simulator.
         StackWakes => "stack_wakes",
@@ -139,6 +142,10 @@ obs_enum! {
         /// moves with its stack's deadline, so this reads 0; anything
         /// else is a wake armed for a deadline nobody has.
         StackWakesIdle => "stack_wakes_idle",
+        /// Retransmission-timer fires a promoted shadow armed to speak
+        /// first (`Tcb::speak_first`): sends a takeover owes, not losses,
+        /// so they are not in [`Counter::TcpRtoFired`].
+        PromotionSends => "promotion_sends",
     }
 }
 

@@ -5,8 +5,8 @@
 //! of semantic protocol events that led to a takeover or a violated
 //! invariant. This module provides that layer:
 //!
-//! * [`TraceEvent`] — one semantic event: a TCB state transition, a
-//!   shadow-ISN resync, suppression toggling, a side-channel message,
+//! * [`TraceEvent`] — one semantic event: a TCB state transition,
+//!   suppression toggling, a side-channel message,
 //!   suspicion/fencing/promotion, a fault-rule activation, a wire
 //!   summary with connection and sequence-range attribution.
 //! * [`FlightRecorder`] — a bounded ring buffer of [`TracedEvent`]s
@@ -154,7 +154,8 @@ macro_rules! named_enum {
 named_enum! {
     /// The kind of a side-channel message (§4.3 sync protocol).
     SideMsgKind {
-        /// Primary liveness heartbeat, carrying its reign's epoch.
+        /// Primary liveness heartbeat, carrying its reign's epoch and
+        /// the frontier entries its backup is owed.
         Heartbeat => "heartbeat",
         /// Backup cumulative acknowledgment (`LastByteAcked`).
         BackupAck => "backup_ack",
@@ -172,10 +173,6 @@ named_enum! {
         DrainReady => "drain_ready",
         /// VIP ownership transfer concluding a planned migration.
         Handover => "handover",
-        /// Primary→backup congestion-state mirror (cwnd/ssthresh).
-        CongSync => "cong_sync",
-        /// Primary→backup cumulative ACKs and answered SYNs' ISS.
-        Frontier => "frontier",
     }
 }
 
@@ -230,13 +227,6 @@ pub enum TraceEvent {
         from: Cow<'static, str>,
         /// State after the transition.
         to: Cow<'static, str>,
-    },
-    /// A shadow TCB adopted the primary's ISN (§4.1).
-    ShadowResync {
-        /// The connection.
-        conn: TraceConn,
-        /// The adopted initial sequence number.
-        iss: u32,
     },
     /// Egress suppression for an IP was enabled or lifted (§4.2 / §5).
     Suppression {
@@ -351,7 +341,6 @@ impl TraceEvent {
     pub const fn kind(&self) -> &'static str {
         match self {
             TraceEvent::TcpState { .. } => "tcp_state",
-            TraceEvent::ShadowResync { .. } => "shadow_resync",
             TraceEvent::Suppression { .. } => "suppression",
             TraceEvent::RtoFired { .. } => "rto_fired",
             TraceEvent::SideSend { .. } => "side_send",
@@ -373,7 +362,6 @@ impl TraceEvent {
     pub fn conn(&self) -> Option<TraceConn> {
         match self {
             TraceEvent::TcpState { conn, .. }
-            | TraceEvent::ShadowResync { conn, .. }
             | TraceEvent::RtoFired { conn, .. }
             | TraceEvent::FirstByte { conn }
             | TraceEvent::CongPhase { conn, .. }
@@ -388,9 +376,6 @@ impl TraceEvent {
         match self {
             TraceEvent::TcpState { conn, from, to } => {
                 format!("tcp {from} -> {to}  [{conn}]")
-            }
-            TraceEvent::ShadowResync { conn, iss } => {
-                format!("shadow resync iss={iss}  [{conn}]")
             }
             TraceEvent::Suppression { ip, on } => {
                 format!("suppression {} for {ip}", if *on { "ON" } else { "OFF" })
@@ -685,9 +670,6 @@ fn event_to_value(e: &TracedEvent) -> Value {
                 ("to", json::str(&**to)),
             ]);
         }
-        TraceEvent::ShadowResync { conn, iss } => {
-            m.extend([("conn", conn_str(conn)), ("iss", num(u64::from(*iss)))]);
-        }
         TraceEvent::Suppression { ip, on } => {
             m.extend([("ip", json::str(ip.to_string())), ("on", Value::Bool(*on))]);
         }
@@ -778,9 +760,6 @@ fn parse_event(v: &Value) -> Result<TracedEvent, TraceParseError> {
             from: Cow::Owned(string("from")?),
             to: Cow::Owned(string("to")?),
         },
-        "shadow_resync" => {
-            TraceEvent::ShadowResync { conn: conn("conn")?, iss: num("iss")? as u32 }
-        }
         "suppression" => TraceEvent::Suppression {
             ip: string("ip")?.parse().map_err(|_| err("ip"))?,
             on: v.get("on").and_then(Value::as_bool).ok_or_else(|| err("on"))?,
@@ -930,7 +909,6 @@ pub(crate) mod tests {
                 to: "Established".into(),
             },
         );
-        fr.record(Actor::Backup, 2_000, &TraceEvent::ShadowResync { conn: conn(), iss: 1234 });
         fr.record(Actor::Backup, 2_500, &TraceEvent::Suppression { ip: IP_B, on: true });
         fr.record(
             Actor::Primary,

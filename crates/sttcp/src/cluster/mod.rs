@@ -16,8 +16,9 @@
 //!   else; a member that hears a higher one from that reign's primary
 //!   adopts it.
 //! * [`promotion`] — rank-staggered failure detection: rank 1 uses the
-//!   paper's window, each deeper rank waits two extra heartbeats, so
-//!   at most one member unsuppresses the VIP per reign.
+//!   paper's window, each deeper rank waits as many extra heartbeats as
+//!   that window tolerates losing, so at most one member unsuppresses
+//!   the VIP per reign.
 //! * [`catchup`] — the backup's per-connection ack/lag accounting; a
 //!   lagging backup yields its promotion slot while a deeper rank could
 //!   still take it, and closes lag via missing-segment replays (from
@@ -26,12 +27,15 @@
 //!   itself only after the successor proves shadow-consistency.
 //!
 //! The backup taps only the client's half of each connection (the
-//! mirror copies what the switch sends to the primary's port). What it
-//! needs of the primary's half — the ISS of each answered SYN, the
-//! primary's cumulative ACK where it leads the backup's last ack, and
-//! thereby the connections it has no shadow for — comes as
-//! [`SideMsg::Frontier`] entries: a SYN's with the SYN/ACK, the rest
-//! with each heartbeat (see `DESIGN.md` §12 "The tap").
+//! mirror copies what the switch sends to the primary's port). It needs
+//! no ISS of the primary's: every server derives a passive open's from
+//! the SYN (`tcpstack`'s keyed ISS). What it needs of the primary's
+//! half — the primary's cumulative ACK where what it held a heartbeat
+//! earlier leads the backup's last ack, and thereby the connections it
+//! has no shadow for, and the
+//! primary's congestion state where [`SttcpConfig::cong_sync`] is on —
+//! rides each heartbeat as frontier entries (see `DESIGN.md` §12 "The
+//! tap").
 //!
 //! A node starts as rank-0 primary or rank-k backup and moves through
 //! promotion/retirement as the topology evolves. Only a backup owes
@@ -58,9 +62,10 @@
 //! backup server" are its heartbeats (§4.4). A tick that owes no ack
 //! sends one empty [`SideMsg::AckBatch`], and the primary counts any
 //! datagram from a backup as life. The primary's one heartbeat per
-//! backup per tick is 13 bytes: its sequence number and its epoch; a
-//! [`SideMsg::Frontier`] batch follows it when that backup trails the
-//! primary on some connection.
+//! backup per tick is 13 bytes when it owes that backup nothing: its
+//! sequence number and its epoch. Its frontier entries ride with it, up
+//! to [`SIDE_CHUNK`] per datagram; more go in further heartbeats of the
+//! same sequence number, and each datagram counts as a heartbeat sent.
 //!
 //! # Retention in a chain
 //!
@@ -85,7 +90,7 @@ pub use migration::DrainPhase;
 pub use topology::Topology;
 
 use crate::config::{Fencing, SttcpConfig, TakeoverPolicy};
-use crate::messages::{ConnKey, SideMsg};
+use crate::messages::{ConnKey, FrontierEntry, SideMsg};
 use bytes::Bytes;
 use catchup::{CatchupTracker, MissingOut};
 use migration::{DrainCoordinator, DrainFollower};
@@ -93,7 +98,7 @@ use netsim::logger::ReplayQuery;
 use netsim::{DetHashMap, SimDuration, SimTime};
 use obs::{Counter, Gauge, Mark, MigrationPhase, SharedRecorder, TraceEvent};
 use promotion::PromotionTimer;
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 use tcpstack::{NetStack, SeqNum, SockId, TcpState};
 
@@ -104,12 +109,10 @@ pub const SIDE_CHUNK: usize = 1024;
 /// tag and count take 3 B, an entry (key, sequence number) 16 B.
 const ACK_BATCH_MAX: usize = (SIDE_CHUNK - 3) / 16;
 
-/// Most entries one [`SideMsg::Frontier`] carries under [`SIDE_CHUNK`]:
-/// an entry with an ISS takes 21 B (key, ACK, flag, ISS).
-const FRONTIER_BATCH_MAX: usize = (SIDE_CHUNK - 3) / 21;
-
-/// One [`SideMsg::Frontier`] entry: `(conn, cumulative ACK, ISS)`.
-type FrontierEntry = (ConnKey, u32, Option<u32>);
+/// Most frontier entries one [`SideMsg::Heartbeat`] carries under
+/// [`SIDE_CHUNK`]: tag, seq, epoch and count take 15 B, an entry with a
+/// congestion snapshot 25 B (key, ACK, flag, cwnd, ssthresh).
+const HB_ENTRIES_MAX: usize = (SIDE_CHUNK - 15) / 25;
 
 /// What a cluster member currently is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,7 +129,8 @@ pub enum ClusterRole {
 /// Engine counters.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ClusterStats {
-    /// Heartbeats sent (one per backup per tick as primary).
+    /// Heartbeat datagrams sent (as primary, one per backup per tick,
+    /// and one more per 40 frontier entries past the first datagram's).
     pub hbs_sent: u64,
     /// Heartbeats received from the serving primary.
     pub hbs_received: u64,
@@ -201,13 +205,10 @@ pub struct ClusterEngine {
     /// [`SttcpConfig::cong_sync`]); suppresses no-change rebroadcasts.
     cong_sent: DetHashMap<ConnKey, (u32, u32)>,
     /// As primary: the connections touched since their receive frontier
-    /// last matched every live backup's ack. The heartbeat's frontier
-    /// scan visits only these, in key order, and drops those it finds
-    /// acked.
-    frontier: BTreeSet<ConnKey>,
-    /// As primary: the entries of the SYNs answered since the last
-    /// flush, each carrying the ISS of its SYN/ACK.
-    answered: Vec<FrontierEntry>,
+    /// last matched every live backup's ack, each with its frontier at
+    /// the last heartbeat that scanned it. The heartbeat's frontier scan
+    /// visits only these, in key order, and drops those it finds acked.
+    frontier: BTreeMap<ConnKey, Option<SeqNum>>,
     takeover_at: Option<SimTime>,
     outbox: Vec<(Ipv4Addr, SideMsg)>,
     fence_request: Option<u32>,
@@ -259,8 +260,7 @@ impl ClusterEngine {
             peers: if rank == 0 { fresh_peers(&topology, now) } else { Vec::new() },
             backups_dead_at: None,
             cong_sent: DetHashMap::default(),
-            frontier: BTreeSet::new(),
-            answered: Vec::new(),
+            frontier: BTreeMap::new(),
             takeover_at: None,
             outbox: Vec::new(),
             fence_request: None,
@@ -415,26 +415,14 @@ impl ClusterEngine {
 
     /// Notes that `key`'s socket was touched since the last pump: a
     /// backup queues an ack check of its shadow, a primary the frontier
-    /// check of the next heartbeat.
+    /// and congestion check of the next heartbeat.
     pub fn note_activity(&mut self, key: ConnKey) {
         match self.role {
             ClusterRole::Backup => self.catchup.note_activity(key),
             ClusterRole::Primary if self.backup_alive() => {
-                self.frontier.insert(key);
+                self.frontier.entry(key).or_default();
             }
             ClusterRole::Primary | ClusterRole::Retired => {}
-        }
-    }
-
-    /// As primary: the node adapter's stack answered a SYN on `key`
-    /// with a SYN/ACK starting at `iss`; `ack` is that SYN/ACK's ACK.
-    /// The entry goes to every live backup once the SYN/ACK is out
-    /// ([`ClusterEngine::flush_answered`]): the shadow takes its ISN from
-    /// it (§4.1), and a backup with no shadow learns the connection
-    /// exists.
-    pub fn note_answered_syn(&mut self, key: ConnKey, ack: SeqNum, iss: SeqNum) {
-        if self.role == ClusterRole::Primary {
-            self.answered.push((key, ack.raw(), Some(iss.raw())));
         }
     }
 
@@ -475,7 +463,13 @@ impl ClusterEngine {
             self.note_peer(now, from);
         }
         match msg {
-            SideMsg::Heartbeat { .. } => {} // handled above
+            SideMsg::Heartbeat { entries, .. } => {
+                if self.role == ClusterRole::Backup && from == self.topo.primary() {
+                    for (conn, ack, cong) in entries {
+                        self.on_primary_frontier(now, conn, SeqNum(ack), cong, stack);
+                    }
+                }
+            }
             SideMsg::BackupAck { conn, acked_next } => {
                 self.apply_peer_ack(from, conn, SeqNum(acked_next), stack);
             }
@@ -492,25 +486,6 @@ impl ClusterEngine {
             SideMsg::MissingData { conn, seq, data } => {
                 if self.role == ClusterRole::Backup {
                     self.apply_missing_data(now, conn, SeqNum(seq), &data, stack);
-                }
-            }
-            SideMsg::Frontier { entries } => {
-                if self.role == ClusterRole::Backup && from == self.topo.primary() {
-                    for (conn, ack, iss) in entries {
-                        self.on_primary_frontier(now, conn, SeqNum(ack), iss.map(SeqNum), stack);
-                    }
-                }
-            }
-            SideMsg::CongSync { conn, cwnd, ssthresh } => {
-                // Adopt the primary's operating point so a takeover does
-                // not cold-start from the initial window. Advisory: the
-                // shadow works fine without ever seeing one.
-                if self.role == ClusterRole::Backup {
-                    if let Some(sock) = stack.sock_by_quad(conn.server_quad()) {
-                        if let Some(tcb) = stack.tcb_mut(sock) {
-                            tcb.import_congestion(tcpstack::CongSnapshot { cwnd, ssthresh });
-                        }
-                    }
                 }
             }
             SideMsg::MissingNack { conn, .. } => {
@@ -570,20 +545,20 @@ impl ClusterEngine {
         }
     }
 
-    /// One [`SideMsg::Frontier`] entry from the primary (backup role).
+    /// One heartbeat's frontier entry from the primary (backup role).
     ///
-    /// * An entry's ISS (a SYN's, or one for a connection this backup
-    ///   has not acked yet) is the authoritative source for the
-    ///   shadow's sequence-space resynchronization in `SynRcvd` (robust
-    ///   against the client piggybacking its handshake ACK onto data).
     /// * The cumulative ACK (`primary_ack`, the primary's
     ///   `NextByteExpected`) exposes tap omissions (§4.2).
+    /// * A congestion snapshot moves the shadow to the primary's
+    ///   operating point, so a takeover does not cold-start from the
+    ///   initial window. Advisory: a shadow works without ever seeing
+    ///   one.
     fn on_primary_frontier(
         &mut self,
         now: SimTime,
         key: ConnKey,
         primary_ack: SeqNum,
-        iss: Option<SeqNum>,
+        cong: Option<(u32, u32)>,
         stack: &mut NetStack,
     ) {
         let Some(sock) = stack.sock_by_quad(key.server_quad()) else {
@@ -591,18 +566,13 @@ impl ClusterEngine {
             // for: its SYN was lost on the tap. Late-join extension
             // (beyond the paper): ask the logger to replay the
             // connection's entire client-side history — the replayed
-            // SYN builds the shadow, the replayed handshake ACK
-            // resynchronizes its ISN, and the replayed data catches the
-            // application up. A SYN's entry fires it too: if the
-            // primary dies before the next heartbeat, that is the only
-            // evidence the connection exists.
+            // SYN builds the shadow with the primary's ISS, and the
+            // replayed data catches the application up.
             self.maybe_bootstrap(now, key, primary_ack);
             return;
         };
-        if let Some(iss) = iss {
-            if let Some(tcb) = stack.tcb_mut(sock) {
-                tcb.shadow_resync_iss(now, iss);
-            }
+        if let (Some((cwnd, ssthresh)), Some(tcb)) = (cong, stack.tcb_mut(sock)) {
+            tcb.import_congestion(tcpstack::CongSnapshot { cwnd, ssthresh });
         }
         if self.catchup.on_primary_ack(key, primary_ack) {
             self.request_missing_now(now, key, stack);
@@ -640,7 +610,7 @@ impl ClusterEngine {
         // a promotion: release up to the previous ack, keeping one ack
         // window of history. The next window grows on top of it, so just
         // before the next ack at X two windows (≈ 2X) are retained, and
-        // `fleet::build_cluster` gives such a rank twice the primary's
+        // `fleet::server_stack` gives such a rank twice the primary's
         // retention space. With room for one, the spill would shrink the
         // shadow's receive window below the primary's, and it would drop
         // tapped segments it then has to request again.
@@ -688,21 +658,6 @@ impl ClusterEngine {
     /// Drains queued `(destination, message)` pairs into `out`.
     pub fn drain_outbox_into(&mut self, out: &mut Vec<(Ipv4Addr, SideMsg)>) {
         out.append(&mut self.outbox);
-    }
-
-    /// Queues the entries of the SYNs answered since the last call for
-    /// every live backup; returns whether there were any. The node
-    /// adapter calls it once the SYN/ACKs are on the wire: an entry
-    /// follows its SYN/ACK and never delays it.
-    pub fn flush_answered(&mut self) -> bool {
-        if self.answered.is_empty() {
-            return false;
-        }
-        for peer in self.peers.iter().filter(|p| p.alive) {
-            push_frontier(&mut self.outbox, peer.ip, &self.answered);
-        }
-        self.answered.clear();
-        true
     }
 
     /// Takes the pending fence request (power-switch outlet), if any.
@@ -912,22 +867,27 @@ impl ClusterEngine {
 
     /// One heartbeat per backup, stamped with this reign's epoch: every
     /// member derives the reign's members from it, so deeper ranks and
-    /// members that missed a promotion re-anchor on it.
-    fn broadcast_heartbeat(&mut self) {
+    /// members that missed a promotion re-anchor on it. It carries the
+    /// frontier entries owed to that backup, [`HB_ENTRIES_MAX`] to a
+    /// datagram; the rest go in further heartbeats of the same seq.
+    fn broadcast_heartbeat(&mut self, stack: &NetStack) {
+        let owed = self.owed_entries(stack);
         let (seq, epoch) = (self.hb_seq, self.topo.epoch());
-        for &backup in self.topo.backups() {
-            self.outbox.push((backup, SideMsg::Heartbeat { seq, epoch }));
-            self.stats.hbs_sent += 1;
-            self.recorder.count(Counter::HeartbeatsSent, 1);
+        for (i, peer) in self.peers.iter().enumerate() {
+            let entries = owed.get(i).map_or(&[][..], Vec::as_slice);
+            let mut batches = entries.chunks(HB_ENTRIES_MAX);
+            let first = batches.next().unwrap_or_default();
+            for batch in std::iter::once(first).chain(batches) {
+                let msg = SideMsg::Heartbeat { seq, epoch, entries: batch.to_vec() };
+                self.outbox.push((peer.ip, msg));
+                self.stats.hbs_sent += 1;
+                self.recorder.count(Counter::HeartbeatsSent, 1);
+            }
         }
     }
 
     fn primary_tick(&mut self, now: SimTime, stack: &mut NetStack) {
-        self.broadcast_heartbeat();
-        self.send_frontier(stack);
-        if self.cfg.cong_sync {
-            self.mirror_congestion(stack);
-        }
+        self.broadcast_heartbeat(stack);
         // Planned migration: announce the drain while it is active.
         let (announce, started) = self.drain.on_tick(now, self.topo.epoch());
         if started {
@@ -987,67 +947,49 @@ impl ClusterEngine {
         }
     }
 
-    /// The heartbeat's frontier: for each live backup, an entry for every
-    /// touched connection whose receive frontier leads that backup's last
-    /// ack — the bytes it still retains for it. A connection that leads
+    /// The heartbeat's frontier, per peer: for each live backup, an
+    /// entry for every touched connection whose receive frontier at the
+    /// previous heartbeat leads that backup's last ack — bytes the
+    /// backup has had a whole tick to ack and has not — or, with
+    /// [`SttcpConfig::cong_sync`] on, whose established congestion
+    /// snapshot changed since it was last mirrored (the entry then
+    /// carries it). The backup's ack tick falls on the primary's, so
+    /// what arrived since the previous heartbeat is normally acked by a
+    /// datagram still in flight: judging it now would send an entry per
+    /// active connection per tick. A connection whose frontier leads
     /// nobody leaves the scan until it is touched again. A backup that
-    /// never acked a connection is taken to hold its stream's start, and
-    /// its entry carries the ISS: its shadow may still wait for one.
-    fn send_frontier(&mut self, stack: &NetStack) {
+    /// never acked a connection is taken to hold its stream's start.
+    fn owed_entries(&mut self, stack: &NetStack) -> Vec<Vec<FrontierEntry>> {
         if self.frontier.is_empty() || !self.backup_alive() {
-            return;
+            return Vec::new();
         }
         let mut owed: Vec<Vec<FrontierEntry>> = vec![Vec::new(); self.peers.len()];
-        let peers = &self.peers;
-        self.frontier.retain(|&key| {
+        let (peers, cong_sent, recorder) = (&self.peers, &mut self.cong_sent, &self.recorder);
+        let cong_sync = self.cfg.cong_sync;
+        self.frontier.retain(|&key, held| {
             let Some(tcb) = stack.sock_by_quad(key.server_quad()).and_then(|s| stack.tcb(s)) else {
                 return false;
             };
+            let cong = (cong_sync && tcb.state() == TcpState::Established)
+                .then(|| tcb.export_congestion())
+                .map(|snap| (snap.cwnd, snap.ssthresh))
+                .filter(|&pair| cong_sent.insert(key, pair) != Some(pair));
             let (front, base) = (tcb.rcv_nxt(), tcb.irs().add(1));
             let mut leads = false;
             for (i, peer) in peers.iter().enumerate().filter(|(_, p)| p.alive) {
-                let acked = peer.acks.get(&key).copied();
-                if front.gt(acked.unwrap_or(base)) {
-                    // Until the backup acks, it may lack the ISN too.
-                    let iss = acked.is_none().then(|| tcb.iss().raw());
-                    owed[i].push((key, tcb.ack_seq().raw(), iss));
-                    leads = true;
+                let acked = peer.acks.get(&key).copied().unwrap_or(base);
+                if held.is_some_and(|h| h.gt(acked)) || cong.is_some() {
+                    owed[i].push((key, tcb.ack_seq().raw(), cong));
+                    if cong.is_some() {
+                        recorder.count(Counter::CongSyncsSent, 1);
+                    }
                 }
+                leads |= front.gt(acked);
             }
+            *held = Some(front);
             leads
         });
-        for (peer, entries) in self.peers.iter().zip(&owed) {
-            push_frontier(&mut self.outbox, peer.ip, entries);
-        }
-    }
-
-    /// Mirrors each established connection's congestion snapshot to
-    /// every live backup when it changed since the last tick, so a
-    /// promoted shadow resumes near the primary's operating point
-    /// ([`SttcpConfig::cong_sync`]).
-    fn mirror_congestion(&mut self, stack: &mut NetStack) {
-        if !self.backup_alive() {
-            return;
-        }
-        let socks: Vec<_> = stack.socks().collect();
-        for sock in socks {
-            let Some(tcb) = stack.tcb(sock) else { continue };
-            if tcb.state() != TcpState::Established {
-                continue;
-            }
-            let conn = ConnKey::from_server_quad(tcb.quad());
-            let snap = tcb.export_congestion();
-            let pair = (snap.cwnd, snap.ssthresh);
-            if self.cong_sent.insert(conn, pair) != Some(pair) {
-                for peer in self.peers.iter().filter(|p| p.alive) {
-                    self.recorder.count(Counter::CongSyncsSent, 1);
-                    self.outbox.push((
-                        peer.ip,
-                        SideMsg::CongSync { conn, cwnd: snap.cwnd, ssthresh: snap.ssthresh },
-                    ));
-                }
-            }
-        }
+        owed
     }
 
     fn backup_tick(&mut self, now: SimTime, stack: &mut NetStack) {
@@ -1216,19 +1158,12 @@ impl ClusterEngine {
         self.become_primary(now, stack);
         // Announce the new reign immediately — deeper ranks re-anchor
         // their detection clocks on us instead of promoting in parallel.
-        self.broadcast_heartbeat();
+        self.broadcast_heartbeat(stack);
         if self.cfg.use_logger {
             // The last frontier the dead primary sent is up to one
             // heartbeat old: ask for what may follow every shadow too.
             self.queue_logger_queries(now, stack, true);
         }
-    }
-}
-
-/// Queues `entries` for `to` as [`SideMsg::Frontier`] batches.
-fn push_frontier(outbox: &mut Vec<(Ipv4Addr, SideMsg)>, to: Ipv4Addr, entries: &[FrontierEntry]) {
-    for batch in entries.chunks(FRONTIER_BATCH_MAX) {
-        outbox.push((to, SideMsg::Frontier { entries: batch.to_vec() }));
     }
 }
 
@@ -1286,8 +1221,8 @@ mod tests {
         assert_eq!(
             out,
             vec![
-                (ip(3), SideMsg::Heartbeat { seq: 1, epoch: 0 }),
-                (ip(4), SideMsg::Heartbeat { seq: 1, epoch: 0 })
+                (ip(3), SideMsg::Heartbeat { seq: 1, epoch: 0, entries: vec![] }),
+                (ip(4), SideMsg::Heartbeat { seq: 1, epoch: 0, entries: vec![] })
             ],
             "one targeted heartbeat per backup, rank order"
         );
@@ -1326,7 +1261,12 @@ mod tests {
         assert_eq!(e.role(), ClusterRole::Backup);
         assert!(s.is_suppressed(VIP));
         // The new primary's heartbeat arrives: adopt, reset the clock.
-        e.on_side_msg(t(205), ip(3), SideMsg::Heartbeat { seq: 1, epoch: 1 }, &mut s);
+        e.on_side_msg(
+            t(205),
+            ip(3),
+            SideMsg::Heartbeat { seq: 1, epoch: 1, entries: vec![] },
+            &mut s,
+        );
         assert_eq!(e.topology().epoch(), 1);
         assert_eq!(e.rank(), Some(1), "rank 2 became rank 1 under the new reign");
         // Old deadline instant passes harmlessly — the clock restarted.
@@ -1348,7 +1288,12 @@ mod tests {
         // Only a reign's own primary announces it, and only a reign
         // that leaves a member exists: none of these is one.
         for (from, epoch) in [(ip(4), 1), (ip(9), 1), (ip(4), 3), (ip(4), u32::MAX)] {
-            e.on_side_msg(t(300), from, SideMsg::Heartbeat { seq: 9, epoch }, &mut s);
+            e.on_side_msg(
+                t(300),
+                from,
+                SideMsg::Heartbeat { seq: 9, epoch, entries: vec![] },
+                &mut s,
+            );
             assert_eq!(
                 (e.role(), e.topology().epoch()),
                 (ClusterRole::Primary, 0),
@@ -1358,7 +1303,12 @@ mod tests {
         assert!(!s.is_suppressed(VIP));
         // A higher reign (e.g. we were wrongly suspected) drops us: we
         // yield the VIP and retire.
-        e.on_side_msg(t(400), ip(4), SideMsg::Heartbeat { seq: 1, epoch: 2 }, &mut s);
+        e.on_side_msg(
+            t(400),
+            ip(4),
+            SideMsg::Heartbeat { seq: 1, epoch: 2, entries: vec![] },
+            &mut s,
+        );
         assert_eq!(e.role(), ClusterRole::Retired);
         assert!(s.is_suppressed(VIP), "at most one server sources the VIP");
         assert_eq!(e.topology().members(), &[ip(4)]);

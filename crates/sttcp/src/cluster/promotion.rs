@@ -3,11 +3,15 @@
 //! Every backup watches the serving primary independently; the
 //! promotion *order* is enforced purely by time. Rank 1 uses the
 //! paper's detection window (`hb_interval × missed_hb_threshold`);
-//! each deeper rank waits two extra heartbeat intervals per rank —
-//! long enough for a healthy rank-1 takeover to announce its new
-//! topology (which resets the deeper ranks' clocks onto the new
-//! primary), short enough that a cascade where rank 1 *also* died
-//! converges in bounded time with no election traffic at all.
+//! each deeper rank waits `missed_hb_threshold − 1` extra heartbeat
+//! intervals per rank (at least one) — the new primary's announcement
+//! (which resets the deeper ranks' clocks onto it) may miss a deeper
+//! rank as many times in a row as the old primary's heartbeats may miss
+//! any backup, so a deployment that provisions its threshold for a
+//! lossy side channel provisions the stagger with it. It is still
+//! bounded, so a cascade where rank 1 *also* died converges with no
+//! election traffic at all. At the default threshold of 3 the stagger
+//! is two heartbeats.
 
 use crate::config::SttcpConfig;
 use netsim::{SimDuration, SimTime};
@@ -16,8 +20,8 @@ use netsim::{SimDuration, SimTime};
 /// suspecting it. Rank 0 (the primary itself) never suspects.
 pub fn detection_deadline(cfg: &SttcpConfig, rank: u8) -> SimDuration {
     let base = cfg.hb_interval.saturating_mul(u64::from(cfg.missed_hb_threshold));
-    let stagger = cfg.hb_interval.saturating_mul(2 * u64::from(rank.saturating_sub(1)));
-    base + stagger
+    let per_rank = u64::from(cfg.missed_hb_threshold.saturating_sub(1).max(1));
+    base + cfg.hb_interval.saturating_mul(per_rank * u64::from(rank.saturating_sub(1)))
 }
 
 /// The per-backup primary-liveness clock.
@@ -93,6 +97,20 @@ mod tests {
         assert_eq!(detection_deadline(&c, 1), ms(150));
         assert_eq!(detection_deadline(&c, 2), ms(250));
         assert_eq!(detection_deadline(&c, 3), ms(350));
+    }
+
+    #[test]
+    fn the_stagger_tolerates_as_many_lost_announcements_as_the_threshold_does_heartbeats() {
+        // A lossy side channel's provisioning: a rank-1 backup suspects
+        // after ten silent intervals, and a deeper rank gives the new
+        // primary's announcement nine intervals to reach it.
+        let lossy = cfg().with_missed_hb_threshold(10);
+        assert_eq!(detection_deadline(&lossy, 1), ms(500));
+        assert_eq!(detection_deadline(&lossy, 2), ms(950));
+        assert_eq!(detection_deadline(&lossy, 3), ms(1_400));
+        // A threshold of one still staggers the ranks.
+        let eager = cfg().with_missed_hb_threshold(1);
+        assert_eq!(detection_deadline(&eager, 2), ms(100));
     }
 
     #[test]

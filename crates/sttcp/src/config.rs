@@ -82,12 +82,13 @@ pub struct SttcpConfig {
     pub use_logger: bool,
     /// Active (ST-TCP) vs cold-replay (FT-TCP-style) takeover.
     pub takeover_policy: TakeoverPolicy,
-    /// Mirror each connection's congestion snapshot (cwnd/ssthresh) to
-    /// the backup on every sync tick, so a promoted shadow resumes near
-    /// the primary's operating point instead of cold-starting from the
-    /// initial window. Off by default: on a LAN the window rebuilds in a
-    /// few RTTs, and the extra datagrams would perturb the pinned
-    /// paper-era wire traces. Worth switching on for WAN profiles.
+    /// Mirror each touched connection's congestion snapshot
+    /// (cwnd/ssthresh), when it changed, in the heartbeat's frontier
+    /// entries, so a promoted shadow resumes near the primary's
+    /// operating point instead of cold-starting from the initial window.
+    /// Off by default: on a LAN the window rebuilds in a few RTTs, and
+    /// the extra entries would perturb the pinned paper-era wire traces.
+    /// Worth switching on for WAN profiles.
     pub cong_sync: bool,
 }
 

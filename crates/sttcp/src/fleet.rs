@@ -19,10 +19,10 @@
 //! a shadow replays. Whoever currently sources the VIP, the clients'
 //! frames still go to port 0 (below), so every shadow keeps seeing them
 //! — that is what lets a cascade (kill the primary, then kill its
-//! successor mid-takeover) keep converging without re-wiring. The
-//! serving member's half reaches the shadows as side-channel
-//! [`crate::SideMsg::Frontier`] entries. With one backup this is the
-//! single primary→backup mirror of §3.1.
+//! successor mid-takeover) keep converging without re-wiring. What the
+//! shadows need of the serving member's half rides its side-channel
+//! [`crate::SideMsg::Heartbeat`]s as frontier entries. With one backup
+//! this is the single primary→backup mirror of §3.1.
 //!
 //! The servers' stacks, the recorders and the devices the protocol
 //! configuration names come from the same parts as
@@ -342,14 +342,15 @@ pub fn server_mac(rank: usize) -> MacAddr {
 }
 
 /// The stack of server `rank` in a primary + `backups` chain (a solo
-/// server is rank 0 of none): its address, the VIP, its ISN seed, the
-/// retention its rank needs, and — for a backup — the suppressed shadow.
-/// Each builder adds only how its NIC taps the service traffic.
-pub(crate) fn server_stack(rank: usize, backups: usize, seed: u64, tcp: &TcpConfig) -> StackConfig {
+/// server is rank 0 of none): its address, the VIP, the retention its
+/// rank needs, and — for a backup — the suppressed shadow. It takes no
+/// ISN seed: a server only opens passively, and every server derives a
+/// passive open's ISS from the SYN. Each builder adds only how its NIC
+/// taps the service traffic.
+pub(crate) fn server_stack(rank: usize, backups: usize, tcp: &TcpConfig) -> StackConfig {
     let mut cfg = StackConfig::host(server_mac(rank), server_ip(rank));
     cfg.extra_ips = vec![addrs::VIP];
     cfg.learn_from_ip = true;
-    cfg.isn_seed = seed ^ (0x2222u64.wrapping_add(rank as u64 * 0x1111));
     cfg.tcp = tcp.clone();
     if rank < backups {
         // "Double the space" (§4.2): the primary retains to serve its
@@ -430,7 +431,7 @@ pub fn build(spec: &FleetSpec) -> Fleet {
     // --- servers ----------------------------------------------------
     let mut servers = Vec::with_capacity(servers_total);
     for rank in 0..servers_total {
-        let mut cfg = server_stack(rank, spec.backups, spec.seed, &spec.tcp);
+        let mut cfg = server_stack(rank, spec.backups, &spec.tcp);
         cfg.netmask_bits = 8;
         cfg.promiscuous = rank > 0; // a backup taps the mirror copies
                                     // Full-mesh static ARP among the servers: the side channel is

@@ -7,7 +7,7 @@
 //! by *tapping* the Ethernet carrying the client↔primary TCP stream.
 //! The backup runs the same deterministic application over a shadow TCP
 //! connection that uses the **same sequence numbers** as the primary's
-//! (resynchronized from the client's handshake ACK), with all of its
+//! (every server derives the ISS from the client's SYN), with all of its
 //! output suppressed. When the primary crashes, the backup stops
 //! suppressing and *is* the server — no reconnect, no client
 //! modification, no visible disruption beyond one retransmission

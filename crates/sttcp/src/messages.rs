@@ -1,33 +1,33 @@
 //! The UDP side-channel wire protocol between primary and backup
 //! (paper §4.2–§4.3).
 //!
-//! Eleven message kinds flow on the channel. The paper's pair needs the
-//! first four groups; a chain and planned migration add the rest:
+//! Nine message kinds flow on the channel. The paper's pair needs the
+//! first three groups; a chain and planned migration add the last:
 //!
 //! * [`SideMsg::Heartbeat`] — the primary's periodic liveness beacon,
-//!   stamped with its reign's epoch. The chain's members are never
+//!   stamped with its reign's epoch, and carrying what the backup needs
+//!   of the primary's half of each connection, which the mirror does not
+//!   copy (`netsim::Switch::add_mirror`): the primary's cumulative ACK
+//!   for every connection where what it held a heartbeat earlier leads
+//!   the backup's last ack, and,
+//!   where congestion mirroring is on, the primary's congestion state so
+//!   a promoted shadow does not restart from the initial window. The
+//!   backup learns its tap omissions (§4.2) and the connections it has
+//!   no shadow for from these entries. The chain's members are never
 //!   sent: every member derives them from the epoch
-//!   ([`crate::cluster::Topology`]);
+//!   ([`crate::cluster::Topology`]), and no ISS is sent: every server
+//!   derives a connection's from its SYN;
 //! * [`SideMsg::BackupAck`] / [`SideMsg::AckBatch`] — the backup's
 //!   cumulative acknowledgment of tapped client bytes ("a sequence
 //!   number that is one less than its NextByteExpected value"; we carry
 //!   `NextByteExpected` itself and call it `acked_next`), for one
 //!   connection or for up to 63 in one datagram. These are the backup's
 //!   heartbeat (§4.4): a tick that owes no ack sends an empty batch;
-//! * [`SideMsg::Frontier`] — what the backup needs of the primary's half
-//!   of each connection, which the mirror does not copy
-//!   (`netsim::Switch::add_mirror`): the ISS of each SYN the primary
-//!   answers, and on each heartbeat the primary's cumulative ACK for
-//!   every connection where it leads the backup's last ack. The backup
-//!   learns its ISN, its tap omissions (§4.2) and the connections it has
-//!   no shadow for from these entries;
 //! * [`SideMsg::MissingReq`]/[`SideMsg::MissingData`]/[`SideMsg::MissingNack`]
 //!   — recovery of client bytes the backup's tap missed, served from the
 //!   primary's retention buffer;
 //! * [`SideMsg::Drain`]/[`SideMsg::DrainReady`]/[`SideMsg::Handover`] —
-//!   planned migration of the VIP to a successor;
-//! * [`SideMsg::CongSync`] — the primary's congestion state, mirrored so
-//!   a promoted shadow does not restart from the initial window.
+//!   planned migration of the VIP to a successor.
 //!
 //! The paper estimates a 128-byte ack per 3 KB of client data ≈ 4.17 %
 //! extra LAN traffic; the ablation bench re-measures this with the real
@@ -85,24 +85,35 @@ impl fmt::Display for ConnKey {
     }
 }
 
+/// One frontier entry of a [`SideMsg::Heartbeat`]: the connection, the
+/// primary's cumulative ACK on it (its `NextByteExpected`, FIN
+/// included), and its congestion window and slow-start threshold when
+/// they changed since the last entry that carried them.
+pub type FrontierEntry = (ConnKey, u32, Option<(u32, u32)>);
+
 /// A side-channel message.
 ///
 /// ```
 /// use sttcp::SideMsg;
 ///
-/// let hb = SideMsg::Heartbeat { seq: 42, epoch: 1 };
+/// let hb = SideMsg::Heartbeat { seq: 42, epoch: 1, entries: vec![] };
 /// assert_eq!(SideMsg::decode(hb.encode()), Some(hb));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SideMsg {
-    /// Primary → backups: periodic liveness beacon.
+    /// Primary → each backup: periodic liveness beacon, and the
+    /// primary's half of the connections that backup trails on or whose
+    /// congestion state moved (Lin et al.'s piggybacking). Entries past
+    /// one datagram go in further heartbeats of the same `seq`.
     Heartbeat {
-        /// Monotonic sender sequence (diagnostics; detection only uses
-        /// arrival times).
+        /// Monotonic sender sequence, one per tick (diagnostics;
+        /// detection only uses arrival times).
         seq: u64,
         /// The sender's reign. A higher epoch supersedes a lower one, and
         /// its members are the chain from index `epoch` on.
         epoch: u32,
+        /// The frontier entries owed to the addressed backup.
+        entries: Vec<FrontierEntry>,
     },
     /// Backup → primary: "I have every client byte below `acked_next`."
     BackupAck {
@@ -145,17 +156,6 @@ pub enum SideMsg {
         /// `(connection, NextByteExpected)` pairs.
         entries: Vec<(ConnKey, u32)>,
     },
-    /// Primary → backups: the primary's half of its connections, in
-    /// batches. An entry `(conn, ack, iss)` carries the primary's
-    /// cumulative ACK (its `NextByteExpected`, FIN included) and, for a
-    /// SYN it has just answered, its initial sequence number. The
-    /// primary sends a SYN's entry as it sends the SYN/ACK, and with
-    /// each heartbeat an entry for every connection whose receive
-    /// frontier leads the backup's last ack (Lin et al.'s piggybacking).
-    Frontier {
-        /// `(connection, cumulative ACK, ISS of an answered SYN)`.
-        entries: Vec<(ConnKey, u32, Option<u32>)>,
-    },
     /// Primary → designated successor: planned migration begins — the
     /// primary is draining and will hand the VIP over.
     Drain {
@@ -177,18 +177,6 @@ pub enum SideMsg {
         /// The epoch the successor's reign begins with.
         epoch: u32,
     },
-    /// Primary → backups: congestion-controller state mirror, so a
-    /// promoted shadow resumes near the primary's operating point
-    /// instead of cold-starting from the initial window. Advisory: a
-    /// backup that never sees one simply starts conservatively.
-    CongSync {
-        /// Connection the snapshot applies to.
-        conn: ConnKey,
-        /// The primary's congestion window, bytes.
-        cwnd: u32,
-        /// The primary's slow-start threshold, bytes.
-        ssthresh: u32,
-    },
 }
 
 impl SideMsg {
@@ -200,7 +188,7 @@ impl SideMsg {
     pub fn trace_parts(&self) -> (obs::trace::SideMsgKind, Option<obs::TraceConn>, u64, u32) {
         use obs::trace::SideMsgKind as K;
         match self {
-            SideMsg::Heartbeat { seq, epoch } => (K::Heartbeat, None, *seq, *epoch),
+            SideMsg::Heartbeat { seq, epoch, .. } => (K::Heartbeat, None, *seq, *epoch),
             SideMsg::BackupAck { conn, acked_next } => {
                 (K::BackupAck, Some(conn.trace_conn()), u64::from(*acked_next), 0)
             }
@@ -214,7 +202,6 @@ impl SideMsg {
                 (K::MissingNack, Some(conn.trace_conn()), u64::from(*from), 0)
             }
             SideMsg::AckBatch { entries } => (K::AckBatch, None, 0, entries.len() as u32),
-            SideMsg::Frontier { entries } => (K::Frontier, None, 0, entries.len() as u32),
             SideMsg::Drain { epoch, successor_rank } => {
                 (K::Drain, None, u64::from(*epoch), u32::from(*successor_rank))
             }
@@ -222,9 +209,6 @@ impl SideMsg {
                 (K::DrainReady, None, u64::from(*epoch), u32::from(*rank))
             }
             SideMsg::Handover { epoch } => (K::Handover, None, u64::from(*epoch), 0),
-            SideMsg::CongSync { conn, cwnd, ssthresh } => {
-                (K::CongSync, Some(conn.trace_conn()), u64::from(*cwnd), *ssthresh)
-            }
         }
     }
 }
@@ -238,8 +222,6 @@ const TAG_ACK_BATCH: u8 = 7;
 const TAG_DRAIN: u8 = 8;
 const TAG_DRAIN_READY: u8 = 9;
 const TAG_HANDOVER: u8 = 10;
-const TAG_CONG_SYNC: u8 = 11;
-const TAG_FRONTIER: u8 = 12;
 
 fn put_key(buf: &mut BytesMut, key: &ConnKey) {
     buf.put_slice(&key.client_ip.octets());
@@ -264,10 +246,28 @@ impl SideMsg {
     pub fn encode(&self) -> Bytes {
         let mut buf = BytesMut::with_capacity(32);
         match self {
-            SideMsg::Heartbeat { seq, epoch } => {
+            SideMsg::Heartbeat { seq, epoch, entries } => {
                 buf.put_u8(TAG_HEARTBEAT);
                 buf.put_u64(*seq);
                 buf.put_u32(*epoch);
+                // An idle tick's heartbeat ends here: no entry count.
+                if entries.is_empty() {
+                    return buf.freeze();
+                }
+                debug_assert!(entries.len() <= u16::MAX as usize);
+                buf.put_u16(entries.len() as u16);
+                for (conn, ack, cong) in entries {
+                    put_key(&mut buf, conn);
+                    buf.put_u32(*ack);
+                    match cong {
+                        Some((cwnd, ssthresh)) => {
+                            buf.put_u8(1);
+                            buf.put_u32(*cwnd);
+                            buf.put_u32(*ssthresh);
+                        }
+                        None => buf.put_u8(0),
+                    }
+                }
             }
             SideMsg::BackupAck { conn, acked_next } => {
                 buf.put_u8(TAG_BACKUP_ACK);
@@ -300,22 +300,6 @@ impl SideMsg {
                     buf.put_u32(*acked_next);
                 }
             }
-            SideMsg::Frontier { entries } => {
-                buf.put_u8(TAG_FRONTIER);
-                debug_assert!(entries.len() <= u16::MAX as usize);
-                buf.put_u16(entries.len() as u16);
-                for (conn, ack, iss) in entries {
-                    put_key(&mut buf, conn);
-                    buf.put_u32(*ack);
-                    match iss {
-                        Some(iss) => {
-                            buf.put_u8(1);
-                            buf.put_u32(*iss);
-                        }
-                        None => buf.put_u8(0),
-                    }
-                }
-            }
             SideMsg::Drain { epoch, successor_rank } => {
                 buf.put_u8(TAG_DRAIN);
                 buf.put_u32(*epoch);
@@ -329,12 +313,6 @@ impl SideMsg {
             SideMsg::Handover { epoch } => {
                 buf.put_u8(TAG_HANDOVER);
                 buf.put_u32(*epoch);
-            }
-            SideMsg::CongSync { conn, cwnd, ssthresh } => {
-                buf.put_u8(TAG_CONG_SYNC);
-                put_key(&mut buf, conn);
-                buf.put_u32(*cwnd);
-                buf.put_u32(*ssthresh);
             }
         }
         buf.freeze()
@@ -353,7 +331,30 @@ impl SideMsg {
                 if raw.len() < 12 {
                     return None;
                 }
-                Some(SideMsg::Heartbeat { seq: raw.get_u64(), epoch: raw.get_u32() })
+                let (seq, epoch) = (raw.get_u64(), raw.get_u32());
+                let count = match raw.len() {
+                    0 => 0,
+                    1 => return None,
+                    _ => raw.get_u16() as usize,
+                };
+                if raw.len() < count * 17 {
+                    return None;
+                }
+                let mut entries = Vec::with_capacity(count);
+                for _ in 0..count {
+                    let conn = get_key(&mut raw)?;
+                    if raw.len() < 5 {
+                        return None;
+                    }
+                    let ack = raw.get_u32();
+                    let cong = match raw.get_u8() {
+                        0 => None,
+                        1 if raw.len() >= 8 => Some((raw.get_u32(), raw.get_u32())),
+                        _ => return None,
+                    };
+                    entries.push((conn, ack, cong));
+                }
+                Some(SideMsg::Heartbeat { seq, epoch, entries })
             }
             TAG_BACKUP_ACK => {
                 let conn = get_key(&mut raw)?;
@@ -402,30 +403,6 @@ impl SideMsg {
                 }
                 Some(SideMsg::AckBatch { entries })
             }
-            TAG_FRONTIER => {
-                if raw.len() < 2 {
-                    return None;
-                }
-                let count = raw.get_u16() as usize;
-                if raw.len() < count * 17 {
-                    return None;
-                }
-                let mut entries = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let conn = get_key(&mut raw)?;
-                    if raw.len() < 5 {
-                        return None;
-                    }
-                    let ack = raw.get_u32();
-                    let iss = match raw.get_u8() {
-                        0 => None,
-                        1 if raw.len() >= 4 => Some(raw.get_u32()),
-                        _ => return None,
-                    };
-                    entries.push((conn, ack, iss));
-                }
-                Some(SideMsg::Frontier { entries })
-            }
             TAG_DRAIN => {
                 if raw.len() < 5 {
                     return None;
@@ -443,13 +420,6 @@ impl SideMsg {
                     return None;
                 }
                 Some(SideMsg::Handover { epoch: raw.get_u32() })
-            }
-            TAG_CONG_SYNC => {
-                let conn = get_key(&mut raw)?;
-                if raw.len() < 8 {
-                    return None;
-                }
-                Some(SideMsg::CongSync { conn, cwnd: raw.get_u32(), ssthresh: raw.get_u32() })
             }
             _ => None,
         }
@@ -472,18 +442,20 @@ mod tests {
     #[test]
     fn roundtrip_all_variants() {
         let msgs = vec![
-            SideMsg::Heartbeat { seq: 42, epoch: 3 },
+            SideMsg::Heartbeat { seq: 42, epoch: 3, entries: vec![] },
+            SideMsg::Heartbeat {
+                seq: 43,
+                epoch: 3,
+                entries: vec![(key(), 0xDEAD_BEEF, Some((29_200, 14_600))), (key(), 77, None)],
+            },
             SideMsg::BackupAck { conn: key(), acked_next: 0xDEADBEEF },
             SideMsg::MissingReq { conn: key(), from: 100, len: 4096 },
             SideMsg::MissingData { conn: key(), seq: 100, data: Bytes::from_static(b"payload") },
             SideMsg::MissingNack { conn: key(), from: 100 },
             SideMsg::AckBatch { entries: vec![(key(), 0xDEAD_BEEF), (key(), 77)] },
-            SideMsg::Frontier { entries: vec![(key(), 0xDEAD_BEEF, Some(7)), (key(), 77, None)] },
-            SideMsg::Frontier { entries: vec![] },
             SideMsg::Drain { epoch: 9, successor_rank: 1 },
             SideMsg::DrainReady { rank: 1, epoch: 9 },
             SideMsg::Handover { epoch: 9 },
-            SideMsg::CongSync { conn: key(), cwnd: 29_200, ssthresh: 14_600 },
         ];
         for msg in msgs {
             assert_eq!(SideMsg::decode(msg.encode()), Some(msg));
@@ -493,10 +465,15 @@ mod tests {
     #[test]
     fn a_heartbeat_is_thirteen_bytes_at_every_epoch() {
         for epoch in [0, 1, u32::MAX] {
-            let msg = SideMsg::Heartbeat { seq: u64::MAX, epoch };
+            let msg = SideMsg::Heartbeat { seq: u64::MAX, epoch, entries: vec![] };
             assert_eq!(msg.encode().len(), 13, "tag, seq, epoch");
             assert_eq!(SideMsg::decode(msg.encode()), Some(msg));
         }
+        // Entries add their count, then per entry the key, the ACK and
+        // a flag, and a congestion snapshot's cwnd and ssthresh.
+        let entries = vec![(key(), 1, None), (key(), 2, Some((3, 4)))];
+        let msg = SideMsg::Heartbeat { seq: 1, epoch: 0, entries };
+        assert_eq!(msg.encode().len(), 13 + 2 + 17 + 25);
     }
 
     #[test]
@@ -507,28 +484,33 @@ mod tests {
 
     #[test]
     fn truncated_cluster_messages_rejected() {
-        // A heartbeat with its seq but not its epoch.
-        let full = SideMsg::Heartbeat { seq: 1, epoch: 2 }.encode();
+        // A heartbeat with its seq but not its epoch, one with half an
+        // entry count, and one whose entry count overruns the datagram.
+        let full = SideMsg::Heartbeat { seq: 1, epoch: 2, entries: vec![] }.encode();
         assert_eq!(SideMsg::decode(full.slice(..9)), None);
+        let mut half = full.to_vec();
+        half.push(0);
+        assert_eq!(SideMsg::decode(Bytes::from(half)), None);
+        let mut overrun = full.to_vec();
+        overrun.extend_from_slice(&2u16.to_be_bytes());
+        assert_eq!(SideMsg::decode(Bytes::from(overrun)), None);
         // The retired member-list tag is garbage.
         assert_eq!(SideMsg::decode(Bytes::from_static(&[6; 20])), None);
         // AckBatch claiming an entry with no bytes behind it.
         assert_eq!(SideMsg::decode(Bytes::from_static(&[TAG_ACK_BATCH, 0, 1])), None);
-        // A frontier entry whose ISS flag promises four bytes it lacks,
-        // and one whose flag is neither 0 nor 1.
-        let entry = SideMsg::Frontier { entries: vec![(key(), 5, Some(6))] }.encode();
+        // A frontier entry whose flag promises a congestion snapshot it
+        // lacks, and one whose flag is neither 0 nor 1.
+        let entry =
+            SideMsg::Heartbeat { seq: 1, epoch: 2, entries: vec![(key(), 5, Some((6, 7)))] };
+        let entry = entry.encode();
         assert_eq!(SideMsg::decode(entry.slice(..entry.len() - 1)), None);
         let mut bad_flag = entry.to_vec();
-        bad_flag[3 + 12 + 4] = 2;
+        bad_flag[15 + 12 + 4] = 2;
         assert_eq!(SideMsg::decode(Bytes::from(bad_flag)), None);
         // Truncated drain/handover family.
         assert_eq!(SideMsg::decode(Bytes::from_static(&[TAG_DRAIN, 0, 0])), None);
         assert_eq!(SideMsg::decode(Bytes::from_static(&[TAG_DRAIN_READY, 1])), None);
         assert_eq!(SideMsg::decode(Bytes::from_static(&[TAG_HANDOVER, 9])), None);
-        // CongSync with the key but not both u32s behind it.
-        let mut short = SideMsg::CongSync { conn: key(), cwnd: 1, ssthresh: 2 }.encode().to_vec();
-        short.truncate(short.len() - 5);
-        assert_eq!(SideMsg::decode(Bytes::from(short)), None);
     }
 
     #[test]

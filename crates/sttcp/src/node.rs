@@ -5,10 +5,10 @@
 //!   paper's baseline) or a member of an ST-TCP replication chain (the
 //!   paper's primary/backup pair is the chain of length one). A member's
 //!   pump hands its engine what its role tracks: a primary's touched
-//!   connections and the SYNs it answers (the side channel's `Frontier`
-//!   entries), a backup's receive progress and the client segments its
-//!   shadow stack holds no connection for. A backup taps only the
-//!   client's half of the traffic; it has no use for the primary's.
+//!   connections (its heartbeat's frontier entries), a backup's receive
+//!   progress and the client segments its shadow stack holds no
+//!   connection for. A backup taps only the client's half of the
+//!   traffic; it has no use for the primary's.
 //! * [`ClientNode`] — an *unmodified* TCP client driving a workload;
 //!   deliberately built from the plain [`NetStack`] with no ST-TCP
 //!   code, because client transparency is the paper's core claim.
@@ -365,16 +365,12 @@ impl ServerNode {
         active.clear();
         self.stack.drain_activity(&mut active);
         // Feed the engine what its role tracks: receive progress for a
-        // backup's acks, a primary's frontier and the SYNs it answers
-        // (the engine dedups; messages go out in steps 4 and 5).
+        // backup's acks, a primary's heartbeat frontier (the engine
+        // dedups; acks go out in steps 4 and 5).
         if let Some(engine) = &mut self.engine {
             for &sock in &active {
-                let Some(tcb) = self.stack.tcb(sock) else { continue };
-                let key = ConnKey::from_server_quad(tcb.quad());
-                if tcb.state() == TcpState::SynRcvd {
-                    engine.note_answered_syn(key, tcb.ack_seq(), tcb.iss());
-                } else {
-                    engine.note_activity(key);
+                if let Some(tcb) = self.stack.tcb(sock) {
+                    engine.note_activity(ConnKey::from_server_quad(tcb.quad()));
                 }
             }
         }
@@ -406,13 +402,7 @@ impl ServerNode {
         // 5. flush engine messages / fencing / logger queries.
         self.flush_engine(now, ctx);
         // 6. Transmit stack output and rearm the stack timer.
-        let busy = self.timer.flush(&mut self.stack, ctx);
-        // 7. The entries of the SYNs just answered follow their SYN/ACKs.
-        if self.engine.as_mut().is_some_and(ClusterEngine::flush_answered) {
-            self.flush_engine(now, ctx);
-            self.timer.flush(&mut self.stack, ctx);
-        }
-        busy
+        self.timer.flush(&mut self.stack, ctx)
     }
 
     fn flush_engine(&mut self, now: SimTime, ctx: &mut Context) {

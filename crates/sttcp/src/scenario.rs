@@ -446,7 +446,7 @@ pub fn build(spec: &ScenarioSpec) -> Scenario {
         Deployment::StTcp(_) => 1,
     };
     let mut servers: Vec<StackConfig> =
-        (0..=backups).map(|rank| server_stack(rank, backups, spec.seed, &spec.tcp)).collect();
+        (0..=backups).map(|rank| server_stack(rank, backups, &spec.tcp)).collect();
     // How each NIC sees the service traffic (§3.1).
     match spec.topology {
         Topology::Hub | Topology::SharedMediumHub { .. } | Topology::SwitchMirror => {

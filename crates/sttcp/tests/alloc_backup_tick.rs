@@ -92,7 +92,12 @@ fn backup_tick_steady_state_allocates_nothing() {
         }
         engine.maybe_send_acks(stack, false);
         now += tick;
-        engine.on_side_msg(now, PRIMARY_IP, SideMsg::Heartbeat { seq: 1, epoch: 0 }, stack);
+        engine.on_side_msg(
+            now,
+            PRIMARY_IP,
+            SideMsg::Heartbeat { seq: 1, epoch: 0, entries: vec![] },
+            stack,
+        );
         engine.on_tick(now, stack);
         engine.drain_outbox_into(&mut outbox);
         assert_eq!(

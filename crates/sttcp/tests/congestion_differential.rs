@@ -50,8 +50,11 @@ impl TraceDigest {
 }
 
 /// Golden digest of the `bulk_100mb` scenario (standard TCP, default
-/// config), captured pre-refactor.
-const BULK_100MB_DIGEST: (u64, u64) = (0xf6cc_9c4e_6e20_1a1d, 215_472);
+/// config), captured pre-refactor. Re-pinned once, from
+/// (0xf6cc_9c4e_6e20_1a1d, 215 472), when a passive open's ISS became
+/// keyed on the SYN instead of drawn from the server's seed: every
+/// server sequence number moved, every frame and instant held.
+const BULK_100MB_DIGEST: (u64, u64) = (0x45a3_0dbe_ea2c_5737, 215_472);
 
 /// Simulator events the same run takes. The digest says the frames are
 /// the same; the count says nobody is paying for them twice (from PR 6
@@ -68,7 +71,7 @@ const BULK_100MB_EVENTS: u64 = 215_475;
 /// `fleet_failover_frame_traces_are_bit_identical` scenario), captured
 /// pre-refactor (PR 9) and held through the engine collapse (PR 12).
 /// The loss-free LAN draws nothing at random, so only protocol changes
-/// move it. Re-pinned five times:
+/// move it. Re-pinned six times:
 ///
 /// * from (0x24bf_5764_6391_d5fd, 4 228) when the stack's deadlines
 ///   became exact: two clients' 200 ms retransmissions reach the
@@ -103,8 +106,21 @@ const BULK_100MB_EVENTS: u64 = 215_475;
 ///   heartbeat, the backup a loopback frame at boot, and the promoted
 ///   backup speaks first. The takeover instant held;
 ///   [`FLEET_80_PRE_PROMOTION_DIGEST`] moved with it (3 871 → 3 469
+///   frames);
+/// * from (0x8095_94a5_ec19_80d6, 3 567) when every server began to
+///   derive a passive open's ISS from the SYN: the SYN entries went
+///   (one side-channel datagram, two hops, per pump that answered a
+///   SYN), the heartbeat came to carry the frontier entries, and a
+///   mirror copy came to leave no earlier than the frame it copies.
+///   164 frames fewer; every server sequence number moved. The
+///   takeover instant held; [`FLEET_80_PRE_PROMOTION_DIGEST`] moved
+///   with it (3 469 → 3 305 frames);
+/// * from (0x7a4e_dd47_e497_d474, 3 403) when a heartbeat began to owe
+///   a frontier entry only for bytes its backup had a whole tick to
+///   ack, 2 frames fewer. The takeover instant held;
+///   [`FLEET_80_PRE_PROMOTION_DIGEST`] moved with it (3 305 → 3 303
 ///   frames).
-const FLEET_80_FAILOVER_DIGEST: (u64, u64) = (0x8095_94a5_ec19_80d6, 3_567);
+const FLEET_80_FAILOVER_DIGEST: (u64, u64) = (0xa727_2005_fffc_b8db, 3_401);
 
 /// Simulator events of the failover fleet and of its fault-free twin
 /// (see [`BULK_100MB_EVENTS`]) plus the flood copies the clients' NICs
@@ -118,9 +134,11 @@ const FLEET_80_FAILOVER_DIGEST: (u64, u64) = (0x8095_94a5_ec19_80d6, 3_567);
 /// one event per frame fewer, and again (→ 4 226, → 4 196) when a backup
 /// stopped sending a heartbeat beside its acks, and again (→ 3 832,
 /// → 3 780) when the mirror stopped copying the primary's half to the
-/// backup.
-const FLEET_80_FAILOVER_EVENTS: u64 = 3_832;
-const FLEET_80_FAULT_FREE_EVENTS: u64 = 3_780;
+/// backup, and again (→ 3 668, → 3 614) when the SYN entries went and
+/// the frontier began to ride the heartbeat, and again (→ 3 666,
+/// → 3 612) when a frontier entry came to be owed a tick later.
+const FLEET_80_FAILOVER_EVENTS: u64 = 3_666;
+const FLEET_80_FAULT_FREE_EVENTS: u64 = 3_612;
 
 #[test]
 fn reno_via_trait_matches_prerefactor_bulk_100mb() {
@@ -145,12 +163,15 @@ fn reno_via_trait_matches_prerefactor_bulk_100mb() {
 
 /// Golden digest of the same 80-client fleet with no crash (whole run),
 /// captured on the commit before the engine collapse (PR 12).
-/// Re-pinned three times: from (0xd42d_b817_8f53_a80b, 4 215) for
+/// Re-pinned five times: from (0xd42d_b817_8f53_a80b, 4 215) for
 /// batched acks (see [`FLEET_80_FAILOVER_DIGEST`]), 256 frames fewer,
 /// from (0xc251_a78b_5b63_382b, 3 959) for the one heartbeat, 7 fewer,
-/// and from (0xa239_214d_a47d_322a, 3 952) for the mirror that copies
-/// only the client's half, 415 fewer.
-const FLEET_80_FAULT_FREE_DIGEST: (u64, u64) = (0x2404_154f_a89a_941c, 3_537);
+/// from (0xa239_214d_a47d_322a, 3 952) for the mirror that copies only
+/// the client's half, 415 fewer, and from (0x2404_154f_a89a_941c,
+/// 3 537) for the keyed ISS and the frontier on the heartbeat, 167
+/// fewer, and from (0xc4d5_700b_3ab2_60e5, 3 370) for frontier entries
+/// owed a tick later, 2 fewer.
+const FLEET_80_FAULT_FREE_DIGEST: (u64, u64) = (0x99be_0c67_2a38_c4e4, 3_368);
 
 /// When the backup of the 80-client failover fleet promotes itself.
 const FLEET_80_TAKEOVER: SimTime = SimTime::from_nanos(300_000_000);
@@ -159,11 +180,14 @@ const FLEET_80_TAKEOVER: SimTime = SimTime::from_nanos(300_000_000);
 /// before [`FLEET_80_TAKEOVER`], captured on the commit before the
 /// engine collapse (PR 12): whatever the surviving engine does after
 /// the promotion, the pair's pre-takeover wire trace may not move.
-/// Re-pinned three times, from (0x2efc_b375_8c3f_a909, 4 129) for
+/// Re-pinned five times, from (0x2efc_b375_8c3f_a909, 4 129) for
 /// batched acks, from (0x4ef5_6c6a_869e_b9b1, 3 877) for the one
-/// heartbeat and from (0x5cb8_f76f_ab42_fba2, 3 871) for the mirror that
-/// copies only the client's half (see [`FLEET_80_FAILOVER_DIGEST`]).
-const FLEET_80_PRE_PROMOTION_DIGEST: (u64, u64) = (0x6034_0b1d_c88a_83ec, 3_469);
+/// heartbeat, from (0x5cb8_f76f_ab42_fba2, 3 871) for the mirror that
+/// copies only the client's half, from (0x6034_0b1d_c88a_83ec, 3 469)
+/// for the keyed ISS and the frontier on the heartbeat and from
+/// (0x7269_29f6_5a01_509f, 3 305) for frontier entries owed a tick
+/// later (see [`FLEET_80_FAILOVER_DIGEST`]).
+const FLEET_80_PRE_PROMOTION_DIGEST: (u64, u64) = (0x1f20_9568_a2cb_885c, 3_303);
 
 /// What one run of the 80-client fleet put on the wire.
 struct Fleet80 {
@@ -274,7 +298,7 @@ fn fault_free_fleet_matches_the_pre_collapse_pair() {
 /// when, and what the promoted backup sends afterwards — where the
 /// loss-free fleet digests above cannot see it.
 ///
-/// Re-pinned three times. First from (0x86d4_57de_ad58_b603, 9 657), for two
+/// Re-pinned four times. First from (0x86d4_57de_ad58_b603, 9 657), for two
 /// reasons at once. The promoted backup stopped serving the primary it
 /// replaced: its acks, heartbeats and missing-segment retries to the
 /// dead (that alone made 6 827 frames). And the tap-loss rule stopped
@@ -287,8 +311,15 @@ fn fault_free_fleet_matches_the_pre_collapse_pair() {
 /// heartbeat, not with each segment, so the promoted backup asks the
 /// logger for what follows each shadow and for the holes it sees
 /// itself (77 queries, each flooded), and speaks first. The upload
-/// finishes at 8.84 s instead of 23.78 s; 8 896 frames.
-const TAP_LOSS_FAILOVER_DIGEST: (u64, u64) = (0xf462_57ac_2059_949b, 8_896);
+/// finishes at 8.84 s instead of 23.78 s; 8 896 frames. Then from
+/// (0xf462_57ac_2059_949b, 8 896), when every server began to derive a
+/// passive open's ISS from the SYN: the SYN entry went and the
+/// frontier rides the heartbeat, 48 frames fewer, and every server
+/// sequence number moved. Then from (0x3180_5735_700d_480a, 8 848),
+/// when a heartbeat began to owe a frontier entry only for bytes the
+/// backup had a whole tick to ack: the backup learns of an omission a
+/// tick later, 30 frames more.
+const TAP_LOSS_FAILOVER_DIGEST: (u64, u64) = (0x9a6c_5a08_05c1_2063, 8_878);
 
 #[test]
 fn tap_loss_failover_matches_the_pre_collapse_pair() {

@@ -8,6 +8,7 @@ use bytes::Bytes;
 use netsim::{SimDuration, SimTime};
 use std::net::Ipv4Addr;
 use sttcp::cluster::Topology;
+use sttcp::messages::FrontierEntry;
 use sttcp::{ClusterEngine, ConnKey, SideMsg, SttcpConfig};
 use tcpstack::{NetStack, SeqNum, StackConfig, TcpConfig};
 use wire::{MacAddr, TcpFlags, TcpSegment};
@@ -93,10 +94,10 @@ fn deliver(stack: &mut NetStack, now: SimTime, seg: &TcpSegment) {
     stack.handle_frame(now, eth.encode());
 }
 
-/// The primary's one-entry frontier for [`key`]: its cumulative ACK,
-/// and the ISS of a SYN it answered.
-fn frontier(ack: SeqNum, iss: Option<SeqNum>) -> SideMsg {
-    SideMsg::Frontier { entries: vec![(key(), ack.raw(), iss.map(SeqNum::raw))] }
+/// The primary's heartbeat with a one-entry frontier for [`key`]: its
+/// cumulative ACK, and its congestion window and threshold if mirrored.
+fn frontier(ack: SeqNum, cong: Option<(u32, u32)>) -> SideMsg {
+    SideMsg::Heartbeat { seq: 1, epoch: 0, entries: vec![(key(), ack.raw(), cong)] }
 }
 
 fn parse_tcp(frame: &Bytes) -> TcpSegment {
@@ -211,7 +212,10 @@ fn primary_heartbeats_every_tick() {
     engine.on_tick(ms(100), &mut stack);
     assert_eq!(
         sent(&mut engine),
-        vec![SideMsg::Heartbeat { seq: 1, epoch: 0 }, SideMsg::Heartbeat { seq: 2, epoch: 0 }]
+        vec![
+            SideMsg::Heartbeat { seq: 1, epoch: 0, entries: vec![] },
+            SideMsg::Heartbeat { seq: 2, epoch: 0, entries: vec![] }
+        ]
     );
     assert_eq!(engine.stats.hbs_sent, 2);
     assert_eq!(engine.tick_interval(), cfg().hb_interval);
@@ -262,7 +266,7 @@ fn backup_retries_stale_missing_requests() {
     let mut stack = NetStack::new(bcfg);
     stack.listen(80);
     let now = SimTime::ZERO;
-    // Shadow sees the SYN, resyncs, establishes (hand-rolled).
+    // Shadow sees the SYN and the handshake ACK, establishes (hand-rolled).
     let mut syn = TcpSegment::bare(40000, 80, 5000, 0, TcpFlags::SYN, 17520);
     syn.options = vec![wire::TcpOption::Mss(1460)];
     deliver(&mut stack, now, &syn);
@@ -279,9 +283,19 @@ fn backup_retries_stale_missing_requests() {
     let first = sent(&mut engine);
     assert!(first.iter().any(|m| matches!(m, SideMsg::MissingReq { len: 400, .. })), "{first:?}");
     // No reply arrives; ticks past 2×SyncTime re-issue the request.
-    engine.on_side_msg(now, PRIMARY, SideMsg::Heartbeat { seq: 1, epoch: 0 }, &mut stack);
+    engine.on_side_msg(
+        now,
+        PRIMARY,
+        SideMsg::Heartbeat { seq: 1, epoch: 0, entries: vec![] },
+        &mut stack,
+    );
     let later = ms(150);
-    engine.on_side_msg(later, PRIMARY, SideMsg::Heartbeat { seq: 2, epoch: 0 }, &mut stack);
+    engine.on_side_msg(
+        later,
+        PRIMARY,
+        SideMsg::Heartbeat { seq: 2, epoch: 0, entries: vec![] },
+        &mut stack,
+    );
     engine.on_tick(later, &mut stack);
     let retried = sent(&mut engine);
     assert!(
@@ -300,7 +314,12 @@ fn backup_retries_stale_missing_requests() {
     assert_eq!(stack.tcb(sock).unwrap().rcv_nxt(), rcv_nxt.add(400));
     assert_eq!(engine.stats.missing_bytes_recovered, 400);
     let after = ms(300);
-    engine.on_side_msg(after, PRIMARY, SideMsg::Heartbeat { seq: 3, epoch: 0 }, &mut stack);
+    engine.on_side_msg(
+        after,
+        PRIMARY,
+        SideMsg::Heartbeat { seq: 3, epoch: 0, entries: vec![] },
+        &mut stack,
+    );
     engine.on_tick(after, &mut stack);
     let quiet = sent(&mut engine);
     assert!(
@@ -319,7 +338,12 @@ fn backup_retries_stale_missing_requests() {
 fn backup_detection_fires_after_three_silent_intervals() {
     let mut engine = backup(cfg());
     let mut stack = backup_stack();
-    engine.on_side_msg(SimTime::ZERO, PRIMARY, SideMsg::Heartbeat { seq: 1, epoch: 0 }, &mut stack);
+    engine.on_side_msg(
+        SimTime::ZERO,
+        PRIMARY,
+        SideMsg::Heartbeat { seq: 1, epoch: 0, entries: vec![] },
+        &mut stack,
+    );
     // Tick just inside the window: no suspicion.
     engine.on_tick(ms(150), &mut stack);
     assert!(!engine.has_taken_over());
@@ -340,7 +364,7 @@ fn heartbeats_defer_detection() {
     let mut engine = backup(cfg());
     let mut stack = backup_stack();
     for i in 1..100u64 {
-        let hb = SideMsg::Heartbeat { seq: i, epoch: 0 };
+        let hb = SideMsg::Heartbeat { seq: i, epoch: 0, entries: vec![] };
         engine.on_side_msg(ms(50 * i), PRIMARY, hb, &mut stack);
         engine.on_tick(ms(50 * i), &mut stack);
     }
@@ -382,8 +406,8 @@ fn cold_replay_standby_serves_only_after_restart_and_replay() {
 fn unknown_conn_tapped_ack_is_ignored_without_a_logger() {
     let mut engine = backup(cfg());
     let mut stack = backup_stack();
-    for iss in [None, Some(SeqNum(5000))] {
-        engine.on_side_msg(SimTime::ZERO, PRIMARY, frontier(SeqNum(1001), iss), &mut stack);
+    for cong in [None, Some((29_200, 14_600))] {
+        engine.on_side_msg(SimTime::ZERO, PRIMARY, frontier(SeqNum(1001), cong), &mut stack);
     }
     assert!(sent(&mut engine).is_empty());
     assert_eq!(engine.stats.missing_reqs, 0);
@@ -393,18 +417,17 @@ fn unknown_conn_tapped_ack_is_ignored_without_a_logger() {
 
 #[test]
 fn unknown_conn_syn_ack_triggers_bootstrap() {
-    // A SYN/ACK's entry for a quad with no shadow is sometimes the
-    // ONLY evidence a connection exists (primary crashes before its
-    // next heartbeat), so it must fire the logger bootstrap.
+    // The tap lost the SYN, so no shadow answered it: the primary's
+    // frontier entry is the evidence the connection exists, and it must
+    // fire the logger bootstrap.
     let mut engine = backup(cfg().with_logger());
     let mut stack = backup_stack();
-    let syn_ack = frontier(SeqNum(1001), Some(SeqNum(5000)));
-    engine.on_side_msg(SimTime::ZERO, PRIMARY, syn_ack, &mut stack);
+    engine.on_side_msg(SimTime::ZERO, PRIMARY, frontier(SeqNum(1001), None), &mut stack);
     assert_eq!(engine.stats.bootstrap_queries, 1);
     let queries = engine.take_logger_queries();
     assert_eq!(queries.len(), 1);
-    // The replay window is anchored by the SYN/ACK's ack field and
-    // must cover the client's ISN (1000, one below the ack).
+    // The replay window is anchored by the entry's ACK and must cover
+    // the client's ISN (1000, one below the ACK).
     let q = &queries[0];
     assert!(q.seq_from.wrapping_sub(1000) as i32 <= 0, "window must reach back to the ISN");
     assert!(1000u32.wrapping_sub(q.seq_to) as i32 <= 0, "window must extend past the ISN");
@@ -417,15 +440,14 @@ fn closing_a_connection_forgets_its_bootstrap_attempt() {
     // reappears under the same key is a new one, not a retry.
     let mut engine = backup(cfg().with_logger());
     let mut stack = backup_stack();
-    let mut tapped_syn_ack = |engine: &mut ClusterEngine| {
-        let syn_ack = frontier(SeqNum(1001), Some(SeqNum(5000)));
-        engine.on_side_msg(ms(10), PRIMARY, syn_ack, &mut stack);
+    let mut entry = |engine: &mut ClusterEngine| {
+        engine.on_side_msg(ms(10), PRIMARY, frontier(SeqNum(1001), None), &mut stack);
         engine.take_logger_queries().len()
     };
-    assert_eq!(tapped_syn_ack(&mut engine), 1, "no shadow: ask the logger");
-    assert_eq!(tapped_syn_ack(&mut engine), 0, "at most one query per 2 × SyncTime");
+    assert_eq!(entry(&mut engine), 1, "no shadow: ask the logger");
+    assert_eq!(entry(&mut engine), 0, "at most one query per 2 × SyncTime");
     engine.on_close(key());
-    assert_eq!(tapped_syn_ack(&mut engine), 1, "the closed connection's attempt is forgotten");
+    assert_eq!(entry(&mut engine), 1, "the closed connection's attempt is forgotten");
     assert_eq!(engine.stats.bootstrap_queries, 2);
 }
 
@@ -453,39 +475,85 @@ fn takeover_is_idempotent_under_continued_silence() {
     assert!(!stack.is_suppressed(VIP));
 }
 
+/// The frontier entries of the heartbeats in `msgs`.
+fn entries(msgs: &[SideMsg]) -> Vec<FrontierEntry> {
+    let entries = |m: &SideMsg| match m {
+        SideMsg::Heartbeat { entries, .. } => entries.clone(),
+        _ => Vec::new(),
+    };
+    msgs.iter().flat_map(entries).collect()
+}
+
 #[test]
 fn primary_mirrors_congestion_snapshots_only_on_change() {
     let (mut stack, _) = primary_with_data(b"hello");
+    let sock = stack.sock_by_quad(key().server_quad()).unwrap();
+    let ack = stack.tcb(sock).unwrap().ack_seq().raw();
+    let snap = stack.tcb(sock).unwrap().export_congestion();
     let mut engine = primary(cfg().with_cong_sync());
+    // The backup has acked all 5 bytes: the connection leads it nowhere,
+    // and only its congestion snapshot is owed.
+    engine.on_side_msg(
+        ms(10),
+        BACKUP,
+        SideMsg::BackupAck { conn: key(), acked_next: ack },
+        &mut stack,
+    );
+    engine.note_activity(key());
     engine.on_tick(ms(50), &mut stack);
     let first = sent(&mut engine);
     assert!(
-        matches!(first[0], SideMsg::Heartbeat { seq: 1, epoch: 0 }),
-        "the heartbeat leads the tick: {first:?}"
+        matches!(first.as_slice(), [SideMsg::Heartbeat { seq: 1, epoch: 0, .. }]),
+        "one heartbeat carries the tick: {first:?}"
     );
-    let syncs: Vec<_> = first.iter().filter(|m| matches!(m, SideMsg::CongSync { .. })).collect();
-    assert_eq!(syncs.len(), 1, "one established connection, one snapshot: {first:?}");
-    let SideMsg::CongSync { conn, cwnd, ssthresh } = syncs[0] else { unreachable!() };
-    assert_eq!(*conn, key());
-    let sock = stack.sock_by_quad(key().server_quad()).unwrap();
-    let snap = stack.tcb(sock).unwrap().export_congestion();
-    assert_eq!((*cwnd, *ssthresh), (snap.cwnd, snap.ssthresh));
-    // Nothing changed the window since: the next tick stays quiet.
-    engine.on_side_msg(ms(60), BACKUP, SideMsg::AckBatch { entries: vec![] }, &mut stack);
+    assert_eq!(entries(&first), [(key(), ack, Some((snap.cwnd, snap.ssthresh)))]);
+    // Touched again, but nothing changed the window: the next
+    // heartbeat owes nothing.
+    engine.note_activity(key());
     engine.on_tick(ms(100), &mut stack);
     let again = sent(&mut engine);
-    assert!(
-        !again.iter().any(|m| matches!(m, SideMsg::CongSync { .. })),
-        "unchanged snapshot must not be rebroadcast: {again:?}"
-    );
+    assert_eq!(entries(&again), [], "unchanged snapshot must not be rebroadcast");
 }
 
 #[test]
 fn primary_with_cong_sync_off_never_mirrors() {
     let (mut stack, _) = primary_with_data(b"hello");
     let mut engine = primary(cfg());
+    engine.note_activity(key());
     engine.on_tick(ms(50), &mut stack);
-    assert!(!sent(&mut engine).iter().any(|m| matches!(m, SideMsg::CongSync { .. })));
+    assert_eq!(entries(&sent(&mut engine)), [], "the backup's ack of this tick is in flight");
+    engine.on_tick(ms(100), &mut stack);
+    let second = entries(&sent(&mut engine));
+    assert_eq!(second.len(), 1, "a tick later the unacked 5 bytes are owed: {second:?}");
+    assert!(second.iter().all(|&(_, _, cong)| cong.is_none()), "{second:?}");
+}
+
+#[test]
+fn an_entry_is_owed_only_for_bytes_the_backup_had_a_tick_to_ack() {
+    // The backup's ack tick falls on the primary's heartbeat, so bytes
+    // that arrived since the previous heartbeat are acked by a datagram
+    // still in flight. The heartbeat judges the frontier it held one
+    // tick earlier: an acked connection costs no entry, an omission
+    // costs one a tick later.
+    let (mut stack, data_start) = primary_with_data(b"hello");
+    let mut engine = primary(cfg());
+    engine.note_activity(key());
+    engine.on_tick(ms(50), &mut stack);
+    assert_eq!(entries(&sent(&mut engine)), []);
+    let acked = SideMsg::BackupAck { conn: key(), acked_next: data_start.add(5).raw() };
+    engine.on_side_msg(ms(51), BACKUP, acked, &mut stack);
+    engine.on_tick(ms(100), &mut stack);
+    assert_eq!(entries(&sent(&mut engine)), [], "acked within the tick: nothing owed");
+    // Acked short of the frontier: the two missing bytes are an entry.
+    let (mut stack, data_start) = primary_with_data(b"hello");
+    let mut engine = primary(cfg());
+    engine.note_activity(key());
+    engine.on_tick(ms(50), &mut stack);
+    let short = SideMsg::BackupAck { conn: key(), acked_next: data_start.add(3).raw() };
+    engine.on_side_msg(ms(51), BACKUP, short, &mut stack);
+    engine.on_tick(ms(100), &mut stack);
+    let ack = data_start.add(5).raw();
+    assert_eq!(entries(&sent(&mut engine)), [(key(), ack, None)]);
 }
 
 #[test]
@@ -497,12 +565,8 @@ fn backup_applies_mirrored_congestion_snapshot() {
     let sock = stack.sock_by_quad(key().server_quad()).unwrap();
     let before = stack.tcb(sock).unwrap().congestion().cwnd();
     assert_ne!(before, 99_280, "pick a snapshot distinguishable from the default");
-    engine.on_side_msg(
-        ms(10),
-        PRIMARY,
-        SideMsg::CongSync { conn: key(), cwnd: 99_280, ssthresh: 7_300 },
-        &mut stack,
-    );
+    let ack = stack.tcb(sock).unwrap().ack_seq();
+    engine.on_side_msg(ms(10), PRIMARY, frontier(ack, Some((99_280, 7_300))), &mut stack);
     let cong = stack.tcb(sock).unwrap().congestion();
     assert_eq!(cong.cwnd(), 99_280);
     assert_eq!(cong.ssthresh(), 7_300);

@@ -21,6 +21,7 @@ use netsim::{SimDuration, SimTime};
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
 use sttcp::cluster::{ClusterRole, Topology};
+use sttcp::messages::FrontierEntry;
 use sttcp::{ClusterEngine, ConnKey, SideMsg, SttcpConfig};
 use tcpstack::{NetStack, StackConfig, TcpConfig};
 use wire::{EtherType, EthernetFrame, IpProtocol, Ipv4Packet, MacAddr, TcpFlags, TcpSegment};
@@ -102,7 +103,12 @@ fn build(target: Target) -> (ClusterEngine, NetStack) {
     engine.note_activity(key());
     if let Target::Retired = target {
         // Rank 1's reign begins: the old primary steps out of the chain.
-        engine.on_side_msg(ms(0), RANK1, SideMsg::Heartbeat { seq: 1, epoch: 1 }, &mut stack);
+        engine.on_side_msg(
+            ms(0),
+            RANK1,
+            SideMsg::Heartbeat { seq: 1, epoch: 1, entries: vec![] },
+            &mut stack,
+        );
         assert_eq!(engine.role(), ClusterRole::Retired);
     }
     (engine, stack)
@@ -158,9 +164,19 @@ fn arb_rank() -> impl Strategy<Value = u8> {
     prop_oneof![0u8..5, any::<u8>()]
 }
 
+/// A frontier entry, some with a congestion snapshot (a tiny window
+/// among them).
+fn arb_entry() -> impl Strategy<Value = FrontierEntry> {
+    let cwnd = prop_oneof![0u32..3_000, any::<u32>()];
+    (arb_conn(), arb_seq(), any::<bool>(), cwnd, any::<u32>()).prop_map(
+        |(conn, ack, moved, cwnd, ssthresh)| (conn, ack, moved.then_some((cwnd, ssthresh))),
+    )
+}
+
 fn arb_msg() -> impl Strategy<Value = SideMsg> {
     prop_oneof![
-        (any::<u64>(), arb_epoch()).prop_map(|(seq, epoch)| SideMsg::Heartbeat { seq, epoch }),
+        (any::<u64>(), arb_epoch(), proptest::collection::vec(arb_entry(), 0..4))
+            .prop_map(|(seq, epoch, entries)| SideMsg::Heartbeat { seq, epoch, entries }),
         (arb_conn(), arb_seq())
             .prop_map(|(conn, acked_next)| SideMsg::BackupAck { conn, acked_next }),
         (arb_conn(), arb_seq(), prop_oneof![0u32..4_000, any::<u32>()])
@@ -175,15 +191,6 @@ fn arb_msg() -> impl Strategy<Value = SideMsg> {
             .prop_map(|(epoch, successor_rank)| SideMsg::Drain { epoch, successor_rank }),
         (arb_rank(), arb_epoch()).prop_map(|(rank, epoch)| SideMsg::DrainReady { rank, epoch }),
         arb_epoch().prop_map(|epoch| SideMsg::Handover { epoch }),
-        (arb_conn(), prop_oneof![0u32..3_000, any::<u32>()], any::<u32>())
-            .prop_map(|(conn, cwnd, ssthresh)| SideMsg::CongSync { conn, cwnd, ssthresh }),
-        proptest::collection::vec((arb_conn(), arb_seq(), any::<bool>(), any::<u32>()), 0..4)
-            .prop_map(|entries| SideMsg::Frontier {
-                entries: entries
-                    .into_iter()
-                    .map(|(k, ack, syn, iss)| (k, ack, syn.then_some(iss)))
-                    .collect()
-            }),
     ]
 }
 
@@ -251,7 +258,7 @@ fn a_heartbeat_whose_reign_has_no_member_changes_nothing() {
             for target in TARGETS {
                 let (mut engine, mut stack) = build(target);
                 let before = (engine.role(), engine.topology().clone());
-                let hb = SideMsg::Heartbeat { seq: 1, epoch };
+                let hb = SideMsg::Heartbeat { seq: 1, epoch, entries: vec![] };
                 engine.on_side_msg(ms(10), from, hb, &mut stack);
                 engine.on_tick(ms(60), &mut stack);
                 settle(&mut engine, &mut stack, ms(60));
@@ -303,14 +310,17 @@ fn a_strangers_orders_move_nothing_and_draw_no_reply() {
                                 // reign, ack, ask for or supply bytes, and walk a drain through to
                                 // the handover for rank 1 and for rank 2.
     let orders = [
-        SideMsg::Heartbeat { seq: 1, epoch: 1 },
+        SideMsg::Heartbeat { seq: 1, epoch: 1, entries: vec![] },
+        SideMsg::Heartbeat {
+            seq: 2,
+            epoch: 0,
+            entries: vec![(key(), next + 4_000, Some((1, 1))), (key(), next, None)],
+        },
         SideMsg::BackupAck { conn: key(), acked_next: next },
         SideMsg::AckBatch { entries: vec![(key(), next)] },
         SideMsg::MissingReq { conn: key(), from: CLIENT_ISS + 1, len: 10 },
         SideMsg::MissingData { conn: key(), seq: next, data: Bytes::from_static(b"forged") },
         SideMsg::MissingNack { conn: key(), from: next },
-        SideMsg::CongSync { conn: key(), cwnd: 1, ssthresh: 1 },
-        SideMsg::Frontier { entries: vec![(key(), next + 4_000, None), (key(), next, Some(9))] },
         SideMsg::DrainReady { rank: 1, epoch: 1 },
         SideMsg::Drain { epoch: 1, successor_rank: 1 },
         SideMsg::Handover { epoch: 1 },

@@ -4,10 +4,10 @@
 //! SYN is lost on the tap, the literal protocol can never shadow that
 //! connection — after a takeover the backup would RST the client. With
 //! the in-network logger, the backup detects the unshadowed connection
-//! (tapped primary ACKs for an unknown four-tuple) and asks for a full
-//! history replay: the replayed SYN builds the shadow, the replayed
-//! handshake ACK resynchronizes its ISN, and the replayed requests
-//! catch the application up.
+//! (a frontier entry on the primary's heartbeat, or a client segment,
+//! for an unknown four-tuple) and asks for a full history replay: the
+//! replayed SYN builds the shadow with the primary's ISS, and the
+//! replayed requests catch the application up.
 
 use apps::{EchoServer, Workload};
 use netsim::{DropRule, SimDuration, SimTime};

@@ -5,14 +5,14 @@
 mod common;
 
 use bytes::Bytes;
-use common::arb_key;
+use common::{arb_heartbeat, arb_key};
 use proptest::prelude::*;
 use sttcp::SideMsg;
 
 /// Any message of any kind.
 fn arb_msg() -> impl Strategy<Value = SideMsg> {
     prop_oneof![
-        (any::<u64>(), any::<u32>()).prop_map(|(seq, epoch)| SideMsg::Heartbeat { seq, epoch }),
+        arb_heartbeat(),
         (arb_key(), any::<u32>())
             .prop_map(|(conn, acked_next)| SideMsg::BackupAck { conn, acked_next }),
         (arb_key(), any::<u32>(), any::<u32>()).prop_map(|(conn, from, len)| SideMsg::MissingReq {
@@ -30,15 +30,6 @@ fn arb_msg() -> impl Strategy<Value = SideMsg> {
             .prop_map(|(epoch, successor_rank)| SideMsg::Drain { epoch, successor_rank }),
         (any::<u8>(), any::<u32>()).prop_map(|(rank, epoch)| SideMsg::DrainReady { rank, epoch }),
         any::<u32>().prop_map(|epoch| SideMsg::Handover { epoch }),
-        (arb_key(), any::<u32>(), any::<u32>())
-            .prop_map(|(conn, cwnd, ssthresh)| SideMsg::CongSync { conn, cwnd, ssthresh }),
-        proptest::collection::vec((arb_key(), any::<u32>(), any::<bool>(), any::<u32>()), 0..60)
-            .prop_map(|entries| SideMsg::Frontier {
-                entries: entries
-                    .into_iter()
-                    .map(|(k, ack, syn, iss)| (k, ack, syn.then_some(iss)))
-                    .collect()
-            }),
     ]
 }
 
@@ -53,6 +44,20 @@ proptest! {
     #[test]
     fn roundtrip(msg in arb_msg()) {
         prop_assert_eq!(SideMsg::decode(msg.encode()), Some(msg));
+    }
+
+    #[test]
+    fn a_heartbeats_entry_count_past_its_bytes_decodes_to_none(
+        msg in arb_heartbeat(), extra in 1u16..=100,
+    ) {
+        // The count follows tag, seq and epoch (13 bytes); an idle
+        // heartbeat ends before it.
+        let SideMsg::Heartbeat { entries, .. } = &msg else { unreachable!() };
+        let count = entries.len() as u16 + extra;
+        let mut raw = msg.encode().to_vec();
+        raw.resize(raw.len().max(15), 0);
+        raw[13..15].copy_from_slice(&count.to_be_bytes());
+        prop_assert_eq!(SideMsg::decode(Bytes::from(raw)), None);
     }
 
     #[test]

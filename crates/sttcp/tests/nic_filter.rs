@@ -95,7 +95,13 @@ fn a_fleets_hosts_see_exactly_the_frames_addressed_to_them() {
 /// acks. The last two rose (→ 103 867, → 343 610) when the mirror began
 /// to copy only the client's half: each answered SYN is a side-channel
 /// datagram, two hops, where its SYN/ACK was one mirror copy, and the
-/// promoted backup speaks first; the flood copies held.
+/// promoted backup speaks first; the flood copies held. They fell
+/// (→ 98 092, → 335 578) when the SYN entries went: every server
+/// derives a passive open's ISS from the SYN, and the frontier rides
+/// the heartbeat; the flood copies held. They rose (→ 98 154,
+/// → 335 712) when a frontier entry came to be owed a tick later: 24
+/// overflow heartbeats fewer, and the clients' timers fired 164 times
+/// in the detection window instead of 155; the flood copies held.
 #[test]
 fn the_crash_herds_flood_copies_are_counted_and_never_events() {
     let spec =
@@ -105,6 +111,6 @@ fn the_crash_herds_flood_copies_are_counted_and_never_events() {
     assert!(f.verified_clean(), "all 3 000 client streams must verify clean");
     let t = f.sim.trace();
     assert_eq!(t.frames_filtered_nic, 203_932);
-    assert_eq!(t.frames_delivered, 103_867);
-    assert_eq!(t.events_processed + t.frames_filtered_nic, 343_610);
+    assert_eq!(t.frames_delivered, 98_154);
+    assert_eq!(t.events_processed + t.frames_filtered_nic, 335_712);
 }

@@ -134,3 +134,29 @@ fn fencing_mark_lands_between_suspicion_and_takeover() {
     assert!(breakdown.suspected_ns <= fenced);
     assert!(fenced <= breakdown.unsuppressed_ns);
 }
+
+#[test]
+fn a_promoted_shadow_speaking_first_is_a_promotion_send_not_a_timeout() {
+    // Eight bulk downloads, every one mid-transfer when the primary
+    // dies on a loss-free LAN: each shadow holds bytes in flight, so the
+    // promoted backup's speak-first fires one retransmission timer per
+    // connection. Those are promotion sends; no timer fires for a loss.
+    let clients = 8;
+    let spec = sttcp::fleet::FleetSpec::new(clients)
+        .workload(Workload::bulk_mb(1))
+        .crash_primary_at(SimTime::ZERO + SimDuration::from_millis(300))
+        .recording();
+    let mut f = sttcp::fleet::build(&spec);
+    assert!(f.run_until_done(secs(60.0)), "every download completes");
+    assert!(f.verified_clean());
+    let snap = f.obs.as_ref().expect("recording").snapshot();
+    assert_eq!(snap.get("promotion_sends"), clients as u64);
+    assert_eq!(snap.get("tcp_rto_fired"), 0);
+    // The per-connection stats split the same way.
+    let backup = f.sim.node_ref::<ServerNode>(f.backup);
+    let stats: Vec<_> =
+        backup.stack().socks().filter_map(|s| backup.stack().tcb(s)).map(|t| t.stats).collect();
+    assert_eq!(stats.len(), clients);
+    assert_eq!(stats.iter().map(|s| s.promotion_sends).sum::<u64>(), clients as u64);
+    assert_eq!(stats.iter().map(|s| s.rto_retransmits).sum::<u64>(), 0);
+}

@@ -26,7 +26,14 @@ fn sample_key() -> ConnKey {
 /// One canonical message per wire kind, in [`common::kind`] order.
 fn sample_msgs() -> Vec<SideMsg> {
     vec![
-        SideMsg::Heartbeat { seq: 0xDEAD_BEEF_0123_4567, epoch: 0x8000_0002 },
+        SideMsg::Heartbeat {
+            seq: 0xDEAD_BEEF_0123_4567,
+            epoch: 0x8000_0002,
+            entries: vec![
+                (sample_key(), 0x8000_0001, Some((29_200, 0x7FFF_FFFF))),
+                (sample_key(), 3, None),
+            ],
+        },
         SideMsg::BackupAck { conn: sample_key(), acked_next: 0x8000_0001 },
         SideMsg::MissingReq { conn: sample_key(), from: 42, len: 2920 },
         SideMsg::MissingData {
@@ -39,10 +46,6 @@ fn sample_msgs() -> Vec<SideMsg> {
         SideMsg::Drain { epoch: 2, successor_rank: 2 },
         SideMsg::DrainReady { rank: 2, epoch: 2 },
         SideMsg::Handover { epoch: 0xFFFF_FFFF },
-        SideMsg::CongSync { conn: sample_key(), cwnd: 29_200, ssthresh: 0x7FFF_FFFF },
-        SideMsg::Frontier {
-            entries: vec![(sample_key(), 0x8000_0001, Some(0xFFFF_FFFF)), (sample_key(), 3, None)],
-        },
     ]
 }
 

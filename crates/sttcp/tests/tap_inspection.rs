@@ -1,12 +1,12 @@
 //! Where the backup learns the primary's half of a connection.
 //!
 //! The mirror copies only the client's half (the frames the switch
-//! sends to the primary's port). What the backup once read off the
-//! primary's tapped segments — the ISS of its SYN/ACK and the
-//! cumulative ACK that shows a tap omission (§4.2) — comes as
-//! side-channel `Frontier` entries from the primary. Only those move
-//! the backup: a corrupted datagram fails its UDP checksum, and a
-//! stranger's is not the chain's.
+//! sends to the primary's port). The backup needs none of the primary's
+//! segments for its ISS: every server derives it from the SYN. What it
+//! once read off them — the cumulative ACK that shows a tap omission
+//! (§4.2) — comes as frontier entries on the primary's heartbeat. Only
+//! those move the backup: a corrupted datagram fails its UDP checksum,
+//! and a stranger's is not the chain's.
 
 use apps::EchoServer;
 use bytes::Bytes;
@@ -15,7 +15,7 @@ use netsim::{LinkSpec, SimDuration, Simulator};
 use std::net::Ipv4Addr;
 use sttcp::node::LAN;
 use sttcp::{ConnKey, ServerNode, SideMsg, SttcpConfig};
-use tcpstack::{StackConfig, TcpConfig};
+use tcpstack::{keyed_iss, Quad, SeqNum, StackConfig, TcpConfig};
 use wire::{
     EtherType, EthernetFrame, IpProtocol, Ipv4Packet, MacAddr, TcpFlags, TcpOption, TcpSegment,
     UdpDatagram,
@@ -27,7 +27,11 @@ const PRIMARY: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
 const BACKUP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 3);
 const STRANGER: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 9);
 const CLIENT_ISS: u32 = 5000;
-const PRIMARY_ISS: u32 = 777_000;
+
+/// The ISS every server answers the client's SYN with.
+fn server_iss() -> u32 {
+    keyed_iss(Quad::new(VIP, 80, CLIENT, 40000), SeqNum(CLIENT_ISS)).raw()
+}
 
 /// Plays a fixed list of frames onto the backup's tap, in order.
 struct Tap(Vec<Bytes>);
@@ -56,32 +60,27 @@ fn side_frame(from: Ipv4Addr, msg: &SideMsg) -> Bytes {
     EthernetFrame::new(MacAddr::local(3), MacAddr::local(2), EtherType::Ipv4, ip.encode()).encode()
 }
 
-fn frontier(ack: u32, iss: Option<u32>) -> SideMsg {
+/// A heartbeat whose one frontier entry is the primary's ACK `ack`.
+fn frontier(ack: u32) -> SideMsg {
     let key = ConnKey { client_ip: CLIENT, client_port: 40000, server_ip: VIP, server_port: 80 };
-    SideMsg::Frontier { entries: vec![(key, ack, iss)] }
+    SideMsg::Heartbeat { seq: 1, epoch: 0, entries: vec![(key, ack, None)] }
 }
 
-/// The client's handshake on the tap, the primary's SYN entry between
-/// its SYN and ACK, then a frontier entry from `sender` saying the
-/// primary holds 400 client bytes the tap never showed the backup.
-/// Returns the shadow's ISS and how many missing-segment requests the
-/// backup made.
+/// The client's handshake on the tap, then a heartbeat from `sender`
+/// whose frontier entry says the primary holds 400 client bytes the tap
+/// never showed the backup. Returns the shadow's ISS and how many
+/// missing-segment requests the backup made.
 fn after_frontier(sender: Ipv4Addr, corrupt: bool) -> (u32, u64) {
     let mut syn = TcpSegment::bare(40000, 80, CLIENT_ISS, 0, TcpFlags::SYN, 17520);
     syn.options = vec![TcpOption::Mss(1460)];
-    let ack = TcpSegment::bare(40000, 80, CLIENT_ISS + 1, PRIMARY_ISS + 1, TcpFlags::ACK, 17520);
-    let mut last = side_frame(sender, &frontier(CLIENT_ISS + 1 + 400, None)).to_vec();
+    let ack = TcpSegment::bare(40000, 80, CLIENT_ISS + 1, server_iss() + 1, TcpFlags::ACK, 17520);
+    let mut last = side_frame(sender, &frontier(CLIENT_ISS + 1 + 400)).to_vec();
     if corrupt {
         // One bit of the entry's ACK field, checksum left as it was.
         let at = last.len() - 2;
         last[at] ^= 0x01;
     }
-    let tape = vec![
-        client_frame(&syn),
-        side_frame(PRIMARY, &frontier(CLIENT_ISS + 1, Some(PRIMARY_ISS))),
-        client_frame(&ack),
-        Bytes::from(last),
-    ];
+    let tape = vec![client_frame(&syn), client_frame(&ack), Bytes::from(last)];
 
     let mut b_cfg = StackConfig::host(MacAddr::local(3), BACKUP);
     b_cfg.extra_ips = vec![VIP];
@@ -109,15 +108,15 @@ fn after_frontier(sender: Ipv4Addr, corrupt: bool) -> (u32, u64) {
 
 #[test]
 fn the_primarys_frontier_reveals_a_tap_omission() {
-    assert_eq!(after_frontier(PRIMARY, false), (PRIMARY_ISS, 1));
+    assert_eq!(after_frontier(PRIMARY, false), (server_iss(), 1));
 }
 
 #[test]
 fn a_corrupted_frontier_datagram_moves_nothing() {
-    assert_eq!(after_frontier(PRIMARY, true), (PRIMARY_ISS, 0));
+    assert_eq!(after_frontier(PRIMARY, true), (server_iss(), 0));
 }
 
 #[test]
 fn a_strangers_frontier_moves_nothing() {
-    assert_eq!(after_frontier(STRANGER, false), (PRIMARY_ISS, 0));
+    assert_eq!(after_frontier(STRANGER, false), (server_iss(), 0));
 }

@@ -118,3 +118,22 @@ fn a_fleet_that_fences_plugs_in_its_power_switch() {
     assert!(fenced.engine(1).has_taken_over());
     assert!(!fenced.sim.is_alive(fenced.primary), "the fence powered the primary off");
 }
+
+#[test]
+fn every_testbed_derives_the_primarys_iss() {
+    // Every server keys a passive open's ISS on the SYN, so no shadow's
+    // handshake ACK ever acks anything but its own SYN/ACK: the §4.1
+    // check counts nothing, on every tap and along a chain.
+    for topology in TOPOLOGIES {
+        let spec = echo_spec(topology, SttcpConfig::new(addrs::VIP, 80)).recording();
+        let mut scenario = build(&spec);
+        scenario.run(RunLimits::time(SimDuration::from_secs(30))).expect_completed();
+        let snap = scenario.snapshot().expect("recording");
+        assert_eq!(snap.get("shadow_isn_resyncs"), 0, "{topology:?}");
+    }
+    let spec = FleetSpec::new(40).backups(2).recording();
+    let mut fleet = fleet::build(&spec);
+    assert!(fleet.run_until_done(SimDuration::from_secs(60)));
+    let snap = fleet.obs.as_ref().expect("recording").snapshot();
+    assert_eq!(snap.get("shadow_isn_resyncs"), 0, "a 2-backup chain");
+}

@@ -81,9 +81,10 @@ pub struct TcpConfig {
     pub rto_max: SimDuration,
     /// TIME_WAIT hold time.
     pub time_wait: SimDuration,
-    /// ST-TCP backup shadow semantics: resynchronize the ISN from the
-    /// client's handshake ACK and tolerate ACKs ahead of `snd_nxt`
-    /// (the primary's transmissions the shadow has not made yet).
+    /// ST-TCP backup shadow semantics: establish on any client ACK and
+    /// tolerate ACKs ahead of `snd_nxt` (the primary's transmissions
+    /// the shadow has not made yet). The shadow's ISS is the primary's
+    /// already: every server keys it on the SYN.
     pub shadow: bool,
     /// RFC 1323 window scaling: the shift this endpoint requests in its
     /// SYN. `None` disables the option. In effect only when both sides
@@ -159,9 +160,9 @@ pub struct StackConfig {
     /// frames (lets a tapping backup address the client immediately on
     /// takeover without ARPing).
     pub learn_from_ip: bool,
-    /// Seed for initial-sequence-number generation; give the primary and
-    /// backup different seeds so the ISN resynchronization of §4.1 is
-    /// actually exercised.
+    /// Seed of the initial sequence numbers of active opens (a client's
+    /// connects). A passive open takes no seed: its ISS is keyed on the
+    /// quad and the client's ISN, the same on every server.
     pub isn_seed: u64,
     /// IPs whose egress is suppressed (the backup lists the service VIP;
     /// takeover removes it).

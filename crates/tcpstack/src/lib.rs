@@ -24,10 +24,10 @@
 //!
 //! * [`recv_buf::RecvBuffer`] implements the primary's *second receive
 //!   buffer* with the `LastByteAcked` pointer (§4.2, Figure 4);
-//! * [`tcb::Tcb`] implements the backup's *shadow semantics*: ISN
-//!   resynchronization from the client's handshake ACK (§4.1) and
-//!   tolerance of client ACKs that cover bytes only the primary has
-//!   transmitted so far;
+//! * [`tcb::Tcb`] implements the backup's *shadow semantics*: a shadow
+//!   shares the primary's ISS, which every server keys on the SYN
+//!   ([`stack::keyed_iss`], §4.1), and tolerates client ACKs that cover
+//!   bytes only the primary has transmitted so far;
 //! * [`stack::NetStack`] implements *egress suppression* of the service
 //!   IP (the backup "drops" its replies, §4.2) with an instantaneous
 //!   takeover switch ([`stack::NetStack::unsuppress`], §5).
@@ -76,6 +76,6 @@ pub use congestion::{CongSnapshot, CongestionAlgo, CongestionController, Congest
 pub use gateway::{Gateway, GatewayIface, Side};
 pub use sack::SackScoreboard;
 pub use seq::SeqNum;
-pub use stack::{NetStack, SockId, StackError, UdpId};
+pub use stack::{keyed_iss, NetStack, SockId, StackError, UdpId};
 pub use tcb::{StagedSeg, Tcb, TcpState};
 pub use udp_socket::UdpRecv;

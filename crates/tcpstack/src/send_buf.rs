@@ -13,7 +13,7 @@ use std::collections::VecDeque;
 ///
 /// A release is *logical*: the bytes of the latest `ack_to` leave every
 /// count at once but stay readable through `slices_range` until the
-/// buffer is next mutated (`write`, the next `ack_to`, `rebase`). A
+/// buffer is next mutated (`write`, the next `ack_to`). A
 /// shadow's poll stages a segment and may release its bytes before the
 /// stack has emitted it (§4.1 auto-trim); the plan reads them here
 /// instead of carrying a copy.
@@ -55,19 +55,6 @@ impl SendBuffer {
     /// Space left for the application.
     pub fn free_space(&self) -> usize {
         self.capacity - self.len()
-    }
-
-    /// Rebases the sequence space (ST-TCP backup ISN resynchronization,
-    /// paper §4.1 step 3).
-    ///
-    /// # Panics
-    ///
-    /// Panics if data is already buffered — resync happens during the
-    /// handshake, before any payload exists.
-    pub fn rebase(&mut self, base: SeqNum) {
-        assert!(self.is_empty(), "cannot rebase a non-empty send buffer");
-        self.drop_released();
-        self.base = base;
     }
 
     /// Appends as much of `data` as fits; returns the number accepted.
@@ -223,23 +210,6 @@ mod tests {
         assert_eq!(b.write(b"abcdefghij"), 8);
         assert_eq!(copy(&b, SeqNum(106), 2), b"");
         assert_eq!(copy(&b, SeqNum(108), 10), b"89abcdefgh");
-    }
-
-    #[test]
-    fn rebase_shifts_sequence_space() {
-        let mut b = SendBuffer::new(SeqNum(5), 10);
-        b.rebase(SeqNum(99999));
-        b.write(b"x");
-        assert_eq!(b.base(), SeqNum(99999));
-        assert_eq!(b.end(), SeqNum(100000));
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot rebase")]
-    fn rebase_with_data_panics() {
-        let mut b = SendBuffer::new(SeqNum(5), 10);
-        b.write(b"x");
-        b.rebase(SeqNum(0));
     }
 
     #[test]

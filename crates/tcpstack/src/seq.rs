@@ -3,7 +3,7 @@
 //! Sequence numbers live on a circle of 2³² values; "less than" is only
 //! meaningful for values within 2³¹ of each other, which TCP's window
 //! rules guarantee. ST-TCP leans on this arithmetic twice over: the
-//! backup must *resynchronize its ISN* to the primary's (paper §4.1) and
+//! backup's send space must be the primary's (paper §4.1) and
 //! the primary's retention buffer is managed by comparing the backup's
 //! `LastByteAcked` against `LastByteRead` (§4.2).
 

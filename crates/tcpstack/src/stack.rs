@@ -21,7 +21,10 @@
 //!   the backup server to the client are dropped" (§4.2), and ARP
 //!   replies for a suppressed IP are never sent;
 //! * **MAC learning from tapped IP traffic** — so the backup can address
-//!   the client the instant it takes over.
+//!   the client the instant it takes over;
+//! * **a keyed passive-open ISS** — every server answers a SYN with the
+//!   same initial sequence number ([`keyed_iss`]), so a shadow shares the
+//!   primary's send space from the SYN on.
 
 use crate::arp_cache::ArpCache;
 use crate::config::{Quad, StackConfig};
@@ -659,7 +662,7 @@ impl NetStack {
             && !seg.flags.contains(TcpFlags::ACK)
             && self.listeners.contains_key(&seg.dst_port)
         {
-            let iss = SeqNum(self.isn_rng.next_u64() as u32);
+            let iss = keyed_iss(quad, SeqNum(seg.seq));
             let mut tcb = Tcb::accept(now, quad, iss, &seg, self.cfg.tcp.clone());
             tcb.set_recorder(self.recorder.clone());
             let sid = self.insert_tcb(quad, tcb);
@@ -974,10 +977,33 @@ impl NetStack {
     }
 }
 
+/// The key of [`keyed_iss`]. A constant, not configuration: every
+/// server of a chain must compute the same ISS for a SYN, and a
+/// simulated deployment has no secret to keep. A real-I/O backend would
+/// provision a secret shared by the chain's members instead.
+const ISS_KEY: u64 = 0x5354_5443_5049_5353;
+
+/// The initial sequence number of a passive open: RFC 6528's
+/// `M + F(quad, key)`, with the client's ISN (the SYN's sequence
+/// number) in place of the clock `M`. Every server that sees the SYN
+/// derives the same ISS, so a shadow needs nothing from its primary to
+/// share its send space (ST-TCP §4.1). For one quad the map from client
+/// ISN to ISS is a bijection: two incarnations of a connection differ
+/// whenever their clients' ISNs do.
+pub fn keyed_iss(quad: Quad, client_isn: SeqNum) -> SeqNum {
+    let word = |ip: Ipv4Addr, port: u16| u64::from(u32::from(ip)) << 16 | u64::from(port);
+    let mut f = ISS_KEY;
+    for w in [word(quad.local_ip, quad.local_port), word(quad.remote_ip, quad.remote_port)] {
+        f = SplitMix64::new(f ^ w).next_u64();
+    }
+    client_isn.add((f >> 32) as u32)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::StackConfig;
+    use std::collections::BTreeSet;
 
     const CLIENT_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
     const SERVER_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
@@ -1027,6 +1053,33 @@ mod tests {
         assert_eq!(c.state(csock), Some(TcpState::Established));
         assert_eq!(s.state(ssock), Some(TcpState::Established));
         (c, s, csock, ssock, now)
+    }
+
+    /// The ISS a server seeded with `server_seed` answers the client
+    /// seeded with `client_seed` with.
+    fn passive_iss(client_seed: u64, server_seed: u64) -> SeqNum {
+        let mut c = client();
+        c.cfg.isn_seed = client_seed;
+        c.isn_rng = SplitMix64::new(client_seed);
+        let mut s = server();
+        s.isn_rng = SplitMix64::new(server_seed);
+        s.listen(80);
+        let mut now = SimTime::ZERO;
+        c.connect(now, SERVER_IP, 80).unwrap();
+        pump(&mut c, &mut s, &mut now, SimDuration::from_micros(100));
+        let sock = s.accept(80).expect("accepted");
+        s.tcb(sock).unwrap().iss()
+    }
+
+    #[test]
+    fn a_passive_opens_iss_is_keyed_on_the_syn_not_seeded() {
+        // Servers seeded apart answer one SYN with one ISS...
+        assert_eq!(passive_iss(11, 22), passive_iss(11, 33));
+        // ...and another client ISN on the same quad with another.
+        assert_ne!(passive_iss(11, 22), passive_iss(12, 22));
+        let quad = Quad::new(SERVER_IP, 80, CLIENT_IP, EPHEMERAL_BASE);
+        let isss: BTreeSet<u32> = (0..1_000).map(|i| keyed_iss(quad, SeqNum(i)).raw()).collect();
+        assert_eq!(isss.len(), 1_000, "one quad's ISS is a bijection of the client's ISN");
     }
 
     #[test]

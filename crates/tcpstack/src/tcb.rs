@@ -6,8 +6,9 @@
 //! ACKs, zero window probing, and restart-after-idle — plus the two
 //! ST-TCP extensions the paper adds on the server side:
 //!
-//! * **shadow semantics** (backup): the ISN is resynchronized from the
-//!   client's third-handshake ACK (§4.1), and ACKs ahead of `snd_nxt`
+//! * **shadow semantics** (backup): the ISS is the primary's (the stack
+//!   keys it on the SYN, so §4.1's rewrite from the client's
+//!   third-handshake ACK is only a check), and ACKs ahead of `snd_nxt`
 //!   (acknowledging bytes the *primary* sent that this shadow has not
 //!   generated yet) are tolerated and remembered;
 //! * **retention** (primary): bytes read by the application are retained
@@ -96,11 +97,16 @@ pub struct TcbStats {
     pub bytes_out: u64,
     /// RTO-driven retransmissions.
     pub rto_retransmits: u64,
+    /// Fires of the timer [`Tcb::speak_first`] armed: the sends a
+    /// takeover owes, not losses.
+    pub promotion_sends: u64,
     /// Fast retransmissions (3 duplicate ACKs).
     pub fast_retransmits: u64,
     /// RTT samples fed to the estimator.
     pub rtt_samples: u64,
-    /// Shadow-mode ISN resynchronizations performed (0 or 1).
+    /// Shadow mode: client segments at the stream's first byte that
+    /// acked less than this shadow's SYN/ACK, so an ISS the primary does
+    /// not share (the §4.1 check; never applied).
     pub isn_resyncs: u64,
     /// Zero-window probes sent.
     pub probes: u64,
@@ -174,9 +180,9 @@ pub struct Tcb {
 
     // Shadow mode.
     shadow_peer_ack: SeqNum,
-    /// Shadow mode: the ISN was fixed authoritatively from the tapped
-    /// primary SYN/ACK, so the client-ACK fallback must not touch it.
-    isn_fixed: bool,
+    /// Where [`Tcb::speak_first`] put the retransmission timer: its fire
+    /// there is a promotion send, not a retransmission timeout.
+    speak_at: Option<SimTime>,
 
     /// Counters.
     pub stats: TcbStats,
@@ -277,7 +283,7 @@ impl Tcb {
             rexmit_pending: false,
             rst_pending: false,
             shadow_peer_ack: iss,
-            isn_fixed: false,
+            speak_at: None,
             stats: TcbStats::default(),
             recorder: obs::nop(),
             quad,
@@ -555,42 +561,26 @@ impl Tcb {
         }
         let ack = SeqNum(seg.ack);
         if self.cfg.shadow {
-            if self.isn_fixed {
-                // The ISN already matches the primary's (learned from
-                // its tapped SYN/ACK). This client ACK may cover data
-                // the primary sent that we have not generated yet —
-                // standard shadow high-water handling.
-                self.snd_una = self.iss.add(1);
-                self.snd_nxt = self.iss.add(1);
-                self.snd_max = self.snd_max.max(self.snd_nxt);
-                self.shadow_peer_ack = self.shadow_peer_ack.max(ack);
-            } else {
-                // ST-TCP §4.1 step 3: "The client's ACK segment,
-                // completing the three way handshake, is used by the
-                // backup to modify its own initial sequence number …
-                // After this point, the backup's sequence numbers match
-                // those of the primary." Fallback path: correct only
-                // when this really is the handshake-completing ACK —
-                // the primary's SYN/ACK (shadow_resync_iss) is the
-                // authoritative source when available. A segment past
-                // the stream's first byte is not: the client has seen
-                // server data, so its ACK is past the ISN. Wait for the
-                // primary's ISS instead of shifting the send space.
-                if seg.seq != self.irs.add(1).raw() {
-                    return;
-                }
-                let primary_iss = ack.sub(1);
-                if primary_iss != self.iss {
-                    self.iss = primary_iss;
-                    self.snd_buf.rebase(ack);
-                    self.stats.isn_resyncs += 1;
-                    self.recorder.count(Counter::ShadowIsnResyncs, 1);
-                }
-                self.snd_nxt = ack;
-                self.snd_max = ack;
-                self.snd_una = ack;
-                self.shadow_peer_ack = ack;
+            // The shadow's ISS is the primary's: both derive it from the
+            // SYN (`NetStack`'s keyed ISS). Any client ACK establishes it,
+            // the handshake's or a later one that acks data the primary
+            // sent and this shadow has not generated yet — standard
+            // shadow high-water handling.
+            //
+            // ST-TCP §4.1 step 3 instead rewrites the ISN from "the
+            // client's ACK segment, completing the three way handshake".
+            // That rule survives as a check: a client segment at the
+            // stream's first byte never acks less than our SYN/ACK. One
+            // that acks more is no evidence either way — a later pure
+            // ACK or a retransmitted first request acks reply bytes.
+            if seg.seq == self.irs.add(1).raw() && ack.lt(self.iss.add(1)) {
+                self.stats.isn_resyncs += 1;
+                self.recorder.count(Counter::ShadowIsnResyncs, 1);
             }
+            self.snd_una = self.iss.add(1);
+            self.snd_nxt = self.iss.add(1);
+            self.snd_max = self.snd_max.max(self.snd_nxt);
+            self.shadow_peer_ack = self.shadow_peer_ack.max(ack);
             self.rtt_probe = None;
         } else {
             if ack != self.snd_nxt {
@@ -854,34 +844,6 @@ impl Tcb {
 
     // ---------------------------------------------------- ST-TCP hooks
 
-    /// Shadow mode: adopts the primary's ISN learned from its *tapped
-    /// SYN/ACK* — the authoritative source. The paper's §4.1 derives the
-    /// ISN from the client's handshake-completing ACK, which silently
-    /// assumes that ACK is tapped; a client that piggybacks its
-    /// handshake ACK onto its first request (as real stacks do) plus a
-    /// single tap omission would otherwise shift the shadow's sequence
-    /// space by the request size. Only meaningful in `SynRcvd`.
-    pub fn shadow_resync_iss(&mut self, now: SimTime, primary_iss: SeqNum) {
-        if !self.cfg.shadow || self.state != TcpState::SynRcvd || self.isn_fixed {
-            return;
-        }
-        if primary_iss != self.iss {
-            self.iss = primary_iss;
-            self.snd_buf.rebase(primary_iss.add(1));
-            self.stats.isn_resyncs += 1;
-            self.recorder.count(Counter::ShadowIsnResyncs, 1);
-        }
-        self.snd_una = primary_iss;
-        self.snd_nxt = primary_iss.add(1);
-        self.snd_max = self.snd_nxt;
-        self.shadow_peer_ack = primary_iss;
-        self.isn_fixed = true;
-        self.recorder.trace(
-            now.as_nanos(),
-            &TraceEvent::ShadowResync { conn: self.quad.trace_conn(), iss: primary_iss.raw() },
-        );
-    }
-
     /// Takeover: a promoted shadow speaks first rather than wait out a
     /// timer its suppressed life backed off. Its retransmission timer,
     /// if it has one to run, fires at `at` with the backoff restarted: a
@@ -889,10 +851,14 @@ impl Tcb {
     /// goes back to `snd_una` under the loss window (most of what a
     /// shadow counts as in flight never reached the wire). It sends
     /// nothing an honest endpoint would not: no invented duplicate ACKs.
+    ///
+    /// The fire it arms counts as [`Counter::PromotionSends`], not as
+    /// [`Counter::TcpRtoFired`]: it is no loss.
     pub fn speak_first(&mut self, at: SimTime) {
         if self.rtx_deadline.is_some() && (self.state == TcpState::SynRcvd || self.flight() > 0) {
             self.rto.reset_backoff();
             self.rtx_deadline = Some(at);
+            self.speak_at = Some(at);
         }
     }
 
@@ -1043,6 +1009,7 @@ impl Tcb {
     }
 
     fn on_rtx_timeout(&mut self, now: SimTime, out: &mut Vec<StagedSeg>) {
+        let promotion = self.speak_at.take().is_some_and(|at| self.rtx_deadline == Some(at));
         self.rtx_deadline = None;
         match self.state {
             TcpState::SynSent => {
@@ -1055,17 +1022,15 @@ impl Tcb {
                 self.rtt_probe = None; // Karn: no samples from retransmits
                 self.stage_syn(now, out);
                 self.rtx_deadline = Some(now + self.rto.rto());
-                self.stats.rto_retransmits += 1;
-                self.recorder.count(Counter::TcpRtoFired, 1);
-                self.trace_rto(now, backoff);
+                self.count_rto(now, promotion, backoff);
             }
             TcpState::SynRcvd => {
                 self.syn_attempts += 1;
                 if self.syn_attempts > SYN_MAX_ATTEMPTS {
                     // Half-open connection never completed (e.g. a SYN
-                    // flood, or a shadow whose client ACK is lost with
-                    // no primary SYN/ACK to resync from): give up so the
-                    // TCB can be reaped.
+                    // flood, or a shadow whose tap lost every client
+                    // segment after the SYN): give up so the TCB can be
+                    // reaped.
                     self.set_state(now, TcpState::Closed);
                     return;
                 }
@@ -1073,9 +1038,7 @@ impl Tcb {
                 self.rtt_probe = None; // Karn: no samples from retransmits
                 self.stage_syn(now, out);
                 self.rtx_deadline = Some(now + self.rto.rto());
-                self.stats.rto_retransmits += 1;
-                self.recorder.count(Counter::TcpRtoFired, 1);
-                self.trace_rto(now, backoff);
+                self.count_rto(now, promotion, backoff);
             }
             TcpState::Closed | TcpState::TimeWait => {}
             _ => {
@@ -1085,9 +1048,7 @@ impl Tcb {
                 self.cong.on_timeout(self.flight());
                 let backoff = self.rto.backoff();
                 self.rtt_probe = None; // Karn: no samples from retransmits
-                self.stats.rto_retransmits += 1;
-                self.recorder.count(Counter::TcpRtoFired, 1);
-                self.trace_rto(now, backoff);
+                self.count_rto(now, promotion, backoff);
                 self.trace_cc(now);
                 // Classic go-back-N: roll snd_nxt back so emit_data
                 // resends the whole outstanding window under slow-start
@@ -1098,7 +1059,18 @@ impl Tcb {
         }
     }
 
-    fn trace_rto(&self, now: SimTime, backoff: u32) {
+    /// Counts and traces a fire of the retransmission timer: a
+    /// promotion send where [`Tcb::speak_first`] put it, a
+    /// retransmission timeout otherwise.
+    fn count_rto(&mut self, now: SimTime, promotion: bool, backoff: u32) {
+        let counter = if promotion {
+            self.stats.promotion_sends += 1;
+            Counter::PromotionSends
+        } else {
+            self.stats.rto_retransmits += 1;
+            Counter::TcpRtoFired
+        };
+        self.recorder.count(counter, 1);
         self.recorder.trace(
             now.as_nanos(),
             &TraceEvent::RtoFired {

@@ -6,7 +6,7 @@ use bytes::Bytes;
 use netsim::{SimDuration, SimTime, SplitMix64};
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
-use tcpstack::{NetStack, StackConfig, TcpState};
+use tcpstack::{keyed_iss, NetStack, Quad, SeqNum, StackConfig, TcpState};
 use wire::{EtherType, EthernetFrame, IpProtocol, Ipv4Packet, MacAddr, TcpFlags, TcpSegment};
 
 const HOST_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
@@ -70,25 +70,33 @@ proptest! {
 /// A full connection whose sequence numbers wrap through 2³² mid-stream.
 #[test]
 fn sequence_wraparound_mid_transfer() {
-    // Find ISN seeds that place both ISNs just below the wrap point, so
-    // a ~300 KB transfer crosses it.
-    let near_wrap = |seed: u64| {
-        let isn = SplitMix64::new(seed).next_u64() as u32;
-        isn > u32::MAX - 100_000
+    // Place both ISNs just below the wrap point, so a ~300 KB transfer
+    // crosses it. The server's ISS is the client's plus an offset keyed
+    // on the quad: pick a service port whose offset is small, then a
+    // client seed whose ISN puts both below the wrap.
+    let client_ip = Ipv4Addr::new(10, 0, 0, 1);
+    let offset = |port: u16| {
+        let quad = Quad::new(HOST_IP, port, client_ip, 40000); // the first ephemeral port
+        keyed_iss(quad, SeqNum(0)).raw()
     };
-    let client_seed = (0..).find(|&s| near_wrap(s)).expect("seed exists");
-    let server_seed = (client_seed + 1..).find(|&s| near_wrap(s)).expect("seed exists");
+    let port = (1..=u16::MAX).find(|&p| offset(p).wrapping_add(50_000) < 100_000).expect("port");
+    let near_wrap = |isn: u32| isn > u32::MAX - 100_000;
+    let client_seed = (0..)
+        .find(|&s| {
+            let isn = SplitMix64::new(s).next_u64() as u32;
+            near_wrap(isn) && near_wrap(isn.wrapping_add(offset(port)))
+        })
+        .expect("seed exists");
 
-    let mut c_cfg = StackConfig::host(MacAddr::local(1), Ipv4Addr::new(10, 0, 0, 1));
+    let mut c_cfg = StackConfig::host(MacAddr::local(1), client_ip);
     c_cfg.isn_seed = client_seed;
-    let mut s_cfg = StackConfig::host(MacAddr::local(2), HOST_IP);
-    s_cfg.isn_seed = server_seed;
+    let s_cfg = StackConfig::host(MacAddr::local(2), HOST_IP);
     let mut client = NetStack::new(c_cfg);
     let mut server = NetStack::new(s_cfg);
-    server.listen(80);
+    server.listen(port);
 
     let mut now = SimTime::ZERO;
-    let cs = client.connect(now, HOST_IP, 80).unwrap();
+    let cs = client.connect(now, HOST_IP, port).unwrap();
     // Shuttle frames until quiet.
     let pump = |client: &mut NetStack, server: &mut NetStack, now: &mut SimTime| {
         for _ in 0..10_000 {
@@ -107,7 +115,7 @@ fn sequence_wraparound_mid_transfer() {
         }
     };
     pump(&mut client, &mut server, &mut now);
-    let ss = server.accept(80).expect("established");
+    let ss = server.accept(port).expect("established");
     assert!(client.tcb(cs).unwrap().iss().raw() > u32::MAX - 100_000, "client ISN near wrap");
     assert!(server.tcb(ss).unwrap().iss().raw() > u32::MAX - 100_000, "server ISN near wrap");
 

@@ -130,81 +130,65 @@ fn zero_window_probe_elicits_update() {
 }
 
 #[test]
-fn shadow_resync_from_primary_synack_wins_over_client_ack() {
+fn shadow_isn_check_counts_a_mismatch_and_never_applies_it() {
+    // ST-TCP §4.1 rewrites the shadow's ISN from the client's handshake
+    // ACK. Every server derives one ISS from the SYN, so that ACK acks
+    // the shadow's own SYN/ACK; one that acks less (the primary's ISS
+    // here is 555) is counted, and the shadow keeps its ISS.
     let cfg = TcpConfig { shadow: true, ..TcpConfig::default() };
     let now = SimTime::ZERO;
-    let syn = client_syn(7000);
-    let mut tcb = Tcb::accept(now, quad(), SeqNum(555), &syn, cfg);
-    let _ = tcb.poll(now); // its own (suppressed) SYN/ACK
-                           // The tapped primary SYN/ACK announces the true ISN.
-    tcb.shadow_resync_iss(now, SeqNum(42_000));
-    assert_eq!(tcb.iss(), SeqNum(42_000));
-    assert_eq!(tcb.stats.isn_resyncs, 1);
-    // A *late* client ACK (handshake ACK lost; this one acks 150 bytes
-    // of primary data) arrives: it must NOT shift the ISN again.
-    tcb.on_segment(now, &seg(7001, 42_151, TcpFlags::ACK, b""));
+    let mut agreeing = Tcb::accept(now, quad(), SeqNum(555), &client_syn(7000), cfg.clone());
+    let _ = agreeing.poll(now);
+    agreeing.on_segment(now, &seg(7001, 556, TcpFlags::ACK, b""));
+    assert_eq!(agreeing.state(), TcpState::Established);
+    assert_eq!(agreeing.stats.isn_resyncs, 0);
+    let mut shadow = Tcb::accept(now, quad(), SeqNum(90_000), &client_syn(7000), cfg);
+    let _ = shadow.poll(now);
+    shadow.on_segment(now, &seg(7001, 556, TcpFlags::ACK, b""));
+    assert_eq!(shadow.state(), TcpState::Established);
+    assert_eq!(shadow.iss(), SeqNum(90_000), "the check never rewrites the ISS");
+    assert_eq!(shadow.stats.isn_resyncs, 1);
+}
+
+#[test]
+fn shadow_isn_check_ignores_a_retransmitted_first_request_that_acks_reply_bytes() {
+    // The tap lost both the handshake ACK and the first request. The
+    // client's retransmission of that request sits at the stream's first
+    // byte, and it acks 300 reply bytes the primary sent meanwhile: no
+    // evidence of another ISS, so no count.
+    let cfg = TcpConfig { shadow: true, ..TcpConfig::default() };
+    let now = SimTime::ZERO;
+    let mut tcb = Tcb::accept(now, quad(), SeqNum(42_000), &client_syn(7000), cfg);
+    let _ = tcb.poll(now);
+    tcb.on_segment(now, &seg(7001, 42_301, TcpFlags::ACK | TcpFlags::PSH, &[7; 150]));
     assert_eq!(tcb.state(), TcpState::Established);
-    assert_eq!(tcb.iss(), SeqNum(42_000), "authoritative ISN must stick");
-    assert_eq!(tcb.snd_nxt(), SeqNum(42_001));
-    // The 150 acked-but-not-yet-generated bytes are remembered.
+    assert_eq!(tcb.rcv_nxt(), SeqNum(7151), "the request is in");
+    assert_eq!(tcb.stats.isn_resyncs, 0);
+}
+
+#[test]
+fn a_shadow_establishes_on_an_ack_past_the_first_byte() {
+    // The tap lost the handshake ACK (piggybacked on a 150-byte request):
+    // the next client segment starts 150 bytes in and acks 150 bytes of
+    // reply the shadow has not generated yet. It establishes the shadow
+    // at its own ISS, which is the primary's, and is no §4.1 mismatch.
+    let cfg = TcpConfig { shadow: true, ..TcpConfig::default() };
+    let now = SimTime::ZERO;
+    let mut tcb = Tcb::accept(now, quad(), SeqNum(42_000), &client_syn(7000), cfg);
+    let _ = tcb.poll(now); // its own (suppressed) SYN/ACK
+    tcb.on_segment(now, &seg(7151, 42_151, TcpFlags::ACK, &[7; 150]));
+    assert_eq!(tcb.state(), TcpState::Established);
+    assert_eq!((tcb.iss(), tcb.snd_nxt()), (SeqNum(42_000), SeqNum(42_001)));
+    assert_eq!(tcb.stats.isn_resyncs, 0);
+    // The request waits behind the lost one; the 150 acked-but-not-yet-
+    // generated reply bytes are remembered...
+    assert_eq!(tcb.rcv_nxt(), SeqNum(7001));
     assert_eq!(tcb.peer_ack_high_water(), SeqNum(42_151));
-    // When the app produces them, they complete instantly.
+    // ...and complete the moment the app produces them.
     tcb.write(&[0x55u8; 150]);
     let out = tcb.poll(now);
     assert_eq!(out.len(), 1);
     assert_eq!(tcb.snd_una(), SeqNum(42_151), "auto-trim against the tapped client ack");
-}
-
-#[test]
-fn shadow_fallback_resync_without_synack() {
-    // If the primary SYN/ACK tap was lost, the paper's client-ACK rule
-    // still applies.
-    let cfg = TcpConfig { shadow: true, ..TcpConfig::default() };
-    let now = SimTime::ZERO;
-    let syn = client_syn(7000);
-    let mut tcb = Tcb::accept(now, quad(), SeqNum(555), &syn, cfg);
-    let _ = tcb.poll(now);
-    tcb.on_segment(now, &seg(7001, 90_001, TcpFlags::ACK, b""));
-    assert_eq!(tcb.state(), TcpState::Established);
-    assert_eq!(tcb.iss(), SeqNum(90_000));
-    assert_eq!(tcb.stats.isn_resyncs, 1);
-}
-
-#[test]
-fn shadow_fallback_refuses_an_ack_past_the_first_byte() {
-    // The tap lost the handshake ACK (piggybacked on a 150-byte request)
-    // and the primary's SYN/ACK: the next client segment starts 150
-    // bytes in and acks the 2 048-byte reply it got, so its ACK minus
-    // one is no ISN. The shadow waits for the primary's ISS instead.
-    let cfg = TcpConfig { shadow: true, ..TcpConfig::default() };
-    let now = SimTime::ZERO;
-    let mut tcb = Tcb::accept(now, quad(), SeqNum(555), &client_syn(7000), cfg);
-    let _ = tcb.poll(now);
-    tcb.on_segment(now, &seg(7151, 90_001 + 2_048, TcpFlags::ACK, &[7; 150]));
-    assert_eq!(tcb.state(), TcpState::SynRcvd);
-    assert_eq!(tcb.iss(), SeqNum(555));
-    tcb.shadow_resync_iss(now, SeqNum(90_000));
-    tcb.on_segment(now, &seg(7301, 90_001 + 4_096, TcpFlags::ACK, &[7; 150]));
-    assert_eq!(tcb.state(), TcpState::Established);
-    assert_eq!(tcb.iss(), SeqNum(90_000));
-}
-
-#[test]
-fn shadow_resync_is_inert_for_non_shadow_or_established() {
-    // Non-shadow TCB: no-op.
-    let (mut tcb, _now, _c, iss) = established_server(TcpConfig::default());
-    tcb.shadow_resync_iss(_now, SeqNum(1));
-    assert_eq!(tcb.iss(), SeqNum(iss));
-    // Shadow TCB after establishment: no-op.
-    let cfg = TcpConfig { shadow: true, ..TcpConfig::default() };
-    let now = SimTime::ZERO;
-    let mut shadow = Tcb::accept(now, quad(), SeqNum(555), &client_syn(7000), cfg);
-    let _ = shadow.poll(now);
-    shadow.shadow_resync_iss(now, SeqNum(1000));
-    shadow.on_segment(now, &seg(7001, 1001, TcpFlags::ACK, b""));
-    assert_eq!(shadow.state(), TcpState::Established);
-    shadow.shadow_resync_iss(now, SeqNum(9999));
-    assert_eq!(shadow.iss(), SeqNum(1000), "resync after establishment must be refused");
 }
 
 #[test]
