@@ -84,7 +84,7 @@ const fn run_table() -> RunTable {
 /// bits 8..16 of `pos`. Inside a 256-aligned run the second term is
 /// constant, and with `B` the product at the run's base the first is
 /// `(B + j·K) >> 55 = (B >> 55) + (j·K >> 55) + carry`, where offset
-/// `j` carries when `low55(j·K) ≥ 2⁵⁵ − low55(B)`. [`RunTable`] holds
+/// `j` carries when `low55(j·K) ≥ 2⁵⁵ − low55(B)`. A `RunTable` holds
 /// the lows sorted, so one binary search per run finds how many stay
 /// below that threshold, and the carry test becomes a comparison of
 /// `j`'s rank with that count: the inner loop reads two byte arrays and

@@ -20,7 +20,7 @@
 //!   codecs use.
 //!
 //! Layout: one heap allocation holds the byte buffer, a second (the
-//! [`Shared`] header) holds the refcount and buffer metadata. Both are
+//! `Shared` header) holds the refcount and buffer metadata. Both are
 //! reused for the life of a [`BytesMut`] under the reserve-reclaim rule,
 //! so neither is a per-frame cost.
 

@@ -28,7 +28,7 @@
 //!    completion, at-most-one VIP speaker after takeover, shadow/primary
 //!    sequence agreement, bounded retention, bounded takeover latency,
 //!    no false suspicion, eventual teardown.
-//! 5. [`shrink`] — delta-debug a failing schedule to a minimal
+//! 5. [`shrink`](mod@shrink) — delta-debug a failing schedule to a minimal
 //!    reproducer (determinism makes "still fails" exact).
 //! 6. [`artifact`] — JSON artifacts carrying testbed + seed + schedule +
 //!    frame digest; [`artifact::FailureArtifact::replay`] verifies a

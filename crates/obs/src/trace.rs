@@ -167,10 +167,6 @@ named_enum! {
         MissingNack => "missing_nack",
         /// Batched per-connection cumulative acks from one backup.
         AckBatch => "ack_batch",
-        /// Planned-migration drain announcement.
-        Drain => "drain",
-        /// Successor's readiness acknowledgment of a drain.
-        DrainReady => "drain_ready",
         /// VIP ownership transfer concluding a planned migration.
         Handover => "handover",
     }
@@ -179,11 +175,11 @@ named_enum! {
 named_enum! {
     /// A phase transition of a planned migration (drain → handover).
     MigrationPhase {
-        /// The primary announced a drain to its designated successor.
+        /// The drain fell due: the primary waits for a heartbeat on which
+        /// its successor trails on nothing.
         DrainStarted => "drain_started",
-        /// The successor reported shadow-consistency (safe to fence).
-        SuccessorReady => "successor_ready",
-        /// The primary fenced itself and the successor owns the VIP.
+        /// The successor trailed on nothing: the primary fenced itself
+        /// and sent the handover.
         HandedOver => "handed_over",
     }
 }
@@ -253,7 +249,7 @@ pub enum TraceEvent {
         /// Kind-specific sequence number (TCP seq, or heartbeat seq).
         seq: u64,
         /// Payload length for data-carrying kinds (a heartbeat's
-        /// epoch, a batch's entry count, a drain's rank otherwise).
+        /// epoch, a batch's entry count otherwise).
         len: u32,
     },
     /// A side-channel message was received.
@@ -265,7 +261,7 @@ pub enum TraceEvent {
         /// Kind-specific sequence number (TCP seq, or heartbeat seq).
         seq: u64,
         /// Payload length for data-carrying kinds (a heartbeat's
-        /// epoch, a batch's entry count, a drain's rank otherwise).
+        /// epoch, a batch's entry count otherwise).
         len: u32,
     },
     /// The backup suspected the primary dead (§4.4 detection).

@@ -23,8 +23,9 @@
 //!   lagging backup yields its promotion slot while a deeper rank could
 //!   still take it, and closes lag via missing-segment replays (from
 //!   the primary, or the in-network logger once the primary is gone).
-//! * [`migration`] — `drain_and_handover()`: a healthy primary fences
-//!   itself only after the successor proves shadow-consistency.
+//! * planned migration — `drain_and_handover()`: a healthy primary
+//!   fences itself once its own view of the successor's acks says the
+//!   successor trails on nothing (below).
 //!
 //! The backup taps only the client's half of each connection (the
 //! mirror copies what the switch sends to the primary's port). It needs
@@ -80,25 +81,64 @@
 //! two ack windows are unreleased there at once, so the fleet builder
 //! gives such a rank twice the primary's retention space. The last rank
 //! has nobody to serve and retains nothing.
+//!
+//! A backup that returns from the dead (rebooted, so amnesiac) has no
+//! shadow of the connections open at its return, and its last ack of
+//! each, if any, never moves again. Until it acks one of them, that one
+//! does not gate its releases.
+//!
+//! # Planned migration
+//!
+//! `drain_and_handover()` moves the VIP from a *healthy* primary to the
+//! backup at a chosen rank, with no crash and no detection window.
+//! Crash takeover is reactive: the successor waits out a detection
+//! window and promotes into whatever state its shadow holds. A planned
+//! migration is one message, because the primary already knows how far
+//! the successor's shadow has come: its acks (§4.3). Once the drain is
+//! due, the primary hands over at the first heartbeat that owes the
+//! live successor no frontier entry for bytes it had a whole tick to
+//! ack — the rule that owes entries, so a connection the successor
+//! never acked counts from its stream's start, and one it has no shadow
+//! of since it returned from the dead counts until it acks it:
+//!
+//! ```text
+//!  primary (epoch e)                       successor (rank r)
+//!     | -- Heartbeat{e, entries} ------------>|   (per tick while it trails)
+//!     |<------------------- AckBatch / BackupAck
+//!     | -- Heartbeat{e}, Handover{e+r} ------>|   (the first tick it trails on nothing)
+//!     |  suppress VIP, retire                 |  epoch e+r, unsuppress VIP
+//! ```
+//!
+//! While it trails, the heartbeat's entries ask it for its gaps every
+//! tick, as they always do. The successor takes a `Handover` only from
+//! its reign's primary, and only with the epoch the epoch-by-rank rule
+//! gives its own rank ([`Topology::promoted`]), so a member that learns
+//! of the new reign from its heartbeat instead adopts the same
+//! topology. Bytes the successor's tap lost in the last tick before the
+//! handover are recovered as after a crash: the promoted member asks
+//! the logger, if there is one, for what may follow each shadow. The
+//! retired primary keeps its retention and keeps answering
+//! missing-segment requests, but the surviving backups ask their
+//! current primary, the successor. A lost `Handover` costs the
+//! successor one detection window: the retired primary sends no more
+//! heartbeats, so the successor promotes at its own deadline under the
+//! same epoch.
 
 pub mod catchup;
-pub mod migration;
 pub mod promotion;
 pub mod topology;
 
-pub use migration::DrainPhase;
 pub use topology::Topology;
 
 use crate::config::{Fencing, SttcpConfig, TakeoverPolicy};
 use crate::messages::{ConnKey, FrontierEntry, SideMsg};
 use bytes::Bytes;
 use catchup::{CatchupTracker, MissingOut};
-use migration::{DrainCoordinator, DrainFollower};
 use netsim::logger::ReplayQuery;
 use netsim::{DetHashMap, SimDuration, SimTime};
 use obs::{Counter, Gauge, Mark, MigrationPhase, SharedRecorder, TraceEvent};
 use promotion::PromotionTimer;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 use tcpstack::{NetStack, SeqNum, SockId, TcpState};
 
@@ -124,6 +164,19 @@ pub enum ClusterRole {
     /// Out of the promotion chain (superseded or handed over); still
     /// answers missing-segment requests from its retained bytes.
     Retired,
+}
+
+/// The primary's progress through `drain_and_handover()` (see the
+/// module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DrainPhase {
+    /// No migration scheduled or underway.
+    Idle,
+    /// Due, and waiting for a heartbeat on which the successor trails
+    /// on nothing.
+    Draining,
+    /// `Handover` sent; this node has retired.
+    HandedOver,
 }
 
 /// Engine counters.
@@ -178,6 +231,12 @@ struct Peer {
     alive: bool,
     /// The point this backup has acknowledged, per connection.
     acks: DetHashMap<ConnKey, SeqNum>,
+    /// Whether the last heartbeat owed this backup an entry for bytes
+    /// it had a whole tick to ack.
+    trails: bool,
+    /// The connections open when this backup returned from the dead that
+    /// it has not acked since (see the module docs).
+    unshadowed: BTreeSet<ConnKey>,
 }
 
 /// See the module docs.
@@ -191,9 +250,10 @@ pub struct ClusterEngine {
     /// Cold-replay policy: when state reconstruction completes.
     replay_ready_at: Option<SimTime>,
     catchup: CatchupTracker,
-    drain: DrainCoordinator,
-    follower: DrainFollower,
-    ready_traced: bool,
+    /// As primary: the scheduled `drain_and_handover()`, its instant and
+    /// the successor's rank.
+    drain: Option<(SimTime, u8)>,
+    drain_phase: DrainPhase,
     hb_seq: u64,
     /// The backups in rank order, as primary; retention releases at
     /// the minimum acknowledged point over the live ones.
@@ -224,7 +284,14 @@ pub struct ClusterEngine {
 }
 
 fn fresh_peers(topo: &Topology, now: SimTime) -> Vec<Peer> {
-    let peer = |&ip| Peer { ip, last_heard: now, alive: true, acks: DetHashMap::default() };
+    let peer = |&ip| Peer {
+        ip,
+        last_heard: now,
+        alive: true,
+        acks: DetHashMap::default(),
+        trails: false,
+        unshadowed: BTreeSet::new(),
+    };
     topo.backups().iter().map(peer).collect()
 }
 
@@ -253,9 +320,8 @@ impl ClusterEngine {
             timer: PromotionTimer::new(now),
             replay_ready_at: None,
             catchup: CatchupTracker::new(),
-            drain: DrainCoordinator::new(),
-            follower: DrainFollower::new(),
-            ready_traced: false,
+            drain: None,
+            drain_phase: DrainPhase::Idle,
             hb_seq: 0,
             peers: if rank == 0 { fresh_peers(&topology, now) } else { Vec::new() },
             backups_dead_at: None,
@@ -353,13 +419,19 @@ impl ClusterEngine {
 
     /// Primary-side drain phase.
     pub fn drain_phase(&self) -> DrainPhase {
-        self.drain.phase()
+        self.drain_phase
     }
 
     /// Schedules `drain_and_handover()` to the rank-`successor_rank`
-    /// backup at `at` (call on the serving primary).
+    /// backup at `at` (call on the serving primary). Panics unless the
+    /// reign has a backup at that rank.
     pub fn schedule_drain(&mut self, at: SimTime, successor_rank: u8) {
-        self.drain.schedule(at, successor_rank);
+        let members = self.topo.members().len();
+        assert!(
+            (1..members).contains(&usize::from(successor_rank)),
+            "no backup at rank {successor_rank} to drain to: the chain has {members} members"
+        );
+        self.drain = Some((at, successor_rank));
     }
 
     /// How often the node adapter ticks this engine in its current
@@ -410,6 +482,7 @@ impl ClusterEngine {
         self.bootstrap_attempts.remove(&key);
         for peer in &mut self.peers {
             peer.acks.remove(&key);
+            peer.unshadowed.remove(&key);
         }
     }
 
@@ -460,7 +533,7 @@ impl ClusterEngine {
             }
         }
         if self.role == ClusterRole::Primary {
-            self.note_peer(now, from);
+            self.note_peer(now, from, stack);
         }
         match msg {
             SideMsg::Heartbeat { entries, .. } => {
@@ -496,49 +569,17 @@ impl ClusterEngine {
                     self.queue_logger_queries(now, stack, false);
                 }
             }
-            SideMsg::Drain { epoch, successor_rank } => {
-                if self.role == ClusterRole::Backup && from == self.topo.primary() {
-                    if let Some(rank) = self.rank() {
-                        if self.follower.on_drain(rank, self.topo.epoch(), epoch, successor_rank) {
-                            self.ready_traced = false;
-                        }
-                    }
-                }
-            }
-            SideMsg::DrainReady { rank, epoch } => {
-                // Only the member at the rank it names speaks for it.
-                if self.role == ClusterRole::Primary
-                    && self.topo.rank_of(from) == Some(rank)
-                    && self.drain.on_drain_ready(rank, epoch)
-                {
-                    self.outbox.push((from, SideMsg::Handover { epoch }));
-                    // Fence ourselves: the successor owns the VIP the
-                    // instant it reads the Handover. Retention stays on —
-                    // the residual retained bytes are served from here.
-                    stack.suppress(now, self.cfg.vip);
-                    self.role = ClusterRole::Retired;
-                    self.stats.migrations += 1;
-                    self.recorder.count(Counter::PlannedMigrations, 1);
-                    self.recorder.trace(
-                        now.as_nanos(),
-                        &TraceEvent::PlannedMigration { phase: MigrationPhase::HandedOver, epoch },
-                    );
-                }
-            }
             SideMsg::Handover { epoch } => {
-                if self.role == ClusterRole::Backup && from == self.topo.primary() {
-                    if let Some(epoch) = self.follower.on_handover(epoch) {
+                // Only the reign's primary hands over, and only to the
+                // rank the epoch-by-rank rule gives this epoch.
+                if let Some((primary, rank)) = self.upstream() {
+                    if from == primary && epoch == self.topo.epoch() + u32::from(rank) {
                         // The handover is the (benign) death certificate
                         // of the old reign; the takeover marks keep their
                         // crash-case meaning so TakeoverBreakdown reads
                         // the same either way.
                         self.recorder.mark_first(Mark::SuspectedPrimaryDead, now.as_nanos());
                         self.promote(now, stack);
-                        debug_assert_eq!(
-                            self.topo.epoch(),
-                            epoch,
-                            "handover epoch must match the epoch-by-rank rule"
-                        );
                     }
                 }
             }
@@ -694,7 +735,7 @@ impl ClusterEngine {
         }
     }
 
-    fn note_peer(&mut self, now: SimTime, from: Ipv4Addr) {
+    fn note_peer(&mut self, now: SimTime, from: Ipv4Addr, stack: &NetStack) {
         let Some(peer) = self.peers.iter_mut().find(|p| p.ip == from) else {
             return;
         };
@@ -704,8 +745,14 @@ impl ClusterEngine {
             // — resumes protecting *new* connections. Connections that
             // lived through an all-backups-dead spell stay unprotected:
             // their retention was released then, so their history is
-            // unrecoverable (short of the logger).
+            // unrecoverable (short of the logger). Those open now do not
+            // gate its releases until it acks them.
             peer.alive = true;
+            peer.unshadowed = stack
+                .socks()
+                .filter_map(|s| stack.tcb(s))
+                .map(|tcb| ConnKey::from_server_quad(tcb.quad()))
+                .collect();
             self.backups_dead_at = None;
             self.stats.reintegrations += 1;
         }
@@ -728,6 +775,7 @@ impl ClusterEngine {
         self.recorder.count(Counter::BackupAcksReceived, 1);
         let slot = peer.acks.entry(key).or_insert(acked);
         *slot = (*slot).max(acked);
+        peer.unshadowed.remove(&key);
         self.release_conn(key, stack);
     }
 
@@ -735,7 +783,8 @@ impl ClusterEngine {
     /// over live backups — but only once *every* live backup has acked
     /// the connection at least once (until then its floor is unknown
     /// and everything is held; the per-tick forced ack bounds that
-    /// wait to one sync interval).
+    /// wait to one sync interval). A returned backup that has no shadow
+    /// of `key` does not count.
     fn release_conn(&mut self, key: ConnKey, stack: &mut NetStack) {
         let Some(tcb) = stack.sock_by_quad(key.server_quad()).and_then(|s| stack.tcb_mut(s)) else {
             // The connection is gone; so is the need to remember it.
@@ -745,7 +794,7 @@ impl ClusterEngine {
             return;
         };
         let mut floor: Option<SeqNum> = None;
-        for peer in self.peers.iter().filter(|p| p.alive) {
+        for peer in self.peers.iter().filter(|p| p.alive && !p.unshadowed.contains(&key)) {
             match peer.acks.get(&key) {
                 Some(&acked) => floor = Some(floor.map_or(acked, |f| f.min(acked))),
                 None => return,
@@ -888,25 +937,7 @@ impl ClusterEngine {
 
     fn primary_tick(&mut self, now: SimTime, stack: &mut NetStack) {
         self.broadcast_heartbeat(stack);
-        // Planned migration: announce the drain while it is active.
-        let (announce, started) = self.drain.on_tick(now, self.topo.epoch());
-        if started {
-            self.recorder.trace(
-                now.as_nanos(),
-                &TraceEvent::PlannedMigration {
-                    phase: MigrationPhase::DrainStarted,
-                    epoch: self.drain.handover_epoch(),
-                },
-            );
-        }
-        if let Some(rank) = announce {
-            if let Some(&succ) = self.topo.members().get(usize::from(rank)) {
-                self.outbox.push((
-                    succ,
-                    SideMsg::Drain { epoch: self.drain.handover_epoch(), successor_rank: rank },
-                ));
-            }
-        }
+        self.drain_tick(now, stack);
         // Backup liveness (§4.4, N-ary): a silent backup stops gating
         // retention release; when the *last* one goes silent "the
         // primary transitions to non-fault-tolerant mode".
@@ -947,6 +978,38 @@ impl ClusterEngine {
         }
     }
 
+    /// Planned migration (see the module docs): once the drain is due,
+    /// hands over at the first heartbeat on which the live successor
+    /// trails on nothing.
+    fn drain_tick(&mut self, now: SimTime, stack: &mut NetStack) {
+        let Some((_, rank)) = self.drain.filter(|&(at, _)| now >= at) else {
+            return;
+        };
+        let epoch = self.topo.epoch() + u32::from(rank);
+        if self.drain_phase == DrainPhase::Idle {
+            self.drain_phase = DrainPhase::Draining;
+            let phase = MigrationPhase::DrainStarted;
+            self.recorder.trace(now.as_nanos(), &TraceEvent::PlannedMigration { phase, epoch });
+        }
+        let Some(peer) = self.peers.get(usize::from(rank) - 1) else {
+            return;
+        };
+        if !peer.alive || peer.trails || !peer.unshadowed.is_empty() {
+            return;
+        }
+        self.outbox.push((peer.ip, SideMsg::Handover { epoch }));
+        // Fence ourselves: the successor owns the VIP the instant it
+        // reads the Handover. Retention stays on, and the retired
+        // primary still answers missing-segment requests.
+        stack.suppress(now, self.cfg.vip);
+        self.role = ClusterRole::Retired;
+        self.drain_phase = DrainPhase::HandedOver;
+        self.stats.migrations += 1;
+        self.recorder.count(Counter::PlannedMigrations, 1);
+        let phase = MigrationPhase::HandedOver;
+        self.recorder.trace(now.as_nanos(), &TraceEvent::PlannedMigration { phase, epoch });
+    }
+
     /// The heartbeat's frontier, per peer: for each live backup, an
     /// entry for every touched connection whose receive frontier at the
     /// previous heartbeat leads that backup's last ack — bytes the
@@ -958,13 +1021,17 @@ impl ClusterEngine {
     /// datagram still in flight: judging it now would send an entry per
     /// active connection per tick. A connection whose frontier leads
     /// nobody leaves the scan until it is touched again. A backup that
-    /// never acked a connection is taken to hold its stream's start.
+    /// never acked a connection is taken to hold its stream's start. A
+    /// backup owed an entry for bytes it had a tick to ack `trails`.
     fn owed_entries(&mut self, stack: &NetStack) -> Vec<Vec<FrontierEntry>> {
+        for peer in &mut self.peers {
+            peer.trails = false;
+        }
         if self.frontier.is_empty() || !self.backup_alive() {
             return Vec::new();
         }
         let mut owed: Vec<Vec<FrontierEntry>> = vec![Vec::new(); self.peers.len()];
-        let (peers, cong_sent, recorder) = (&self.peers, &mut self.cong_sent, &self.recorder);
+        let (peers, cong_sent, recorder) = (&mut self.peers, &mut self.cong_sent, &self.recorder);
         let cong_sync = self.cfg.cong_sync;
         self.frontier.retain(|&key, held| {
             let Some(tcb) = stack.sock_by_quad(key.server_quad()).and_then(|s| stack.tcb(s)) else {
@@ -976,9 +1043,11 @@ impl ClusterEngine {
                 .filter(|&pair| cong_sent.insert(key, pair) != Some(pair));
             let (front, base) = (tcb.rcv_nxt(), tcb.irs().add(1));
             let mut leads = false;
-            for (i, peer) in peers.iter().enumerate().filter(|(_, p)| p.alive) {
+            for (i, peer) in peers.iter_mut().enumerate().filter(|(_, p)| p.alive) {
                 let acked = peer.acks.get(&key).copied().unwrap_or(base);
-                if held.is_some_and(|h| h.gt(acked)) || cong.is_some() {
+                let trails = held.is_some_and(|h| h.gt(acked));
+                peer.trails |= trails;
+                if trails || cong.is_some() {
                     owed[i].push((key, tcb.ack_seq().raw(), cong));
                     if cong.is_some() {
                         recorder.count(Counter::CongSyncsSent, 1);
@@ -1038,36 +1107,6 @@ impl ClusterEngine {
             // logger can close the gap.
             if lag > 0 && self.cfg.use_logger && self.logger_query_due(now) {
                 self.queue_logger_queries(now, stack, false);
-            }
-        }
-        // Planned migration: while a drain names us and we are
-        // shadow-consistent, tell the primary we are ready.
-        if let Some((epoch, drain_rank)) = self.follower.pending() {
-            if self.catchup.lag(stack) == 0 {
-                if !self.ready_traced {
-                    self.ready_traced = true;
-                    self.recorder.trace(
-                        now.as_nanos(),
-                        &TraceEvent::PlannedMigration {
-                            phase: MigrationPhase::SuccessorReady,
-                            epoch,
-                        },
-                    );
-                }
-                self.outbox
-                    .push((self.topo.primary(), SideMsg::DrainReady { rank: drain_rank, epoch }));
-            } else {
-                // Catch up first: the primary is alive and retaining, and
-                // on an idle connection no tapped ACK will come along to
-                // re-request what the last reply left open.
-                let mut gaps = std::mem::take(&mut self.gap_scratch);
-                gaps.clear();
-                self.catchup.gaps(stack, false, &mut gaps);
-                for &(key, _, _) in &gaps {
-                    self.request_missing_now(now, key, stack);
-                }
-                gaps.clear();
-                self.gap_scratch = gaps;
             }
         }
     }
@@ -1321,44 +1360,30 @@ mod tests {
         let mut ps = stack_for(2, false);
         let mut bs = stack_for(3, true);
         p.schedule_drain(t(100), 1);
-        // Tick the primary past the schedule: it announces the drain.
+        p.on_tick(t(50), &mut ps);
+        assert_eq!(p.drain_phase(), DrainPhase::Idle, "not due yet");
+        // Due, and the successor trails on nothing (it has no connection
+        // to trail on): the first due heartbeat hands over.
         p.on_tick(t(100), &mut ps);
-        assert_eq!(p.drain_phase(), DrainPhase::Draining);
-        let mut out = Vec::new();
-        p.drain_outbox_into(&mut out);
-        let drain = out
-            .iter()
-            .find(|(to, m)| *to == ip(3) && matches!(m, SideMsg::Drain { .. }))
-            .expect("drain announced to the successor")
-            .1
-            .clone();
-        // The successor (no lag: no connections) accepts and reports
-        // ready on its next tick.
-        b.on_side_msg(t(101), ip(2), drain, &mut bs);
-        b.on_tick(t(150), &mut bs);
-        out.clear();
-        b.drain_outbox_into(&mut out);
-        let ready = out
-            .iter()
-            .find(|(to, m)| *to == ip(2) && matches!(m, SideMsg::DrainReady { .. }))
-            .expect("successor reports ready")
-            .1
-            .clone();
-        // The primary hands over and fences itself.
-        p.on_side_msg(t(151), ip(3), ready, &mut ps);
+        assert_eq!(p.drain_phase(), DrainPhase::HandedOver);
         assert_eq!(p.role(), ClusterRole::Retired);
         assert!(ps.is_suppressed(VIP), "the retiring primary fences its VIP");
         assert_eq!(p.stats.migrations, 1);
-        out.clear();
+        let mut out = Vec::new();
         p.drain_outbox_into(&mut out);
-        let handover = out
-            .iter()
-            .find(|(to, m)| *to == ip(3) && matches!(m, SideMsg::Handover { .. }))
-            .expect("handover sent")
-            .1
-            .clone();
+        assert_eq!(
+            out.last(),
+            Some(&(ip(3), SideMsg::Handover { epoch: 1 })),
+            "epoch-by-rank: 0 + rank 1, after the tick's heartbeats"
+        );
+        // A handover with another epoch, or from anyone but the reign's
+        // primary, moves nothing.
+        for (from, epoch) in [(ip(2), 0), (ip(2), 2), (ip(4), 1)] {
+            b.on_side_msg(t(101), from, SideMsg::Handover { epoch }, &mut bs);
+            assert_eq!(b.role(), ClusterRole::Backup, "{from} {epoch}");
+        }
         // The successor promotes under the agreed epoch.
-        b.on_side_msg(t(152), ip(2), handover, &mut bs);
+        b.on_side_msg(t(101), ip(2), SideMsg::Handover { epoch: 1 }, &mut bs);
         assert_eq!(b.role(), ClusterRole::Primary);
         assert!(!bs.is_suppressed(VIP));
         assert_eq!(b.topology().epoch(), 1);
@@ -1372,7 +1397,7 @@ mod tests {
             .expect("new reign announced")
             .1
             .clone();
-        p.on_side_msg(t(153), ip(3), hb, &mut ps);
+        p.on_side_msg(t(102), ip(3), hb, &mut ps);
         assert_eq!(p.role(), ClusterRole::Retired);
         assert!(ps.is_suppressed(VIP));
     }

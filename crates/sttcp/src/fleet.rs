@@ -572,6 +572,14 @@ mod tests {
     use super::*;
 
     #[test]
+    #[should_panic(expected = "no backup at rank 2 to drain to: the chain has 2 members")]
+    fn a_drain_to_a_rank_the_chain_lacks_is_refused() {
+        let at = SimTime::ZERO + SimDuration::from_millis(100);
+        let spec = FleetSpec::new(1).backups(1).migrate_at(at, 2);
+        let _ = build(&spec);
+    }
+
+    #[test]
     fn plans_are_deterministic_and_mixed() {
         let spec = FleetSpec::new(200);
         let again = FleetSpec::new(200);

@@ -1,8 +1,8 @@
 //! The UDP side-channel wire protocol between primary and backup
 //! (paper §4.2–§4.3).
 //!
-//! Nine message kinds flow on the channel. The paper's pair needs the
-//! first three groups; a chain and planned migration add the last:
+//! Seven message kinds flow on the channel. The paper's pair needs the
+//! first three groups; planned migration adds the last:
 //!
 //! * [`SideMsg::Heartbeat`] — the primary's periodic liveness beacon,
 //!   stamped with its reign's epoch, and carrying what the backup needs
@@ -26,8 +26,10 @@
 //! * [`SideMsg::MissingReq`]/[`SideMsg::MissingData`]/[`SideMsg::MissingNack`]
 //!   — recovery of client bytes the backup's tap missed, served from the
 //!   primary's retention buffer;
-//! * [`SideMsg::Drain`]/[`SideMsg::DrainReady`]/[`SideMsg::Handover`] —
-//!   planned migration of the VIP to a successor.
+//! * [`SideMsg::Handover`] — planned migration of the VIP to a
+//!   successor. It is the whole protocol: the primary reads the
+//!   successor's readiness from its acks (`crate::cluster`, "Planned
+//!   migration").
 //!
 //! The paper estimates a 128-byte ack per 3 KB of client data ≈ 4.17 %
 //! extra LAN traffic; the ablation bench re-measures this with the real
@@ -156,21 +158,6 @@ pub enum SideMsg {
         /// `(connection, NextByteExpected)` pairs.
         entries: Vec<(ConnKey, u32)>,
     },
-    /// Primary → designated successor: planned migration begins — the
-    /// primary is draining and will hand the VIP over.
-    Drain {
-        /// Epoch the handover will establish (current + 1).
-        epoch: u32,
-        /// Rank of the backup designated to take over.
-        successor_rank: u8,
-    },
-    /// Successor → primary: shadow state is caught up; safe to fence.
-    DrainReady {
-        /// The responder's rank.
-        rank: u8,
-        /// Echo of the drain epoch being acknowledged.
-        epoch: u32,
-    },
     /// Primary → successor: the primary has fenced itself (VIP egress
     /// suppressed); the successor owns the VIP as of this message.
     Handover {
@@ -184,7 +171,7 @@ impl SideMsg {
     /// kind, connection (absent for heartbeats), the kind's sequence
     /// number (heartbeat seq, `acked_next`, `from`, or data `seq`), and
     /// a payload/request length where one exists (a heartbeat's epoch,
-    /// a batch's entry count, a drain's rank otherwise).
+    /// a batch's entry count).
     pub fn trace_parts(&self) -> (obs::trace::SideMsgKind, Option<obs::TraceConn>, u64, u32) {
         use obs::trace::SideMsgKind as K;
         match self {
@@ -202,12 +189,6 @@ impl SideMsg {
                 (K::MissingNack, Some(conn.trace_conn()), u64::from(*from), 0)
             }
             SideMsg::AckBatch { entries } => (K::AckBatch, None, 0, entries.len() as u32),
-            SideMsg::Drain { epoch, successor_rank } => {
-                (K::Drain, None, u64::from(*epoch), u32::from(*successor_rank))
-            }
-            SideMsg::DrainReady { rank, epoch } => {
-                (K::DrainReady, None, u64::from(*epoch), u32::from(*rank))
-            }
             SideMsg::Handover { epoch } => (K::Handover, None, u64::from(*epoch), 0),
         }
     }
@@ -219,8 +200,6 @@ const TAG_MISSING_REQ: u8 = 3;
 const TAG_MISSING_DATA: u8 = 4;
 const TAG_MISSING_NACK: u8 = 5;
 const TAG_ACK_BATCH: u8 = 7;
-const TAG_DRAIN: u8 = 8;
-const TAG_DRAIN_READY: u8 = 9;
 const TAG_HANDOVER: u8 = 10;
 
 fn put_key(buf: &mut BytesMut, key: &ConnKey) {
@@ -299,16 +278,6 @@ impl SideMsg {
                     put_key(&mut buf, conn);
                     buf.put_u32(*acked_next);
                 }
-            }
-            SideMsg::Drain { epoch, successor_rank } => {
-                buf.put_u8(TAG_DRAIN);
-                buf.put_u32(*epoch);
-                buf.put_u8(*successor_rank);
-            }
-            SideMsg::DrainReady { rank, epoch } => {
-                buf.put_u8(TAG_DRAIN_READY);
-                buf.put_u8(*rank);
-                buf.put_u32(*epoch);
             }
             SideMsg::Handover { epoch } => {
                 buf.put_u8(TAG_HANDOVER);
@@ -403,18 +372,6 @@ impl SideMsg {
                 }
                 Some(SideMsg::AckBatch { entries })
             }
-            TAG_DRAIN => {
-                if raw.len() < 5 {
-                    return None;
-                }
-                Some(SideMsg::Drain { epoch: raw.get_u32(), successor_rank: raw.get_u8() })
-            }
-            TAG_DRAIN_READY => {
-                if raw.len() < 5 {
-                    return None;
-                }
-                Some(SideMsg::DrainReady { rank: raw.get_u8(), epoch: raw.get_u32() })
-            }
             TAG_HANDOVER => {
                 if raw.len() < 4 {
                     return None;
@@ -453,8 +410,6 @@ mod tests {
             SideMsg::MissingData { conn: key(), seq: 100, data: Bytes::from_static(b"payload") },
             SideMsg::MissingNack { conn: key(), from: 100 },
             SideMsg::AckBatch { entries: vec![(key(), 0xDEAD_BEEF), (key(), 77)] },
-            SideMsg::Drain { epoch: 9, successor_rank: 1 },
-            SideMsg::DrainReady { rank: 1, epoch: 9 },
             SideMsg::Handover { epoch: 9 },
         ];
         for msg in msgs {
@@ -494,8 +449,10 @@ mod tests {
         let mut overrun = full.to_vec();
         overrun.extend_from_slice(&2u16.to_be_bytes());
         assert_eq!(SideMsg::decode(Bytes::from(overrun)), None);
-        // The retired member-list tag is garbage.
-        assert_eq!(SideMsg::decode(Bytes::from_static(&[6; 20])), None);
+        // The retired member-list, drain and drain-ready tags are garbage.
+        for tag in [6, 8, 9] {
+            assert_eq!(SideMsg::decode(Bytes::from(vec![tag; 20])), None);
+        }
         // AckBatch claiming an entry with no bytes behind it.
         assert_eq!(SideMsg::decode(Bytes::from_static(&[TAG_ACK_BATCH, 0, 1])), None);
         // A frontier entry whose flag promises a congestion snapshot it
@@ -507,9 +464,7 @@ mod tests {
         let mut bad_flag = entry.to_vec();
         bad_flag[15 + 12 + 4] = 2;
         assert_eq!(SideMsg::decode(Bytes::from(bad_flag)), None);
-        // Truncated drain/handover family.
-        assert_eq!(SideMsg::decode(Bytes::from_static(&[TAG_DRAIN, 0, 0])), None);
-        assert_eq!(SideMsg::decode(Bytes::from_static(&[TAG_DRAIN_READY, 1])), None);
+        // Truncated handover.
         assert_eq!(SideMsg::decode(Bytes::from_static(&[TAG_HANDOVER, 9])), None);
     }
 

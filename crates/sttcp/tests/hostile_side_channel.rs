@@ -12,7 +12,8 @@
 //! the codec, and a backup always has a rank in a reign with a member.
 //! Beyond not panicking, an engine obeys only its chain: a stranger's
 //! datagram moves nothing and draws no reply, only the reign's primary
-//! orders a drain, and only the member at a rank speaks for it.
+//! hands over, and only with the epoch the backup's rank gives, and only
+//! the successor's own acks complete a drain.
 
 mod common;
 
@@ -20,7 +21,7 @@ use bytes::Bytes;
 use netsim::{SimDuration, SimTime};
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
-use sttcp::cluster::{ClusterRole, Topology};
+use sttcp::cluster::{ClusterRole, DrainPhase, Topology};
 use sttcp::messages::FrontierEntry;
 use sttcp::{ClusterEngine, ConnKey, SideMsg, SttcpConfig};
 use tcpstack::{NetStack, StackConfig, TcpConfig};
@@ -155,13 +156,9 @@ fn arb_seq() -> impl Strategy<Value = u32> {
     prop_oneof![CLIENT_ISS..CLIENT_ISS + 4_000, any::<u32>()]
 }
 
-/// An epoch or rank inside the chain and just past it, or any.
+/// An epoch inside the chain and just past it, or any.
 fn arb_epoch() -> impl Strategy<Value = u32> {
     prop_oneof![0u32..5, any::<u32>()]
-}
-
-fn arb_rank() -> impl Strategy<Value = u8> {
-    prop_oneof![0u8..5, any::<u8>()]
 }
 
 /// A frontier entry, some with a congestion snapshot (a tiny window
@@ -187,9 +184,6 @@ fn arb_msg() -> impl Strategy<Value = SideMsg> {
         (arb_conn(), arb_seq()).prop_map(|(conn, from)| SideMsg::MissingNack { conn, from }),
         proptest::collection::vec((arb_conn(), arb_seq()), 0..4)
             .prop_map(|entries| SideMsg::AckBatch { entries }),
-        (arb_epoch(), arb_rank())
-            .prop_map(|(epoch, successor_rank)| SideMsg::Drain { epoch, successor_rank }),
-        (arb_rank(), arb_epoch()).prop_map(|(rank, epoch)| SideMsg::DrainReady { rank, epoch }),
         arb_epoch().prop_map(|epoch| SideMsg::Handover { epoch }),
     ]
 }
@@ -305,10 +299,9 @@ fn replies(engine: &mut ClusterEngine, stack: &mut NetStack) -> Vec<String> {
 
 #[test]
 fn a_strangers_orders_move_nothing_and_draw_no_reply() {
+    // What a member would send to make each role act: announce a reign,
+    // ack, ask for or supply bytes, and hand over to rank 1 and rank 2.
     let next = CLIENT_ISS + 11; // the client byte after the 10 held
-                                // What a member would send to make each role act: announce a
-                                // reign, ack, ask for or supply bytes, and walk a drain through to
-                                // the handover for rank 1 and for rank 2.
     let orders = [
         SideMsg::Heartbeat { seq: 1, epoch: 1, entries: vec![] },
         SideMsg::Heartbeat {
@@ -321,19 +314,14 @@ fn a_strangers_orders_move_nothing_and_draw_no_reply() {
         SideMsg::MissingReq { conn: key(), from: CLIENT_ISS + 1, len: 10 },
         SideMsg::MissingData { conn: key(), seq: next, data: Bytes::from_static(b"forged") },
         SideMsg::MissingNack { conn: key(), from: next },
-        SideMsg::DrainReady { rank: 1, epoch: 1 },
-        SideMsg::Drain { epoch: 1, successor_rank: 1 },
         SideMsg::Handover { epoch: 1 },
-        SideMsg::Drain { epoch: 2, successor_rank: 2 },
         SideMsg::Handover { epoch: 2 },
     ];
     common::assert_every_kind(&orders);
     for target in TARGETS {
         let (mut engine, mut stack) = build(target);
         if let Target::Primary = target {
-            // Mid-drain, so a forged `DrainReady` would retire it.
-            engine.schedule_drain(ms(1), 1);
-            engine.on_tick(ms(1), &mut stack);
+            mid_drain(&mut engine, &mut stack);
         }
         let _ = replies(&mut engine, &mut stack);
         let before = state(&engine, &stack);
@@ -350,42 +338,56 @@ fn a_strangers_orders_move_nothing_and_draw_no_reply() {
     }
 }
 
+/// Takes a primary built by [`build`] into a drain to rank 1 that waits:
+/// rank 1 has not acked the connection's 10 bytes.
+fn mid_drain(engine: &mut ClusterEngine, stack: &mut NetStack) {
+    engine.schedule_drain(ms(1), 1);
+    // The first heartbeat notes the frontier; the second, due, finds
+    // rank 1 has had a tick to ack it.
+    engine.on_tick(ms(0), stack);
+    engine.on_tick(ms(1), stack);
+    assert_eq!(engine.drain_phase(), DrainPhase::Draining);
+}
+
 #[test]
 fn only_the_reigns_primary_orders_a_handover_and_only_a_member_speaks_for_its_rank() {
-    let drain = |rank: u8| {
-        let epoch = u32::from(rank);
-        [SideMsg::Drain { epoch, successor_rank: rank }, SideMsg::Handover { epoch }]
-    };
-    // A backup, ordered by the other backup, stays a backup.
+    // A backup takes a handover only from its reign's primary, and only
+    // with its reign's epoch plus its own rank.
     for (target, other, rank) in [(Target::Rank1, RANK2, 1), (Target::Rank2, RANK1, 2)] {
         let (mut engine, mut stack) = build(target);
         let before = state(&engine, &stack);
-        for order in drain(rank) {
-            engine.on_side_msg(ms(2), other, order, &mut stack);
+        let wrong = [(other, rank), (STRANGER, rank), (PRIMARY, rank - 1), (PRIMARY, rank + 1)];
+        for (from, epoch) in wrong {
+            engine.on_side_msg(ms(2), from, SideMsg::Handover { epoch }, &mut stack);
+            assert_eq!(state(&engine, &stack), before, "{target:?}: epoch {epoch} from {from}");
         }
-        assert_eq!(state(&engine, &stack), before, "{target:?} ordered by {other}");
-        // The same orders from the primary hand it the VIP.
-        for order in drain(rank) {
-            engine.on_side_msg(ms(3), PRIMARY, order, &mut stack);
-        }
-        assert_eq!(engine.role(), ClusterRole::Primary, "{target:?} ordered by the primary");
+        engine.on_side_msg(ms(3), PRIMARY, SideMsg::Handover { epoch: rank }, &mut stack);
+        assert_eq!(engine.role(), ClusterRole::Primary, "{target:?} handed over by the primary");
+        assert_eq!(engine.topology().epoch(), rank);
         assert!(!stack.is_suppressed(VIP));
     }
 
-    // A draining primary hands over only when rank 1 itself is ready.
+    // A draining primary hands over only once rank 1 itself has acked
+    // what it trailed on: rank 2's acks and a stranger's do not speak
+    // for it.
     let (mut engine, mut stack) = build(Target::Primary);
-    engine.schedule_drain(ms(1), 1);
-    engine.on_tick(ms(1), &mut stack);
+    mid_drain(&mut engine, &mut stack);
     let _ = replies(&mut engine, &mut stack);
     let before = state(&engine, &stack);
-    engine.on_side_msg(ms(2), RANK2, SideMsg::DrainReady { rank: 1, epoch: 1 }, &mut stack);
-    assert_eq!(replies(&mut engine, &mut stack), Vec::<String>::new());
-    assert_eq!(state(&engine, &stack), before, "rank 2 spoke for rank 1");
-    engine.on_side_msg(ms(3), RANK1, SideMsg::DrainReady { rank: 1, epoch: 1 }, &mut stack);
-    assert_eq!(
-        replies(&mut engine, &mut stack),
-        [format!("{:?} to {RANK1}", SideMsg::Handover { epoch: 1 })]
-    );
+    let ack = SideMsg::AckBatch { entries: vec![(key(), CLIENT_ISS + 11)] };
+    for (i, from) in [RANK2, STRANGER].into_iter().enumerate() {
+        let at = ms(50 * (i as u64 + 1));
+        engine.on_side_msg(at, from, ack.clone(), &mut stack);
+        engine.on_tick(at, &mut stack);
+        assert!(!replies(&mut engine, &mut stack).iter().any(|r| r.contains("Handover")));
+        assert_eq!(state(&engine, &stack), before, "{from} spoke for rank 1");
+        assert_eq!(engine.drain_phase(), DrainPhase::Draining);
+    }
+    engine.on_side_msg(ms(150), RANK1, ack, &mut stack);
+    engine.on_tick(ms(150), &mut stack);
+    let replies = replies(&mut engine, &mut stack);
+    assert_eq!(replies.last(), Some(&format!("{:?} to {RANK1}", SideMsg::Handover { epoch: 1 })));
+    assert_eq!(engine.drain_phase(), DrainPhase::HandedOver);
     assert_eq!(engine.role(), ClusterRole::Retired);
     assert!(stack.is_suppressed(VIP));
 }

@@ -26,9 +26,6 @@ fn arb_msg() -> impl Strategy<Value = SideMsg> {
         (arb_key(), any::<u32>()).prop_map(|(conn, from)| SideMsg::MissingNack { conn, from }),
         proptest::collection::vec((arb_key(), any::<u32>()), 0..70)
             .prop_map(|entries| SideMsg::AckBatch { entries }),
-        (any::<u32>(), any::<u8>())
-            .prop_map(|(epoch, successor_rank)| SideMsg::Drain { epoch, successor_rank }),
-        (any::<u8>(), any::<u32>()).prop_map(|(rank, epoch)| SideMsg::DrainReady { rank, epoch }),
         any::<u32>().prop_map(|epoch| SideMsg::Handover { epoch }),
     ]
 }

@@ -9,12 +9,14 @@
 //! lagging connection on the last candidate blocked the whole fleet's
 //! promotion forever.
 //!
-//! The planned-migration gate has the mirror-image hazard: recovery is
-//! driven by tapped primary ACKs (a reply clears the in-flight request,
-//! the next ACK that still runs ahead of the shadow asks for the rest),
-//! so on a connection that has gone idle a gap larger than one request
-//! chunk stays open — and `drain_and_handover()` waits for lag zero.
-//! The successor must chase its gaps itself while a drain names it.
+//! The planned-migration gate has the mirror-image hazard:
+//! `drain_and_handover()` waits until the successor trails on nothing,
+//! so a gap that never closes would hold the drain forever. On a
+//! connection that has gone idle a gap larger than one request chunk
+//! stays open unless something asks again: each heartbeat's frontier
+//! entry does. And the gate must count the connections the successor
+//! never shadowed at all, or the drain hands the VIP to a member that
+//! cannot serve them.
 
 use apps::Workload;
 use bytes::Bytes;
@@ -25,7 +27,7 @@ use sttcp::cluster::promotion::detection_deadline;
 use sttcp::fleet::{self, Fleet, FleetSpec, UPLOAD_FILE};
 use sttcp::scenario::addrs;
 use sttcp::{ClusterRole, ServerNode, SideMsg};
-use wire::{EtherType, EthernetFrame, IpProtocol, Ipv4Packet, TcpSegment, UdpDatagram};
+use wire::{EtherType, EthernetFrame, IpProtocol, Ipv4Packet, TcpFlags, TcpSegment, UdpDatagram};
 
 /// The IPv4 packet inside `frame`, if it is one.
 fn ipv4(frame: &Bytes) -> Option<Ipv4Packet> {
@@ -33,19 +35,36 @@ fn ipv4(frame: &Bytes) -> Option<Ipv4Packet> {
     (eth.ethertype == EtherType::Ipv4).then(|| Ipv4Packet::parse(eth.payload).ok())?
 }
 
-fn client_request(frame: &Bytes) -> bool {
+/// The client's TCP segment inside `frame`, if it is one.
+fn client_segment(frame: &Bytes) -> Option<TcpSegment> {
     ipv4(frame)
         .filter(|ip| ip.dst == addrs::VIP && ip.protocol == IpProtocol::Tcp)
         .and_then(|ip| TcpSegment::parse(ip.payload.clone(), ip.src, ip.dst).ok())
-        .is_some_and(|seg| !seg.payload.is_empty())
 }
 
-fn missing_data_reply(frame: &Bytes) -> bool {
+fn client_request(frame: &Bytes) -> bool {
+    client_segment(frame).is_some_and(|seg| !seg.payload.is_empty())
+}
+
+fn client_syn(frame: &Bytes) -> bool {
+    client_segment(frame).is_some_and(|seg| seg.flags.contains(TcpFlags::SYN))
+}
+
+/// The side-channel message inside `frame`, if it is one.
+fn side_msg(frame: &Bytes) -> Option<SideMsg> {
     ipv4(frame)
         .filter(|ip| ip.protocol == IpProtocol::Udp)
         .and_then(|ip| UdpDatagram::parse(ip.payload.clone(), ip.src, ip.dst).ok())
         .and_then(|udp| SideMsg::decode(udp.payload))
+}
+
+fn missing_data_reply(frame: &Bytes) -> bool {
+    side_msg(frame)
         .is_some_and(|msg| matches!(msg, SideMsg::MissingData { .. } | SideMsg::MissingNack { .. }))
+}
+
+fn handover(frame: &Bytes) -> bool {
+    side_msg(frame).is_some_and(|msg| matches!(msg, SideMsg::Handover { .. }))
 }
 
 const CRASH: SimTime = SimTime::from_nanos(600_000_000);
@@ -172,4 +191,63 @@ fn a_lagging_successor_catches_up_on_an_idle_connection_and_takes_the_handover()
     assert_eq!(fleet.engine(1).role(), ClusterRole::Primary, "the handover completes");
     assert_eq!(fleet.engine(0).role(), ClusterRole::Retired);
     assert!(fleet.verified_clean());
+}
+
+#[test]
+fn a_drain_waits_while_the_successor_lacks_a_connection_that_carries_data() {
+    // The backup's tap loses every client SYN, so it never shadows the
+    // one connection, and there is no logger to rebuild it. Handing over
+    // at the drain would strand the client: the drain must wait until the
+    // old primary has served the connection to its close.
+    let migrate_at = SimTime::ZERO + SimDuration::from_millis(300);
+    let spec = FleetSpec::new(1)
+        .closing()
+        .workload(Workload::Echo { requests: 100 })
+        .migrate_at(migrate_at, 1)
+        .connect_spread(SimDuration::ZERO);
+    let mut fleet = fleet::build(&spec);
+    fleet.sim.add_ingress_drop(fleet.servers[1], DropRule::all(client_syn));
+
+    fleet.sim.run_until(migrate_at + SimDuration::from_millis(200));
+    assert!(!fleet.all_done(), "the scenario must drain mid-stream");
+    assert_eq!(fleet.engine(0).role(), ClusterRole::Primary, "no handover while rank 1 lacks it");
+    assert!(fleet.run_until_done(SimDuration::from_secs(30)), "the old primary serves it out");
+    assert!(fleet.verified_clean());
+    let (got, want) = fleet.progress();
+    assert_eq!(got, want);
+
+    fleet.sim.run_for(SimDuration::from_secs(1));
+    assert_eq!(fleet.engine(0).role(), ClusterRole::Retired, "the closed connection frees it");
+    assert!(fleet.engine(1).has_taken_over(), "rank 1 takes the handover");
+}
+
+#[test]
+fn a_lost_handover_costs_one_detection_window_not_the_service() {
+    // The planned-migration fleet, with every `Handover` lost on its way
+    // into rank 1: the retired primary falls silent, so rank 1 promotes
+    // at its own deadline, under the epoch the handover would have set.
+    let migrate_at = SimTime::ZERO + SimDuration::from_millis(100);
+    let spec = FleetSpec::new(12).backups(2).closing().migrate_at(migrate_at, 1);
+    let mut fleet = fleet::build(&spec);
+    fleet.sim.add_ingress_drop(fleet.servers[1], DropRule::all(handover));
+
+    let mut handed_over = migrate_at;
+    while fleet.engine(0).role() == ClusterRole::Primary {
+        handed_over += SimDuration::from_millis(1);
+        fleet.sim.run_until(handed_over);
+    }
+    assert!(fleet.run_until_done(SimDuration::from_secs(30)), "the fleet must finish");
+    assert!(fleet.verified_clean());
+    let (got, want) = fleet.progress();
+    assert_eq!(got, want);
+
+    let cfg = &spec.st_tcp;
+    let took_over = fleet.engine(1).takeover_at().expect("rank 1 promotes at its deadline");
+    let bound = handed_over + detection_deadline(cfg, 1) + cfg.effective_sync_time();
+    assert!(took_over > handed_over && took_over <= bound, "{took_over:?} past {bound:?}");
+    assert_eq!(fleet.engine(1).topology().epoch(), 1);
+    assert_eq!(fleet.engine(0).role(), ClusterRole::Retired);
+    let old_primary = fleet.sim.node_ref::<ServerNode>(fleet.servers[0]);
+    assert!(old_primary.stack().is_suppressed(addrs::VIP), "the retired primary stays fenced");
+    assert_eq!(fleet.engine(2).role(), ClusterRole::Backup, "rank 2 stays a backup");
 }

@@ -43,8 +43,6 @@ fn sample_msgs() -> Vec<SideMsg> {
         },
         SideMsg::MissingNack { conn: sample_key(), from: 7 },
         SideMsg::AckBatch { entries: vec![(sample_key(), 0x8000_0001), (sample_key(), 3)] },
-        SideMsg::Drain { epoch: 2, successor_rank: 2 },
-        SideMsg::DrainReady { rank: 2, epoch: 2 },
         SideMsg::Handover { epoch: 0xFFFF_FFFF },
     ]
 }

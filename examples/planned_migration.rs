@@ -2,11 +2,13 @@
 //! its rank-1 backup with no crash, no detection window, and no
 //! client-visible corruption.
 //!
-//! The primary announces `Drain` on its side channel; the successor
-//! replies `DrainReady` once its shadow lag is zero; the primary then
-//! fences itself and sends `Handover`, and the successor unsuppresses
-//! the VIP immediately — the client-visible pause is bounded by the
-//! in-flight round trip, not by the heartbeat failure detector.
+//! Once the drain is due, the primary waits for a heartbeat that owes
+//! the successor no frontier entry: the successor's own acks say it
+//! holds every byte it had a tick to ack. The primary then fences
+//! itself and sends `Handover`, the one message of the migration, and
+//! the successor unsuppresses the VIP at once — the client-visible
+//! pause is bounded by the in-flight round trip, not by the heartbeat
+//! failure detector.
 //!
 //! Run with: `cargo run --release --example planned_migration`
 
@@ -29,8 +31,8 @@ fn main() {
     let (got, want) = fleet.progress();
     assert_eq!(got, want, "every expected response byte arrived");
 
-    // The old primary retired through the full drain handshake; the
-    // successor reigns under the planned epoch.
+    // The old primary handed over and retired; the successor reigns
+    // under the planned epoch.
     assert_eq!(fleet.engine(0).drain_phase(), DrainPhase::HandedOver);
     assert_eq!(fleet.engine(0).role(), ClusterRole::Retired);
     assert_eq!(fleet.engine(0).stats.migrations, 1);

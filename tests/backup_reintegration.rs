@@ -239,3 +239,52 @@ fn chain_reintegration_releases_retention_for_new_connections_again() {
     assert_eq!(b.accepted.len(), 1, "exactly the post-reboot connection is shadowed");
     assert!(!fleet.engine(1).has_taken_over());
 }
+
+#[test]
+fn a_backup_returning_while_another_lives_stalls_no_connection_it_never_shadowed() {
+    // Rank 2 of a two-backup chain dies and reboots while rank 1 lives
+    // on, so the primary never leaves fault-tolerant mode. The returned
+    // rank 2 has no shadow of the open connection, and its ack from
+    // before the crash never moves again: if it gated the releases, the
+    // retention would fill and the window close.
+    use st_tcp::sttcp::fleet::{self, FleetSpec};
+    // 400 × 150 B of requests ≫ recv_buf + retention_buf (2 × 17 520 B).
+    let spec = FleetSpec::new(1)
+        .backups(2)
+        .closing()
+        .workload(Workload::Echo { requests: 400 })
+        .crash(2, SimTime::ZERO + secs(0.3));
+    let mut fleet = fleet::build(&spec);
+    fleet.sim.schedule_power_on(fleet.servers[2], SimTime::ZERO + secs(0.8));
+
+    fleet.sim.run_until(SimTime::ZERO + secs(1.1));
+    assert_eq!(fleet.engine(0).stats.reintegrations, 1, "rank 2 returned");
+    assert!(fleet.run_until_done(secs(30.0)), "progress {:?}", fleet.progress());
+    assert!(fleet.verified_clean());
+    assert!(!fleet.engine(1).has_taken_over() && !fleet.engine(2).has_taken_over());
+}
+
+#[test]
+fn a_drain_to_a_returned_backup_waits_for_the_connections_it_never_shadowed() {
+    // The client finishes its requests and then holds its connection
+    // open, idle, while the backup dies and reboots. The returned backup
+    // has no shadow of it, so a drain to it must not hand over: the idle
+    // connection owes no frontier entry, and only the connections open
+    // at the return say what the backup lacks.
+    use st_tcp::sttcp::cluster::DrainPhase;
+    use st_tcp::sttcp::fleet::{self, FleetSpec};
+    let spec = FleetSpec::new(1)
+        .workload(Workload::Echo { requests: 20 })
+        .crash(1, SimTime::ZERO + secs(0.3))
+        .migrate_at(SimTime::ZERO + secs(1.0), 1);
+    let mut fleet = fleet::build(&spec);
+    fleet.sim.schedule_power_on(fleet.servers[1], SimTime::ZERO + secs(0.8));
+
+    fleet.sim.run_until(SimTime::ZERO + secs(0.3));
+    assert!(fleet.all_done(), "the requests finish before the crash");
+    fleet.sim.run_until(SimTime::ZERO + secs(2.0));
+    let eng = fleet.engine(0);
+    assert_eq!(eng.stats.reintegrations, 1, "the backup returned");
+    assert_eq!(eng.drain_phase(), DrainPhase::Draining);
+    assert!(!fleet.engine(1).has_taken_over(), "no handover to a backup that lacks a connection");
+}
