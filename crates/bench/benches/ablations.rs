@@ -146,7 +146,7 @@ fn client_request_frame(frame: &bytes::Bytes) -> bool {
     .unwrap_or(false)
 }
 
-/// Matches side-channel MissingData/MissingNack datagrams (so recovery
+/// Matches side-channel MissingData datagrams, refusals included (so recovery
 /// from the primary can be disabled without touching heartbeats).
 fn missing_data_frame(frame: &bytes::Bytes) -> bool {
     (|| {
@@ -162,7 +162,7 @@ fn missing_data_frame(frame: &bytes::Bytes) -> bool {
         if udp.dst_port != 7077 {
             return None;
         }
-        Some(matches!(udp.payload.first(), Some(4) | Some(5)))
+        Some(udp.payload.first() == Some(&4))
     })()
     .unwrap_or(false)
 }

@@ -92,7 +92,8 @@ obs_enum! {
         MissingReqsSent => "missing_reqs_sent",
         /// Missing-segment requests the primary served with data.
         MissingRepliesServed => "missing_replies_served",
-        /// Missing-segment requests the primary NACKed.
+        /// Missing-segment requests the primary refused (replied to with
+        /// no bytes).
         MissingNacks => "missing_nacks",
         /// Heartbeats sent by the primary.
         HeartbeatsSent => "heartbeats_sent",
@@ -122,9 +123,6 @@ obs_enum! {
         /// Batched ack datagrams (several connections' acks in one) sent
         /// by backups.
         AckBatchesSent => "ack_batches_sent",
-        /// Catch-up replay rounds a lagging backup went through before
-        /// reaching promotion eligibility.
-        CatchupReplays => "catchup_replays",
         /// Planned migrations completed (drain → handover).
         PlannedMigrations => "planned_migrations",
         /// SACK blocks attached to outgoing ACKs (RFC 2018 receiver side).

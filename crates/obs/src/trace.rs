@@ -161,10 +161,8 @@ named_enum! {
         BackupAck => "backup_ack",
         /// Backup request for a missed segment range.
         MissingReq => "missing_req",
-        /// Primary reply carrying retained bytes.
+        /// Primary reply carrying retained bytes, or none: a refusal.
         MissingData => "missing_data",
-        /// Primary refusal of a missing-segment request.
-        MissingNack => "missing_nack",
         /// Batched per-connection cumulative acks from one backup.
         AckBatch => "ack_batch",
         /// VIP ownership transfer concluding a planned migration.
@@ -997,6 +995,13 @@ pub(crate) mod tests {
                                         \"events\":[{\"s\":0}]}"
         )
         .is_err());
+    }
+
+    #[test]
+    fn a_retired_side_msg_kind_no_longer_parses() {
+        // A refusal is a `missing_data` with no bytes.
+        assert!(SideMsgKind::from_name("missing_nack").is_none());
+        assert!(SideMsgKind::from_name("missing_data").is_some());
     }
 
     #[test]

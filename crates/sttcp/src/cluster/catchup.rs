@@ -9,17 +9,25 @@
 //! until nothing is missing; the promotion layer asks [`lag`] whether
 //! this node is shadow-consistent enough to serve.
 //!
+//! The backup keeps no recovery clock of its own. The primary's
+//! heartbeat carries a frontier entry for every connection on which
+//! this backup has not acked bytes it had a whole tick to ack, and that
+//! entry is the one recovery cue ([`CatchupTracker::on_entry`]): a
+//! shadow that lacks bytes asks for them, the second entry that still
+//! finds the request in flight asks again, and a shadow that holds them
+//! re-acks at the next sync tick, since its last ack may have been lost.
+//!
 //! Everything on the per-frame and per-tick paths is O(active): the ack
-//! scan visits only connections with fresh receive progress, and the
-//! retry scan only connections with a request in flight. Only [`lag`]
-//! and [`gaps`] walk every tracked connection, and the engine calls
-//! them only while the primary is suspected or a drain is pending.
+//! scan visits only connections with fresh receive progress or a re-ack
+//! owed. Only [`lag`] and [`gaps`] walk every tracked connection, and
+//! the engine calls them only while the primary is suspected, after a
+//! refused request, and when it asks the logger after a promotion.
 //!
 //! [`lag`]: CatchupTracker::lag
 //! [`gaps`]: CatchupTracker::gaps
 
 use crate::messages::ConnKey;
-use netsim::{DetHashMap, SimDuration, SimTime};
+use netsim::DetHashMap;
 use tcpstack::{NetStack, SeqNum, Tcb};
 
 /// Per-connection sync state.
@@ -32,24 +40,53 @@ struct ConnSync {
     /// (it keeps one ack window of history to serve deeper backups
     /// after a promotion).
     prev_acked_next: SeqNum,
-    /// Highest cumulative ACK seen from the primary (tapped segments).
+    /// Highest cumulative ACK the primary's frontier entries quoted.
     highest_primary_ack: Option<SeqNum>,
-    /// In-flight missing-segment request: `(end of the range, sent_at)`.
-    outstanding_req: Option<(SeqNum, SimTime)>,
+    /// In-flight missing-segment request: the end of its range, and
+    /// whether a frontier entry has come since it was sent.
+    outstanding_req: Option<(SeqNum, bool)>,
     /// Queued for the next ack scan.
     pending_ack: bool,
-    /// Parked below the X threshold awaiting the sync tick.
+    /// Parked awaiting the sync tick: below the X threshold, or owed a
+    /// re-ack.
     deferred: bool,
-    /// Sits on the in-flight list awaiting the retry scan.
-    in_flight: bool,
+    /// A frontier entry quoted an ACK the shadow holds: the next sync
+    /// tick acks the connection even without new progress.
+    reack: bool,
+}
+
+impl ConnSync {
+    /// A missing-segment request for `key`, if its shadow trails the
+    /// primary's ACK and no request is in flight.
+    fn request_missing(&mut self, key: ConnKey, stack: &NetStack) -> Option<MissingOut> {
+        let primary_ack = self.highest_primary_ack?;
+        let tcb = shadow(stack, key)?;
+        // Compare against ack_seq (payload + consumed FIN) so a consumed
+        // FIN does not read as one missing byte forever.
+        let gap = primary_ack.distance(tcb.ack_seq());
+        if gap <= 0 {
+            self.outstanding_req = None;
+            return None;
+        }
+        if self.outstanding_req.is_some() {
+            return None; // one request in flight per connection
+        }
+        let (from, len) = (tcb.rcv_nxt(), (gap as u32).min(MISSING_REQ_CHUNK));
+        self.outstanding_req = Some((from.add(len), false));
+        Some((key, from, len))
+    }
 }
 
 /// One ack this node owes the primary: `(conn, acked_next, own
-/// retention release point)`.
-pub type AckOut = (ConnKey, SeqNum, SeqNum);
+/// retention release point)`. A re-ack has no release point: it moves
+/// nothing.
+pub type AckOut = (ConnKey, SeqNum, Option<SeqNum>);
 
 /// One missing-segment request to send: `(conn, from, len)`.
 pub type MissingOut = (ConnKey, SeqNum, u32);
+
+/// The largest missing-byte range one request asks for.
+pub const MISSING_REQ_CHUNK: u32 = 16 * 1024;
 
 /// One unhealed gap: `(conn, from, to)` — the logger-query window.
 pub type Gap = (ConnKey, SeqNum, SeqNum);
@@ -71,14 +108,12 @@ pub struct CatchupTracker {
     /// Reused swap buffer for the scans (no per-pump allocation).
     scratch: Vec<ConnKey>,
     /// Connections with unacked progress still below the X threshold,
-    /// parked until the forced tick. Keeping these off `pending` is
-    /// what makes a pump O(new activity): otherwise every frame event
-    /// would rescan every in-flight connection. Fresh activity
-    /// re-queues a parked key via [`CatchupTracker::note_activity`].
+    /// and those owed a re-ack, parked until the forced tick. Keeping
+    /// these off `pending` is what makes a pump O(new activity):
+    /// otherwise every frame event would rescan every in-flight
+    /// connection. Fresh activity re-queues a parked key via
+    /// [`CatchupTracker::note_activity`].
     deferred: Vec<ConnKey>,
-    /// Connections with a missing-segment request in flight — the only
-    /// ones the per-tick retry scan visits.
-    in_flight: Vec<ConnKey>,
 }
 
 impl CatchupTracker {
@@ -97,7 +132,7 @@ impl CatchupTracker {
             outstanding_req: None,
             pending_ack: false,
             deferred: false,
-            in_flight: false,
+            reack: false,
         });
     }
 
@@ -117,19 +152,29 @@ impl CatchupTracker {
         }
     }
 
-    /// Records a tapped primary cumulative ACK; returns whether the
-    /// connection is tracked.
-    pub fn on_primary_ack(&mut self, key: ConnKey, ack: SeqNum) -> bool {
-        match self.conns.get_mut(&key) {
-            Some(c) => {
-                c.highest_primary_ack = Some(match c.highest_primary_ack {
-                    Some(prev) => prev.max(ack),
-                    None => ack,
-                });
-                true
-            }
-            None => false,
+    /// A heartbeat's frontier entry quotes `ack`, the primary's
+    /// cumulative ACK on `key` (see the module docs). Returns the
+    /// missing-segment request to send, if any.
+    pub fn on_entry(&mut self, key: ConnKey, ack: SeqNum, stack: &NetStack) -> Option<MissingOut> {
+        let c = self.conns.get_mut(&key)?;
+        c.highest_primary_ack = Some(c.highest_primary_ack.map_or(ack, |prev| prev.max(ack)));
+        if let Some((end, seen)) = c.outstanding_req {
+            // The first entry since the request lets it be; the second
+            // finds it lost and asks again.
+            c.outstanding_req = (!seen).then_some((end, true));
         }
+        let req = c.request_missing(key, stack);
+        if c.outstanding_req.is_none() && !c.reack {
+            // Nothing to ask: the shadow holds the entry's ACK, yet the
+            // primary has not seen it acked. The next sync tick acks it
+            // again.
+            c.reack = true;
+            if !c.deferred {
+                c.deferred = true;
+                self.deferred.push(key);
+            }
+        }
+        req
     }
 
     /// Clears the in-flight request for `key` (refused).
@@ -141,96 +186,28 @@ impl CatchupTracker {
 
     /// A reply to `key`'s request arrived. The request is answered once
     /// the shadow holds the whole range it asked for (a reply comes in
-    /// several datagrams); returns whether `key` has none in flight.
-    pub fn settle_reply(&mut self, key: ConnKey, stack: &NetStack) -> bool {
-        let Some(c) = self.conns.get_mut(&key) else {
-            return false;
-        };
+    /// several datagrams); then, while the shadow still trails the
+    /// primary's known frontier, returns the request for the next chunk
+    /// at once: on an idle connection nothing else would ask before the
+    /// next heartbeat.
+    pub fn settle_reply(&mut self, key: ConnKey, stack: &NetStack) -> Option<MissingOut> {
+        let c = self.conns.get_mut(&key)?;
         let held = shadow(stack, key).map(|t| t.rcv_nxt());
         if let (Some((end, _)), Some(next)) = (c.outstanding_req, held) {
             if end.gt(next) {
-                return false;
+                return None;
             }
         }
         c.outstanding_req = None;
-        true
-    }
-
-    /// Issues a missing-segment request for `key` if its shadow trails
-    /// the primary's ACK and no request is in flight.
-    pub fn request_missing(
-        &mut self,
-        now: SimTime,
-        key: ConnKey,
-        chunk: usize,
-        stack: &NetStack,
-        out: &mut Vec<MissingOut>,
-    ) {
-        let Some(c) = self.conns.get_mut(&key) else {
-            return;
-        };
-        let Some(primary_ack) = c.highest_primary_ack else {
-            return;
-        };
-        let Some(tcb) = shadow(stack, key) else {
-            return;
-        };
-        // Compare against ack_seq (payload + consumed FIN) so a consumed
-        // FIN does not read as one missing byte forever.
-        let gap = primary_ack.distance(tcb.ack_seq());
-        if gap <= 0 {
-            c.outstanding_req = None;
-            return;
-        }
-        if c.outstanding_req.is_some() {
-            return; // one request in flight per connection
-        }
-        let (from, len) = (tcb.rcv_nxt(), (gap as usize).min(chunk) as u32);
-        c.outstanding_req = Some((from.add(len), now));
-        if !c.in_flight {
-            c.in_flight = true;
-            self.in_flight.push(key);
-        }
-        out.push((key, from, len));
-    }
-
-    /// Re-issues requests whose staleness window passed (sync tick).
-    /// Visits only the in-flight list; answered requests drop off it.
-    pub fn retry_stale(
-        &mut self,
-        now: SimTime,
-        window: SimDuration,
-        chunk: usize,
-        stack: &NetStack,
-        out: &mut Vec<MissingOut>,
-    ) {
-        debug_assert!(self.scratch.is_empty());
-        std::mem::swap(&mut self.in_flight, &mut self.scratch);
-        for i in 0..self.scratch.len() {
-            let key = self.scratch[i];
-            let Some(c) = self.conns.get_mut(&key) else {
-                continue;
-            };
-            c.in_flight = false;
-            let Some((_, sent_at)) = c.outstanding_req else {
-                continue; // answered: off the list
-            };
-            if now.checked_duration_since(sent_at).is_some_and(|d| d > window) {
-                c.outstanding_req = None;
-                self.request_missing(now, key, chunk, stack, out);
-            } else {
-                c.in_flight = true;
-                self.in_flight.push(key);
-            }
-        }
-        self.scratch.clear();
+        c.request_missing(key, stack)
     }
 
     /// The ack scan (§4.3): emits `(conn, acked_next, own release
     /// point)` for every queued connection whose progress crossed
     /// `x_threshold`, or — when `force` is set (the sync tick) — for
-    /// every connection with any unacked progress, parked ones
-    /// included. Returns how many acks the X threshold triggered.
+    /// every connection with any unacked progress or a re-ack owed,
+    /// parked ones included. Returns how many acks the X threshold
+    /// triggered.
     pub fn collect_acks(
         &mut self,
         stack: &NetStack,
@@ -275,13 +252,17 @@ impl CatchupTracker {
             };
             let progress = next.distance(c.last_acked_next);
             if progress <= 0 {
+                if force && std::mem::take(&mut c.reack) {
+                    out.push((key, next, None));
+                }
                 continue; // fully acked; re-queued on activity
             }
             // Careful with the comparison: `usize::MAX as i64` is -1, so
             // cast the (known-positive) progress up instead.
             let threshold_hit = progress as u128 >= x_threshold as u128;
             if force || threshold_hit {
-                out.push((key, next, c.prev_acked_next));
+                out.push((key, next, Some(c.prev_acked_next)));
+                c.reack = false;
                 c.prev_acked_next = c.last_acked_next;
                 c.last_acked_next = next;
                 triggered += u64::from(threshold_hit && !force);
@@ -341,6 +322,8 @@ impl CatchupTracker {
 mod tests {
     use super::*;
     use std::net::Ipv4Addr;
+    use tcpstack::StackConfig;
+    use wire::MacAddr;
 
     fn key(p: u16) -> ConnKey {
         ConnKey {
@@ -351,20 +334,30 @@ mod tests {
         }
     }
 
+    fn empty_stack() -> NetStack {
+        NetStack::new(StackConfig::host(MacAddr::local(3), Ipv4Addr::new(10, 0, 0, 3)))
+    }
+
     #[test]
     fn untracked_primary_ack_reports_bootstrap_needed() {
+        // An entry for an untracked connection records nothing: the
+        // engine bootstraps it from the logger instead.
         let mut t = CatchupTracker::new();
-        assert!(!t.on_primary_ack(key(1), SeqNum(100)));
+        let stack = empty_stack();
+        assert_eq!(t.on_entry(key(1), SeqNum(100), &stack), None);
+        assert!(t.conns.is_empty());
         t.register(key(1), SeqNum(1));
-        assert!(t.on_primary_ack(key(1), SeqNum(100)));
+        t.on_entry(key(1), SeqNum(100), &stack);
+        assert_eq!(t.conns[&key(1)].highest_primary_ack, Some(SeqNum(100)));
     }
 
     #[test]
     fn primary_ack_is_monotone() {
         let mut t = CatchupTracker::new();
+        let stack = empty_stack();
         t.register(key(1), SeqNum(1));
-        t.on_primary_ack(key(1), SeqNum(500));
-        t.on_primary_ack(key(1), SeqNum(100)); // reordered tap frame
+        t.on_entry(key(1), SeqNum(500), &stack);
+        t.on_entry(key(1), SeqNum(100), &stack); // a reordered heartbeat
         let c = t.conns[&key(1)];
         assert_eq!(c.highest_primary_ack, Some(SeqNum(500)));
     }

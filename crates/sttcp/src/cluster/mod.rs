@@ -23,6 +23,8 @@
 //!   lagging backup yields its promotion slot while a deeper rank could
 //!   still take it, and closes lag via missing-segment replays (from
 //!   the primary, or the in-network logger once the primary is gone).
+//!   The primary's frontier entries are its one recovery cue: it keeps
+//!   no clock of its own.
 //! * planned migration — `drain_and_handover()`: a healthy primary
 //!   fences itself once its own view of the successor's acks says the
 //!   successor trails on nothing (below).
@@ -109,8 +111,12 @@
 //!     |  suppress VIP, retire                 |  epoch e+r, unsuppress VIP
 //! ```
 //!
-//! While it trails, the heartbeat's entries ask it for its gaps every
-//! tick, as they always do. The successor takes a `Handover` only from
+//! While it trails, the heartbeat's entries cue it every tick, as they
+//! always do: for bytes its shadow lacks it asks, and asks again on the
+//! second entry that finds the request unanswered; bytes it holds but
+//! whose ack was lost it re-acks at its next tick. So neither a lost
+//! request, nor a lost reply, nor a lost ack on an idle connection holds
+//! the drain. The successor takes a `Handover` only from
 //! its reign's primary, and only with the epoch the epoch-by-rank rule
 //! gives its own rank ([`Topology::promoted`]), so a member that learns
 //! of the new reign from its heartbeat instead adopts the same
@@ -187,10 +193,6 @@ pub struct ClusterStats {
     pub hbs_sent: u64,
     /// Heartbeats received from the serving primary.
     pub hbs_received: u64,
-    /// Topologies adopted from a higher epoch.
-    pub adoptions: u64,
-    /// Times this node promoted itself to primary.
-    pub promotions: u64,
     /// Planned migrations completed (as the retiring primary).
     pub migrations: u64,
     /// Per-connection acks sent, whichever datagram carried them.
@@ -212,8 +214,6 @@ pub struct ClusterStats {
     pub missing_nacked: u64,
     /// Bytes recovered into this node's shadows via replays.
     pub missing_bytes_recovered: u64,
-    /// Catch-up replay rounds applied (MissingData datagrams).
-    pub catchup_replays: u64,
     /// Logger replay-window queries issued.
     pub logger_queries: u64,
     /// Full-history bootstrap queries issued.
@@ -276,7 +276,6 @@ pub struct ClusterEngine {
     last_logger_query: Option<SimTime>,
     bootstrap_attempts: DetHashMap<ConnKey, SimTime>,
     ack_scratch: Vec<catchup::AckOut>,
-    req_scratch: Vec<MissingOut>,
     gap_scratch: Vec<catchup::Gap>,
     recorder: SharedRecorder,
     /// Counters.
@@ -334,7 +333,6 @@ impl ClusterEngine {
             last_logger_query: None,
             bootstrap_attempts: DetHashMap::default(),
             ack_scratch: Vec::new(),
-            req_scratch: Vec::new(),
             gap_scratch: Vec::new(),
             recorder: obs::nop(),
             stats: ClusterStats::default(),
@@ -557,16 +555,8 @@ impl ClusterEngine {
                 }
             }
             SideMsg::MissingData { conn, seq, data } => {
-                if self.role == ClusterRole::Backup {
+                if self.upstream().is_some_and(|(primary, _)| primary == from) {
                     self.apply_missing_data(now, conn, SeqNum(seq), &data, stack);
-                }
-            }
-            SideMsg::MissingNack { conn, .. } => {
-                self.catchup.clear_outstanding(conn);
-                if self.role == ClusterRole::Backup && self.cfg.use_logger {
-                    // The primary no longer holds those bytes; only the
-                    // in-network logger can heal the gap now.
-                    self.queue_logger_queries(now, stack, false);
                 }
             }
             SideMsg::Handover { epoch } => {
@@ -589,7 +579,9 @@ impl ClusterEngine {
     /// One heartbeat's frontier entry from the primary (backup role).
     ///
     /// * The cumulative ACK (`primary_ack`, the primary's
-    ///   `NextByteExpected`) exposes tap omissions (§4.2).
+    ///   `NextByteExpected`) exposes tap omissions (§4.2), and is this
+    ///   backup's one recovery cue: it asks for what its shadow lacks,
+    ///   or re-acks what it holds ([`CatchupTracker::on_entry`]).
     /// * A congestion snapshot moves the shadow to the primary's
     ///   operating point, so a takeover does not cold-start from the
     ///   initial window. Advisory: a shadow works without ever seeing
@@ -615,9 +607,8 @@ impl ClusterEngine {
         if let (Some((cwnd, ssthresh)), Some(tcb)) = (cong, stack.tcb_mut(sock)) {
             tcb.import_congestion(tcpstack::CongSnapshot { cwnd, ssthresh });
         }
-        if self.catchup.on_primary_ack(key, primary_ack) {
-            self.request_missing_now(now, key, stack);
-        }
+        let req = self.catchup.on_entry(key, primary_ack, stack);
+        self.ask_primary(req);
     }
 
     /// The shadow stack got a client segment with sequence number `seq`
@@ -657,7 +648,8 @@ impl ClusterEngine {
         // tapped segments it then has to request again.
         if usize::from(rank) + 1 < self.topo.members().len() {
             for &(key, _, prev) in &acks {
-                if let Some(sock) = stack.sock_by_quad(key.server_quad()) {
+                // A re-ack (no release point) moves nothing.
+                if let (Some(prev), Some(sock)) = (prev, stack.sock_by_quad(key.server_quad())) {
                     if let Some(tcb) = stack.tcb_mut(sock) {
                         tcb.set_backup_acked(prev);
                     }
@@ -718,7 +710,6 @@ impl ClusterEngine {
     /// lifts suppression.
     fn adopt(&mut self, now: SimTime, topo: Topology, stack: &mut NetStack) {
         self.topo = topo;
-        self.stats.adoptions += 1;
         if self.role == ClusterRole::Primary {
             // Superseded: a higher reign exists. Yield the VIP
             // immediately — at-most-one-server is the invariant
@@ -827,9 +818,11 @@ impl ClusterEngine {
                 }
             });
         let Some(bytes) = bytes else {
+            // A refusal is a reply with no bytes.
             self.stats.missing_nacked += 1;
             self.recorder.count(Counter::MissingNacks, 1);
-            self.outbox.push((to, SideMsg::MissingNack { conn, from: from.raw() }));
+            let data = Bytes::new();
+            self.outbox.push((to, SideMsg::MissingData { conn, seq: from.raw(), data }));
             return;
         };
         self.stats.missing_served += 1;
@@ -852,21 +845,24 @@ impl ClusterEngine {
         data: &[u8],
         stack: &mut NetStack,
     ) {
+        if data.is_empty() {
+            // A refusal: the primary no longer holds those bytes, and
+            // only the in-network logger can heal the gap now.
+            self.catchup.clear_outstanding(conn);
+            if self.cfg.use_logger {
+                self.queue_logger_queries(now, stack, false);
+            }
+            return;
+        }
         if let Some(sock) = stack.sock_by_quad(conn.server_quad()) {
             if let Some(tcb) = stack.tcb_mut(sock) {
                 tcb.inject_rx(now, seq, data);
                 self.stats.missing_bytes_recovered += data.len() as u64;
             }
         }
-        self.stats.catchup_replays += 1;
-        self.recorder.count(Counter::CatchupReplays, 1);
-        // Once the request is answered, ask at once for the next chunk
-        // while the primary's known frontier still leads: on an idle
-        // connection nothing else would ask before the next heartbeat.
         // Injected bytes are receive progress: queue the ack check.
-        if self.catchup.settle_reply(conn, stack) {
-            self.request_missing_now(now, conn, stack);
-        }
+        let req = self.catchup.settle_reply(conn, stack);
+        self.ask_primary(req);
         self.catchup.note_activity(conn);
     }
 
@@ -898,19 +894,12 @@ impl ClusterEngine {
         });
     }
 
-    fn request_missing_now(&mut self, now: SimTime, key: ConnKey, stack: &NetStack) {
-        let mut reqs = std::mem::take(&mut self.req_scratch);
-        reqs.clear();
-        self.catchup.request_missing(now, key, self.cfg.missing_req_chunk, stack, &mut reqs);
-        self.push_missing_reqs(self.topo.primary(), &mut reqs);
-        self.req_scratch = reqs;
-    }
-
-    fn push_missing_reqs(&mut self, to: Ipv4Addr, reqs: &mut Vec<MissingOut>) {
-        for (key, from, len) in reqs.drain(..) {
+    fn ask_primary(&mut self, req: Option<MissingOut>) {
+        if let Some((conn, from, len)) = req {
             self.stats.missing_reqs += 1;
             self.recorder.count(Counter::MissingReqsSent, 1);
-            self.outbox.push((to, SideMsg::MissingReq { conn: key, from: from.raw(), len }));
+            let msg = SideMsg::MissingReq { conn, from: from.raw(), len };
+            self.outbox.push((self.topo.primary(), msg));
         }
     }
 
@@ -1062,17 +1051,11 @@ impl ClusterEngine {
     }
 
     fn backup_tick(&mut self, now: SimTime, stack: &mut NetStack) {
-        // The shadow duties owed to the primary on every tick: the
-        // forced ack flush (§4.3), which is also this backup's liveness
-        // (§4.4), and the retry of stale missing-segment requests.
-        let primary = self.topo.primary();
+        // The shadow duty owed to the primary on every tick: the forced
+        // ack flush (§4.3), which is also this backup's liveness (§4.4).
+        // Recovery has no clock here: the primary's frontier entries
+        // cue it.
         self.maybe_send_acks(stack, true);
-        let window = self.cfg.effective_sync_time().saturating_mul(2);
-        let mut reqs = std::mem::take(&mut self.req_scratch);
-        reqs.clear();
-        self.catchup.retry_stale(now, window, self.cfg.missing_req_chunk, stack, &mut reqs);
-        self.push_missing_reqs(primary, &mut reqs);
-        self.req_scratch = reqs;
         let Some(rank) = self.rank() else {
             return;
         };
@@ -1172,7 +1155,6 @@ impl ClusterEngine {
         self.takeover_at = Some(now);
         self.recorder.mark_first(Mark::TakeoverUnsuppressed, now.as_nanos());
         self.recorder.trace(now.as_nanos(), &TraceEvent::Promoted);
-        self.stats.promotions += 1;
         self.recorder.gauge_max(Gauge::PromotionRank, 1);
         self.peers = fresh_peers(&self.topo, now);
         if self.peers.is_empty() {
@@ -1447,7 +1429,7 @@ mod tests {
             let mut tracker = CatchupTracker::new();
             for key in in_order(&keys, reverse) {
                 tracker.register(key, SeqNum(8));
-                tracker.on_primary_ack(key, SeqNum(5_000));
+                tracker.on_entry(key, SeqNum(5_000), &stack);
             }
             let mut out = Vec::new();
             tracker.gaps(&stack, false, &mut out);

@@ -74,8 +74,6 @@ pub struct SttcpConfig {
     pub missed_hb_threshold: u32,
     /// Fencing mechanism used by the backup.
     pub fencing: Fencing,
-    /// Largest missing-byte range requested in one side-channel message.
-    pub missing_req_chunk: usize,
     /// Whether a packet logger is present on the path and may be asked
     /// to replay client segments at takeover (double-failure masking,
     /// §3.2).
@@ -105,7 +103,6 @@ impl SttcpConfig {
             ack_threshold: None,
             missed_hb_threshold: 3,
             fencing: Fencing::None,
-            missing_req_chunk: 16 * 1024,
             use_logger: false,
             takeover_policy: TakeoverPolicy::Active,
             cong_sync: false,

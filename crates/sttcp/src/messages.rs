@@ -1,7 +1,7 @@
 //! The UDP side-channel wire protocol between primary and backup
 //! (paper §4.2–§4.3).
 //!
-//! Seven message kinds flow on the channel. The paper's pair needs the
+//! Six message kinds flow on the channel. The paper's pair needs the
 //! first three groups; planned migration adds the last:
 //!
 //! * [`SideMsg::Heartbeat`] — the primary's periodic liveness beacon,
@@ -23,9 +23,12 @@
 //!   `NextByteExpected` itself and call it `acked_next`), for one
 //!   connection or for up to 63 in one datagram. These are the backup's
 //!   heartbeat (§4.4): a tick that owes no ack sends an empty batch;
-//! * [`SideMsg::MissingReq`]/[`SideMsg::MissingData`]/[`SideMsg::MissingNack`]
-//!   — recovery of client bytes the backup's tap missed, served from the
-//!   primary's retention buffer;
+//! * [`SideMsg::MissingReq`]/[`SideMsg::MissingData`] — recovery of
+//!   client bytes the backup's tap missed, served from the primary's
+//!   retention buffer. A reply with no bytes is a refusal: the primary
+//!   no longer holds the range. The backup asks when a heartbeat's
+//!   frontier entry shows its shadow lacks bytes, and again when the
+//!   second entry since finds the request unanswered;
 //! * [`SideMsg::Handover`] — planned migration of the VIP to a
 //!   successor. It is the whole protocol: the primary reads the
 //!   successor's readiness from its acks (`crate::cluster`, "Planned
@@ -133,21 +136,15 @@ pub enum SideMsg {
         /// Bytes requested.
         len: u32,
     },
-    /// Primary → backup: retained client bytes.
+    /// Primary → backup: retained client bytes, or none: the requested
+    /// range is not available, and `seq` is the refused request's `from`.
     MissingData {
         /// Connection.
         conn: ConnKey,
         /// Sequence number of `data[0]`.
         seq: u32,
-        /// The bytes.
+        /// The bytes; empty for a refusal.
         data: Bytes,
-    },
-    /// Primary → backup: the requested range is not (fully) available.
-    MissingNack {
-        /// Connection.
-        conn: ConnKey,
-        /// The `from` of the request being refused.
-        from: u32,
     },
     /// Backup → primary: the [`SideMsg::BackupAck`]s of several
     /// connections in one datagram. A backup sends what one ack pass
@@ -185,9 +182,6 @@ impl SideMsg {
             SideMsg::MissingData { conn, seq, data } => {
                 (K::MissingData, Some(conn.trace_conn()), u64::from(*seq), data.len() as u32)
             }
-            SideMsg::MissingNack { conn, from } => {
-                (K::MissingNack, Some(conn.trace_conn()), u64::from(*from), 0)
-            }
             SideMsg::AckBatch { entries } => (K::AckBatch, None, 0, entries.len() as u32),
             SideMsg::Handover { epoch } => (K::Handover, None, u64::from(*epoch), 0),
         }
@@ -198,7 +192,6 @@ const TAG_HEARTBEAT: u8 = 1;
 const TAG_BACKUP_ACK: u8 = 2;
 const TAG_MISSING_REQ: u8 = 3;
 const TAG_MISSING_DATA: u8 = 4;
-const TAG_MISSING_NACK: u8 = 5;
 const TAG_ACK_BATCH: u8 = 7;
 const TAG_HANDOVER: u8 = 10;
 
@@ -264,11 +257,6 @@ impl SideMsg {
                 put_key(&mut buf, conn);
                 buf.put_u32(*seq);
                 buf.put_slice(data);
-            }
-            SideMsg::MissingNack { conn, from } => {
-                buf.put_u8(TAG_MISSING_NACK);
-                put_key(&mut buf, conn);
-                buf.put_u32(*from);
             }
             SideMsg::AckBatch { entries } => {
                 buf.put_u8(TAG_ACK_BATCH);
@@ -347,13 +335,6 @@ impl SideMsg {
                 let seq = raw.get_u32();
                 Some(SideMsg::MissingData { conn, seq, data: raw })
             }
-            TAG_MISSING_NACK => {
-                let conn = get_key(&mut raw)?;
-                if raw.len() < 4 {
-                    return None;
-                }
-                Some(SideMsg::MissingNack { conn, from: raw.get_u32() })
-            }
             TAG_ACK_BATCH => {
                 if raw.len() < 2 {
                     return None;
@@ -408,7 +389,6 @@ mod tests {
             SideMsg::BackupAck { conn: key(), acked_next: 0xDEADBEEF },
             SideMsg::MissingReq { conn: key(), from: 100, len: 4096 },
             SideMsg::MissingData { conn: key(), seq: 100, data: Bytes::from_static(b"payload") },
-            SideMsg::MissingNack { conn: key(), from: 100 },
             SideMsg::AckBatch { entries: vec![(key(), 0xDEAD_BEEF), (key(), 77)] },
             SideMsg::Handover { epoch: 9 },
         ];
@@ -449,8 +429,9 @@ mod tests {
         let mut overrun = full.to_vec();
         overrun.extend_from_slice(&2u16.to_be_bytes());
         assert_eq!(SideMsg::decode(Bytes::from(overrun)), None);
-        // The retired member-list, drain and drain-ready tags are garbage.
-        for tag in [6, 8, 9] {
+        // The retired refusal, member-list, drain and drain-ready tags
+        // are garbage.
+        for tag in [5, 6, 8, 9] {
             assert_eq!(SideMsg::decode(Bytes::from(vec![tag; 20])), None);
         }
         // AckBatch claiming an entry with no bytes behind it.
@@ -509,5 +490,16 @@ mod tests {
     fn empty_missing_data_roundtrips() {
         let msg = SideMsg::MissingData { conn: key(), seq: 5, data: Bytes::new() };
         assert_eq!(SideMsg::decode(msg.encode()), Some(msg));
+    }
+
+    #[test]
+    fn a_refusal_is_tag_four_then_the_key_and_the_refused_from() {
+        let refusal = SideMsg::MissingData { conn: key(), seq: 100, data: Bytes::new() };
+        let raw = refusal.encode();
+        assert_eq!(raw.len(), 1 + 12 + 4);
+        assert_eq!(raw[0], TAG_MISSING_DATA);
+        assert_eq!(raw[13..], 100u32.to_be_bytes());
+        // A refusal cut short of its `from` is garbage.
+        assert_eq!(SideMsg::decode(raw.slice(..raw.len() - 1)), None);
     }
 }

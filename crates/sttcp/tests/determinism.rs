@@ -140,7 +140,7 @@ fn missing_data_reply(frame: &Bytes) -> bool {
         .filter(|ip| ip.protocol == IpProtocol::Udp)
         .and_then(|ip| UdpDatagram::parse(ip.payload.clone(), ip.src, ip.dst).ok())
         .and_then(|udp| SideMsg::decode(udp.payload))
-        .is_some_and(|msg| matches!(msg, SideMsg::MissingData { .. } | SideMsg::MissingNack { .. }))
+        .is_some_and(|msg| matches!(msg, SideMsg::MissingData { .. }))
 }
 
 #[test]

@@ -1,5 +1,6 @@
 //! Focused engine-level tests exercising paths the end-to-end scenarios
-//! cross only incidentally: missing-data chunking, request retry,
+//! cross only incidentally: missing-data chunking, the frontier entry
+//! as the backup's one recovery cue (ask, ask again, re-ack, refusal),
 //! retention release ordering, detection, and takeover idempotence —
 //! mostly on the paper's pair, i.e. [`ClusterEngine`] over the
 //! two-member topology; the ack rule is also checked at rank 2.
@@ -182,10 +183,9 @@ fn primary_nacks_ranges_below_the_floor() {
         &mut stack,
     );
     let out = sent(&mut engine);
-    assert!(
-        matches!(out.as_slice(), [SideMsg::MissingNack { .. }]),
-        "released bytes are gone: {out:?}"
-    );
+    let refusal = SideMsg::MissingData { conn: key(), seq: data_start.raw(), data: Bytes::new() };
+    assert_eq!(out, [refusal], "released bytes are gone: a reply with none");
+    assert_eq!(engine.stats.missing_nacked, 1);
 }
 
 #[test]
@@ -200,7 +200,10 @@ fn primary_nacks_a_missing_req_for_an_unknown_conn() {
         SideMsg::MissingReq { conn: other, from: 0, len: 100 },
         &mut stack,
     );
-    assert_eq!(sent(&mut engine), vec![SideMsg::MissingNack { conn: other, from: 0 }]);
+    assert_eq!(
+        sent(&mut engine),
+        vec![SideMsg::MissingData { conn: other, seq: 0, data: Bytes::new() }]
+    );
     assert_eq!(engine.stats.missing_nacked, 1);
 }
 
@@ -256,8 +259,10 @@ fn primary_declares_the_backup_dead_after_the_threshold_and_takes_it_back() {
     assert!(engine.backup_alive());
 }
 
-#[test]
-fn backup_retries_stale_missing_requests() {
+/// A backup of the pair (`cfg`) and its stack, shadowing one
+/// established connection whose client has sent nothing yet; returns
+/// the shadow's `rcv_nxt` too.
+fn backup_with_shadow(cfg: SttcpConfig) -> (ClusterEngine, NetStack, SeqNum) {
     let mut bcfg = StackConfig::host(MacAddr::local(3), BACKUP);
     bcfg.extra_ips = vec![VIP];
     bcfg.learn_from_ip = true;
@@ -275,63 +280,130 @@ fn backup_retries_stale_missing_requests() {
     deliver(&mut stack, now, &ack);
     let sock = stack.accept(80).expect("shadow established");
     let rcv_nxt = stack.tcb(sock).unwrap().rcv_nxt();
-
-    let mut engine = backup(cfg());
+    let mut engine = backup(cfg);
     engine.on_accept(sock, &mut stack);
-    // The primary's frontier reveals a 400-byte gap.
-    engine.on_side_msg(now, PRIMARY, frontier(rcv_nxt.add(400), None), &mut stack);
+    (engine, stack, rcv_nxt)
+}
+
+fn missing_reqs(msgs: &[SideMsg]) -> usize {
+    msgs.iter().filter(|m| matches!(m, SideMsg::MissingReq { .. })).count()
+}
+
+#[test]
+fn backup_retries_stale_missing_requests() {
+    // A request is stale once a second frontier entry finds it in flight.
+    let (mut engine, mut stack, rcv_nxt) = backup_with_shadow(cfg());
+    let gap = frontier(rcv_nxt.add(400), None);
+    // The primary's frontier reveals a 400-byte gap: ask for it.
+    engine.on_side_msg(ms(0), PRIMARY, gap.clone(), &mut stack);
     let first = sent(&mut engine);
-    assert!(first.iter().any(|m| matches!(m, SideMsg::MissingReq { len: 400, .. })), "{first:?}");
-    // No reply arrives; ticks past 2×SyncTime re-issue the request.
-    engine.on_side_msg(
-        now,
-        PRIMARY,
-        SideMsg::Heartbeat { seq: 1, epoch: 0, entries: vec![] },
-        &mut stack,
-    );
-    let later = ms(150);
-    engine.on_side_msg(
-        later,
-        PRIMARY,
-        SideMsg::Heartbeat { seq: 2, epoch: 0, entries: vec![] },
-        &mut stack,
-    );
-    engine.on_tick(later, &mut stack);
-    let retried = sent(&mut engine);
-    assert!(
-        retried.iter().any(|m| matches!(m, SideMsg::MissingReq { .. })),
-        "stale request must be retried: {retried:?}"
-    );
+    assert_eq!(first, [SideMsg::MissingReq { conn: key(), from: rcv_nxt.raw(), len: 400 }]);
+    // The backup keeps no clock of its own: ticks only ack, however late
+    // (the heartbeats in between carry no entry).
+    for at in [150, 300, 450] {
+        let idle = SideMsg::Heartbeat { seq: at, epoch: 0, entries: vec![] };
+        engine.on_side_msg(ms(at), PRIMARY, idle, &mut stack);
+        engine.on_tick(ms(at), &mut stack);
+        let tick = sent(&mut engine);
+        assert_eq!(missing_reqs(&tick), 0, "{at} ms: {tick:?}");
+    }
+    // The first entry since the request lets it be; the second finds it
+    // still in flight and asks again.
+    engine.on_side_msg(ms(500), PRIMARY, gap.clone(), &mut stack);
+    assert_eq!(sent(&mut engine), []);
+    engine.on_side_msg(ms(550), PRIMARY, gap.clone(), &mut stack);
+    assert_eq!(sent(&mut engine), first, "the unanswered request is asked again");
     assert_eq!(engine.stats.missing_reqs, 2);
     // Recovery data clears the gap; no further requests.
     let missing = vec![3u8; 400];
     engine.on_side_msg(
-        later,
+        ms(560),
         PRIMARY,
         SideMsg::MissingData { conn: key(), seq: rcv_nxt.raw(), data: Bytes::from(missing) },
         &mut stack,
     );
+    let sock = stack.sock_by_quad(key().server_quad()).unwrap();
     assert_eq!(stack.tcb(sock).unwrap().rcv_nxt(), rcv_nxt.add(400));
     assert_eq!(engine.stats.missing_bytes_recovered, 400);
-    let after = ms(300);
-    engine.on_side_msg(
-        after,
-        PRIMARY,
-        SideMsg::Heartbeat { seq: 3, epoch: 0, entries: vec![] },
-        &mut stack,
-    );
-    engine.on_tick(after, &mut stack);
-    let quiet = sent(&mut engine);
-    assert!(
-        !quiet.iter().any(|m| matches!(m, SideMsg::MissingReq { .. })),
-        "healed gap must not be re-requested: {quiet:?}"
-    );
-    // The forced tick acked the recovered bytes, and that ack is its
+    assert_eq!(sent(&mut engine), [], "the answered request asks for nothing more");
+    // The forced tick acks the recovered bytes, and that ack is its
     // heartbeat: nothing else goes out.
-    assert!(matches!(quiet.as_slice(), [SideMsg::BackupAck { .. }]), "{quiet:?}");
+    engine.on_tick(ms(600), &mut stack);
+    let acked = SideMsg::BackupAck { conn: key(), acked_next: rcv_nxt.add(400).raw() };
+    assert_eq!(sent(&mut engine), [acked]);
     // A tick that owes no ack still says hello, with an empty batch.
-    engine.on_tick(ms(350), &mut stack);
+    engine.on_tick(ms(650), &mut stack);
     assert_eq!(sent(&mut engine), [SideMsg::AckBatch { entries: vec![] }]);
+    assert_eq!(engine.stats.missing_reqs, 2);
+}
+
+#[test]
+fn an_entry_for_a_held_connection_re_acks_it_in_the_next_tick_only() {
+    // Rank 1 of a three-member chain self-releases one ack behind its
+    // own acks. Its shadow holds 10 bytes, then 10 more; the app reads
+    // each, and each tick acks them.
+    let (mut rank1, mut stack) = shadowing(BACKUP, 12 * 1024, 1);
+    let sock = stack.sock_by_quad(key().server_quad()).unwrap();
+    let mut buf = [0u8; 64];
+    assert_eq!(stack.read(sock, &mut buf).unwrap(), 10);
+    rank1.maybe_send_acks(&mut stack, true);
+    assert_eq!(sent(&mut rank1), [SideMsg::BackupAck { conn: key(), acked_next: 5011 }]);
+    let mut more = TcpSegment::bare(40000, 80, 5011, 999_001, TcpFlags::ACK, 17520);
+    more.payload = Bytes::from_static(b"abcdefghij");
+    deliver(&mut stack, ms(10), &more);
+    assert_eq!(stack.read(sock, &mut buf).unwrap(), 10);
+    rank1.note_activity(key());
+    rank1.on_tick(ms(50), &mut stack);
+    let acked = SideMsg::BackupAck { conn: key(), acked_next: 5021 };
+    assert_eq!(sent(&mut rank1), std::slice::from_ref(&acked));
+    let retained = stack.tcb(sock).unwrap().retained();
+    assert!(retained > 0, "rank 1 keeps history behind its acks for rank 2");
+    // That ack was lost: the primary's frontier entry quotes an ACK the
+    // shadow holds. Nothing goes out at once, a pump adds nothing, and
+    // the next tick's batch carries the one re-ack.
+    let held = SideMsg::Heartbeat { seq: 2, epoch: 0, entries: vec![(key(), 5021, None)] };
+    rank1.on_side_msg(ms(60), PRIMARY, held.clone(), &mut stack);
+    rank1.maybe_send_acks(&mut stack, false);
+    assert_eq!(sent(&mut rank1), []);
+    rank1.on_tick(ms(100), &mut stack);
+    assert_eq!(sent(&mut rank1), [acked], "exactly one re-ack, in the tick");
+    assert_eq!(rank1.stats.missing_reqs, 0);
+    assert_eq!(
+        stack.tcb(sock).unwrap().retained(),
+        retained,
+        "a re-ack leaves the self-release point where it was"
+    );
+    rank1.on_tick(ms(150), &mut stack);
+    assert_eq!(sent(&mut rank1), [SideMsg::AckBatch { entries: vec![] }], "and only once");
+    // Two entries before one tick still owe one re-ack.
+    rank1.on_side_msg(ms(160), PRIMARY, held.clone(), &mut stack);
+    rank1.on_side_msg(ms(170), PRIMARY, held, &mut stack);
+    rank1.on_tick(ms(200), &mut stack);
+    assert_eq!(sent(&mut rank1), [SideMsg::BackupAck { conn: key(), acked_next: 5021 }]);
+}
+
+#[test]
+fn an_empty_reply_clears_the_request_and_asks_the_logger_only_if_there_is_one() {
+    for logger in [false, true] {
+        let cfg = if logger { cfg().with_logger() } else { cfg() };
+        let (mut engine, mut stack, rcv_nxt) = backup_with_shadow(cfg);
+        let gap = frontier(rcv_nxt.add(400), None);
+        engine.on_side_msg(ms(0), PRIMARY, gap.clone(), &mut stack);
+        assert_eq!(missing_reqs(&sent(&mut engine)), 1);
+        // The primary no longer holds the range: it replies with no bytes.
+        let refusal = SideMsg::MissingData { conn: key(), seq: rcv_nxt.raw(), data: Bytes::new() };
+        engine.on_side_msg(ms(10), PRIMARY, refusal, &mut stack);
+        assert_eq!(sent(&mut engine), [], "logger {logger}");
+        let queries = engine.take_logger_queries();
+        assert_eq!(queries.len(), usize::from(logger), "logger {logger}: {queries:?}");
+        if let Some(q) = queries.first() {
+            assert_eq!(q.seq_from, rcv_nxt.raw(), "the query starts at the shadow's gap");
+        }
+        // The request is cleared: the very next entry asks afresh.
+        engine.on_side_msg(ms(50), PRIMARY, gap, &mut stack);
+        assert_eq!(missing_reqs(&sent(&mut engine)), 1, "logger {logger}");
+        assert_eq!(engine.stats.missing_bytes_recovered, 0);
+    }
 }
 
 #[test]
@@ -587,6 +659,10 @@ fn shadowing(ip: Ipv4Addr, x: usize, conns: u16) -> (ClusterEngine, NetStack) {
     bcfg.suppressed_ips = vec![VIP];
     bcfg.promiscuous = true; // the deliver() helper addresses the primary's MAC
     bcfg.tcp = TcpConfig::st_tcp_backup();
+    if ip == BACKUP {
+        // Rank 1 retains for rank 2: two ack windows (`fleet::build`).
+        bcfg.tcp.retention_buf = 2 * bcfg.tcp.recv_buf;
+    }
     let mut stack = NetStack::new(bcfg);
     stack.listen(80);
     let now = SimTime::ZERO;

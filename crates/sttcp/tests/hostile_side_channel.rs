@@ -12,8 +12,9 @@
 //! the codec, and a backup always has a rank in a reign with a member.
 //! Beyond not panicking, an engine obeys only its chain: a stranger's
 //! datagram moves nothing and draws no reply, only the reign's primary
-//! hands over, and only with the epoch the backup's rank gives, and only
-//! the successor's own acks complete a drain.
+//! hands over, and only with the epoch the backup's rank gives, only
+//! the successor's own acks complete a drain, and only the primary's
+//! empty reply refuses a backup's request.
 
 mod common;
 
@@ -181,7 +182,6 @@ fn arb_msg() -> impl Strategy<Value = SideMsg> {
         (arb_conn(), arb_seq(), proptest::collection::vec(any::<u8>(), 0..1_500)).prop_map(
             |(conn, seq, data)| SideMsg::MissingData { conn, seq, data: Bytes::from(data) }
         ),
-        (arb_conn(), arb_seq()).prop_map(|(conn, from)| SideMsg::MissingNack { conn, from }),
         proptest::collection::vec((arb_conn(), arb_seq()), 0..4)
             .prop_map(|entries| SideMsg::AckBatch { entries }),
         arb_epoch().prop_map(|epoch| SideMsg::Handover { epoch }),
@@ -313,7 +313,7 @@ fn a_strangers_orders_move_nothing_and_draw_no_reply() {
         SideMsg::AckBatch { entries: vec![(key(), next)] },
         SideMsg::MissingReq { conn: key(), from: CLIENT_ISS + 1, len: 10 },
         SideMsg::MissingData { conn: key(), seq: next, data: Bytes::from_static(b"forged") },
-        SideMsg::MissingNack { conn: key(), from: next },
+        SideMsg::MissingData { conn: key(), seq: next, data: Bytes::new() },
         SideMsg::Handover { epoch: 1 },
         SideMsg::Handover { epoch: 2 },
     ];
@@ -390,4 +390,40 @@ fn only_the_reigns_primary_orders_a_handover_and_only_a_member_speaks_for_its_ra
     assert_eq!(engine.drain_phase(), DrainPhase::HandedOver);
     assert_eq!(engine.role(), ClusterRole::Retired);
     assert!(stack.is_suppressed(VIP));
+}
+
+#[test]
+fn only_the_primarys_empty_reply_refuses_a_backups_request() {
+    // Each backup trails the primary's frontier by 4 000 bytes and has
+    // asked for them. An empty reply from anyone but the reign's
+    // primary refuses nothing: no logger query, and the request stays
+    // in flight, so the next entry lets it be.
+    let next = CLIENT_ISS + 11;
+    let gap = SideMsg::Heartbeat { seq: 1, epoch: 0, entries: vec![(key(), next + 4_000, None)] };
+    let refusal = SideMsg::MissingData { conn: key(), seq: next, data: Bytes::new() };
+    for (target, other) in [(Target::Rank1, RANK2), (Target::Rank2, RANK1)] {
+        let (mut engine, mut stack) = build(target);
+        engine.on_side_msg(ms(2), PRIMARY, gap.clone(), &mut stack);
+        let asked = replies(&mut engine, &mut stack);
+        assert!(asked.iter().any(|r| r.starts_with("MissingReq")), "{target:?}: {asked:?}");
+        let before = state(&engine, &stack);
+        for from in [other, STRANGER] {
+            engine.on_side_msg(ms(3), from, refusal.clone(), &mut stack);
+            assert_eq!(replies(&mut engine, &mut stack), Vec::<String>::new(), "{target:?} {from}");
+            assert_eq!(state(&engine, &stack), before, "{target:?} {from}");
+        }
+        engine.on_side_msg(ms(4), PRIMARY, gap.clone(), &mut stack);
+        let replies_now = replies(&mut engine, &mut stack);
+        assert!(
+            !replies_now.iter().any(|r| r.starts_with("MissingReq")),
+            "{target:?}: the request is still in flight: {replies_now:?}"
+        );
+        // The primary's refusal clears it and asks the logger.
+        engine.on_side_msg(ms(5), PRIMARY, refusal.clone(), &mut stack);
+        let refused = replies(&mut engine, &mut stack);
+        assert!(refused.iter().any(|r| r.starts_with("ReplayQuery")), "{target:?}: {refused:?}");
+        engine.on_side_msg(ms(6), PRIMARY, gap.clone(), &mut stack);
+        let again = replies(&mut engine, &mut stack);
+        assert!(again.iter().any(|r| r.starts_with("MissingReq")), "{target:?}: {again:?}");
+    }
 }

@@ -23,7 +23,6 @@ fn arb_msg() -> impl Strategy<Value = SideMsg> {
         (arb_key(), any::<u32>(), proptest::collection::vec(any::<u8>(), 0..1200)).prop_map(
             |(conn, seq, data)| SideMsg::MissingData { conn, seq, data: Bytes::from(data) }
         ),
-        (arb_key(), any::<u32>()).prop_map(|(conn, from)| SideMsg::MissingNack { conn, from }),
         proptest::collection::vec((arb_key(), any::<u32>()), 0..70)
             .prop_map(|entries| SideMsg::AckBatch { entries }),
         any::<u32>().prop_map(|epoch| SideMsg::Handover { epoch }),

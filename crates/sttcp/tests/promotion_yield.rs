@@ -14,7 +14,9 @@
 //! so a gap that never closes would hold the drain forever. On a
 //! connection that has gone idle a gap larger than one request chunk
 //! stays open unless something asks again: each heartbeat's frontier
-//! entry does. And the gate must count the connections the successor
+//! entry does. The same entry for a connection the successor holds
+//! re-acks it, so one lost ack on an idle connection does not hold the
+//! drain either. And the gate must count the connections the successor
 //! never shadowed at all, or the drain hands the VIP to a member that
 //! cannot serve them.
 
@@ -24,7 +26,7 @@ use netsim::{DropRule, SimDuration, SimTime};
 use std::cell::RefCell;
 use std::rc::Rc;
 use sttcp::cluster::promotion::detection_deadline;
-use sttcp::fleet::{self, Fleet, FleetSpec, UPLOAD_FILE};
+use sttcp::fleet::{self, Fleet, FleetSpec};
 use sttcp::scenario::addrs;
 use sttcp::{ClusterRole, ServerNode, SideMsg};
 use wire::{EtherType, EthernetFrame, IpProtocol, Ipv4Packet, TcpFlags, TcpSegment, UdpDatagram};
@@ -59,8 +61,21 @@ fn side_msg(frame: &Bytes) -> Option<SideMsg> {
 }
 
 fn missing_data_reply(frame: &Bytes) -> bool {
-    side_msg(frame)
-        .is_some_and(|msg| matches!(msg, SideMsg::MissingData { .. } | SideMsg::MissingNack { .. }))
+    side_msg(frame).is_some_and(|msg| matches!(msg, SideMsg::MissingData { .. }))
+}
+
+/// The first point a backup ack acknowledges, if `frame` is one that
+/// acknowledges something: not the empty batch of a tick that owes none.
+fn acked_next(frame: &Bytes) -> Option<u32> {
+    match side_msg(frame)? {
+        SideMsg::BackupAck { acked_next, .. } => Some(acked_next),
+        SideMsg::AckBatch { entries } => entries.first().map(|&(_, acked_next)| acked_next),
+        _ => None,
+    }
+}
+
+fn non_empty_ack(frame: &Bytes) -> bool {
+    acked_next(frame).is_some()
 }
 
 fn handover(frame: &Bytes) -> bool {
@@ -161,21 +176,22 @@ fn a_lagging_last_rank_promotes_at_its_deadline_regardless() {
 
 #[test]
 fn a_lagging_successor_catches_up_on_an_idle_connection_and_takes_the_handover() {
-    // One client uploads the fleet's 8 KB file and then sits on the open
-    // connection. Rank 1's tap misses five of the six data segments
-    // (≈ 7 KB, several 2 KB request chunks), and the primary's replies
-    // are lost until after the drain has begun: every heartbeat's
-    // frontier asks again, but nothing heals before the drain does.
+    // One client uploads 64 KiB and then sits on the open connection.
+    // Rank 1's tap misses 44 of the 45 data segments (64 076 B, four
+    // 16 KiB request chunks), and the primary's replies are lost until
+    // after the drain has begun: every second heartbeat's frontier entry
+    // asks again, but nothing heals before the drain does.
     let migrate_at = SimTime::ZERO + SimDuration::from_secs(1);
     let mut spec = FleetSpec::new(1)
         .backups(2)
-        .workload(Workload::Upload { file_size: UPLOAD_FILE })
+        .workload(Workload::Upload { file_size: 64 * 1024 })
         .migrate_at(migrate_at, 1)
         .connect_spread(SimDuration::ZERO);
-    spec.st_tcp.missing_req_chunk = 2 * 1024;
+    // Room to retain the whole gap, so the upload does not wait on it.
+    spec.tcp.recv_buf = 44 * 1460;
     let mut fleet = fleet::build(&spec);
     let rank1 = fleet.servers[1];
-    fleet.sim.add_ingress_drop(rank1, DropRule::window(1, 5, client_request));
+    fleet.sim.add_ingress_drop(rank1, DropRule::window(1, 44, client_request));
     let heals_at = migrate_at + SimDuration::from_millis(200);
     fleet.sim.add_ingress_drop(
         rank1,
@@ -250,4 +266,54 @@ fn a_lost_handover_costs_one_detection_window_not_the_service() {
     let old_primary = fleet.sim.node_ref::<ServerNode>(fleet.servers[0]);
     assert!(old_primary.stack().is_suppressed(addrs::VIP), "the retired primary stays fenced");
     assert_eq!(fleet.engine(2).role(), ClusterRole::Backup, "rank 2 stays a backup");
+}
+
+#[test]
+fn a_lost_final_ack_is_re_acked_and_the_drain_completes() {
+    // One echo client on the pair, its connection left open: the backup
+    // acks new bytes of its shadow three times, and the third and last
+    // of those acks is lost on its way into the primary. The primary's
+    // heartbeat owes the backup an entry for those bytes every tick; the
+    // backup holds them, so it asks for nothing and, unless the entry
+    // re-acks them, never acks again.
+    let migrate_at = SimTime::ZERO + SimDuration::from_millis(600);
+    let spec = FleetSpec::new(1)
+        .workload(Workload::Echo { requests: 10 })
+        .migrate_at(migrate_at, 1)
+        .connect_spread(SimDuration::ZERO);
+    let mut fleet = fleet::build(&spec);
+    fleet.sim.add_ingress_drop(fleet.primary, DropRule::window(2, 1, non_empty_ack));
+    let backup = fleet.backup;
+    let acks = Rc::new(RefCell::new(Vec::new()));
+    let sink = Rc::clone(&acks);
+    fleet.sim.set_probe(move |ev| {
+        if ev.from == backup {
+            sink.borrow_mut().extend(acked_next(ev.frame));
+        }
+    });
+
+    let before_due = SimTime::ZERO + SimDuration::from_millis(599);
+    fleet.sim.run_until(before_due);
+    assert!(fleet.all_done(), "the client is done and idle before the drain");
+    let shadow = fleet.sim.node_ref::<ServerNode>(backup);
+    let held = shadow.stack().socks().find_map(|s| shadow.stack().tcb(s)).expect("the shadow");
+    let acks = acks.borrow().clone();
+    assert!(acks.len() >= 3 && acks[1] != acks[2], "{acks:?}");
+    let last = held.rcv_nxt().raw();
+    assert!(
+        acks[2..].iter().all(|&a| a == last),
+        "the lost ack is the last of new bytes: {acks:?}"
+    );
+    assert_eq!(fleet.engine(0).role(), ClusterRole::Primary, "the drain is not due yet");
+
+    let bound = migrate_at + spec.st_tcp.hb_interval * 2;
+    let mut now = before_due;
+    while fleet.engine(0).role() == ClusterRole::Primary && now < bound {
+        now += SimDuration::from_millis(1);
+        fleet.sim.run_until(now);
+    }
+    assert_eq!(fleet.engine(0).role(), ClusterRole::Retired, "no handover by {bound:?}");
+    fleet.sim.run_for(SimDuration::from_millis(10));
+    assert_eq!(fleet.engine(1).role(), ClusterRole::Primary, "the successor took the handover");
+    assert!(fleet.verified_clean());
 }

@@ -41,7 +41,6 @@ fn sample_msgs() -> Vec<SideMsg> {
             seq: 0xFFFF_FFFF,
             data: Bytes::from(vec![0xA5; 1460]),
         },
-        SideMsg::MissingNack { conn: sample_key(), from: 7 },
         SideMsg::AckBatch { entries: vec![(sample_key(), 0x8000_0001), (sample_key(), 3)] },
         SideMsg::Handover { epoch: 0xFFFF_FFFF },
     ]

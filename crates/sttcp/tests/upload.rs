@@ -106,8 +106,7 @@ fn upload_failover_with_tap_loss_and_logger() {
     // the backup's stream from side channel (pre-crash) and logger
     // (post-crash) without duplicating a single byte.
     let crash = SimTime::ZERO + SimDuration::from_millis(700);
-    let mut cfg = st_cfg().with_logger();
-    cfg.missing_req_chunk = 8 * 1024;
+    let cfg = st_cfg().with_logger();
     let spec = ScenarioSpec::new(Workload::upload_mb(1))
         .st_tcp(cfg)
         .faults(FaultSpec::crash_primary_at(crash));

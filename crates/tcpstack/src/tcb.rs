@@ -87,10 +87,6 @@ impl TcpState {
 /// Counters exposed for tests and the benchmark harness.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TcbStats {
-    /// Segments processed by [`Tcb::on_segment`].
-    pub segs_in: u64,
-    /// Segments staged for output.
-    pub segs_out: u64,
     /// Payload bytes accepted in order.
     pub bytes_in: u64,
     /// Payload bytes transmitted (first transmissions only).
@@ -102,8 +98,6 @@ pub struct TcbStats {
     pub promotion_sends: u64,
     /// Fast retransmissions (3 duplicate ACKs).
     pub fast_retransmits: u64,
-    /// RTT samples fed to the estimator.
-    pub rtt_samples: u64,
     /// Shadow mode: client segments at the stream's first byte that
     /// acked less than this shadow's SYN/ACK, so an ISS the primary does
     /// not share (the §4.1 check; never applied).
@@ -508,7 +502,6 @@ impl Tcb {
 
     /// Processes one incoming segment.
     pub fn on_segment(&mut self, now: SimTime, seg: &TcpSegment) {
-        self.stats.segs_in += 1;
         match self.state {
             TcpState::Closed => {}
             TcpState::SynSent => self.on_segment_syn_sent(now, seg),
@@ -836,7 +829,6 @@ impl Tcb {
         if let Some((probe_seq, sent_at)) = self.rtt_probe {
             if ack.ge(probe_seq) {
                 self.rto.on_sample(now.duration_since(sent_at));
-                self.stats.rtt_samples += 1;
                 self.rtt_probe = None;
             }
         }
@@ -1308,7 +1300,6 @@ impl Tcb {
         if let Some(shift) = self.cfg.window_scale {
             options.push(TcpOption::WindowScale(shift.min(14)));
         }
-        self.stats.segs_out += 1;
         out.push(StagedSeg {
             seq: self.iss,
             ack: if with_ack { self.irs.add(1).raw() } else { 0 },
@@ -1325,7 +1316,6 @@ impl Tcb {
     /// `seq` on — none for a pure ACK, FIN, RST or window probe.
     fn stage(&mut self, flags: TcpFlags, seq: SeqNum, len: usize, out: &mut Vec<StagedSeg>) {
         debug_assert!(len <= usize::from(u16::MAX));
-        self.stats.segs_out += 1;
         let acks = self.remote_synced && flags.contains(TcpFlags::ACK);
         out.push(StagedSeg {
             seq,
