@@ -3,7 +3,9 @@
 use crate::api::{Api, Application};
 
 /// Echoes everything it receives. Backpressure-safe: bytes the send
-/// buffer rejects are held and retried on `on_writable`.
+/// buffer rejects are held and retried on `on_writable`, and bytes that
+/// arrive while some are held queue behind them. Only refused bytes are
+/// copied; an echo the send buffer takes whole holds nothing.
 #[derive(Debug, Default, Clone)]
 pub struct EchoServer {
     pending: Vec<u8>,
@@ -29,8 +31,10 @@ impl EchoServer {
 
 impl Application for EchoServer {
     fn on_data(&mut self, data: &[u8], api: &mut dyn Api) {
-        self.pending.extend_from_slice(data);
         self.flush(api);
+        let n = if self.pending.is_empty() { api.write(data) } else { 0 };
+        self.echoed += n as u64;
+        self.pending.extend_from_slice(&data[n..]);
     }
 
     fn on_writable(&mut self, api: &mut dyn Api) {
@@ -63,10 +67,17 @@ mod tests {
         let mut api = MockApi::with_budget(3);
         app.on_data(b"hello", &mut api);
         assert_eq!(api.written, b"hel");
+        // Bytes that arrive while some are held queue behind them, even
+        // when the send buffer has room again.
+        api.budget = 1;
+        app.on_data(b" world", &mut api);
+        assert_eq!(api.written, b"hell");
         api.budget = 100;
         app.on_writable(&mut api);
-        assert_eq!(api.written, b"hello");
-        assert_eq!(app.echoed, 5);
+        assert_eq!(api.written, b"hello world");
+        assert_eq!(app.echoed, 11);
+        app.on_data(b"!", &mut api);
+        assert_eq!(api.written, b"hello world!");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! http", §6): 150-byte request, 10 KB response.
 
 use crate::api::{Api, Application};
-use crate::pattern::fill_pattern;
+use crate::pattern::write_pattern;
 use crate::{INTERACTIVE_REPLY, REQUEST_SIZE};
 use netsim::SimDuration;
 
@@ -12,13 +12,18 @@ use netsim::SimDuration;
 /// The reply to request *k* is the pattern slice
 /// `[k * reply_size, (k+1) * reply_size)`, so two instances fed the same
 /// request stream emit identical bytes — the §3 determinism assumption.
+/// Replies are one pattern stream, generated as the send buffer accepts
+/// them (as [`crate::BulkServer`] streams its file), so a reply the
+/// buffer has not taken yet costs two counters, not a copy.
 #[derive(Debug, Clone)]
 pub struct InteractiveServer {
     request_size: usize,
     reply_size: usize,
     buffered: usize,
-    requests_seen: u64,
-    pending: Vec<u8>,
+    /// Absolute output-stream position already handed to the stack.
+    sent: u64,
+    /// Where the replies generated so far end in the output stream.
+    goal: u64,
     /// Server compute ("think") time per request; replies are generated
     /// this long after the request completes, serialized one at a time —
     /// models the application work the paper's prototype performed.
@@ -47,8 +52,8 @@ impl InteractiveServer {
             request_size,
             reply_size,
             buffered: 0,
-            requests_seen: 0,
-            pending: Vec::new(),
+            sent: 0,
+            goal: 0,
             think: SimDuration::ZERO,
             queued_requests: 0,
             wake_armed: false,
@@ -64,20 +69,12 @@ impl InteractiveServer {
     }
 
     fn generate_reply(&mut self) {
-        let k = self.requests_seen;
-        self.requests_seen += 1;
-        let start = self.pending.len();
-        self.pending.resize(start + self.reply_size, 0);
-        fill_pattern(k * self.reply_size as u64, &mut self.pending[start..]);
+        self.goal += self.reply_size as u64;
         self.replies += 1;
     }
 
     fn flush(&mut self, api: &mut dyn Api) {
-        if self.pending.is_empty() {
-            return;
-        }
-        let n = api.write(&self.pending);
-        self.pending.drain(..n);
+        write_pattern(api, &mut self.sent, self.goal);
     }
 }
 
@@ -175,6 +172,25 @@ mod tests {
         app.on_writable(&mut api);
         assert_eq!(api.written.len(), 100);
         assert_eq!(verify_pattern(0, &api.written), None);
+
+        // With think time, a budget below one reply streams the same
+        // bytes as an unlimited one, only later.
+        let stream = |budget: usize| {
+            let mut app =
+                InteractiveServer::with_sizes(2, 100).with_think_time(SimDuration::from_millis(5));
+            let mut api = MockApi::with_budget(budget);
+            app.on_data(b"xxyyzz", &mut api);
+            for _ in 0..50 {
+                api.budget += budget;
+                app.on_wake(&mut api);
+                app.on_writable(&mut api);
+            }
+            (api.written, app.replies)
+        };
+        let (unlimited, replies) = stream(usize::MAX / 64);
+        assert_eq!((unlimited.len(), replies), (300, 3));
+        assert_eq!(verify_pattern(0, &unlimited), None);
+        assert_eq!(stream(30), (unlimited, 3));
     }
 
     #[test]

@@ -14,7 +14,15 @@
 //!
 //! This type implements both modes: `retention_capacity == 0` is a
 //! standard TCP receive buffer; non-zero enables the second buffer.
+//!
+//! Both buffers are capacities, not allocations: in-order bytes, unread
+//! and retained alike, share one ring that grows with what it holds.
+//! Once the backup has acked and the application has read every byte,
+//! the ring is empty and the stack parks its storage in its one spare
+//! (`RecvBuffer::park`), so the doubled space of §4.2 costs memory only
+//! while it holds bytes, and an idle connection holds no ring at all.
 
+use crate::send_buf::{adopt_ring, park_ring};
 use crate::seq::SeqNum;
 use bytes::Bytes;
 use std::collections::{BTreeMap, VecDeque};
@@ -268,6 +276,20 @@ impl RecvBuffer {
         self.retention_capacity = 0;
         self.backup_acked = self.rcv_nxt;
         self.discard();
+    }
+
+    /// When no byte is held (none unread, none retained), parks the
+    /// ring's storage in `spare` (see [`park_ring`]); out-of-order
+    /// segments are held apart and stay.
+    pub(crate) fn park(&mut self, spare: &mut VecDeque<u8>) {
+        if self.data.is_empty() {
+            park_ring(&mut self.data, spare);
+        }
+    }
+
+    /// Takes `spare`'s storage if the ring has none.
+    pub(crate) fn adopt(&mut self, spare: &mut VecDeque<u8>) {
+        adopt_ring(&mut self.data, spare);
     }
 
     /// Whether retention is active.

@@ -13,10 +13,12 @@ use std::collections::VecDeque;
 ///
 /// A release is *logical*: the bytes of the latest `ack_to` leave every
 /// count at once but stay readable through `slices_range` until the
-/// buffer is next mutated (`write`, the next `ack_to`). A
+/// buffer is next mutated (`write`, the next `ack_to`, or the stack
+/// parking the storage of a drained buffer). A
 /// shadow's poll stages a segment and may release its bytes before the
 /// stack has emitted it (§4.1 auto-trim); the plan reads them here
-/// instead of carrying a copy.
+/// instead of carrying a copy. So the stack parks a drained buffer's
+/// storage only at the end of its socket's visit, after the emit.
 #[derive(Debug, Clone)]
 pub struct SendBuffer {
     base: SeqNum,
@@ -109,6 +111,41 @@ impl SendBuffer {
             self.data.drain(..self.released);
             self.released = 0;
         }
+    }
+
+    /// When nothing is buffered, lets go of the released bytes and
+    /// parks the ring's storage in `spare` (see [`park_ring`]).
+    pub(crate) fn park(&mut self, spare: &mut VecDeque<u8>) {
+        if self.is_empty() {
+            self.released = 0;
+            park_ring(&mut self.data, spare);
+        }
+    }
+
+    /// Takes `spare`'s storage if the ring has none.
+    pub(crate) fn adopt(&mut self, spare: &mut VecDeque<u8>) {
+        adopt_ring(&mut self.data, spare);
+    }
+}
+
+/// Parks the storage of a ring that holds nothing anyone still reads:
+/// `spare` keeps the larger of its own and the ring's, the other is
+/// freed, and the ring is left with none. A stack keeps one spare, so
+/// its drained rings hold at most one ring's storage between them.
+pub(crate) fn park_ring(ring: &mut VecDeque<u8>, spare: &mut VecDeque<u8>) {
+    let mut taken = std::mem::take(ring);
+    if taken.capacity() > spare.capacity() {
+        taken.clear();
+        *spare = taken;
+    }
+}
+
+/// Gives a ring with no storage the spare's, just before it takes a
+/// byte; a one-connection stack hands the same storage back and forth
+/// and never allocates.
+pub(crate) fn adopt_ring(ring: &mut VecDeque<u8>, spare: &mut VecDeque<u8>) {
+    if ring.capacity() == 0 {
+        std::mem::swap(ring, spare);
     }
 }
 

@@ -119,8 +119,13 @@ impl TcbSlab {
     }
 
     /// O(1) insert: pops the free-list head or appends a fresh slot.
+    /// The first slot is reserved alone (`Vec` would reserve four), so
+    /// a one-connection stack, a fleet's client, holds one slot.
     pub(crate) fn insert(&mut self, conn: Conn) -> SockId {
         self.live += 1;
+        if self.slots.is_empty() {
+            self.slots.reserve_exact(1);
+        }
         if self.free_head != FREE_END {
             let idx = self.free_head;
             let slot = &mut self.slots[idx as usize];

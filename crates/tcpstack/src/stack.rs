@@ -158,6 +158,10 @@ pub struct NetStack {
     staged: Vec<StagedSeg>,
     out: VecDeque<Bytes>,
     builder: FrameBuilder,
+    /// Storage a drained socket ring gave up, for the next ring about to
+    /// take a byte: the largest parked since a ring last adopted it.
+    /// An idle connection holds no ring storage; its stack holds one.
+    spare: VecDeque<u8>,
     /// Unresolved next hops, in address order (retries walk it).
     pending_arp: BTreeMap<Ipv4Addr, ArpPending>,
     /// Source IPs whose egress is dropped: none, or a backup's VIP.
@@ -214,6 +218,7 @@ impl NetStack {
             staged: Vec::new(),
             out: VecDeque::new(),
             builder: FrameBuilder::new(),
+            spare: VecDeque::new(),
             pending_arp: BTreeMap::new(),
             ip_ident: 0,
             next_ephemeral: EPHEMERAL_BASE,
@@ -366,6 +371,9 @@ impl NetStack {
     /// [`StackError::BadSocket`] for a dead handle.
     pub fn write(&mut self, sock: SockId, data: &[u8]) -> Result<usize, StackError> {
         let conn = self.tcbs.get_mut(sock).ok_or(StackError::BadSocket)?;
+        if !data.is_empty() && conn.tcb.writable() > 0 {
+            conn.tcb.adopt_send_ring(&mut self.spare);
+        }
         let n = conn.tcb.write(data);
         if n > 0 {
             self.mark_dirty(sock);
@@ -641,6 +649,9 @@ impl NetStack {
         let quad = Quad::new(dst, seg.dst_port, src, seg.src_port);
         if let Some(&sock) = self.by_quad.get(&quad) {
             if let Some(conn) = self.tcbs.get_mut(sock) {
+                if !seg.payload.is_empty() {
+                    conn.tcb.adopt_recv_ring(&mut self.spare);
+                }
                 conn.tcb.on_segment(now, &seg);
                 let state = conn.tcb.state();
                 if state == TcpState::Closed {
@@ -754,6 +765,10 @@ impl NetStack {
             if !staged.is_empty() {
                 self.emit(now, quad, staged.iter().map(|seg| Packet::Tcp(seg, Some(sock))));
                 staged.clear();
+            }
+            // Emitted: nothing reads a drained ring's released bytes now.
+            if let Some(conn) = self.tcbs.get_mut(sock) {
+                conn.tcb.park_rings(&mut self.spare);
             }
             if closed {
                 self.unmap(quad, sock);

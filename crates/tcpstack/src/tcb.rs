@@ -33,6 +33,7 @@ use bytes::Bytes;
 use netsim::{SimDuration, SimTime};
 use obs::{Counter, Gauge, SharedRecorder, TraceEvent};
 use std::borrow::Cow;
+use std::collections::VecDeque;
 use wire::{TcpFlags, TcpOption, TcpSegment};
 
 /// RFC 793 connection states (LISTEN lives in the stack's listener
@@ -469,6 +470,24 @@ impl Tcb {
         let (n, before) = (lent.len(), self.rcv_buf.window());
         self.rcv_buf.restore(lent);
         self.after_read(n, before);
+    }
+
+    /// Parks the storage of each ring that holds no byte in `spare`
+    /// (see [`crate::send_buf::park_ring`]). Only between the stack's
+    /// visits: a staged segment may still read released bytes.
+    pub(crate) fn park_rings(&mut self, spare: &mut VecDeque<u8>) {
+        self.snd_buf.park(spare);
+        self.rcv_buf.park(spare);
+    }
+
+    /// Gives the send ring `spare`'s storage if it has none.
+    pub(crate) fn adopt_send_ring(&mut self, spare: &mut VecDeque<u8>) {
+        self.snd_buf.adopt(spare);
+    }
+
+    /// Gives the receive ring `spare`'s storage if it has none.
+    pub(crate) fn adopt_recv_ring(&mut self, spare: &mut VecDeque<u8>) {
+        self.rcv_buf.adopt(spare);
     }
 
     /// The application read `n` bytes while the window stood at `before`.

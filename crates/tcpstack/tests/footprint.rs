@@ -4,9 +4,10 @@
 //! them exchange ten frames and close: memory per idle stack times ten
 //! thousand is the fleet's peak, and allocations per stack are its
 //! set-up time; on a backup it is per-flow state, which bounds how many
-//! flows it can protect. An idle stack is 3 112 B in 4 allocations: the
-//! struct itself (768 B) and 2 344 B of heap, nearly all of it the
-//! frame builder's first 2 KiB buffer. Its timer queue is an empty
+//! flows it can protect. An idle stack is 3 232 B in 4 allocations: the
+//! struct itself (888 B, 32 B of it the empty spare ring that drained
+//! socket rings park their storage in) and 2 344 B of heap, nearly all
+//! of it the frame builder's first 2 KiB buffer. Its timer queue is an empty
 //! heap and costs nothing until a connection has a deadline. (It was
 //! 106 408 B in 268 allocations with a `Vec` per timer-wheel slot and a
 //! 64 KiB frame buffer, then 7 032 B in 6 with the wheel's slots inline
