@@ -23,8 +23,8 @@ pub struct UploadServer {
     /// value on either the primary or the backup means the byte stream
     /// diverged — duplicated, reordered, or corrupted).
     pub content_errors: u64,
-    confirmation_sent: bool,
-    pending: Vec<u8>,
+    /// Confirmation bytes written so far.
+    confirmed: usize,
 }
 
 impl UploadServer {
@@ -35,13 +35,7 @@ impl UploadServer {
     /// Panics if `expected` is zero.
     pub fn new(expected: u64) -> Self {
         assert!(expected > 0, "upload size must be positive");
-        UploadServer {
-            expected,
-            received: 0,
-            content_errors: 0,
-            confirmation_sent: false,
-            pending: Vec::new(),
-        }
+        UploadServer { expected, received: 0, content_errors: 0, confirmed: 0 }
     }
 
     /// Bytes received so far.
@@ -57,12 +51,12 @@ impl UploadServer {
         request_bytes(Self::CONFIRMATION)
     }
 
+    /// Writes what the send buffer takes of the confirmation still owed:
+    /// none before the whole upload has arrived.
     fn flush(&mut self, api: &mut dyn Api) {
-        if self.pending.is_empty() {
-            return;
+        if self.received >= self.expected && self.confirmed < REQUEST_SIZE {
+            self.confirmed += api.write(&Self::confirmation()[self.confirmed..]);
         }
-        let n = api.write(&self.pending);
-        self.pending.drain(..n);
     }
 }
 
@@ -72,10 +66,6 @@ impl Application for UploadServer {
         let in_file = (self.expected.saturating_sub(self.received)).min(data.len() as u64);
         self.content_errors += pattern_mismatches(self.received, &data[..in_file as usize]).0;
         self.received += data.len() as u64;
-        if self.received >= self.expected && !self.confirmation_sent {
-            self.confirmation_sent = true;
-            self.pending = Self::confirmation().to_vec();
-        }
         self.flush(api);
     }
 
@@ -131,6 +121,26 @@ mod tests {
         api.budget = 1000;
         app.on_writable(&mut api);
         assert_eq!(api.written, UploadServer::confirmation());
+    }
+
+    #[test]
+    fn a_budget_below_the_confirmation_writes_what_an_unlimited_one_does() {
+        let stream = |budget: usize| {
+            let mut app = UploadServer::new(10);
+            let mut api = MockApi::with_budget(budget);
+            let mut data = vec![0u8; 10];
+            fill_pattern(0, &mut data);
+            app.on_data(&data, &mut api);
+            for _ in 0..10 {
+                api.budget += budget;
+                app.on_writable(&mut api);
+            }
+            app.on_peer_closed(&mut api);
+            api.written
+        };
+        let unlimited = stream(usize::MAX / 64);
+        assert_eq!(unlimited, UploadServer::confirmation());
+        assert_eq!(stream(30), unlimited);
     }
 
     #[test]

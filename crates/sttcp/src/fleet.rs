@@ -56,13 +56,12 @@
 //! `peak_alloc_mb` on `fleet_churn` / `fleet_failover`) measures that
 //! many idle established connections on three nodes, not churn. An
 //! idle connection holds no socket ring (a drained ring's storage goes
-//! to its stack's one spare), so at 10 000 clients (seed 1) the
-//! 114 MB live at the end is, roughly: 29.3 MB of client frame
-//! builders; 21.2 MB of the two servers' 16 384-slot slabs, 8.3 MB of
-//! it empty slots; 14.7 MB of other server and simulator tables;
-//! 18.3 MB of client stacks' spares, 11.8 MB of it the upload clients'
-//! 8 KiB send rings; 10.0 MB of boxed client stacks; 6.5 MB of
-//! one-slot client slabs; 14.2 MB of blocks under 300 B.
+//! to its thread's one spare) and a client stack no frame buffer (its
+//! frames are carved from its thread's one arena), so at 10 000 clients
+//! (seed 1) the 65 MB live at the end is, roughly: 21.2 MB of the two
+//! servers' 16 384-slot slabs, 8.3 MB of it empty slots; 14.7 MB of
+//! other server and simulator tables; 9.1 MB of boxed client stacks;
+//! 6.5 MB of one-slot client slabs; 13.5 MB of blocks under 300 B.
 //! [`FleetSpec::closing`] closes.
 //!
 //! # Determinism

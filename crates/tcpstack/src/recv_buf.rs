@@ -18,8 +18,8 @@
 //! Both buffers are capacities, not allocations: in-order bytes, unread
 //! and retained alike, share one ring that grows with what it holds.
 //! Once the backup has acked and the application has read every byte,
-//! the ring is empty and the stack parks its storage in its one spare
-//! (`RecvBuffer::park`), so the doubled space of §4.2 costs memory only
+//! the ring is empty and the stack parks its storage in its thread's
+//! one spare (`RecvBuffer::park`), so the doubled space of §4.2 costs memory only
 //! while it holds bytes, and an idle connection holds no ring at all.
 
 use crate::send_buf::{adopt_ring, park_ring};

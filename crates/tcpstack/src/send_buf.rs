@@ -130,8 +130,9 @@ impl SendBuffer {
 
 /// Parks the storage of a ring that holds nothing anyone still reads:
 /// `spare` keeps the larger of its own and the ring's, the other is
-/// freed, and the ring is left with none. A stack keeps one spare, so
-/// its drained rings hold at most one ring's storage between them.
+/// freed, and the ring is left with none. A thread keeps one spare, so
+/// the drained rings of all its stacks hold at most one ring's storage
+/// between them.
 pub(crate) fn park_ring(ring: &mut VecDeque<u8>, spare: &mut VecDeque<u8>) {
     let mut taken = std::mem::take(ring);
     if taken.capacity() > spare.capacity() {

@@ -8,8 +8,11 @@
 //! There is one way out: every IP packet — a connection's staged
 //! segment, a RST for an unknown quad, a datagram — leaves through
 //! `NetStack::emit`, which decides suppression, next hop, ARP and the IP
-//! ident once and composes the frame with the one [`FrameBuilder`]
-//! (DESIGN.md §8, "The egress contract").
+//! ident once and composes the frame in the thread's one frame arena, a
+//! [`FrameBuilder`] every stack on the thread shares (DESIGN.md §8, "The
+//! egress contract"). A drained socket ring parks its storage in the
+//! thread's one spare ring, which the next ring to take a byte adopts;
+//! [`spare_capacity`] says how large it is.
 //!
 //! ST-TCP specifics handled at this layer:
 //!
@@ -35,6 +38,7 @@ use crate::udp_socket::{UdpRecv, UdpSocket};
 use bytes::Bytes;
 use netsim::{DetHashMap, SimDuration, SimTime, SplitMix64, TimeQueue};
 use obs::{Counter, Mark, SharedRecorder, TraceEvent};
+use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -104,6 +108,23 @@ const ARP_RETRY: SimDuration = SimDuration::from_secs(1);
 const ARP_MAX_TRIES: u32 = 3;
 const EPHEMERAL_BASE: u16 = 40000;
 
+thread_local! {
+    /// The frame arena every stack on this thread composes its frames
+    /// in: it holds about the bytes in flight, however many stacks send.
+    static ARENA: RefCell<FrameBuilder> = RefCell::new(FrameBuilder::new());
+    /// Storage a drained socket ring gave up, for the next ring on this
+    /// thread about to take a byte: the largest parked since a ring last
+    /// adopted it. An idle connection holds no ring storage, and the
+    /// thread holds one ring's for all its stacks.
+    static SPARE: RefCell<VecDeque<u8>> = const { RefCell::new(VecDeque::new()) };
+}
+
+/// The capacity of this thread's spare ring: what the drained socket
+/// rings of every stack on the thread hold between them.
+pub fn spare_capacity() -> usize {
+    SPARE.with_borrow(VecDeque::capacity)
+}
+
 struct ArpPending {
     last_request: SimTime,
     tries: u32,
@@ -157,11 +178,6 @@ pub struct NetStack {
     /// emitted and cleared before the next is polled (capacity reused).
     staged: Vec<StagedSeg>,
     out: VecDeque<Bytes>,
-    builder: FrameBuilder,
-    /// Storage a drained socket ring gave up, for the next ring about to
-    /// take a byte: the largest parked since a ring last adopted it.
-    /// An idle connection holds no ring storage; its stack holds one.
-    spare: VecDeque<u8>,
     /// Unresolved next hops, in address order (retries walk it).
     pending_arp: BTreeMap<Ipv4Addr, ArpPending>,
     /// Source IPs whose egress is dropped: none, or a backup's VIP.
@@ -217,8 +233,6 @@ impl NetStack {
             activity_tracking: false,
             staged: Vec::new(),
             out: VecDeque::new(),
-            builder: FrameBuilder::new(),
-            spare: VecDeque::new(),
             pending_arp: BTreeMap::new(),
             ip_ident: 0,
             next_ephemeral: EPHEMERAL_BASE,
@@ -372,7 +386,7 @@ impl NetStack {
     pub fn write(&mut self, sock: SockId, data: &[u8]) -> Result<usize, StackError> {
         let conn = self.tcbs.get_mut(sock).ok_or(StackError::BadSocket)?;
         if !data.is_empty() && conn.tcb.writable() > 0 {
-            conn.tcb.adopt_send_ring(&mut self.spare);
+            SPARE.with_borrow_mut(|spare| conn.tcb.adopt_send_ring(spare));
         }
         let n = conn.tcb.write(data);
         if n > 0 {
@@ -650,7 +664,7 @@ impl NetStack {
         if let Some(&sock) = self.by_quad.get(&quad) {
             if let Some(conn) = self.tcbs.get_mut(sock) {
                 if !seg.payload.is_empty() {
-                    conn.tcb.adopt_recv_ring(&mut self.spare);
+                    SPARE.with_borrow_mut(|spare| conn.tcb.adopt_recv_ring(spare));
                 }
                 conn.tcb.on_segment(now, &seg);
                 let state = conn.tcb.state();
@@ -726,8 +740,8 @@ impl NetStack {
     /// The allocation-lean form of [`NetStack::poll`]: callers keep and
     /// reuse `frames`, every connection stages into the stack's one
     /// queue, and data payloads flow from the send-buffer ring straight
-    /// into the frame builder — one memcpy, zero allocations per frame at
-    /// steady state.
+    /// into the thread's frame arena — one memcpy, zero allocations per
+    /// frame at steady state.
     ///
     /// O(active): only sockets touched since the last poll (ingress, API
     /// calls, `tcb_mut`) or with a deadline that has come due are
@@ -739,7 +753,6 @@ impl NetStack {
     /// [`NetStack::next_deadline`] that the wake was for nothing.
     pub fn poll_into(&mut self, now: SimTime, frames: &mut Vec<Bytes>) -> usize {
         self.retry_arp(now);
-        self.builder.recycle();
         // Sockets whose deadline came due join the pass. (A deadline the
         // last frame moved later is not re-filed until the visit below,
         // so its old entry may pop here: the socket is dirty anyway.)
@@ -768,7 +781,7 @@ impl NetStack {
             }
             // Emitted: nothing reads a drained ring's released bytes now.
             if let Some(conn) = self.tcbs.get_mut(sock) {
-                conn.tcb.park_rings(&mut self.spare);
+                SPARE.with_borrow_mut(|spare| conn.tcb.park_rings(spare));
             }
             if closed {
                 self.unmap(quad, sock);
@@ -835,10 +848,6 @@ impl NetStack {
         } else {
             self.next_hop(quad.remote_ip).map(|hop| (hop, self.arp.lookup(hop)))
         };
-        // A frame that must wait for ARP is composed all the same, to be
-        // parked — with a builder of its own, because the stack's sizes
-        // its buffers by the burst and a parked frame leaves with none.
-        let mut aside = FrameBuilder::with_capacity(0);
         for packet in packets {
             // The ident rule: a RST or datagram takes its ident before
             // anything can drop it; a connection's segment only once it
@@ -874,7 +883,6 @@ impl NetStack {
             };
             let ident = early_ident.unwrap_or_else(|| self.next_ident());
             let (eth_dst, eth_src) = (mac.unwrap_or(MacAddr::BROADCAST), self.cfg.mac);
-            let builder = if mac.is_some() { &mut self.builder } else { &mut aside };
             let frame = match packet {
                 Packet::Tcp(seg, conn) => {
                     let hdr = TcpFrameHeader {
@@ -896,19 +904,21 @@ impl NetStack {
                         Some(conn) => conn.tcb.payload_slices(seg),
                         None => (&[][..], &[][..]),
                     };
-                    builder.tcp_frame(&hdr, payload)
+                    ARENA.with_borrow_mut(|arena| arena.tcp_frame(&hdr, payload))
                 }
-                Packet::Udp(payload) => builder.udp_frame(
-                    eth_dst,
-                    eth_src,
-                    quad.local_ip,
-                    quad.remote_ip,
-                    ident,
-                    64,
-                    quad.local_port,
-                    quad.remote_port,
-                    payload,
-                ),
+                Packet::Udp(payload) => ARENA.with_borrow_mut(|arena| {
+                    arena.udp_frame(
+                        eth_dst,
+                        eth_src,
+                        quad.local_ip,
+                        quad.remote_ip,
+                        ident,
+                        64,
+                        quad.local_port,
+                        quad.remote_port,
+                        payload,
+                    )
+                }),
             };
             if mac.is_some() {
                 self.out.push_back(frame);
@@ -916,7 +926,7 @@ impl NetStack {
             }
             // Park the frame until `next_hop` resolves (at most 64 per
             // hop), asking for it if nobody has yet. A copy, for the
-            // reply to patch.
+            // reply to patch; the arena's bytes are free again at once.
             let entry = self.pending_arp.entry(next_hop).or_insert(ArpPending {
                 last_request: now,
                 tries: 0,

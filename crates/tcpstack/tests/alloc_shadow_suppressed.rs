@@ -125,7 +125,7 @@ fn a_suppressed_shadow_allocates_nothing_per_segment() {
     let mut read_buf = [0u8; 4096];
 
     // Warm-up: congestion windows saturated, every ring and the one
-    // transmit queue at high water, the builders at their burst size.
+    // transmit queue at high water, the frame arena's chunks in hand.
     for _ in 0..500 {
         hub.round(socks, &chunk, &mut read_buf);
     }

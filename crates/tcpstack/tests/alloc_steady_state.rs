@@ -1,8 +1,8 @@
 //! Counting-allocator proof of the zero-allocation data hot path.
 //!
 //! Two stacks exchange a bulk stream in-process, frames handed over
-//! and dropped each round so the `FrameBuilder` can reclaim its burst
-//! buffer in place. After warm-up (buffers at high water, congestion
+//! and dropped each round so the thread's frame arena can reclaim its
+//! chunks in place. After warm-up (buffers at high water, congestion
 //! window saturated, ARP resolved) a steady-state data segment must
 //! cost ZERO heap allocations end to end: stage → build frame → parse
 //! → reassemble → read. The test wraps the global allocator in a
@@ -117,7 +117,7 @@ fn steady_state_data_path_allocates_nothing() {
     let server_sock = server_sock.expect("handshake must complete");
 
     // Warm-up: saturate the congestion window, grow every ring to its
-    // high-water mark, let the builder learn its burst size.
+    // high-water mark, put the frame arena's chunks in hand.
     for _ in 0..500 {
         round(
             now,

@@ -4,14 +4,16 @@
 //! them exchange ten frames and close: memory per idle stack times ten
 //! thousand is the fleet's peak, and allocations per stack are its
 //! set-up time; on a backup it is per-flow state, which bounds how many
-//! flows it can protect. An idle stack is 3 232 B in 4 allocations: the
-//! struct itself (888 B, 32 B of it the empty spare ring that drained
-//! socket rings park their storage in) and 2 344 B of heap, nearly all
-//! of it the frame builder's first 2 KiB buffer. Its timer queue is an empty
-//! heap and costs nothing until a connection has a deadline. (It was
-//! 106 408 B in 268 allocations with a `Vec` per timer-wheel slot and a
-//! 64 KiB frame buffer, then 7 032 B in 6 with the wheel's slots inline
-//! over one arena.) This test holds it there.
+//! flows it can protect. An idle stack is 1 072 B in 2 allocations: the
+//! struct itself (800 B) and 272 B of heap. It owns no frame buffer and
+//! no spare ring: frames are composed in its thread's one frame arena,
+//! and drained socket rings park their storage in its thread's one
+//! spare. Its timer queue is an empty heap and costs nothing until a
+//! connection has a deadline. (It was 106 408 B in 268 allocations with
+//! a `Vec` per timer-wheel slot and a 64 KiB frame buffer, 7 032 B in 6
+//! with the wheel's slots inline over one arena, then 3 232 B in 4 with
+//! a 2 KiB frame buffer and a spare ring of its own.) This test holds
+//! it there.
 //!
 //! This file holds exactly one test: the counter is process-global,
 //! and a concurrently running neighbour test would pollute it.
@@ -62,7 +64,7 @@ fn an_idle_stack_is_cheap() {
         "NetStack::new: {allocs} allocations, {heap} B heap + {} B inline",
         total - heap as usize
     );
-    assert!(allocs <= 5, "NetStack::new made {allocs} allocations");
-    assert!(total <= 3 * 1024 + 512, "an idle NetStack holds {total} B");
+    assert!(allocs <= 2, "NetStack::new made {allocs} allocations");
+    assert!(total <= 1024 + 128, "an idle NetStack holds {total} B");
     drop(stack);
 }

@@ -1,18 +1,17 @@
-//! Single-pass frame composition: Ethernet + IPv4 + TCP/UDP in one
-//! reusable buffer.
+//! Single-pass frame composition: Ethernet + IPv4 + TCP/UDP carved
+//! from a chunked frame arena.
 //!
 //! The layered `encode()` chain (`TcpSegment::encode` →
 //! `Ipv4Packet::encode` → `EthernetFrame::encode`) allocates three
 //! buffers and copies the payload three times per frame. The
 //! [`FrameBuilder`] composes the fixed Ethernet+IPv4+L4 header as one
 //! block of plain stores on the stack (IPv4 checksum included), copies
-//! it, the options and the payload once into one [`BytesMut`], patches
-//! the transport checksum in place, and hands
-//! the finished frame out as a refcounted [`Bytes`] view — at most one
-//! payload memcpy, and zero heap allocations once the buffer has grown
-//! to the working-set size (frames of one burst pack back-to-back into
-//! the same allocation, which is reclaimed whole after the in-flight
-//! views drop).
+//! it, the options and the payload once into the tail of a fixed-size
+//! chunk, patches the transport checksum in place, and hands the
+//! finished frame out as a refcounted [`Bytes`] view of the chunk — at
+//! most one payload memcpy, and zero heap allocations once the chunks
+//! the frames in flight pin are in hand: a chunk is reused in place once
+//! its last frame has dropped, as Linux reuses a `page_frag` page.
 //!
 //! Bit-identity with the layered chain is a hard invariant (the
 //! simulator's determinism tests compare full frame traces); the TCP
@@ -26,6 +25,7 @@ use crate::ipv4::IpProtocol;
 use crate::tcp::{options_wire_len, write_options, TcpFlags, TcpOption};
 use crate::{ethernet, ipv4, tcp, udp};
 use bytes::{BufMut, Bytes, BytesMut};
+use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 
 /// Offset of the IPv4 header within a frame.
@@ -67,21 +67,22 @@ pub struct TcpFrameHeader<'a> {
     pub options: &'a [TcpOption],
 }
 
-/// A reusable single-pass frame composer.
+/// A chunked frame arena: every frame is carved from the tail of the
+/// current fixed-size chunk and split off as a [`Bytes`] view of it.
 ///
-/// One builder per stack; frames of a burst are packed back-to-back in
-/// the shared buffer and split off as [`Bytes`] views. Call
-/// [`FrameBuilder::recycle`] once per poll so the buffer is reclaimed
-/// in place as soon as every in-flight view has been dropped.
+/// A full chunk is retired to a short FIFO while frames split from it
+/// are in flight. The next chunk is the oldest retired one if every
+/// frame of it has dropped, reclaimed in place; otherwise it is a fresh
+/// one, and a retired chunk pushed out of the FIFO is freed by its last
+/// frame. So the arena holds about the bytes in flight, whatever number
+/// of senders share it: `tcpstack` keeps one per thread for every stack
+/// on that thread.
 #[derive(Debug)]
 pub struct FrameBuilder {
+    /// A writer over the current chunk's unused tail.
     buf: BytesMut,
-    /// Size of the next buffer while the builder is still growing (see
-    /// [`FrameBuilder::make_room`]).
-    next_capacity: usize,
-    /// Largest burst (bytes between recycles) seen so far.
-    high_water: usize,
-    burst_bytes: usize,
+    /// Full chunks, oldest first.
+    retired: VecDeque<BytesMut>,
 }
 
 impl Default for FrameBuilder {
@@ -91,53 +92,40 @@ impl Default for FrameBuilder {
 }
 
 impl FrameBuilder {
-    /// Default initial buffer capacity: room for a connection's worth of
-    /// handshake, request and ACK frames, which is all most stacks of a
-    /// large fleet ever send.
-    const DEFAULT_CAPACITY: usize = 2 * 1024;
-    /// Where doubling stops: a bulk sender's buffer, reached within its
-    /// first few bursts (≈ 43 full-size frames between reclaims).
-    const MAX_CAPACITY: usize = 64 * 1024;
+    /// Bytes per chunk: ten full-size frames. A larger frame (a side
+    /// channel datagram can carry 16 KiB) gets a chunk of its own size.
+    const CHUNK: usize = 16 * 1024;
+    /// Full chunks kept for reuse. A bulk sender's frames in flight on a
+    /// LAN fit in them, so its chunks cycle without an allocation.
+    const RETIRED: usize = 4;
 
-    /// Creates a builder with the default capacity.
+    /// Creates an arena with its first chunk.
     pub fn new() -> FrameBuilder {
-        FrameBuilder::with_capacity(Self::DEFAULT_CAPACITY)
+        FrameBuilder { buf: BytesMut::with_capacity(Self::CHUNK), retired: VecDeque::new() }
     }
 
-    /// Creates a builder with a specific initial capacity.
-    pub fn with_capacity(cap: usize) -> FrameBuilder {
-        FrameBuilder {
-            buf: BytesMut::with_capacity(cap),
-            next_capacity: cap,
-            high_water: 0,
-            burst_bytes: 0,
-        }
-    }
+    /// Marks a burst boundary. The arena needs none: a chunk is reused
+    /// as soon as its last frame drops. Kept for callers that mark one.
+    pub fn recycle(&mut self) {}
 
-    /// Marks a burst boundary (call once per poll).
-    ///
-    /// Reclaims the buffer in place when every frame split from it has
-    /// been dropped and the remaining tail capacity has shrunk below the
-    /// burst high-water mark; otherwise it is free.
-    pub fn recycle(&mut self) {
-        self.high_water = self.high_water.max(self.burst_bytes);
-        self.burst_bytes = 0;
-        self.make_room(self.high_water);
-    }
-
-    /// Ensures `need` contiguous bytes. A miss while frames split from
-    /// the buffer are still in flight pins it, so it is replaced: by one
-    /// twice the size while the builder is growing into its working set
-    /// (a bulk sender reaches [`Self::MAX_CAPACITY`] within its first
-    /// few bursts; an idle stack never pays for it), and from then on by
-    /// one sized to the burst, as [`BytesMut::reserve`] does.
+    /// Ensures `need` contiguous bytes at the current chunk's tail: in
+    /// place when the chunk has them or every frame of it has dropped;
+    /// otherwise the chunk is retired and the oldest retired chunk whose
+    /// frames have all dropped, or a fresh chunk, takes over.
     fn make_room(&mut self, need: usize) {
         debug_assert!(self.buf.is_empty(), "frame left unfinished in builder");
-        if self.next_capacity >= Self::MAX_CAPACITY {
-            self.buf.reserve(need);
-        } else if !self.buf.try_reclaim(need) {
-            self.next_capacity = (2 * self.next_capacity).min(Self::MAX_CAPACITY);
-            self.buf = BytesMut::with_capacity(need.max(self.next_capacity));
+        if self.buf.try_reclaim(need) {
+            return;
+        }
+        self.retired.push_back(std::mem::take(&mut self.buf));
+        let oldest = self.retired.front_mut().expect("a chunk was just retired");
+        if oldest.try_reclaim(need) {
+            self.buf = self.retired.pop_front().expect("the oldest chunk");
+        } else {
+            if self.retired.len() > Self::RETIRED {
+                self.retired.pop_front();
+            }
+            self.buf = BytesMut::with_capacity(need.max(Self::CHUNK));
         }
     }
 
@@ -237,7 +225,7 @@ impl FrameBuilder {
         self.finish(frame_len)
     }
 
-    /// Readies the buffer for one frame of `frame_len` bytes.
+    /// Readies the current chunk for one frame of `frame_len` bytes.
     fn begin(&mut self, frame_len: usize) -> &mut BytesMut {
         self.make_room(frame_len);
         &mut self.buf
@@ -246,7 +234,6 @@ impl FrameBuilder {
     /// Splits the finished frame off as an immutable view.
     fn finish(&mut self, frame_len: usize) -> Bytes {
         debug_assert_eq!(self.buf.len(), frame_len);
-        self.burst_bytes += frame_len;
         self.buf.split().freeze()
     }
 }
@@ -375,31 +362,89 @@ mod tests {
         }
     }
 
+    /// A 1 000-byte data segment and the length of its frame.
+    fn data_segment(fill: u8) -> (TcpSegment, usize) {
+        let mut s = TcpSegment::bare(80, 40000, 1, 2, TcpFlags::ACK | TcpFlags::PSH, 4096);
+        s.payload = Bytes::from(vec![fill; 1000]);
+        (s, ethernet::HEADER_LEN + ipv4::HEADER_LEN + tcp::HEADER_LEN + 1000)
+    }
+
+    fn compose(b: &mut FrameBuilder, seg: &TcpSegment) -> Bytes {
+        b.tcp_frame(&header_for(seg, 1, 64), (&seg.payload, &[]))
+    }
+
+    fn addr(frame: &Bytes) -> usize {
+        frame.as_ptr() as usize
+    }
+
     #[test]
     fn burst_reuses_one_allocation() {
-        // Room for exactly one two-frame burst, so the recycle after the
-        // burst must take the in-place reclamation path.
-        let frame_len = ethernet::HEADER_LEN + ipv4::HEADER_LEN + tcp::HEADER_LEN + 1000;
-        let mut b = FrameBuilder::with_capacity(2 * frame_len + 64);
-        let seg = {
-            let mut s = TcpSegment::bare(80, 40000, 1, 2, TcpFlags::ACK | TcpFlags::PSH, 4096);
-            s.payload = Bytes::from(vec![0x42u8; 1000]);
-            s
-        };
-        // Whole burst lands in one buffer: frame starts are spaced by
-        // frame length within the same allocation.
-        let f1 = b.tcp_frame(&header_for(&seg, 1, 64), (&seg.payload, &[]));
-        let f2 = b.tcp_frame(&header_for(&seg, 2, 64), (&seg.payload, &[]));
-        assert_eq!(f1.len(), frame_len);
-        let base = f1.as_ref().as_ptr() as usize;
-        assert_eq!(f2.as_ref().as_ptr() as usize, base + frame_len);
-        // After the views drop, recycle reclaims the same region instead
-        // of allocating a fresh buffer.
-        drop(f1);
-        drop(f2);
-        b.recycle();
-        let f3 = b.tcp_frame(&header_for(&seg, 3, 64), (&seg.payload, &[]));
-        assert_eq!(f3.as_ref().as_ptr() as usize, base);
+        // Frames pack back-to-back into one chunk; once every frame of
+        // the full chunk has dropped, the next chunk is that same
+        // allocation, reclaimed from its start.
+        let (seg, frame_len) = data_segment(0x42);
+        let per_chunk = FrameBuilder::CHUNK / frame_len;
+        let mut b = FrameBuilder::new();
+        let burst: Vec<Bytes> = (0..per_chunk).map(|_| compose(&mut b, &seg)).collect();
+        let base = addr(&burst[0]);
+        for (k, f) in burst.iter().enumerate() {
+            assert_eq!(addr(f), base + k * frame_len, "frame {k} is not packed in the chunk");
+        }
+        drop(burst);
+        assert_eq!(addr(&compose(&mut b, &seg)), base);
+    }
+
+    #[test]
+    fn a_retired_chunk_is_reused_only_after_its_last_frame_drops() {
+        let (seg, frame_len) = data_segment(0x17);
+        let per_chunk = FrameBuilder::CHUNK / frame_len;
+        let mut b = FrameBuilder::new();
+        // Chunk A, every frame held.
+        let a: Vec<Bytes> = (0..per_chunk).map(|_| compose(&mut b, &seg)).collect();
+        let a_base = addr(&a[0]);
+        let in_a = |f: &Bytes| (a_base..a_base + FrameBuilder::CHUNK).contains(&addr(f));
+        // Chunk B, pinned by its first frame alone.
+        let b0 = compose(&mut b, &seg);
+        assert!(!in_a(&b0), "a full chunk with frames in flight is not written over");
+        (1..per_chunk).for_each(|_| drop(compose(&mut b, &seg)));
+        // B is full and pinned; A, the oldest retired, still is too.
+        let c0 = compose(&mut b, &seg);
+        assert!(!in_a(&c0), "a retired chunk is not reused while one of its frames lives");
+        drop(a);
+        (1..per_chunk).for_each(|_| drop(compose(&mut b, &seg)));
+        // C is full and pinned; A's last frame has dropped: A comes back.
+        assert_eq!(addr(&compose(&mut b, &seg)), a_base, "the freed oldest chunk is reused");
+        drop((b0, c0));
+    }
+
+    #[test]
+    fn a_held_frame_stays_unchanged_past_the_retired_fifo() {
+        // One frame held in each of twice the FIFO's length of chunks:
+        // the older chunks leave the arena, their frames keep them.
+        let mut b = FrameBuilder::new();
+        let mut held: Vec<(Bytes, Bytes)> = Vec::new();
+        for k in 0..2 * (FrameBuilder::RETIRED + 1) {
+            let (seg, frame_len) = data_segment(k as u8);
+            let first = compose(&mut b, &seg);
+            held.push((first.clone(), layered_tcp(&seg, 1, 64)));
+            (1..FrameBuilder::CHUNK / frame_len).for_each(|_| drop(compose(&mut b, &seg)));
+        }
+        let mut chunks: Vec<usize> = held.iter().map(|(f, _)| addr(f)).collect();
+        chunks.dedup();
+        assert_eq!(chunks.len(), held.len(), "each held frame pins a chunk of its own");
+        for (k, (frame, expected)) in held.iter().enumerate() {
+            assert_eq!(frame, expected, "held frame {k} changed under later frames");
+        }
+    }
+
+    #[test]
+    fn a_frame_outlives_the_thread_that_composed_it() {
+        let (seg, _) = data_segment(0x5A);
+        let composed = seg.clone();
+        let frame = std::thread::spawn(move || compose(&mut FrameBuilder::new(), &composed))
+            .join()
+            .expect("composing thread");
+        assert_eq!(frame, layered_tcp(&seg, 1, 64), "the frame outlived its arena intact");
     }
 
     #[test]
