@@ -84,7 +84,7 @@ impl Api for StackApi<'_> {
     }
 
     fn writable(&self) -> usize {
-        self.stack.tcb(self.sock).map(|t| t.writable()).unwrap_or(0)
+        self.stack.writable(self.sock)
     }
 
     fn close(&mut self) {

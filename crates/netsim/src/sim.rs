@@ -145,6 +145,15 @@ impl Simulator {
         &self.recorder
     }
 
+    /// Makes room for `nodes` more nodes and `links` more links. A
+    /// builder that knows its topology's size calls this first, so each
+    /// table is allocated once instead of doubling, which leaves up to
+    /// half its slots empty and holds the old copy while it grows.
+    pub fn reserve(&mut self, nodes: usize, links: usize) {
+        self.nodes.reserve_exact(nodes);
+        self.links.reserve_exact(links);
+    }
+
     /// Adds a node and returns its id. `on_start` fires when the
     /// simulation first runs.
     pub fn add_node(&mut self, name: impl Into<String>, node: impl Node) -> NodeId {

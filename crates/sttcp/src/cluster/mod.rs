@@ -855,8 +855,7 @@ impl ClusterEngine {
             return;
         }
         if let Some(sock) = stack.sock_by_quad(conn.server_quad()) {
-            if let Some(tcb) = stack.tcb_mut(sock) {
-                tcb.inject_rx(now, seq, data);
+            if stack.inject_rx(now, sock, seq, data) {
                 self.stats.missing_bytes_recovered += data.len() as u64;
             }
         }

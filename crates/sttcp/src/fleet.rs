@@ -430,6 +430,11 @@ pub fn build(spec: &FleetSpec) -> Fleet {
     let n = spec.clients;
     let servers_total = 1 + spec.backups;
     let mut sim = Simulator::with_seed(spec.seed);
+    // Servers, clients and their links, the switch, and the logger's
+    // node and second link and the power switch with its link, if any.
+    let extras =
+        usize::from(spec.st_tcp.use_logger) + usize::from(spec.st_tcp.fencing != Fencing::None);
+    sim.reserve(servers_total + n + 1 + extras, servers_total + n + extras);
     let recording = Recording::new(&mut sim, spec.record_obs, spec.trace_capacity);
     let topology = spec.topology();
 

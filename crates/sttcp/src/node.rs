@@ -98,7 +98,7 @@ impl ConnState {
         let _ = stack.read_in_place(sock, |stack, data| {
             self.call(stack, sock, token, ctx, |app, api| app.on_data(data, api));
         });
-        if stack.tcb(sock).is_some_and(|t| t.writable() > 0) {
+        if stack.writable(sock) > 0 {
             self.call(stack, sock, token, ctx, |app, api| app.on_writable(api));
         }
         if !self.peer_closed && stack.tcb(sock).is_some_and(|t| t.peer_closed()) {

@@ -157,6 +157,6 @@ fn a_promoted_shadow_speaking_first_is_a_promotion_send_not_a_timeout() {
     let stats: Vec<_> =
         backup.stack().socks().filter_map(|s| backup.stack().tcb(s)).map(|t| t.stats).collect();
     assert_eq!(stats.len(), clients);
-    assert_eq!(stats.iter().map(|s| s.promotion_sends).sum::<u64>(), clients as u64);
-    assert_eq!(stats.iter().map(|s| s.rto_retransmits).sum::<u64>(), 0);
+    assert_eq!(stats.iter().map(|s| u64::from(s.promotion_sends)).sum::<u64>(), clients as u64);
+    assert_eq!(stats.iter().map(|s| u64::from(s.rto_retransmits)).sum::<u64>(), 0);
 }

@@ -20,7 +20,7 @@
 //! model; an RTO resets cwnd conservatively while keeping the bandwidth
 //! estimate, so recovery is quick.
 
-use super::{CongSnapshot, CongestionAlgo, CongestionController};
+use super::{CcPhase, CongSnapshot, CongestionAlgo, CongestionController};
 use netsim::{SimDuration, SimTime};
 
 /// Startup/Drain pacing gain: 2/ln(2), the fastest gain that still
@@ -308,12 +308,12 @@ impl CongestionController for Bbr {
         self.timeout_retransmits
     }
 
-    fn phase(&self) -> &'static str {
+    fn phase(&self) -> CcPhase {
         match self.mode {
-            Mode::Startup => "startup",
-            Mode::Drain => "drain",
-            Mode::ProbeBw => "probe_bw",
-            Mode::ProbeRtt => "probe_rtt",
+            Mode::Startup => CcPhase::Startup,
+            Mode::Drain => CcPhase::Drain,
+            Mode::ProbeBw => CcPhase::ProbeBw,
+            Mode::ProbeRtt => CcPhase::ProbeRtt,
         }
     }
 
@@ -358,26 +358,26 @@ mod tests {
     #[test]
     fn startup_grows_exponentially_then_drains() {
         let mut b = Bbr::new(MSS);
-        assert_eq!(b.phase(), "startup");
+        assert_eq!(b.phase(), CcPhase::Startup);
         // Rising delivery rate: stay in startup.
         let rtt = SimDuration::from_millis(40);
         let mut acked = MSS;
         let mut t = 0u64;
-        while b.phase() == "startup" && t < 10_000 {
+        while b.phase() == CcPhase::Startup && t < 10_000 {
             b.on_new_ack(at(t), b.cwnd(), acked, Some(rtt));
             acked = acked.saturating_add(acked / 8).min(64 * MSS);
             t += 40;
             if acked == 64 * MSS {
                 // Rate plateaued: startup must exit within a few rounds.
                 let before = t;
-                while b.phase() == "startup" && t < before + 400 {
+                while b.phase() == CcPhase::Startup && t < before + 400 {
                     b.on_new_ack(at(t), b.cwnd(), acked, Some(rtt));
                     t += 40;
                 }
                 break;
             }
         }
-        assert_ne!(b.phase(), "startup", "plateaued bandwidth must exit startup");
+        assert_ne!(b.phase(), CcPhase::Startup, "plateaued bandwidth must exit startup");
     }
 
     #[test]
@@ -399,7 +399,7 @@ mod tests {
     fn cwnd_settles_near_two_bdp() {
         let mut b = Bbr::new(MSS);
         let t = drive(&mut b, 0, 200, 10 * MSS, 50);
-        assert_eq!(b.phase(), "probe_bw");
+        assert_eq!(b.phase(), CcPhase::ProbeBw);
         drive(&mut b, t, 20, 10 * MSS, 50);
         let bdp = b.bdp();
         let lo = (f64::from(bdp) * 1.8) as u32;
@@ -435,20 +435,20 @@ mod tests {
     fn probe_rtt_fires_when_sample_goes_stale() {
         let mut b = Bbr::new(MSS);
         let mut t = drive(&mut b, 0, 100, 10 * MSS, 50);
-        assert_eq!(b.phase(), "probe_bw");
+        assert_eq!(b.phase(), CcPhase::ProbeBw);
         // Feed ACKs with a *higher* RTT for >10 s: min-RTT goes stale.
         let rtt = SimDuration::from_millis(80);
         let mut saw_probe_rtt = false;
         for _ in 0..200 {
             t += 80;
             b.on_new_ack(at(t), b.cwnd(), 10 * MSS, Some(rtt));
-            if b.phase() == "probe_rtt" {
+            if b.phase() == CcPhase::ProbeRtt {
                 saw_probe_rtt = true;
                 assert_eq!(b.cwnd(), 4 * MSS, "probe-rtt must shrink the window");
             }
         }
         assert!(saw_probe_rtt, "stale min-RTT must trigger probe-rtt");
-        assert_eq!(b.phase(), "probe_bw", "probe-rtt must end after the hold");
+        assert_eq!(b.phase(), CcPhase::ProbeBw, "probe-rtt must end after the hold");
         assert!(b.cwnd() > 4 * MSS, "window must be restored after probe-rtt");
     }
 
@@ -456,7 +456,7 @@ mod tests {
     fn pacing_gain_cycles_in_probe_bw() {
         let mut b = Bbr::new(MSS);
         let mut t = drive(&mut b, 0, 100, 10 * MSS, 50);
-        assert_eq!(b.phase(), "probe_bw");
+        assert_eq!(b.phase(), CcPhase::ProbeBw);
         let mut rates = std::collections::BTreeSet::new();
         for _ in 0..20 {
             t += 50;

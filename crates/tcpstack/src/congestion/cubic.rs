@@ -11,7 +11,7 @@
 //! structurally Reno's — only the avoidance growth law differs — so the
 //! TCB drives every controller identically.
 
-use super::{CongSnapshot, CongestionAlgo, CongestionController};
+use super::{CcPhase, CongSnapshot, CongestionAlgo, CongestionController};
 use netsim::{SimDuration, SimTime};
 
 /// RFC 8312 §5: the cubic scaling constant (MSS/s³).
@@ -201,12 +201,12 @@ impl CongestionController for Cubic {
         self.timeout_retransmits
     }
 
-    fn phase(&self) -> &'static str {
+    fn phase(&self) -> CcPhase {
         match self.phase {
-            Phase::FastRecovery => "fast_recovery",
-            Phase::Open if self.cwnd < self.ssthresh => "slow_start",
-            Phase::Open if f64::from(self.cwnd) < self.w_max => "concave",
-            Phase::Open => "convex",
+            Phase::FastRecovery => CcPhase::FastRecovery,
+            Phase::Open if self.cwnd < self.ssthresh => CcPhase::SlowStart,
+            Phase::Open if f64::from(self.cwnd) < self.w_max => CcPhase::Concave,
+            Phase::Open => CcPhase::Convex,
         }
     }
 
@@ -241,7 +241,7 @@ mod tests {
         c.on_new_ack(at(0), 2 * MSS, MSS, None);
         c.on_new_ack(at(10), 2 * MSS, MSS, None);
         assert_eq!(c.cwnd(), 4 * MSS);
-        assert_eq!(c.phase(), "slow_start");
+        assert_eq!(c.phase(), CcPhase::SlowStart);
     }
 
     #[test]

@@ -64,6 +64,47 @@ impl CongestionAlgo {
     }
 }
 
+/// A controller's phase, as a connection traces its transitions. One
+/// byte, where the name it traces as is two words.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CcPhase {
+    /// Reno and CUBIC below `ssthresh`.
+    SlowStart,
+    /// Reno above `ssthresh`.
+    Avoidance,
+    /// CUBIC above `ssthresh`, below the last window maximum.
+    Concave,
+    /// CUBIC above the last window maximum.
+    Convex,
+    /// Reno and CUBIC loss recovery.
+    FastRecovery,
+    /// BBR start-up.
+    Startup,
+    /// BBR drain.
+    Drain,
+    /// BBR bandwidth probing.
+    ProbeBw,
+    /// BBR RTT probing.
+    ProbeRtt,
+}
+
+impl CcPhase {
+    /// The phase's name, as it appears in trace exports.
+    pub const fn name(self) -> &'static str {
+        match self {
+            CcPhase::SlowStart => "slow_start",
+            CcPhase::Avoidance => "avoidance",
+            CcPhase::Concave => "concave",
+            CcPhase::Convex => "convex",
+            CcPhase::FastRecovery => "fast_recovery",
+            CcPhase::Startup => "startup",
+            CcPhase::Drain => "drain",
+            CcPhase::ProbeBw => "probe_bw",
+            CcPhase::ProbeRtt => "probe_rtt",
+        }
+    }
+}
+
 /// The controller state worth mirroring over the ST-TCP side channel so
 /// a promoted backup resumes near the primary's operating point instead
 /// of from the initial window.
@@ -124,9 +165,8 @@ pub trait CongestionController {
     /// Retransmissions triggered by the RTO timer.
     fn timeout_retransmits(&self) -> u64;
 
-    /// The controller's current phase, for state-transition tracing
-    /// (e.g. `"slow_start"`, `"avoidance"`, `"probe_bw"`).
-    fn phase(&self) -> &'static str;
+    /// The controller's current phase, for state-transition tracing.
+    fn phase(&self) -> CcPhase;
 
     /// Which algorithm this is.
     fn algo(&self) -> CongestionAlgo;
@@ -223,7 +263,7 @@ impl CongestionController for CongestionCtrl {
     fn timeout_retransmits(&self) -> u64 {
         dispatch!(self, c => c.timeout_retransmits())
     }
-    fn phase(&self) -> &'static str {
+    fn phase(&self) -> CcPhase {
         dispatch!(self, c => c.phase())
     }
     fn algo(&self) -> CongestionAlgo {

@@ -11,7 +11,7 @@
 //! arithmetic must stay bit-identical, since the determinism digests pin
 //! the default stack's wire behaviour against the pre-refactor seed.
 
-use super::{CongSnapshot, CongestionAlgo, CongestionController};
+use super::{CcPhase, CongSnapshot, CongestionAlgo, CongestionController};
 use netsim::{SimDuration, SimTime};
 
 /// Why the sender entered recovery.
@@ -143,11 +143,11 @@ impl CongestionController for Reno {
         self.timeout_retransmits
     }
 
-    fn phase(&self) -> &'static str {
+    fn phase(&self) -> CcPhase {
         match self.phase {
-            Phase::FastRecovery => "fast_recovery",
-            Phase::Open if self.cwnd < self.ssthresh => "slow_start",
-            Phase::Open => "avoidance",
+            Phase::FastRecovery => CcPhase::FastRecovery,
+            Phase::Open if self.cwnd < self.ssthresh => CcPhase::SlowStart,
+            Phase::Open => CcPhase::Avoidance,
         }
     }
 
@@ -216,7 +216,7 @@ mod tests {
         assert!(!c.on_dup_ack(flight));
         assert!(c.on_dup_ack(flight), "third dup ACK must trigger fast retransmit");
         assert!(c.in_fast_recovery());
-        assert_eq!(c.phase(), "fast_recovery");
+        assert_eq!(c.phase(), CcPhase::FastRecovery);
         assert_eq!(c.ssthresh(), 5 * MSS);
         assert_eq!(c.cwnd(), 5 * MSS + 3 * MSS);
         assert_eq!(c.fast_retransmits(), 1);
@@ -282,12 +282,12 @@ mod tests {
     #[test]
     fn phase_names_follow_state() {
         let mut c = Reno::new(MSS);
-        assert_eq!(c.phase(), "slow_start");
+        assert_eq!(c.phase(), CcPhase::SlowStart);
         c.on_timeout(8 * MSS);
         while c.cwnd() < c.ssthresh() {
             let w = c.cwnd();
             ack(&mut c, w);
         }
-        assert_eq!(c.phase(), "avoidance");
+        assert_eq!(c.phase(), CcPhase::Avoidance);
     }
 }

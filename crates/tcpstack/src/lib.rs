@@ -72,10 +72,10 @@ pub mod tcb;
 pub mod udp_socket;
 
 pub use config::{Quad, StackConfig, TcpConfig};
-pub use congestion::{CongSnapshot, CongestionAlgo, CongestionController, CongestionCtrl};
+pub use congestion::{CcPhase, CongSnapshot, CongestionAlgo, CongestionController, CongestionCtrl};
 pub use gateway::{Gateway, GatewayIface, Side};
 pub use sack::SackScoreboard;
 pub use seq::SeqNum;
 pub use stack::{keyed_iss, NetStack, SockId, StackError, UdpId};
-pub use tcb::{StagedSeg, Tcb, TcpState};
+pub use tcb::{Env, StagedSeg, Tcb, TcpState};
 pub use udp_socket::UdpRecv;

@@ -21,7 +21,10 @@
 //! the ring is empty and the stack parks its storage in its thread's
 //! one spare (`RecvBuffer::park`), so the doubled space of §4.2 costs memory only
 //! while it holds bytes, and an idle connection holds no ring at all.
+//! The two capacities are the stack's `TcpConfig`, lent to the calls
+//! that need them rather than copied into every connection.
 
+use crate::config::TcpConfig;
 use crate::send_buf::{adopt_ring, park_ring};
 use crate::seq::SeqNum;
 use bytes::Bytes;
@@ -31,11 +34,12 @@ use std::collections::{BTreeMap, VecDeque};
 ///
 /// ```
 /// use tcpstack::recv_buf::RecvBuffer;
-/// use tcpstack::SeqNum;
+/// use tcpstack::{SeqNum, TcpConfig};
 ///
 /// // A primary's buffer: 16-byte first buffer, 16-byte second buffer.
-/// let mut buf = RecvBuffer::new(SeqNum::new(1000), 16, 16);
-/// buf.insert(SeqNum::new(1000), b"hello");
+/// let cfg = TcpConfig { recv_buf: 16, retention_buf: 16, ..TcpConfig::default() };
+/// let mut buf = RecvBuffer::new(SeqNum::new(1000), &cfg);
+/// buf.insert(&cfg, SeqNum::new(1000), b"hello");
 /// let mut out = [0u8; 5];
 /// buf.read(&mut out); // the application consumes the bytes...
 /// assert_eq!(buf.retained(), 5); // ...but they stay for the backup
@@ -51,34 +55,39 @@ pub struct RecvBuffer {
     app_read: SeqNum,
     /// Next byte expected from the network (`NextByteExpected`).
     rcv_nxt: SeqNum,
-    /// In-order bytes `[floor, rcv_nxt)`.
-    data: VecDeque<u8>,
-    /// Out-of-order segments keyed by raw start seq. Stored as [`Bytes`]
-    /// slices of the received frame, so buffering a reordered segment
-    /// costs a refcount bump, not a heap copy.
-    ooo: BTreeMap<u32, Bytes>,
-    ooo_bytes: usize,
-    /// First-buffer capacity (what a standard TCP would have).
-    capacity: usize,
-    /// Second-buffer capacity (0 disables retention).
-    retention_capacity: usize,
     /// `LastByteAcked + 1`: next byte the backup has NOT yet acknowledged.
     backup_acked: SeqNum,
+    /// In-order bytes `[floor, rcv_nxt)`.
+    data: VecDeque<u8>,
+    /// Out-of-order segments keyed by their start's stream offset (see
+    /// `delivered`), which orders them in sequence space across the
+    /// 2³² wrap. Stored as [`Bytes`] slices of the received frame, so
+    /// buffering a reordered segment costs a refcount bump, not a heap
+    /// copy.
+    ooo: BTreeMap<u64, Bytes>,
+    /// The stream offset of `rcv_nxt`: bytes taken in order since the
+    /// initial sequence number. Unlike a sequence number it never wraps.
+    delivered: u64,
+    ooo_bytes: u32,
+    /// The second buffer is in use: the config has one and retention
+    /// has not been disabled.
+    retaining: bool,
 }
 
 impl RecvBuffer {
-    /// Creates a buffer expecting `initial` as the first byte.
-    pub fn new(initial: SeqNum, capacity: usize, retention_capacity: usize) -> Self {
+    /// Creates a buffer expecting `initial` as the first byte, retaining
+    /// for a backup if `cfg` has a second buffer.
+    pub fn new(initial: SeqNum, cfg: &TcpConfig) -> Self {
         RecvBuffer {
             floor: initial,
             app_read: initial,
             rcv_nxt: initial,
+            backup_acked: initial,
             data: VecDeque::new(),
             ooo: BTreeMap::new(),
+            delivered: 0,
             ooo_bytes: 0,
-            capacity,
-            retention_capacity,
-            backup_acked: initial,
+            retaining: cfg.retention_buf > 0,
         }
     }
 
@@ -107,39 +116,53 @@ impl RecvBuffer {
         self.app_read.distance(self.floor) as usize
     }
 
-    /// The advertised receive window.
+    /// The advertised receive window under `cfg`'s capacities.
     ///
     /// Standard-TCP accounting for the first buffer; retained bytes only
     /// reduce the window once they exceed the second buffer's capacity —
     /// exactly the paper's overflow behaviour.
-    pub fn window(&self) -> usize {
+    pub fn window(&self, cfg: &TcpConfig) -> usize {
+        let second = if self.retaining { cfg.retention_buf } else { 0 };
         let unread = self.readable();
-        let spill = self.retained().saturating_sub(self.retention_capacity);
-        self.capacity.saturating_sub(unread + spill + self.ooo_bytes)
+        let spill = self.retained().saturating_sub(second);
+        cfg.recv_buf.saturating_sub(unread + spill + self.ooo_bytes as usize)
     }
 
     /// One past the highest byte received, in order or not: above
     /// `rcv_nxt` exactly when reassembly holds an island beyond a hole.
     pub fn received_end(&self) -> SeqNum {
-        self.ooo.iter().fold(self.rcv_nxt(), |end, (&start, seg)| {
-            end.max(SeqNum::new(start).add(seg.len() as u32))
-        })
+        let end = self.ooo.iter().map(|(&off, seg)| off + seg.len() as u64).max();
+        self.seq_at(end.unwrap_or(self.delivered))
     }
 
     /// The out-of-order islands above `rcv_nxt`, merged into maximal
-    /// contiguous `[lo, hi)` ranges — the receiver's SACK blocks
-    /// (RFC 2018). Empty when reassembly has no gaps.
+    /// contiguous `[lo, hi)` ranges in sequence order — the receiver's
+    /// SACK blocks (RFC 2018). Empty when reassembly has no gaps.
     pub fn sack_ranges(&self) -> Vec<(SeqNum, SeqNum)> {
-        let mut out: Vec<(SeqNum, SeqNum)> = Vec::new();
-        for (&start, seg) in &self.ooo {
-            let lo = SeqNum::new(start);
-            let hi = lo.add(seg.len() as u32);
-            match out.last_mut() {
-                Some((_, end)) if lo.le(*end) => *end = (*end).max(hi),
-                _ => out.push((lo, hi)),
+        let mut out = Vec::new();
+        let mut islands = self.ooo.iter().map(|(&lo, seg)| (lo, lo + seg.len() as u64));
+        let Some((mut lo, mut hi)) = islands.next() else {
+            return out;
+        };
+        for (next_lo, next_hi) in islands {
+            if next_lo > hi {
+                out.push((self.seq_at(lo), self.seq_at(hi)));
+                lo = next_lo;
             }
+            hi = hi.max(next_hi);
         }
+        out.push((self.seq_at(lo), self.seq_at(hi)));
         out
+    }
+
+    /// The stream offset of `seq`, which is at or above `rcv_nxt`.
+    fn offset_of(&self, seq: SeqNum) -> u64 {
+        self.delivered + seq.distance(self.rcv_nxt) as u64
+    }
+
+    /// The sequence number at stream offset `off`, at or above `rcv_nxt`.
+    fn seq_at(&self, off: u64) -> SeqNum {
+        self.rcv_nxt.add((off - self.delivered) as u32)
     }
 
     /// Inserts `data` at `seq`. Returns `true` if the segment carried at
@@ -148,14 +171,15 @@ impl RecvBuffer {
     ///
     /// Copying convenience over [`RecvBuffer::insert_bytes`]; the hot
     /// receive path hands over the parsed segment payload directly.
-    pub fn insert(&mut self, seq: SeqNum, data: &[u8]) -> bool {
-        self.insert_bytes(seq, Bytes::copy_from_slice(data))
+    pub fn insert(&mut self, cfg: &TcpConfig, seq: SeqNum, data: &[u8]) -> bool {
+        self.insert_bytes(cfg, seq, Bytes::copy_from_slice(data))
     }
 
     /// Inserts `data` at `seq` without copying: an out-of-order segment
     /// is held as a slice of the received frame until the gap fills.
-    /// Same return contract as [`RecvBuffer::insert`].
-    pub fn insert_bytes(&mut self, seq: SeqNum, data: Bytes) -> bool {
+    /// Same return contract as [`RecvBuffer::insert`]; the window edge
+    /// is `cfg`'s.
+    pub fn insert_bytes(&mut self, cfg: &TcpConfig, seq: SeqNum, data: Bytes) -> bool {
         if data.is_empty() {
             return false;
         }
@@ -171,7 +195,7 @@ impl RecvBuffer {
             seq = self.rcv_nxt;
         }
         // Trim the tail beyond the window edge.
-        let window_edge = self.rcv_nxt.add(self.window() as u32);
+        let window_edge = self.rcv_nxt.add(self.window(cfg) as u32);
         if seq.ge(window_edge) {
             return false;
         }
@@ -183,21 +207,20 @@ impl RecvBuffer {
             return false;
         }
         if seq == self.rcv_nxt {
-            self.data.extend(&data[..]);
-            self.rcv_nxt = self.rcv_nxt.add(data.len() as u32);
+            self.take_in_order(&data);
             self.drain_ooo();
         } else {
             // Out of order: store; overlap with other entries gets
             // trimmed when drained.
             use std::collections::btree_map::Entry;
-            match self.ooo.entry(seq.raw()) {
+            match self.ooo.entry(self.offset_of(seq)) {
                 Entry::Vacant(e) => {
-                    self.ooo_bytes += data.len();
+                    self.ooo_bytes += data.len() as u32;
                     e.insert(data);
                 }
                 Entry::Occupied(mut e) => {
                     if data.len() > e.get().len() {
-                        self.ooo_bytes += data.len() - e.get().len();
+                        self.ooo_bytes += (data.len() - e.get().len()) as u32;
                         e.insert(data);
                     }
                 }
@@ -206,18 +229,23 @@ impl RecvBuffer {
         true
     }
 
+    /// Appends bytes that start at `rcv_nxt`.
+    fn take_in_order(&mut self, bytes: &[u8]) {
+        self.data.extend(bytes);
+        self.rcv_nxt = self.rcv_nxt.add(bytes.len() as u32);
+        self.delivered += bytes.len() as u64;
+    }
+
     fn drain_ooo(&mut self) {
         while let Some((&start, _)) = self.ooo.first_key_value() {
-            let start_seq = SeqNum(start);
-            if start_seq.gt(self.rcv_nxt) {
+            if start > self.delivered {
                 break;
             }
             let seg = self.ooo.pop_first().expect("just peeked").1;
-            self.ooo_bytes -= seg.len();
-            let skip = self.rcv_nxt.distance(start_seq) as usize;
+            self.ooo_bytes -= seg.len() as u32;
+            let skip = (self.delivered - start) as usize;
             if skip < seg.len() {
-                self.data.extend(&seg[skip..]);
-                self.rcv_nxt = self.rcv_nxt.add((seg.len() - skip) as u32);
+                self.take_in_order(&seg[skip..]);
             }
         }
     }
@@ -273,7 +301,7 @@ impl RecvBuffer {
     /// Switches retention off (primary → non-fault-tolerant mode after a
     /// backup failure, paper §4.4) and releases everything retained.
     pub fn disable_retention(&mut self) {
-        self.retention_capacity = 0;
+        self.retaining = false;
         self.backup_acked = self.rcv_nxt;
         self.discard();
     }
@@ -294,7 +322,7 @@ impl RecvBuffer {
 
     /// Whether retention is active.
     pub fn retention_enabled(&self) -> bool {
-        self.retention_capacity > 0
+        self.retaining
     }
 
     /// Serves retained (or still unread) bytes `[seq, seq+len)` for the
@@ -315,7 +343,7 @@ impl RecvBuffer {
     }
 
     fn discard(&mut self) {
-        let keep_from = if self.retention_capacity > 0 {
+        let keep_from = if self.retaining {
             // Paper rule: discard up to min(LastByteRead, LastByteAcked).
             self.app_read.min(self.backup_acked)
         } else {
@@ -367,14 +395,53 @@ fn ring_range(ring: &VecDeque<u8>, off: usize, n: usize) -> (&[u8], &[u8]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::ops::{Deref, DerefMut};
 
-    fn std_buf() -> RecvBuffer {
-        RecvBuffer::new(SeqNum(1000), 16, 0)
+    /// A buffer and the capacities it is used under, which the calls
+    /// that need them get from here.
+    #[derive(Clone)]
+    struct Buf {
+        buf: RecvBuffer,
+        cfg: TcpConfig,
     }
 
-    fn ft_buf() -> RecvBuffer {
+    impl Buf {
+        fn insert(&mut self, seq: SeqNum, data: &[u8]) -> bool {
+            self.buf.insert(&self.cfg, seq, data)
+        }
+
+        fn window(&self) -> usize {
+            self.buf.window(&self.cfg)
+        }
+    }
+
+    impl Deref for Buf {
+        type Target = RecvBuffer;
+        fn deref(&self) -> &RecvBuffer {
+            &self.buf
+        }
+    }
+
+    impl DerefMut for Buf {
+        fn deref_mut(&mut self) -> &mut RecvBuffer {
+            &mut self.buf
+        }
+    }
+
+    /// A buffer expecting `initial`, with a first buffer of `first`
+    /// bytes and a second of `second`.
+    fn buf(initial: SeqNum, first: usize, second: usize) -> Buf {
+        let cfg = TcpConfig { recv_buf: first, retention_buf: second, ..TcpConfig::default() };
+        Buf { buf: RecvBuffer::new(initial, &cfg), cfg }
+    }
+
+    fn std_buf() -> Buf {
+        buf(SeqNum(1000), 16, 0)
+    }
+
+    fn ft_buf() -> Buf {
         // First buffer 16, second buffer 16 ("double the space").
-        RecvBuffer::new(SeqNum(1000), 16, 16)
+        buf(SeqNum(1000), 16, 16)
     }
 
     #[test]
@@ -426,7 +493,7 @@ mod tests {
 
     #[test]
     fn sack_ranges_report_merged_islands() {
-        let mut b = RecvBuffer::new(SeqNum(1000), 64, 0);
+        let mut b = buf(SeqNum(1000), 64, 0);
         assert!(b.sack_ranges().is_empty());
         b.insert(SeqNum(1004), b"bb");
         b.insert(SeqNum(1010), b"cc");
@@ -439,6 +506,34 @@ mod tests {
         assert_eq!(b.sack_ranges(), vec![(SeqNum(1010), SeqNum(1012))]);
         b.insert(SeqNum(1008), b"yy");
         assert!(b.sack_ranges().is_empty(), "fully reassembled");
+    }
+
+    #[test]
+    fn reassembly_orders_islands_across_the_sequence_wrap() {
+        // Two islands of 0x200 B, one each side of the wrap, above a
+        // hole at rcv_nxt. Keyed by raw sequence number, the one past
+        // the wrap sorted first: filling the hole stopped at the other
+        // island, which stayed counted against the window, and the SACK
+        // blocks merged the two into one.
+        let mut b = buf(SeqNum(0xFFFF_F000), 64 * 1024, 0);
+        assert!(b.insert(SeqNum(0xFFFF_FA00), &[1; 0x200]));
+        assert!(b.insert(SeqNum(0x0000_0200), &[2; 0x200]));
+        assert_eq!(
+            b.sack_ranges(),
+            vec![(SeqNum(0xFFFF_FA00), SeqNum(0xFFFF_FC00)), (SeqNum(0x200), SeqNum(0x400))]
+        );
+        assert_eq!(b.received_end(), SeqNum(0x400));
+        assert!(b.insert(SeqNum(0xFFFF_F000), &[0; 0xA00]));
+        assert_eq!(b.rcv_nxt(), SeqNum(0xFFFF_FC00), "the island before the wrap is taken");
+        assert_eq!(b.sack_ranges(), vec![(SeqNum(0x200), SeqNum(0x400))]);
+        assert_eq!(b.window(), 64 * 1024 - 0xC00 - 0x200, "only the held island counts");
+        assert!(b.insert(SeqNum(0xFFFF_FC00), &[3; 0x600]));
+        assert_eq!(b.rcv_nxt(), SeqNum(0x400));
+        assert!(b.sack_ranges().is_empty());
+        let mut out = vec![0u8; 0x1400];
+        assert_eq!(b.read(&mut out), 0x1400);
+        let expected = [[0; 0xA00].as_slice(), &[1; 0x200], &[3; 0x600], &[2; 0x200]].concat();
+        assert_eq!(out, expected);
     }
 
     #[test]
@@ -487,7 +582,7 @@ mod tests {
     #[test]
     fn second_buffer_overflow_shrinks_window() {
         // First buffer 8, second buffer 4.
-        let mut b = RecvBuffer::new(SeqNum(0), 8, 4);
+        let mut b = buf(SeqNum(0), 8, 4);
         b.insert(SeqNum(0), b"01234567");
         let mut out = [0u8; 8];
         b.read(&mut out);
@@ -539,7 +634,7 @@ mod tests {
     /// Reads everything unread from `b` in place and from a clone by
     /// copy; both must deliver the same bytes and leave the same state.
     /// Returns the bytes and whether they straddled the ring's seam.
-    fn in_place_read_matches_copy_out(b: &mut RecvBuffer) -> (Vec<u8>, bool) {
+    fn in_place_read_matches_copy_out(b: &mut Buf) -> (Vec<u8>, bool) {
         let mut copy = b.clone();
         let mut copied = vec![0u8; copy.readable() + 3];
         let n = copy.read(&mut copied);
@@ -575,7 +670,7 @@ mod tests {
         // The backup's ack trails the application by five bytes, so the
         // ring never empties and its head walks round and round: retained
         // bytes sit ahead of the unread ones, which sooner or later wrap.
-        let mut b = RecvBuffer::new(SeqNum(u32::MAX - 500), 64, 64);
+        let mut b = buf(SeqNum(u32::MAX - 500), 64, 64);
         let (mut next, mut straddles) = (b.rcv_nxt(), 0);
         for round in 0..200u32 {
             let chunk: Vec<u8> = (0..9 + round % 5).map(|i| (round * 16 + i) as u8).collect();
@@ -588,7 +683,8 @@ mod tests {
             let (got, straddled) = in_place_read_matches_copy_out(&mut b);
             assert_eq!(got, expected);
             straddles += usize::from(straddled);
-            b.set_backup_acked(b.app_read_seq().sub(5));
+            let acked = b.app_read_seq().sub(5);
+            b.set_backup_acked(acked);
             assert_eq!(b.retained(), 5);
         }
         assert!(straddles > 3, "the seam was crossed {straddles} times");
@@ -597,7 +693,7 @@ mod tests {
     #[test]
     fn wrapping_sequence_space() {
         let start = SeqNum(u32::MAX - 3);
-        let mut b = RecvBuffer::new(start, 16, 16);
+        let mut b = buf(start, 16, 16);
         assert!(b.insert(start, b"abcdefgh"));
         assert_eq!(b.rcv_nxt(), SeqNum(4));
         let mut out = [0u8; 8];

@@ -1,5 +1,6 @@
 //! The send buffer: unacknowledged + unsent outbound bytes.
 
+use crate::config::TcpConfig;
 use crate::seq::SeqNum;
 use std::collections::VecDeque;
 
@@ -19,19 +20,22 @@ use std::collections::VecDeque;
 /// stack has emitted it (§4.1 auto-trim); the plan reads them here
 /// instead of carrying a copy. So the stack parks a drained buffer's
 /// storage only at the end of its socket's visit, after the emit.
+///
+/// Its capacity is the stack's `TcpConfig::send_buf`, lent to the calls
+/// that need it rather than copied into every connection.
 #[derive(Debug, Clone)]
 pub struct SendBuffer {
     base: SeqNum,
-    /// `released` bytes the last `ack_to` let go, then the live ones.
+    /// Bytes the last `ack_to` let go; they head `data`.
+    released: u32,
+    /// `released` bytes, then the live ones.
     data: VecDeque<u8>,
-    released: usize,
-    capacity: usize,
 }
 
 impl SendBuffer {
     /// Creates an empty buffer whose first byte will carry seq `base`.
-    pub fn new(base: SeqNum, capacity: usize) -> Self {
-        SendBuffer { base, data: VecDeque::new(), released: 0, capacity }
+    pub fn new(base: SeqNum) -> Self {
+        SendBuffer { base, released: 0, data: VecDeque::new() }
     }
 
     /// Sequence number of the first unacknowledged byte.
@@ -46,7 +50,7 @@ impl SendBuffer {
 
     /// Bytes currently buffered (sent-unacked plus unsent).
     pub fn len(&self) -> usize {
-        self.data.len() - self.released
+        self.data.len() - self.released as usize
     }
 
     /// True when nothing is buffered.
@@ -54,15 +58,15 @@ impl SendBuffer {
         self.len() == 0
     }
 
-    /// Space left for the application.
-    pub fn free_space(&self) -> usize {
-        self.capacity - self.len()
+    /// Space left for the application under `cfg`'s send buffer.
+    pub fn free_space(&self, cfg: &TcpConfig) -> usize {
+        cfg.send_buf - self.len()
     }
 
     /// Appends as much of `data` as fits; returns the number accepted.
-    pub fn write(&mut self, data: &[u8]) -> usize {
+    pub fn write(&mut self, cfg: &TcpConfig, data: &[u8]) -> usize {
         self.drop_released();
-        let n = data.len().min(self.free_space());
+        let n = data.len().min(self.free_space(cfg));
         self.data.extend(&data[..n]);
         n
     }
@@ -75,7 +79,7 @@ impl SendBuffer {
     /// The caller writes these straight into the frame builder, so a
     /// transmitted payload costs exactly one memcpy end-to-end.
     pub fn slices_range(&self, seq: SeqNum, len: usize) -> (&[u8], &[u8]) {
-        let off = seq.distance(self.base) + self.released as i64;
+        let off = seq.distance(self.base) + i64::from(self.released);
         if off < 0 || off as usize > self.data.len() {
             return (&[], &[]);
         }
@@ -99,16 +103,16 @@ impl SendBuffer {
         if !target.gt(self.base) {
             return 0;
         }
-        let n = target.distance(self.base) as usize;
+        let n = target.distance(self.base) as u32;
         self.released = n;
         self.base = target;
-        n
+        n as usize
     }
 
     /// Lets go of the bytes the last `ack_to` released.
     fn drop_released(&mut self) {
         if self.released > 0 {
-            self.data.drain(..self.released);
+            self.data.drain(..self.released as usize);
             self.released = 0;
         }
     }
@@ -154,6 +158,10 @@ pub(crate) fn adopt_ring(ring: &mut VecDeque<u8>, spare: &mut VecDeque<u8>) {
 mod tests {
     use super::*;
 
+    fn cfg(send_buf: usize) -> TcpConfig {
+        TcpConfig { send_buf, ..TcpConfig::default() }
+    }
+
     fn copy(b: &SendBuffer, seq: SeqNum, len: usize) -> Vec<u8> {
         let (x, y) = b.slices_range(seq, len);
         [x, y].concat()
@@ -161,22 +169,22 @@ mod tests {
 
     #[test]
     fn write_and_ack_cycle() {
-        let mut b = SendBuffer::new(SeqNum(1000), 10);
-        assert_eq!(b.write(b"hello"), 5);
-        assert_eq!(b.write(b"world!"), 5, "only capacity remains");
+        let (mut b, c) = (SendBuffer::new(SeqNum(1000)), cfg(10));
+        assert_eq!(b.write(&c, b"hello"), 5);
+        assert_eq!(b.write(&c, b"world!"), 5, "only capacity remains");
         assert_eq!(b.len(), 10);
-        assert_eq!(b.free_space(), 0);
+        assert_eq!(b.free_space(&c), 0);
         assert_eq!(b.end(), SeqNum(1010));
         assert_eq!(b.ack_to(SeqNum(1003)), 3);
         assert_eq!(b.base(), SeqNum(1003));
-        assert_eq!(b.free_space(), 3);
+        assert_eq!(b.free_space(&c), 3);
         assert_eq!(copy(&b, SeqNum(1003), 7), b"loworld");
     }
 
     #[test]
     fn copy_range_mid_buffer() {
-        let mut b = SendBuffer::new(SeqNum(0), 100);
-        b.write(b"abcdefghij");
+        let (mut b, c) = (SendBuffer::new(SeqNum(0)), cfg(100));
+        b.write(&c, b"abcdefghij");
         assert_eq!(copy(&b, SeqNum(3), 4), b"defg");
         assert_eq!(copy(&b, SeqNum(8), 100), b"ij");
         assert_eq!(copy(&b, SeqNum(10), 5), b"", "end is valid, empty");
@@ -188,12 +196,12 @@ mod tests {
     fn slices_range_matches_copy_range_across_the_seam() {
         // Churn the deque so its ring head walks past the physical end
         // and slices_range has to return two non-empty halves.
-        let mut b = SendBuffer::new(SeqNum(0), 16);
+        let (mut b, c) = (SendBuffer::new(SeqNum(0)), cfg(16));
         let mut next = 0u8;
         let mut seam_seen = false;
         // Keep a residue buffered: a fully drained VecDeque may reset its
         // ring head, which would keep the storage contiguous forever.
-        assert_eq!(b.write(b"\xAA\xBB\xCC"), 3);
+        assert_eq!(b.write(&c, b"\xAA\xBB\xCC"), 3);
         let mut model = b"\xAA\xBB\xCC".to_vec();
         for _ in 0..40 {
             let chunk: Vec<u8> = (0..6)
@@ -202,7 +210,7 @@ mod tests {
                     next
                 })
                 .collect();
-            assert_eq!(b.write(&chunk), 6);
+            assert_eq!(b.write(&c, &chunk), 6);
             model.extend_from_slice(&chunk);
             for off in 0..=b.len() {
                 let seq = b.base().add(off as u32);
@@ -221,8 +229,8 @@ mod tests {
 
     #[test]
     fn stale_and_overshooting_acks() {
-        let mut b = SendBuffer::new(SeqNum(100), 50);
-        b.write(b"0123456789");
+        let (mut b, c) = (SendBuffer::new(SeqNum(100)), cfg(50));
+        b.write(&c, b"0123456789");
         assert_eq!(b.ack_to(SeqNum(95)), 0, "stale ack ignored");
         assert_eq!(b.ack_to(SeqNum(200)), 10, "overshoot clamps to end");
         assert_eq!(b.base(), SeqNum(110));
@@ -231,11 +239,11 @@ mod tests {
 
     #[test]
     fn released_bytes_stay_readable_until_the_next_mutation() {
-        let mut b = SendBuffer::new(SeqNum(100), 10);
-        b.write(b"0123456789");
+        let (mut b, c) = (SendBuffer::new(SeqNum(100)), cfg(10));
+        b.write(&c, b"0123456789");
         assert_eq!(b.ack_to(SeqNum(106)), 6);
         // Gone from every count ...
-        assert_eq!((b.base(), b.len(), b.free_space()), (SeqNum(106), 4, 6));
+        assert_eq!((b.base(), b.len(), b.free_space(&c)), (SeqNum(106), 4, 6));
         // ... yet a plan staged before the release still reads its bytes,
         // alone or running on into the live ones.
         assert_eq!(copy(&b, SeqNum(100), 6), b"012345");
@@ -245,15 +253,15 @@ mod tests {
         assert_eq!(copy(&b, SeqNum(100), 6), b"");
         assert_eq!(copy(&b, SeqNum(106), 4), b"6789");
         // ... and a write, into the space they were counted out of.
-        assert_eq!(b.write(b"abcdefghij"), 8);
+        assert_eq!(b.write(&c, b"abcdefghij"), 8);
         assert_eq!(copy(&b, SeqNum(106), 2), b"");
         assert_eq!(copy(&b, SeqNum(108), 10), b"89abcdefgh");
     }
 
     #[test]
     fn wraparound_sequence_space() {
-        let mut b = SendBuffer::new(SeqNum(u32::MAX - 2), 100);
-        b.write(b"abcdef");
+        let (mut b, c) = (SendBuffer::new(SeqNum(u32::MAX - 2)), cfg(100));
+        b.write(&c, b"abcdef");
         assert_eq!(b.end(), SeqNum(3));
         assert_eq!(copy(&b, SeqNum(u32::MAX), 3), b"cde");
         // Acking up to seq 1 covers MAX-2, MAX-1, MAX, 0 — four bytes.

@@ -33,7 +33,7 @@ use crate::arp_cache::ArpCache;
 use crate::config::{Quad, StackConfig};
 use crate::seq::SeqNum;
 use crate::slab::{Conn, TcbSlab};
-use crate::tcb::{StagedSeg, Tcb, TcpState};
+use crate::tcb::{Env, StagedSeg, Tcb, TcpState};
 use crate::udp_socket::{UdpRecv, UdpSocket};
 use bytes::Bytes;
 use netsim::{DetHashMap, SimDuration, SimTime, SplitMix64, TimeQueue};
@@ -284,12 +284,9 @@ impl NetStack {
         &self.cfg
     }
 
-    /// Installs an observability recorder on the stack and every live
-    /// connection; future connections inherit it.
+    /// Installs an observability recorder on the stack, which every
+    /// connection, live or future, counts and traces through.
     pub fn set_recorder(&mut self, recorder: SharedRecorder) {
-        for (_, conn) in self.tcbs.iter_mut() {
-            conn.tcb.set_recorder(recorder.clone());
-        }
         self.recorder = recorder;
     }
 
@@ -343,8 +340,7 @@ impl NetStack {
         let local_port = self.alloc_ephemeral(remote_ip, remote_port)?;
         let quad = Quad::new(self.cfg.ip, local_port, remote_ip, remote_port);
         let iss = SeqNum(self.isn_rng.next_u64() as u32);
-        let mut tcb = Tcb::connect(now, quad, iss, self.cfg.tcp.clone());
-        tcb.set_recorder(self.recorder.clone());
+        let tcb = Tcb::connect(now, quad, iss, &self.cfg.tcp);
         Ok(self.insert_tcb(quad, tcb))
     }
 
@@ -384,11 +380,12 @@ impl NetStack {
     ///
     /// [`StackError::BadSocket`] for a dead handle.
     pub fn write(&mut self, sock: SockId, data: &[u8]) -> Result<usize, StackError> {
+        let env = Env { cfg: &self.cfg.tcp, recorder: &*self.recorder };
         let conn = self.tcbs.get_mut(sock).ok_or(StackError::BadSocket)?;
-        if !data.is_empty() && conn.tcb.writable() > 0 {
+        if !data.is_empty() && conn.tcb.writable(env.cfg) > 0 {
             SPARE.with_borrow_mut(|spare| conn.tcb.adopt_send_ring(spare));
         }
-        let n = conn.tcb.write(data);
+        let n = conn.tcb.write(env, data);
         if n > 0 {
             self.mark_dirty(sock);
         }
@@ -405,8 +402,9 @@ impl NetStack {
     ///
     /// [`StackError::BadSocket`] for a dead handle.
     pub fn read(&mut self, sock: SockId, buf: &mut [u8]) -> Result<usize, StackError> {
+        let env = Env { cfg: &self.cfg.tcp, recorder: &*self.recorder };
         let conn = self.tcbs.get_mut(sock).ok_or(StackError::BadSocket)?;
-        let n = conn.tcb.read(buf);
+        let n = conn.tcb.read(env, buf);
         if n > 0 {
             self.mark_dirty(sock);
         }
@@ -440,8 +438,9 @@ impl NetStack {
             }
         }
         let n = lent.len();
+        let env = Env { cfg: &self.cfg.tcp, recorder: &*self.recorder };
         if let Some(conn) = self.tcbs.get_mut(sock) {
-            conn.tcb.restore_unread(lent);
+            conn.tcb.restore_unread(env, lent);
             self.mark_dirty(sock);
         }
         Ok(n)
@@ -449,16 +448,33 @@ impl NetStack {
 
     /// Begins an orderly close.
     pub fn close(&mut self, now: SimTime, sock: SockId) {
-        if let Some(tcb) = self.tcb_mut(sock) {
-            tcb.close(now);
-        }
+        self.with_tcb(sock, |tcb, env| tcb.close(env, now));
     }
 
     /// Aborts with a RST.
     pub fn abort(&mut self, now: SimTime, sock: SockId) {
-        if let Some(tcb) = self.tcb_mut(sock) {
-            tcb.abort(now);
-        }
+        self.with_tcb(sock, |tcb, env| tcb.abort(env, now));
+    }
+
+    /// Injects bytes recovered over the side channel into a
+    /// connection's reassembly (see [`Tcb::inject_rx`]); false for a
+    /// dead handle.
+    pub fn inject_rx(&mut self, now: SimTime, sock: SockId, seq: SeqNum, data: &[u8]) -> bool {
+        self.with_tcb(sock, |tcb, env| tcb.inject_rx(env, now, seq, data)).is_some()
+    }
+
+    /// Bytes a write to `sock` would accept right now (0 for a dead
+    /// handle; see [`Tcb::writable`]).
+    pub fn writable(&self, sock: SockId) -> usize {
+        self.tcb(sock).map_or(0, |tcb| tcb.writable(&self.cfg.tcp))
+    }
+
+    /// Runs `f` on a live connection with the stack's [`Env`], marking
+    /// it for the next poll pass like [`NetStack::tcb_mut`].
+    fn with_tcb<R>(&mut self, sock: SockId, f: impl FnOnce(&mut Tcb, Env) -> R) -> Option<R> {
+        self.mark_dirty(sock);
+        let env = Env { cfg: &self.cfg.tcp, recorder: &*self.recorder };
+        self.tcbs.get_mut(sock).map(|conn| f(&mut conn.tcb, env))
     }
 
     /// The connection's state, if the handle is live.
@@ -662,11 +678,12 @@ impl NetStack {
         };
         let quad = Quad::new(dst, seg.dst_port, src, seg.src_port);
         if let Some(&sock) = self.by_quad.get(&quad) {
+            let env = Env { cfg: &self.cfg.tcp, recorder: &*self.recorder };
             if let Some(conn) = self.tcbs.get_mut(sock) {
                 if !seg.payload.is_empty() {
                     SPARE.with_borrow_mut(|spare| conn.tcb.adopt_recv_ring(spare));
                 }
-                conn.tcb.on_segment(now, &seg);
+                conn.tcb.on_segment(env, now, &seg);
                 let state = conn.tcb.state();
                 if state == TcpState::Closed {
                     self.by_quad.remove(&quad);
@@ -688,8 +705,7 @@ impl NetStack {
             && self.listeners.contains_key(&seg.dst_port)
         {
             let iss = keyed_iss(quad, SeqNum(seg.seq));
-            let mut tcb = Tcb::accept(now, quad, iss, &seg, self.cfg.tcp.clone());
-            tcb.set_recorder(self.recorder.clone());
+            let tcb = Tcb::accept(now, quad, iss, &seg, &self.cfg.tcp);
             let sid = self.insert_tcb(quad, tcb);
             self.tcbs.get_mut(sid).expect("just inserted").queue_on_sync = true;
             return;
@@ -768,11 +784,12 @@ impl NetStack {
         while i < self.poll_queue.len() {
             let sock = self.poll_queue[i];
             i += 1;
+            let env = Env { cfg: &self.cfg.tcp, recorder: &*self.recorder };
             let Some(conn) = self.tcbs.get_mut(sock) else {
                 continue; // released since it was queued
             };
             conn.queued_poll = false;
-            conn.tcb.poll_stage(now, &mut staged);
+            conn.tcb.poll_stage(env, now, &mut staged);
             let (quad, closed) = (conn.tcb.quad(), conn.tcb.state() == TcpState::Closed);
             let unaccepted = conn.queue_on_sync;
             if !staged.is_empty() {

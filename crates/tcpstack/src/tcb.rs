@@ -21,9 +21,17 @@
 //! the caller passes it in. Nothing is staged outside a poll: intake and
 //! the application record what the connection owes — a SYN, a fast
 //! retransmission, a RST, an ACK — and the next poll stages it.
+//!
+//! A TCB holds its connection's state and nothing its stack already
+//! holds: the configuration and the recorder every connection of a stack
+//! shares come in with each call, as an [`Env`]. At fleet scale a
+//! connection is stored three times (client, primary, the backup's
+//! shadow), so every byte of a TCB is paid for some 30 000 times.
 
 use crate::config::{Quad, TcpConfig};
-use crate::congestion::{idle_restart_due, CongSnapshot, CongestionController, CongestionCtrl};
+use crate::congestion::{
+    idle_restart_due, CcPhase, CongSnapshot, CongestionController, CongestionCtrl,
+};
 use crate::recv_buf::{Lent, RecvBuffer};
 use crate::rto::RtoEstimator;
 use crate::sack::SackScoreboard;
@@ -31,7 +39,7 @@ use crate::send_buf::SendBuffer;
 use crate::seq::SeqNum;
 use bytes::Bytes;
 use netsim::{SimDuration, SimTime};
-use obs::{Counter, Gauge, SharedRecorder, TraceEvent};
+use obs::{Counter, Gauge, NopRecorder, Recorder, TraceEvent};
 use std::borrow::Cow;
 use std::collections::VecDeque;
 use wire::{TcpFlags, TcpOption, TcpSegment};
@@ -85,7 +93,8 @@ impl TcpState {
     }
 }
 
-/// Counters exposed for tests and the benchmark harness.
+/// Counters exposed for tests and the benchmark harness: one
+/// connection's bytes, and its events, which never reach 2³².
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TcbStats {
     /// Payload bytes accepted in order.
@@ -93,24 +102,63 @@ pub struct TcbStats {
     /// Payload bytes transmitted (first transmissions only).
     pub bytes_out: u64,
     /// RTO-driven retransmissions.
-    pub rto_retransmits: u64,
+    pub rto_retransmits: u32,
     /// Fires of the timer [`Tcb::speak_first`] armed: the sends a
     /// takeover owes, not losses.
-    pub promotion_sends: u64,
+    pub promotion_sends: u32,
     /// Fast retransmissions (3 duplicate ACKs).
-    pub fast_retransmits: u64,
+    pub fast_retransmits: u32,
     /// Shadow mode: client segments at the stream's first byte that
     /// acked less than this shadow's SYN/ACK, so an ISS the primary does
     /// not share (the §4.1 check; never applied).
-    pub isn_resyncs: u64,
+    pub isn_resyncs: u32,
     /// Zero-window probes sent.
-    pub probes: u64,
+    pub probes: u32,
+}
+
+/// What every connection of a stack shares, lent to each call that
+/// needs it: the stack's TCP configuration and its recorder.
+#[derive(Clone, Copy)]
+pub struct Env<'a> {
+    /// The configuration the connection runs under.
+    pub cfg: &'a TcpConfig,
+    /// Where the connection counts and traces.
+    pub recorder: &'a dyn Recorder,
+}
+
+impl<'a> Env<'a> {
+    /// `cfg` with observability off.
+    pub fn new(cfg: &'a TcpConfig) -> Self {
+        Env { cfg, recorder: &NopRecorder }
+    }
+}
+
+/// An instant that may be unset, in the instant's own 8 bytes (an
+/// `Option<SimTime>` takes 16): `SimTime::MAX`, which no simulation
+/// reaches, stands for unset.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct When(SimTime);
+
+impl When {
+    const NEVER: When = When(SimTime::MAX);
+
+    fn get(self) -> Option<SimTime> {
+        (self != When::NEVER).then_some(self.0)
+    }
+
+    fn is_set(self) -> bool {
+        self != When::NEVER
+    }
+
+    /// Set and not later than `now`.
+    fn due(self, now: SimTime) -> bool {
+        self.0 <= now
+    }
 }
 
 /// One TCP connection.
 #[derive(Debug, Clone)]
 pub struct Tcb {
-    cfg: TcpConfig,
     quad: Quad,
     state: TcpState,
 
@@ -126,7 +174,7 @@ pub struct Tcb {
     snd_wnd: u32,
     fin_queued: bool,
     fin_sent: bool,
-    syn_attempts: u32,
+    syn_attempts: u8,
 
     // Receive side.
     irs: SeqNum,
@@ -134,35 +182,36 @@ pub struct Tcb {
     rcv_buf: RecvBuffer,
     peer_fin: Option<SeqNum>,
     fin_consumed: bool,
-    peer_mss: u32,
+    peer_mss: u16,
     /// Shift applied to *incoming* window fields (the peer's announced
     /// scale; nonzero only when both sides offered RFC 1323 scaling).
     snd_wscale: u8,
     /// Shift applied to *outgoing* window fields (our announced scale).
     rcv_wscale: u8,
-    /// Peer offered window scaling in its SYN.
-    peer_offered_wscale: Option<u8>,
 
     // Timing.
     rto: RtoEstimator,
     cong: CongestionCtrl,
     /// Last congestion-controller phase traced (transition detector).
-    cc_phase: &'static str,
+    cc_phase: CcPhase,
     /// Pacing gate for rate-based controllers: no data transmission
-    /// before this instant. `None` whenever the controller reports no
+    /// before this instant. Unset whenever the controller reports no
     /// pacing rate (Reno/CUBIC), keeping the default path untouched.
-    pacing_gate: Option<SimTime>,
+    pacing_gate: When,
     /// SACK in effect: our config enables it AND the peer's SYN offered
     /// `SackPermitted`.
     sack_ok: bool,
     /// Sender scoreboard of peer-reported SACK ranges.
     sack_board: SackScoreboard,
-    rtx_deadline: Option<SimTime>,
-    delack_deadline: Option<SimTime>,
-    probe_deadline: Option<SimTime>,
-    probe_backoff: u32,
-    time_wait_deadline: Option<SimTime>,
-    rtt_probe: Option<(SeqNum, SimTime)>,
+    rtx_deadline: When,
+    delack_deadline: When,
+    probe_deadline: When,
+    probe_backoff: u8,
+    time_wait_deadline: When,
+    /// The RTT sample in flight: the ack that completes it, and when
+    /// its byte left (unset when none is in flight).
+    rtt_probe_seq: SeqNum,
+    rtt_probe_at: When,
     last_send: SimTime,
     bytes_since_ack: u32,
     ack_pending: bool,
@@ -177,11 +226,10 @@ pub struct Tcb {
     shadow_peer_ack: SeqNum,
     /// Where [`Tcb::speak_first`] put the retransmission timer: its fire
     /// there is a promotion send, not a retransmission timeout.
-    speak_at: Option<SimTime>,
+    speak_at: When,
 
     /// Counters.
     pub stats: TcbStats,
-    recorder: SharedRecorder,
 }
 
 /// One staged outbound segment, as produced by [`Tcb::poll_stage`]: a
@@ -211,38 +259,43 @@ pub struct StagedSeg {
     pub options: Vec<TcpOption>,
 }
 
-const SYN_MAX_ATTEMPTS: u32 = 6;
+const SYN_MAX_ATTEMPTS: u8 = 6;
 
 impl Tcb {
-    /// Opens a connection actively: stages a SYN and enters `SynSent`.
-    pub fn connect(now: SimTime, quad: Quad, iss: SeqNum, cfg: TcpConfig) -> Self {
+    /// Opens a connection actively under `cfg`: stages a SYN and enters
+    /// `SynSent`.
+    pub fn connect(now: SimTime, quad: Quad, iss: SeqNum, cfg: &TcpConfig) -> Self {
         let mut tcb = Self::new(now, quad, iss, cfg, TcpState::SynSent);
         tcb.syn_pending = true;
-        tcb.rtx_deadline = Some(now + tcb.rto.rto());
+        tcb.rtx_deadline = When(now + tcb.current_rto(cfg));
         tcb
     }
 
-    /// Opens a connection passively from a received SYN: stages a
-    /// SYN/ACK and enters `SynRcvd`.
-    pub fn accept(now: SimTime, quad: Quad, iss: SeqNum, syn: &TcpSegment, cfg: TcpConfig) -> Self {
+    /// Opens a connection passively under `cfg` from a received SYN:
+    /// stages a SYN/ACK and enters `SynRcvd`.
+    pub fn accept(
+        now: SimTime,
+        quad: Quad,
+        iss: SeqNum,
+        syn: &TcpSegment,
+        cfg: &TcpConfig,
+    ) -> Self {
         let mut tcb = Self::new(now, quad, iss, cfg, TcpState::SynRcvd);
         tcb.irs = SeqNum(syn.seq);
         tcb.remote_synced = true;
-        tcb.rcv_buf = RecvBuffer::new(tcb.irs.add(1), tcb.cfg.recv_buf, tcb.cfg.retention_buf);
-        tcb.peer_mss = u32::from(syn.mss().unwrap_or(536));
-        tcb.negotiate_wscale(syn);
+        tcb.rcv_buf = RecvBuffer::new(tcb.irs.add(1), cfg);
+        tcb.peer_mss = syn.mss().unwrap_or(536);
+        tcb.negotiate_wscale(cfg, syn);
         tcb.syn_pending = true;
-        tcb.rtx_deadline = Some(now + tcb.rto.rto());
-        tcb.rtt_probe = Some((tcb.iss.add(1), now));
+        tcb.rtx_deadline = When(now + tcb.current_rto(cfg));
         tcb
     }
 
-    fn new(now: SimTime, quad: Quad, iss: SeqNum, cfg: TcpConfig, state: TcpState) -> Self {
-        let rto = RtoEstimator::with_bounds(cfg.rto_min, cfg.rto_max);
+    fn new(now: SimTime, quad: Quad, iss: SeqNum, cfg: &TcpConfig, state: TcpState) -> Self {
         let cong = CongestionCtrl::new(cfg.congestion, u32::from(cfg.mss));
         let cc_phase = cong.phase();
         Tcb {
-            snd_buf: SendBuffer::new(iss.add(1), cfg.send_buf),
+            snd_buf: SendBuffer::new(iss.add(1)),
             snd_una: iss,
             snd_nxt: iss.add(1),
             snd_max: iss.add(1),
@@ -252,25 +305,25 @@ impl Tcb {
             syn_attempts: 1,
             irs: SeqNum(0),
             remote_synced: false,
-            rcv_buf: RecvBuffer::new(SeqNum(0), cfg.recv_buf, cfg.retention_buf),
+            rcv_buf: RecvBuffer::new(SeqNum(0), cfg),
             peer_fin: None,
             fin_consumed: false,
-            peer_mss: u32::from(cfg.mss),
+            peer_mss: cfg.mss,
             snd_wscale: 0,
             rcv_wscale: 0,
-            peer_offered_wscale: None,
-            rto,
+            rto: RtoEstimator::new(cfg),
             cong,
             cc_phase,
-            pacing_gate: None,
+            pacing_gate: When::NEVER,
             sack_ok: false,
             sack_board: SackScoreboard::new(),
-            rtx_deadline: None,
-            delack_deadline: None,
-            probe_deadline: None,
+            rtx_deadline: When::NEVER,
+            delack_deadline: When::NEVER,
+            probe_deadline: When::NEVER,
             probe_backoff: 0,
-            time_wait_deadline: None,
-            rtt_probe: Some((iss.add(1), now)),
+            time_wait_deadline: When::NEVER,
+            rtt_probe_seq: iss.add(1),
+            rtt_probe_at: When(now),
             last_send: now,
             bytes_since_ack: 0,
             ack_pending: false,
@@ -278,30 +331,28 @@ impl Tcb {
             rexmit_pending: false,
             rst_pending: false,
             shadow_peer_ack: iss,
-            speak_at: None,
+            speak_at: When::NEVER,
             stats: TcbStats::default(),
-            recorder: obs::nop(),
             quad,
             state,
             iss,
-            cfg,
         }
     }
 
-    /// Installs an observability recorder (no-op by default).
-    pub fn set_recorder(&mut self, recorder: SharedRecorder) {
-        self.recorder = recorder;
+    /// The retransmission timeout now, held to `cfg`'s bounds.
+    fn current_rto(&self, cfg: &TcpConfig) -> SimDuration {
+        self.rto.rto(cfg)
     }
 
     /// Moves the state machine, tracing every real transition (the
     /// single funnel for all post-construction state changes).
-    fn set_state(&mut self, now: SimTime, to: TcpState) {
+    fn set_state(&mut self, env: Env, now: SimTime, to: TcpState) {
         if self.state == to {
             return;
         }
         let from = self.state;
         self.state = to;
-        self.recorder.trace(
+        env.recorder.trace(
             now.as_nanos(),
             &TraceEvent::TcpState {
                 conn: self.quad.trace_conn(),
@@ -367,9 +418,10 @@ impl Tcb {
 
     /// Bytes [`Tcb::write`] would accept right now: the send buffer's
     /// free space, or 0 once the connection can queue no more data.
-    pub fn writable(&self) -> usize {
+    /// `cfg` is the configuration the connection runs under.
+    pub fn writable(&self, cfg: &TcpConfig) -> usize {
         if self.can_queue() {
-            self.snd_buf.free_space()
+            self.snd_buf.free_space(cfg)
         } else {
             0
         }
@@ -389,9 +441,10 @@ impl Tcb {
         self.rcv_buf.retained()
     }
 
-    /// Current advertised window.
-    pub fn window(&self) -> usize {
-        self.rcv_buf.window()
+    /// Current advertised window under `cfg`, the configuration the
+    /// connection runs under.
+    pub fn window(&self, cfg: &TcpConfig) -> usize {
+        self.rcv_buf.window(cfg)
     }
 
     /// Bytes in flight.
@@ -437,23 +490,23 @@ impl Tcb {
     // ---------------------------------------------------- application
 
     /// Queues application data; returns bytes accepted.
-    pub fn write(&mut self, data: &[u8]) -> usize {
+    pub fn write(&mut self, env: Env, data: &[u8]) -> usize {
         if !self.can_queue() {
             return 0;
         }
-        let n = self.snd_buf.write(data);
+        let n = self.snd_buf.write(env.cfg, data);
         if n > 0 {
-            self.recorder.gauge_max(Gauge::SendBufHighWater, self.snd_buf.len() as u64);
+            env.recorder.gauge_max(Gauge::SendBufHighWater, self.snd_buf.len() as u64);
         }
         n
     }
 
     /// Reads received data; returns bytes copied. Opening the window
     /// from (near) zero stages a window-update ACK.
-    pub fn read(&mut self, buf: &mut [u8]) -> usize {
-        let before = self.rcv_buf.window();
+    pub fn read(&mut self, env: Env, buf: &mut [u8]) -> usize {
+        let before = self.rcv_buf.window(env.cfg);
         let n = self.rcv_buf.read(buf);
-        self.after_read(n, before);
+        self.after_read(env, n, before);
         n
     }
 
@@ -466,10 +519,10 @@ impl Tcb {
 
     /// Takes the loan back: its bytes are read, with the same
     /// window-update rule as [`Tcb::read`].
-    pub(crate) fn restore_unread(&mut self, lent: Lent) {
-        let (n, before) = (lent.len(), self.rcv_buf.window());
+    pub(crate) fn restore_unread(&mut self, env: Env, lent: Lent) {
+        let (n, before) = (lent.len(), self.rcv_buf.window(env.cfg));
         self.rcv_buf.restore(lent);
-        self.after_read(n, before);
+        self.after_read(env, n, before);
     }
 
     /// Parks the storage of each ring that holds no byte in `spare`
@@ -491,17 +544,17 @@ impl Tcb {
     }
 
     /// The application read `n` bytes while the window stood at `before`.
-    fn after_read(&mut self, n: usize, before: usize) {
-        let mss = usize::from(self.cfg.mss);
-        if n > 0 && before < mss && self.rcv_buf.window() >= mss {
+    fn after_read(&mut self, env: Env, n: usize, before: usize) {
+        let mss = usize::from(env.cfg.mss);
+        if n > 0 && before < mss && self.rcv_buf.window(env.cfg) >= mss {
             self.ack_now();
         }
     }
 
     /// Begins an orderly close: a FIN is sent once buffered data drains.
-    pub fn close(&mut self, now: SimTime) {
+    pub fn close(&mut self, env: Env, now: SimTime) {
         match self.state {
-            TcpState::SynSent => self.set_state(now, TcpState::Closed),
+            TcpState::SynSent => self.set_state(env, now, TcpState::Closed),
             TcpState::Established | TcpState::SynRcvd | TcpState::CloseWait => {
                 self.fin_queued = true;
             }
@@ -510,30 +563,30 @@ impl Tcb {
     }
 
     /// Aborts: owes the peer a RST and drops to `Closed`.
-    pub fn abort(&mut self, now: SimTime) {
+    pub fn abort(&mut self, env: Env, now: SimTime) {
         if self.state.is_synchronized() && self.state != TcpState::Closed {
             self.rst_pending = true;
         }
-        self.set_state(now, TcpState::Closed);
+        self.set_state(env, now, TcpState::Closed);
     }
 
     // ------------------------------------------------- segment intake
 
     /// Processes one incoming segment.
-    pub fn on_segment(&mut self, now: SimTime, seg: &TcpSegment) {
+    pub fn on_segment(&mut self, env: Env, now: SimTime, seg: &TcpSegment) {
         match self.state {
             TcpState::Closed => {}
-            TcpState::SynSent => self.on_segment_syn_sent(now, seg),
-            TcpState::SynRcvd => self.on_segment_syn_rcvd(now, seg),
-            _ => self.on_segment_synchronized(now, seg),
+            TcpState::SynSent => self.on_segment_syn_sent(env, now, seg),
+            TcpState::SynRcvd => self.on_segment_syn_rcvd(env, now, seg),
+            _ => self.on_segment_synchronized(env, now, seg),
         }
     }
 
-    fn on_segment_syn_sent(&mut self, now: SimTime, seg: &TcpSegment) {
+    fn on_segment_syn_sent(&mut self, env: Env, now: SimTime, seg: &TcpSegment) {
         let flags = seg.flags;
         if flags.contains(TcpFlags::RST) {
             if flags.contains(TcpFlags::ACK) && SeqNum(seg.ack) == self.iss.add(1) {
-                self.set_state(now, TcpState::Closed);
+                self.set_state(env, now, TcpState::Closed);
             }
             return;
         }
@@ -543,24 +596,23 @@ impl Tcb {
             }
             self.irs = SeqNum(seg.seq);
             self.remote_synced = true;
-            self.rcv_buf =
-                RecvBuffer::new(self.irs.add(1), self.cfg.recv_buf, self.cfg.retention_buf);
-            self.peer_mss = u32::from(seg.mss().unwrap_or(536));
+            self.rcv_buf = RecvBuffer::new(self.irs.add(1), env.cfg);
+            self.peer_mss = seg.mss().unwrap_or(536);
             self.snd_una = self.iss.add(1);
-            self.negotiate_wscale(seg);
+            self.negotiate_wscale(env.cfg, seg);
             self.snd_wnd = self.peer_window(seg);
-            self.set_state(now, TcpState::Established);
-            self.rtx_deadline = None;
+            self.set_state(env, now, TcpState::Established);
+            self.rtx_deadline = When::NEVER;
             self.rto.reset_backoff();
-            self.take_rtt_sample(now, self.snd_una);
+            self.take_rtt_sample(env, now, self.snd_una);
             self.ack_now();
         }
     }
 
-    fn on_segment_syn_rcvd(&mut self, now: SimTime, seg: &TcpSegment) {
+    fn on_segment_syn_rcvd(&mut self, env: Env, now: SimTime, seg: &TcpSegment) {
         let flags = seg.flags;
         if flags.contains(TcpFlags::RST) {
-            self.set_state(now, TcpState::Closed);
+            self.set_state(env, now, TcpState::Closed);
             return;
         }
         if flags.contains(TcpFlags::SYN) && !flags.contains(TcpFlags::ACK) {
@@ -572,7 +624,7 @@ impl Tcb {
             return;
         }
         let ack = SeqNum(seg.ack);
-        if self.cfg.shadow {
+        if env.cfg.shadow {
             // The shadow's ISS is the primary's: both derive it from the
             // SYN (`NetStack`'s keyed ISS). Any client ACK establishes it,
             // the handshake's or a later one that acks data the primary
@@ -587,47 +639,47 @@ impl Tcb {
             // ACK or a retransmitted first request acks reply bytes.
             if seg.seq == self.irs.add(1).raw() && ack.lt(self.iss.add(1)) {
                 self.stats.isn_resyncs += 1;
-                self.recorder.count(Counter::ShadowIsnResyncs, 1);
+                env.recorder.count(Counter::ShadowIsnResyncs, 1);
             }
             self.snd_una = self.iss.add(1);
             self.snd_nxt = self.iss.add(1);
             self.snd_max = self.snd_max.max(self.snd_nxt);
             self.shadow_peer_ack = self.shadow_peer_ack.max(ack);
-            self.rtt_probe = None;
+            self.rtt_probe_at = When::NEVER;
         } else {
             if ack != self.snd_nxt {
                 return; // not the ACK of our SYN/ACK
             }
             self.snd_una = ack;
-            self.take_rtt_sample(now, ack);
+            self.take_rtt_sample(env, now, ack);
         }
         self.snd_wnd = self.peer_window(seg);
-        self.set_state(now, TcpState::Established);
-        self.rtx_deadline = None;
+        self.set_state(env, now, TcpState::Established);
+        self.rtx_deadline = When::NEVER;
         self.rto.reset_backoff();
         // The handshake ACK may carry data or a FIN: fall through.
-        self.on_segment_synchronized(now, seg);
+        self.on_segment_synchronized(env, now, seg);
     }
 
-    fn on_segment_synchronized(&mut self, now: SimTime, seg: &TcpSegment) {
+    fn on_segment_synchronized(&mut self, env: Env, now: SimTime, seg: &TcpSegment) {
         if seg.flags.contains(TcpFlags::RST) {
-            self.set_state(now, TcpState::Closed);
+            self.set_state(env, now, TcpState::Closed);
             return;
         }
         let seq = SeqNum(seg.seq);
         let seg_len = seg.seq_len();
-        if !self.segment_acceptable(seq, seg_len) {
+        if !self.segment_acceptable(env, seq, seg_len) {
             self.ack_now();
             return;
         }
         if seg.flags.contains(TcpFlags::ACK) {
-            self.process_ack(now, seg);
+            self.process_ack(env, now, seg);
             if self.state == TcpState::Closed {
                 return;
             }
         }
         if !seg.payload.is_empty() {
-            self.process_payload(now, seq, &seg.payload);
+            self.process_payload(env, now, seq, &seg.payload);
         }
         if seg.flags.contains(TcpFlags::FIN) {
             let fin_seq = seq.add(seg.payload.len() as u32);
@@ -641,12 +693,12 @@ impl Tcb {
                 }
             }
         }
-        self.try_consume_fin(now);
+        self.try_consume_fin(env, now);
     }
 
-    fn segment_acceptable(&self, seq: SeqNum, seg_len: u32) -> bool {
+    fn segment_acceptable(&self, env: Env, seq: SeqNum, seg_len: u32) -> bool {
         let rcv_nxt = self.ack_seq();
-        let wnd = self.rcv_buf.window() as u32;
+        let wnd = self.rcv_buf.window(env.cfg) as u32;
         if seg_len == 0 {
             if wnd == 0 {
                 seq == rcv_nxt
@@ -664,7 +716,7 @@ impl Tcb {
         }
     }
 
-    fn process_ack(&mut self, now: SimTime, seg: &TcpSegment) {
+    fn process_ack(&mut self, env: Env, now: SimTime, seg: &TcpSegment) {
         // RFC 2018: record the receiver's SACK islands before acting on
         // the cumulative ACK, so a dup-ack-triggered retransmission
         // already steers around them. Blocks beyond `snd_max` (which we
@@ -683,7 +735,7 @@ impl Tcb {
         }
         let mut ack = SeqNum(seg.ack);
         if ack.gt(self.snd_max) {
-            if self.cfg.shadow {
+            if env.cfg.shadow {
                 // The client is acknowledging bytes the *primary* sent
                 // that this shadow has not generated yet. Remember the
                 // high-water mark; they auto-complete when our app
@@ -695,7 +747,7 @@ impl Tcb {
                 return;
             }
         }
-        if self.cfg.shadow {
+        if env.cfg.shadow {
             self.shadow_peer_ack = self.shadow_peer_ack.max(ack);
         }
         if ack.gt(self.snd_una) {
@@ -709,9 +761,9 @@ impl Tcb {
             self.sack_board.ack_to(ack);
             self.cong.on_new_ack(now, flight, acked, self.rto.srtt());
             self.rto.reset_backoff();
-            self.take_rtt_sample(now, ack);
-            self.after_una_advance(now);
-            self.trace_cc(now);
+            self.take_rtt_sample(env, now, ack);
+            self.after_una_advance(env, now);
+            self.trace_cc(env, now);
         } else if ack == self.snd_una
             && seg.payload.is_empty()
             && !seg.flags.contains(TcpFlags::SYN)
@@ -721,10 +773,10 @@ impl Tcb {
             && self.cong.on_dup_ack(self.flight())
         {
             self.stats.fast_retransmits += 1;
-            self.recorder.count(Counter::TcpFastRetransmits, 1);
-            self.rtt_probe = None; // Karn
+            env.recorder.count(Counter::TcpFastRetransmits, 1);
+            self.rtt_probe_at = When::NEVER; // Karn
             self.rexmit_pending = true;
-            self.trace_cc(now);
+            self.trace_cc(env, now);
         }
         // Window update (links are FIFO in the simulator, so the newest
         // segment carries the newest window).
@@ -732,54 +784,53 @@ impl Tcb {
             let opened = self.snd_wnd == 0 && seg.window > 0;
             self.snd_wnd = self.peer_window(seg);
             if opened {
-                self.probe_deadline = None;
+                self.probe_deadline = When::NEVER;
                 self.probe_backoff = 0;
             }
         }
     }
 
-    fn after_una_advance(&mut self, now: SimTime) {
+    fn after_una_advance(&mut self, env: Env, now: SimTime) {
         if self.snd_una == self.snd_nxt {
-            self.rtx_deadline = None;
+            self.rtx_deadline = When::NEVER;
         } else {
-            self.rtx_deadline = Some(now + self.rto.rto());
+            self.rtx_deadline = When(now + self.current_rto(env.cfg));
         }
         if self.fin_sent && self.snd_una == self.snd_max {
             // Our FIN is acknowledged.
             let next = match self.state {
                 TcpState::FinWait1 => TcpState::FinWait2,
                 TcpState::Closing => {
-                    self.time_wait_deadline = Some(now + self.cfg.time_wait);
+                    self.time_wait_deadline = When(now + env.cfg.time_wait);
                     TcpState::TimeWait
                 }
                 TcpState::LastAck => TcpState::Closed,
                 s => s,
             };
-            self.set_state(now, next);
+            self.set_state(env, now, next);
         }
     }
 
-    fn process_payload(&mut self, now: SimTime, seq: SeqNum, payload: &Bytes) {
+    fn process_payload(&mut self, env: Env, now: SimTime, seq: SeqNum, payload: &Bytes) {
         if !matches!(self.state, TcpState::Established | TcpState::FinWait1 | TcpState::FinWait2) {
             return;
         }
         let before = self.rcv_buf.rcv_nxt();
-        self.rcv_buf.insert_bytes(seq, payload.clone());
+        self.rcv_buf.insert_bytes(env.cfg, seq, payload.clone());
         let after = self.rcv_buf.rcv_nxt();
         let advanced = after.distance(before) as u64;
         self.stats.bytes_in += advanced;
         if advanced > 0 {
-            self.recorder.gauge_max(Gauge::RecvBufHighWater, self.rcv_buf.readable() as u64);
-            self.recorder.gauge_max(Gauge::RetentionHighWater, self.rcv_buf.retained() as u64);
+            env.recorder.gauge_max(Gauge::RecvBufHighWater, self.rcv_buf.readable() as u64);
+            env.recorder.gauge_max(Gauge::RetentionHighWater, self.rcv_buf.retained() as u64);
         }
         let fully_in_order = advanced > 0 && after == seq.add(payload.len() as u32);
         if fully_in_order {
             self.bytes_since_ack += advanced as u32;
-            if self.bytes_since_ack >= 2 * u32::from(self.cfg.mss) || self.cfg.delayed_ack.is_zero()
-            {
+            if self.bytes_since_ack >= 2 * u32::from(env.cfg.mss) || env.cfg.delayed_ack.is_zero() {
                 self.ack_now();
-            } else if self.delack_deadline.is_none() && !self.ack_pending {
-                self.delack_deadline = Some(now + self.cfg.delayed_ack);
+            } else if !self.delack_deadline.is_set() && !self.ack_pending {
+                self.delack_deadline = When(now + env.cfg.delayed_ack);
             }
         } else {
             // Out of order, duplicate, or gap-filling: immediate ACK so
@@ -788,7 +839,7 @@ impl Tcb {
         }
     }
 
-    fn try_consume_fin(&mut self, now: SimTime) {
+    fn try_consume_fin(&mut self, env: Env, now: SimTime) {
         if self.fin_consumed {
             return;
         }
@@ -802,12 +853,12 @@ impl Tcb {
                 TcpState::Established => TcpState::CloseWait,
                 TcpState::FinWait1 => TcpState::Closing,
                 TcpState::FinWait2 => {
-                    self.time_wait_deadline = Some(now + self.cfg.time_wait);
+                    self.time_wait_deadline = When(now + env.cfg.time_wait);
                     TcpState::TimeWait
                 }
                 s => s,
             };
-            self.set_state(now, next);
+            self.set_state(env, now, next);
         }
     }
 
@@ -815,17 +866,16 @@ impl Tcb {
     /// known, activates window scaling (RFC 1323: in effect only if both
     /// SYNs carried the option) and SACK (RFC 2018: in effect only when
     /// our config enables it and the peer's SYN offered `SackPermitted`).
-    fn negotiate_wscale(&mut self, syn: &TcpSegment) {
-        self.peer_offered_wscale = syn.options.iter().find_map(|o| match o {
+    fn negotiate_wscale(&mut self, cfg: &TcpConfig, syn: &TcpSegment) {
+        let peer_offered = syn.options.iter().find_map(|o| match o {
             wire::TcpOption::WindowScale(v) => Some((*v).min(14)),
             _ => None,
         });
-        if let (Some(peer), Some(ours)) = (self.peer_offered_wscale, self.cfg.window_scale) {
+        if let (Some(peer), Some(ours)) = (peer_offered, cfg.window_scale) {
             self.snd_wscale = peer;
             self.rcv_wscale = ours.min(14);
         }
-        if self.cfg.sack && syn.options.iter().any(|o| matches!(o, wire::TcpOption::SackPermitted))
-        {
+        if cfg.sack && syn.options.iter().any(|o| matches!(o, wire::TcpOption::SackPermitted)) {
             self.sack_ok = true;
         }
     }
@@ -840,15 +890,15 @@ impl Tcb {
     }
 
     /// Encodes our advertised window for a non-SYN segment.
-    fn own_window_field(&self) -> u16 {
-        (self.rcv_buf.window() >> self.rcv_wscale).min(65535) as u16
+    fn own_window_field(&self, env: Env) -> u16 {
+        (self.rcv_buf.window(env.cfg) >> self.rcv_wscale).min(65535) as u16
     }
 
-    fn take_rtt_sample(&mut self, now: SimTime, ack: SeqNum) {
-        if let Some((probe_seq, sent_at)) = self.rtt_probe {
-            if ack.ge(probe_seq) {
-                self.rto.on_sample(now.duration_since(sent_at));
-                self.rtt_probe = None;
+    fn take_rtt_sample(&mut self, env: Env, now: SimTime, ack: SeqNum) {
+        if let Some(sent_at) = self.rtt_probe_at.get() {
+            if ack.ge(self.rtt_probe_seq) {
+                self.rto.on_sample(now.duration_since(sent_at), env.cfg);
+                self.rtt_probe_at = When::NEVER;
             }
         }
     }
@@ -866,21 +916,21 @@ impl Tcb {
     /// The fire it arms counts as [`Counter::PromotionSends`], not as
     /// [`Counter::TcpRtoFired`]: it is no loss.
     pub fn speak_first(&mut self, at: SimTime) {
-        if self.rtx_deadline.is_some() && (self.state == TcpState::SynRcvd || self.flight() > 0) {
+        if self.rtx_deadline.is_set() && (self.state == TcpState::SynRcvd || self.flight() > 0) {
             self.rto.reset_backoff();
-            self.rtx_deadline = Some(at);
-            self.speak_at = Some(at);
+            self.rtx_deadline = When(at);
+            self.speak_at = When(at);
         }
     }
 
     /// Injects bytes recovered via the side channel directly into the
     /// reassembly buffer (backup missing-segment recovery, §4.2).
-    pub fn inject_rx(&mut self, now: SimTime, seq: SeqNum, data: &[u8]) {
+    pub fn inject_rx(&mut self, env: Env, now: SimTime, seq: SeqNum, data: &[u8]) {
         if !self.state.is_synchronized() || self.state == TcpState::Closed {
             return;
         }
-        self.rcv_buf.insert(seq, data);
-        self.try_consume_fin(now);
+        self.rcv_buf.insert(env.cfg, seq, data);
+        self.try_consume_fin(env, now);
     }
 
     /// Serves retained receive bytes (primary side of missing-segment
@@ -906,9 +956,9 @@ impl Tcb {
     ///
     /// The test-facing form of [`Tcb::poll_stage`], which the stack's
     /// hot path drains without allocating.
-    pub fn poll(&mut self, now: SimTime) -> Vec<TcpSegment> {
+    pub fn poll(&mut self, env: Env, now: SimTime) -> Vec<TcpSegment> {
         let mut staged = Vec::new();
-        self.poll_stage(now, &mut staged);
+        self.poll_stage(env, now, &mut staged);
         staged.iter().map(|seg| self.materialize(seg)).collect()
     }
 
@@ -919,27 +969,27 @@ impl Tcb {
     /// A staged plan reads its payload out of this connection's send
     /// buffer: emit (or drop) everything appended before the connection
     /// is written to, handed a segment or polled again.
-    pub fn poll_stage(&mut self, now: SimTime, out: &mut Vec<StagedSeg>) {
+    pub fn poll_stage(&mut self, env: Env, now: SimTime, out: &mut Vec<StagedSeg>) {
         if std::mem::take(&mut self.syn_pending) {
-            self.stage_syn(now, out);
+            self.stage_syn(env, now, out);
         }
         if std::mem::take(&mut self.rexmit_pending) {
-            self.retransmit_front(now, out);
+            self.retransmit_front(env, now, out);
         }
         if std::mem::take(&mut self.rst_pending) {
-            self.stage(TcpFlags::RST | TcpFlags::ACK, self.snd_nxt, 0, out);
+            self.stage(env, TcpFlags::RST | TcpFlags::ACK, self.snd_nxt, 0, out);
         }
-        self.check_timers(now, out);
-        self.emit_data(now, out);
-        self.shadow_auto_trim(now);
+        self.check_timers(env, now, out);
+        self.emit_data(env, now, out);
+        self.shadow_auto_trim(env, now);
         if self.ack_pending && self.remote_synced && self.state != TcpState::Closed {
-            self.stage(TcpFlags::ACK, self.snd_nxt, 0, out);
+            self.stage(env, TcpFlags::ACK, self.snd_nxt, 0, out);
             if self.sack_ok {
                 let islands = self.rcv_buf.sack_ranges();
                 if !islands.is_empty() {
                     let raw: Vec<(u32, u32)> =
                         islands.iter().take(4).map(|&(lo, hi)| (lo.raw(), hi.raw())).collect();
-                    self.recorder.count(Counter::SackBlocksSent, raw.len() as u64);
+                    env.recorder.count(Counter::SackBlocksSent, raw.len() as u64);
                     let ack = out.last_mut().expect("just staged");
                     ack.options.push(TcpOption::sack(&raw));
                 }
@@ -988,52 +1038,45 @@ impl Tcb {
             self.pacing_gate,
         ]
         .into_iter()
-        .flatten()
+        .filter_map(When::get)
         .min()
     }
 
-    fn check_timers(&mut self, now: SimTime, out: &mut Vec<StagedSeg>) {
-        if let Some(t) = self.time_wait_deadline {
-            if t <= now {
-                self.time_wait_deadline = None;
-                self.set_state(now, TcpState::Closed);
-                return;
-            }
+    fn check_timers(&mut self, env: Env, now: SimTime, out: &mut Vec<StagedSeg>) {
+        if self.time_wait_deadline.due(now) {
+            self.time_wait_deadline = When::NEVER;
+            self.set_state(env, now, TcpState::Closed);
+            return;
         }
-        if let Some(t) = self.rtx_deadline {
-            if t <= now {
-                self.on_rtx_timeout(now, out);
-            }
+        if self.rtx_deadline.due(now) {
+            self.on_rtx_timeout(env, now, out);
         }
-        if let Some(t) = self.delack_deadline {
-            if t <= now {
-                self.delack_deadline = None;
-                self.ack_now();
-            }
+        if self.delack_deadline.due(now) {
+            self.delack_deadline = When::NEVER;
+            self.ack_now();
         }
-        if let Some(t) = self.probe_deadline {
-            if t <= now {
-                self.probe_deadline = None;
-                self.send_window_probe(now, out);
-            }
+        if self.probe_deadline.due(now) {
+            self.probe_deadline = When::NEVER;
+            self.send_window_probe(env, now, out);
         }
     }
 
-    fn on_rtx_timeout(&mut self, now: SimTime, out: &mut Vec<StagedSeg>) {
-        let promotion = self.speak_at.take().is_some_and(|at| self.rtx_deadline == Some(at));
-        self.rtx_deadline = None;
+    fn on_rtx_timeout(&mut self, env: Env, now: SimTime, out: &mut Vec<StagedSeg>) {
+        let speak_at = std::mem::replace(&mut self.speak_at, When::NEVER);
+        let promotion = speak_at.is_set() && speak_at == self.rtx_deadline;
+        self.rtx_deadline = When::NEVER;
         match self.state {
             TcpState::SynSent => {
                 self.syn_attempts += 1;
                 if self.syn_attempts > SYN_MAX_ATTEMPTS {
-                    self.set_state(now, TcpState::Closed);
+                    self.set_state(env, now, TcpState::Closed);
                     return;
                 }
                 let backoff = self.rto.backoff();
-                self.rtt_probe = None; // Karn: no samples from retransmits
-                self.stage_syn(now, out);
-                self.rtx_deadline = Some(now + self.rto.rto());
-                self.count_rto(now, promotion, backoff);
+                self.rtt_probe_at = When::NEVER; // Karn: no samples from retransmits
+                self.stage_syn(env, now, out);
+                self.rtx_deadline = When(now + self.current_rto(env.cfg));
+                self.count_rto(env, now, promotion, backoff);
             }
             TcpState::SynRcvd => {
                 self.syn_attempts += 1;
@@ -1042,14 +1085,14 @@ impl Tcb {
                     // flood, or a shadow whose tap lost every client
                     // segment after the SYN): give up so the TCB can be
                     // reaped.
-                    self.set_state(now, TcpState::Closed);
+                    self.set_state(env, now, TcpState::Closed);
                     return;
                 }
                 let backoff = self.rto.backoff();
-                self.rtt_probe = None; // Karn: no samples from retransmits
-                self.stage_syn(now, out);
-                self.rtx_deadline = Some(now + self.rto.rto());
-                self.count_rto(now, promotion, backoff);
+                self.rtt_probe_at = When::NEVER; // Karn: no samples from retransmits
+                self.stage_syn(env, now, out);
+                self.rtx_deadline = When(now + self.current_rto(env.cfg));
+                self.count_rto(env, now, promotion, backoff);
             }
             TcpState::Closed | TcpState::TimeWait => {}
             _ => {
@@ -1058,14 +1101,14 @@ impl Tcb {
                 }
                 self.cong.on_timeout(self.flight());
                 let backoff = self.rto.backoff();
-                self.rtt_probe = None; // Karn: no samples from retransmits
-                self.count_rto(now, promotion, backoff);
-                self.trace_cc(now);
+                self.rtt_probe_at = When::NEVER; // Karn: no samples from retransmits
+                self.count_rto(env, now, promotion, backoff);
+                self.trace_cc(env, now);
                 // Classic go-back-N: roll snd_nxt back so emit_data
                 // resends the whole outstanding window under slow-start
                 // pacing (one segment now, doubling per RTT).
                 self.snd_nxt = self.snd_una;
-                self.rtx_deadline = Some(now + self.rto.rto());
+                self.rtx_deadline = When(now + self.current_rto(env.cfg));
             }
         }
     }
@@ -1073,7 +1116,7 @@ impl Tcb {
     /// Counts and traces a fire of the retransmission timer: a
     /// promotion send where [`Tcb::speak_first`] put it, a
     /// retransmission timeout otherwise.
-    fn count_rto(&mut self, now: SimTime, promotion: bool, backoff: u32) {
+    fn count_rto(&mut self, env: Env, now: SimTime, promotion: bool, backoff: u32) {
         let counter = if promotion {
             self.stats.promotion_sends += 1;
             Counter::PromotionSends
@@ -1081,30 +1124,30 @@ impl Tcb {
             self.stats.rto_retransmits += 1;
             Counter::TcpRtoFired
         };
-        self.recorder.count(counter, 1);
-        self.recorder.trace(
+        env.recorder.count(counter, 1);
+        env.recorder.trace(
             now.as_nanos(),
             &TraceEvent::RtoFired {
                 conn: self.quad.trace_conn(),
                 backoff,
-                rto_ns: self.rto.rto().as_nanos(),
+                rto_ns: self.current_rto(env.cfg).as_nanos(),
             },
         );
     }
 
     /// Publishes the controller's window and, on a phase transition, a
     /// `cong_phase` trace event.
-    fn trace_cc(&mut self, now: SimTime) {
-        self.recorder.gauge_max(Gauge::CwndBytes, u64::from(self.cong.cwnd()));
+    fn trace_cc(&mut self, env: Env, now: SimTime) {
+        env.recorder.gauge_max(Gauge::CwndBytes, u64::from(self.cong.cwnd()));
         let phase = self.cong.phase();
         if phase != self.cc_phase {
-            self.recorder.trace(
+            env.recorder.trace(
                 now.as_nanos(),
                 &TraceEvent::CongPhase {
                     conn: self.quad.trace_conn(),
                     algo: self.cong.algo().name().into(),
-                    from: self.cc_phase.into(),
-                    to: phase.into(),
+                    from: self.cc_phase.name().into(),
+                    to: phase.name().into(),
                     cwnd: self.cong.cwnd(),
                 },
             );
@@ -1113,10 +1156,10 @@ impl Tcb {
     }
 
     /// Retransmits one segment starting at `snd_una`.
-    fn retransmit_front(&mut self, now: SimTime, out: &mut Vec<StagedSeg>) {
+    fn retransmit_front(&mut self, env: Env, now: SimTime, out: &mut Vec<StagedSeg>) {
         let data_end = self.snd_buf.end();
         if self.snd_una.lt(data_end) {
-            let mut len = (data_end.distance(self.snd_una) as usize).min(usize::from(self.cfg.mss));
+            let mut len = (data_end.distance(self.snd_una) as usize).min(usize::from(env.cfg.mss));
             // SACK recovery: the receiver already holds the ranges on the
             // scoreboard, so cap the resend at the first SACKed byte —
             // only the hole goes back out.
@@ -1127,7 +1170,7 @@ impl Tcb {
                 if len == 0 {
                     return;
                 }
-                self.recorder.count(Counter::SelectiveRetransmits, 1);
+                env.recorder.count(Counter::SelectiveRetransmits, 1);
             }
             let mut flags = TcpFlags::ACK;
             if self.snd_una.add(len as u32) == data_end {
@@ -1137,16 +1180,16 @@ impl Tcb {
             if self.fin_sent && self.snd_una.add(len as u32).add(1) == self.snd_max {
                 flags |= TcpFlags::FIN;
             }
-            self.stage(flags, self.snd_una, len, out);
+            self.stage(env, flags, self.snd_una, len, out);
             self.last_send = now;
         } else if self.fin_sent && self.snd_una == data_end {
             // Only the FIN is outstanding.
-            self.stage(TcpFlags::FIN | TcpFlags::ACK, self.snd_una, 0, out);
+            self.stage(env, TcpFlags::FIN | TcpFlags::ACK, self.snd_una, 0, out);
             self.last_send = now;
         }
     }
 
-    fn send_window_probe(&mut self, now: SimTime, out: &mut Vec<StagedSeg>) {
+    fn send_window_probe(&mut self, env: Env, now: SimTime, out: &mut Vec<StagedSeg>) {
         let has_pending =
             self.snd_nxt.lt(self.snd_buf.end()) || (self.fin_queued && !self.fin_sent);
         if self.snd_wnd > 0 || !has_pending {
@@ -1154,15 +1197,15 @@ impl Tcb {
         }
         // A classic "keepalive-style" probe: one byte below the window,
         // guaranteed to elicit an ACK carrying the current window.
-        self.stage(TcpFlags::ACK, self.snd_una.sub(1), 0, out);
+        self.stage(env, TcpFlags::ACK, self.snd_una.sub(1), 0, out);
         self.stats.probes += 1;
-        self.recorder.count(Counter::TcpWindowProbes, 1);
+        env.recorder.count(Counter::TcpWindowProbes, 1);
         self.probe_backoff = (self.probe_backoff + 1).min(10);
-        let interval = self.rto.rto().saturating_mul(1 << self.probe_backoff.min(6));
-        self.probe_deadline = Some(now + interval.min(self.cfg.rto_max));
+        let interval = self.current_rto(env.cfg).saturating_mul(1 << self.probe_backoff.min(6));
+        self.probe_deadline = When(now + interval.min(env.cfg.rto_max));
     }
 
-    fn emit_data(&mut self, now: SimTime, out: &mut Vec<StagedSeg>) {
+    fn emit_data(&mut self, env: Env, now: SimTime, out: &mut Vec<StagedSeg>) {
         if !matches!(
             self.state,
             TcpState::Established
@@ -1179,24 +1222,22 @@ impl Tcb {
         if self.flight() == 0
             && self.snd_nxt == self.snd_max // not mid-recovery after a go-back-N rollback
             && self.snd_nxt.lt(self.snd_buf.end())
-            && idle_restart_due(now.duration_since(self.last_send), self.rto.rto())
+            && idle_restart_due(now.duration_since(self.last_send), self.current_rto(env.cfg))
         {
             self.cong.on_idle_restart();
         }
         // A pacing gate in the past has served its purpose. (Gates only
         // ever exist for rate-based controllers; Reno/CUBIC never set
         // one, so this whole mechanism is inert by default.)
-        if let Some(gate) = self.pacing_gate {
-            if gate <= now {
-                self.pacing_gate = None;
-            }
+        if self.pacing_gate.due(now) {
+            self.pacing_gate = When::NEVER;
         }
         loop {
             let data_end = self.snd_buf.end();
             if !self.snd_nxt.lt(data_end) {
                 break;
             }
-            if self.pacing_gate.is_some() {
+            if self.pacing_gate.is_set() {
                 break; // paced: next segment waits for the gate
             }
             // SACK: while retransmitting (snd_nxt behind snd_max), hop
@@ -1212,7 +1253,7 @@ impl Tcb {
             let wnd = self.snd_wnd.min(self.cong.cwnd());
             let usable = wnd.saturating_sub(self.flight()) as usize;
             let mut n =
-                unsent.min(usable).min(usize::from(self.cfg.mss)).min(self.peer_mss as usize);
+                unsent.min(usable).min(usize::from(env.cfg.mss)).min(self.peer_mss as usize);
             // SACK: cap a hole retransmission at the next SACKed range so
             // the resend never re-covers delivered bytes.
             if self.sack_ok && self.snd_nxt.lt(self.snd_max) {
@@ -1221,10 +1262,10 @@ impl Tcb {
                 }
             }
             if n == 0 {
-                if self.snd_wnd == 0 && self.probe_deadline.is_none() {
-                    self.probe_deadline = Some(now + self.rto.rto());
+                if self.snd_wnd == 0 && !self.probe_deadline.is_set() {
+                    self.probe_deadline = When(now + self.current_rto(env.cfg));
                     self.probe_backoff = 0;
-                    self.recorder.count(Counter::TcpWindowStalls, 1);
+                    env.recorder.count(Counter::TcpWindowStalls, 1);
                 }
                 break;
             }
@@ -1234,31 +1275,31 @@ impl Tcb {
             if end_seq == data_end {
                 flags |= TcpFlags::PSH;
             }
-            self.stage(flags, self.snd_nxt, n, out);
+            self.stage(env, flags, self.snd_nxt, n, out);
             if is_new {
                 let new_bytes = end_seq.distance(self.snd_max.max(self.snd_nxt)) as u64;
                 self.stats.bytes_out += new_bytes;
             } else if self.sack_ok && !self.sack_board.is_empty() {
-                self.recorder.count(Counter::SelectiveRetransmits, 1);
+                env.recorder.count(Counter::SelectiveRetransmits, 1);
             }
             self.cong.on_sent(now, n as u32);
             if let Some(rate) = self.cong.pacing_rate() {
                 let ns = (n as u64).saturating_mul(1_000_000_000) / rate.max(1);
-                self.pacing_gate = Some(now + SimDuration::from_nanos(ns));
+                self.pacing_gate = When(now + SimDuration::from_nanos(ns));
             }
             self.snd_nxt = end_seq;
             self.snd_max = self.snd_max.max(end_seq);
             self.last_send = now;
             // RTT samples only from never-retransmitted data (Karn).
-            if is_new && self.rtt_probe.is_none() {
-                self.rtt_probe = Some((self.snd_nxt, now));
+            if is_new && !self.rtt_probe_at.is_set() {
+                (self.rtt_probe_seq, self.rtt_probe_at) = (self.snd_nxt, When(now));
             }
-            if self.rtx_deadline.is_none() {
-                self.rtx_deadline = Some(now + self.rto.rto());
+            if !self.rtx_deadline.is_set() {
+                self.rtx_deadline = When(now + self.current_rto(env.cfg));
             }
             // Data segments carry the ACK.
             self.ack_pending = false;
-            self.delack_deadline = None;
+            self.delack_deadline = When::NEVER;
             self.bytes_since_ack = 0;
         }
         // FIN once the buffer has fully drained onto the wire; a rolled
@@ -1268,13 +1309,13 @@ impl Tcb {
             && (!self.fin_sent || self.snd_nxt.lt(self.snd_max))
         {
             let first = !self.fin_sent;
-            self.stage(TcpFlags::FIN | TcpFlags::ACK, self.snd_nxt, 0, out);
+            self.stage(env, TcpFlags::FIN | TcpFlags::ACK, self.snd_nxt, 0, out);
             self.fin_sent = true;
             self.snd_nxt = self.snd_nxt.add(1);
             self.snd_max = self.snd_max.max(self.snd_nxt);
             self.last_send = now;
-            if self.rtx_deadline.is_none() {
-                self.rtx_deadline = Some(now + self.rto.rto());
+            if !self.rtx_deadline.is_set() {
+                self.rtx_deadline = When(now + self.current_rto(env.cfg));
             }
             if first {
                 let next = match self.state {
@@ -1282,7 +1323,7 @@ impl Tcb {
                     TcpState::CloseWait => TcpState::LastAck,
                     s => s,
                 };
-                self.set_state(now, next);
+                self.set_state(env, now, next);
             }
             self.ack_pending = false;
         }
@@ -1291,15 +1332,15 @@ impl Tcb {
     /// Shadow mode: bytes we just "sent" that the client has already
     /// acknowledged (because the primary delivered them first) complete
     /// instantly.
-    fn shadow_auto_trim(&mut self, now: SimTime) {
-        if !self.cfg.shadow {
+    fn shadow_auto_trim(&mut self, env: Env, now: SimTime) {
+        if !env.cfg.shadow {
             return;
         }
         let target = self.shadow_peer_ack.min(self.snd_nxt);
         if target.gt(self.snd_una) {
             self.snd_buf.ack_to(target);
             self.snd_una = target;
-            self.after_una_advance(now);
+            self.after_una_advance(env, now);
         }
     }
 
@@ -1307,16 +1348,16 @@ impl Tcb {
 
     fn ack_now(&mut self) {
         self.ack_pending = true;
-        self.delack_deadline = None;
+        self.delack_deadline = When::NEVER;
         self.bytes_since_ack = 0;
     }
 
     /// Stages the opening segment: a SYN before the peer's is known, a
     /// SYN/ACK after.
-    fn stage_syn(&mut self, now: SimTime, out: &mut Vec<StagedSeg>) {
+    fn stage_syn(&mut self, env: Env, now: SimTime, out: &mut Vec<StagedSeg>) {
         let with_ack = self.remote_synced;
-        let mut options = vec![TcpOption::Mss(self.cfg.mss), TcpOption::SackPermitted];
-        if let Some(shift) = self.cfg.window_scale {
+        let mut options = vec![TcpOption::Mss(env.cfg.mss), TcpOption::SackPermitted];
+        if let Some(shift) = env.cfg.window_scale {
             options.push(TcpOption::WindowScale(shift.min(14)));
         }
         out.push(StagedSeg {
@@ -1324,7 +1365,7 @@ impl Tcb {
             ack: if with_ack { self.irs.add(1).raw() } else { 0 },
             len: 0,
             // SYN window fields are never scaled (RFC 1323).
-            window: self.rcv_buf.window().min(65535) as u16,
+            window: self.rcv_buf.window(env.cfg).min(65535) as u16,
             flags: if with_ack { TcpFlags::SYN | TcpFlags::ACK } else { TcpFlags::SYN },
             options,
         });
@@ -1333,14 +1374,21 @@ impl Tcb {
 
     /// Stages a segment carrying `len` bytes of the send buffer from
     /// `seq` on — none for a pure ACK, FIN, RST or window probe.
-    fn stage(&mut self, flags: TcpFlags, seq: SeqNum, len: usize, out: &mut Vec<StagedSeg>) {
+    fn stage(
+        &mut self,
+        env: Env,
+        flags: TcpFlags,
+        seq: SeqNum,
+        len: usize,
+        out: &mut Vec<StagedSeg>,
+    ) {
         debug_assert!(len <= usize::from(u16::MAX));
         let acks = self.remote_synced && flags.contains(TcpFlags::ACK);
         out.push(StagedSeg {
             seq,
             ack: if acks { self.ack_seq().raw() } else { 0 },
             len: len as u16,
-            window: self.own_window_field(),
+            window: self.own_window_field(env),
             flags,
             options: Vec::new(),
         });

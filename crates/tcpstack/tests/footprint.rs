@@ -15,13 +15,20 @@
 //! a 2 KiB frame buffer and a spare ring of its own.) This test holds
 //! it there.
 //!
+//! It also pins a connection's own state, `size_of::<Tcb>()`: 408 B. A
+//! fleet stores each connection three times (client, primary, shadow),
+//! and a slab slot is a TCB plus a few flags. It was 632 B while every
+//! TCB kept a copy of its stack's `TcpConfig` and recorder, of the
+//! capacities and RTO bounds that config holds, and `Option<SimTime>`
+//! instants at 16 B each.
+//!
 //! This file holds exactly one test: the counter is process-global,
 //! and a concurrently running neighbour test would pollute it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicIsize, AtomicU64, Ordering};
-use tcpstack::{NetStack, StackConfig};
+use tcpstack::{NetStack, StackConfig, Tcb};
 use wire::MacAddr;
 
 struct CountingAlloc;
@@ -67,4 +74,6 @@ fn an_idle_stack_is_cheap() {
     assert!(allocs <= 2, "NetStack::new made {allocs} allocations");
     assert!(total <= 1024 + 128, "an idle NetStack holds {total} B");
     drop(stack);
+    let tcb = std::mem::size_of::<Tcb>();
+    assert!(tcb <= 408, "a TCB is {tcb} B");
 }

@@ -362,7 +362,7 @@ fn backup_tap_loss_leaves_gap_identified_by_rcv_nxt() {
     assert_eq!(missing, b"BBBB");
     // Injecting them (what the UDP side channel will do) heals the gap.
     let rcv = b_tcb.rcv_nxt();
-    net.stacks[2].tcb_mut(bs).unwrap().inject_rx(net.now, rcv, &missing);
+    assert!(net.stacks[2].inject_rx(net.now, bs, rcv, &missing));
     let healed = net.stacks[2].tcb(bs).unwrap();
     assert_eq!(healed.rcv_nxt(), net.stacks[1].tcb(ps).unwrap().rcv_nxt());
 }

@@ -3,9 +3,65 @@
 
 use bytes::Bytes;
 use netsim::{SimDuration, SimTime};
+use std::ops::{Deref, DerefMut};
 use tcpstack::rto::RtoEstimator;
-use tcpstack::{Quad, SeqNum, Tcb, TcpConfig, TcpState};
+use tcpstack::{Env, Quad, SeqNum, Tcb, TcpConfig, TcpState};
 use wire::{TcpFlags, TcpSegment};
+
+/// A TCB and the configuration it runs under, which the calls that need
+/// it get from here (a stack lends each of its connections its own).
+#[derive(Clone)]
+struct Conn {
+    tcb: Tcb,
+    cfg: TcpConfig,
+}
+
+impl Conn {
+    fn connect(now: SimTime, quad: Quad, iss: SeqNum, cfg: TcpConfig) -> Conn {
+        Conn { tcb: Tcb::connect(now, quad, iss, &cfg), cfg }
+    }
+
+    fn accept(now: SimTime, quad: Quad, iss: SeqNum, syn: &TcpSegment, cfg: TcpConfig) -> Conn {
+        Conn { tcb: Tcb::accept(now, quad, iss, syn, &cfg), cfg }
+    }
+
+    fn on_segment(&mut self, now: SimTime, seg: &TcpSegment) {
+        self.tcb.on_segment(Env::new(&self.cfg), now, seg);
+    }
+
+    fn poll(&mut self, now: SimTime) -> Vec<TcpSegment> {
+        self.tcb.poll(Env::new(&self.cfg), now)
+    }
+
+    fn write(&mut self, data: &[u8]) -> usize {
+        self.tcb.write(Env::new(&self.cfg), data)
+    }
+
+    fn read(&mut self, buf: &mut [u8]) -> usize {
+        self.tcb.read(Env::new(&self.cfg), buf)
+    }
+
+    fn close(&mut self, now: SimTime) {
+        self.tcb.close(Env::new(&self.cfg), now);
+    }
+
+    fn writable(&self) -> usize {
+        self.tcb.writable(&self.cfg)
+    }
+}
+
+impl Deref for Conn {
+    type Target = Tcb;
+    fn deref(&self) -> &Tcb {
+        &self.tcb
+    }
+}
+
+impl DerefMut for Conn {
+    fn deref_mut(&mut self) -> &mut Tcb {
+        &mut self.tcb
+    }
+}
 
 fn quad() -> Quad {
     Quad::new(
@@ -30,10 +86,10 @@ fn seg(seq: u32, ack: u32, flags: TcpFlags, payload: &[u8]) -> TcpSegment {
 
 /// Server-side TCB established via handshake; returns (tcb, now,
 /// client_next_seq, server_iss).
-fn established_server(cfg: TcpConfig) -> (Tcb, SimTime, u32, u32) {
+fn established_server(cfg: TcpConfig) -> (Conn, SimTime, u32, u32) {
     let now = SimTime::ZERO;
     let syn = client_syn(7000);
-    let mut tcb = Tcb::accept(now, quad(), SeqNum(100_000), &syn, cfg);
+    let mut tcb = Conn::accept(now, quad(), SeqNum(100_000), &syn, cfg);
     let synack = tcb.poll(now);
     assert_eq!(synack.len(), 1);
     let iss = synack[0].seq;
@@ -137,12 +193,12 @@ fn shadow_isn_check_counts_a_mismatch_and_never_applies_it() {
     // here is 555) is counted, and the shadow keeps its ISS.
     let cfg = TcpConfig { shadow: true, ..TcpConfig::default() };
     let now = SimTime::ZERO;
-    let mut agreeing = Tcb::accept(now, quad(), SeqNum(555), &client_syn(7000), cfg.clone());
+    let mut agreeing = Conn::accept(now, quad(), SeqNum(555), &client_syn(7000), cfg.clone());
     let _ = agreeing.poll(now);
     agreeing.on_segment(now, &seg(7001, 556, TcpFlags::ACK, b""));
     assert_eq!(agreeing.state(), TcpState::Established);
     assert_eq!(agreeing.stats.isn_resyncs, 0);
-    let mut shadow = Tcb::accept(now, quad(), SeqNum(90_000), &client_syn(7000), cfg);
+    let mut shadow = Conn::accept(now, quad(), SeqNum(90_000), &client_syn(7000), cfg);
     let _ = shadow.poll(now);
     shadow.on_segment(now, &seg(7001, 556, TcpFlags::ACK, b""));
     assert_eq!(shadow.state(), TcpState::Established);
@@ -158,7 +214,7 @@ fn shadow_isn_check_ignores_a_retransmitted_first_request_that_acks_reply_bytes(
     // evidence of another ISS, so no count.
     let cfg = TcpConfig { shadow: true, ..TcpConfig::default() };
     let now = SimTime::ZERO;
-    let mut tcb = Tcb::accept(now, quad(), SeqNum(42_000), &client_syn(7000), cfg);
+    let mut tcb = Conn::accept(now, quad(), SeqNum(42_000), &client_syn(7000), cfg);
     let _ = tcb.poll(now);
     tcb.on_segment(now, &seg(7001, 42_301, TcpFlags::ACK | TcpFlags::PSH, &[7; 150]));
     assert_eq!(tcb.state(), TcpState::Established);
@@ -174,7 +230,7 @@ fn a_shadow_establishes_on_an_ack_past_the_first_byte() {
     // at its own ISS, which is the primary's, and is no §4.1 mismatch.
     let cfg = TcpConfig { shadow: true, ..TcpConfig::default() };
     let now = SimTime::ZERO;
-    let mut tcb = Tcb::accept(now, quad(), SeqNum(42_000), &client_syn(7000), cfg);
+    let mut tcb = Conn::accept(now, quad(), SeqNum(42_000), &client_syn(7000), cfg);
     let _ = tcb.poll(now); // its own (suppressed) SYN/ACK
     tcb.on_segment(now, &seg(7151, 42_151, TcpFlags::ACK, &[7; 150]));
     assert_eq!(tcb.state(), TcpState::Established);
@@ -243,7 +299,7 @@ fn retention_survives_app_reads_until_backup_ack() {
 #[test]
 fn syn_retransmission_gives_up_eventually() {
     let now = SimTime::ZERO;
-    let mut tcb = Tcb::connect(now, quad().flipped(), SeqNum(1), TcpConfig::default());
+    let mut tcb = Conn::connect(now, quad().flipped(), SeqNum(1), TcpConfig::default());
     let _ = tcb.poll(now);
     let mut clock = now;
     for _ in 0..100 {
@@ -268,7 +324,7 @@ fn rst_kills_the_connection_immediately() {
 
 /// The connection accepts data: offered one byte more than `writable()`
 /// reports, `write()` takes exactly the reported amount.
-fn assert_open_for_writing(mut tcb: Tcb) {
+fn assert_open_for_writing(mut tcb: Conn) {
     let room = tcb.writable();
     assert!(room > 0, "in {:?}", tcb.state());
     assert_eq!(tcb.write(&vec![0x5A; room + 1]), room, "in {:?}", tcb.state());
@@ -277,7 +333,7 @@ fn assert_open_for_writing(mut tcb: Tcb) {
 
 /// The connection refuses data although its send buffer has room (no
 /// test below queues more than a few bytes): `writable()` must say so.
-fn assert_shut_for_writing(tcb: &mut Tcb) {
+fn assert_shut_for_writing(tcb: &mut Conn) {
     assert_eq!(tcb.write(b"x"), 0, "in {:?}", tcb.state());
     assert_eq!(tcb.writable(), 0, "in {:?}", tcb.state());
 }
@@ -291,7 +347,7 @@ fn ack_all(tcb: &Tcb, cseq: u32, flags: TcpFlags) -> TcpSegment {
 #[test]
 fn writable_in_syn_sent_then_closed() {
     let now = SimTime::ZERO;
-    let mut tcb = Tcb::connect(now, quad().flipped(), SeqNum(1), TcpConfig::default());
+    let mut tcb = Conn::connect(now, quad().flipped(), SeqNum(1), TcpConfig::default());
     assert_eq!(tcb.state(), TcpState::SynSent);
     assert_open_for_writing(tcb.clone()); // data may queue behind the SYN
     tcb.close(now);
@@ -302,7 +358,7 @@ fn writable_in_syn_sent_then_closed() {
 #[test]
 fn writable_in_syn_rcvd() {
     let now = SimTime::ZERO;
-    let tcb = Tcb::accept(now, quad(), SeqNum(555), &client_syn(7000), TcpConfig::default());
+    let tcb = Conn::accept(now, quad(), SeqNum(555), &client_syn(7000), TcpConfig::default());
     assert_eq!(tcb.state(), TcpState::SynRcvd);
     assert_open_for_writing(tcb);
 }
@@ -374,7 +430,7 @@ fn a_staged_segment_is_a_forty_byte_plan() {
 /// both retransmissions (3.4 s), times the handshake's backoff of four,
 /// would put it past 40 s.
 fn first_data_rto_after_a_twice_retransmitted_handshake(
-    mut tcb: Tcb,
+    mut tcb: Conn,
     answer: impl FnOnce(&Tcb) -> TcpSegment,
 ) -> SimDuration {
     let t0 = SimTime::ZERO;
@@ -393,7 +449,7 @@ fn first_data_rto_after_a_twice_retransmitted_handshake(
 
 #[test]
 fn a_retransmitted_syn_leaves_the_first_data_rto_at_the_initial_rto() {
-    let client = Tcb::connect(SimTime::ZERO, quad().flipped(), SeqNum(1), TcpConfig::default());
+    let client = Conn::connect(SimTime::ZERO, quad().flipped(), SeqNum(1), TcpConfig::default());
     let rto = first_data_rto_after_a_twice_retransmitted_handshake(client, |tcb| {
         let (ack, flags) = (tcb.iss().raw() + 1, TcpFlags::SYN | TcpFlags::ACK);
         let mut synack = TcpSegment::bare(80, 40000, 9_000, ack, flags, 17520);
@@ -405,7 +461,7 @@ fn a_retransmitted_syn_leaves_the_first_data_rto_at_the_initial_rto() {
 
 #[test]
 fn a_retransmitted_syn_ack_leaves_the_first_data_rto_at_the_initial_rto() {
-    let server = Tcb::accept(
+    let server = Conn::accept(
         SimTime::ZERO,
         quad(),
         SeqNum(100_000),

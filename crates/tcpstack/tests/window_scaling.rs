@@ -198,7 +198,7 @@ fn scaled_window_fields_stay_consistent_under_pressure() {
         received_unread >= 250 * 1024,
         "receiver should hold ≈256 KB unread, has {received_unread}"
     );
-    assert_eq!(b.tcb(ss).unwrap().window(), 0, "window must be exhausted");
+    assert_eq!(b.tcb(ss).unwrap().window(&b.config().tcp), 0, "window must be exhausted");
     // Drain and confirm flow resumes (persist timer needs real time).
     let mut buf = [0u8; 65536];
     let mut drained = 0;

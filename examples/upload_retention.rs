@@ -29,18 +29,19 @@ fn run(label: &str, cfg: SttcpConfig) {
             continue;
         }
         let tcb = p.stack().tcb(p.accepted[0]).unwrap();
+        let window = tcb.window(&p.stack().config().tcp);
         let up = s
             .sim
             .node_ref::<ServerNode>(s.primary)
             .app::<st_tcp::apps::UploadServer>(p.accepted[0])
             .map(|a| a.received())
             .unwrap_or(0);
-        if step % 4 == 0 || tcb.window() == 0 {
+        if step % 4 == 0 || window == 0 {
             println!(
                 "{:>8} {:>10} {:>10} {:>10} {:>12}",
                 25 * step,
                 tcb.retained(),
-                tcb.window(),
+                window,
                 tcb.rcv_nxt().distance(tcb.irs()),
                 up
             );
