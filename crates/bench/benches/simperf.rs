@@ -17,12 +17,14 @@
 //! events: an event count contains however many timer wake-ups the code
 //! of the day takes, and cheap idle wake-ups inflate events/s — more at
 //! 100 clients, where they are a larger share, than at 10 k. And it is
-//! frames processed, not frames that reached a NIC: a cold switch
-//! floods the first SYNs to every client, the NICs refuse the copies,
-//! and at 10 k clients those copies are 68 % of all — they occupy
-//! their links but are never simulator events (`filtered` in the tables
-//! below: `events + filtered` is what such a run took while they were),
-//! and dividing by them would flatter the large fleets for no work done.
+//! frames processed, not frames that reached a NIC: a copy a NIC
+//! refuses occupies its link but is never a simulator event (`filtered`
+//! in the tables below: `events + filtered` is what such a run took
+//! while it was), and dividing by it would flatter a run for no work
+//! done. The fleets refuse none: their switch starts with every
+//! server's port learned. While it started cold it flooded the first
+//! SYNs to every client, and at 10 k clients those copies were 68 % of
+//! all frames that reached a NIC.
 //!
 //! The first run seeds the `baseline` section; later runs preserve it
 //! and rewrite only `current`, so the file always shows current speed

@@ -21,7 +21,9 @@
 //! again when every server began to derive a passive open's ISS from
 //! the SYN: what the shadows need of the serving member's half rides its
 //! heartbeat as frontier entries, and a mirror copy leaves no earlier
-//! than the frame it copies.
+//! than the frame it copies. All four moved again when the fleet's
+//! switch began with every server's port learned: the digest covers
+//! every transmission, and the flood copies of the first SYNs are gone.
 //!
 //! On failure, the run's replayable artifact (`chaos-hunt --replay`)
 //! lands in `target/tmp/chaos-artifacts/` before the panic.
@@ -63,7 +65,7 @@ fn cascade_campaign_three_seeds() {
     // First crash lands mid-connect-spread (half the fleet still
     // handshaking); the second lands 160 ms later — right past rank 1's
     // 150 ms detection deadline, i.e. mid-takeover.
-    let pinned = [0x3283_22a9_dbb3_79f1, 0xc686_9087_f3fc_db29, 0x6292_bb41_eb8e_ff50];
+    let pinned = [0x3b2b_930d_6dc3_5f51, 0xea08_ab8e_92b1_e2dc, 0x11a8_077d_221d_2ad7];
     let campaign = cascade_campaign();
     assert_eq!(campaign.runs.len(), pinned.len());
     for (spec, digest) in campaign.runs.iter().zip(pinned) {
@@ -96,7 +98,7 @@ fn fault_free_chain_promotes_nobody() {
     let spec = RunSpec::chain(BACKUPS, 12, 0xC0FFEE, FaultPlan::none());
     let report = execute(&spec);
     assert_green(&spec, &report);
-    assert_eq!(report.digest, 0xb2c2_8001_d17d_ab12);
+    assert_eq!(report.digest, 0x3c37_8b94_90ec_e8fb);
     assert_eq!(report.final_epoch, 0);
     assert!(report.takeover_latency.is_none());
     assert_eq!(report.progress, (78_528, 78_528));

@@ -66,6 +66,19 @@ impl Switch {
         self.mirrors.push((monitored, mirror_to));
     }
 
+    /// Pre-fills the learning table: frames for `mac` go to `port`
+    /// before that station has sent anything, as with a static entry
+    /// an operator installs beside the static ARP entries the hosts
+    /// hold. A frame from `mac` on another port still moves it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `port` is not one of the switch's ports.
+    pub fn learn(&mut self, mac: MacAddr, port: PortId) {
+        assert!(port.0 < self.ports, "port {} on a {}-port switch", port.0, self.ports);
+        self.table.insert(mac, port);
+    }
+
     /// The learned MAC table (for assertions in tests).
     pub fn table(&self) -> &DetHashMap<MacAddr, PortId> {
         &self.table
@@ -269,6 +282,34 @@ mod tests {
         assert!(sim.node_ref::<Host>(hosts[1]).heard.is_empty());
         assert_eq!(sim.node_ref::<Host>(hosts[2]).heard.len(), 1);
         assert_eq!(sim.node_ref::<Switch>(sw).local, 1);
+    }
+
+    #[test]
+    fn a_pre_learned_station_gets_unicast_before_it_speaks_and_can_move() {
+        let (mut sim, sw, hosts) = three_hosts();
+        sim.node_mut::<Switch>(sw).learn(MacAddr::local(1), PortId(1));
+        // a -> b before b has sent a frame: forwarded, not flooded.
+        sim.node_mut::<Host>(hosts[0]).outbox.push((MacAddr::local(1), Bytes::from_static(b"1st")));
+        sim.run_for(SimDuration::from_millis(1));
+        assert_eq!(sim.node_ref::<Host>(hosts[1]).heard.len(), 1);
+        assert!(
+            sim.node_ref::<Host>(hosts[2]).heard.is_empty(),
+            "a pre-learned dst is not flooded"
+        );
+        let s = sim.node_ref::<Switch>(sw);
+        assert_eq!((s.floods, s.unicast_forwards), (0, 1));
+        // A frame from b's MAC on port 2 (the station moved) moves the
+        // entry, exactly as learning from traffic would.
+        let now = sim.now();
+        let mut ctx = Context::new(now, sw);
+        let moved = EthernetFrame::new(
+            MacAddr::local(0),
+            MacAddr::local(1),
+            EtherType::Other(0x1234),
+            Bytes::new(),
+        );
+        sim.node_mut::<Switch>(sw).on_frame(PortId(2), moved.encode(), &mut ctx);
+        assert_eq!(sim.node_ref::<Switch>(sw).table().get(&MacAddr::local(1)), Some(&PortId(2)));
     }
 
     #[test]

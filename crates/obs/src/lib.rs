@@ -42,7 +42,7 @@ pub use trace::{
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 /// Sentinel for "this mark was never recorded".
 const UNSET: u64 = u64::MAX;
@@ -224,9 +224,12 @@ pub struct NopRecorder;
 
 impl Recorder for NopRecorder {}
 
-/// A fresh [`SharedRecorder`] that records nothing.
+/// A [`SharedRecorder`] that records nothing: a clone of one handle
+/// per process, so a stack or node that records nothing allocates
+/// nothing for it.
 pub fn nop() -> SharedRecorder {
-    Arc::new(NopRecorder)
+    static NOP: LazyLock<SharedRecorder> = LazyLock::new(|| Arc::new(NopRecorder));
+    Arc::clone(&NOP)
 }
 
 /// Recording sink: fixed atomic arrays indexed by the enums.

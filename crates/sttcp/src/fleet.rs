@@ -34,7 +34,14 @@
 //! Clients keep a static `VIP → initial primary MAC` ARP entry
 //! (clients are unmodified, §2): no per-client ARP broadcast, and after
 //! any number of failovers their frames still flow to port 0, where the
-//! mirrors carry them to the survivors.
+//! mirrors carry them to the survivors. The servers keep a full mesh of
+//! static entries for the side channel. Where a host holds a MAC
+//! statically, the switch holds its port from the start
+//! ([`Switch::learn`], as an operator would enter it beside the ARP
+//! entries): every server's MAC is learned on its rank's port before
+//! the first frame, so no SYN sent before the primary's first frame is
+//! flooded to every client, and no fleet NIC has a frame to refuse.
+//! Normal learning can still move an entry.
 //!
 //! # Workload classes and ports
 //!
@@ -58,11 +65,11 @@
 //! idle connection holds no socket ring (a drained ring's storage goes
 //! to its thread's one spare) and a client stack no frame buffer (its
 //! frames are carved from its thread's one arena), so at 10 000 clients
-//! (seed 1) the 65 MB live at the end is, roughly: 21.2 MB of the two
-//! servers' 16 384-slot slabs, 8.3 MB of it empty slots; 14.7 MB of
-//! other server and simulator tables; 9.1 MB of boxed client stacks;
-//! 6.5 MB of one-slot client slabs; 13.5 MB of blocks under 300 B.
-//! [`FleetSpec::closing`] closes.
+//! (the benchmark's `fleet_churn` at seed 1) the 44 MB live at the end
+//! is, roughly: 8.4 MB of the two servers' slab pages (32 slots of
+//! 416 B each); 11.6 MB of other server and simulator tables; 9.1 MB of
+//! boxed client stacks; 4.2 MB of one-slot client slabs; 10.8 MB of
+//! blocks under 256 B. [`FleetSpec::closing`] closes.
 //!
 //! # Determinism
 //!
@@ -468,6 +475,11 @@ pub fn build(spec: &FleetSpec) -> Fleet {
     let mut sw = Switch::new(servers_total + n);
     for to in 1..servers_total {
         sw.add_mirror(PortId(0), PortId(to));
+    }
+    // Every host already holds a server's MAC in a static ARP entry, so
+    // the switch holds its port: no first SYN floods for want of it.
+    for rank in 0..servers_total {
+        sw.learn(server_mac(rank), PortId(rank));
     }
     let fabric = sim.add_node("switch", sw);
     let mut logger = None;

@@ -71,7 +71,7 @@ const BULK_100MB_EVENTS: u64 = 215_475;
 /// `fleet_failover_frame_traces_are_bit_identical` scenario), captured
 /// pre-refactor (PR 9) and held through the engine collapse (PR 12).
 /// The loss-free LAN draws nothing at random, so only protocol changes
-/// move it. Re-pinned six times:
+/// move it. Re-pinned eight times:
 ///
 /// * from (0x24bf_5764_6391_d5fd, 4 228) when the stack's deadlines
 ///   became exact: two clients' 200 ms retransmissions reach the
@@ -119,8 +119,14 @@ const BULK_100MB_EVENTS: u64 = 215_475;
 ///   a frontier entry only for bytes its backup had a whole tick to
 ///   ack, 2 frames fewer. The takeover instant held;
 ///   [`FLEET_80_PRE_PROMOTION_DIGEST`] moved with it (3 305 → 3 303
-///   frames).
-const FLEET_80_FAILOVER_DIGEST: (u64, u64) = (0xa727_2005_fffc_b8db, 3_401);
+///   frames);
+/// * from (0xa727_2005_fffc_b8db, 3 401) when the switch began with
+///   every server's port learned: the 474 flood copies of the first
+///   SYNs, each refused by a client's NIC, are gone; the events and
+///   the frames delivered held. The takeover instant
+///   held; [`FLEET_80_PRE_PROMOTION_DIGEST`] moved with it (3 303 →
+///   2 829 frames).
+const FLEET_80_FAILOVER_DIGEST: (u64, u64) = (0xdb8d_5630_4dcf_0040, 2_927);
 
 /// Simulator events of the failover fleet and of its fault-free twin
 /// (see [`BULK_100MB_EVENTS`]) plus the flood copies the clients' NICs
@@ -136,9 +142,11 @@ const FLEET_80_FAILOVER_DIGEST: (u64, u64) = (0xa727_2005_fffc_b8db, 3_401);
 /// → 3 780) when the mirror stopped copying the primary's half to the
 /// backup, and again (→ 3 668, → 3 614) when the SYN entries went and
 /// the frontier began to ride the heartbeat, and again (→ 3 666,
-/// → 3 612) when a frontier entry came to be owed a tick later.
-const FLEET_80_FAILOVER_EVENTS: u64 = 3_666;
-const FLEET_80_FAULT_FREE_EVENTS: u64 = 3_612;
+/// → 3 612) when a frontier entry came to be owed a tick later. Since
+/// the switch has begun with every server's port learned no NIC refuses
+/// a frame, so the sum is the events alone (3 666 − 474, 3 612 − 474).
+const FLEET_80_FAILOVER_EVENTS: u64 = 3_192;
+const FLEET_80_FAULT_FREE_EVENTS: u64 = 3_138;
 
 #[test]
 fn reno_via_trait_matches_prerefactor_bulk_100mb() {
@@ -163,15 +171,17 @@ fn reno_via_trait_matches_prerefactor_bulk_100mb() {
 
 /// Golden digest of the same 80-client fleet with no crash (whole run),
 /// captured on the commit before the engine collapse (PR 12).
-/// Re-pinned five times: from (0xd42d_b817_8f53_a80b, 4 215) for
+/// Re-pinned six times: from (0xd42d_b817_8f53_a80b, 4 215) for
 /// batched acks (see [`FLEET_80_FAILOVER_DIGEST`]), 256 frames fewer,
 /// from (0xc251_a78b_5b63_382b, 3 959) for the one heartbeat, 7 fewer,
 /// from (0xa239_214d_a47d_322a, 3 952) for the mirror that copies only
 /// the client's half, 415 fewer, and from (0x2404_154f_a89a_941c,
 /// 3 537) for the keyed ISS and the frontier on the heartbeat, 167
 /// fewer, and from (0xc4d5_700b_3ab2_60e5, 3 370) for frontier entries
-/// owed a tick later, 2 fewer.
-const FLEET_80_FAULT_FREE_DIGEST: (u64, u64) = (0x99be_0c67_2a38_c4e4, 3_368);
+/// owed a tick later, 2 fewer, and from (0x99be_0c67_2a38_c4e4, 3 368)
+/// for the switch that starts with the servers' ports learned, 474
+/// flood copies fewer.
+const FLEET_80_FAULT_FREE_DIGEST: (u64, u64) = (0x8791_82e9_18e7_a725, 2_894);
 
 /// When the backup of the 80-client failover fleet promotes itself.
 const FLEET_80_TAKEOVER: SimTime = SimTime::from_nanos(300_000_000);
@@ -180,14 +190,16 @@ const FLEET_80_TAKEOVER: SimTime = SimTime::from_nanos(300_000_000);
 /// before [`FLEET_80_TAKEOVER`], captured on the commit before the
 /// engine collapse (PR 12): whatever the surviving engine does after
 /// the promotion, the pair's pre-takeover wire trace may not move.
-/// Re-pinned five times, from (0x2efc_b375_8c3f_a909, 4 129) for
+/// Re-pinned six times, from (0x2efc_b375_8c3f_a909, 4 129) for
 /// batched acks, from (0x4ef5_6c6a_869e_b9b1, 3 877) for the one
 /// heartbeat, from (0x5cb8_f76f_ab42_fba2, 3 871) for the mirror that
 /// copies only the client's half, from (0x6034_0b1d_c88a_83ec, 3 469)
 /// for the keyed ISS and the frontier on the heartbeat and from
 /// (0x7269_29f6_5a01_509f, 3 305) for frontier entries owed a tick
-/// later (see [`FLEET_80_FAILOVER_DIGEST`]).
-const FLEET_80_PRE_PROMOTION_DIGEST: (u64, u64) = (0x1f20_9568_a2cb_885c, 3_303);
+/// later and from (0x1f20_9568_a2cb_885c, 3 303) for the switch that
+/// starts with the servers' ports learned (see
+/// [`FLEET_80_FAILOVER_DIGEST`]).
+const FLEET_80_PRE_PROMOTION_DIGEST: (u64, u64) = (0xdd0f_5323_02d7_394b, 2_829);
 
 /// What one run of the 80-client fleet put on the wire.
 struct Fleet80 {

@@ -228,7 +228,7 @@ impl NetStack {
             udps: Vec::new(),
             udp_ports: DetHashMap::default(),
             timers: TimeQueue::new(),
-            poll_queue: Vec::with_capacity(32),
+            poll_queue: Vec::new(),
             activity: Vec::new(),
             activity_tracking: false,
             staged: Vec::new(),

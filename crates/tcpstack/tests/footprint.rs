@@ -4,16 +4,19 @@
 //! them exchange ten frames and close: memory per idle stack times ten
 //! thousand is the fleet's peak, and allocations per stack are its
 //! set-up time; on a backup it is per-flow state, which bounds how many
-//! flows it can protect. An idle stack is 1 072 B in 2 allocations: the
-//! struct itself (800 B) and 272 B of heap. It owns no frame buffer and
-//! no spare ring: frames are composed in its thread's one frame arena,
-//! and drained socket rings park their storage in its thread's one
-//! spare. Its timer queue is an empty heap and costs nothing until a
-//! connection has a deadline. (It was 106 408 B in 268 allocations with
-//! a `Vec` per timer-wheel slot and a 64 KiB frame buffer, 7 032 B in 6
-//! with the wheel's slots inline over one arena, then 3 232 B in 4 with
-//! a 2 KiB frame buffer and a spare ring of its own.) This test holds
-//! it there.
+//! flows it can protect. An idle stack is its struct, 800 B, and no
+//! allocation. It owns no frame buffer and no spare ring: frames are
+//! composed in its thread's one frame arena, and drained socket rings
+//! park their storage in its thread's one spare. Its timer queue is an
+//! empty heap and its poll queue an empty `Vec`, each grown to what the
+//! stack uses and kept at that, and its recorder a clone of the one no-op
+//! recorder (made here before counting, as any earlier stack would
+//! have). (It was 106 408 B in 268 allocations with a `Vec` per
+//! timer-wheel slot and a 64 KiB frame buffer, 7 032 B in 6 with the
+//! wheel's slots inline over one arena, 3 232 B in 4 with a 2 KiB frame
+//! buffer and a spare ring of its own, then 1 072 B in 2 with a 32-entry
+//! poll queue and a no-op recorder of its own.) This test holds it
+//! there.
 //!
 //! It also pins a connection's own state, `size_of::<Tcb>()`: 408 B. A
 //! fleet stores each connection three times (client, primary, shadow),
@@ -61,6 +64,7 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 #[test]
 fn an_idle_stack_is_cheap() {
     let cfg = StackConfig::host(MacAddr::local(1), Ipv4Addr::new(10, 0, 0, 1));
+    drop(obs::nop());
     let (allocs, live) = (ALLOCS.load(Ordering::SeqCst), LIVE_BYTES.load(Ordering::SeqCst));
     let stack = NetStack::new(cfg);
     let allocs = ALLOCS.load(Ordering::SeqCst) - allocs;
@@ -71,8 +75,8 @@ fn an_idle_stack_is_cheap() {
         "NetStack::new: {allocs} allocations, {heap} B heap + {} B inline",
         total - heap as usize
     );
-    assert!(allocs <= 2, "NetStack::new made {allocs} allocations");
-    assert!(total <= 1024 + 128, "an idle NetStack holds {total} B");
+    assert_eq!(allocs, 0, "NetStack::new made {allocs} allocations");
+    assert!(total <= 800, "an idle NetStack holds {total} B");
     drop(stack);
     let tcb = std::mem::size_of::<Tcb>();
     assert!(tcb <= 408, "a TCB is {tcb} B");
